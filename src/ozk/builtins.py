@@ -124,7 +124,6 @@ def _wait_needed(task: Task, args):
     store = task.rt.store
     t = store.deref(args[0])
     if isinstance(t, Var) and not t.needed:
-        task.rt.stats.waitneeded += 1
         raise Suspend([t], byneed=True)
 
 

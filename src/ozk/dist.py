@@ -61,7 +61,7 @@ from .errors import PlacementError
 from .interp import Session
 from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
-from .runtime import FAILED, SUSPENDED, Runtime, StepLimit
+from .runtime import Runtime, StepLimit
 from .syntax import (BuiltinCall, Call, CaseStmt, CCompound, Choice, CVar,
                      IfStmt, Local, PCompound, ProcDef, PVar, Seq, ThreadStmt,
                      Unify, seq_all, seq_items)
@@ -297,7 +297,9 @@ class Node:
         return self.globals[name]
 
     def thread_statuses(self) -> Counter:
-        return Counter(t.status for t in self.rt.threads.values())
+        """Live threads by status, plus ended threads by exit status."""
+        live = Counter(t.status for t in self.rt.threads.values())
+        return live + self.rt.stats.exits
 
 
 # -- the simulation ----------------------------------------------------------
@@ -559,12 +561,10 @@ class Simulation:
         failures = [] if self.failure is None else [self.failure]
         suspended: dict = {}
         for node in self.nodes:
-            for t in node.rt.threads.values():
-                if t.status == FAILED:
-                    failures.append(f"node {node.node_id}: {t.failure}")
-                elif t.status == SUSPENDED and not t.byneed:
-                    suspended.setdefault(node.node_id, []).append(
-                        (t.tid, [v.vid for v in t.waiting_on]))
+            node_failures, node_suspended, _ = node.rt.verdict()
+            failures += [f"node {node.node_id}: {f}" for f in node_failures]
+            if node_suspended:
+                suspended[node.node_id] = node_suspended
         if status == "limit":
             failures.append("did not reach quiescence within the step budget")
         elif failures:

@@ -13,6 +13,7 @@ thread, and the clock jumps forward only when nothing is runnable.
 
 from __future__ import annotations
 
+import heapq
 import random as _random
 import time as _time
 from collections import Counter, deque
@@ -165,10 +166,6 @@ class Task:
 
 
 class ThreadTask(Task):
-    def __init__(self, rt, thread):
-        super().__init__(rt)
-        self.thread = thread
-
     def on_thread(self, body, env):
         self.rt.spawn(body, env)
 
@@ -354,16 +351,13 @@ FAILED = "failed"
 
 
 class OzThread:
-    __slots__ = ("tid", "task", "status", "waiting_on", "wake_at", "failure",
-                 "byneed")
+    __slots__ = ("tid", "task", "status", "waiting_on", "byneed")
 
     def __init__(self, tid: int, task: ThreadTask):
         self.tid = tid
         self.task = task
         self.status = RUNNABLE
         self.waiting_on: list = []
-        self.wake_at: Optional[int] = None
-        self.failure: Optional[str] = None
         self.byneed = False
 
 
@@ -372,7 +366,7 @@ class Stats:
     reductions: int = 0
     spawned: int = 0
     slices: int = 0
-    waitneeded: int = 0
+    exits: Counter = field(default_factory=Counter)   # exit status -> count
     calls: Counter = field(default_factory=Counter)
     max_depth: int = 0
 
@@ -393,6 +387,15 @@ TIMESLICE = 1000
 
 
 class Runtime:
+    """The scheduler over one store.
+
+    Only live state is kept.  After :meth:`run` returns, the runtime
+    holds the threads that are still suspended or sleeping (``threads``),
+    the sleeper heap of ``(wake_at, tid)`` pairs, and the failure texts of
+    threads that failed since the last verdict (``unreported_failures``).
+    A thread that ends leaves ``threads`` at once and is counted in
+    ``stats.exits``."""
+
     def __init__(self, store: Optional[Store] = None, builtins: Optional[dict] = None,
                  policy: str = "fifo", seed: Optional[int] = None,
                  max_steps: Optional[int] = None, real_time: bool = False,
@@ -409,18 +412,14 @@ class Runtime:
         self.clock = 0
         self.threads: dict[int, OzThread] = {}
         self.runq: deque = deque()
+        self.sleepers: list[tuple[int, int]] = []
+        self.unreported_failures: dict[int, str] = {}
         self.next_tid = 1
         self.stats = Stats()
         self.browses: list = []
         self.browse_log: list = []
-        self.bind_log: list = []
-        self._reported_failures: set = set()
-        self.store.on_bind = self._record_bind
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _record_bind(self, var: Var):
-        self.bind_log.append((self.clock, var.vid))
 
     def trace(self, kind: str, **payload):
         if self.on_trace is not None:
@@ -443,8 +442,7 @@ class Runtime:
     def spawn(self, stmt, env) -> int:
         tid = self.next_tid
         self.next_tid += 1
-        thread = OzThread(tid, None)
-        thread.task = ThreadTask(self, thread)
+        thread = OzThread(tid, ThreadTask(self))
         thread.task.push(stmt, env)
         self.threads[tid] = thread
         self.runq.append(tid)
@@ -480,13 +478,16 @@ class Runtime:
             self.wake(woken)
 
     def _sleep(self, thread: OzThread, ms: int):
+        wake_at = self.clock + max(0, ms)
         thread.status = SLEEPING
-        thread.wake_at = self.clock + max(0, ms)
-        self.trace("sleep", tid=thread.tid, until=thread.wake_at)
+        heapq.heappush(self.sleepers, (wake_at, thread.tid))
+        self.trace("sleep", tid=thread.tid, until=wake_at)
 
     def _finish(self, thread: OzThread, status: str, failure: Optional[str] = None):
-        thread.status = status
-        thread.failure = failure
+        del self.threads[thread.tid]
+        self.stats.exits[status] += 1
+        if status == FAILED:
+            self.unreported_failures[thread.tid] = failure
         if thread.task.max_depth > self.stats.max_depth:
             self.stats.max_depth = thread.task.max_depth
         self.trace("exit", tid=thread.tid, status=status, failure=failure)
@@ -537,28 +538,46 @@ class Runtime:
     def drain(self) -> None:
         """Run runnable threads until none is left.
 
-        Unlike :meth:`run`, the clock is never advanced and no verdict is
-        reached — the caller (a network simulation) owns time and decides
-        when the whole system is quiescent.  ``StepLimit`` propagates."""
+        The clock is never advanced and no verdict is reached: :meth:`run`,
+        or a network simulation, owns time and decides when the whole
+        system is quiescent.  ``StepLimit`` propagates."""
         while self.runq:
-            tid = self._pick()
-            thread = self.threads[tid]
-            if thread.status == RUNNABLE:
-                self._slice(thread)
+            self._slice(self.threads[self._pick()])
 
     def next_wake(self) -> Optional[int]:
         """Earliest wake-up time among sleeping threads, or None."""
-        wakes = [t.wake_at for t in self.threads.values()
-                 if t.status == SLEEPING]
-        return min(wakes) if wakes else None
+        return self.sleepers[0][0] if self.sleepers else None
 
     def wake_due(self) -> None:
-        """Move sleepers whose time has come back onto the run queue."""
+        """Move sleepers whose time has come back onto the run queue, in
+        (wake time, tid) order."""
+        sleepers = self.sleepers
+        while sleepers and sleepers[0][0] <= self.clock:
+            tid = heapq.heappop(sleepers)[1]
+            self.threads[tid].status = RUNNABLE
+            self.runq.append(tid)
+
+    def verdict(self) -> tuple[list, list, list]:
+        """``(failures, suspended, idle)`` for the threads at rest.
+
+        Each failure is reported once, in tid order: a later verdict on
+        the same runtime (the interactive loop) does not repeat old news.
+        A thread parked until someone *needs* a value is an idle producer;
+        only threads stuck waiting for a value count as deadlocked."""
+        failures = [self.unreported_failures[tid]
+                    for tid in sorted(self.unreported_failures)]
+        self.unreported_failures.clear()
+        suspended, idle = [], []
         for t in self.threads.values():
-            if t.status == SLEEPING and t.wake_at <= self.clock:
-                t.status = RUNNABLE
-                t.wake_at = None
-                self.runq.append(t.tid)
+            if t.task.max_depth > self.stats.max_depth:
+                self.stats.max_depth = t.task.max_depth
+            if t.status != SUSPENDED:
+                continue
+            if t.byneed:
+                idle.append(t.tid)
+            else:
+                suspended.append((t.tid, [v.vid for v in t.waiting_on]))
+        return failures, suspended, idle
 
     def run(self) -> RunResult:
         status = "done"
@@ -566,47 +585,19 @@ class Runtime:
         log_base = len(self.browse_log)
         try:
             while True:
-                if self.runq:
-                    tid = self._pick()
-                    thread = self.threads[tid]
-                    if thread.status == RUNNABLE:
-                        self._slice(thread)
-                    continue
-                sleepers = [t for t in self.threads.values()
-                            if t.status == SLEEPING]
-                if sleepers:
-                    wake_at = min(t.wake_at for t in sleepers)
-                    if self.real_time and wake_at > self.clock:
-                        _time.sleep((wake_at - self.clock) / 1000.0)
-                    self.clock = max(self.clock, wake_at)
-                    self.trace("clock", now=self.clock)
-                    for t in sleepers:
-                        if t.wake_at <= self.clock:
-                            t.status = RUNNABLE
-                            t.wake_at = None
-                            self.runq.append(t.tid)
-                    continue
-                break
+                self.drain()
+                wake_at = self.next_wake()
+                if wake_at is None:
+                    break
+                if self.real_time and wake_at > self.clock:
+                    _time.sleep((wake_at - self.clock) / 1000.0)
+                self.clock = max(self.clock, wake_at)
+                self.trace("clock", now=self.clock)
+                self.wake_due()
         except StepLimit:
             status = "limit"
 
-        # Report each failed thread once: a later run() on the same
-        # runtime (the interactive loop) should not repeat old news.
-        failures = [t.failure for t in self.threads.values()
-                    if t.status == FAILED
-                    and t.tid not in self._reported_failures]
-        self._reported_failures.update(
-            t.tid for t in self.threads.values() if t.status == FAILED)
-        # A thread parked until someone *needs* a value is an idle producer;
-        # only threads stuck waiting for a value count as deadlocked.
-        suspended = [(t.tid, [v.vid for v in t.waiting_on])
-                     for t in self.threads.values()
-                     if t.status == SUSPENDED and not t.byneed]
-        idle = [t.tid for t in self.threads.values()
-                if t.status == SUSPENDED and t.byneed]
-        for t in self.threads.values():
-            if t.task.max_depth > self.stats.max_depth:
-                self.stats.max_depth = t.task.max_depth
+        failures, suspended, idle = self.verdict()
         if status == "done":
             if failures:
                 status = "failed"

@@ -200,7 +200,6 @@ class Store:
         self.vars: dict[VarId, Var] = {}
         self.trails: list[list] = []
         self.dist = None  # distribution hooks, set by the network simulator
-        self.on_bind: Optional[Callable[[Var], None]] = None
 
     # -- variables ---------------------------------------------------
 
@@ -280,8 +279,6 @@ class Store:
             target = self.deref(value)
             if isinstance(target, Var):
                 woken |= self.mark_needed(target)
-        if self.on_bind is not None:
-            self.on_bind(var)
         return woken
 
     def _bind(self, var: Var, value: Term) -> set[int]:
@@ -527,78 +524,80 @@ def render(store: Store, term: Term) -> str:
             cycle_labels[id(node)] = k
         return k
 
-    def walk(t: Term, path: dict[int, Term], out: list[str]) -> None:
-        t = store.deref(t)
+    # The walk is iterative so that deep terms cannot exhaust the Python
+    # stack.  ``work`` is a LIFO of terms to render, literal text, and
+    # tuples of node ids that leave ``path`` once their subterms are done;
+    # ``path`` holds the compounds between the root and the current term.
+    out: list[str] = []
+    path: set[int] = set()
+    work: list = [term]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is tuple:
+            path.difference_update(item)
+            continue
+        t = store.deref(item)
         if isinstance(t, Var):
             out.append(var_name(t))
-            return
-        if isinstance(t, Int):
+        elif isinstance(t, Int):
             out.append(str(t.value) if t.value >= 0 else f"~{-t.value}")
-            return
-        if isinstance(t, Atom):
+        elif isinstance(t, Atom):
             out.append(_atom_text(t.name))
-            return
-        if isinstance(t, (Closure, NativeProc)):
+        elif isinstance(t, (Closure, NativeProc)):
             out.append(f"<P/{t.arity} {getattr(t, 'name', '$')}>")
-            return
-        if isinstance(t, Opaque):
+        elif isinstance(t, Opaque):
             out.append(f"<{t.tag}>")
-            return
-        assert isinstance(t, Compound)
-        if id(t) in path:
+        elif id(t) in path:
             out.append(f"@{label_for(t)}")
-            return
-        if is_cons(t):
-            # Walk the spine iteratively; decide between [..] and a|b|c.
+        elif is_cons(t):
+            # Walk the spine; decide between [..] and a|b|c.
             spine: list[Term] = []
-            spine_nodes: dict[int, Term] = {}
+            spine_ids: set[int] = set()
             cur: Term = t
             tail: Optional[Term] = None
-            cyclic_tail: Optional[Term] = None
             while True:
                 cur = store.deref(cur)
                 if is_cons(cur):
-                    if id(cur) in path or id(cur) in spine_nodes:
-                        cyclic_tail = cur
+                    if id(cur) in path or id(cur) in spine_ids:
+                        # A cyclic tail: by the time it is popped it is
+                        # on the path, so it renders as a back reference.
+                        tail = cur
                         break
                     spine.append(cur.args[0])
-                    spine_nodes[id(cur)] = cur
+                    spine_ids.add(id(cur))
                     cur = cur.args[1]
-                elif isinstance(cur, Atom) and cur.name == "nil":
-                    break
                 else:
-                    tail = cur
+                    if not (isinstance(cur, Atom) and cur.name == "nil"):
+                        tail = cur
                     break
-            inner = dict(path)
-            inner.update(spine_nodes)
-            if cyclic_tail is None and tail is None:
-                out.append("[")
+            path |= spine_ids
+            items: list = []
+            if tail is None:
+                items.append("[")
                 for i, el in enumerate(spine):
                     if i:
-                        out.append(" ")
-                    walk(el, inner, out)
-                out.append("]")
+                        items.append(" ")
+                    items.append(el)
+                items.append("]")
             else:
                 for el in spine:
-                    walk(el, inner, out)
-                    out.append("|")
-                if cyclic_tail is not None:
-                    out.append(f"@{label_for(cyclic_tail)}")
-                else:
-                    walk(tail, inner, out)
-            return
-        inner = dict(path)
-        inner[id(t)] = t
-        out.append(_atom_text(t.label) if t.label != CONS else CONS)
-        out.append("(")
-        for i, arg in enumerate(t.args):
-            if i:
-                out.append(" ")
-            walk(arg, inner, out)
-        out.append(")")
-
-    out: list[str] = []
-    walk(term, {}, out)
+                    items += (el, "|")
+                items.append(tail)
+            items.append(tuple(spine_ids))
+            work.extend(reversed(items))
+        else:
+            path.add(id(t))
+            out.append(_atom_text(t.label) if t.label != CONS else CONS)
+            out.append("(")
+            work.append((id(t),))
+            work.append(")")
+            for i in range(len(t.args) - 1, -1, -1):
+                work.append(t.args[i])
+                if i:
+                    work.append(" ")
     return "".join(out)
 
 

@@ -97,6 +97,14 @@ class TestRun:
         assert code == 1
         assert "failed" in err
 
+    def test_deep_term_browses(self, capsys, tmp_path):
+        src = write(tmp_path, "deep.ozk",
+                    "fun {Deep N} if N == 0 then leaf else f({Deep N-1}) end "
+                    "end {Browse {Deep 5000}}")
+        code, out, err = run_cli(capsys, "run", src)
+        assert code == 0, err
+        assert out == "f(" * 5000 + "leaf" + ")" * 5000 + "\n"
+
     def test_parse_error_exit_3(self, capsys, tmp_path):
         f = write(tmp_path, "b.ozk", "local X in X =")
         code, out, err = run_cli(capsys, "run", f)

@@ -1,6 +1,7 @@
 """Multi-node simulation: protocol behavior, confluence, replica checks."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from ozk.errors import PlacementError
 from ozk.interp import run_text
 from ozk.parser import parse_program
 from ozk.terms import Var
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
 
 GEN_MAP = """
 local Gen Square Xs Ys in
@@ -277,6 +280,12 @@ class TestProtocol:
         assert sim.nodes[0].registered[x_vid] == audience
         # No notification was triggered by the duplicate.
         assert sim.network.sent["BindNotify"] == before["BindNotify"]
+
+    def test_summary_counts_ended_threads(self):
+        source = (PROGRAMS / "dist_gen_map.ozk").read_text()
+        summary = run_simulation(source, {"a": 0, "b": 1}).summary()
+        assert "node 0: terminated=3 " in summary
+        assert "node 1: terminated=3 " in summary
 
     def test_deadlock_reported(self):
         program = """

@@ -4,11 +4,10 @@ import pytest
 
 from ozk.errors import ParseError, QuietGuardViolation
 from ozk.parser import parse_interactive, parse_program
-from ozk.pretty import pretty
 from ozk.syntax import (
     BuiltinCall, Call, CaseStmt, CCompound, Choice, CLit, CVar, Fail,
     IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar, Seq, Skip,
-    ThreadStmt, Unify, seq_items,
+    ThreadStmt, Unify, pretty, seq_items,
 )
 from ozk.terms import Atom, Int
 

@@ -89,6 +89,17 @@ def test_failed_thread_does_not_stop_others():
     assert "unification failed" in r.failures[0]
 
 
+def test_failures_reported_once_in_tid_order():
+    # The first thread fails last; the report still lists it first.
+    s = Session()
+    r = s.feed("thread {Delay 10} 1 = 2 end  thread fail end")
+    assert r.status == "failed"
+    assert r.failures == ["unification failed: 1 = 2", "fail statement"]
+    r = s.feed("{Browse ok}")
+    assert r.status == "done"
+    assert r.failures == []
+
+
 def test_bindings_made_before_a_failure_survive():
     r = run_text("X in thread X = 5  1 = 2 end  {Wait X} {Browse X}")
     assert r.status == "failed"
@@ -215,14 +226,23 @@ def test_clock_jumps_only_when_nothing_is_runnable():
     assert r.browse_log == [(0, "spun"), (10, "woke")]
 
 
+def test_sleepers_wake_in_time_order():
+    r = run_text("""
+    thread {Delay 20} {Browse a} end
+    thread {Delay 10} {Browse b} end
+    """)
+    assert r.browse_log == [(10, "b"), (20, "a")]
+
+
 def test_parallel_delays_overlap():
+    # Sleepers due at the same time wake in tid order.
     r = run_text("""
     thread {Delay 100} {Browse a} end
     thread {Delay 100} {Browse b} end
     """)
     assert r.status == "done"
     assert r.clock == 100
-    assert sorted(r.browses) == ["a", "b"]
+    assert r.browse_log == [(100, "a"), (100, "b")]
 
 
 # -- tail calls and scale --------------------------------------------------------
@@ -245,7 +265,8 @@ def test_deep_recursion_runs_in_constant_stack():
 
 
 def test_ten_thousand_threads():
-    r = run_text("""
+    s = Session()
+    r = s.feed("""
     proc {Par I N Xs}
        if I > N then Xs = nil
        else X Xr in Xs = X|Xr thread X = I*I end {Par I+1 N Xr} end
@@ -259,6 +280,9 @@ def test_ten_thousand_threads():
     assert r.status == "done"
     assert r.browses == ["10000", "25"]
     assert r.stats.spawned >= 10001
+    # Ended threads are counted, not kept.
+    assert s.rt.threads == {}
+    assert r.stats.exits == {"terminated": r.stats.spawned}
 
 
 def test_step_limit_stops_runaway_programs():
