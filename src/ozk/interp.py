@@ -6,7 +6,6 @@ one-shot program runs and the interactive loop.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .builtins import make_builtins
@@ -16,11 +15,30 @@ from .runtime import RunResult, Runtime, env_child
 from .terms import Store, Term
 
 
-@lru_cache(maxsize=64)
-def _parse_cached(text: str, global_names: tuple):
-    # Statements are immutable, so a parse can be shared between sessions;
-    # this mostly pays off for the prelude, parsed once per process.
-    return parse_interactive(text, global_names)
+# text -> (its identifiers, those of them that were global, the parse).
+# Statements are immutable, so a parse can be shared between sessions;
+# this mostly pays off for the prelude, which every session feeds.
+_PARSES: dict = {}
+_PARSES_MAX = 64
+
+
+def _parse_cached(text: str, global_names: dict):
+    """Parse a chunk against `global_names`, reusing an earlier parse.
+
+    A parse depends only on the text and on which of the text's
+    identifiers are global, so an entry is keyed by the text and holds
+    while those identifiers are still the global ones.  The entries are
+    kept in least-recently-used order and bounded."""
+    entry = _PARSES.pop(text, None)
+    if entry is not None and global_names.keys() & entry[0] == entry[1]:
+        _PARSES[text] = entry
+        return entry[2]
+    idents: set = set()
+    parsed = parse_interactive(text, global_names, idents)
+    if len(_PARSES) >= _PARSES_MAX:
+        del _PARSES[next(iter(_PARSES))]
+    _PARSES[text] = (idents, global_names.keys() & idents, parsed)
+    return parsed
 
 
 class Session:
@@ -47,7 +65,9 @@ class Session:
 
     def feed(self, text: str) -> RunResult:
         """Parse a chunk, expose its declarations globally, run to rest."""
-        stmt, new_names = _parse_cached(text, self.names())
+        # The frame itself is the global container: its "\x00up" key is
+        # never a source identifier.
+        stmt, new_names = _parse_cached(text, self.globals)
         for name in new_names:
             self.globals[name] = self.store.new_var()
         self.rt.spawn(stmt, self.env)

@@ -649,17 +649,48 @@ class _Parser:
 # -- desugarer ---------------------------------------------------------------
 
 
+class _Scope:
+    """One level of a lexical scope over the level that encloses it.
+
+    A level holds the few names one construct binds: a block's
+    declarations, a definition's parameters and result, guard or pattern
+    variables.  The bottom of the chain is the caller's global container,
+    which is only ever asked whether it holds a name, so the cost of a
+    scope test does not grow with the number of globals.
+    """
+
+    __slots__ = ("names", "up")
+
+    def __init__(self, names, up):
+        self.names = names
+        self.up = up
+
+    def __contains__(self, name) -> bool:
+        s = self
+        while type(s) is _Scope:
+            if name in s.names:
+                return True
+            s = s.up
+        return name in s
+
+
+def _nest(scope, names):
+    return _Scope(names, scope) if names else scope
+
+
 class _Desugar:
-    def __init__(self, taken: set):
-        self.taken = set(taken)
+    def __init__(self, idents: set):
+        # Fresh temporaries avoid only the text's own identifiers.  Each is
+        # bound by an enclosing `local` or parameter list, so it can shadow
+        # only names the text never mentions.
+        self.idents = idents
         self.counter = 0
 
     def fresh(self, base: str = "T") -> str:
         while True:
             self.counter += 1
             name = f"_{base}{self.counter}"
-            if name not in self.taken:
-                self.taken.add(name)
+            if name not in self.idents:
                 return name
 
     @staticmethod
@@ -697,9 +728,16 @@ class _Desugar:
                                             for a in e.args))
         if isinstance(e, EBin):
             if e.op == "|":
-                head = self.lower(e.l, scope, fills, temps)
-                tail = self.lower(e.r, scope, fills, temps)
-                return CCompound("|", (head, tail))
+                # Loop down the spine, so a long list literal takes no
+                # stack; heads are lowered first to last, then the tail.
+                heads = []
+                while isinstance(e, EBin) and e.op == "|":
+                    heads.append(self.lower(e.l, scope, fills, temps))
+                    e = e.r
+                out = self.lower(e, scope, fills, temps)
+                for head in reversed(heads):
+                    out = CCompound("|", (head, out))
+                return out
             if e.op == "=":
                 self.err("'=' cannot be nested inside an expression", e.pos)
             a = self.lower(e.l, scope, fills, temps)
@@ -815,17 +853,18 @@ class _Desugar:
                 self.err(f"parameter {p} repeated", e.pos)
             seen.add(p)
             params.append(p)
-        inner = scope | {name} | set(params)
+        inner = {name, *params}
         if e.isfun:
             res = self.fresh("R")
-            self.taken.add(res)
-            body = self.block_core(e.body, inner | {res}, res)
+            inner.add(res)
+            body = self.block_core(e.body, _Scope(inner, scope), res)
             if e.lazy:
                 body = ThreadStmt(Seq(Call(CVar("WaitNeeded"), (CVar(res),)), body))
             return ProcDef(name, tuple(params) + (res,), body)
         if e.lazy:
             self.err("'lazy' only applies to 'fun'", e.pos)
-        return ProcDef(name, tuple(params), self.block_core(e.body, inner, None))
+        return ProcDef(name, tuple(params),
+                       self.block_core(e.body, _Scope(inner, scope), None))
 
     def if_core(self, e: EIf, scope, result: Optional[str]) -> Statement:
         arms = []
@@ -850,8 +889,8 @@ class _Desugar:
                         self.err(f"guard variable {v} repeated", e.pos)
                     seen.add(v)
                 gvars = tuple(guard.vars)
-                gstmt = self.block_core(guard.block, scope | set(gvars), None)
-            body = self.block_core(block, scope | set(gvars), result)
+                gstmt = self.block_core(guard.block, _nest(scope, gvars), None)
+            body = self.block_core(block, _nest(scope, gvars), result)
             arm = IfArm(gvars, gstmt, body)
             _check_quiet_guard(arm, e.pos)
             arms.append(arm)
@@ -865,8 +904,8 @@ class _Desugar:
         subject = self.lower(e.subject, scope, pre, temps)
         arms = []
         for pat, block in e.arms:
-            names = pattern_names(pat)
-            body = self.block_core(block, scope | set(names), result)
+            body = self.block_core(block, _nest(scope, pattern_names(pat)),
+                                   result)
             arms.append(CaseArm(pat, body))
         if e.els is None:
             otherwise: Statement = Fail()
@@ -881,14 +920,13 @@ class _Desugar:
     def block_core(self, b: SBlock, scope, result: Optional[str],
                    expose: bool = False):
         declared: list = []
-        seen: set[str] = set(scope)
+        own: set[str] = set()
 
         def add(name: str, force: bool):
-            if name in seen and not force:
+            if name in own or (not force and name in scope):
                 return
-            if name not in declared:
-                declared.append(name)
-            seen.add(name)
+            declared.append(name)
+            own.add(name)
 
         for item in b.decls:
             if isinstance(item, SExpr) and isinstance(item.e, EDef) and item.e.name:
@@ -907,7 +945,7 @@ class _Desugar:
             elif isinstance(item, SUnify) and isinstance(item.l, EVar):
                 add(item.l.name, force=False)
 
-        inner = scope | set(declared)
+        inner = _nest(scope, own)
         decl_ids = {id(x) for x in b.decls}
         items = list(b.decls) + list(b.body)
         final = None
@@ -950,7 +988,8 @@ class _Desugar:
             if isinstance(e, EDef) and e.name is not None:
                 self.err("function body must end in an expression", item.pos)
             return self.unify_core(
-                SUnify(EVar(result, item.pos), e, item.pos), scope | {result})
+                SUnify(EVar(result, item.pos), e, item.pos),
+                _Scope((result,), scope))
         self.err("function body must end in an expression", item.pos)
 
 
@@ -961,17 +1000,16 @@ def _declarable_idents(e) -> list:
     not declarations.
     """
     out: list = []
-
-    def walk(x):
+    todo = [e]                 # left to right, without recursion
+    while todo:
+        x = todo.pop()
         if isinstance(x, EVar):
             out.append(x.name)
         elif isinstance(x, EComp):
-            for a in x.args:
-                walk(a)
+            todo.extend(reversed(x.args))
         elif isinstance(x, EBin) and x.op == "|":
-            walk(x.l)
-            walk(x.r)
-    walk(e)
+            todo.append(x.r)
+            todo.append(x.l)
     return out
 
 
@@ -1037,20 +1075,41 @@ def _check_quiet_guard(arm: IfArm, pos):
 # -- public API ---------------------------------------------------------------
 
 
+def _globals(global_names):
+    # A sequence is searched in linear time, so it is turned into a set
+    # once per parse; any other container is used as it is.
+    if isinstance(global_names, (tuple, list)):
+        return frozenset(global_names)
+    return global_names
+
+
 def parse_program(text: str, global_names=()) -> Statement:
-    """Parse and desugar a whole program into one core statement."""
-    p = _Parser(text)
-    block = p.parse_program()
-    d = _Desugar(p.idents | set(global_names))
-    return d.block_core(block, frozenset(global_names), None)
+    """Parse and desugar a whole program into one core statement.
 
-
-def parse_interactive(text: str, global_names=()):
-    """Parse a top-level chunk, exposing its new declarations.
-
-    Returns (statement, declared_names); the caller owns the new names.
+    `global_names` holds the names already bound around the program.  It
+    is only ever asked whether it holds a name (``in``): it is neither
+    iterated, copied nor kept, so any container with membership will do,
+    and a parse costs the same however many globals there are.  A tuple
+    or list is turned into a set first.
     """
     p = _Parser(text)
     block = p.parse_program()
-    d = _Desugar(p.idents | set(global_names))
-    return d.block_core(block, frozenset(global_names), None, expose=True)
+    return _Desugar(p.idents).block_core(block, _globals(global_names), None)
+
+
+def parse_interactive(text: str, global_names=(), idents: Optional[set] = None):
+    """Parse a top-level chunk, exposing its new declarations.
+
+    Returns (statement, declared_names); the caller owns the new names.
+    `global_names` is read as by :func:`parse_program`: by membership
+    only, neither copied nor kept.  The result depends only on the text
+    and on which of the text's identifiers are global; when `idents` is
+    given, those identifiers are added to it, so that a caller can keep
+    the parse and tell when it still holds.
+    """
+    p = _Parser(text)
+    block = p.parse_program()
+    if idents is not None:
+        idents.update(p.idents)
+    return _Desugar(p.idents).block_core(block, _globals(global_names), None,
+                                         expose=True)

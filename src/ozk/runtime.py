@@ -95,9 +95,29 @@ def build_term(store: Store, expr, env: dict) -> Term:
     if isinstance(expr, CLit):
         return expr.value
     if isinstance(expr, CCompound):
-        return Compound(expr.label,
-                        [build_term(store, a, env) for a in expr.args])
+        exprs = expr.args
+        if exprs and type(exprs[-1]) is CCompound:
+            return _build_spine(store, expr, env)
+        return Compound(expr.label, [build_term(store, a, env) for a in exprs])
     raise TypeError(f"cannot build {expr!r}")
+
+
+def _build_spine(store: Store, expr: CCompound, env: dict) -> Term:
+    """Build a compound down the chain of its last arguments in a loop.
+
+    Only the other arguments are built by recursion, so a long list (a
+    chain of '|' cells) takes no stack.  Arguments are built in the same
+    order as by plain recursion."""
+    cells = []
+    while type(expr) is CCompound and expr.args:
+        cells.append(Compound(expr.label, [build_term(store, a, env)
+                                           for a in expr.args[:-1]]))
+        expr = expr.args[-1]
+    term = build_term(store, expr, env)
+    for cell in reversed(cells):
+        cell.args.append(term)
+        term = cell
+    return term
 
 
 # -- pattern matching -----------------------------------------------------------
@@ -394,7 +414,8 @@ class Runtime:
     the sleeper heap of ``(wake_at, tid)`` pairs, and the failure texts of
     threads that failed since the last verdict (``unreported_failures``).
     A thread that ends leaves ``threads`` at once and is counted in
-    ``stats.exits``."""
+    ``stats.exits``.  The lines browsed during a run go to its
+    :class:`RunResult` and leave ``browses`` and ``browse_log``."""
 
     def __init__(self, store: Optional[Store] = None, builtins: Optional[dict] = None,
                  policy: str = "fifo", seed: Optional[int] = None,
@@ -581,8 +602,6 @@ class Runtime:
 
     def run(self) -> RunResult:
         status = "done"
-        browse_base = len(self.browses)
-        log_base = len(self.browse_log)
         try:
             while True:
                 self.drain()
@@ -603,6 +622,9 @@ class Runtime:
                 status = "failed"
             elif suspended:
                 status = "deadlock"
-        return RunResult(status, self.clock, self.browses[browse_base:],
-                         self.browse_log[log_base:],
+        # The run's output goes to its result and leaves the runtime, so
+        # a long session keeps no lines from earlier runs.
+        browses, self.browses = self.browses, []
+        browse_log, self.browse_log = self.browse_log, []
+        return RunResult(status, self.clock, browses, browse_log,
                          failures, suspended, self.stats, idle)

@@ -1,7 +1,9 @@
 """The command-line interface: exit codes, goldens, REPL, determinism."""
 
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 from oracles import QUEENS8_FIRST, queens_brute
 from ozk.cli import main
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "docs" / "programs"
 
 QUEENS_FUN = """
 fun {Queens N}
@@ -104,6 +107,13 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", src)
         assert code == 0, err
         assert out == "f(" * 5000 + "leaf" + ")" * 5000 + "\n"
+
+    def test_long_list_literal_runs(self, capsys, tmp_path):
+        items = " ".join(str(i) for i in range(5000))
+        src = write(tmp_path, "long.ozk",
+                    "local Xs = [%s] in {Browse {Length Xs}} end" % items)
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out, err) == (0, "5000\n", "")
 
     def test_parse_error_exit_3(self, capsys, tmp_path):
         f = write(tmp_path, "b.ozk", "local X in X =")
@@ -322,6 +332,31 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1
+
+    # Runs in one process share one string-hash order; these runs do not.
+    @pytest.mark.parametrize("argv", [
+        ("run", str(PROGRAMS / "gen_map.ozk")),
+        ("run", str(PROGRAMS / "queens.pl"), "--query", "queens(6, Qs)"),
+        ("dist-run", str(PROGRAMS / "dist_gen_map.ozk"),
+         "--placement", "a=0,b=1", "--net-seed", "7", "--trace", "all"),
+        ("run", "deadlock.ozk"),
+    ], ids=["gen_map", "queens_pl", "dist_gen_map", "deadlock"])
+    def test_output_independent_of_hash_seed(self, tmp_path, argv):
+        (tmp_path / "deadlock.ozk").write_text(
+            "local X Y Z in thread Y = X + 1 end thread Z = Y + X end end")
+        path = os.environ.get("PYTHONPATH")
+        outcomes = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [str(ROOT / "src")] + ([path] if path else [])))
+            proc = subprocess.run([sys.executable, "-m", "ozk.cli", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True,
+                                  timeout=120)
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert code in (0, 2) and out + err, err
 
 
 class TestDocsPrograms:

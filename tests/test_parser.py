@@ -371,6 +371,30 @@ def test_interactive_exposes_declarations():
     assert items[0] == Unify(CVar("X"), CLit(Int(5)))
 
 
+class MembershipOnly:
+    """A global container that answers `in` and nothing else."""
+
+    def __init__(self, names):
+        self.names = frozenset(names)
+
+    def __contains__(self, name):
+        return name in self.names
+
+    def __iter__(self):
+        raise AssertionError("the globals were iterated")
+
+    def __len__(self):
+        raise AssertionError("the globals were sized")
+
+
+def test_globals_are_read_by_membership_only():
+    src = ("Ys = {Map [1 2 3] fun {$ A} B in B = A + 1 B end} "
+           "case Ys of Y|_ then {Browse Y} end")
+    globals_ = MembershipOnly(GLOBALS)
+    assert parse_interactive(src, globals_) == parse_interactive(src, GLOBALS)
+    assert parse_program(src, globals_) == parse_program(src, GLOBALS)
+
+
 # -- pretty round-trips ------------------------------------------------------------
 
 ROUND_TRIP_SOURCES = [

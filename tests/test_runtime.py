@@ -461,3 +461,36 @@ def test_browses_are_reported_per_feed():
     s.feed("{Browse one}")
     r = s.feed("{Browse two}")
     assert r.browses == ["two"]
+
+
+def test_runtime_keeps_no_browsed_lines_between_feeds():
+    s = Session()
+    feeds = [
+        ("{Browse one} {Delay 10} {Browse two}",
+         "done", [(0, "one"), (10, "two")]),
+        ("Q in thread {Wait Q} {Browse got(Q)} end", "deadlock", []),
+        ("Q = 3 {Browse set}", "done", [(10, "set"), (10, "got(3)")]),
+        ("skip", "done", []),
+    ]
+    for text, status, log in feeds:
+        r = s.feed(text)
+        assert (r.status, r.browse_log) == (status, log)
+        assert r.browses == [line for _, line in log]
+        assert s.rt.browses == [] and s.rt.browse_log == []
+
+
+def test_parse_cache_respects_globals():
+    # The same text means something else once X is already global.
+    assert Session().feed("X = 5 {Browse X}").browses == ["5"]
+    s = Session()
+    s.feed("X = 4")
+    assert s.feed("X = 5 {Browse X}").status == "failed"
+
+
+def test_temporaries_do_not_hide_globals():
+    s = Session()
+    s.feed("_R1 = 7 fun {Inc N} N + 1 end")
+    # A temporary may shadow a global the chunk does not mention ...
+    assert s.feed("{Browse {Inc {Inc 1}}}").browses == ["3"]
+    # ... but never one it does.
+    assert s.feed("{Browse {Inc {Inc _R1}}}").browses == ["9"]
