@@ -95,7 +95,7 @@ def _equal(task: Task, args):
     store = task.rt.store
     res, frontier = store.equals(args[0], args[1])
     if res is None:
-        raise Suspend([store.intern(vid) for vid in frontier])
+        raise Suspend(frontier)
     if len(args) == 2:
         if not res:
             raise Failure("== is false")

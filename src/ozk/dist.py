@@ -77,57 +77,65 @@ MESSAGE_KINDS = ("Register", "BindRequest", "BindNotify", "UnifyVarVar")
 
 
 def _pattern_binders(pattern, out: set) -> None:
-    if isinstance(pattern, PVar):
-        out.add(pattern.name)
-    elif isinstance(pattern, PCompound):
-        for arg in pattern.args:
-            _pattern_binders(arg, out)
+    todo = [pattern]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, PVar):
+            out.add(p.name)
+        elif isinstance(p, PCompound):
+            todo.extend(p.args)
 
 
 def _expr_free(expr, bound, out: set) -> None:
-    if type(expr) is CVar:
-        if expr.name not in bound:
-            out.add(expr.name)
-    elif type(expr) is CCompound:
-        for arg in expr.args:
-            _expr_free(arg, bound, out)
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        if type(e) is CVar:
+            if e.name not in bound:
+                out.add(e.name)
+        elif type(e) is CCompound:
+            todo.extend(e.args)
 
 
 def free_names(stmt) -> set:
-    """Names a statement reads or writes but does not itself declare."""
-    out: set = set()
+    """Names a statement reads or writes but does not itself declare.
 
-    def walk(s, bound):
+    The walk keeps its own stack of (statement, names bound around it),
+    so a long sequence or a deep nesting takes no Python stack."""
+    out: set = set()
+    todo = [(stmt, frozenset())]
+    while todo:
+        s, bound = todo.pop()
         t = type(s)
         if t is Seq:
-            walk(s.first, bound)
-            walk(s.second, bound)
+            todo.append((s.second, bound))
+            todo.append((s.first, bound))
         elif t is Local:
-            walk(s.body, bound | set(s.names))
+            todo.append((s.body, bound | set(s.names)))
         elif t is Unify:
             _expr_free(s.lhs, bound, out)
             _expr_free(s.rhs, bound, out)
         elif t is IfStmt:
+            todo.append((s.otherwise, bound))
             for arm in s.arms:
                 inner = bound | set(arm.guard_vars)
                 if arm.guard is not None:
-                    walk(arm.guard, inner)
-                walk(arm.body, inner)
-            walk(s.otherwise, bound)
+                    todo.append((arm.guard, inner))
+                todo.append((arm.body, inner))
         elif t is CaseStmt:
             _expr_free(s.subject, bound, out)
             for arm in s.arms:
                 binders: set = set()
                 _pattern_binders(arm.pattern, binders)
-                walk(arm.body, bound | binders)
-            walk(s.otherwise, bound)
+                todo.append((arm.body, bound | binders))
+            todo.append((s.otherwise, bound))
         elif t is Choice:
             for alt in s.alternatives:
-                walk(alt, bound)
+                todo.append((alt, bound))
         elif t is ProcDef:
             if s.name not in bound:
                 out.add(s.name)
-            walk(s.body, bound | set(s.params))
+            todo.append((s.body, bound | set(s.params)))
         elif t is Call:
             _expr_free(s.target, bound, out)
             for arg in s.args:
@@ -136,10 +144,8 @@ def free_names(stmt) -> set:
             for arg in s.args:
                 _expr_free(arg, bound, out)
         elif t is ThreadStmt:
-            walk(s.body, bound)
+            todo.append((s.body, bound))
         # Skip and Fail mention nothing.
-
-    walk(stmt, frozenset())
     return out
 
 
@@ -429,6 +435,7 @@ class Simulation:
                 self.nodes[origin].globals[name] = var
                 for nid in users[1:]:
                     if name not in self.nodes[nid].globals:
+                        self.nodes[origin].store.export(var)
                         self.nodes[nid].globals[name] = \
                             self.nodes[nid].store.intern(var.vid)
 

@@ -46,6 +46,11 @@ _NONASSOC = {"=", "==", "<", ">", "=<", ">="}
 _ARG_PREC = 2        # call/constructor arguments: everything above '='
 _ITEM_PREC = 4       # list display items: above '|'
 
+# Expressions, blocks and patterns may nest this deep.  The parser and the
+# desugarer recurse once per level, so deeper input is refused with a
+# syntax error where its nesting is entered.
+MAX_NESTING = 100
+
 
 # -- tokens ---------------------------------------------------------------
 
@@ -281,6 +286,7 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = tokenize(src)
         self.i = 0
+        self.depth = 0           # open nesting levels, see MAX_NESTING
         self.idents: set[str] = {t.val for t in self.toks if t.kind == "var"}
 
     def peek(self, k: int = 0) -> Tok:
@@ -313,6 +319,13 @@ class _Parser:
         t = self.peek(k)
         return t.kind == kind and (val is None or t.val == val)
 
+    def enter(self) -> None:
+        """Open one nesting level at the next token; the caller closes it
+        with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.err(f"nesting deeper than {MAX_NESTING} levels")
+
     # -- blocks ---------------------------------------------------------
 
     def at_stop(self, stops) -> bool:
@@ -322,6 +335,7 @@ class _Parser:
         return (t.kind in ("kw", "op")) and t.val in stops
 
     def parse_block(self, stops) -> SBlock:
+        self.enter()
         pos = (self.peek().line, self.peek().col)
         decls: Optional[list] = None
         items: list = []
@@ -333,6 +347,7 @@ class _Parser:
                 decls, items = items, []
                 continue
             items.append(self.parse_statement())
+        self.depth -= 1
         return SBlock(decls or [], items, decls is not None, pos)
 
     def parse_program(self) -> SBlock:
@@ -503,14 +518,23 @@ class _Parser:
     # -- patterns ---------------------------------------------------------
 
     def parse_pattern(self, seen: set):
-        p = self.parse_pattern_primary(seen)
-        if self.at("op", "|"):
+        # H1|H2|...|T is right-associative; read it in a loop.
+        parts = [self.parse_pattern_primary(seen)]
+        while self.at("op", "|"):
             self.next()
-            tail = self.parse_pattern(seen)
-            return PCompound("|", (p, tail))
+            parts.append(self.parse_pattern_primary(seen))
+        p = parts.pop()
+        for head in reversed(parts):
+            p = PCompound("|", (head, p))
         return p
 
     def parse_pattern_primary(self, seen: set):
+        self.enter()
+        p = self._pattern_primary(seen)
+        self.depth -= 1
+        return p
+
+    def _pattern_primary(self, seen: set):
         t = self.peek()
         if t.kind == "int":
             self.next()
@@ -571,12 +595,27 @@ class _Parser:
                 return left
             self.next()
             if op in _RIGHT_ASSOC:
-                right = self.parse_expr(prec)
+                # A chain E1 op E2 op ... op En, read in a loop and folded
+                # from the right; each Ei binds tighter than op.
+                parts = [(left, t)]
+                right = self.parse_expr(prec + 1)
+                while self.at("op", op):
+                    parts.append((right, self.next()))
+                    right = self.parse_expr(prec + 1)
+                for operand, tok in reversed(parts):
+                    right = EBin(op, operand, right, (tok.line, tok.col))
+                left = right
             else:
                 right = self.parse_expr(prec + 1)
-            left = EBin(op, left, right, (t.line, t.col))
+                left = EBin(op, left, right, (t.line, t.col))
 
     def parse_primary(self):
+        self.enter()
+        e = self._primary()
+        self.depth -= 1
+        return e
+
+    def _primary(self):
         t = self.peek()
         pos = (t.line, t.col)
         if t.kind == "int":
@@ -1024,26 +1063,28 @@ def _check_quiet_guard(arm: IfArm, pos):
             f"line {pos[0]}:{pos[1]}: guard may bind only its own variables, "
             f"not {name}")
 
-    def walk(s: Statement, declared: frozenset):
+    # The walk keeps its own stack of (statement, declared names), so a
+    # long guard takes no Python stack.
+    todo = [(arm.guard, frozenset(arm.guard_vars))]
+    while todo:
+        s, declared = todo.pop()
         if isinstance(s, Seq):
-            walk(s.first, declared)
-            walk(s.second, declared)
+            todo.append((s.second, declared))
+            todo.append((s.first, declared))
         elif isinstance(s, Local):
-            walk(s.body, declared | set(s.names))
+            todo.append((s.body, declared | set(s.names)))
         elif isinstance(s, Unify):
             # A unification that mentions no guard-local variable at all can
             # only affect outer ones; anything subtler is left to the dynamic
             # binding check.
             seen: list = []
-
-            def vars_of(x):
+            exprs = [s.rhs, s.lhs]
+            while exprs:
+                x = exprs.pop()
                 if isinstance(x, CVar):
                     seen.append(x.name)
                 elif isinstance(x, CCompound):
-                    for a in x.args:
-                        vars_of(a)
-            vars_of(s.lhs)
-            vars_of(s.rhs)
+                    exprs.extend(reversed(x.args))
             if seen and not any(v in declared for v in seen):
                 bad(seen[0])
         elif isinstance(s, BuiltinCall):
@@ -1055,21 +1096,19 @@ def _check_quiet_guard(arm: IfArm, pos):
             if s.name not in declared:
                 bad(s.name)
         elif isinstance(s, IfStmt):
-            for a in s.arms:
-                walk(a.guard, declared | set(a.guard_vars))
-                walk(a.body, declared | set(a.guard_vars))
-            walk(s.otherwise, declared)
+            todo.append((s.otherwise, declared))
+            for a in reversed(s.arms):
+                todo.append((a.body, declared | set(a.guard_vars)))
+                todo.append((a.guard, declared | set(a.guard_vars)))
         elif isinstance(s, CaseStmt):
-            for a in s.arms:
-                walk(a.body, declared | set(pattern_names(a.pattern)))
-            walk(s.otherwise, declared)
+            todo.append((s.otherwise, declared))
+            for a in reversed(s.arms):
+                todo.append((a.body, declared | set(pattern_names(a.pattern))))
         elif isinstance(s, Choice):
-            for alt in s.alternatives:
-                walk(alt, declared)
+            for alt in reversed(s.alternatives):
+                todo.append((alt, declared))
         elif isinstance(s, ThreadStmt):
-            walk(s.body, declared)
-
-    walk(arm.guard, frozenset(arm.guard_vars))
+            todo.append((s.body, declared))
 
 
 # -- public API ---------------------------------------------------------------

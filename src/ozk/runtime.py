@@ -90,15 +90,33 @@ def env_names(env: Optional[dict]):
 
 
 def build_term(store: Store, expr, env: dict) -> Term:
-    if isinstance(expr, CVar):
+    kind = type(expr)
+    if kind is CVar:
         return env_get(env, expr.name)
-    if isinstance(expr, CLit):
+    if kind is CLit:
         return expr.value
-    if isinstance(expr, CCompound):
+    if kind is CCompound:
         exprs = expr.args
         if exprs and type(exprs[-1]) is CCompound:
             return _build_spine(store, expr, env)
-        return Compound(expr.label, [build_term(store, a, env) for a in exprs])
+        args = []
+        for a in exprs:
+            if type(a) is CVar:
+                # env_get, inlined: most arguments are variables
+                name = a.name
+                e = env
+                while True:
+                    v = e.get(name)
+                    if v is not None:
+                        break
+                    e = e[_UP]
+                    if e is None:
+                        raise OzkError(
+                            f"variable {name} has no binding at run time")
+                args.append(v)
+            else:
+                args.append(build_term(store, a, env))
+        return Compound(expr.label, args)
     raise TypeError(f"cannot build {expr!r}")
 
 
@@ -170,12 +188,9 @@ class Task:
     def __init__(self, rt: "Runtime"):
         self.rt = rt
         self.stack: list = []
-        self.max_depth = 0
 
     def push(self, stmt, env):
         self.stack.append((stmt, env))
-        if len(self.stack) > self.max_depth:
-            self.max_depth = len(self.stack)
 
     def on_choice(self, alternatives, env):
         raise ChoiceOutsideSearchError(
@@ -186,6 +201,17 @@ class Task:
 
 
 class ThreadTask(Task):
+    """A thread's task, which keeps its deepest stack for ``Stats``."""
+
+    def __init__(self, rt: "Runtime"):
+        super().__init__(rt)
+        self.max_depth = 0
+
+    def push(self, stmt, env):
+        self.stack.append((stmt, env))
+        if len(self.stack) > self.max_depth:
+            self.max_depth = len(self.stack)
+
     def on_thread(self, body, env):
         self.rt.spawn(body, env)
 
@@ -210,6 +236,25 @@ def exec_stmt(task: Task, stmt, env):
         task.push(stmt.first, env)
         return
 
+    if kind is Unify:
+        e1, e2 = stmt.lhs, stmt.rhs
+        t1 = env_get(env, e1.name) if type(e1) is CVar else build_term(store, e1, env)
+        t2 = env_get(env, e2.name) if type(e2) is CVar else build_term(store, e2, env)
+        res = store.unify(t1, t2)
+        if res.woken:
+            rt.wake(res.woken)
+        if not res.ok:
+            raise Failure(f"unification failed: {res.reason}")
+        return
+
+    if kind is Local:
+        frame = {}
+        for name in stmt.names:
+            frame[name] = store.new_var()
+        frame[_UP] = env
+        task.push(stmt.body, frame)
+        return
+
     if kind is Call:
         target = stmt.target
         target = (env_get(env, target.name) if type(target) is CVar
@@ -224,8 +269,9 @@ def exec_stmt(task: Task, stmt, env):
             for p, a in zip(target.params, stmt.args):
                 args[p] = (env_get(env, a.name) if type(a) is CVar
                            else build_term(store, a, env))
+            args[_UP] = target.env
             rt.stats.calls[target.name or f"$anon{target.serial}"] += 1
-            task.push(target.body, env_child(target.env, args))
+            task.push(target.body, args)
             return
         if isinstance(target, NativeProc):
             if len(stmt.args) != target.arity:
@@ -238,23 +284,13 @@ def exec_stmt(task: Task, stmt, env):
             raise Suspend([target])
         raise OzkError(f"cannot call {render(store, target)}")
 
-    if kind is Unify:
-        e1, e2 = stmt.lhs, stmt.rhs
-        t1 = env_get(env, e1.name) if type(e1) is CVar else build_term(store, e1, env)
-        t2 = env_get(env, e2.name) if type(e2) is CVar else build_term(store, e2, env)
-        res = store.unify(t1, t2)
-        if res.woken:
-            rt.wake(res.woken)
-        if not res.ok:
-            raise Failure(f"unification failed: {res.reason}")
-        return
-
     if kind is CaseStmt:
         subject = build_term(store, stmt.subject, env)
         for arm in stmt.arms:
             status, payload = match_pattern(store, arm.pattern, subject)
             if status == _MATCH_OK:
-                task.push(arm.body, env_child(env, payload))
+                payload[_UP] = env
+                task.push(arm.body, payload)
                 return
             if status == _MATCH_UNDET:
                 raise Suspend([payload])
@@ -267,11 +303,6 @@ def exec_stmt(task: Task, stmt, env):
             raise OzkError(f"unknown builtin {stmt.name}")
         args = [build_term(store, a, env) for a in stmt.args]
         fn(task, args)
-        return
-
-    if kind is Local:
-        fresh = {n: store.new_var() for n in stmt.names}
-        task.push(stmt.body, env_child(env, fresh))
         return
 
     if kind is IfStmt:

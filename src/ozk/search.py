@@ -167,6 +167,7 @@ class Engine:
         task = self.task
         stats = self.rt.stats
         limit = self.rt.max_steps
+        trail = self.store.trails[-1]
         while True:
             if not task.stack:
                 keep = self._keep_var
@@ -180,7 +181,8 @@ class Engine:
                 if limit is not None and stats.reductions > limit:
                     raise StepLimit()
                 exec_stmt(task, stmt, env)
-                self._check_escapes()
+                if len(trail) > self._checked:
+                    self._check_escapes()
             except Failure:
                 if not self._backtrack():
                     self.abort()
@@ -201,10 +203,13 @@ class Engine:
     # -- high-level drivers ----------------------------------------------------
 
     def materialize_answer(self, snap: Snapshot) -> Term:
+        """Copy an answer out: the variables that predate the engine are
+        the ones the snapshot kept, the others are fresh."""
+        kept = snap.kept
+        new_var = self.store.new_var
+
         def resolve(vid):
-            if vid is None:
-                return self.store.new_var()
-            return self.store.intern(vid)
+            return new_var() if vid is None else kept[vid]
         return materialize(self.store, snap, resolve)
 
 

@@ -67,14 +67,16 @@ Pattern = Union[PVar, PAnon, PLit, PCompound]
 
 
 def pattern_names(p: Pattern) -> list[str]:
-    if isinstance(p, PVar):
-        return [p.name]
-    if isinstance(p, PCompound):
-        out = []
-        for sub in p.args:
-            out.extend(pattern_names(sub))
-        return out
-    return []
+    """The names a pattern binds, left to right (walked with a stack)."""
+    out = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, PVar):
+            out.append(q.name)
+        elif isinstance(q, PCompound):
+            todo.extend(reversed(q.args))
+    return out
 
 
 # -- statements ----------------------------------------------------------

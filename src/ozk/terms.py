@@ -8,7 +8,7 @@ distributed store.
 
 The store supports rational trees: unification has no occurs check, cycles
 are legal values, and both unification and equality testing terminate on
-cyclic terms by memoizing visited node pairs.
+cyclic terms by memoizing visited pairs of compound nodes.
 """
 
 from __future__ import annotations
@@ -178,6 +178,11 @@ class UnifyResult:
         self.reason = reason
 
 
+_NO_WAKES: frozenset = frozenset()
+# The result of every unification that succeeds and wakes no thread.
+_UNIFIED = UnifyResult(True, _NO_WAKES)
+
+
 def _node_key(t: Term):
     # Identity key for the pair memo.  Unbound variables key by VarId so
     # that replica stores agree; other nodes key by object identity.
@@ -188,6 +193,15 @@ def _node_key(t: Term):
 
 class Store:
     """Single-assignment store with suspension registry and trail stack.
+
+    ``vars`` registers only the variables whose VarId can come back to
+    this store from outside: its own variables once exported (sent to
+    another node in a snapshot, or shared by placement), and the replicas
+    of other stores' variables it has interned.  ``intern`` resolves a
+    VarId through this registry alone.  Every other variable is reachable
+    only through the terms and environments that mention it, and is freed
+    with them; a search engine finds the older variables of an answer in
+    the answer's snapshot, not here.
 
     Trails are pushed by search engines and guard evaluation; while any
     trail is active, dereference chains are not path-compressed so that
@@ -204,14 +218,23 @@ class Store:
     # -- variables ---------------------------------------------------
 
     def new_var(self) -> Var:
+        """A fresh variable of this store.  It is not registered: call
+        :meth:`export` before its VarId leaves the store."""
         vid = (self.node_id, self.next_seq)
         self.next_seq += 1
-        v = Var(vid)
-        self.vars[vid] = v
-        return v
+        return Var(vid)
+
+    def export(self, var: Var) -> None:
+        """Register ``var`` under its VarId, so that :meth:`intern` of the
+        VarId finds this very variable.  Called for each variable whose
+        VarId leaves the store, before it leaves."""
+        self.vars[var.vid] = var
 
     def intern(self, vid: VarId) -> Var:
-        """Return this store's replica of ``vid``, creating it if new."""
+        """Return the registered variable of ``vid``: an exported
+        variable of this store or the replica of another store's
+        variable, which is created and registered on first sight.  A
+        variable that was never exported cannot be found here."""
         v = self.vars.get(vid)
         if v is None:
             v = Var(vid)
@@ -223,10 +246,10 @@ class Store:
         return v
 
     def deref(self, t: Term) -> Term:
-        if not isinstance(t, Var) or t.ref is None:
+        if type(t) is not Var or t.ref is None:
             return t
         chain = []
-        while isinstance(t, Var) and t.ref is not None:
+        while type(t) is Var and t.ref is not None:
             chain.append(t)
             t = t.ref
         if not self.trails:
@@ -263,11 +286,14 @@ class Store:
 
     # -- binding -----------------------------------------------------
 
-    def _bind_local(self, var: Var, value: Term) -> set[int]:
-        """Unconditionally bind an unbound variable of this store."""
+    def _bind_local(self, var: Var, value: Term):
+        """Unconditionally bind an unbound variable of this store; return
+        the threads to wake (a shared empty set when there are none)."""
         if self.trails:
             self.trails[-1].append(("bind", var))
         var.ref = value
+        if not (var.waiters or var.byneed or var.needed):
+            return _NO_WAKES
         woken: set[int] = set()
         if var.waiters:
             woken |= var.waiters
@@ -280,27 +306,6 @@ class Store:
             if isinstance(target, Var):
                 woken |= self.mark_needed(target)
         return woken
-
-    def _bind(self, var: Var, value: Term) -> set[int]:
-        """Bind ``var`` (unbound, dereferenced) to ``value``.
-
-        Under distribution, only the owner binds authoritatively; a
-        non-owner forwards the request and leaves its replica unchanged
-        (the unification proceeds treating the pair as provisionally
-        merged; the owner's BindNotify completes it).
-
-        Speculative execution (an active trail: guard evaluation or an
-        embedded search engine) never messages other nodes — such binds
-        are either undone, or are of variables created inside the
-        speculation itself, which no other node can know about yet."""
-        if self.dist is not None and not self.trails:
-            if var.vid[0] != self.node_id:
-                self.dist.request_bind(self, var, value)
-                return set()
-            woken = self._bind_local(var, value)
-            self.dist.on_owner_bound(self, var)
-            return woken
-        return self._bind_local(var, value)
 
     def bind_notified(self, var: Var, value: Term) -> set[int]:
         """Apply an owner-authorized binding to a replica variable."""
@@ -342,57 +347,110 @@ class Store:
     # -- unification ---------------------------------------------------
 
     def unify(self, t1: Term, t2: Term) -> UnifyResult:
-        woken: set[int] = set()
-        visited: set[tuple] = set()
-        stack = [(t1, t2)]
-        while stack:
-            a, b = stack.pop()
-            a = self.deref(a)
-            b = self.deref(b)
+        """Unify two terms, binding variables in this store.
+
+        Pairs are settled one at a time from a LIFO stack, so the
+        arguments of two compounds are unified last to first, and the
+        first clash met ends the unification with what was bound before
+        it.  A variable-variable pair binds the greater VarId to the
+        lesser.  Only the two kinds of pair whose repeat would be seen are
+        memoised: a pair of compounds, so that unification terminates on
+        rational trees, and a bind forwarded to its owner (below), whose
+        replica stays unbound and would be forwarded again.  Any other
+        pair is settled for good when first met: a variable bound here
+        dereferences to its value next time.
+
+        Under distribution, only the owner binds authoritatively; a
+        non-owner forwards the request and leaves its replica unchanged
+        (the unification proceeds treating the pair as provisionally
+        merged; the owner's BindNotify completes it).  Speculative
+        execution (an active trail: guard evaluation or an embedded search
+        engine) never messages other nodes: such binds are either undone,
+        or are of variables created inside the speculation itself, which
+        no other node can know about yet."""
+        deref = self.deref
+        dist = self.dist
+        woken = None
+        seen = None      # memo: compound pairs and forwarded binds
+        stack = None
+        a, b = t1, t2
+        while True:
+            ta, tb = type(a), type(b)
+            if ta is Var and a.ref is not None:
+                a = deref(a)
+                ta = type(a)
+            if tb is Var and b.ref is not None:
+                b = deref(b)
+                tb = type(b)
             if a is b:
-                continue
-            pair = (_node_key(a), _node_key(b))
-            if pair in visited or (pair[1], pair[0]) in visited:
-                continue
-            visited.add(pair)
-            if isinstance(a, Var) and isinstance(b, Var):
-                if a.vid == b.vid:
-                    continue
-                if a.vid < b.vid:
-                    woken |= self._bind(b, a)
+                pass
+            elif ta is Var or tb is Var:
+                if ta is not Var or (tb is Var and a.vid < b.vid):
+                    var, value = b, a
                 else:
-                    woken |= self._bind(a, b)
-            elif isinstance(a, Var):
-                woken |= self._bind(a, b)
-            elif isinstance(b, Var):
-                woken |= self._bind(b, a)
-            elif isinstance(a, Atom) and isinstance(b, Atom):
+                    var, value = a, b
+                if dist is None or self.trails or var.vid[0] == self.node_id:
+                    w = self._bind_local(var, value)
+                    if w:
+                        if woken is None:
+                            woken = set()
+                        woken |= w
+                    if dist is not None and not self.trails:
+                        dist.on_owner_bound(self, var)
+                else:
+                    pair = (_node_key(a), _node_key(b))
+                    if seen is None:
+                        seen = set()
+                    if pair not in seen and (pair[1], pair[0]) not in seen:
+                        seen.add(pair)
+                        dist.request_bind(self, var, value)
+            elif ta is Compound and tb is Compound:
+                pair = (id(a), id(b))
+                if seen is None:
+                    seen = set()
+                if pair not in seen and (pair[1], pair[0]) not in seen:
+                    seen.add(pair)
+                    xs, ys = a.args, b.args
+                    if a.label != b.label or len(xs) != len(ys):
+                        return UnifyResult(
+                            False, woken or _NO_WAKES,
+                            f"{a.label}/{len(xs)} = {b.label}/{len(ys)}")
+                    if xs:
+                        # Stack every pair but the last, and take the
+                        # last at once: the order of a LIFO stack.
+                        if len(xs) > 1:
+                            if stack is None:
+                                stack = []
+                            stack.extend(zip(xs[:-1], ys[:-1]))
+                        a, b = xs[-1], ys[-1]
+                        continue
+            elif ta is Atom and tb is Atom:
                 if a.name != b.name:
-                    return UnifyResult(False, woken, f"{a.name} = {b.name}")
-            elif isinstance(a, Int) and isinstance(b, Int):
+                    return UnifyResult(False, woken or _NO_WAKES,
+                                       f"{a.name} = {b.name}")
+            elif ta is Int and tb is Int:
                 if a.value != b.value:
-                    return UnifyResult(False, woken, f"{a.value} = {b.value}")
-            elif isinstance(a, Compound) and isinstance(b, Compound):
-                if a.label != b.label or len(a.args) != len(b.args):
-                    return UnifyResult(
-                        False, woken,
-                        f"{a.label}/{len(a.args)} = {b.label}/{len(b.args)}")
-                stack.extend(zip(a.args, b.args))
+                    return UnifyResult(False, woken or _NO_WAKES,
+                                       f"{a.value} = {b.value}")
             else:
                 # Procedure values and opaques unify by identity only;
                 # distinct kinds always clash.
-                return UnifyResult(False, woken, "incompatible values")
-        return UnifyResult(True, woken)
+                return UnifyResult(False, woken or _NO_WAKES,
+                                   "incompatible values")
+            if not stack:
+                return _UNIFIED if woken is None else UnifyResult(True, woken)
+            a, b = stack.pop()
 
     # -- entailment ----------------------------------------------------
 
     def equals(self, t1: Term, t2: Term):
         """Ask whether the store entails t1 == t2.
 
-        Returns ``(True, set())`` when entailed, ``(False, set())`` when
+        Returns ``(True, [])`` when entailed, ``(False, [])`` when
         disentailed, and ``(None, frontier)`` when some frontier variable
-        could still decide the question either way."""
-        frontier: set[VarId] = set()
+        could still decide the question either way; the frontier lists
+        those unbound variables once each, in VarId order."""
+        frontier: dict[VarId, Var] = {}
         visited: set[tuple] = set()
         stack = [(t1, t2)]
         while stack:
@@ -408,27 +466,27 @@ class Store:
             if isinstance(a, Var) and isinstance(b, Var):
                 if a.vid == b.vid:
                     continue
-                frontier.add(a.vid)
-                frontier.add(b.vid)
+                frontier.setdefault(a.vid, a)
+                frontier.setdefault(b.vid, b)
             elif isinstance(a, Var):
-                frontier.add(a.vid)
+                frontier.setdefault(a.vid, a)
             elif isinstance(b, Var):
-                frontier.add(b.vid)
+                frontier.setdefault(b.vid, b)
             elif isinstance(a, Atom) and isinstance(b, Atom):
                 if a.name != b.name:
-                    return False, set()
+                    return False, []
             elif isinstance(a, Int) and isinstance(b, Int):
                 if a.value != b.value:
-                    return False, set()
+                    return False, []
             elif isinstance(a, Compound) and isinstance(b, Compound):
                 if a.label != b.label or len(a.args) != len(b.args):
-                    return False, set()
+                    return False, []
                 stack.extend(zip(a.args, b.args))
             else:
-                return False, set()
+                return False, []
         if frontier:
-            return None, frontier
-        return True, set()
+            return None, [frontier[vid] for vid in sorted(frontier)]
+        return True, []
 
 
 # -- standard order of terms ------------------------------------------
@@ -612,13 +670,19 @@ class Snapshot:
     ``("closure", object)``.  Cycles are encoded through indices.
     Frontier variables (per ``keep_var``) keep their VarId; all other
     unbound variables serialize as ``("var", None)`` and materialize
-    fresh."""
+    fresh.
 
-    __slots__ = ("root", "nodes")
+    ``kept`` maps the VarId of each frontier variable to the variable
+    itself, for a snapshot that stays in its store; it is None in a
+    snapshot for the network, whose frontier variables are exported
+    instead, to be found by ``intern``."""
 
-    def __init__(self, root: int, nodes: list):
+    __slots__ = ("root", "nodes", "kept")
+
+    def __init__(self, root: int, nodes: list, kept: Optional[dict] = None):
         self.root = root
         self.nodes = nodes
+        self.kept = kept
 
     def size(self) -> int:
         return len(self.nodes)
@@ -627,9 +691,12 @@ class Snapshot:
 def snapshot(store: Store, term: Term,
              keep_var: Callable[[VarId], bool],
              for_network: bool = False) -> Snapshot:
+    """Serialize the graph of ``term``; see :class:`Snapshot`.  With
+    ``for_network`` each frontier variable is exported from ``store``."""
     nodes: list = []
     index: dict = {}
     work: list = []
+    kept: Optional[dict] = None if for_network else {}
 
     def encode(t: Term) -> int:
         t = store.deref(t)
@@ -640,7 +707,14 @@ def snapshot(store: Store, term: Term,
         idx = len(nodes)
         index[key] = idx
         if isinstance(t, Var):
-            nodes.append(("var", t.vid if keep_var(t.vid) else None))
+            if keep_var(t.vid):
+                if kept is None:
+                    store.export(t)
+                else:
+                    kept[t.vid] = t
+                nodes.append(("var", t.vid))
+            else:
+                nodes.append(("var", None))
         elif isinstance(t, Atom):
             nodes.append(("atom", t.name))
         elif isinstance(t, Int):
@@ -661,7 +735,7 @@ def snapshot(store: Store, term: Term,
     while work:
         cell, args = work.pop()
         cell[2] = [encode(a) for a in args]
-    return Snapshot(root, nodes)
+    return Snapshot(root, nodes, kept)
 
 
 def materialize(store: Store, snap: Snapshot,

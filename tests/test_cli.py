@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 from oracles import QUEENS8_FIRST, queens_brute
+from ozk.builtins import make_builtins
 from ozk.cli import main
+from ozk.dist import split_program
+from ozk.parser import MAX_NESTING
+from ozk.prelude import PRELUDE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "docs" / "programs"
@@ -114,6 +118,43 @@ class TestRun:
                     "local Xs = [%s] in {Browse {Length Xs}} end" % items)
         code, out, err = run_cli(capsys, "run", src)
         assert (code, out, err) == (0, "5000\n", "")
+
+    def test_long_bar_chain_runs(self, capsys, tmp_path):
+        chain = "|".join(str(i) for i in range(3000))
+        src = write(tmp_path, "bars.ozk",
+                    "X = %s|nil {Browse {Length X}}" % chain)
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out, err) == (0, "3000\n", "")
+
+    def test_long_list_pattern_runs(self, capsys, tmp_path):
+        items = " ".join(str(i) for i in range(3000))
+        names = " ".join(f"A{i}" for i in range(3000))
+        src = write(tmp_path, "pattern.ozk",
+                    "X = [%s] case X of [%s] then {Browse A2999} end"
+                    % (items, names))
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out, err) == (0, "2999\n", "")
+        code, out, err = run_cli(capsys, "dist-run", src)
+        assert code == 0, err
+        assert "  2999" in out.splitlines()
+
+    def test_deep_nesting_is_a_syntax_error(self, capsys, tmp_path):
+        src = write(tmp_path, "parens.ozk",
+                    "X = " + "(" * 2000 + "1" + ")" * 2000 + " {Browse X}")
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out) == (3, "")
+        # one line, at the parenthesis that opens one level too many
+        assert err == (f"ozk: line 1:{4 + MAX_NESTING}: nesting deeper "
+                       f"than {MAX_NESTING} levels\n")
+
+    def test_nesting_within_the_limit_runs(self, capsys, tmp_path):
+        # conditional expressions nest the most Python calls per level
+        depth = MAX_NESTING - 5
+        src = write(tmp_path, "ifs.ozk",
+                    "X = " + "if true then " * depth + "1"
+                    + " else 0 end" * depth + " {Browse X}")
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out, err) == (0, "1\n", "")
 
     def test_parse_error_exit_3(self, capsys, tmp_path):
         f = write(tmp_path, "b.ozk", "local X in X =")
@@ -240,6 +281,24 @@ class TestDistRun:
                                  str(PROGRAMS / "family.pl"))
         assert code == 3
 
+    def test_long_list_literal_runs(self, capsys, tmp_path):
+        items = " ".join(str(i) for i in range(5000))
+        src = write(tmp_path, "long.ozk",
+                    "Xs = [%s] thread {Browse {Length Xs}} end" % items)
+        code, out, err = run_cli(capsys, "dist-run", src,
+                                 "--placement", "a=0")
+        assert code == 0, err
+        assert "  5000" in out.splitlines()
+
+    def test_long_thread_body_runs(self, capsys, tmp_path):
+        body = "\n".join("{Browse %d}" % i for i in range(3000))
+        src = write(tmp_path, "body.ozk", "thread\n%s\nend" % body)
+        code, out, err = run_cli(capsys, "dist-run", src)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert [l for l in lines if l.startswith("  ")] == \
+            ["  %d" % i for i in range(3000)]
+
 
 # -- repl --------------------------------------------------------------------
 
@@ -365,3 +424,16 @@ class TestDocsPrograms:
     def test_runs_clean(self, capsys, program):
         code, out, err = run_cli(capsys, "run", str(program))
         assert code == 0, err
+        if program.suffix == ".ozk":
+            # Two nodes, as far as the program has threads to place.
+            _, native = make_builtins()
+            _, _, threads = split_program(program.read_text(),
+                                          tuple(native) + PRELUDE_NAMES)
+            placement = ",".join(["a=0", "b=1"][:len(threads)])
+            code, dist_out, err = run_cli(capsys, "dist-run", str(program),
+                                          "--placement", placement)
+            assert code == 0, err
+            # the same lines are browsed, whichever node browses them
+            browsed = [l[2:] for l in dist_out.splitlines()
+                       if l.startswith("  ")]
+            assert sorted(browsed) == sorted(out.splitlines())

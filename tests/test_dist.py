@@ -281,6 +281,32 @@ class TestProtocol:
         # No notification was triggered by the duplicate.
         assert sim.network.sent["BindNotify"] == before["BindNotify"]
 
+    def test_non_owner_forwards_a_repeated_pair_once(self):
+        # Node 1 meets the pair (X, c) twice in one unification; its
+        # replica of X stays unbound until the owner's notice, so only
+        # the memo of forwarded binds keeps it from asking twice.
+        program = """
+        local X in
+           thread {Wait X} {Browse X} end
+           thread C in C = c f(X X) = f(C C) end
+        end
+        """
+        report = quiesced(run_simulation(program, {"a": 0, "b": 1}))
+        assert report.outputs[0] == ["c"]
+        assert report.delivered["BindRequest"] == 1
+
+    @pytest.mark.parametrize("program,net_seed", [
+        (GEN_MAP, None), (GEN_MAP, 7), (RATIONAL, None)],
+        ids=["gen_map", "gen_map-shuffled", "rational"])
+    def test_registry_holds_only_shared_variables(self, program, net_seed):
+        report = quiesced(run_simulation(program, {"a": 0, "b": 1},
+                                         net_seed=net_seed))
+        for node in report.nodes:
+            others = [n for n in report.nodes if n is not node]
+            for vid, var in node.store.vars.items():
+                assert var.vid == vid
+                assert any(vid in other.store.vars for other in others)
+
     def test_summary_counts_ended_threads(self):
         source = (PROGRAMS / "dist_gen_map.ozk").read_text()
         summary = run_simulation(source, {"a": 0, "b": 1}).summary()

@@ -268,6 +268,14 @@ def test_guard_arith_into_outer_rejected():
         parse("local X Y in if in Y=X+1 then skip end end")
 
 
+def test_long_guard_is_checked_in_order():
+    # 3000 statements in one guard; the first outer variable bound is named
+    binds = " ".join(f"Z = {i}" for i in range(3000))
+    with pytest.raises(QuietGuardViolation, match="not Y$"):
+        parse(f"local X Y in if Z in {binds} Y = 1 X = 2 then skip end end")
+    parse(f"local X in if Z in {binds} then skip end end")
+
+
 def test_guard_own_vars_allowed():
     s = parse("local X in if Y in Y=X then skip end end")
     assert isinstance(seq_items(s.body)[0], IfStmt)

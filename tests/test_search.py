@@ -157,6 +157,29 @@ def test_store_is_clean_after_search():
     assert s.store.trails == []
 
 
+def test_search_registers_no_variables():
+    # The registry holds only variables whose VarId leaves the store; a
+    # search on one store exports none, so all it made can be freed.
+    s = Session()
+    s.feed(QUEENS)
+    r = s.feed("{Browse {Length {SolveAll fun {$} {Queens 8} end}}}")
+    assert r.browses == [str(QUEENS8_COUNT)]
+    assert s.store.vars == {}
+
+
+def test_answers_share_the_variables_that_predate_the_engine():
+    s = Session()
+    r = s.feed("""
+    X S in
+    {SolveAll fun {$} Y in choice Y = a [] Y = b end f(X Y) end S}
+    case S of [f(X1 _) f(X2 _)] then
+       X = 1 {Browse p(X1 X2)}
+    end
+    """)
+    assert r.browses == ["p(1 1)"]
+    assert s.store.vars == {}
+
+
 def test_binding_an_outside_variable_is_an_escape_error():
     s = Session()
     with pytest.raises(EscapeError):

@@ -45,7 +45,22 @@ def test_new_var_ids_monotonic():
     a, b = s.new_var(), s.new_var()
     assert a.vid < b.vid
     assert a.vid[0] == 0
-    assert s.vars[a.vid] is a
+    # only an exported variable is registered, and intern finds it
+    assert s.vars == {}
+    s.export(a)
+    assert s.vars == {a.vid: a}
+    assert s.intern(a.vid) is a
+
+
+def test_network_snapshot_exports_its_frontier():
+    s = Store()
+    x, y, z = s.new_var(), s.new_var(), s.new_var()
+    local = snapshot(s, f(x, y), keep_var=lambda vid: vid != y.vid)
+    assert s.vars == {}
+    assert local.kept == {x.vid: x}
+    sent = snapshot(s, f(x, z), keep_var=lambda vid: True, for_network=True)
+    assert sent.kept is None
+    assert s.vars == {x.vid: x, z.vid: z}
 
 
 def test_unify_constants():
@@ -118,7 +133,7 @@ def test_equals_three_outcomes():
     no, _ = s.equals(Int(1), Int(2))
     assert no is False
     maybe, frontier = s.equals(x, Int(1))
-    assert maybe is None and frontier == {x.vid}
+    assert maybe is None and len(frontier) == 1 and frontier[0] is x
     # determined structure with a clash is decidedly false
     no2, _ = s.equals(f(x, Int(1)), f(x, Int(2)))
     assert no2 is False
@@ -138,7 +153,16 @@ def test_equals_partial_list():
     x = s.new_var()
     maybe, frontier = s.equals(x, cons(Int(1), x))
     assert maybe is None
-    assert frontier == {x.vid}
+    assert len(frontier) == 1 and frontier[0] is x
+
+
+def test_equals_frontier_once_each_in_varid_order():
+    s = Store()
+    x, y = s.new_var(), s.new_var()
+    # pairs are taken last argument first: (y, 2), then (x, y), (x, 1)
+    maybe, frontier = s.equals(f(x, x, y), f(Int(1), y, Int(2)))
+    assert maybe is None
+    assert len(frontier) == 2 and frontier[0] is x and frontier[1] is y
 
 
 def test_waiters_woken_on_bind():
@@ -230,6 +254,99 @@ def test_ground_unify_iff_equal(t1, t2):
     # equals agrees and is fully decided on ground terms
     dec, frontier = Store().equals(t1, t2)
     assert dec == ok and not frontier
+
+
+def ref_unify(store, t1, t2):
+    """Reference unification: every pair memoised, pairs taken from a
+    LIFO stack, the greater VarId bound to the lesser."""
+    woken, visited, stack = set(), set(), [(t1, t2)]
+
+    def key(t):
+        return t.vid if isinstance(t, Var) else id(t)
+
+    while stack:
+        a, b = stack.pop()
+        a, b = store.deref(a), store.deref(b)
+        if a is b:
+            continue
+        pair = (key(a), key(b))
+        if pair in visited or (pair[1], pair[0]) in visited:
+            continue
+        visited.add(pair)
+        if isinstance(a, Var) and isinstance(b, Var):
+            if a.vid != b.vid:
+                woken |= store._bind_local(*((b, a) if a.vid < b.vid
+                                             else (a, b)))
+        elif isinstance(a, Var):
+            woken |= store._bind_local(a, b)
+        elif isinstance(b, Var):
+            woken |= store._bind_local(b, a)
+        elif isinstance(a, Atom) and isinstance(b, Atom):
+            if a.name != b.name:
+                return False, woken, f"{a.name} = {b.name}"
+        elif isinstance(a, Int) and isinstance(b, Int):
+            if a.value != b.value:
+                return False, woken, f"{a.value} = {b.value}"
+        elif isinstance(a, Compound) and isinstance(b, Compound):
+            if a.label != b.label or len(a.args) != len(b.args):
+                return (False, woken, f"{a.label}/{len(a.args)} = "
+                                      f"{b.label}/{len(b.args)}")
+            stack.extend(zip(a.args, b.args))
+        else:
+            return False, woken, "incompatible values"
+    return True, woken, ""
+
+
+# Term shapes over four variables: ("var", i), ("int", n), ("atom", a) or
+# (label, [shapes]); built into a store by _build.
+shapes = st.recursive(
+    st.tuples(st.just("var"), st.integers(0, 3))
+    | st.tuples(st.just("int"), st.integers(0, 2))
+    | st.tuples(st.just("atom"), st.sampled_from("ab")),
+    lambda sub: st.tuples(st.sampled_from("fg"),
+                          st.lists(sub, min_size=1, max_size=3)),
+    max_leaves=8)
+
+
+def _build(store, shape, vs):
+    kind, arg = shape
+    if kind == "var":
+        return vs[arg]
+    if kind == "int":
+        return Int(arg)
+    if kind == "atom":
+        return Atom(arg)
+    return Compound(kind, [_build(store, sub, vs) for sub in arg])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes, shapes, st.lists(st.tuples(st.integers(0, 3), shapes),
+                                max_size=3),
+       st.lists(st.integers(0, 3), max_size=4), st.booleans())
+def test_unify_matches_reference(s1, s2, prebinds, waiting, trailed):
+    # The same graph, cyclic through the pre-bindings, in two stores.
+    outcomes = []
+    for unify in (lambda st_, a, b: (lambda r: (r.ok, r.woken, r.reason))(
+                      st_.unify(a, b)),
+                  ref_unify):
+        store = Store()
+        vs = [store.new_var() for _ in range(4)]
+        for i, shape in prebinds:
+            term = _build(store, shape, vs)
+            if vs[i].ref is None and store.deref(term) is not vs[i]:
+                vs[i].ref = term
+        for i in waiting:
+            store.add_waiter(vs[i], 10 + i)
+        if trailed:
+            store.push_trail()
+        ok, woken, reason = unify(store, _build(store, s1, vs),
+                                  _build(store, s2, vs))
+        reps = []
+        for v in vs:
+            t = store.deref(v)
+            reps.append(t.vid if isinstance(t, Var) else render(store, t))
+        outcomes.append((ok, reason, list(woken), reps))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=80, deadline=None)
