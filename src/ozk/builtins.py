@@ -17,10 +17,9 @@ from typing import Optional
 
 from .errors import OzkError, ThreadInSearchError
 from .runtime import Failure, SleepRequest, Suspend, Task, env_child
-from .search import Engine, solve_answers, solve_step
-from .syntax import (BuiltinCall, CaseArm, CaseStmt, CCompound, CLit, CVar,
-                     Call, Fail, Local, PCompound, PLit, PVar, Seq, Unify,
-                     seq_all)
+from .parser import parse_program
+from .search import Engine, solve_answers
+from .syntax import CVar, Call, Local, ProcDef
 from .terms import (Atom, Closure, Compound, INT_MAX, INT_MIN, Int,
                     NativeProc, Opaque, Store, Term, Var, compare_terms,
                     make_list, render)
@@ -176,55 +175,44 @@ def _goal(store: Store, t: Term) -> Closure:
     return g
 
 
-def _solve_one(task: Task, args):
-    goal = _goal(task.rt.store, args[0])
-    sols = solve_answers(task.rt, goal, limit=1)
-    _bind(task, args[1], make_list(sols))
+def _solve_eager(limit: Optional[int]):
+    def fn(task: Task, args):
+        goal = _goal(task.rt.store, args[0])
+        _bind(task, args[1], make_list(solve_answers(task.rt, goal, limit)))
+    return fn
 
 
-def _solve_all(task: Task, args):
-    goal = _goal(task.rt.store, args[0])
-    sols = solve_answers(task.rt, goal, limit=None)
-    _bind(task, args[1], make_list(sols))
+# The lazy driver: a thread that runs the engine one answer further each
+# time the stream's next cell is needed.  SolveStep is bound only in the
+# loop's own frame.
+_SOLVE_LOOP_TEXT = """
+proc {SolveLoop E S}
+   A in
+   {WaitNeeded S}
+   {SolveStep E A}
+   case A of none then S = nil
+   [] some(X) then S2 in S = X|S2 {SolveLoop E S2} end
+end
+"""
+
+
+def _solve_step(task: Task, args):
+    engine = task.rt.store.deref(args[0]).payload
+    answer = engine.next_answer()
+    _bind(task, args[1],
+          Atom("none") if answer is None else Compound("some", [answer]))
 
 
 def _make_solve_loop() -> Closure:
-    """The lazy enumeration driver, written as a core-statement loop:
-
-       proc {$SolveLoop E S}
-          {WaitNeeded S}
-          case {$solve_step E} of none then S=nil
-          [] some(X) then S2 in S=X|S2 {$SolveLoop E S2} end
-       end
-    """
-    body = Local(
-        ("A",),
-        seq_all([
-            BuiltinCall("WaitNeeded", (CVar("S"),)),
-            BuiltinCall("$solve_step", (CVar("E"), CVar("A"))),
-            CaseStmt(
-                CVar("A"),
-                (
-                    CaseArm(PLit(Atom("none")), Unify(CVar("S"), CLit(Atom("nil")))),
-                    CaseArm(
-                        PCompound("some", (PVar("X"),)),
-                        Local(
-                            ("S2",),
-                            Seq(
-                                Unify(CVar("S"),
-                                      CCompound("|", (CVar("X"), CVar("S2")))),
-                                Call(CVar("$SolveLoop"),
-                                     (CVar("E"), CVar("S2"))),
-                            ),
-                        ),
-                    ),
-                ),
-                Fail(),
-            ),
-        ]))
-    env = env_child(None, {})
-    loop = Closure("$SolveLoop", ("E", "S"), body, env)
-    env["$SolveLoop"] = loop
+    frame = env_child(None, {
+        "WaitNeeded": NativeProc("WaitNeeded", 1, _wait_needed),
+        "SolveStep": NativeProc("SolveStep", 2, _solve_step)})
+    stmt = parse_program(_SOLVE_LOOP_TEXT, frame)
+    if not (isinstance(stmt, Local) and isinstance(stmt.body, ProcDef)):
+        raise AssertionError(f"the lazy driver is not one procedure: {stmt}")
+    proc = stmt.body
+    loop = Closure(proc.name, proc.params, proc.body, frame)
+    frame[proc.name] = loop
     return loop
 
 
@@ -237,25 +225,9 @@ def _solve_lazy(task: Task, args):
             "lazy solving needs a thread of its own and is only allowed "
             "in regular threads")
     goal = _goal(task.rt.store, args[0])
-    engine = Engine(task.rt, goal)
-    engine.start()
-    engine.park()
-    handle = Opaque("engine", engine)
-    env = env_child(None, {"e": handle, "s": args[1],
-                           "$SolveLoop": _SOLVE_LOOP})
-    task.rt.spawn(Call(CVar("$SolveLoop"), (CVar("e"), CVar("s"))), env)
-
-
-def _solve_step_builtin(task: Task, args):
-    store = task.rt.store
-    h = store.deref(args[0])
-    if not isinstance(h, Opaque) or h.tag != "engine":
-        raise OzkError("$solve_step needs an engine handle")
-    sol = solve_step(h.payload)
-    if sol is None:
-        _bind(task, args[1], Atom("none"))
-    else:
-        _bind(task, args[1], Compound("some", [sol]))
+    env = env_child(_SOLVE_LOOP.env, {"E": Opaque("engine", Engine(task.rt, goal)),
+                                      "S": args[1]})
+    task.rt.spawn(Call(CVar(_SOLVE_LOOP.name), (CVar("E"), CVar("S"))), env)
 
 
 # -- registry ----------------------------------------------------------------------
@@ -274,14 +246,13 @@ def make_builtins():
         ">=": _compare(">=", lambda a, b: a >= b),
         "==": _equal,
         "$test": _test,
-        "$solve_step": _solve_step_builtin,
         "Wait": _wait,
         "WaitNeeded": _wait_needed,
         "Delay": _delay,
         "Browse": _browse,
         "Sort": _sort,
-        "SolveOne": _solve_one,
-        "SolveAll": _solve_all,
+        "SolveOne": _solve_eager(1),
+        "SolveAll": _solve_eager(None),
         "Solve": _solve_lazy,
     }
     arities = {"Wait": 1, "WaitNeeded": 1, "Delay": 1, "Browse": 1,

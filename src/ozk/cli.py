@@ -17,7 +17,8 @@ from .dist import parse_placement, run_simulation
 from .errors import OzkError, ParseError, PlacementError, UnsupportedConstruct
 from .interp import Session
 from .prolog import parse_prolog, translate_query_source, translate_source
-from .search import Engine, solve_step
+from .runtime import StepLimit
+from .search import Engine
 from .terms import render
 
 DEFAULT_MAX_STEPS = 10 ** 8
@@ -366,15 +367,14 @@ class Repl:
             return
         goal = self.session.store.deref(self.session.lookup("ReplGoal"))
         self.engine = Engine(self.session.rt, goal)
-        self.engine.start()
-        self.engine.park()
         self.advance()
 
     def advance(self) -> None:
         try:
-            term = solve_step(self.engine)
-        except OzkError as exc:
-            print(f"** {exc}")
+            term = self.engine.next_answer()
+        except (OzkError, StepLimit) as exc:
+            print("** stopped: step budget exhausted"
+                  if isinstance(exc, StepLimit) else f"** {exc}")
             self.engine = None
             return
         if term is None:

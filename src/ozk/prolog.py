@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation, UnsupportedConstruct
+from .parser import MAX_NESTING
 from .syntax import (BuiltinCall, Call, CaseArm, CaseStmt, CCompound, Choice,
                      CLit, CVar, Fail, IfArm, IfStmt, Local, PCompound, PLit,
                      ProcDef, PVar, Seq, Statement, Unify, pretty, seq_all)
@@ -87,7 +88,12 @@ class PS(PTerm):
         self.args = args
 
     def __repr__(self):
-        return f"{self.functor}({', '.join(map(repr, self.args))})"
+        # the last argument in a loop: a long list prints without recursion
+        opened, t = [], self
+        while isinstance(t, PS):
+            opened.append(f"{t.functor}(" + "".join(f"{a!r}, " for a in t.args[:-1]))
+            t = t.args[-1]
+        return "".join(opened) + repr(t) + ")" * len(opened)
 
 
 NIL = PA("[]")
@@ -178,7 +184,12 @@ def _tokenize(text: str):
 class _Reader:
     """Recursive-descent reader with the standard operator precedences:
     :- (1200) < , (1000) < =,is,<,>,=<,>=,== (700) < +,- (500)
-    < *,div,// (400) < ^ (200, right-associative)."""
+    < *,div,// (400) < ^ (200, right-associative).
+
+    Each nested ``term`` and each link of a left-leaning operator chain is
+    a level; more than ``parser.MAX_NESTING`` levels is a syntax error.
+    List items and right-associative chains (``a, b, c``) are read in a
+    loop, so only a list's spine or a conjunction grows without limit."""
 
     BINOPS = {
         ":-": 1200, ",": 1000, "=": 700, "is": 700, "<": 700, ">": 700,
@@ -190,6 +201,7 @@ class _Reader:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.vars: dict[str, PV] = {}
         self._anon = itertools.count(1)
 
@@ -208,6 +220,12 @@ class _Reader:
 
     def at_end(self) -> bool:
         return self.peek()[0] == "end"
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.peek()[2], 0)
 
     def clauses(self) -> list[Clause]:
         out = []
@@ -242,21 +260,33 @@ class _Reader:
         return goals, list(self.vars.values())
 
     def term(self, maxp: int):
+        outer = self.depth
+        self.enter()
         left = self.primary()
         while True:
             kind, v, line = self.peek()
             if kind == "punct" and v in _REJECTED_TOKENS:
                 raise UnsupportedConstruct(
                     f"line {line}: {_REJECTED_TOKENS[v]} is outside the subset")
-            if kind in ("punct", "name") and v in self.BINOPS:
-                p = self.BINOPS[v]
-                if p > maxp:
-                    return left
-                self.take()
-                right = self.term(p if v in self.RIGHT else p - 1)
-                left = PS(v, (left, right))
-            else:
+            if (kind not in ("punct", "name") or v not in self.BINOPS
+                    or self.BINOPS[v] > maxp):
+                self.depth = outer
                 return left
+            p = self.BINOPS[v]
+            self.take()
+            if v in self.RIGHT:
+                # one precedence level holds one right-associative
+                # operator, so its chain ends at any other operator
+                operands = [left, self.term(p - 1)]
+                while self.peek()[1] == v:
+                    self.take()
+                    operands.append(self.term(p - 1))
+                left = operands.pop()
+                while operands:
+                    left = PS(v, (operands.pop(), left))
+            else:
+                self.enter()
+                left = PS(v, (left, self.term(p - 1)))
 
     def primary(self):
         kind, v, line = self.take()
@@ -313,9 +343,11 @@ class _Reader:
 
 
 def conj_list(t: PTerm) -> list:
-    if isinstance(t, PS) and t.functor == "," and len(t.args) == 2:
-        return conj_list(t.args[0]) + conj_list(t.args[1])
-    return [t]
+    goals = []
+    while isinstance(t, PS) and t.functor == "," and len(t.args) == 2:
+        goals += conj_list(t.args[0])
+        t = t.args[1]
+    return goals + [t]
 
 
 _COMPARISONS = ("<", ">", "=<", ">=")
@@ -375,12 +407,14 @@ def parse_query(text: str) -> tuple[list, list[PV]]:
 def term_vars(t: PTerm, out: Optional[list] = None) -> list:
     if out is None:
         out = []
-    if isinstance(t, PV):
-        if t not in out:
-            out.append(t)
-    elif isinstance(t, PS):
-        for a in t.args:
-            term_vars(a, out)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, PV):
+            if t not in out:
+                out.append(t)
+        elif isinstance(t, PS):
+            todo.extend(reversed(t.args))
     return out
 
 
@@ -629,16 +663,25 @@ class _Ctx:
 
 
 def term_expr(t: PTerm, ctx: _Ctx):
-    if isinstance(t, PV):
-        return CVar(ctx.var_name(t))
-    if isinstance(t, PA):
-        return CLit(Atom("nil" if t.name == "[]" else t.name))
-    if isinstance(t, PI):
-        return CLit(Int(t.value))
-    if isinstance(t, PS):
+    """Translate a term, arguments left to right.  A compound's last
+    argument is walked in a loop, so a long list's spine costs no
+    recursion; the reader bounds how deep the other arguments nest."""
+    spine = []
+    while isinstance(t, PS) and t.args:
         label = "|" if t.functor == "." and len(t.args) == 2 else t.functor
-        return CCompound(label, tuple(term_expr(a, ctx) for a in t.args))
-    raise TypeError(f"cannot translate {t!r}")
+        spine.append((label, tuple(term_expr(a, ctx) for a in t.args[:-1])))
+        t = t.args[-1]
+    if isinstance(t, PV):
+        expr = CVar(ctx.var_name(t))
+    elif isinstance(t, PA):
+        expr = CLit(Atom("nil" if t.name == "[]" else t.name))
+    elif isinstance(t, PI):
+        expr = CLit(Int(t.value))
+    else:
+        raise TypeError(f"cannot translate {t!r}")
+    for label, first in reversed(spine):
+        expr = CCompound(label, first + (expr,))
+    return expr
 
 
 def arith_expr(t: PTerm, ctx: _Ctx, out: list):

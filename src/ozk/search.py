@@ -7,23 +7,30 @@ newest choicepoint and resumes with the next alternative, depth-first
 and left to right.
 
 Answers are copied out in two phases: snapshot the root while the
-speculative bindings are live, undo, then materialize the snapshot for
-the caller.  Variables that predate the engine stay shared; everything
-created inside is fresh in the copy.
+speculative bindings are live, backtrack, then materialize the snapshot
+for the caller.  Variables from outside the engine stay shared;
+everything the engine made is fresh in the copy.
 
-The engine may be parked between answers (for lazy enumeration): its
-trail is saved and fully undone so the store is clean, and re-applied on
-resume.  Only engine-private variables can appear on that trail, because
-binding anything older raises EscapeError.
+One driver, :meth:`Engine.next_answer`, serves eager and lazy search
+alike.  Between answers the engine's bindings stay in place: its trail
+is on the store's trail stack only while it runs, and is taken off
+without undo when it stops at an answer.  This is safe because only the
+engine can reach its own variables: answers are copies, and binding any
+other variable is an EscapeError.  An engine owns exactly the variables
+made while it was running, so a variable that another thread makes
+while a lazy engine waits is an outside variable, as one made before the
+engine is; of an own and an outside variable, the engine binds its own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
 from typing import Optional
 
 from .errors import EscapeError, SearchStuckError, ThreadInSearchError
 from .runtime import Failure, StepLimit, Suspend, Task, env_child
-from .terms import Closure, Snapshot, Term, Var, materialize, snapshot
+from .terms import Closure, Snapshot, Term, materialize, snapshot
 
 
 class EngineTask(Task):
@@ -46,13 +53,16 @@ class _ChoicePoint:
     def __init__(self, stack, alts, env, trail_mark):
         self.stack = stack
         self.alts = alts
-        self.next_alt = 0
+        self.next_alt = 1        # the first alternative runs at once
         self.env = env
         self.trail_mark = trail_mark
 
 
 class Engine:
-    """Depth-first enumeration of the answers of a unary goal."""
+    """Depth-first enumeration of the answers of a unary goal.
+
+    Construction makes the root variable and schedules the goal; each
+    :meth:`next_answer` runs to the next answer and copies it out."""
 
     def __init__(self, rt, goal: Closure):
         if len(goal.params) != 1:
@@ -60,59 +70,44 @@ class Engine:
                 "a search goal takes exactly one argument (its result)")
         self.rt = rt
         self.store = rt.store
-        self.goal = goal
         self.task = EngineTask(rt, self)
         self.cps: list[_ChoicePoint] = []
-        self.mark = 0            # variables at or above this seq are ours
-        self.root: Optional[Var] = None
-        self.active = False      # trail currently pushed on the store
+        self.trail: list = []    # on the store's stack only while running
+        # It owns the seqs from `mark` on while it runs, and the [lo, hi)
+        # ranges of its earlier runs, flat in `bounds` (lo1, hi1, ...).
+        self.bounds: list[int] = []
+        self.mark = self.store.next_seq
         self.finished = False
         self._checked = 0        # trail entries already escape-checked
-        self._saved: Optional[list] = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self):
-        self.store.push_trail()
-        self.active = True
-        self.mark = self.store.next_seq
+        self._outer_owns = None  # the store's `owns` while this one runs
         self.root = self.store.new_var()
-        env = env_child(self.goal.env, {self.goal.params[0]: self.root})
-        self.task.push(self.goal.body, env)
+        self.task.push(goal.body, env_child(goal.env, {goal.params[0]: self.root}))
+        self.bounds += (self.mark, self.store.next_seq)
 
-    def park(self):
-        """Save and undo all speculative bindings; the store is clean."""
-        if not self.active:
-            return
-        saved = []
-        for kind, var in self.store.trails[-1]:
-            saved.append((kind, var, var.ref if kind == "bind" else None))
-        self.store.undo_to(0)
-        self.store.pop_trail(merge=False)
-        self._saved = saved
-        self.active = False
+    def _enter(self):
+        store = self.store
+        store.trails.append(self.trail)
+        self._outer_owns, store.owns = store.owns, self._owns
+        self.mark = store.next_seq
+        if self.bounds and self.bounds[-1] == self.mark:
+            # nothing was made since the last run: continue its range
+            self.mark = self.bounds[-2]
+            del self.bounds[-2:]
 
-    def resume(self):
-        if self.active or self.finished:
-            return
-        self.store.push_trail()
-        trail = self.store.trails[-1]
-        for kind, var, value in self._saved or []:
-            if kind == "bind":
-                var.ref = value
-            else:
-                var.needed = True
-            trail.append((kind, var))
-        self._checked = len(trail)
-        self._saved = None
-        self.active = True
+    def _leave(self, finished: bool):
+        """Stop running: undo every binding when finished, else keep them
+        in place for the next run."""
+        store = self.store
+        if finished:
+            store.undo_to(0)
+        store.pop_trail(merge=False)
+        store.owns = self._outer_owns
+        self.bounds += (self.mark, store.next_seq)
+        self.finished = finished
 
-    def abort(self):
-        if self.active:
-            self.store.undo_to(0)
-            self.store.pop_trail(merge=False)
-            self.active = False
-        self.finished = True
+    def _owns(self, vid) -> bool:
+        return vid[0] == self.store.node_id and (
+            vid[1] >= self.mark or bisect_right(self.bounds, vid[1]) % 2 == 1)
 
     # -- choicepoints ------------------------------------------------------------
 
@@ -120,7 +115,6 @@ class Engine:
         cp = _ChoicePoint(list(self.task.stack), alternatives, env,
                           self.store.trail_mark())
         self.cps.append(cp)
-        cp.next_alt = 1
         self.task.push(alternatives[0], env)
 
     def _backtrack(self) -> bool:
@@ -141,13 +135,14 @@ class Engine:
         return False
 
     def _check_escapes(self):
-        trail = self.store.trails[-1]
+        trail = self.trail
         node = self.store.node_id
         while self._checked < len(trail):
             kind, var = trail[self._checked]
             self._checked += 1
-            if kind == "bind" and (var.vid[0] != node or var.vid[1] < self.mark):
-                self.abort()
+            vid = var.vid
+            if kind == "bind" and (vid[1] < self.mark or vid[0] != node) \
+                    and not self._owns(vid):
                 raise EscapeError(
                     "search tried to bind a variable from outside the engine")
 
@@ -158,8 +153,9 @@ class Engine:
 
         On an answer the engine backtracks into the following alternative
         before returning, so the snapshot is taken while the answer's
-        bindings are live and the store afterwards holds the *next*
-        speculative state.  When exhausted the trail is gone entirely.
+        bindings are live and the engine's variables afterwards hold the
+        *next* speculative state.  When exhausted, or on an error, every
+        binding is undone and the engine is finished.
         """
         from .runtime import exec_stmt  # local import to avoid cycle noise
         if self.finished:
@@ -167,44 +163,43 @@ class Engine:
         task = self.task
         stats = self.rt.stats
         limit = self.rt.max_steps
-        trail = self.store.trails[-1]
-        while True:
-            if not task.stack:
-                keep = self._keep_var
-                snap = snapshot(self.store, self.root, keep)
-                if not self._backtrack():
-                    self.abort()
-                return snap
-            stmt, env = task.stack.pop()
-            try:
-                stats.reductions += 1
-                if limit is not None and stats.reductions > limit:
-                    raise StepLimit()
-                exec_stmt(task, stmt, env)
-                if len(trail) > self._checked:
-                    self._check_escapes()
-            except Failure:
-                if not self._backtrack():
-                    self.abort()
-                    return None
-            except Suspend as s:
-                vids = [v.vid for v in s.vars]
-                self.abort()
+        trail = self.trail
+        self._enter()
+        try:
+            while True:
+                if not task.stack:
+                    snap = snapshot(self.store, self.root,
+                                    lambda vid: not self._owns(vid))
+                    self._leave(finished=not self._backtrack())
+                    return snap
+                stmt, env = task.stack.pop()
+                try:
+                    stats.reductions += 1
+                    if limit is not None and stats.reductions > limit:
+                        raise StepLimit()
+                    exec_stmt(task, stmt, env)
+                    if len(trail) > self._checked:
+                        self._check_escapes()
+                except Failure:
+                    if not self._backtrack():
+                        self._leave(finished=True)
+                        return None
+        except BaseException as exc:
+            self._leave(finished=True)
+            if isinstance(exc, Suspend):
+                vids = [v.vid for v in exc.vars]
                 raise SearchStuckError(
                     f"the search goal suspended on {vids}; a complete goal "
                     f"must not wait on outside values") from None
-            except StepLimit:
-                self.abort()
-                raise
+            raise
 
-    def _keep_var(self, vid) -> bool:
-        return vid[0] != self.store.node_id or vid[1] < self.mark
-
-    # -- high-level drivers ----------------------------------------------------
-
-    def materialize_answer(self, snap: Snapshot) -> Term:
-        """Copy an answer out: the variables that predate the engine are
-        the ones the snapshot kept, the others are fresh."""
+    def next_answer(self) -> Optional[Term]:
+        """Run to the next answer and copy it out; None when exhausted.
+        The outside variables are the ones the snapshot kept, the others
+        are fresh in the copy."""
+        snap = self.next_snapshot()
+        if snap is None:
+            return None
         kept = snap.kept
         new_var = self.store.new_var
 
@@ -215,25 +210,4 @@ class Engine:
 
 def solve_answers(rt, goal: Closure, limit: Optional[int] = None) -> list[Term]:
     """Collect up to ``limit`` answers eagerly (all of them when None)."""
-    engine = Engine(rt, goal)
-    engine.start()
-    snaps: list[Snapshot] = []
-    while limit is None or len(snaps) < limit:
-        snap = engine.next_snapshot()
-        if snap is None:
-            break
-        snaps.append(snap)
-    engine.abort()
-    return [engine.materialize_answer(s) for s in snaps]
-
-
-def solve_step(engine: Engine) -> Optional[Term]:
-    """Advance a parked engine to its next answer (lazy enumeration)."""
-    if engine.finished:
-        return None
-    engine.resume()
-    snap = engine.next_snapshot()
-    engine.park()
-    if snap is None:
-        return None
-    return engine.materialize_answer(snap)
+    return list(islice(iter(Engine(rt, goal).next_answer, None), limit))

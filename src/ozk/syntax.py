@@ -271,10 +271,10 @@ class _Printer:
         self.depth -= 1
 
     def stmt(self, s: Statement):
-        if isinstance(s, Seq):
+        while isinstance(s, Seq):   # a long sequence costs no recursion
             self.stmt(s.first)
-            self.stmt(s.second)
-        elif isinstance(s, Skip):
+            s = s.second
+        if isinstance(s, Skip):
             self.emit("skip")
         elif isinstance(s, Fail):
             self.emit("fail")

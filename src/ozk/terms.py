@@ -200,12 +200,14 @@ class Store:
     of other stores' variables it has interned.  ``intern`` resolves a
     VarId through this registry alone.  Every other variable is reachable
     only through the terms and environments that mention it, and is freed
-    with them; a search engine finds the older variables of an answer in
-    the answer's snapshot, not here.
+    with them; a search engine finds the outside variables of an answer
+    in the answer's snapshot, not here.
 
-    Trails are pushed by search engines and guard evaluation; while any
-    trail is active, dereference chains are not path-compressed so that
-    undoing a trail restores the exact previous state.
+    ``trails`` is a stack of undo logs: one per guard being evaluated, and
+    a search engine's own log while the engine runs (it keeps the log, and
+    its bindings, between runs).  While any log is on the stack,
+    dereference chains are not path-compressed, so that undoing restores
+    the exact previous state.
     """
 
     def __init__(self, node_id: int = 0):
@@ -213,6 +215,8 @@ class Store:
         self.next_seq = 1
         self.vars: dict[VarId, Var] = {}
         self.trails: list[list] = []
+        # While a search engine runs: whether it owns a VarId (else None).
+        self.owns: Optional[Callable[[VarId], bool]] = None
         self.dist = None  # distribution hooks, set by the network simulator
 
     # -- variables ---------------------------------------------------
@@ -353,12 +357,14 @@ class Store:
         arguments of two compounds are unified last to first, and the
         first clash met ends the unification with what was bound before
         it.  A variable-variable pair binds the greater VarId to the
-        lesser.  Only the two kinds of pair whose repeat would be seen are
-        memoised: a pair of compounds, so that unification terminates on
-        rational trees, and a bind forwarded to its owner (below), whose
-        replica stays unbound and would be forwarded again.  Any other
-        pair is settled for good when first met: a variable bound here
-        dereferences to its value next time.
+        lesser, except that a running search engine (``owns``) binds its
+        own variable rather than an outside one.  Only the two kinds of
+        pair whose repeat would be seen are memoised: a pair of compounds,
+        so that unification terminates on rational trees, and a bind
+        forwarded to its owner (below), whose replica stays unbound and
+        would be forwarded again.  Any other pair is settled for good when
+        first met: a variable bound here dereferences to its value next
+        time.
 
         Under distribution, only the owner binds authoritatively; a
         non-owner forwards the request and leaves its replica unchanged
@@ -389,6 +395,9 @@ class Store:
                     var, value = b, a
                 else:
                     var, value = a, b
+                if ta is tb and self.owns is not None and (
+                        not self.owns(var.vid) and self.owns(value.vid)):
+                    var, value = value, var     # two variables
                 if dist is None or self.trails or var.vid[0] == self.node_id:
                     w = self._bind_local(var, value)
                     if w:

@@ -328,6 +328,24 @@ class TestRepl:
         second = [int(n) for n in out[1].strip("[]").split()]
         assert second in queens_brute(8) and second != QUEENS8_FIRST
 
+    def test_solve_goal_binding_a_later_outside_variable_escapes(
+            self, capsys, monkeypatch):
+        # X = f(_) makes its variable after the engine: the engine does not
+        # own it, and the next answer would bind it
+        code, out = repl(capsys, monkeypatch, [
+            "X in skip",
+            "proc {G R} choice R = a [] case X of f(Y) then Y = 1 R = Y end end end",
+            ":solve {G}", "X = f(_)", ":next"])
+        assert out == ["a",
+                       "** search tried to bind a variable from outside the engine"]
+
+    def test_solve_out_of_steps_keeps_the_session(self, capsys, monkeypatch):
+        code, out = repl(capsys, monkeypatch, [
+            "proc {Loop X} {Loop X} end", ":solve {Loop}", ":next"],
+            "--max-steps", "20000")
+        assert code == 0
+        assert out == ["** stopped: step budget exhausted", "no current :solve"]
+
     def test_next_without_solve(self, capsys, monkeypatch):
         code, out = repl(capsys, monkeypatch, [":next"])
         assert out == ["no current :solve"]
@@ -425,6 +443,13 @@ class TestDocsPrograms:
         code, out, err = run_cli(capsys, "run", str(program))
         assert code == 0, err
         if program.suffix == ".ozk":
+            # the same lines under other schedules
+            for seed in ("1", "2", "3"):
+                code, rand_out, err = run_cli(
+                    capsys, "run", str(program),
+                    "--sched-policy", "random", "--sched-seed", seed)
+                assert code == 0, err
+                assert sorted(rand_out.splitlines()) == sorted(out.splitlines())
             # Two nodes, as far as the program has threads to place.
             _, native = make_builtins()
             _, _, threads = split_program(program.read_text(),

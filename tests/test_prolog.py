@@ -6,9 +6,10 @@ import dataclasses
 import pytest
 
 import oracles
+from ozk.cli import main
 from ozk.errors import ParseError, QuietGuardViolation, UnsupportedConstruct
 from ozk.interp import Session
-from ozk.parser import parse_program
+from ozk.parser import MAX_NESTING, parse_program
 from ozk.prolog import (DETERMINISTIC, GUARDED_CUT, NONDETERMINISTIC, PA, PI,
                         PS, PV, classify, parse_prolog, parse_query,
                         translate_query_source, translate_source)
@@ -471,3 +472,65 @@ class TestQueens:
         got = translated_all_text(QUEENS, query)
         assert got == oracle_all_text(QUEENS, query)
         assert got.count("[", 1) == len(oracles.queens_brute(6))
+
+
+# ---------------------------------------------------------------------------
+# Long and deep input: a clean answer or a syntax error, never a traceback
+# ---------------------------------------------------------------------------
+
+
+class TestDeepInput:
+    LEN = "len([], 0).\nlen([_|T], N) :- len(T, M), N is M + 1.\n"
+
+    @staticmethod
+    def cli(capsys, tmp_path, text, *argv):
+        path = tmp_path / "p.pl"
+        path.write_text(text)
+        code = main([argv[0], str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_long_list_literal_runs(self, capsys, tmp_path):
+        items = ",".join(str(i) for i in range(3000))
+        text = self.LEN + f"q(N) :- X = [{items}], len(X, N).\n"
+        code, out, err = self.cli(capsys, tmp_path, text, "run",
+                                  "--query", "q(N)")
+        assert (code, out, err) == (0, "[3000]\n", "")
+        code, out, _ = self.cli(capsys, tmp_path, text, "translate")
+        assert code == 0 and " 2998 2999]" in out
+
+    def test_long_conjunction_runs(self, capsys, tmp_path):
+        text = "q(X) :- " + ", ".join(["X = 1"] * 3000) + ".\n"
+        code, out, err = self.cli(capsys, tmp_path, text, "run",
+                                  "--query", "q(X)")
+        assert (code, out, err) == (0, "[1]\n", "")
+
+    @pytest.mark.parametrize("command", ["run", "translate"])
+    def test_deep_term_is_a_syntax_error(self, capsys, tmp_path, command):
+        deep = "a"
+        for _ in range(2000):
+            deep = f"f({deep})"
+        code, out, err = self.cli(capsys, tmp_path, f"q(X) :- X = {deep}.\n",
+                                  command, "--query", "q(X)")
+        assert code == 3
+        assert err == f"ozk: line 1:0: nesting deeper than {MAX_NESTING} levels\n"
+
+    def test_deep_query_is_a_syntax_error(self, capsys, tmp_path):
+        code, _, err = self.cli(capsys, tmp_path, "p(a).\n", "run", "--query",
+                                "p(" + "(" * 2000 + "a" + ")" * 2001)
+        assert code == 3 and "nesting deeper than" in err
+
+    def test_nesting_just_within_the_limit_reads(self):
+        # the clause, its body, the = and its right side take four levels
+        deep = "a"
+        for _ in range(MAX_NESTING - 4):
+            deep = f"f({deep})"
+        clause, = parse_prolog(f"q(X) :- X = {deep}.")
+        assert translate_source(f"q(X) :- X = {deep}.")
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_prolog(f"q(X) :- X = f({deep}).")
+
+    def test_long_list_prints_without_recursion(self):
+        items = ",".join(str(i) for i in range(3000))
+        clause, = parse_prolog(f"q([{items}]).")
+        assert repr(clause.head).startswith("q(.(0, .(1, ")

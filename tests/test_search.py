@@ -1,8 +1,12 @@
 """Encapsulated search: choicepoints, answer copying, laziness, isolation."""
 
+import io
+
 import pytest
 
-from oracles import APPEND_123_SPLITS, QUEENS8_COUNT, QUEENS8_FIRST
+from oracles import (APPEND_123_SPLITS, QUEENS8_COUNT, QUEENS8_FIRST,
+                     queens_brute)
+from ozk.cli import main
 from ozk.errors import (EscapeError, OzkError, SearchStuckError,
                         ThreadInSearchError)
 from ozk.interp import Session, run_text
@@ -196,6 +200,13 @@ def test_waiting_on_an_outside_variable_is_a_stuck_error():
     assert s.store.trails == []
 
 
+def test_a_runtime_error_inside_search_leaves_the_store_clean():
+    s = Session()
+    with pytest.raises(OzkError, match="division by zero"):
+        s.feed("S in {SolveAll fun {$} X in X = 1 X div 0 end S}")
+    assert s.store.trails == [] and s.store.owns is None
+
+
 def test_thread_creation_inside_search_is_rejected():
     with pytest.raises(ThreadInSearchError):
         run_text("S in {SolveOne fun {$} thread skip end 1 end S}")
@@ -301,10 +312,113 @@ def test_parked_engine_leaves_the_store_clean_between_steps():
     {Browse {Nth L 1}}
     """)
     assert r1.browses == ["1"]
-    assert s.store.trails == []
+    assert s.store.trails == [] and s.store.owns is None
     # an unrelated search in the same session is unaffected
     r2 = s.feed("S in {SolveAll fun {$} D in {Digit D} D end S} {Browse S}")
     assert r2.browses == ["[1 2 3]"]
     # and the parked engine still resumes correctly afterwards
     r3 = s.feed("{Browse {Nth L 2}} {Browse {Nth L 3}}")
     assert r3.browses == ["2", "3"]
+
+
+# -- ownership: an engine owns exactly the variables it made -----------------------
+#
+# A variable that another thread makes while a lazy engine waits is an
+# outside variable, as it is when it predates the engine: Solve must give
+# what SolveAll gives on the same goal with the binding made first.
+
+def test_lazy_engine_binding_a_later_outside_variable_is_an_escape_error():
+    with pytest.raises(EscapeError):
+        run_text("""
+        local X L in
+           {Solve fun {$} case X of f(Y) then Y = 1 Y end end L}
+           X = f(_)
+           {Browse {Nth L 1}}
+        end
+        """)
+    with pytest.raises(EscapeError):
+        run_text("""
+        local X L in
+           X = f(_)
+           {SolveAll fun {$} case X of f(Y) then Y = 1 Y end end L}
+           {Browse {Nth L 1}}
+        end
+        """)
+
+
+@pytest.mark.parametrize("program", [
+    "{Solve fun {$} case X of f(Y) then Y end end L} X = f(_)",
+    "X = f(_) {SolveAll fun {$} case X of f(Y) then Y end end L}",
+], ids=["lazy", "eager"])
+def test_answers_share_an_outside_variable_made_later(program):
+    r = run_text(f"""
+    local X L A in
+       {program}
+       A = {{Nth L 1}}
+       A = 5
+       {{Browse X}}
+    end
+    """)
+    assert r.status == "done"
+    assert r.browses == ["f(5)"]
+
+
+def test_outside_variable_made_between_two_lazy_answers_is_shared():
+    r = run_text("""
+    local X L A in
+       {Solve fun {$} R in
+                 choice R = a [] case X of f(Y) then R = Y end end
+                 R
+              end L}
+       {Browse {Nth L 1}}
+       X = f(_)
+       A = {Nth L 2}
+       A = 5
+       {Browse X}
+    end
+    """)
+    assert r.status == "done"
+    assert r.browses == ["a", "f(5)"]
+
+
+# -- one driver: eager, lazy and REPL search agree -----------------------------------
+
+APPEND_R = """
+proc {AppendR As Bs Cs}
+   choice As = nil Cs = Bs
+   [] A Ar Cr in As = A|Ar Cs = A|Cr {AppendR Ar Bs Cr}
+   end
+end
+"""
+
+# (definitions, one-argument goal procedure G, the answers in order or a
+# check of them)
+DRIVER_CASES = {
+    "digit": (DIGIT + "proc {G R} {Digit R} end", ["1", "2", "3"]),
+    "queens6": (QUEENS + "proc {G R} R = {Queens 6} end",
+                sorted(fmt_list(q) for q in queens_brute(6))),
+    "append_splits": (APPEND_R + "proc {G R} A B in {AppendR A B [1 2 3]} "
+                      "R = split(A B) end",
+                      [f"split({fmt_list(f)} {fmt_list(b)})"
+                       for f, b in APPEND_123_SPLITS]),
+}
+
+EACH = "proc {Each Xs} case Xs of nil then skip [] X|Xr then {Browse X} {Each Xr} end end\n"
+
+
+@pytest.mark.parametrize("case", sorted(DRIVER_CASES))
+def test_drivers_give_the_same_answers_in_the_same_order(case, capsys, monkeypatch):
+    defs, expected = DRIVER_CASES[case]
+    program = defs + "\n" + EACH
+    eager = run_text(program + "S in {SolveAll G S} {Each S}").browses
+    lazy = run_text(program + "L in {Solve G L} {WaitList L} {Each L}").browses
+    lines = [defs, ":solve {G}"] + [":next"] * len(eager)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["repl"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "no more solutions"
+    assert eager == lazy == out[:-1]
+    if case == "queens6":
+        assert sorted(eager) == expected
+    else:
+        assert eager == expected
