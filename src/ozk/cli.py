@@ -370,6 +370,7 @@ class Repl:
         self.advance()
 
     def advance(self) -> None:
+        self.session.rt.renew_budget()
         try:
             term = self.engine.next_answer()
         except (OzkError, StepLimit) as exc:

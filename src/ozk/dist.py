@@ -62,8 +62,8 @@ from .interp import Session
 from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
 from .runtime import Runtime, StepLimit
-from .syntax import (BuiltinCall, Call, CaseStmt, CCompound, Choice, CVar,
-                     IfStmt, Local, PCompound, ProcDef, PVar, Seq, ThreadStmt,
+from .syntax import (Block, BuiltinCall, Call, CaseStmt, CCompound, Choice,
+                     CVar, IfStmt, Local, PCompound, ProcDef, PVar, ThreadStmt,
                      Unify, seq_all, seq_items)
 from .terms import (Snapshot, Store, Var, VarId, bisimilar, materialize,
                     render, snapshot)
@@ -107,9 +107,8 @@ def free_names(stmt) -> set:
     while todo:
         s, bound = todo.pop()
         t = type(s)
-        if t is Seq:
-            todo.append((s.second, bound))
-            todo.append((s.first, bound))
+        if t is Block:
+            todo.extend((item, bound) for item in s.stmts)
         elif t is Local:
             todo.append((s.body, bound | set(s.names)))
         elif t is Unify:
@@ -540,6 +539,8 @@ class Simulation:
 
     def run(self) -> SimReport:
         status = "done"
+        for node in self.nodes:
+            node.rt.renew_budget()
         try:
             while True:
                 self.steps += 1

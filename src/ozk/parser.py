@@ -24,9 +24,9 @@ from typing import Optional, Union
 from .errors import ParseError, QuietGuardViolation
 from .terms import INT_MAX, INT_MIN, Atom, Int
 from .syntax import (
-    BuiltinCall, Call, CaseArm, CaseStmt, CCompound, Choice, CLit, CVar,
-    Fail, IfArm, IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar,
-    Seq, Skip, Statement, ThreadStmt, Unify, pattern_names, seq_all,
+    Block, BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound, Choice,
+    CLit, CVar, Fail, IfArm, IfStmt, Local, PAnon, PCompound, PLit, ProcDef,
+    PVar, Skip, Statement, ThreadStmt, Unify, pattern_names, seq_all,
 )
 
 KEYWORDS = frozenset(
@@ -748,7 +748,9 @@ class _Desugar:
         Statements that compute sub-results are appended to `fills`, their
         fresh result names to `temps`.  The caller decides whether fills
         run before the consuming statement (eager) or after a unification
-        (skeleton-first).
+        (skeleton-first).  A `_` that is an argument of a compound (or a
+        list's head or tail) becomes a void, CAnon; anywhere else it is a
+        fresh temporary.
         """
         if isinstance(e, EInt):
             return CLit(Int(e.v))
@@ -763,7 +765,7 @@ class _Desugar:
             temps.append(t)
             return CVar(t)
         if isinstance(e, EComp):
-            return CCompound(e.label, tuple(self.lower(a, scope, fills, temps)
+            return CCompound(e.label, tuple(self.lower_arg(a, scope, fills, temps)
                                             for a in e.args))
         if isinstance(e, EBin):
             if e.op == "|":
@@ -771,20 +773,30 @@ class _Desugar:
                 # stack; heads are lowered first to last, then the tail.
                 heads = []
                 while isinstance(e, EBin) and e.op == "|":
-                    heads.append(self.lower(e.l, scope, fills, temps))
+                    heads.append(self.lower_arg(e.l, scope, fills, temps))
                     e = e.r
-                out = self.lower(e, scope, fills, temps)
+                out = self.lower_arg(e, scope, fills, temps)
                 for head in reversed(heads):
                     out = CCompound("|", (head, out))
                 return out
-            if e.op == "=":
-                self.err("'=' cannot be nested inside an expression", e.pos)
-            a = self.lower(e.l, scope, fills, temps)
-            b = self.lower(e.r, scope, fills, temps)
-            t = self.fresh()
-            temps.append(t)
-            fills.append(BuiltinCall(e.op, (a, b, CVar(t))))
-            return CVar(t)
+            # Loop down a left-leaning chain such as 1+2+...+n, so that its
+            # length takes no stack.  Operands are lowered left to right and
+            # each operation's result is named after its operands, as plain
+            # recursion would.
+            chain = []
+            while isinstance(e, EBin) and e.op != "|":
+                if e.op == "=":
+                    self.err("'=' cannot be nested inside an expression", e.pos)
+                chain.append(e)
+                e = e.l
+            out = self.lower(e, scope, fills, temps)
+            for link in reversed(chain):
+                b = self.lower(link.r, scope, fills, temps)
+                t = self.fresh()
+                temps.append(t)
+                fills.append(BuiltinCall(link.op, (out, b, CVar(t))))
+                out = CVar(t)
+            return out
         if isinstance(e, ECall):
             target = self.lower(e.target, scope, fills, temps)
             args = [self.lower(a, scope, fills, temps) for a in e.args]
@@ -812,6 +824,12 @@ class _Desugar:
             fills.append(self.case_core(e, scope, t))
             return CVar(t)
         raise TypeError(f"cannot lower {e!r}")
+
+    def lower_arg(self, e, scope, fills: list, temps: list):
+        """Lower an argument of a compound: there `_` is a void."""
+        if isinstance(e, EAnon):
+            return CAnon()
+        return self.lower(e, scope, fills, temps)
 
     # -- statement lowering ---------------------------------------------------
 
@@ -898,7 +916,8 @@ class _Desugar:
             inner.add(res)
             body = self.block_core(e.body, _Scope(inner, scope), res)
             if e.lazy:
-                body = ThreadStmt(Seq(Call(CVar("WaitNeeded"), (CVar(res),)), body))
+                body = ThreadStmt(seq_all(
+                    [Call(CVar("WaitNeeded"), (CVar(res),)), body]))
             return ProcDef(name, tuple(params) + (res,), body)
         if e.lazy:
             self.err("'lazy' only applies to 'fun'", e.pos)
@@ -1068,24 +1087,27 @@ def _check_quiet_guard(arm: IfArm, pos):
     todo = [(arm.guard, frozenset(arm.guard_vars))]
     while todo:
         s, declared = todo.pop()
-        if isinstance(s, Seq):
-            todo.append((s.second, declared))
-            todo.append((s.first, declared))
+        if isinstance(s, Block):
+            todo.extend((item, declared) for item in reversed(s.stmts))
         elif isinstance(s, Local):
             todo.append((s.body, declared | set(s.names)))
         elif isinstance(s, Unify):
             # A unification that mentions no guard-local variable at all can
             # only affect outer ones; anything subtler is left to the dynamic
-            # binding check.
+            # binding check.  A void is a variable the guard makes.
             seen: list = []
+            local = False
             exprs = [s.rhs, s.lhs]
             while exprs:
                 x = exprs.pop()
                 if isinstance(x, CVar):
                     seen.append(x.name)
+                    local = local or x.name in declared
+                elif isinstance(x, CAnon):
+                    local = True
                 elif isinstance(x, CCompound):
                     exprs.extend(reversed(x.args))
-            if seen and not any(v in declared for v in seen):
+            if seen and not local:
                 bad(seen[0])
         elif isinstance(s, BuiltinCall):
             if s.name in _ARITH_OPS or (s.name in _CMP_OPS and len(s.args) == 3):

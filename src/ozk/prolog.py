@@ -34,9 +34,9 @@ from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation, UnsupportedConstruct
 from .parser import MAX_NESTING
-from .syntax import (BuiltinCall, Call, CaseArm, CaseStmt, CCompound, Choice,
-                     CLit, CVar, Fail, IfArm, IfStmt, Local, PCompound, PLit,
-                     ProcDef, PVar, Seq, Statement, Unify, pretty, seq_all)
+from .syntax import (BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound,
+                     Choice, CLit, CVar, Fail, IfArm, IfStmt, Local, PCompound,
+                     PLit, ProcDef, PVar, Statement, Unify, pretty, seq_all)
 from .terms import Atom, Int
 
 # ---------------------------------------------------------------------------
@@ -665,13 +665,17 @@ class _Ctx:
 def term_expr(t: PTerm, ctx: _Ctx):
     """Translate a term, arguments left to right.  A compound's last
     argument is walked in a loop, so a long list's spine costs no
-    recursion; the reader bounds how deep the other arguments nest."""
+    recursion; the reader bounds how deep the other arguments nest.  An
+    anonymous variable that is an argument of a compound becomes a void
+    (printed `_`)."""
     spine = []
     while isinstance(t, PS) and t.args:
         label = "|" if t.functor == "." and len(t.args) == 2 else t.functor
-        spine.append((label, tuple(term_expr(a, ctx) for a in t.args[:-1])))
+        spine.append((label, tuple(_arg_expr(a, ctx) for a in t.args[:-1])))
         t = t.args[-1]
-    if isinstance(t, PV):
+    if spine and _is_void(t, ctx):
+        expr = CAnon()
+    elif isinstance(t, PV):
         expr = CVar(ctx.var_name(t))
     elif isinstance(t, PA):
         expr = CLit(Atom("nil" if t.name == "[]" else t.name))
@@ -682,6 +686,14 @@ def term_expr(t: PTerm, ctx: _Ctx):
     for label, first in reversed(spine):
         expr = CCompound(label, first + (expr,))
     return expr
+
+
+def _is_void(t: PTerm, ctx: _Ctx) -> bool:
+    return isinstance(t, PV) and t.anon and id(t) not in ctx.m
+
+
+def _arg_expr(t: PTerm, ctx: _Ctx):
+    return CAnon() if _is_void(t, ctx) else term_expr(t, ctx)
 
 
 def arith_expr(t: PTerm, ctx: _Ctx, out: list):
@@ -1083,10 +1095,10 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
         arm_body = _local_or_seq(bctx.locals, bstmts)
 
         arm = CaseArm(PCompound("|", (inner_pat, PLit(Atom("nil")))), arm_body)
-        return Seq(
+        return seq_all([
             guard_proc,
-            Seq(Call(CVar("SolveOne"), (CVar(proc_name), CVar(res_name))),
-                CaseStmt(CVar(res_name), (arm,), build(k + 1))))
+            Call(CVar("SolveOne"), (CVar(proc_name), CVar(res_name))),
+            CaseStmt(CVar(res_name), (arm,), build(k + 1))])
 
     chain = build(0)
     return ProcDef(name, params, Local(tuple(decls), chain) if decls else chain)

@@ -2,8 +2,11 @@
 
 One statement reduction at a time: a task owns a stack of (statement,
 environment) frames and `exec_stmt` pops and interprets the top one,
-pushing continuations.  Tail calls replace the popped frame, so the
-stack stays flat through recursion.
+pushing continuations.  A block pushes all of its statements in one
+reduction.  Tail calls replace the popped frame, so the stack stays flat
+through recursion.  `X = f(...)` is compiled unification: when `X` is
+already a compound of the same label and arity, its arguments are
+unified in place and nothing is built (`unify_compound`).
 
 Threads are cooperatively scheduled in timeslices over a single store.
 Blocking is dataflow only: a thread that needs a variable's value parks
@@ -22,9 +25,9 @@ from typing import Callable, Optional
 
 from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
                      RuntimeFailure, ThreadInSearchError)
-from .syntax import (BuiltinCall, Call, CaseStmt, CCompound, Choice, CLit,
-                     CVar, Fail, IfStmt, Local, PAnon, PCompound, PLit,
-                     ProcDef, PVar, Seq, Skip, ThreadStmt, Unify)
+from .syntax import (Block, BuiltinCall, Call, CaseStmt, CAnon, CCompound,
+                     Choice, CLit, CVar, Fail, IfStmt, Local, PAnon, PCompound,
+                     PLit, ProcDef, PVar, Skip, ThreadStmt, Unify)
 from .terms import (Atom, Closure, Compound, Int, NativeProc, Store, Term,
                     Var, render)
 
@@ -95,13 +98,16 @@ def build_term(store: Store, expr, env: dict) -> Term:
         return env_get(env, expr.name)
     if kind is CLit:
         return expr.value
+    if kind is CAnon:
+        return store.new_var()
     if kind is CCompound:
         exprs = expr.args
         if exprs and type(exprs[-1]) is CCompound:
             return _build_spine(store, expr, env)
         args = []
         for a in exprs:
-            if type(a) is CVar:
+            k = type(a)
+            if k is CVar:
                 # env_get, inlined: most arguments are variables
                 name = a.name
                 e = env
@@ -114,6 +120,10 @@ def build_term(store: Store, expr, env: dict) -> Term:
                         raise OzkError(
                             f"variable {name} has no binding at run time")
                 args.append(v)
+            elif k is CLit:
+                args.append(a.value)
+            elif k is CAnon:
+                args.append(store.new_var())
             else:
                 args.append(build_term(store, a, env))
         return Compound(expr.label, args)
@@ -136,6 +146,53 @@ def _build_spine(store: Store, expr: CCompound, env: dict) -> Term:
         cell.args.append(term)
         term = cell
     return term
+
+
+# -- compiled unification ---------------------------------------------------------
+
+
+def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
+                   value_left: bool):
+    """Unify ``value`` with the compound expression ``pattern``.
+
+    The statement ``X = f(A1 ... An)`` (or ``f(A1 ... An) = X``) comes
+    here with the value of ``X``, dereferenced once.  If it is a compound
+    of the same label and arity, nothing is built (read mode): each
+    argument that is not a void is paired with the compound's argument
+    in the statement's orientation, and the pairs are settled by one
+    :meth:`Store.unify` whose stack they seed, so they are taken last to
+    first, as if the term had been built and unified.  A compound of
+    another label or arity fails with the text that unification gives.
+    Any other value is unified with the built term (write mode).  Returns
+    the :class:`UnifyResult`, or None when there is nothing to settle."""
+    t = value
+    if type(t) is Var and t.ref is not None:
+        t = store.deref(t)
+    if type(t) is not Compound:
+        built = build_term(store, pattern, env)
+        return store.unify(t, built) if value_left else store.unify(built, t)
+    xs, exprs = t.args, pattern.args
+    if t.label != pattern.label or len(xs) != len(exprs):
+        mine = f"{t.label}/{len(xs)}"
+        theirs = f"{pattern.label}/{len(exprs)}"
+        raise Failure("unification failed: " + (
+            f"{mine} = {theirs}" if value_left else f"{theirs} = {mine}"))
+    pairs = []
+    for x, a in zip(xs, exprs):
+        k = type(a)
+        if k is CVar:
+            v = env_get(env, a.name)
+        elif k is CLit:
+            v = a.value
+        elif k is CAnon:
+            continue
+        else:
+            v = build_term(store, a, env)
+        pairs.append((x, v) if value_left else (v, x))
+    if not pairs:
+        return None
+    a, b = pairs.pop()
+    return store.unify(a, b, pairs)
 
 
 # -- pattern matching -----------------------------------------------------------
@@ -192,6 +249,12 @@ class Task:
     def push(self, stmt, env):
         self.stack.append((stmt, env))
 
+    def push_block(self, block, env):
+        """Push a block's statements, so that the first runs next."""
+        stack = self.stack
+        for stmt in block.pushed:
+            stack.append((stmt, env))
+
     def on_choice(self, alternatives, env):
         raise ChoiceOutsideSearchError(
             "choice is only allowed inside a search engine")
@@ -212,6 +275,13 @@ class ThreadTask(Task):
         if len(self.stack) > self.max_depth:
             self.max_depth = len(self.stack)
 
+    def push_block(self, block, env):
+        stack = self.stack
+        for stmt in block.pushed:
+            stack.append((stmt, env))
+        if len(stack) > self.max_depth:
+            self.max_depth = len(stack)
+
     def on_thread(self, body, env):
         self.rt.spawn(body, env)
 
@@ -231,20 +301,26 @@ def exec_stmt(task: Task, stmt, env):
     store = rt.store
     kind = type(stmt)
 
-    if kind is Seq:
-        task.push(stmt.second, env)
-        task.push(stmt.first, env)
+    if kind is Block:
+        task.push_block(stmt, env)
         return
 
     if kind is Unify:
         e1, e2 = stmt.lhs, stmt.rhs
-        t1 = env_get(env, e1.name) if type(e1) is CVar else build_term(store, e1, env)
-        t2 = env_get(env, e2.name) if type(e2) is CVar else build_term(store, e2, env)
-        res = store.unify(t1, t2)
-        if res.woken:
-            rt.wake(res.woken)
-        if not res.ok:
-            raise Failure(f"unification failed: {res.reason}")
+        k1, k2 = type(e1), type(e2)
+        if k1 is CVar and k2 is CCompound:
+            res = unify_compound(store, env_get(env, e1.name), e2, env, True)
+        elif k2 is CVar and k1 is CCompound:
+            res = unify_compound(store, env_get(env, e2.name), e1, env, False)
+        else:
+            t1 = env_get(env, e1.name) if k1 is CVar else build_term(store, e1, env)
+            t2 = env_get(env, e2.name) if k2 is CVar else build_term(store, e2, env)
+            res = store.unify(t1, t2)
+        if res is not None:
+            if res.woken:
+                rt.wake(res.woken)
+            if not res.ok:
+                raise Failure(f"unification failed: {res.reason}")
         return
 
     if kind is Local:
@@ -252,7 +328,11 @@ def exec_stmt(task: Task, stmt, env):
         for name in stmt.names:
             frame[name] = store.new_var()
         frame[_UP] = env
-        task.push(stmt.body, frame)
+        body = stmt.body
+        if type(body) is Block:
+            task.push_block(body, frame)
+        else:
+            task.push(body, frame)
         return
 
     if kind is Call:
@@ -458,6 +538,7 @@ class Runtime:
         self.policy = policy
         self.rng = _random.Random(seed)
         self.max_steps = max_steps
+        self.step_limit: Optional[int] = None   # see renew_budget
         self.real_time = real_time
         self.on_browse = on_browse
         self.on_trace = on_trace
@@ -470,8 +551,18 @@ class Runtime:
         self.stats = Stats()
         self.browses: list = []
         self.browse_log: list = []
+        self.renew_budget()
 
     # -- bookkeeping -----------------------------------------------------
+
+    def renew_budget(self) -> None:
+        """Give the work that starts now ``max_steps`` reductions of its
+        own: each :meth:`run`, each network simulation and each answer an
+        engine is asked for outside a run (the REPL's ``:solve`` and
+        ``:next``).  ``step_limit`` is the count of ``stats.reductions``
+        past which ``StepLimit`` is raised."""
+        if self.max_steps is not None:
+            self.step_limit = self.stats.reductions + self.max_steps
 
     def trace(self, kind: str, **payload):
         if self.on_trace is not None:
@@ -479,7 +570,7 @@ class Runtime:
 
     def count_step(self):
         self.stats.reductions += 1
-        if self.max_steps is not None and self.stats.reductions > self.max_steps:
+        if self.step_limit is not None and self.stats.reductions > self.step_limit:
             raise StepLimit()
 
     def browse(self, term: Term):
@@ -559,7 +650,7 @@ class Runtime:
         task = thread.task
         stack = task.stack
         stats = self.stats
-        limit = self.max_steps
+        limit = self.step_limit
         stats.slices += 1
         self.trace("run", tid=thread.tid)
         for _ in range(TIMESLICE):
@@ -633,6 +724,7 @@ class Runtime:
 
     def run(self) -> RunResult:
         status = "done"
+        self.renew_budget()
         try:
             while True:
                 self.drain()

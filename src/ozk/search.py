@@ -162,7 +162,7 @@ class Engine:
             return None
         task = self.task
         stats = self.rt.stats
-        limit = self.rt.max_steps
+        limit = self.rt.step_limit
         trail = self.trail
         self._enter()
         try:

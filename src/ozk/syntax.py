@@ -5,10 +5,19 @@ Everything the machine executes is one of these nodes; surface sugar
 is compiled away by the desugarer in parser.py.
 
 Expressions at this level are pure constructors: a variable reference, a
-literal, or a compound of those.  Arithmetic, comparisons and equality
-tests live in BuiltinCall statements; `op(a, b, r)` computes into r while
-the two-argument form is a test that fails the current context when the
+literal, a void (``CAnon``, an argument written ``_``), or a compound of
+those.  A void stands for a variable that nothing else names: building
+the compound makes a fresh variable for it, and unifying a variable that
+is already bound to the compound's label and arity skips the argument
+and makes none.  Arithmetic, comparisons and equality tests live in
+BuiltinCall statements; `op(a, b, r)` computes into r while the
+two-argument form is a test that fails the current context when the
 answer is false.
+
+A sequence of statements is one flat ``Block``, built by :func:`seq_all`
+and never nested directly in another: running it pushes all of its
+statements in one reduction, and a ``Local`` whose body is a block pushes
+the block's statements itself.
 """
 
 from __future__ import annotations
@@ -32,12 +41,17 @@ class CLit:
 
 
 @dataclass(frozen=True)
+class CAnon:
+    pass
+
+
+@dataclass(frozen=True)
 class CCompound:
     label: str
     args: tuple
 
 
-Expr = Union[CVar, CLit, CCompound]
+Expr = Union[CVar, CLit, CAnon, CCompound]
 
 # -- patterns ----------------------------------------------------------
 
@@ -93,9 +107,14 @@ class Fail:
 
 
 @dataclass(frozen=True)
-class Seq:
-    first: "Statement"
-    second: "Statement"
+class Block:
+    # `pushed` is not a field: the statements last first, in the order in
+    # which a task pushes them.
+    __slots__ = ("stmts", "pushed")
+    stmts: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "pushed", self.stmts[::-1])
 
 
 @dataclass(frozen=True)
@@ -165,27 +184,30 @@ class ThreadStmt:
     body: "Statement"
 
 
-Statement = Union[Skip, Fail, Seq, Local, Unify, IfStmt, CaseStmt, Choice,
+Statement = Union[Skip, Fail, Block, Local, Unify, IfStmt, CaseStmt, Choice,
                   ProcDef, Call, BuiltinCall, ThreadStmt]
 
 
-def seq_all(stmts: list) -> Statement:
-    """Right-nested Seq of a statement list (Skip when empty)."""
-    if not stmts:
+def seq_all(stmts) -> Statement:
+    """The statements in order as one statement: Skip when there are
+    none, the statement itself when there is one, else a flat Block (the
+    items of a Block among them are spliced in)."""
+    flat = []
+    for s in stmts:
+        if type(s) is Block:
+            flat.extend(s.stmts)
+        else:
+            flat.append(s)
+    if not flat:
         return Skip()
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(s, out)
-    return out
+    if len(flat) == 1:
+        return flat[0]
+    return Block(tuple(flat))
 
 
 def seq_items(s: Statement) -> list:
-    out = []
-    while isinstance(s, Seq):
-        out.append(s.first)
-        s = s.second
-    out.append(s)
-    return out
+    """The statements of a Block, or the statement alone."""
+    return list(s.stmts) if type(s) is Block else [s]
 
 
 # -- pretty printer -------------------------------------------------------
@@ -212,6 +234,8 @@ def _expr_text(e: Expr, prec: int = 0) -> str:
             v = e.value.value
             return str(v) if v >= 0 else f"~{-v}"
         return e.value.name
+    if isinstance(e, CAnon):
+        return "_"
     if isinstance(e, CCompound):
         if e.label == "|" and len(e.args) == 2:
             # proper-list sugar when the spine is all conses ending in nil
@@ -271,10 +295,10 @@ class _Printer:
         self.depth -= 1
 
     def stmt(self, s: Statement):
-        while isinstance(s, Seq):   # a long sequence costs no recursion
-            self.stmt(s.first)
-            s = s.second
-        if isinstance(s, Skip):
+        if isinstance(s, Block):
+            for item in s.stmts:
+                self.stmt(item)
+        elif isinstance(s, Skip):
             self.emit("skip")
         elif isinstance(s, Fail):
             self.emit("fail")

@@ -350,17 +350,25 @@ class Store:
 
     # -- unification ---------------------------------------------------
 
-    def unify(self, t1: Term, t2: Term) -> UnifyResult:
+    def unify(self, t1: Term, t2: Term,
+              pending: Optional[list] = None) -> UnifyResult:
         """Unify two terms, binding variables in this store.
 
         Pairs are settled one at a time from a LIFO stack, so the
         arguments of two compounds are unified last to first, and the
         first clash met ends the unification with what was bound before
-        it.  A variable-variable pair binds the greater VarId to the
-        lesser, except that a running search engine (``owns``) binds its
-        own variable rather than an outside one.  Only the two kinds of
-        pair whose repeat would be seen are memoised: a pair of compounds,
-        so that unification terminates on rational trees, and a bind
+        it.  ``pending`` seeds the stack: a list of further pairs, taken
+        from its end once ``(t1, t2)`` is settled, which the call uses up.
+        The compiled ``X = f(...)`` passes the argument pairs of a
+        compound it did not build this way (read mode, see
+        ``runtime.unify_compound``), so that they are settled exactly as
+        if the compound had been built and unified with ``X``'s value.
+
+        A variable-variable pair binds the greater VarId to the lesser,
+        except that a running search engine (``owns``) binds its own
+        variable rather than an outside one.  Only the two kinds of pair
+        whose repeat would be seen are memoised: a pair of compounds, so
+        that unification terminates on rational trees, and a bind
         forwarded to its owner (below), whose replica stays unbound and
         would be forwarded again.  Any other pair is settled for good when
         first met: a variable bound here dereferences to its value next
@@ -378,7 +386,7 @@ class Store:
         dist = self.dist
         woken = None
         seen = None      # memo: compound pairs and forwarded binds
-        stack = None
+        stack = pending
         a, b = t1, t2
         while True:
             ta, tb = type(a), type(b)

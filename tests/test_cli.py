@@ -147,6 +147,13 @@ class TestRun:
         assert err == (f"ozk: line 1:{4 + MAX_NESTING}: nesting deeper "
                        f"than {MAX_NESTING} levels\n")
 
+    def test_long_operator_chain_runs(self, capsys, tmp_path):
+        # a left-leaning chain: ((1+1)+1)+...
+        src = write(tmp_path, "chain.ozk",
+                    "X = %s {Browse X}" % "+".join(["1"] * 3000))
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out, err) == (0, "3000\n", "")
+
     def test_nesting_within_the_limit_runs(self, capsys, tmp_path):
         # conditional expressions nest the most Python calls per level
         depth = MAX_NESTING - 5
@@ -290,6 +297,15 @@ class TestDistRun:
         assert code == 0, err
         assert "  5000" in out.splitlines()
 
+    def test_long_operator_chain_runs(self, capsys, tmp_path):
+        src = write(tmp_path, "chain.ozk",
+                    "X = %s thread {Wait X} {Browse X} end"
+                    % "+".join(["1"] * 3000))
+        code, out, err = run_cli(capsys, "dist-run", src,
+                                 "--placement", "a=1")
+        assert code == 0, err
+        assert "  3000" in out.splitlines()
+
     def test_long_thread_body_runs(self, capsys, tmp_path):
         body = "\n".join("{Browse %d}" % i for i in range(3000))
         src = write(tmp_path, "body.ozk", "thread\n%s\nend" % body)
@@ -345,6 +361,14 @@ class TestRepl:
             "--max-steps", "20000")
         assert code == 0
         assert out == ["** stopped: step budget exhausted", "no current :solve"]
+
+    def test_each_chunk_and_solve_has_its_own_step_budget(
+            self, capsys, monkeypatch):
+        code, out = repl(capsys, monkeypatch, [
+            "proc {Loop X} {Loop X} end", ":solve {Loop}", "{Browse 1}"],
+            "--max-steps", "20000")
+        assert code == 0
+        assert out == ["** stopped: step budget exhausted", "1"]
 
     def test_next_without_solve(self, capsys, monkeypatch):
         code, out = repl(capsys, monkeypatch, [":next"])

@@ -5,8 +5,8 @@ import pytest
 from ozk.errors import ParseError, QuietGuardViolation
 from ozk.parser import parse_interactive, parse_program
 from ozk.syntax import (
-    BuiltinCall, Call, CaseStmt, CCompound, Choice, CLit, CVar, Fail,
-    IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar, Seq, Skip,
+    BuiltinCall, Call, CaseStmt, CAnon, CCompound, Choice, CLit, CVar, Fail,
+    IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar, Skip,
     ThreadStmt, Unify, pretty, seq_items,
 )
 from ozk.terms import Atom, Int
@@ -95,9 +95,8 @@ def test_declaration_part_unification_declares_both_sides():
     _, items = unwrap_local(s)
     names, inner = unwrap_local(items[0])
     assert names == ("Us2",)
-    # the unification itself carries a fresh name for _
-    anon_local = inner[0]
-    assert isinstance(anon_local, Local) and len(anon_local.names) == 1
+    # the _ inside the list cell is a void, not a declared temporary
+    assert inner[0] == Unify(CVar("Us2"), CCompound("|", (CAnon(), CVar("Us"))))
 
 
 def test_procedure_definition_shadows():
@@ -418,6 +417,8 @@ ROUND_TRIP_SOURCES = [
     "local B X in if B then X=1 elseif B==false then X=2 else X=3 end end",
     "fun lazy {Ints N} N|{Ints N+1} end",
     "local X in X=pair(a ~3|nil) end",
+    "local X Y in X = f(_ g(_ Y)) end",
+    "local X Y Z in X=1 Y=2 local W in W=X Z=W end {Browse Z} {Browse [_ X]} end",
     QUEENS,
 ]
 

@@ -290,6 +290,20 @@ def test_step_limit_stops_runaway_programs():
     assert r.status == "limit"
 
 
+def test_each_run_has_its_own_step_budget():
+    s = Session(max_steps=10_000)
+    assert s.feed("proc {Loop} {Loop} end {Loop}").status == "limit"
+    r = s.feed("{Browse 1}")
+    assert (r.status, r.browses) == ("done", ["1"])
+
+
+def test_a_block_costs_one_reduction():
+    # the local and its block of three statements together, then each
+    # statement: four reductions
+    r = run_text("local X Y in X = 1 Y = X {Browse Y} end", prelude=False)
+    assert r.stats.reductions == 4
+
+
 # -- laziness ------------------------------------------------------------------
 
 LAZY_INTS = """

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ozk.runtime import Failure, Runtime, Task, build_term, exec_stmt
+from ozk.syntax import CAnon, CCompound, CLit, CVar, Unify
 from ozk.terms import (
     Atom, Compound, Int, NIL, Store, Var, bisimilar, compare_terms, cons,
     is_cons, list_to_python, make_list, materialize, render, snapshot,
@@ -346,6 +348,96 @@ def test_unify_matches_reference(s1, s2, prebinds, waiting, trailed):
             t = store.deref(v)
             reps.append(t.vid if isinstance(t, Var) else render(store, t))
         outcomes.append((ok, reason, list(woken), reps))
+    assert outcomes[0] == outcomes[1]
+
+
+# Patterns, the right-hand side of a compiled `X = f(...)`: compounds over
+# the variables V0..V3 (repeats allowed), literals and voids.
+_pattern_leaves = (st.integers(0, 3).map(lambda i: CVar(f"V{i}"))
+                   | st.integers(0, 2).map(lambda n: CLit(Int(n)))
+                   | st.sampled_from("ab").map(lambda a: CLit(Atom(a)))
+                   | st.just(CAnon()))
+
+
+def _pattern_compound(sub):
+    return st.builds(lambda la, args: CCompound(la, tuple(args)),
+                     st.sampled_from("fg"), st.lists(sub, min_size=1, max_size=3))
+
+
+patterns = _pattern_compound(st.recursive(_pattern_leaves, _pattern_compound,
+                                          max_leaves=6))
+
+
+def _voids(expr) -> int:
+    if isinstance(expr, CAnon):
+        return 1
+    if isinstance(expr, CCompound):
+        return sum(_voids(a) for a in expr.args)
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns, st.data(), st.lists(st.tuples(st.integers(0, 4), shapes),
+                                     max_size=3),
+       st.lists(st.integers(0, 4), max_size=4), st.booleans(), st.booleans())
+def test_compiled_unify_matches_build_then_unify(
+        pattern, data, prebinds, waiting, trailed, x_left):
+    # X is variable 4.  It is left unbound, bound to the pattern's label
+    # and arity (read mode) or to anything at all, cyclic through the
+    # pre-bindings of the other variables.
+    x_value = data.draw(st.one_of(
+        st.none(), shapes,
+        st.lists(shapes, min_size=len(pattern.args),
+                 max_size=len(pattern.args)).map(
+            lambda args: (pattern.label, args))))
+    stmt = (Unify(CVar("X"), pattern) if x_left
+            else Unify(pattern, CVar("X")))
+    outcomes = []
+    for compiled in (True, False):
+        store = Store()
+        vs = [store.new_var() for _ in range(5)]
+        binds = list(prebinds) + ([] if x_value is None else [(4, x_value)])
+        for i, shape in binds:
+            term = _build(store, shape, vs)
+            if vs[i].ref is None and store.deref(term) is not vs[i]:
+                vs[i].ref = term
+        for i in waiting:
+            store.add_waiter(vs[i], 10 + i)
+        if trailed:
+            store.push_trail()
+        env = {f"V{i}": vs[i] for i in range(4)}
+        env.update({"X": vs[4], "\x00up": None})
+        x = store.deref(vs[4])
+        if not isinstance(x, Compound):
+            builds = _voids(pattern)            # write mode
+        elif (x.label, len(x.args)) == (pattern.label, len(pattern.args)):
+            builds = sum(_voids(a) for a in pattern.args     # read mode
+                         if isinstance(a, CCompound))
+        else:
+            builds = 0                          # a clash, found at once
+        before = store.next_seq
+        woken: set = set()
+        if compiled:
+            rt = Runtime(store=store)
+            rt.wake = woken.update
+            try:
+                exec_stmt(Task(rt), stmt, env)
+                ok, reason = True, ""
+            except Failure as f:
+                ok, reason = False, f.reason.removeprefix("unification failed: ")
+            # a void makes a variable only where the term is built
+            assert store.next_seq - before == builds
+        else:
+            built = build_term(store, pattern, env)
+            res = (store.unify(vs[4], built) if x_left
+                   else store.unify(built, vs[4]))
+            ok, reason = res.ok, res.reason
+            woken |= res.woken
+        reps = []
+        for v in vs:
+            t = store.deref(v)
+            reps.append(t.vid if isinstance(t, Var) else render(store, t))
+        outcomes.append((ok, reason, sorted(woken), reps))
     assert outcomes[0] == outcomes[1]
 
 
