@@ -62,90 +62,13 @@ from .interp import Session
 from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
 from .runtime import Runtime, StepLimit
-from .syntax import (Block, BuiltinCall, Call, CaseStmt, CCompound, Choice,
-                     CVar, IfStmt, Local, PCompound, ProcDef, PVar, ThreadStmt,
-                     Unify, seq_all, seq_items)
+from .syntax import Local, ThreadStmt, free_names, seq_all, seq_items
 from .terms import (Snapshot, Store, Var, VarId, bisimilar, materialize,
                     render, snapshot)
 
 THREAD_NAMES = string.ascii_lowercase
 
 MESSAGE_KINDS = ("Register", "BindRequest", "BindNotify", "UnifyVarVar")
-
-
-# -- free names of a statement ---------------------------------------------
-
-
-def _pattern_binders(pattern, out: set) -> None:
-    todo = [pattern]
-    while todo:
-        p = todo.pop()
-        if isinstance(p, PVar):
-            out.add(p.name)
-        elif isinstance(p, PCompound):
-            todo.extend(p.args)
-
-
-def _expr_free(expr, bound, out: set) -> None:
-    todo = [expr]
-    while todo:
-        e = todo.pop()
-        if type(e) is CVar:
-            if e.name not in bound:
-                out.add(e.name)
-        elif type(e) is CCompound:
-            todo.extend(e.args)
-
-
-def free_names(stmt) -> set:
-    """Names a statement reads or writes but does not itself declare.
-
-    The walk keeps its own stack of (statement, names bound around it),
-    so a long sequence or a deep nesting takes no Python stack."""
-    out: set = set()
-    todo = [(stmt, frozenset())]
-    while todo:
-        s, bound = todo.pop()
-        t = type(s)
-        if t is Block:
-            todo.extend((item, bound) for item in s.stmts)
-        elif t is Local:
-            todo.append((s.body, bound | set(s.names)))
-        elif t is Unify:
-            _expr_free(s.lhs, bound, out)
-            _expr_free(s.rhs, bound, out)
-        elif t is IfStmt:
-            todo.append((s.otherwise, bound))
-            for arm in s.arms:
-                inner = bound | set(arm.guard_vars)
-                if arm.guard is not None:
-                    todo.append((arm.guard, inner))
-                todo.append((arm.body, inner))
-        elif t is CaseStmt:
-            _expr_free(s.subject, bound, out)
-            for arm in s.arms:
-                binders: set = set()
-                _pattern_binders(arm.pattern, binders)
-                todo.append((arm.body, bound | binders))
-            todo.append((s.otherwise, bound))
-        elif t is Choice:
-            for alt in s.alternatives:
-                todo.append((alt, bound))
-        elif t is ProcDef:
-            if s.name not in bound:
-                out.add(s.name)
-            todo.append((s.body, bound | set(s.params)))
-        elif t is Call:
-            _expr_free(s.target, bound, out)
-            for arg in s.args:
-                _expr_free(arg, bound, out)
-        elif t is BuiltinCall:
-            for arg in s.args:
-                _expr_free(arg, bound, out)
-        elif t is ThreadStmt:
-            todo.append((s.body, bound))
-        # Skip and Fail mention nothing.
-    return out
 
 
 # -- program splitting -------------------------------------------------------

@@ -3,10 +3,20 @@
 One statement reduction at a time: a task owns a stack of (statement,
 environment) frames and `exec_stmt` pops and interprets the top one,
 pushing continuations.  A block pushes all of its statements in one
-reduction.  Tail calls replace the popped frame, so the stack stays flat
-through recursion.  `X = f(...)` is compiled unification: when `X` is
-already a compound of the same label and arity, its arguments are
-unified in place and nothing is built (`unify_compound`).
+reduction, and a body that is a block (of a `local`, a procedure, a
+`choice` alternative, an `if` or `case` arm) is pushed flat with the
+statement that runs it.  Tail calls replace the popped frame, so the
+stack stays flat through recursion.  `X = f(...)` is compiled
+unification: when `X` is already a compound of the same label and arity,
+its arguments are unified in place and nothing is built
+(`unify_compound`).
+
+A `local` makes only the names of its compiled form's `made`.  Each other
+name is first used in a `X = f(...)` of its body as a `CFresh`: in read
+mode it takes the compound's argument as its value, with no variable and
+no binding; where the term is built it makes the variable there.  Either
+way the name is stored in the local's frame, which is the environment
+the statement runs in.
 
 Threads are cooperatively scheduled in timeslices over a single store.
 Blocking is dataflow only: a thread that needs a variable's value parks
@@ -26,8 +36,8 @@ from typing import Callable, Optional
 from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
                      RuntimeFailure, ThreadInSearchError)
 from .syntax import (Block, BuiltinCall, Call, CaseStmt, CAnon, CCompound,
-                     Choice, CLit, CVar, Fail, IfStmt, Local, PAnon, PCompound,
-                     PLit, ProcDef, PVar, Skip, ThreadStmt, Unify)
+                     CFresh, Choice, CLit, CVar, Fail, IfStmt, Local, PAnon,
+                     PCompound, PLit, ProcDef, PVar, Skip, ThreadStmt, Unify)
 from .terms import (Atom, Closure, Compound, Int, NativeProc, Store, Term,
                     Var, render)
 
@@ -100,6 +110,9 @@ def build_term(store: Store, expr, env: dict) -> Term:
         return expr.value
     if kind is CAnon:
         return store.new_var()
+    if kind is CFresh:
+        v = env[expr.name] = store.new_var()
+        return v
     if kind is CCompound:
         exprs = expr.args
         if exprs and type(exprs[-1]) is CCompound:
@@ -124,6 +137,9 @@ def build_term(store: Store, expr, env: dict) -> Term:
                 args.append(a.value)
             elif k is CAnon:
                 args.append(store.new_var())
+            elif k is CFresh:
+                v = env[a.name] = store.new_var()
+                args.append(v)
             else:
                 args.append(build_term(store, a, env))
         return Compound(expr.label, args)
@@ -161,10 +177,16 @@ def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
     argument that is not a void is paired with the compound's argument
     in the statement's orientation, and the pairs are settled by one
     :meth:`Store.unify` whose stack they seed, so they are taken last to
-    first, as if the term had been built and unified.  A compound of
-    another label or arity fails with the text that unification gives.
-    Any other value is unified with the built term (write mode).  Returns
-    the :class:`UnifyResult`, or None when there is nothing to settle."""
+    first, as if the term had been built and unified.  A first use
+    (``CFresh``) takes the compound's argument as its value in ``env``
+    and adds no pair: unifying a fresh variable would only have bound it
+    to that argument.  The exception is another node's unbound variable,
+    which unification would bind (through a message to its owner) rather
+    than the fresh one; there the variable is made and paired as before.
+    A compound of another label or arity fails with the text that
+    unification gives.  Any other value is unified with the built term
+    (write mode).  Returns the :class:`UnifyResult`, or None when there
+    is nothing to settle."""
     t = value
     if type(t) is Var and t.ref is not None:
         t = store.deref(t)
@@ -186,6 +208,11 @@ def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
             v = a.value
         elif k is CAnon:
             continue
+        elif k is CFresh:
+            if store.dist is None or not _is_proxy(store, x):
+                env[a.name] = x
+                continue
+            v = env[a.name] = store.new_var()
         else:
             v = build_term(store, a, env)
         pairs.append((x, v) if value_left else (v, x))
@@ -193,6 +220,14 @@ def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
         return None
     a, b = pairs.pop()
     return store.unify(a, b, pairs)
+
+
+def _is_proxy(store: Store, t: Term) -> bool:
+    """Whether ``t`` is an unbound replica of another node's variable
+    (followed without path compression, which would change the store)."""
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    return type(t) is Var and t.vid[0] != store.node_id
 
 
 # -- pattern matching -----------------------------------------------------------
@@ -250,9 +285,20 @@ class Task:
         self.stack.append((stmt, env))
 
     def push_block(self, block, env):
-        """Push a block's statements, so that the first runs next."""
+        """Push the statements of a block, or the compiled body of a
+        local, so that the first runs next."""
         stack = self.stack
         for stmt in block.pushed:
+            stack.append((stmt, env))
+
+    def push_body(self, stmt, env):
+        """Push a body: a block's statements flat, any other statement
+        as one frame."""
+        stack = self.stack
+        if type(stmt) is Block:
+            for s in stmt.pushed:
+                stack.append((s, env))
+        else:
             stack.append((stmt, env))
 
     def on_choice(self, alternatives, env):
@@ -278,6 +324,16 @@ class ThreadTask(Task):
     def push_block(self, block, env):
         stack = self.stack
         for stmt in block.pushed:
+            stack.append((stmt, env))
+        if len(stack) > self.max_depth:
+            self.max_depth = len(stack)
+
+    def push_body(self, stmt, env):
+        stack = self.stack
+        if type(stmt) is Block:
+            for s in stmt.pushed:
+                stack.append((s, env))
+        else:
             stack.append((stmt, env))
         if len(stack) > self.max_depth:
             self.max_depth = len(stack)
@@ -312,6 +368,11 @@ def exec_stmt(task: Task, stmt, env):
             res = unify_compound(store, env_get(env, e1.name), e2, env, True)
         elif k2 is CVar and k1 is CCompound:
             res = unify_compound(store, env_get(env, e2.name), e1, env, False)
+        elif k1 is CFresh:
+            # the first use of a local name (compiled to the left): it is
+            # the built term
+            env[e1.name] = build_term(store, e2, env)
+            return
         else:
             t1 = env_get(env, e1.name) if k1 is CVar else build_term(store, e1, env)
             t2 = env_get(env, e2.name) if k2 is CVar else build_term(store, e2, env)
@@ -325,14 +386,10 @@ def exec_stmt(task: Task, stmt, env):
 
     if kind is Local:
         frame = {}
-        for name in stmt.names:
+        for name in stmt.made:
             frame[name] = store.new_var()
         frame[_UP] = env
-        body = stmt.body
-        if type(body) is Block:
-            task.push_block(body, frame)
-        else:
-            task.push(body, frame)
+        task.push_block(stmt, frame)
         return
 
     if kind is Call:
@@ -351,7 +408,7 @@ def exec_stmt(task: Task, stmt, env):
                            else build_term(store, a, env))
             args[_UP] = target.env
             rt.stats.calls[target.name or f"$anon{target.serial}"] += 1
-            task.push(target.body, args)
+            task.push_body(target.body, args)
             return
         if isinstance(target, NativeProc):
             if len(stmt.args) != target.arity:
@@ -370,11 +427,11 @@ def exec_stmt(task: Task, stmt, env):
             status, payload = match_pattern(store, arm.pattern, subject)
             if status == _MATCH_OK:
                 payload[_UP] = env
-                task.push(arm.body, payload)
+                task.push_body(arm.body, payload)
                 return
             if status == _MATCH_UNDET:
                 raise Suspend([payload])
-        task.push(stmt.otherwise, env)
+        task.push_body(stmt.otherwise, env)
         return
 
     if kind is BuiltinCall:
@@ -437,7 +494,7 @@ def exec_if(task: Task, stmt: IfStmt, env):
                 exec_stmt(task, guard, env)
             except Failure:
                 continue
-            task.push(arm.body, env)
+            task.push_body(arm.body, env)
             return
         age_mark = store.next_seq
         genv = (env_child(env, {n: store.new_var() for n in arm.guard_vars})
@@ -454,7 +511,9 @@ def exec_if(task: Task, stmt: IfStmt, env):
             store.undo_to(0)
             store.pop_trail(merge=False)
             continue
-        except Suspend:
+        except BaseException:
+            # a suspension, the step budget or an error: the guard's
+            # trail goes with it, or every later binding would be trailed
             store.undo_to(0)
             store.pop_trail(merge=False)
             raise
@@ -467,9 +526,9 @@ def exec_if(task: Task, stmt: IfStmt, env):
                 raise QuietGuardViolation(
                     "guard bound a variable that exists outside it")
         store.pop_trail(merge=True)
-        task.push(arm.body, genv)
+        task.push_body(arm.body, genv)
         return
-    task.push(stmt.otherwise, env)
+    task.push_body(stmt.otherwise, env)
 
 
 # -- threads -----------------------------------------------------------------
@@ -479,6 +538,7 @@ SUSPENDED = "suspended"
 SLEEPING = "sleeping"
 TERMINATED = "terminated"
 FAILED = "failed"
+STOPPED = "stopped"      # by the step budget or an error
 
 
 class OzThread:
@@ -525,8 +585,10 @@ class Runtime:
     the sleeper heap of ``(wake_at, tid)`` pairs, and the failure texts of
     threads that failed since the last verdict (``unreported_failures``).
     A thread that ends leaves ``threads`` at once and is counted in
-    ``stats.exits``.  The lines browsed during a run go to its
-    :class:`RunResult` and leave ``browses`` and ``browse_log``."""
+    ``stats.exits``, as does one stopped by the step budget or an error
+    (status ``stopped``) before the exception propagates.  The lines
+    browsed during a run go to its :class:`RunResult` and leave
+    ``browses`` and ``browse_log``."""
 
     def __init__(self, store: Optional[Store] = None, builtins: Optional[dict] = None,
                  policy: str = "fifo", seed: Optional[int] = None,
@@ -673,6 +735,11 @@ class Runtime:
             except Failure as f:
                 self._finish(thread, FAILED, f.reason)
                 return
+            except BaseException:
+                # StepLimit or an error: the thread is not resumed, so it
+                # leaves with its frames before the exception goes on
+                self._finish(thread, STOPPED)
+                raise
         if task.stack:
             self.runq.append(thread.tid)
         else:

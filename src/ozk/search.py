@@ -4,7 +4,8 @@ An engine executes ``{Goal Root}`` on the shared store but under its own
 trail.  ``choice`` statements push choicepoints (a copy of the frame
 stack plus the remaining alternatives); failure undoes the trail to the
 newest choicepoint and resumes with the next alternative, depth-first
-and left to right.
+and left to right.  The last alternative takes the saved stack itself,
+as the choicepoint is gone.
 
 Answers are copied out in two phases: snapshot the root while the
 speculative bindings are live, backtrack, then materialize the snapshot
@@ -115,7 +116,7 @@ class Engine:
         cp = _ChoicePoint(list(self.task.stack), alternatives, env,
                           self.store.trail_mark())
         self.cps.append(cp)
-        self.task.push(alternatives[0], env)
+        self.task.push_body(alternatives[0], env)
 
     def _backtrack(self) -> bool:
         while self.cps:
@@ -127,10 +128,13 @@ class Engine:
                 continue
             alt = cp.alts[cp.next_alt]
             cp.next_alt += 1
-            self.task.stack = list(cp.stack)
             if cp.next_alt >= len(cp.alts):
+                # the last alternative: the saved stack has no other use
                 self.cps.pop()
-            self.task.push(alt, cp.env)
+                self.task.stack = cp.stack
+            else:
+                self.task.stack = list(cp.stack)
+            self.task.push_body(alt, cp.env)
             return True
         return False
 

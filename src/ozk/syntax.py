@@ -16,8 +16,18 @@ answer is false.
 
 A sequence of statements is one flat ``Block``, built by :func:`seq_all`
 and never nested directly in another: running it pushes all of its
-statements in one reduction, and a ``Local`` whose body is a block pushes
-the block's statements itself.
+statements in one reduction.  A ``Local``, a ``choice`` alternative, a
+procedure body and an ``if`` or ``case`` arm whose statement is a block
+push the block's statements themselves, without the reduction.
+
+A ``Local`` carries a compiled form beside its fields (``made`` and
+``pushed``, see :func:`compile_local`): a name whose first use is an
+argument of, or the variable of, a unification ``X = f(...)`` that the
+body runs directly is not made at entry.  That argument becomes a
+``CFresh``, which stores the value it meets in the frame (the WAM's
+``unify_variable`` for a first occurrence), so the common
+``local T in X = _|T ... end`` makes no variable when ``X`` is already a
+list cell.  The AST, and so the printer, never sees a ``CFresh``.
 """
 
 from __future__ import annotations
@@ -49,6 +59,15 @@ class CAnon:
 class CCompound:
     label: str
     args: tuple
+
+
+@dataclass(frozen=True)
+class CFresh:
+    """The first use of a name of the enclosing ``Local`` that the local
+    does not make (compiled form only).  Where a term is built it makes
+    the variable; where it meets a value already there it takes that
+    value.  Either way the frame's name is set to what it stands for."""
+    name: str
 
 
 Expr = Union[CVar, CLit, CAnon, CCompound]
@@ -119,8 +138,16 @@ class Block:
 
 @dataclass(frozen=True)
 class Local:
+    # `made` and `pushed` are not fields: the compiled form of
+    # `compile_local`, built once, as a Block's `pushed` is.
+    __slots__ = ("names", "body", "made", "pushed")
     names: tuple
     body: "Statement"
+
+    def __post_init__(self):
+        made, pushed = compile_local(self.names, self.body)
+        object.__setattr__(self, "made", made)
+        object.__setattr__(self, "pushed", pushed)
 
 
 @dataclass(frozen=True)
@@ -208,6 +235,155 @@ def seq_all(stmts) -> Statement:
 def seq_items(s: Statement) -> list:
     """The statements of a Block, or the statement alone."""
     return list(s.stmts) if type(s) is Block else [s]
+
+
+# -- free names of a statement ---------------------------------------------
+
+
+def _expr_free(expr, bound, out: set) -> None:
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        if type(e) is CVar:
+            if e.name not in bound:
+                out.add(e.name)
+        elif type(e) is CCompound:
+            todo.extend(e.args)
+
+
+def free_names(stmt) -> set:
+    """Names a statement reads or writes but does not itself declare.
+
+    The walk keeps its own stack of (statement, names bound around it),
+    so a long sequence or a deep nesting takes no Python stack."""
+    out: set = set()
+    todo = [(stmt, frozenset())]
+    while todo:
+        s, bound = todo.pop()
+        t = type(s)
+        if t is Block:
+            todo.extend((item, bound) for item in s.stmts)
+        elif t is Local:
+            todo.append((s.body, bound | set(s.names)))
+        elif t is Unify:
+            _expr_free(s.lhs, bound, out)
+            _expr_free(s.rhs, bound, out)
+        elif t is IfStmt:
+            todo.append((s.otherwise, bound))
+            for arm in s.arms:
+                inner = bound | set(arm.guard_vars)
+                if arm.guard is not None:
+                    todo.append((arm.guard, inner))
+                todo.append((arm.body, inner))
+        elif t is CaseStmt:
+            _expr_free(s.subject, bound, out)
+            for arm in s.arms:
+                todo.append((arm.body, bound.union(pattern_names(arm.pattern))))
+            todo.append((s.otherwise, bound))
+        elif t is Choice:
+            for alt in s.alternatives:
+                todo.append((alt, bound))
+        elif t is ProcDef:
+            if s.name not in bound:
+                out.add(s.name)
+            todo.append((s.body, bound | set(s.params)))
+        elif t is Call:
+            _expr_free(s.target, bound, out)
+            for arg in s.args:
+                _expr_free(arg, bound, out)
+        elif t is BuiltinCall:
+            for arg in s.args:
+                _expr_free(arg, bound, out)
+        elif t is ThreadStmt:
+            todo.append((s.body, bound))
+        # Skip and Fail mention nothing.
+    return out
+
+
+# -- compiled locals ---------------------------------------------------------
+
+
+def _unify_counts(s: Unify) -> dict:
+    """How often each name occurs in a unification (walked with a stack)."""
+    counts: dict = {}
+    todo = [s.lhs, s.rhs]
+    while todo:
+        e = todo.pop()
+        if type(e) is CVar:
+            counts[e.name] = counts.get(e.name, 0) + 1
+        elif type(e) is CCompound:
+            todo.extend(e.args)
+    return counts
+
+
+def _compile_first_uses(s: Unify, first: set) -> tuple:
+    """``s`` with each name of ``first`` that is its variable or an
+    argument of its compound turned into a CFresh, and those names."""
+    var, comp = s.lhs, s.rhs
+    var_left = type(var) is CVar
+    if not var_left:
+        var, comp = comp, var
+    if type(var) is not CVar or type(comp) is not CCompound:
+        return s, ()
+    done = []
+    args = []
+    for a in comp.args:
+        if type(a) is CVar and a.name in first:
+            done.append(a.name)
+            a = CFresh(a.name)
+        args.append(a)
+    if done:
+        comp = CCompound(comp.label, tuple(args))
+    if var.name in first:
+        # nothing is unified, so the orientation is moot: one form
+        done.append(var.name)
+        return Unify(CFresh(var.name), comp), done
+    if not done:
+        return s, ()
+    return (Unify(var, comp) if var_left else Unify(comp, var)), done
+
+
+def compile_local(names: tuple, body: Statement) -> tuple:
+    """The compiled form of ``local <names> in <body> end``: ``(made,
+    pushed)``, the names to make at entry and the body's statements last
+    first, as a task pushes them.
+
+    A name is left out of ``made`` when its first use is a statement
+    ``X = f(...)`` or ``f(...) = X`` of the body itself (not nested in
+    another statement), it occurs there once, as ``X`` or as an argument
+    of ``f``, and no earlier statement mentions it.  That occurrence is
+    compiled to a ``CFresh``.  Nothing can read the name before it runs,
+    and it runs in this very frame, so storing the value there is all the
+    variable would have been for.  A shallow scan finds the last
+    unification with a compound; one pass over the statements up to it,
+    in order, decides, and stops once every name has been met."""
+    block = type(body) is Block
+    stmts = body.stmts if block else (body,)
+    end = 0
+    for i, s in enumerate(stmts):
+        if type(s) is Unify and CCompound in (type(s.lhs), type(s.rhs)):
+            end = i + 1
+    if not end:
+        return names, (body.pushed if block else stmts)
+    stmts = list(stmts)
+    unseen = set(names)
+    fresh: set = set()
+    for i in range(end):
+        s = stmts[i]
+        if not unseen:
+            break
+        if type(s) is not Unify:
+            unseen -= free_names(s)
+            continue
+        counts = _unify_counts(s)
+        first = {n for n in unseen.intersection(counts) if counts[n] == 1}
+        unseen.difference_update(counts)
+        if first:
+            stmts[i], done = _compile_first_uses(s, first)
+            fresh.update(done)
+    if not fresh:
+        return names, (body.pushed if block else (body,))
+    return tuple(n for n in names if n not in fresh), tuple(reversed(stmts))
 
 
 # -- pretty printer -------------------------------------------------------

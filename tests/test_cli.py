@@ -98,6 +98,21 @@ class TestRun:
         assert out == ""
         assert re.search(r"deadlock: thread \d+ waiting on X", err)
 
+    @pytest.mark.parametrize("body, name", [
+        # the thread stops before the local's first use of Y has run, so
+        # the frame holds no Y: G is shown under its own name
+        ("{Wait G} X = f(Y)", "G"),
+        # after it, Y is G, as when Y was made and bound to G
+        ("X = f(Y) {Wait Y}", "Y"),
+    ])
+    def test_deadlock_names_only_what_a_frame_has_made(self, capsys, tmp_path,
+                                                       body, name):
+        f = write(tmp_path, "d.ozk", "X G in X = f(G) "
+                  "thread local Y in %s end end" % body)
+        code, out, err = run_cli(capsys, "run", f)
+        assert code == 2
+        assert re.fullmatch(r"deadlock: thread \d+ waiting on %s\n" % name, err)
+
     def test_failure_exit_1(self, capsys, tmp_path):
         f = write(tmp_path, "f.ozk", "local X in X = 1 X = 2 end")
         code, out, err = run_cli(capsys, "run", f)

@@ -336,6 +336,28 @@ class TestProtocol:
         assert report.status == "limit"
         assert any("step budget" in f for f in report.failures)
 
+    def test_a_first_use_meeting_a_proxy_sends_what_a_made_variable_did(self):
+        # Y is node 1's; on node 0, X's replica is f(Y's unbound proxy).
+        # A local variable made on node 0 is less than the proxy, so
+        # unifying it with A binds the proxy: a BindRequest to node 1 for
+        # A, which then travels as a variable.  The first use of A must
+        # do the same as the variable made at entry (`A = A` is a use
+        # before the first, so A is made there).
+        program = """
+        X Y in
+        thread X = f(Y) end
+        thread {Wait X} local A in %s X = f(A) A = 7 end {Wait Y} {Browse Y} end
+        """
+        first_use = parse_program(
+            "local A in X = f(A) A = 7 end", ("X",))
+        assert first_use.made == ()
+        reports = [quiesced(run_simulation(program % pre, {"a": 1, "b": 0}))
+                   for pre in ("", "A = A")]
+        assert reports[0].outputs == reports[1].outputs == {0: ["7"], 1: []}
+        assert reports[0].sent == reports[1].sent
+        assert reports[0].delivered == reports[1].delivered
+        assert reports[0].sent["BindRequest"] == 1
+
 
 class TestDeterminismAndConfluence:
     def test_fifo_runs_are_identical(self):

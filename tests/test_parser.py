@@ -5,8 +5,8 @@ import pytest
 from ozk.errors import ParseError, QuietGuardViolation
 from ozk.parser import parse_interactive, parse_program
 from ozk.syntax import (
-    BuiltinCall, Call, CaseStmt, CAnon, CCompound, Choice, CLit, CVar, Fail,
-    IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar, Skip,
+    BuiltinCall, Call, CaseStmt, CAnon, CCompound, CFresh, Choice, CLit, CVar,
+    Fail, IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar, Skip,
     ThreadStmt, Unify, pretty, seq_items,
 )
 from ozk.terms import Atom, Int
@@ -327,6 +327,67 @@ def test_queens_program_shape():
     assert body.arms[1].guard == BuiltinCall(">", (CVar("N"), CLit(Int(0))))
     pq1 = next(d for d in inner if isinstance(d, ProcDef) and d.name == "PlaceQueen")
     assert isinstance(pq1.body, Choice) and len(pq1.body.alternatives) == 2
+
+
+# -- compiled locals: first uses ------------------------------------------------
+
+def _compiled(src):
+    """The names a local makes and its body as it runs, first first; X is
+    global."""
+    s = parse_program(src, GLOBALS + ("X",))
+    assert isinstance(s, Local)
+    return s.made, list(reversed(s.pushed))
+
+
+def test_first_uses_in_a_clause_make_no_variables():
+    made, run = _compiled("local Cs2 Us2 in X=_|Cs2 X=_|Us2 {Browse Cs2} end")
+    assert made == ()
+    assert run[:2] == [Unify(CVar("X"), CCompound("|", (CAnon(), CFresh("Cs2")))),
+                       Unify(CVar("X"), CCompound("|", (CAnon(), CFresh("Us2"))))]
+    # a later use is a plain name
+    assert run[2] == Call(CVar("Browse"), (CVar("Cs2"),))
+
+
+def test_a_first_use_may_be_the_variable_of_the_unification():
+    made, run = _compiled("local Us2 in Us2=_|X {Browse Us2} end")
+    assert made == ()
+    assert run[0] == Unify(CFresh("Us2"), CCompound("|", (CAnon(), CVar("X"))))
+    made, run = _compiled("local Us2 Us in Us2=_|Us end")
+    assert made == ()
+    assert run == [Unify(CFresh("Us2"), CCompound("|", (CAnon(), CFresh("Us"))))]
+
+
+@pytest.mark.parametrize("src", [
+    # mentioned by an earlier statement
+    "local Y in {Browse Y} X=f(Y) end",
+    # twice in the unification
+    "local Y in X=f(Y Y) end",
+    # nested inside an argument
+    "local Y in X=f(g(Y)) end",
+    # not a `X = f(...)`
+    "local Y in X=Y end",
+    # inside another statement
+    "local Y in if X==1 then X=f(Y) end end",
+    # an earlier nested local reads the outer name
+    "local Y in local Z in Z=Y end X=f(Y) end",
+])
+def test_names_that_are_not_first_uses_are_made(src):
+    made, run = _compiled(src)
+    assert "Y" in made
+    assert all(not isinstance(a, CFresh) for s in run if isinstance(s, Unify)
+               for a in (s.lhs, s.rhs, *getattr(s.rhs, "args", ())))
+
+
+def test_a_shadowing_local_is_not_a_use():
+    made, _ = _compiled("local Y in local Y in Y=1 end X=f(Y) end")
+    assert made == ()
+
+
+def test_the_compiled_form_leaves_the_ast_alone():
+    s = parse("local X Y in X=f(Y) end")
+    assert s.body == Unify(CVar("X"), CCompound("f", (CVar("Y"),)))
+    assert pretty(s) == "local X Y in\n   X=f(Y)\nend\n"
+    assert s == Local(("X", "Y"), s.body)
 
 
 # -- errors -------------------------------------------------------------------

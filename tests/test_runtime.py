@@ -297,11 +297,68 @@ def test_each_run_has_its_own_step_budget():
     assert (r.status, r.browses) == ("done", ["1"])
 
 
+def test_a_thread_stopped_by_the_step_budget_leaves_the_runtime():
+    s = Session(max_steps=5000)
+    s.feed("proc {Loop} {Loop} end")
+    for _ in range(3):
+        assert s.feed("{Loop}").status == "limit"
+    assert len(s.rt.threads) == 0
+    assert s.rt.stats.exits["stopped"] == 3
+
+
+def test_a_thread_stopped_by_an_error_leaves_the_runtime():
+    s = Session()
+    with pytest.raises(ThreadInSearchError):
+        s.feed("S in {SolveOne fun {$} thread skip end 1 end S}")
+    assert len(s.rt.threads) == 0
+    assert s.rt.stats.exits["stopped"] == 1
+
+
+@pytest.mark.parametrize("chunk, error", [
+    ("if X in {Loop} then skip end", None),
+    ("if B in thread skip end B = true then skip end", ThreadInSearchError),
+])
+def test_a_guard_stopped_by_the_budget_or_an_error_drops_its_trail(chunk, error):
+    s = Session(max_steps=5000)
+    s.feed("proc {Loop} {Loop} end")
+    if error is None:
+        assert s.feed(chunk).status == "limit"
+    else:
+        with pytest.raises(error):
+            s.feed(chunk)
+    assert s.store.trails == []
+    # later bindings are not trailed, and the session goes on
+    assert s.feed("Y in Y = 1 {Browse Y}").browses == ["1"]
+    assert s.store.trails == []
+
+
 def test_a_block_costs_one_reduction():
     # the local and its block of three statements together, then each
     # statement: four reductions
     r = run_text("local X Y in X = 1 Y = X {Browse Y} end", prelude=False)
     assert r.stats.reductions == 4
+
+
+@pytest.mark.parametrize("body", [
+    "proc {P} X = 1 {Browse X} end {P}",
+    "if true then X = 1 {Browse X} end",
+    "case f(1) of f(A) then X = A {Browse X} end",
+])
+def test_a_block_body_is_pushed_with_what_runs_it(body):
+    # the local, then the definition (if any) and the call, if or case,
+    # which pushes its body flat: then each of the body's two statements
+    r = run_text("local X in " + body + " end", prelude=False)
+    assert r.browses == ["1"]
+    assert r.stats.reductions == (5 if body.startswith("proc") else 4)
+
+
+def test_a_first_use_makes_no_variable():
+    s = Session(prelude=False)
+    s.feed("X = f(1)")
+    before = s.store.next_seq
+    r = s.feed("local Y in X = f(Y) {Browse Y} end")
+    assert r.browses == ["1"]
+    assert s.store.next_seq == before
 
 
 # -- laziness ------------------------------------------------------------------

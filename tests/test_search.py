@@ -1,15 +1,19 @@
 """Encapsulated search: choicepoints, answer copying, laziness, isolation."""
 
 import io
+from pathlib import Path
 
 import pytest
 
 from oracles import (APPEND_123_SPLITS, QUEENS8_COUNT, QUEENS8_FIRST,
                      queens_brute)
+from ozk import prolog
 from ozk.cli import main
 from ozk.errors import (EscapeError, OzkError, SearchStuckError,
                         ThreadInSearchError)
 from ozk.interp import Session, run_text
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
 
 QUEENS = """
 fun {Queens N}
@@ -191,6 +195,17 @@ def test_binding_an_outside_variable_is_an_escape_error():
     assert s.store.trails == []
     # the session is still usable and X is still unbound
     assert s.feed("X = 2 {Browse X}").browses == ["2"]
+
+
+def test_a_first_use_that_aliases_an_outside_variable_cannot_bind_it():
+    # A is a first use: it takes X's argument, the outside Y, as its
+    # value, and binding it binds Y
+    s = Session()
+    s.feed("X Y in X = f(Y)")
+    with pytest.raises(EscapeError):
+        s.feed("S in {SolveAll fun {$} local A in X = f(A) A = 1 end unit end S}")
+    assert s.store.trails == []
+    assert s.feed("{Browse X}").browses == ["f(_G1)"]
 
 
 def test_waiting_on_an_outside_variable_is_a_stuck_error():
@@ -422,3 +437,36 @@ def test_drivers_give_the_same_answers_in_the_same_order(case, capsys, monkeypat
         assert sorted(eager) == expected
     else:
         assert eager == expected
+
+
+# -- a guard on the compiled unification, by counts ---------------------------------
+
+
+def _queens6(source: str) -> str:
+    text = (PROGRAMS / source).read_text()
+    if source.endswith(".pl"):
+        query = prolog.translate_query_source(
+            "queens(6, Qs)", prolog.parse_prolog(text), all_solutions=True)
+        return prolog.translate_source(text) + "\n" + query
+    return text.replace("SolveOne", "SolveAll").replace("{Queens 8}", "{Queens 6}")
+
+
+@pytest.mark.parametrize("source, reductions, made", [
+    ("queens.ozk", 7688, 1391),
+    ("queens.pl", 7676, 1391),
+])
+def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
+        source, reductions, made):
+    # The exact counts of all 4 solutions of 6-queens.  They fall when
+    # `X = f(...)` stops building what is there, a local stops making a
+    # first use, or a body stops being pushed flat; a change that loses
+    # one of these raises them (before first uses: 8731/8719 reductions
+    # and 4005/3999 variables).
+    s = Session()
+    r0, seq0 = s.rt.stats.reductions, s.store.next_seq
+    r = s.feed(_queens6(source))
+    assert r.status == "done"
+    answers = r.browses[0][2:-2].split("] [")
+    assert sorted(answers) == sorted(fmt_list(q)[1:-1] for q in queens_brute(6))
+    assert s.rt.stats.reductions - r0 == reductions
+    assert s.store.next_seq - seq0 == made

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ozk.runtime import Failure, Runtime, Task, build_term, exec_stmt
-from ozk.syntax import CAnon, CCompound, CLit, CVar, Unify
+from ozk.syntax import CAnon, CCompound, CLit, CVar, Local, Unify, seq_all, seq_items
 from ozk.terms import (
     Atom, Compound, Int, NIL, Store, Var, bisimilar, compare_terms, cons,
     is_cons, list_to_python, make_list, materialize, render, snapshot,
@@ -439,6 +439,84 @@ def test_compiled_unify_matches_build_then_unify(
             reps.append(t.vid if isinstance(t, Var) else render(store, t))
         outcomes.append((ok, reason, sorted(woken), reps))
     assert outcomes[0] == outcomes[1]
+
+
+# Local bodies: unifications over the outside variables V0..V3 and the
+# local names L0..L2, which may come first in a `X = f(...)` (a first
+# use), before it, after it, twice in it or nested in one of its
+# arguments, and nested locals that may shadow a name.
+_LOCALS = ("L0", "L1", "L2")
+_names = st.sampled_from(("V0", "V1", "V2", "V3") + _LOCALS).map(CVar)
+_body_leaves = (_names
+                | st.integers(0, 2).map(lambda n: CLit(Int(n)))
+                | st.just(CAnon()))
+_body_compounds = _pattern_compound(
+    st.recursive(_body_leaves, _pattern_compound, max_leaves=4))
+_body_unifies = st.one_of(
+    st.builds(Unify, _names, _body_compounds),
+    st.builds(Unify, _body_compounds, _names),
+    st.builds(Unify, _names, _body_leaves))
+_body_statements = st.recursive(
+    _body_unifies,
+    lambda sub: st.builds(lambda names, stmts: Local(names, seq_all(stmts)),
+                          st.lists(st.sampled_from(_LOCALS), min_size=1,
+                                   max_size=2, unique=True).map(tuple),
+                          st.lists(sub, min_size=1, max_size=3)),
+    max_leaves=5)
+
+
+def _run_local(stmt, compiled, prebinds, waiting, trailed):
+    """Run ``stmt``, a Local, on outside variables V0..V3 and return the
+    outcome, the failure text, the woken threads and the rendered values
+    of the outside variables (and, on success, of the local's names).
+    Compiled, it runs as the runtime runs it; otherwise every local,
+    nested ones too, makes all of its names at entry."""
+    store = Store()
+    vs = [store.new_var() for _ in range(4)]
+    for i, shape in prebinds:
+        term = _build(store, shape, vs)
+        if vs[i].ref is None and store.deref(term) is not vs[i]:
+            vs[i].ref = term
+    for i in waiting:
+        store.add_waiter(vs[i], 10 + i)
+    if trailed:
+        store.push_trail()
+    env = {f"V{i}": vs[i] for i in range(4)}
+    env["\x00up"] = None
+    rt = Runtime(store=store)
+    woken: set = set()
+    rt.wake = woken.update
+    task = Task(rt)
+    task.push(stmt, env)
+    frame = None
+    try:
+        while task.stack:
+            s, e = task.stack.pop()
+            if type(s) is Local and not compiled:
+                inner = {n: store.new_var() for n in s.names}
+                inner["\x00up"] = e
+                for item in reversed(seq_items(s.body)):
+                    task.push(item, inner)
+            else:
+                exec_stmt(task, s, e)
+            if frame is None:
+                frame = task.stack[-1][1]
+        ok, reason = True, ""
+    except Failure as f:
+        ok, reason = False, f.reason
+    shown = list(vs) + ([frame[n] for n in stmt.names] if ok else [])
+    return ok, reason, sorted(woken), render(store, Compound("r", shown))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_body_statements, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), shapes), max_size=3),
+       st.lists(st.integers(0, 3), max_size=4), st.booleans())
+def test_first_uses_match_making_every_name_at_entry(
+        stmts, prebinds, waiting, trailed):
+    stmt = Local(_LOCALS, seq_all(stmts))
+    assert (_run_local(stmt, True, prebinds, waiting, trailed)
+            == _run_local(stmt, False, prebinds, waiting, trailed))
 
 
 @settings(max_examples=80, deadline=None)
