@@ -1,11 +1,19 @@
 """Statement execution, green threads and the cooperative scheduler.
 
 One statement reduction at a time: a task owns a stack of (statement,
-environment) frames and `exec_stmt` pops and interprets the top one,
-pushing continuations.  A block pushes all of its statements in one
-reduction, and a body that is a block (of a `local`, a procedure, a
-`choice` alternative, an `if` or `case` arm) is pushed flat with the
-statement that runs it.  Tail calls replace the popped frame, so the
+environment) frames, and `Task.run` is the one loop that reduces them.
+It pops the top frame, counts it against the step budget and has
+`exec_stmt` interpret it, which pushes continuations.  Threads, the
+guards of `if` arms and search engines are all tasks run by that loop;
+a task's mode decides what it may do (only a thread creates threads and
+sleeps, only an engine pushes choicepoints) and how a signal leaves it.
+A thread runs a timeslice of its own reductions at a time; a guard or an
+engine runs to its end inside one reduction of the task that started
+it, so its reductions do not use up that task's timeslice.
+
+A block pushes all of its statements in one reduction, and a body that
+is a block (of a `local`, a procedure, a `choice` alternative, an `if`
+or `case` arm) is pushed flat with the statement that runs it.  Tail calls replace the popped frame, so the
 stack stays flat through recursion.  `X = f(...)` is compiled
 unification: when `X` is already a compound of the same label and arity,
 its arguments are unified in place and nothing is built
@@ -31,6 +39,7 @@ import random as _random
 import time as _time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import repeat as _repeat
 from typing import Callable, Optional
 
 from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
@@ -273,12 +282,19 @@ def match_pattern(store: Store, pattern, term):
 
 
 class Task:
-    """A stack of (statement, env) frames plus context-specific policy."""
+    """A stack of (statement, env) frames and the one loop that reduces them.
 
-    mode = "thread"
+    A task runs in one of three modes.  A ``thread`` task is a thread's,
+    sliced by the scheduler; only it may create threads and sleep.  A
+    ``guard`` task runs the guard of an ``if`` arm to its end inside one
+    reduction of the task that reached the ``if``.  An ``engine`` task is
+    a search engine's (``engine``), run to its next answer; only it may
+    push choicepoints.  A guard inside an engine is a guard."""
 
-    def __init__(self, rt: "Runtime"):
+    def __init__(self, rt: "Runtime", mode: str = "thread", engine=None):
         self.rt = rt
+        self.mode = mode
+        self.engine = engine
         self.stack: list = []
 
     def push(self, stmt, env):
@@ -301,52 +317,53 @@ class Task:
         else:
             stack.append((stmt, env))
 
-    def on_choice(self, alternatives, env):
-        raise ChoiceOutsideSearchError(
-            "choice is only allowed inside a search engine")
+    def run(self, budget: Optional[int] = None) -> bool:
+        """Reduce frames until the stack is empty (True) or ``budget``
+        reductions have run (False; no budget is no bound).
 
-    def on_thread(self, body, env):
-        raise ThreadInSearchError("cannot create a thread here")
-
-
-class ThreadTask(Task):
-    """A thread's task, which keeps its deepest stack for ``Stats``."""
-
-    def __init__(self, rt: "Runtime"):
-        super().__init__(rt)
-        self.max_depth = 0
-
-    def push(self, stmt, env):
-        self.stack.append((stmt, env))
-        if len(self.stack) > self.max_depth:
-            self.max_depth = len(self.stack)
-
-    def push_block(self, block, env):
+        Each reduction pops a frame, counts it in ``stats.reductions``
+        (``StepLimit`` past ``rt.step_limit``) and runs it.  A suspended
+        frame goes back on the stack and the ``Suspend`` propagates, as
+        do a ``SleepRequest`` and any error.  An engine's failure
+        backtracks to its newest choicepoint, which swaps the stack, and
+        propagates only when none is left; a reduction that grew an
+        engine's trail is checked for escapes.  A thread's deepest stack,
+        at the start of a reduction or at the end of the budget, goes to
+        ``stats.max_depth``."""
         stack = self.stack
-        for stmt in block.pushed:
-            stack.append((stmt, env))
-        if len(stack) > self.max_depth:
-            self.max_depth = len(stack)
-
-    def push_body(self, stmt, env):
-        stack = self.stack
-        if type(stmt) is Block:
-            for s in stmt.pushed:
-                stack.append((s, env))
-        else:
-            stack.append((stmt, env))
-        if len(stack) > self.max_depth:
-            self.max_depth = len(stack)
-
-    def on_thread(self, body, env):
-        self.rt.spawn(body, env)
-
-
-class GuardTask(Task):
-    mode = "guard"
-
-    def on_thread(self, body, env):
-        raise ThreadInSearchError("cannot create a thread inside a guard")
+        stats = self.rt.stats
+        limit = self.rt.step_limit
+        engine = self.engine
+        depth = stats.max_depth
+        try:
+            for _ in (_repeat(None) if budget is None else range(budget)):
+                if not stack:
+                    return True
+                if len(stack) > depth:
+                    depth = len(stack)
+                stmt, env = stack.pop()
+                stats.reductions += 1
+                if limit is not None and stats.reductions > limit:
+                    raise StepLimit()
+                try:
+                    exec_stmt(self, stmt, env)
+                except Suspend:
+                    stack.append((stmt, env))
+                    raise
+                except Failure:
+                    if engine is None or not engine.backtrack():
+                        raise
+                    stack = self.stack
+                    continue
+                if engine is not None and len(engine.trail) > engine.checked:
+                    engine.check_escapes()
+            if len(stack) > depth:
+                depth = len(stack)
+            return not stack
+        finally:
+            # no thread runs inside another's run, so none has gone deeper
+            if self.mode == "thread":
+                stats.max_depth = depth
 
 
 # -- one statement reduction -------------------------------------------------------
@@ -407,7 +424,6 @@ def exec_stmt(task: Task, stmt, env):
                 args[p] = (env_get(env, a.name) if type(a) is CVar
                            else build_term(store, a, env))
             args[_UP] = target.env
-            rt.stats.calls[target.name or f"$anon{target.serial}"] += 1
             task.push_body(target.body, args)
             return
         if isinstance(target, NativeProc):
@@ -459,14 +475,21 @@ def exec_stmt(task: Task, stmt, env):
         return
 
     if kind is ThreadStmt:
-        task.on_thread(stmt.body, env)
+        if task.mode != "thread":
+            raise ThreadInSearchError(
+                "cannot create a thread inside a " + (
+                    "guard" if task.mode == "guard" else "search engine"))
+        rt.spawn(stmt.body, env)
         return
 
     if kind is Fail:
         raise Failure("fail statement")
 
     if kind is Choice:
-        task.on_choice(stmt.alternatives, env)
+        if task.engine is None:
+            raise ChoiceOutsideSearchError(
+                "choice is only allowed inside a search engine")
+        task.engine.push_choicepoint(stmt.alternatives, env)
         return
 
     raise TypeError(f"cannot execute {stmt!r}")
@@ -500,13 +523,10 @@ def exec_if(task: Task, stmt: IfStmt, env):
         genv = (env_child(env, {n: store.new_var() for n in arm.guard_vars})
                 if arm.guard_vars else env)
         store.push_trail()
-        guard = GuardTask(rt)
+        guard = Task(rt, "guard")
         guard.push(arm.guard, genv)
         try:
-            while guard.stack:
-                g_stmt, g_env = guard.stack.pop()
-                rt.count_step()
-                exec_stmt(guard, g_stmt, g_env)
+            guard.run()
         except Failure:
             store.undo_to(0)
             store.pop_trail(merge=False)
@@ -544,7 +564,7 @@ STOPPED = "stopped"      # by the step budget or an error
 class OzThread:
     __slots__ = ("tid", "task", "status", "waiting_on", "byneed")
 
-    def __init__(self, tid: int, task: ThreadTask):
+    def __init__(self, tid: int, task: Task):
         self.tid = tid
         self.task = task
         self.status = RUNNABLE
@@ -556,10 +576,8 @@ class OzThread:
 class Stats:
     reductions: int = 0
     spawned: int = 0
-    slices: int = 0
     exits: Counter = field(default_factory=Counter)   # exit status -> count
-    calls: Counter = field(default_factory=Counter)
-    max_depth: int = 0
+    max_depth: int = 0               # the deepest stack of any thread
 
 
 @dataclass
@@ -581,14 +599,17 @@ class Runtime:
     """The scheduler over one store.
 
     Only live state is kept.  After :meth:`run` returns, the runtime
-    holds the threads that are still suspended or sleeping (``threads``),
-    the sleeper heap of ``(wake_at, tid)`` pairs, and the failure texts of
-    threads that failed since the last verdict (``unreported_failures``).
-    A thread that ends leaves ``threads`` at once and is counted in
-    ``stats.exits``, as does one stopped by the step budget or an error
-    (status ``stopped``) before the exception propagates.  The lines
+    holds the threads that are still suspended (``threads``) and the
+    failure texts of threads that failed since the last verdict
+    (``unreported_failures``); between the runs of a network simulation,
+    which drives :meth:`drain` itself, it also holds sleeping threads in
+    the heap of ``(wake_at, tid)`` pairs.  A thread that ends leaves
+    ``threads`` at once and is counted in ``stats.exits``.  When the step
+    budget or an error stops a run, the thread that ran and every other
+    runnable or sleeping thread leave with status ``stopped``.  The lines
     browsed during a run go to its :class:`RunResult` and leave
-    ``browses`` and ``browse_log``."""
+    ``browses`` and ``browse_log``; a run stopped by an error drops them,
+    and its failures, with the exception."""
 
     def __init__(self, store: Optional[Store] = None, builtins: Optional[dict] = None,
                  policy: str = "fifo", seed: Optional[int] = None,
@@ -630,11 +651,6 @@ class Runtime:
         if self.on_trace is not None:
             self.on_trace(kind, payload)
 
-    def count_step(self):
-        self.stats.reductions += 1
-        if self.step_limit is not None and self.stats.reductions > self.step_limit:
-            raise StepLimit()
-
     def browse(self, term: Term):
         text = render(self.store, term)
         self.browses.append(text)
@@ -647,7 +663,7 @@ class Runtime:
     def spawn(self, stmt, env) -> int:
         tid = self.next_tid
         self.next_tid += 1
-        thread = OzThread(tid, ThreadTask(self))
+        thread = OzThread(tid, Task(self))
         thread.task.push(stmt, env)
         self.threads[tid] = thread
         self.runq.append(tid)
@@ -693,8 +709,6 @@ class Runtime:
         self.stats.exits[status] += 1
         if status == FAILED:
             self.unreported_failures[thread.tid] = failure
-        if thread.task.max_depth > self.stats.max_depth:
-            self.stats.max_depth = thread.task.max_depth
         self.trace("exit", tid=thread.tid, status=status, failure=failure)
 
     # -- scheduling -----------------------------------------------------------
@@ -709,41 +723,27 @@ class Runtime:
         return self.runq.popleft()
 
     def _slice(self, thread: OzThread):
-        task = thread.task
-        stack = task.stack
-        stats = self.stats
-        limit = self.step_limit
-        stats.slices += 1
         self.trace("run", tid=thread.tid)
-        for _ in range(TIMESLICE):
-            if not stack:
-                self._finish(thread, TERMINATED)
-                return
-            stmt, env = stack.pop()
-            try:
-                stats.reductions += 1
-                if limit is not None and stats.reductions > limit:
-                    raise StepLimit()
-                exec_stmt(task, stmt, env)
-            except Suspend as s:
-                task.push(stmt, env)
-                self._park(thread, s)
-                return
-            except SleepRequest as s:
-                self._sleep(thread, s.ms)
-                return
-            except Failure as f:
-                self._finish(thread, FAILED, f.reason)
-                return
-            except BaseException:
-                # StepLimit or an error: the thread is not resumed, so it
-                # leaves with its frames before the exception goes on
-                self._finish(thread, STOPPED)
-                raise
-        if task.stack:
-            self.runq.append(thread.tid)
-        else:
+        try:
+            done = thread.task.run(TIMESLICE)
+        except Suspend as s:
+            self._park(thread, s)
+            return
+        except SleepRequest as s:
+            self._sleep(thread, s.ms)
+            return
+        except Failure as f:
+            self._finish(thread, FAILED, f.reason)
+            return
+        except BaseException:
+            # StepLimit or an error: the thread is not resumed, so it
+            # leaves with its frames before the exception goes on
+            self._finish(thread, STOPPED)
+            raise
+        if done:
             self._finish(thread, TERMINATED)
+        else:
+            self.runq.append(thread.tid)
 
     def drain(self) -> None:
         """Run runnable threads until none is left.
@@ -779,8 +779,6 @@ class Runtime:
         self.unreported_failures.clear()
         suspended, idle = [], []
         for t in self.threads.values():
-            if t.task.max_depth > self.stats.max_depth:
-                self.stats.max_depth = t.task.max_depth
             if t.status != SUSPENDED:
                 continue
             if t.byneed:
@@ -788,6 +786,18 @@ class Runtime:
             else:
                 suspended.append((t.tid, [v.vid for v in t.waiting_on]))
         return failures, suspended, idle
+
+    def _stop(self) -> None:
+        """End a run that the step budget or an error stopped: every
+        runnable or sleeping thread leaves with status ``stopped``, in tid
+        order, so the next run does not resume it.  Suspended threads
+        stay, as they do after a deadlock."""
+        for tid in sorted(self.threads):
+            thread = self.threads[tid]
+            if thread.status != SUSPENDED:
+                self._finish(thread, STOPPED)
+        self.runq.clear()
+        self.sleepers.clear()
 
     def run(self) -> RunResult:
         status = "done"
@@ -805,6 +815,13 @@ class Runtime:
                 self.wake_due()
         except StepLimit:
             status = "limit"
+            self._stop()
+        except BaseException:
+            # an error: the run's output and failures go with it
+            self._stop()
+            self.browses, self.browse_log = [], []
+            self.unreported_failures.clear()
+            raise
 
         failures, suspended, idle = self.verdict()
         if status == "done":

@@ -1,11 +1,16 @@
 """Encapsulated search: run a goal speculatively and enumerate answers.
 
 An engine executes ``{Goal Root}`` on the shared store but under its own
-trail.  ``choice`` statements push choicepoints (a copy of the frame
-stack plus the remaining alternatives); failure undoes the trail to the
-newest choicepoint and resumes with the next alternative, depth-first
-and left to right.  The last alternative takes the saved stack itself,
-as the choicepoint is gone.
+trail.  It runs in a task of mode ``engine`` through the reduction loop
+that threads and guards use, ``Task.run``: only such a task may run
+``choice``, which pushes a choicepoint (a copy of the frame stack plus
+the remaining alternatives).  On a failure the loop calls
+:meth:`Engine.backtrack`, which undoes the trail to the newest
+choicepoint and resumes with the next alternative, depth-first and left
+to right; the failure leaves the loop only when no choicepoint is left.
+The last alternative takes the saved stack itself, as the choicepoint is
+gone.  After each reduction that grew the trail the loop checks it for
+escapes (:meth:`Engine.check_escapes`).
 
 Answers are copied out in two phases: snapshot the root while the
 speculative bindings are live, backtrack, then materialize the snapshot
@@ -30,22 +35,8 @@ from itertools import islice
 from typing import Optional
 
 from .errors import EscapeError, SearchStuckError, ThreadInSearchError
-from .runtime import Failure, StepLimit, Suspend, Task, env_child
+from .runtime import Failure, Suspend, Task, env_child
 from .terms import Closure, Snapshot, Term, materialize, snapshot
-
-
-class EngineTask(Task):
-    mode = "engine"
-
-    def __init__(self, rt, engine: "Engine"):
-        super().__init__(rt)
-        self.engine = engine
-
-    def on_choice(self, alternatives, env):
-        self.engine.push_choicepoint(alternatives, env)
-
-    def on_thread(self, body, env):
-        raise ThreadInSearchError("cannot create a thread inside a search engine")
 
 
 class _ChoicePoint:
@@ -71,7 +62,7 @@ class Engine:
                 "a search goal takes exactly one argument (its result)")
         self.rt = rt
         self.store = rt.store
-        self.task = EngineTask(rt, self)
+        self.task = Task(rt, "engine", self)
         self.cps: list[_ChoicePoint] = []
         self.trail: list = []    # on the store's stack only while running
         # It owns the seqs from `mark` on while it runs, and the [lo, hi)
@@ -79,7 +70,7 @@ class Engine:
         self.bounds: list[int] = []
         self.mark = self.store.next_seq
         self.finished = False
-        self._checked = 0        # trail entries already escape-checked
+        self.checked = 0         # trail entries already escape-checked
         self._outer_owns = None  # the store's `owns` while this one runs
         self.root = self.store.new_var()
         self.task.push(goal.body, env_child(goal.env, {goal.params[0]: self.root}))
@@ -118,11 +109,11 @@ class Engine:
         self.cps.append(cp)
         self.task.push_body(alternatives[0], env)
 
-    def _backtrack(self) -> bool:
+    def backtrack(self) -> bool:
         while self.cps:
             cp = self.cps[-1]
             self.store.undo_to(cp.trail_mark)
-            self._checked = min(self._checked, cp.trail_mark)
+            self.checked = min(self.checked, cp.trail_mark)
             if cp.next_alt >= len(cp.alts):
                 self.cps.pop()
                 continue
@@ -138,12 +129,12 @@ class Engine:
             return True
         return False
 
-    def _check_escapes(self):
+    def check_escapes(self):
         trail = self.trail
         node = self.store.node_id
-        while self._checked < len(trail):
-            kind, var = trail[self._checked]
-            self._checked += 1
+        while self.checked < len(trail):
+            kind, var = trail[self.checked]
+            self.checked += 1
             vid = var.vid
             if kind == "bind" and (vid[1] < self.mark or vid[0] != node) \
                     and not self._owns(vid):
@@ -161,33 +152,17 @@ class Engine:
         *next* speculative state.  When exhausted, or on an error, every
         binding is undone and the engine is finished.
         """
-        from .runtime import exec_stmt  # local import to avoid cycle noise
         if self.finished:
             return None
-        task = self.task
-        stats = self.rt.stats
-        limit = self.rt.step_limit
-        trail = self.trail
         self._enter()
         try:
-            while True:
-                if not task.stack:
-                    snap = snapshot(self.store, self.root,
-                                    lambda vid: not self._owns(vid))
-                    self._leave(finished=not self._backtrack())
-                    return snap
-                stmt, env = task.stack.pop()
-                try:
-                    stats.reductions += 1
-                    if limit is not None and stats.reductions > limit:
-                        raise StepLimit()
-                    exec_stmt(task, stmt, env)
-                    if len(trail) > self._checked:
-                        self._check_escapes()
-                except Failure:
-                    if not self._backtrack():
-                        self._leave(finished=True)
-                        return None
+            self.task.run()
+            snap = snapshot(self.store, self.root,
+                            lambda vid: not self._owns(vid))
+        except Failure:
+            # the task backtracks in place: a failure is the last one
+            self._leave(finished=True)
+            return None
         except BaseException as exc:
             self._leave(finished=True)
             if isinstance(exc, Suspend):
@@ -196,6 +171,8 @@ class Engine:
                     f"the search goal suspended on {vids}; a complete goal "
                     f"must not wait on outside values") from None
             raise
+        self._leave(finished=not self.backtrack())
+        return snap
 
     def next_answer(self) -> Optional[Term]:
         """Run to the next answer and copy it out; None when exhausted.

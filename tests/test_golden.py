@@ -10,7 +10,9 @@ by regenerating the files and committing the difference:
 The cases are:
 
 * every `.ozk` program under `run` (FIFO, and `--sched-policy random
-  --sched-seed 5`) and under `dist-run` with its top-level threads on
+  --sched-seed 5`), under `run --trace sched` (FIFO), which pins every
+  scheduler event (spawns, slices, suspends, wakes, sleeps and exits, the
+  prelude's included), and under `dist-run` with its top-level threads on
   nodes 0 and 1 (`a=0,b=1`, cut to the threads it has), with FIFO
   delivery and with `--net-seed 7`;
 * every `.pl` program under `run`, with no query and with each query its
@@ -56,6 +58,8 @@ def cases() -> list:
         if program.suffix == ".ozk":
             out.append((f"{name}.run", ["run", name]))
             out.append((f"{name}.run-random", ["run", name, *_RANDOM]))
+            out.append((f"{name}.run-sched",
+                        ["run", name, "--trace", "sched"]))
             where = ["--placement", _placement(program)]
             out.append((f"{name}.dist", ["dist-run", name, *where]))
             out.append((f"{name}.dist-net7",

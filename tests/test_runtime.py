@@ -332,6 +332,49 @@ def test_a_guard_stopped_by_the_budget_or_an_error_drops_its_trail(chunk, error)
     assert s.store.trails == []
 
 
+@pytest.mark.parametrize("chunk", [
+    "thread {Loop} end thread {Loop} end",
+    "thread {Delay 10} {Browse late} end {Loop}",
+], ids=["two-loops", "a-sleeper"])
+def test_a_run_stopped_by_the_step_budget_leaves_no_thread_to_resume(chunk):
+    s = Session(max_steps=3000)
+    s.feed("proc {Loop} {Loop} end")
+    assert s.feed(chunk).status == "limit"
+    assert s.rt.threads == {} and s.rt.sleepers == []
+    r = s.feed("{Browse 2}")
+    assert (r.status, r.browses) == ("done", ["2"])
+
+
+def test_a_run_stopped_by_an_error_leaves_no_thread_or_output_behind():
+    s = Session()
+    with pytest.raises(ThreadInSearchError):
+        s.feed("thread fail end {Delay 1} {Browse 1} "
+               "S in {SolveOne fun {$} thread skip end 1 end S}")
+    assert s.rt.threads == {}
+    r = s.feed("{Browse 2}")
+    assert (r.status, r.browses, r.failures) == ("done", ["2"], [])
+
+
+def test_a_run_stopped_by_the_budget_keeps_its_suspended_threads():
+    s = Session(max_steps=3000)
+    s.feed("proc {Loop} {Loop} end")
+    assert s.feed("X in thread {Wait X} {Browse x} end {Loop}").status == "limit"
+    assert [t.status for t in s.rt.threads.values()] == ["suspended"]
+    assert s.feed("X = 1").browses == ["x"]
+
+
+def test_a_search_inside_a_thread_does_not_use_up_its_timeslice():
+    # the timeslice counts the thread's own reductions, so the first
+    # thread browses before the second runs, though its SolveAll ran
+    # more reductions than a timeslice has
+    r = run_text("""
+    proc {Count N} if N > 0 then {Count N-1} end end
+    thread S in {SolveAll fun {$} {Count 2000} 1 end S} {Browse a} end
+    thread {Browse b} end
+    """)
+    assert r.browses == ["a", "b"]
+
+
 def test_a_block_costs_one_reduction():
     # the local and its block of three statements together, then each
     # statement: four reductions
@@ -364,7 +407,7 @@ def test_a_first_use_makes_no_variable():
 # -- laziness ------------------------------------------------------------------
 
 LAZY_INTS = """
-fun lazy {Ints N} N|{Ints N+1} end
+fun lazy {Ints N} {Browse N} N|{Ints N+1} end
 L in
 L = {Take {Ints 0} %d}
 {WaitList L}
@@ -374,15 +417,16 @@ L = {Take {Ints 0} %d}
 
 @pytest.mark.parametrize("n", [0, 1, 5, 100])
 def test_lazy_function_runs_exactly_as_often_as_demanded(n):
-    r = run_text(LAZY_INTS % n)
-    assert r.status == "done"
-    assert r.browses == [str(n)]
-    assert r.stats.calls["Ints"] == n + 1
+    # each run of the body browses its argument, then the length follows
+    for policy, seed in (("fifo", None), ("random", 3), ("random", 11)):
+        r = run_text(LAZY_INTS % n, policy=policy, seed=seed)
+        assert r.status == "done"
+        assert r.browses == [str(i) for i in range(n)] + [str(n)]
 
 
 def test_lazy_values_are_computed_once():
     r = run_text("""
-    fun lazy {Ints N} N|{Ints N+1} end
+    fun lazy {Ints N} {Browse N} N|{Ints N+1} end
     Xs in
     Xs = {Ints 0}
     {Browse {Nth Xs 3}}
@@ -390,8 +434,8 @@ def test_lazy_values_are_computed_once():
     {Browse {Nth Xs 2}}
     """)
     assert r.status == "done"
-    assert r.browses == ["2", "2", "1"]
-    assert r.stats.calls["Ints"] == 4  # elements 0..2 plus the initial call
+    # the body runs once for each of elements 0..2, then the three answers
+    assert r.browses == ["0", "1", "2", "2", "2", "1"]
 
 
 def test_need_propagates_through_var_var_binding():

@@ -9,8 +9,8 @@ from oracles import (APPEND_123_SPLITS, QUEENS8_COUNT, QUEENS8_FIRST,
                      queens_brute)
 from ozk import prolog
 from ozk.cli import main
-from ozk.errors import (EscapeError, OzkError, SearchStuckError,
-                        ThreadInSearchError)
+from ozk.errors import (ChoiceOutsideSearchError, EscapeError, OzkError,
+                        SearchStuckError, ThreadInSearchError)
 from ozk.interp import Session, run_text
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
@@ -238,6 +238,71 @@ def test_lazy_solve_inside_search_is_rejected():
         S in
         {SolveOne fun {$} L in {Solve fun {$} D in {Digit D} D end L} 1 end S}
         """)
+
+
+# The same statements in each kind of task: the top-level thread, a guard,
+# an engine and a guard inside an engine.  A pair not in _REJECTED runs.
+_CONTEXTS = {
+    "thread": "%s",
+    "guard": "if B in %s B = true then skip end",
+    "engine": "S in {SolveOne fun {$} %s 1 end S}",
+    "guard-in-engine":
+        "S in {SolveOne fun {$} if B in %s B = true then skip end 1 end S}",
+}
+_STATEMENTS = {
+    "thread": "thread skip end",
+    "Delay": "{Delay 1}",
+    "choice": "choice skip [] skip end",
+    "Solve": "L in {Solve fun {$} D in {Digit D} D end L}",
+}
+_CHOICE = (ChoiceOutsideSearchError,
+           "choice is only allowed inside a search engine")
+_DELAY = (OzkError, "Delay is only allowed in a regular thread")
+_SOLVE = (ThreadInSearchError, "lazy solving needs a thread of its own")
+_IN_GUARD = (ThreadInSearchError, "cannot create a thread inside a guard")
+_IN_ENGINE = (ThreadInSearchError,
+              "cannot create a thread inside a search engine")
+_REJECTED = {
+    ("thread", "choice"): _CHOICE,
+    ("guard", "thread"): _IN_GUARD,
+    ("guard", "Delay"): _DELAY,
+    ("guard", "choice"): _CHOICE,
+    ("guard", "Solve"): _SOLVE,
+    ("engine", "thread"): _IN_ENGINE,
+    ("engine", "Delay"): _DELAY,
+    ("engine", "Solve"): _SOLVE,
+    ("guard-in-engine", "thread"): _IN_GUARD,
+    ("guard-in-engine", "Delay"): _DELAY,
+    ("guard-in-engine", "choice"): _CHOICE,
+    ("guard-in-engine", "Solve"): _SOLVE,
+}
+
+
+@pytest.mark.parametrize("context", list(_CONTEXTS))
+@pytest.mark.parametrize("statement", list(_STATEMENTS))
+def test_each_kind_of_task_rejects_what_it_cannot_run(context, statement):
+    program = DIGIT + _CONTEXTS[context] % _STATEMENTS[statement]
+    expected = _REJECTED.get((context, statement))
+    if expected is None:
+        assert run_text(program).status == "done"
+        return
+    error, text = expected
+    with pytest.raises(error, match=text):
+        run_text(program)
+
+
+@pytest.mark.parametrize("chunk", [
+    "{Loop}",
+    "if X in {Loop} then skip end",
+    "S in {SolveAll fun {$} {Loop} 1 end S}",
+    "S in {SolveAll fun {$} if X in {Loop} then skip end 1 end S}",
+], ids=["thread", "guard", "engine", "guard-in-engine"])
+def test_the_step_budget_stops_every_kind_of_task_at_the_same_count(chunk):
+    s = Session(max_steps=5000)
+    s.feed("proc {Loop} {Loop} end")
+    before = s.rt.stats.reductions
+    assert s.feed(chunk).status == "limit"
+    assert s.rt.stats.reductions - before == 5001
 
 
 # -- nested engines ---------------------------------------------------------------
