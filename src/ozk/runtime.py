@@ -12,12 +12,16 @@ engine runs to its end inside one reduction of the task that started
 it, so its reductions do not use up that task's timeslice.
 
 A block pushes all of its statements in one reduction, and a body that
-is a block (of a `local`, a procedure, a `choice` alternative, an `if`
-or `case` arm) is pushed flat with the statement that runs it.  Tail calls replace the popped frame, so the
-stack stays flat through recursion.  `X = f(...)` is compiled
-unification: when `X` is already a compound of the same label and arity,
-its arguments are unified in place and nothing is built
-(`unify_compound`).
+is a block (of a `local`, a procedure, an `if` or `case` arm) is pushed
+flat with the statement that runs it.  Tail calls replace the popped
+frame, so the stack stays flat through recursion.  `X = f(...)` is
+compiled unification: when `X` is already a compound of the same label
+and arity, its arguments are unified in place and nothing is built
+(`unify_compound`).  A unification statement runs through `exec_unify`,
+as a reduction of its own or as part of the head of a `choice`
+alternative: an engine's `choice` runs its alternatives' leading
+unifications inside its own reduction and pushes only the rest of the
+one it enters (`search.Engine.choose`).
 
 A `local` makes only the names of its compiled form's `made`.  Each other
 name is first used in a `X = f(...)` of its body as a `CFresh`: in read
@@ -48,7 +52,7 @@ from .syntax import (Block, BuiltinCall, Call, CaseStmt, CAnon, CCompound,
                      CFresh, Choice, CLit, CVar, Fail, IfStmt, Local, PAnon,
                      PCompound, PLit, ProcDef, PVar, Skip, ThreadStmt, Unify)
 from .terms import (Atom, Closure, Compound, Int, NativeProc, Store, Term,
-                    Var, render)
+                    UnifyResult, Var, render)
 
 # -- control-flow signals -----------------------------------------------------
 
@@ -192,10 +196,10 @@ def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
     to that argument.  The exception is another node's unbound variable,
     which unification would bind (through a message to its owner) rather
     than the fresh one; there the variable is made and paired as before.
-    A compound of another label or arity fails with the text that
-    unification gives.  Any other value is unified with the built term
-    (write mode).  Returns the :class:`UnifyResult`, or None when there
-    is nothing to settle."""
+    A compound of another label or arity gives a failed result with the
+    text that unification gives.  Any other value is unified with the
+    built term (write mode).  Returns the :class:`UnifyResult`, or None
+    when there is nothing to settle."""
     t = value
     if type(t) is Var and t.ref is not None:
         t = store.deref(t)
@@ -206,7 +210,7 @@ def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
     if t.label != pattern.label or len(xs) != len(exprs):
         mine = f"{t.label}/{len(xs)}"
         theirs = f"{pattern.label}/{len(exprs)}"
-        raise Failure("unification failed: " + (
+        return UnifyResult(False, (), (
             f"{mine} = {theirs}" if value_left else f"{theirs} = {mine}"))
     pairs = []
     for x, a in zip(xs, exprs):
@@ -229,6 +233,34 @@ def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
         return None
     a, b = pairs.pop()
     return store.unify(a, b, pairs)
+
+
+def exec_unify(rt: "Runtime", stmt: Unify, env: dict) -> Optional[str]:
+    """Run the unification statement ``stmt`` in ``env`` and wake the
+    threads it wakes: None when it succeeds, else its failure's text.
+    A reduction of ``stmt`` and a ``choice`` head both run it this way."""
+    store = rt.store
+    e1, e2 = stmt.lhs, stmt.rhs
+    k1, k2 = type(e1), type(e2)
+    if k1 is CVar and k2 is CCompound:
+        res = unify_compound(store, env_get(env, e1.name), e2, env, True)
+    elif k2 is CVar and k1 is CCompound:
+        res = unify_compound(store, env_get(env, e2.name), e1, env, False)
+    elif k1 is CFresh:
+        # the first use of a local name (compiled to the left): it is the
+        # built term
+        env[e1.name] = build_term(store, e2, env)
+        return None
+    else:
+        t1 = env_get(env, e1.name) if k1 is CVar else build_term(store, e1, env)
+        t2 = env_get(env, e2.name) if k2 is CVar else build_term(store, e2, env)
+        res = store.unify(t1, t2)
+    if res is not None:
+        if res.woken:
+            rt.wake(res.woken)
+        if not res.ok:
+            return "unification failed: " + res.reason
+    return None
 
 
 def _is_proxy(store: Store, t: Term) -> bool:
@@ -301,8 +333,9 @@ class Task:
         self.stack.append((stmt, env))
 
     def push_block(self, block, env):
-        """Push the statements of a block, or the compiled body of a
-        local, so that the first runs next."""
+        """Push the statements of a block, the compiled body of a local
+        or the rest of a choice alternative, so that the first runs
+        next."""
         stack = self.stack
         for stmt in block.pushed:
             stack.append((stmt, env))
@@ -379,26 +412,9 @@ def exec_stmt(task: Task, stmt, env):
         return
 
     if kind is Unify:
-        e1, e2 = stmt.lhs, stmt.rhs
-        k1, k2 = type(e1), type(e2)
-        if k1 is CVar and k2 is CCompound:
-            res = unify_compound(store, env_get(env, e1.name), e2, env, True)
-        elif k2 is CVar and k1 is CCompound:
-            res = unify_compound(store, env_get(env, e2.name), e1, env, False)
-        elif k1 is CFresh:
-            # the first use of a local name (compiled to the left): it is
-            # the built term
-            env[e1.name] = build_term(store, e2, env)
-            return
-        else:
-            t1 = env_get(env, e1.name) if k1 is CVar else build_term(store, e1, env)
-            t2 = env_get(env, e2.name) if k2 is CVar else build_term(store, e2, env)
-            res = store.unify(t1, t2)
-        if res is not None:
-            if res.woken:
-                rt.wake(res.woken)
-            if not res.ok:
-                raise Failure(f"unification failed: {res.reason}")
+        reason = exec_unify(rt, stmt, env)
+        if reason is not None:
+            raise Failure(reason)
         return
 
     if kind is Local:
@@ -489,7 +505,7 @@ def exec_stmt(task: Task, stmt, env):
         if task.engine is None:
             raise ChoiceOutsideSearchError(
                 "choice is only allowed inside a search engine")
-        task.engine.push_choicepoint(stmt.alternatives, env)
+        task.engine.choose(stmt, env)
         return
 
     raise TypeError(f"cannot execute {stmt!r}")
@@ -647,10 +663,6 @@ class Runtime:
         if self.max_steps is not None:
             self.step_limit = self.stats.reductions + self.max_steps
 
-    def trace(self, kind: str, **payload):
-        if self.on_trace is not None:
-            self.on_trace(kind, payload)
-
     def browse(self, term: Term):
         text = render(self.store, term)
         self.browses.append(text)
@@ -668,7 +680,8 @@ class Runtime:
         self.threads[tid] = thread
         self.runq.append(tid)
         self.stats.spawned += 1
-        self.trace("spawn", tid=tid)
+        if self.on_trace is not None:
+            self.on_trace("spawn", {"tid": tid})
         return tid
 
     def wake(self, tids):
@@ -681,7 +694,8 @@ class Runtime:
             t.waiting_on = []
             t.status = RUNNABLE
             self.runq.append(tid)
-            self.trace("wake", tid=tid)
+            if self.on_trace is not None:
+                self.on_trace("wake", {"tid": tid})
 
     def _park(self, thread: OzThread, susp: Suspend):
         woken: set[int] = set()
@@ -693,8 +707,10 @@ class Runtime:
             else:
                 woken |= self.store.add_waiter(v, thread.tid)
         thread.status = SUSPENDED
-        self.trace("suspend", tid=thread.tid,
-                   vids=[v.vid for v in susp.vars], byneed=susp.byneed)
+        if self.on_trace is not None:
+            self.on_trace("suspend", {"tid": thread.tid,
+                                      "vids": [v.vid for v in susp.vars],
+                                      "byneed": susp.byneed})
         if woken:
             self.wake(woken)
 
@@ -702,14 +718,17 @@ class Runtime:
         wake_at = self.clock + max(0, ms)
         thread.status = SLEEPING
         heapq.heappush(self.sleepers, (wake_at, thread.tid))
-        self.trace("sleep", tid=thread.tid, until=wake_at)
+        if self.on_trace is not None:
+            self.on_trace("sleep", {"tid": thread.tid, "until": wake_at})
 
     def _finish(self, thread: OzThread, status: str, failure: Optional[str] = None):
         del self.threads[thread.tid]
         self.stats.exits[status] += 1
         if status == FAILED:
             self.unreported_failures[thread.tid] = failure
-        self.trace("exit", tid=thread.tid, status=status, failure=failure)
+        if self.on_trace is not None:
+            self.on_trace("exit", {"tid": thread.tid, "status": status,
+                                   "failure": failure})
 
     # -- scheduling -----------------------------------------------------------
 
@@ -723,7 +742,8 @@ class Runtime:
         return self.runq.popleft()
 
     def _slice(self, thread: OzThread):
-        self.trace("run", tid=thread.tid)
+        if self.on_trace is not None:
+            self.on_trace("run", {"tid": thread.tid})
         try:
             done = thread.task.run(TIMESLICE)
         except Suspend as s:
@@ -811,7 +831,8 @@ class Runtime:
                 if self.real_time and wake_at > self.clock:
                     _time.sleep((wake_at - self.clock) / 1000.0)
                 self.clock = max(self.clock, wake_at)
-                self.trace("clock", now=self.clock)
+                if self.on_trace is not None:
+                    self.on_trace("clock", {"now": self.clock})
                 self.wake_due()
         except StepLimit:
             status = "limit"

@@ -3,18 +3,34 @@
 An engine executes ``{Goal Root}`` on the shared store but under its own
 trail.  It runs in a task of mode ``engine`` through the reduction loop
 that threads and guards use, ``Task.run``: only such a task may run
-``choice``, which pushes a choicepoint (a copy of the frame stack plus
-the remaining alternatives).  On a failure the loop calls
-:meth:`Engine.backtrack`, which undoes the trail to the newest
-choicepoint and resumes with the next alternative, depth-first and left
-to right; the failure leaves the loop only when no choicepoint is left.
-The last alternative takes the saved stack itself, as the choicepoint is
-gone.  After each reduction that grew the trail the loop checks it for
-escapes (:meth:`Engine.check_escapes`).
+``choice``.
+
+A ``choice`` is reduced by :meth:`Engine.choose`, with shallow
+backtracking (the WAM's; M. Carlsson, "On the Efficiency of Optimising
+Shallow Backtracking in Compiled Prolog", ICLP 1989).  Each alternative
+is compiled into its head, the leading unifications of its body, and the
+rest (``syntax.Alternative``).  The alternatives' heads run in order
+inside the choice's own reduction; a head that fails is undone to the
+trail's length before it, with no choicepoint and no exception, and the
+next is tried.  Only when a head succeeds and alternatives are left is a
+choicepoint made: a copy of the frame stack as the choice found it, the
+trail mark taken before the head, and the untried alternatives.  Then
+the rest of the alternative is pushed.  When every head fails, the
+choice fails.
+
+On a failure the loop calls :meth:`Engine.backtrack`, which undoes the
+trail to the newest choicepoint and runs the heads of its untried
+alternatives the same way, depth-first and left to right; a choicepoint
+whose heads all fail is dropped for the next older one, and the failure
+leaves the loop only when none is left.  The last alternative takes the
+saved stack itself, as the choicepoint is gone.  After each head
+unification, and each reduction, that grew the trail the engine checks
+it for escapes (:meth:`Engine.check_escapes`).
 
 Answers are copied out in two phases: snapshot the root while the
-speculative bindings are live, backtrack, then materialize the snapshot
-for the caller.  Variables from outside the engine stay shared;
+speculative bindings are live, then materialize the snapshot for the
+caller; the engine backtracks from the answer when it is asked for the
+next one.  Variables from outside the engine stay shared;
 everything the engine made is fresh in the copy.
 
 One driver, :meth:`Engine.next_answer`, serves eager and lazy search
@@ -35,19 +51,20 @@ from itertools import islice
 from typing import Optional
 
 from .errors import EscapeError, SearchStuckError, ThreadInSearchError
-from .runtime import Failure, Suspend, Task, env_child
+from .runtime import _UP, Failure, Suspend, Task, env_child, exec_unify
+from .syntax import Choice
 from .terms import Closure, Snapshot, Term, materialize, snapshot
 
 
 class _ChoicePoint:
     __slots__ = ("stack", "alts", "next_alt", "env", "trail_mark")
 
-    def __init__(self, stack, alts, env, trail_mark):
+    def __init__(self, stack, alts, env):
         self.stack = stack
-        self.alts = alts
-        self.next_alt = 1        # the first alternative runs at once
+        self.alts = alts         # compiled alternatives not yet tried
+        self.next_alt = 0
         self.env = env
-        self.trail_mark = trail_mark
+        self.trail_mark = None   # set by the maker, taken before the head
 
 
 class Engine:
@@ -103,31 +120,86 @@ class Engine:
 
     # -- choicepoints ------------------------------------------------------------
 
-    def push_choicepoint(self, alternatives, env):
-        cp = _ChoicePoint(list(self.task.stack), alternatives, env,
-                          self.store.trail_mark())
+    def choose(self, choice: Choice, env):
+        """Reduce ``choice``: enter the first alternative whose head
+        succeeds, with a choicepoint for the others when any are left."""
+        alts = choice.compiled
+        mark = len(self.trail)
+        i, frame = self._first_head(alts, 0, env, mark)
+        if frame is None:
+            raise Failure(i)     # the text of the last head's failure
+        if i + 1 < len(alts):
+            self.push_choicepoint(alts[i + 1:], env).trail_mark = mark
+        self.task.push_block(alts[i], frame)
+
+    def push_choicepoint(self, alternatives, env) -> _ChoicePoint:
+        """Save the stack as it is and the untried ``alternatives`` of a
+        choice run in ``env``; the caller sets the choicepoint's trail
+        mark, which it took before the head that succeeded."""
+        cp = _ChoicePoint(list(self.task.stack), alternatives, env)
         self.cps.append(cp)
-        self.task.push_body(alternatives[0], env)
+        return cp
 
     def backtrack(self) -> bool:
-        while self.cps:
-            cp = self.cps[-1]
-            self.store.undo_to(cp.trail_mark)
-            self.checked = min(self.checked, cp.trail_mark)
-            if cp.next_alt >= len(cp.alts):
-                self.cps.pop()
+        """Undo to the newest choicepoint and enter its first untried
+        alternative whose head succeeds; a choicepoint with none left is
+        dropped and the next older one tried.  False when none is left."""
+        cps = self.cps
+        while cps:
+            cp = cps[-1]
+            mark = cp.trail_mark
+            self.store.undo_to(mark)
+            if self.checked > mark:
+                self.checked = mark
+            alts = cp.alts
+            i, frame = self._first_head(alts, cp.next_alt, cp.env, mark)
+            if frame is None:
+                cps.pop()
                 continue
-            alt = cp.alts[cp.next_alt]
-            cp.next_alt += 1
-            if cp.next_alt >= len(cp.alts):
-                # the last alternative: the saved stack has no other use
-                self.cps.pop()
-                self.task.stack = cp.stack
-            else:
+            if i + 1 < len(alts):
+                cp.next_alt = i + 1
                 self.task.stack = list(cp.stack)
-            self.task.push_body(alt, cp.env)
+            else:
+                # the last alternative: the saved stack has no other use
+                cps.pop()
+                self.task.stack = cp.stack
+            self.task.push_block(alts[i], frame)
             return True
         return False
+
+    def _first_head(self, alts, i: int, env, mark: int):
+        """Run the heads of ``alts`` from the ``i``-th on, in order, until
+        one succeeds: ``(index, frame)``, its index and the environment
+        its rest runs in.  Each head that fails is undone to ``mark``, the
+        trail's length before it.  When every head fails: ``(text,
+        None)``, the last failure's text.  A shallow failure like this
+        costs no reduction, no choicepoint and no exception."""
+        rt = self.rt
+        trail = self.trail
+        new_var = self.store.new_var
+        reason = None
+        for i in range(i, len(alts)):
+            alt = alts[i]
+            made = alt.made
+            if made is None:
+                frame = env
+            else:
+                frame = {}
+                for name in made:
+                    frame[name] = new_var()
+                frame[_UP] = env
+            for stmt in alt.head:
+                reason = exec_unify(rt, stmt, frame)
+                if reason is not None:
+                    break
+                if len(trail) > self.checked:
+                    self.check_escapes()
+            else:
+                return i, frame
+            self.store.undo_to(mark)
+            if self.checked > mark:
+                self.checked = mark
+        return reason, None
 
     def check_escapes(self):
         trail = self.trail
@@ -146,23 +218,25 @@ class Engine:
     def next_snapshot(self) -> Optional[Snapshot]:
         """Run to the next answer; None when exhausted.
 
-        On an answer the engine backtracks into the following alternative
-        before returning, so the snapshot is taken while the answer's
-        bindings are live and the engine's variables afterwards hold the
-        *next* speculative state.  When exhausted, or on an error, every
-        binding is undone and the engine is finished.
+        The snapshot is taken while the answer's bindings are live, and
+        they stay in place until the next call, which backtracks from
+        them: the task's stack is empty only at an answer.  When
+        exhausted, or on an error, every binding is undone and the engine
+        is finished.
         """
         if self.finished:
             return None
         self._enter()
         try:
-            self.task.run()
-            snap = snapshot(self.store, self.root,
-                            lambda vid: not self._owns(vid))
+            if self.task.stack or self.backtrack():
+                self.task.run()
+                snap = snapshot(self.store, self.root,
+                                lambda vid: not self._owns(vid))
+            else:
+                snap = None
         except Failure:
             # the task backtracks in place: a failure is the last one
-            self._leave(finished=True)
-            return None
+            snap = None
         except BaseException as exc:
             self._leave(finished=True)
             if isinstance(exc, Suspend):
@@ -171,7 +245,7 @@ class Engine:
                     f"the search goal suspended on {vids}; a complete goal "
                     f"must not wait on outside values") from None
             raise
-        self._leave(finished=not self.backtrack())
+        self._leave(finished=snap is None)
         return snap
 
     def next_answer(self) -> Optional[Term]:

@@ -16,9 +16,9 @@ answer is false.
 
 A sequence of statements is one flat ``Block``, built by :func:`seq_all`
 and never nested directly in another: running it pushes all of its
-statements in one reduction.  A ``Local``, a ``choice`` alternative, a
-procedure body and an ``if`` or ``case`` arm whose statement is a block
-push the block's statements themselves, without the reduction.
+statements in one reduction.  A ``Local``, a procedure body and an
+``if`` or ``case`` arm whose statement is a block push the block's
+statements themselves, without the reduction.
 
 A ``Local`` carries a compiled form beside its fields (``made`` and
 ``pushed``, see :func:`compile_local`): a name whose first use is an
@@ -28,6 +28,13 @@ body runs directly is not made at entry.  That argument becomes a
 ``unify_variable`` for a first occurrence), so the common
 ``local T in X = _|T ... end`` makes no variable when ``X`` is already a
 list cell.  The AST, and so the printer, never sees a ``CFresh``.
+
+A ``Choice`` likewise carries ``compiled``, one :class:`Alternative` per
+alternative (see :func:`compile_alternative`): its head, the leading run
+of unifications of its body, which a search engine runs before it makes
+a choicepoint, and the rest, pushed as a block's statements are.  The
+body of a ``Local`` alternative is its compiled one, run in the local's
+frame.
 """
 
 from __future__ import annotations
@@ -184,7 +191,14 @@ class CaseStmt:
 
 @dataclass(frozen=True)
 class Choice:
+    # `compiled` is not a field: one `Alternative` per alternative, built
+    # once by `compile_alternative`, as a Local's `made`/`pushed` are.
+    __slots__ = ("alternatives", "compiled")
     alternatives: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", tuple(
+            compile_alternative(alt) for alt in self.alternatives))
 
 
 @dataclass(frozen=True)
@@ -384,6 +398,38 @@ def compile_local(names: tuple, body: Statement) -> tuple:
     if not fresh:
         return names, (body.pushed if block else (body,))
     return tuple(n for n in names if n not in fresh), tuple(reversed(stmts))
+
+
+# -- compiled choice alternatives ---------------------------------------------
+
+
+class Alternative:
+    """The compiled form of a ``choice`` alternative.
+
+    ``head`` is the leading run of unifications of its body, in order;
+    ``pushed`` is the rest, last first, as a task pushes it.  ``made`` is
+    None when the body runs in the choice's own environment; for a
+    ``Local`` it is the local's ``made``, the names of the frame that
+    the head and the rest run in."""
+    __slots__ = ("made", "head", "pushed")
+
+    def __init__(self, made, head, pushed):
+        self.made = made
+        self.head = head
+        self.pushed = pushed
+
+
+def compile_alternative(alt: Statement) -> Alternative:
+    """Split ``alt`` into its head and the rest: the statements of a
+    block, the compiled body of a local, or the statement alone."""
+    if type(alt) is Local:
+        made, stmts = alt.made, alt.pushed[::-1]
+    else:
+        made, stmts = None, alt.stmts if type(alt) is Block else (alt,)
+    n = 0
+    while n < len(stmts) and type(stmts[n]) is Unify:
+        n += 1
+    return Alternative(made, stmts[:n], stmts[n:][::-1])
 
 
 # -- pretty printer -------------------------------------------------------

@@ -12,6 +12,8 @@ from ozk.cli import main
 from ozk.errors import (ChoiceOutsideSearchError, EscapeError, OzkError,
                         SearchStuckError, ThreadInSearchError)
 from ozk.interp import Session, run_text
+from ozk.search import Engine
+from test_prolog import oracle_all_text, translated_all_text
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
 
@@ -305,6 +307,87 @@ def test_the_step_budget_stops_every_kind_of_task_at_the_same_count(chunk):
     assert s.rt.stats.reductions - before == 5001
 
 
+def test_a_search_that_loops_through_heads_still_ends_at_the_step_budget(
+        capsys, tmp_path):
+    # A head that fails costs no reduction of its own: the budget still
+    # bounds a search whose every alternative is entered by its head.
+    program = tmp_path / "loop.ozk"
+    program.write_text("proc {P X} choice X = b [] {P X} end end\n"
+                       "S in {SolveOne proc {$ R} {P R} R = a end S}\n")
+    assert main(["run", str(program), "--max-steps", "5000"]) == 1
+    assert "step budget exhausted" in capsys.readouterr().err
+
+
+# -- shallow backtracking: the heads of a choice's alternatives -------------------
+
+def test_a_head_that_binds_an_outside_variable_and_then_fails_escapes():
+    # The head binds X and then fails; the escape is found before its
+    # undo, as it would be after a reduction that bound X.
+    s = Session()
+    with pytest.raises(EscapeError):
+        s.feed("X S in {SolveAll fun {$} choice X = 1 1 = 2 [] skip end "
+               "unit end S}")
+    assert s.store.trails == []
+    assert s.feed("X = 2 {Browse X}").browses == ["2"]
+
+
+def test_a_local_alternative_whose_head_fails_leaves_the_store_clean():
+    # The first head binds its own A and B and the engine's Y before it
+    # fails; the third head would fail on Y if that binding were left.
+    s = Session()
+    r = s.feed("""
+    S in
+    {SolveAll fun {$} R Y in
+                 R = p(1 2)
+                 choice A B in A = 7 Y = A B = 8 R = p(A B) {Browse no}
+                 [] A in R = p(A 3)
+                 [] A in R = p(1 A) Y = A
+                 end
+                 r(R Y)
+              end S}
+    {Browse S}
+    """)
+    assert r.browses == ["[r(p(1 2) 2)]"]
+    assert s.store.trails == [] and s.store.owns is None
+
+
+def test_a_label_or_arity_clash_in_a_head_falls_through():
+    r = run_text("""
+    S in
+    {SolveAll fun {$} X R in
+                 X = g(1)
+                 choice X = f(_) R = f
+                 [] X = g(_ _) R = g2
+                 [] X = g(_) R = g1
+                 [] R = last
+                 end
+                 R
+              end S}
+    {Browse S}
+    """)
+    assert r.browses == ["[g1 last]"]
+
+
+# The clauses of m/4 clash with the goal m(N, a, x, R) in their first,
+# second and third argument: for N = 1 every head fails, the last at its
+# third argument, and the engine backtracks into pick/1's choicepoint.
+CLASHES = """
+pick(1).
+pick(2).
+pick(3).
+m(2, a, x, two).
+m(1, b, x, one_b).
+m(3, a, x, three).
+m(1, a, y, one_y).
+"""
+
+
+def test_heads_that_all_fail_backtrack_into_an_older_choicepoint():
+    query = "pick(N), m(N, a, x, R)"
+    got = translated_all_text(CLASHES, query)
+    assert got == oracle_all_text(CLASHES, query) == "[q(2 two) q(3 three)]"
+
+
 # -- nested engines ---------------------------------------------------------------
 
 def test_search_can_run_inside_search():
@@ -516,17 +599,27 @@ def _queens6(source: str) -> str:
     return text.replace("SolveOne", "SolveAll").replace("{Queens 8}", "{Queens 6}")
 
 
-@pytest.mark.parametrize("source, reductions, made", [
-    ("queens.ozk", 7688, 1391),
-    ("queens.pl", 7676, 1391),
-])
+@pytest.mark.parametrize("source, reductions, made, choicepoints", [
+    ("queens.ozk", 2180, 1391, 152),
+    ("queens.pl", 2168, 1391, 152),
+], ids=["queens.ozk", "queens.pl"])
 def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
-        source, reductions, made):
+        source, reductions, made, choicepoints, monkeypatch):
     # The exact counts of all 4 solutions of 6-queens.  They fall when
     # `X = f(...)` stops building what is there, a local stops making a
-    # first use, or a body stops being pushed flat; a change that loses
-    # one of these raises them (before first uses: 8731/8719 reductions
-    # and 4005/3999 variables).
+    # first use, a body stops being pushed flat, or a `choice` runs the
+    # heads of its alternatives inside its own reduction and makes a
+    # choicepoint only for a head that succeeds with alternatives left; a
+    # change that loses one of these raises them (before first uses:
+    # 8731/8719 reductions and 4005/3999 variables; before heads:
+    # 7688/7676 reductions and 1043 choicepoints).
+    made_cps = []
+    push = Engine.push_choicepoint
+
+    def counted(engine, alternatives, env):
+        made_cps.append(alternatives)
+        return push(engine, alternatives, env)
+    monkeypatch.setattr(Engine, "push_choicepoint", counted)
     s = Session()
     r0, seq0 = s.rt.stats.reductions, s.store.next_seq
     r = s.feed(_queens6(source))
@@ -535,3 +628,4 @@ def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
     assert sorted(answers) == sorted(fmt_list(q)[1:-1] for q in queens_brute(6))
     assert s.rt.stats.reductions - r0 == reductions
     assert s.store.next_seq - seq0 == made
+    assert len(made_cps) == choicepoints
