@@ -1,9 +1,11 @@
-"""Built-in operations: arithmetic, tests, waiting, browsing, search.
+"""Built-in operations: equality, tests, waiting, browsing, search.
 
-One registry serves two call paths: operator statements compiled by the
-desugarer (``BuiltinCall``) look functions up by name, and user-callable
-names (``Browse``, ``Wait``, ``SolveAll`` ...) are the same functions
-wrapped as NativeProc values in the global environment.
+The registry serves two call paths: the statements ``==`` and ``$test``
+compiled by the desugarer (``BuiltinCall``) look functions up by name,
+and user-callable names (``Browse``, ``Wait``, ``SolveAll`` ...) are the
+same functions wrapped as NativeProc values in the global environment.
+The integer operators (``+ - * div < > =< >=``) are not in it: the
+runtime runs them itself (``runtime.exec_op``).
 
 Every function takes (task, args) with args as store terms and either
 returns after binding its outputs or raises one of the control signals
@@ -16,13 +18,13 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .errors import OzkError, ThreadInSearchError
-from .runtime import Failure, SleepRequest, Suspend, Task, env_child
+from .runtime import (Failure, SleepRequest, Suspend, Task, env_child,
+                      int_value)
 from .parser import parse_program
 from .search import Engine, solve_answers
 from .syntax import CVar, Call, Local, ProcDef
-from .terms import (Atom, Closure, Compound, INT_MAX, INT_MIN, Int,
-                    NativeProc, Opaque, Store, Term, Var, compare_terms,
-                    make_list, render)
+from .terms import (Atom, Closure, Compound, NativeProc, Opaque, Store, Term,
+                    Var, compare_terms, make_list, render)
 
 # -- helpers -------------------------------------------------------------------
 
@@ -32,13 +34,6 @@ def _value(store: Store, t: Term) -> Term:
     if isinstance(t, Var):
         raise Suspend([t])
     return t
-
-
-def _int(store: Store, t: Term) -> int:
-    t = _value(store, t)
-    if not isinstance(t, Int):
-        raise OzkError(f"expected an integer, got {render(store, t)}")
-    return t.value
 
 
 def _bind(task: Task, lhs: Term, value: Term):
@@ -53,41 +48,7 @@ def _bool_term(b: bool) -> Atom:
     return Atom("true") if b else Atom("false")
 
 
-# -- arithmetic ---------------------------------------------------------------
-
-
-def _arith(name: str, op):
-    def fn(task: Task, args):
-        store = task.rt.store
-        a = _int(store, args[0])
-        b = _int(store, args[1])
-        v = op(a, b)
-        if not INT_MIN <= v <= INT_MAX:
-            raise OzkError(f"integer overflow in {name}")
-        _bind(task, args[2], Int(v))
-    return fn
-
-
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        raise OzkError("division by zero")
-    return a // b
-
-
-# -- comparison and equality ----------------------------------------------------
-
-
-def _compare(name: str, op):
-    def fn(task: Task, args):
-        store = task.rt.store
-        a = _int(store, args[0])
-        b = _int(store, args[1])
-        if len(args) == 2:
-            if not op(a, b):
-                raise Failure(f"{a}{name}{b} is false")
-        else:
-            _bind(task, args[2], _bool_term(op(a, b)))
-    return fn
+# -- equality and tests ----------------------------------------------------------
 
 
 def _equal(task: Task, args):
@@ -127,7 +88,7 @@ def _wait_needed(task: Task, args):
 
 
 def _delay(task: Task, args):
-    ms = _int(task.rt.store, args[0])
+    ms = int_value(task.rt.store, args[0])
     if task.mode != "thread":
         raise OzkError("Delay is only allowed in a regular thread")
     raise SleepRequest(ms)
@@ -236,14 +197,6 @@ def _solve_lazy(task: Task, args):
 def make_builtins():
     """Return (name->function registry, name->NativeProc environment)."""
     funcs = {
-        "+": _arith("+", lambda a, b: a + b),
-        "-": _arith("-", lambda a, b: a - b),
-        "*": _arith("*", lambda a, b: a * b),
-        "div": _arith("div", _div),
-        "<": _compare("<", lambda a, b: a < b),
-        ">": _compare(">", lambda a, b: a > b),
-        "=<": _compare("=<", lambda a, b: a <= b),
-        ">=": _compare(">=", lambda a, b: a >= b),
         "==": _equal,
         "$test": _test,
         "Wait": _wait,

@@ -13,8 +13,13 @@ it, so its reductions do not use up that task's timeslice.
 
 A block pushes all of its statements in one reduction, and a body that
 is a block (of a `local`, a procedure, an `if` or `case` arm) is pushed
-flat with the statement that runs it.  Tail calls replace the popped
-frame, so the stack stays flat through recursion.  `X = f(...)` is
+flat with the statement that runs it.  A body that is a `local` (of a
+procedure, an `if` or `case` arm or an `else`) is entered by the
+statement that pushes it: its frame is made and its compiled statements
+pushed, with no reduction of its own (`Task.push_body`); a `thread`'s
+body is not, so its names are made when the thread first runs.  Tail
+calls replace the popped frame, so the stack stays flat through
+recursion.  `X = f(...)` is
 compiled unification: when `X` is already a compound of the same label
 and arity, its arguments are unified in place and nothing is built
 (`unify_compound`).  A unification statement runs through `exec_unify`,
@@ -23,12 +28,21 @@ alternative: an engine's `choice` runs its alternatives' leading
 unifications inside its own reduction and pushes only the rest of the
 one it enters (`search.Engine.choose`).
 
+The integer operators `+ - * div` and `< > =< >=` run inline
+(`exec_op`): each operand comes from the environment or the literal and
+is dereferenced once, and an unbound one suspends the statement.  The
+other builtin statements (`==`, `$test`) are looked up in the builtins
+registry.  A `case` runs the compiled patterns of its arms
+(`match_case`), which write their captures straight into the arm's
+frame.
+
 A `local` makes only the names of its compiled form's `made`.  Each other
-name is first used in a `X = f(...)` of its body as a `CFresh`: in read
-mode it takes the compound's argument as its value, with no variable and
-no binding; where the term is built it makes the variable there.  Either
-way the name is stored in the local's frame, which is the environment
-the statement runs in.
+name is first used as a `CFresh`, in a `X = f(...)` of its body or as the
+result of an operator.  In read mode it takes the compound's argument as
+its value, with no variable and no binding; where the term is built it
+makes the variable there; an operator stores the integer (or `true` or
+`false`) it computes.  Either way the name is stored in the local's
+frame, which is the environment the statement runs in.
 
 Threads are cooperatively scheduled in timeslices over a single store.
 Blocking is dataflow only: a thread that needs a variable's value parks
@@ -39,6 +53,7 @@ thread, and the clock jumps forward only when nothing is runnable.
 from __future__ import annotations
 
 import heapq
+import operator as _operator
 import random as _random
 import time as _time
 from collections import Counter, deque
@@ -48,11 +63,11 @@ from typing import Callable, Optional
 
 from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
                      RuntimeFailure, ThreadInSearchError)
-from .syntax import (Block, BuiltinCall, Call, CaseStmt, CAnon, CCompound,
-                     CFresh, Choice, CLit, CVar, Fail, IfStmt, Local, PAnon,
-                     PCompound, PLit, ProcDef, PVar, Skip, ThreadStmt, Unify)
-from .terms import (Atom, Closure, Compound, Int, NativeProc, Store, Term,
-                    UnifyResult, Var, render)
+from .syntax import (OPERATORS, Block, BuiltinCall, Call, CaseStmt, CAnon,
+                     CCompound, CFresh, Choice, CLit, CVar, Fail, IfStmt,
+                     Local, ProcDef, Skip, ThreadStmt, Unify)
+from .terms import (FALSE, INT_MAX, INT_MIN, TRUE, Closure, Compound, Int,
+                    NativeProc, Store, Term, UnifyResult, Var, render)
 
 # -- control-flow signals -----------------------------------------------------
 
@@ -271,43 +286,126 @@ def _is_proxy(store: Store, t: Term) -> bool:
     return type(t) is Var and t.vid[0] != store.node_id
 
 
+# -- integer operators ------------------------------------------------------------
+
+_ARITH = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
+          "div": _operator.floordiv}
+_COMPARE = {"<": _operator.lt, ">": _operator.gt, "=<": _operator.le,
+            ">=": _operator.ge}
+
+
+def int_value(store: Store, t: Term) -> int:
+    """The integer ``t`` stands for, dereferenced once: an unbound
+    variable suspends, and any other value that is not an integer is an
+    error."""
+    if type(t) is Var:
+        t = store.deref(t)
+        if type(t) is Var:
+            raise Suspend([t])
+    if type(t) is not Int:
+        raise OzkError(f"expected an integer, got {render(store, t)}")
+    return t.value
+
+
+def exec_op(rt: "Runtime", stmt: BuiltinCall, env: dict) -> Optional[str]:
+    """Run the integer operator statement ``stmt`` (``+ - * div`` and
+    ``< > =< >=``) in ``env``: None when it succeeds, else its failure's
+    text.  Each operand comes from the environment or the literal; the
+    first is checked, and suspended on, before the second.  A result that
+    is a first use (``CFresh``) stores the value in the frame, with no
+    variable and no binding; any other result is unified with it.  A
+    comparison with no result is a test."""
+    store = rt.store
+    args = stmt.args
+    a = args[0]
+    k = type(a)
+    # env_get, inlined for the frame: most operands are in it
+    t = ((env.get(a.name) or env_get(env, a.name)) if k is CVar
+         else a.value if k is CLit else build_term(store, a, env))
+    x = t.value if type(t) is Int else int_value(store, t)
+    a = args[1]
+    k = type(a)
+    t = ((env.get(a.name) or env_get(env, a.name)) if k is CVar
+         else a.value if k is CLit else build_term(store, a, env))
+    y = t.value if type(t) is Int else int_value(store, t)
+    name = stmt.name
+    fn = _ARITH.get(name)
+    if fn is not None:
+        if not y and fn is _operator.floordiv:
+            raise OzkError("division by zero")
+        v = fn(x, y)
+        if not INT_MIN <= v <= INT_MAX:
+            raise OzkError(f"integer overflow in {name}")
+        value = Int(v)
+    elif len(args) == 2:
+        return None if _COMPARE[name](x, y) else f"{x}{name}{y} is false"
+    else:
+        value = TRUE if _COMPARE[name](x, y) else FALSE
+    r = args[2]
+    k = type(r)
+    if k is CFresh:
+        env[r.name] = value
+        return None
+    res = store.unify(env_get(env, r.name) if k is CVar
+                      else build_term(store, r, env), value)
+    if res.woken:
+        rt.wake(res.woken)
+    if not res.ok:
+        return "unification failed: " + res.reason
+    return None
+
+
 # -- pattern matching -----------------------------------------------------------
 
-_MATCH_OK = 0
-_MATCH_FAIL = 1
-_MATCH_UNDET = 2
 
-
-def match_pattern(store: Store, pattern, term):
-    """One-way match of a value against a linear pattern.
-
-    Returns (status, payload): payload is the capture dict on success and
-    the blocking variable when undetermined.  The store is never changed.
-    """
-    captures: dict = {}
-    work = [(pattern, term)]
-    while work:
-        p, t = work.pop()
-        t = store.deref(t)
-        if isinstance(p, PVar):
-            captures[p.name] = t
-            continue
-        if isinstance(p, PAnon):
-            continue
-        if isinstance(t, Var):
-            return _MATCH_UNDET, t
-        if isinstance(p, PLit):
-            if isinstance(t, (Atom, Int)) and t == p.value:
+def match_case(store: Store, pattern, t: Term, frame: dict):
+    """Match the dereferenced value ``t`` against a compiled ``case``
+    pattern (``syntax.compile_pattern``), writing each capture,
+    dereferenced, into ``frame``: True on a match, False on a clash, or
+    the unbound variable that decides it.  Arguments are taken left to
+    right, depth first, and the first variable or clash met decides.  The
+    store is not changed; the chain of last arguments is followed in a
+    loop."""
+    while True:
+        if type(pattern) is not tuple:
+            if type(pattern) is str:
+                frame[pattern] = t
+                return True
+            if pattern is None:
+                return True
+            if type(t) is Var:
+                return t
+            return t == pattern
+        if type(t) is not Compound:
+            return t if type(t) is Var else False
+        label, arity, args = pattern
+        xs = t.args
+        if t.label != label or len(xs) != arity:
+            return False
+        last = arity - 1
+        for i in range(arity):
+            p = args[i]
+            if p is None:
                 continue
-            return _MATCH_FAIL, None
-        if isinstance(p, PCompound):
-            if (isinstance(t, Compound) and t.label == p.label
-                    and len(t.args) == len(p.args)):
-                work.extend(reversed(list(zip(p.args, t.args))))
-                continue
-            return _MATCH_FAIL, None
-        raise TypeError(f"bad pattern {p!r}")
-    return _MATCH_OK, captures
+            x = xs[i]
+            if type(x) is Var and x.ref is not None:
+                x = store.deref(x)
+            if type(p) is str:
+                frame[p] = x
+            elif type(p) is not tuple:
+                if type(x) is Var:
+                    return x
+                if not x == p:
+                    return False
+            elif i == last:
+                pattern, t = p, x
+                break
+            else:
+                res = match_case(store, p, x, frame)
+                if res is not True:
+                    return res
+        else:
+            return True
 
 
 # -- tasks --------------------------------------------------------------------
@@ -340,15 +438,31 @@ class Task:
         for stmt in block.pushed:
             stack.append((stmt, env))
 
-    def push_body(self, stmt, env):
-        """Push a body: a block's statements flat, any other statement
-        as one frame."""
+    def push_local(self, local, env):
+        """Enter ``local``: make its frame, with a variable for each name
+        of its ``made``, and push its compiled statements there."""
+        frame = {}
+        new_var = self.rt.store.new_var
+        for name in local.made:
+            frame[name] = new_var()
+        frame[_UP] = env
         stack = self.stack
-        if type(stmt) is Block:
+        for stmt in local.pushed:
+            stack.append((stmt, frame))
+
+    def push_body(self, stmt, env):
+        """Push a body: a block's statements flat, a local entered (its
+        frame made and its statements pushed), any other statement as one
+        frame."""
+        kind = type(stmt)
+        if kind is Block:
+            stack = self.stack
             for s in stmt.pushed:
                 stack.append((s, env))
+        elif kind is Local:
+            self.push_local(stmt, env)
         else:
-            stack.append((stmt, env))
+            self.stack.append((stmt, env))
 
     def run(self, budget: Optional[int] = None) -> bool:
         """Reduce frames until the stack is empty (True) or ``budget``
@@ -418,55 +532,64 @@ def exec_stmt(task: Task, stmt, env):
         return
 
     if kind is Local:
-        frame = {}
-        for name in stmt.made:
-            frame[name] = store.new_var()
-        frame[_UP] = env
-        task.push_block(stmt, frame)
+        task.push_local(stmt, env)
         return
 
     if kind is Call:
         target = stmt.target
-        target = (env_get(env, target.name) if type(target) is CVar
-                  else build_term(store, target, env))
-        target = store.deref(target)
-        if isinstance(target, Closure):
+        # env_get, inlined here and below for names: most are in the frame
+        target = ((env.get(target.name) or env_get(env, target.name))
+                  if type(target) is CVar else build_term(store, target, env))
+        if type(target) is Var:
+            target = store.deref(target)
+        if type(target) is Closure:
             if len(stmt.args) != len(target.params):
                 raise OzkError(
                     f"{{{target.name or 'a procedure'}}} expects "
                     f"{len(target.params)} arguments, got {len(stmt.args)}")
             args = {}
             for p, a in zip(target.params, stmt.args):
-                args[p] = (env_get(env, a.name) if type(a) is CVar
-                           else build_term(store, a, env))
+                args[p] = ((env.get(a.name) or env_get(env, a.name))
+                           if type(a) is CVar else build_term(store, a, env))
             args[_UP] = target.env
             task.push_body(target.body, args)
             return
-        if isinstance(target, NativeProc):
+        if type(target) is NativeProc:
             if len(stmt.args) != target.arity:
                 raise OzkError(f"{{{target.name}}} expects {target.arity} "
                                f"arguments, got {len(stmt.args)}")
             args = [build_term(store, a, env) for a in stmt.args]
             target.fn(task, args)
             return
-        if isinstance(target, Var):
+        if type(target) is Var:
             raise Suspend([target])
         raise OzkError(f"cannot call {render(store, target)}")
 
     if kind is CaseStmt:
-        subject = build_term(store, stmt.subject, env)
+        subject = stmt.subject
+        t = ((env.get(subject.name) or env_get(env, subject.name))
+             if type(subject) is CVar else build_term(store, subject, env))
+        if type(t) is Var and t.ref is not None:
+            t = store.deref(t)
         for arm in stmt.arms:
-            status, payload = match_pattern(store, arm.pattern, subject)
-            if status == _MATCH_OK:
-                payload[_UP] = env
-                task.push_body(arm.body, payload)
+            pattern = arm.compiled
+            # a literal or a void captures nothing: its body needs no frame
+            frame = {_UP: env} if type(pattern) in (tuple, str) else env
+            res = match_case(store, pattern, t, frame)
+            if res is True:
+                task.push_body(arm.body, frame)
                 return
-            if status == _MATCH_UNDET:
-                raise Suspend([payload])
+            if res is not False:
+                raise Suspend([res])
         task.push_body(stmt.otherwise, env)
         return
 
     if kind is BuiltinCall:
+        if stmt.name in OPERATORS:
+            reason = exec_op(rt, stmt, env)
+            if reason is not None:
+                raise Failure(reason)
+            return
         fn = rt.builtins.get(stmt.name)
         if fn is None:
             raise OzkError(f"unknown builtin {stmt.name}")
@@ -529,10 +652,14 @@ def exec_if(task: Task, stmt: IfStmt, env):
         if (not arm.guard_vars and type(guard) is BuiltinCall
                 and guard.name in _PURE_TESTS and len(guard.args) <= 2):
             # pure test: cannot bind anything, so no trail is needed
-            try:
-                exec_stmt(task, guard, env)
-            except Failure:
-                continue
+            if guard.name in OPERATORS:
+                if exec_op(rt, guard, env) is not None:
+                    continue
+            else:
+                try:
+                    exec_stmt(task, guard, env)
+                except Failure:
+                    continue
             task.push_body(arm.body, env)
             return
         age_mark = store.next_seq

@@ -12,7 +12,9 @@ is already bound to the compound's label and arity skips the argument
 and makes none.  Arithmetic, comparisons and equality tests live in
 BuiltinCall statements; `op(a, b, r)` computes into r while the
 two-argument form is a test that fails the current context when the
-answer is false.
+answer is false.  The integer operators (``OPERATORS``) are run by the
+runtime itself; their operands are names or literals (a compound is
+accepted, and is a type error when it runs).
 
 A sequence of statements is one flat ``Block``, built by :func:`seq_all`
 and never nested directly in another: running it pushes all of its
@@ -23,11 +25,18 @@ statements themselves, without the reduction.
 A ``Local`` carries a compiled form beside its fields (``made`` and
 ``pushed``, see :func:`compile_local`): a name whose first use is an
 argument of, or the variable of, a unification ``X = f(...)`` that the
-body runs directly is not made at entry.  That argument becomes a
-``CFresh``, which stores the value it meets in the frame (the WAM's
-``unify_variable`` for a first occurrence), so the common
-``local T in X = _|T ... end`` makes no variable when ``X`` is already a
-list cell.  The AST, and so the printer, never sees a ``CFresh``.
+body runs directly, or the result of an integer operator there, is not
+made at entry.  That argument becomes a ``CFresh``, which stores the
+value it meets in the frame (the WAM's ``unify_variable`` for a first
+occurrence), so the common ``local T in X = _|T ... end`` makes no
+variable when ``X`` is already a list cell, and the desugarer's
+``local T in T = I+1 {Gen T N Xr} end`` stores the sum in the frame
+with no variable at all.  The AST, and so the printer, never sees a
+``CFresh``.
+
+A ``CaseArm`` carries its pattern compiled once (``compiled``, see
+:func:`compile_pattern`): a literal, a name, a void, or a label and
+arity with the compiled forms of the arguments.
 
 A ``Choice`` likewise carries ``compiled``, one :class:`Alternative` per
 alternative (see :func:`compile_alternative`): its head, the leading run
@@ -47,33 +56,34 @@ from .terms import Atom, Int
 # -- expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CLit:
     value: Union[Atom, Int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CAnon:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CCompound:
     label: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CFresh:
     """The first use of a name of the enclosing ``Local`` that the local
     does not make (compiled form only).  Where a term is built it makes
     the variable; where it meets a value already there it takes that
-    value.  Either way the frame's name is set to what it stands for."""
+    value; as an operator's result it is the value computed.  Either way
+    the frame's name is set to what it stands for."""
     name: str
 
 
@@ -82,22 +92,22 @@ Expr = Union[CVar, CLit, CAnon, CCompound]
 # -- patterns ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAnon:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLit:
     value: Union[Atom, Int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCompound:
     label: str
     args: tuple
@@ -119,15 +129,45 @@ def pattern_names(p: Pattern) -> list[str]:
     return out
 
 
+def compile_pattern(p: Pattern):
+    """The compiled form of a ``case`` pattern, which
+    ``runtime.match_case`` runs: a name is the name (a str), ``_`` is
+    None, a literal is its value (an Atom or Int), and a compound is the
+    tuple ``(label, arity, args)`` of its arguments' compiled forms.  The
+    chain of last arguments (a list's spine) is built in a loop; only the
+    other arguments recurse."""
+    kind = type(p)
+    if kind is PVar:
+        return p.name
+    if kind is PAnon:
+        return None
+    if kind is PLit:
+        return p.value
+    spine = []
+    while type(p) is PCompound and p.args:
+        spine.append(p)
+        p = p.args[-1]
+    form = (p.label, 0, ()) if type(p) is PCompound else compile_pattern(p)
+    for q in reversed(spine):
+        form = (q.label, len(q.args),
+                tuple(compile_pattern(a) for a in q.args[:-1]) + (form,))
+    return form
+
+
 # -- statements ----------------------------------------------------------
 
+# The integer operators, which the runtime runs itself (``runtime.exec_op``):
+# ``op(a, b, r)`` computes into r, and a comparison's two-argument form is
+# a test.  Every other BuiltinCall is looked up in the builtins registry.
+OPERATORS = frozenset(("+", "-", "*", "div", "<", ">", "=<", ">="))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fail:
     pass
 
@@ -157,20 +197,20 @@ class Local:
         object.__setattr__(self, "pushed", pushed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unify:
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfArm:
     guard_vars: tuple
     guard: "Statement"
     body: "Statement"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfStmt:
     arms: tuple
     otherwise: "Statement"
@@ -178,11 +218,17 @@ class IfStmt:
 
 @dataclass(frozen=True)
 class CaseArm:
+    # `compiled` is not a field: the pattern's compiled form, built once
+    # by `compile_pattern`, as a Local's `made`/`pushed` are.
+    __slots__ = ("pattern", "body", "compiled")
     pattern: Pattern
     body: "Statement"
 
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", compile_pattern(self.pattern))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CaseStmt:
     subject: Expr
     arms: tuple
@@ -201,26 +247,26 @@ class Choice:
             compile_alternative(alt) for alt in self.alternatives))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcDef:
     name: str
     params: tuple
     body: "Statement"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     target: Expr
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuiltinCall:
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreadStmt:
     body: "Statement"
 
@@ -357,25 +403,46 @@ def _compile_first_uses(s: Unify, first: set) -> tuple:
     return (Unify(var, comp) if var_left else Unify(comp, var)), done
 
 
+def _operator_names(exprs) -> set:
+    """The names that operands of an operator statement read: a name or a
+    literal, and rarely a compound (a type error when it runs)."""
+    out: set = set()
+    for e in exprs:
+        if type(e) is CVar:
+            out.add(e.name)
+        elif type(e) is CCompound:
+            _expr_free(e, (), out)
+    return out
+
+
 def compile_local(names: tuple, body: Statement) -> tuple:
     """The compiled form of ``local <names> in <body> end``: ``(made,
     pushed)``, the names to make at entry and the body's statements last
     first, as a task pushes them.
 
-    A name is left out of ``made`` when its first use is a statement
-    ``X = f(...)`` or ``f(...) = X`` of the body itself (not nested in
-    another statement), it occurs there once, as ``X`` or as an argument
-    of ``f``, and no earlier statement mentions it.  That occurrence is
-    compiled to a ``CFresh``.  Nothing can read the name before it runs,
-    and it runs in this very frame, so storing the value there is all the
-    variable would have been for.  A shallow scan finds the last
-    unification with a compound; one pass over the statements up to it,
-    in order, decides, and stops once every name has been met."""
+    A name is left out of ``made`` when no earlier statement of the body
+    mentions it and its first use is, in a statement of the body itself
+    (not nested in another statement), either an occurrence in ``X =
+    f(...)`` or ``f(...) = X``, once, as ``X`` or as an argument of
+    ``f``, or the result of an integer operator ``R = A op B`` of which it
+    is not also an operand.  That occurrence is compiled to a ``CFresh``.
+    Nothing can read the name before it runs, and it runs in this very
+    frame, so storing the value there is all the variable would have been
+    for.  A shallow scan finds the last such statement; one pass over the
+    statements up to it, in order, decides, and stops once every name has
+    been met.  An operator's operands are names or literals and are read
+    directly, without ``free_names``."""
     block = type(body) is Block
     stmts = body.stmts if block else (body,)
     end = 0
     for i, s in enumerate(stmts):
-        if type(s) is Unify and CCompound in (type(s.lhs), type(s.rhs)):
+        kind = type(s)
+        if kind is Unify:
+            if CCompound in (type(s.lhs), type(s.rhs)):
+                end = i + 1
+        elif (kind is BuiltinCall and len(s.args) == 3
+              and s.name in OPERATORS and type(s.args[2]) is CVar
+              and s.args[2].name in names):
             end = i + 1
     if not end:
         return names, (body.pushed if block else stmts)
@@ -386,15 +453,27 @@ def compile_local(names: tuple, body: Statement) -> tuple:
         s = stmts[i]
         if not unseen:
             break
-        if type(s) is not Unify:
+        kind = type(s)
+        if kind is Unify:
+            counts = _unify_counts(s)
+            first = {n for n in unseen.intersection(counts) if counts[n] == 1}
+            unseen.difference_update(counts)
+            if first:
+                stmts[i], done = _compile_first_uses(s, first)
+                fresh.update(done)
+        elif kind is BuiltinCall and s.name in OPERATORS:
+            args = s.args
+            unseen.difference_update(_operator_names(args[:2]))
+            if len(args) == 3:
+                r = args[2]
+                if type(r) is CVar and r.name in unseen:
+                    stmts[i] = BuiltinCall(s.name, args[:2] + (CFresh(r.name),))
+                    fresh.add(r.name)
+                    unseen.discard(r.name)
+                else:
+                    unseen.difference_update(_operator_names(args[2:]))
+        else:
             unseen -= free_names(s)
-            continue
-        counts = _unify_counts(s)
-        first = {n for n in unseen.intersection(counts) if counts[n] == 1}
-        unseen.difference_update(counts)
-        if first:
-            stmts[i], done = _compile_first_uses(s, first)
-            fresh.update(done)
     if not fresh:
         return names, (body.pushed if block else (body,))
     return tuple(n for n in names if n not in fresh), tuple(reversed(stmts))

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
-Nothing in this file imports from ozk.  Terms here use a tiny tuple
-encoding of their own:
+Nothing in this file imports from ozk, apart from the reference matcher
+at its end, which matches ozk's own patterns against ozk's own terms.
+Terms here use a tiny tuple encoding of their own:
 
     variables   OVar instances
     atoms       ("a", name)
@@ -495,3 +496,47 @@ def plain_list(t, binds=None):
             t = walk(t, binds)
     assert t == NIL, f"improper list tail {t!r}"
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference `case` matcher: a work list over the pattern AST
+# ---------------------------------------------------------------------------
+
+from ozk.syntax import PAnon, PCompound, PLit, PVar  # noqa: E402
+from ozk.terms import Atom, Compound, Int, Var  # noqa: E402
+
+MATCH_OK = 0
+MATCH_FAIL = 1
+MATCH_UNDET = 2
+
+
+def match_pattern(store, pattern, term):
+    """One-way match of a value against a linear pattern.
+
+    Returns (status, payload): payload is the capture dict on success and
+    the blocking variable when undetermined.  The store is never changed.
+    """
+    captures: dict = {}
+    work = [(pattern, term)]
+    while work:
+        p, t = work.pop()
+        t = store.deref(t)
+        if isinstance(p, PVar):
+            captures[p.name] = t
+            continue
+        if isinstance(p, PAnon):
+            continue
+        if isinstance(t, Var):
+            return MATCH_UNDET, t
+        if isinstance(p, PLit):
+            if isinstance(t, (Atom, Int)) and t == p.value:
+                continue
+            return MATCH_FAIL, None
+        if isinstance(p, PCompound):
+            if (isinstance(t, Compound) and t.label == p.label
+                    and len(t.args) == len(p.args)):
+                work.extend(reversed(list(zip(p.args, t.args))))
+                continue
+            return MATCH_FAIL, None
+        raise TypeError(f"bad pattern {p!r}")
+    return MATCH_OK, captures

@@ -1,5 +1,7 @@
 """Threads, dataflow synchronization, virtual time, laziness, guards."""
 
+from pathlib import Path
+
 import pytest
 
 from oracles import GEN_MAP_SQUARES
@@ -499,6 +501,125 @@ def test_division_by_zero_is_an_error():
 def test_integer_overflow_is_an_error():
     with pytest.raises(OzkError, match="overflow"):
         run_text("{Browse 9223372036854775807 + 1}")
+
+
+# -- integer operators, run inline -------------------------------------------------
+
+def test_an_unbound_operand_suspends_until_a_later_binding():
+    # T's first use is the result of `+`: it is stored when the woken
+    # statement runs again, and nothing is stored while it waits
+    events = []
+    s = Session(on_trace=lambda kind, p: events.append((kind, p)))
+    x = s.feed("X Z in skip")
+    assert x.status == "done"
+    vid = s.lookup("X").vid
+    r = s.feed("thread local T in T = X + 1 {Browse T} Z = T * 2 end end")
+    assert r.status == "deadlock" and r.browses == []
+    assert [p["vids"] for k, p in events if k == "suspend"] == [[vid]]
+    r = s.feed("X = 41 {Wait Z} {Browse Z}")
+    assert r.status == "done"
+    assert r.browses == ["42", "84"]
+
+
+def test_the_first_operand_is_checked_and_suspended_on_first():
+    s = Session()
+    s.feed("X Y R in skip")
+    x = s.lookup("X").vid
+    r = s.feed("thread R = X + Y end")
+    assert [vids for _, vids in r.suspended] == [[x]]
+    r = s.feed("Y = 2")          # not what the thread waits for
+    assert [vids for _, vids in r.suspended] == [[x]]
+    r = s.feed("X = 1 {Wait R} {Browse R}")
+    assert r.status == "done" and r.browses == ["3"]
+    # a first operand that is no integer is an error before the second
+    # operand is looked at; an unbound first operand suspends first
+    with pytest.raises(OzkError, match="expected an integer, got a"):
+        run_text("X in {Browse a + X}")
+    assert run_text("X in thread {Browse X + a} end").status == "deadlock"
+
+
+_OPERATOR_ERRORS = [
+    ("f(1) + 1", "expected an integer, got f\\(1\\)"),
+    ("9223372036854775807 + 1", "integer overflow in \\+"),
+    ("~9223372036854775807 - 2", "integer overflow in -"),
+    ("4611686018427387904 * 2", "integer overflow in \\*"),
+    ("7 div 0", "division by zero"),
+    ("(1 < a)", "expected an integer, got a"),
+]
+
+
+@pytest.mark.parametrize("context", [
+    "thread X in X = %s {Browse X} end",
+    "if X in X = %s then {Browse X} end",
+    "S in {SolveAll proc {$ R} R = %s end S}",
+])
+@pytest.mark.parametrize("expr, message", _OPERATOR_ERRORS)
+def test_operator_errors_in_a_thread_a_guard_and_an_engine(
+        context, expr, message):
+    with pytest.raises(OzkError, match=message):
+        run_text(context % expr)
+
+
+def test_an_operator_test_in_an_if_reports_a_non_integer():
+    with pytest.raises(OzkError, match="expected an integer, got a"):
+        run_text("if a < 1 then skip end")
+
+
+@pytest.mark.parametrize("statement, failure", [
+    ("1 > 2", "1>2 is false"),
+    ("~1 >= 0", "-1>=0 is false"),
+    ("R = 5 R = 1 + 1", "unification failed: 5 = 2"),
+    ("R = true R = (2 < 1)", "unification failed: true = false"),
+])
+def test_operator_failures_in_a_thread_a_guard_and_an_engine(
+        statement, failure):
+    r = run_text(f"thread R in {statement} end")
+    assert r.status == "failed" and r.failures == [failure]
+    r = run_text(f"if R in {statement} then {{Browse yes}} "
+                 f"else {{Browse no}} end")
+    assert r.status == "done" and r.browses == ["no"]
+    r = run_text(f"S in {{SolveAll proc {{$ R}} choice {statement} [] R = b "
+                 f"end end S}} {{Browse S}}")
+    assert r.status == "done" and r.browses == ["[b]"]
+
+
+def test_a_first_use_result_is_recomputed_after_a_backtrack():
+    # T is stored in the local's frame, which the choicepoint's stack
+    # shares; the backtrack runs `T = X * 10` again and overwrites it
+    r = run_text("""
+    S in
+    {SolveAll proc {$ R} X in
+                 local T in
+                    choice X = 1 [] X = 2 [] X = 3 end
+                    T = X * 10
+                    X < 3
+                    R = T + X
+                 end
+              end S}
+    {Browse S}
+    """)
+    assert r.status == "done" and r.browses == ["[11 22]"]
+
+
+def test_gen_map_runs_in_a_pinned_number_of_reductions_and_variables():
+    # The exact counts of docs/programs/gen_map.ozk.  They fall when an
+    # operator stores a result that is a local's first use in the frame
+    # (`{Gen I+1 N Xr}` makes no variable for I+1), a `case` matches its
+    # compiled patterns, or a local that is a body is entered by the
+    # statement that pushes it (before these: 177 reductions and 44
+    # variables).  The ten suspensions are the consumer thread's, one for
+    # each cell it waits for.
+    suspends = []
+    s = Session(on_trace=lambda kind, p: suspends.append(p)
+                if kind == "suspend" else None)
+    r0, seq0 = s.rt.stats.reductions, s.store.next_seq
+    r = s.feed((Path(__file__).resolve().parent.parent / "docs" / "programs"
+                / "gen_map.ozk").read_text())
+    assert r.status == "done"
+    assert r.browses == ["[" + " ".join(map(str, GEN_MAP_SQUARES)) + "]"]
+    assert s.rt.stats.reductions - r0 == 157
+    assert s.store.next_seq - seq0 == 34
+    assert len(suspends) == 10
 
 
 def test_calling_a_non_procedure_is_an_error():

@@ -388,6 +388,27 @@ def test_heads_that_all_fail_backtrack_into_an_older_choicepoint():
     assert got == oracle_all_text(CLASHES, query) == "[q(2 two) q(3 three)]"
 
 
+# step/2's clauses compute into temporaries (T, M and the translator's own
+# for is/2) whose first use is an operator's result: they are stored in
+# the clause's frame, after the alternative's head, and computed again for
+# each answer of pick/1 that the engine backtracks into.
+IS_STEPS = """
+pick(1).
+pick(2).
+pick(3).
+step(N, Y) :- N < 3, T is N * 10, Y is T + 1.
+step(N, Y) :- M is N + 100, Y is (M - 1) * 2.
+run(N, Y) :- pick(N), step(N, Y).
+"""
+
+
+def test_first_use_results_of_is_are_recomputed_after_a_backtrack():
+    query = "run(N, Y)"
+    got = translated_all_text(IS_STEPS, query)
+    assert got == oracle_all_text(IS_STEPS, query) == (
+        "[q(1 11) q(1 200) q(2 21) q(2 202) q(3 204)]")
+
+
 # -- nested engines ---------------------------------------------------------------
 
 def test_search_can_run_inside_search():
@@ -600,19 +621,23 @@ def _queens6(source: str) -> str:
 
 
 @pytest.mark.parametrize("source, reductions, made, choicepoints", [
-    ("queens.ozk", 2180, 1391, 152),
-    ("queens.pl", 2168, 1391, 152),
+    ("queens.ozk", 2167, 1379, 152),
+    ("queens.pl", 2155, 1379, 152),
 ], ids=["queens.ozk", "queens.pl"])
 def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
         source, reductions, made, choicepoints, monkeypatch):
     # The exact counts of all 4 solutions of 6-queens.  They fall when
     # `X = f(...)` stops building what is there, a local stops making a
-    # first use, a body stops being pushed flat, or a `choice` runs the
+    # first use, a body stops being pushed flat, a `choice` runs the
     # heads of its alternatives inside its own reduction and makes a
-    # choicepoint only for a head that succeeds with alternatives left; a
-    # change that loses one of these raises them (before first uses:
-    # 8731/8719 reductions and 4005/3999 variables; before heads:
-    # 7688/7676 reductions and 1043 choicepoints).
+    # choicepoint only for a head that succeeds with alternatives left,
+    # a local that is a body is entered by the statement that pushes it,
+    # or an operator stores a result that is a local's first use in the
+    # frame, with no variable; a change that loses one of these raises
+    # them (before first uses: 8731/8719 reductions and 4005/3999
+    # variables; before heads: 7688/7676 reductions and 1043
+    # choicepoints; before entered locals and operator results:
+    # 2180/2168 reductions and 1391 variables).
     made_cps = []
     push = Engine.push_choicepoint
 

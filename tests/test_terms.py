@@ -1,10 +1,17 @@
 """Store, unification, equality, ordering, rendering, snapshots."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ozk.runtime import Failure, Runtime, Task, build_term, exec_stmt
-from ozk.syntax import CAnon, CCompound, CLit, CVar, Local, Unify, seq_all, seq_items
+from oracles import MATCH_OK, MATCH_UNDET, match_pattern
+from ozk.errors import OzkError
+from ozk.runtime import (Failure, Runtime, Suspend, Task, build_term,
+                         exec_stmt)
+from ozk.syntax import (OPERATORS, BuiltinCall, Call, CaseArm, CaseStmt, CAnon,
+                        CCompound, CLit, CVar, IfArm, IfStmt, Local, PAnon,
+                        PCompound, PLit, PVar, Unify, seq_all, seq_items)
 from ozk.terms import (
     Atom, Compound, Int, NIL, Store, Var, bisimilar, compare_terms, cons,
     is_cons, list_to_python, make_list, materialize, render, snapshot,
@@ -444,7 +451,10 @@ def test_compiled_unify_matches_build_then_unify(
 # Local bodies: unifications over the outside variables V0..V3 and the
 # local names L0..L2, which may come first in a `X = f(...)` (a first
 # use), before it, after it, twice in it or nested in one of its
-# arguments, and nested locals that may shadow a name.
+# arguments; integer operators, whose result may be a local name's first
+# use and whose operands may be bound, unbound, not integers, zero or
+# large enough to overflow; `if`s on an operator test, whose arms may be
+# locals entered by the `if`; and nested locals that may shadow a name.
 _LOCALS = ("L0", "L1", "L2")
 _names = st.sampled_from(("V0", "V1", "V2", "V3") + _LOCALS).map(CVar)
 _body_leaves = (_names
@@ -452,25 +462,41 @@ _body_leaves = (_names
                 | st.just(CAnon()))
 _body_compounds = _pattern_compound(
     st.recursive(_body_leaves, _pattern_compound, max_leaves=4))
+_int_literals = st.sampled_from(
+    (CLit(Int(0)), CLit(Int(1)), CLit(Int(2**62)), CLit(Atom("a"))))
+_local_names = st.sampled_from(_LOCALS).map(CVar)
+_operands = st.one_of(_int_literals, _names)
+_tests = st.builds(lambda op, a, b: BuiltinCall(op, (a, b)),
+                   st.sampled_from(("<", ">", "=<", ">=")), _operands, _operands)
+_operations = st.builds(lambda op, a, b, r: BuiltinCall(op, (a, b, r)),
+                        st.sampled_from(sorted(OPERATORS)), _operands,
+                        _operands, _local_names | _names)
 _body_unifies = st.one_of(
     st.builds(Unify, _names, _body_compounds),
     st.builds(Unify, _body_compounds, _names),
-    st.builds(Unify, _names, _body_leaves))
+    st.builds(Unify, _names, _body_leaves),
+    _operations, _operations, _tests)
 _body_statements = st.recursive(
     _body_unifies,
-    lambda sub: st.builds(lambda names, stmts: Local(names, seq_all(stmts)),
-                          st.lists(st.sampled_from(_LOCALS), min_size=1,
-                                   max_size=2, unique=True).map(tuple),
-                          st.lists(sub, min_size=1, max_size=3)),
+    lambda sub: st.one_of(
+        st.builds(lambda names, stmts: Local(names, seq_all(stmts)),
+                  st.lists(st.sampled_from(_LOCALS), min_size=1,
+                           max_size=2, unique=True).map(tuple),
+                  st.lists(sub, min_size=1, max_size=3)),
+        st.builds(lambda test, body, otherwise: IfStmt(
+                      (IfArm((), test, body),), otherwise),
+                  _tests, sub, sub)),
     max_leaves=5)
 
 
 def _run_local(stmt, compiled, prebinds, waiting, trailed):
     """Run ``stmt``, a Local, on outside variables V0..V3 and return the
-    outcome, the failure text, the woken threads and the rendered values
-    of the outside variables (and, on success, of the local's names).
+    outcome, its text (a failure's, an error's or the rendered variable a
+    suspension waits for), the woken threads and the rendered values of
+    the outside variables (and, on success, of the local's names).
     Compiled, it runs as the runtime runs it; otherwise every local,
-    nested ones too, makes all of its names at entry."""
+    nested ones and those an `if` enters too, makes all of its names at
+    entry and runs its body as written."""
     store = Store()
     vs = [store.new_var() for _ in range(4)]
     for i, shape in prebinds:
@@ -487,36 +513,157 @@ def _run_local(stmt, compiled, prebinds, waiting, trailed):
     woken: set = set()
     rt.wake = woken.update
     task = Task(rt)
+    if not compiled:
+        def push_local(local, e):
+            inner = {n: store.new_var() for n in local.names}
+            inner["\x00up"] = e
+            for item in reversed(seq_items(local.body)):
+                task.push(item, inner)
+        task.push_local = push_local
     task.push(stmt, env)
     frame = None
+    waits = []
     try:
         while task.stack:
-            s, e = task.stack.pop()
-            if type(s) is Local and not compiled:
-                inner = {n: store.new_var() for n in s.names}
-                inner["\x00up"] = e
-                for item in reversed(seq_items(s.body)):
-                    task.push(item, inner)
-            else:
-                exec_stmt(task, s, e)
+            exec_stmt(task, *task.stack.pop())
             if frame is None:
                 frame = task.stack[-1][1]
-        ok, reason = True, ""
+        outcome, text = "ok", ""
     except Failure as f:
-        ok, reason = False, f.reason
-    shown = list(vs) + ([frame[n] for n in stmt.names] if ok else [])
-    return ok, reason, sorted(woken), render(store, Compound("r", shown))
+        outcome, text = "failed", f.reason
+    except Suspend as s:
+        outcome, text, waits = "suspended", "", s.vars
+    except OzkError as e:
+        outcome, text = "error", str(e)
+    shown = list(vs) + waits + (
+        [frame[n] for n in stmt.names] if outcome == "ok" else [])
+    return outcome, text, sorted(woken), render(store, Compound("r", shown))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_body_statements, min_size=1, max_size=4),
-       st.lists(st.tuples(st.integers(0, 3), shapes), max_size=3),
+       st.lists(st.tuples(st.integers(0, 3),
+                          st.tuples(st.just("int"), st.integers(0, 2))
+                          | shapes), max_size=4),
        st.lists(st.integers(0, 3), max_size=4), st.booleans())
 def test_first_uses_match_making_every_name_at_entry(
         stmts, prebinds, waiting, trailed):
     stmt = Local(_LOCALS, seq_all(stmts))
     assert (_run_local(stmt, True, prebinds, waiting, trailed)
             == _run_local(stmt, False, prebinds, waiting, trailed))
+
+
+# Runs of operators over integers: the outside variables are integers or
+# unbound, and a local name's value is often an earlier operator's result.
+_chain_statements = st.one_of(
+    st.builds(lambda op, a, b, r: BuiltinCall(op, (a, b, r)),
+              st.sampled_from(sorted(OPERATORS)), _operands, _operands,
+              _local_names),
+    _operations, _tests, st.builds(Unify, _local_names, _body_leaves))
+_int_values = st.lists(st.sampled_from((None, 0, 1, 2)), min_size=4,
+                       max_size=4).map(
+    lambda xs: [(i, ("int", x)) for i, x in enumerate(xs) if x is not None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_chain_statements, min_size=2, max_size=6), _int_values,
+       st.booleans())
+def test_operator_results_match_making_every_name_at_entry(
+        stmts, prebinds, trailed):
+    stmt = Local(_LOCALS, seq_all(stmts))
+    assert (_run_local(stmt, True, prebinds, [], trailed)
+            == _run_local(stmt, False, prebinds, [], trailed))
+
+
+# `case` patterns: literals, names, voids and compounds of them, nested
+# and at the top; the names of a pattern are made distinct (linear).
+_case_patterns = st.recursive(
+    st.sampled_from((PVar("?"), PAnon(), PLit(Int(0)), PLit(Int(1)),
+                     PLit(Atom("a")), PLit(Atom("f")))),
+    lambda sub: st.builds(lambda la, args: PCompound(la, tuple(args)),
+                          st.sampled_from("fg"),
+                          st.lists(sub, min_size=1, max_size=3)),
+    max_leaves=6)
+
+
+def _linear(pattern, names):
+    if isinstance(pattern, PVar):
+        return PVar(f"P{next(names)}")
+    if isinstance(pattern, PCompound):
+        return PCompound(pattern.label,
+                         tuple(_linear(a, names) for a in pattern.args))
+    return pattern
+
+
+def _case_outcome(compiled, arms, subject, prebinds):
+    """The arm a `case` on ``subject`` (a shape over V0..V3) enters, with
+    its captures, or the variable it suspends on, rendered with V0..V3;
+    compiled, as the runtime runs it, else by the reference matcher."""
+    store = Store()
+    vs = [store.new_var() for _ in range(4)]
+    for i, shape in prebinds:
+        term = _build(store, shape, vs)
+        if vs[i].ref is None and store.deref(term) is not vs[i]:
+            vs[i].ref = term
+    t = _build(store, subject, vs)
+    if compiled:
+        env = {"S": t, "\x00up": None}
+        task = Task(Runtime(store=store))
+        stmt = CaseStmt(CVar("S"), tuple(
+            CaseArm(p, Call(CVar("Arm"), (CLit(Int(i)),)))
+            for i, p in enumerate(arms)), Call(CVar("Otherwise"), ()))
+        try:
+            exec_stmt(task, stmt, env)
+        except Suspend as s:
+            assert len(s.vars) == 1
+            chosen, shown = "suspend", s.vars
+        else:
+            (body, frame), = task.stack
+            chosen = (body.args[0].value.value if body.args else "otherwise")
+            captures = {} if frame is env else frame
+            shown = [captures[n] for n in sorted(captures) if n != "\x00up"]
+    else:
+        for i, p in enumerate(arms):
+            status, payload = match_pattern(store, p, t)
+            if status == MATCH_OK:
+                chosen, shown = i, [payload[n] for n in sorted(payload)]
+                break
+            if status == MATCH_UNDET:
+                chosen, shown = "suspend", [payload]
+                break
+        else:
+            chosen, shown = "otherwise", []
+    return chosen, render(store, Compound("r", list(vs) + shown))
+
+
+_var_shapes = st.tuples(st.just("var"), st.integers(0, 3))
+
+
+def _shape_like(pattern):
+    """Shapes that follow ``pattern``: each name, void or literal may
+    become any shape, and each literal may stay itself."""
+    if isinstance(pattern, PCompound):
+        return st.builds(lambda args: (pattern.label, args), st.tuples(
+            *(_shape_like(a) for a in pattern.args)).map(list))
+    if isinstance(pattern, PLit):
+        v = pattern.value
+        same = ("int", v.value) if isinstance(v, Int) else ("atom", v.name)
+        return st.one_of(st.just(same), st.just(same), _var_shapes, shapes)
+    return shapes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_case_patterns, min_size=1, max_size=3), st.data(),
+       st.lists(st.tuples(st.integers(0, 3), shapes), max_size=3))
+def test_compiled_patterns_match_like_the_reference(arms, data, prebinds):
+    names = itertools.count()
+    arms = [_linear(p, names) for p in arms]
+    # the subject: anything, or the shape of an arm's pattern, so that
+    # arms match, clash deep down or wait on a variable inside
+    like = st.sampled_from(arms).flatmap(_shape_like)
+    subject = data.draw(st.one_of(shapes, like, like))
+    assert (_case_outcome(True, arms, subject, prebinds)
+            == _case_outcome(False, arms, subject, prebinds))
 
 
 @settings(max_examples=80, deadline=None)
