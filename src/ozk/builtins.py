@@ -4,6 +4,8 @@ The registry serves two call paths: the statements ``==`` and ``$test``
 compiled by the desugarer (``BuiltinCall``) look functions up by name,
 and user-callable names (``Browse``, ``Wait``, ``SolveAll`` ...) are the
 same functions wrapped as NativeProc values in the global environment.
+The test ``A == B`` of an ``if`` on two integers or two atoms is
+compared by the runtime itself (``runtime.exec_equal_test``).
 The integer operators (``+ - * div < > =< >=``) are not in it: the
 runtime runs them itself (``runtime.exec_op``).
 
@@ -18,11 +20,12 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .errors import OzkError, ThreadInSearchError
-from .runtime import (Failure, SleepRequest, Suspend, Task, env_child,
+from .compiler import compile_procedure
+from .runtime import (Failure, SleepRequest, Suspend, Task, call_frame,
                       int_value)
 from .parser import parse_program
 from .search import Engine, solve_answers
-from .syntax import CVar, Call, Local, ProcDef
+from .syntax import Local, ProcDef
 from .terms import (Atom, Closure, Compound, NativeProc, Opaque, Store, Term,
                     Var, compare_terms, make_list, render)
 
@@ -41,7 +44,7 @@ def _bind(task: Task, lhs: Term, value: Term):
     if res.woken:
         task.rt.wake(res.woken)
     if not res.ok:
-        raise Failure(f"unification failed: {res.reason}")
+        raise Failure(res)
 
 
 def _bool_term(b: bool) -> Atom:
@@ -165,15 +168,18 @@ def _solve_step(task: Task, args):
 
 
 def _make_solve_loop() -> Closure:
-    frame = env_child(None, {
-        "WaitNeeded": NativeProc("WaitNeeded", 1, _wait_needed),
-        "SolveStep": NativeProc("SolveStep", 2, _solve_step)})
-    stmt = parse_program(_SOLVE_LOOP_TEXT, frame)
+    names = {"WaitNeeded": NativeProc("WaitNeeded", 1, _wait_needed),
+             "SolveStep": NativeProc("SolveStep", 2, _solve_step)}
+    stmt = parse_program(_SOLVE_LOOP_TEXT, names)
     if not (isinstance(stmt, Local) and isinstance(stmt.body, ProcDef)):
         raise AssertionError(f"the lazy driver is not one procedure: {stmt}")
     proc = stmt.body
-    loop = Closure(proc.name, proc.params, proc.body, frame)
-    frame[proc.name] = loop
+    code = compile_procedure(proc)
+    # the loop captures itself: its captured values are filled in once
+    # the closure exists
+    loop = Closure(proc.name, code, [])
+    names[proc.name] = loop
+    loop.env += code.env(names)
     return loop
 
 
@@ -186,9 +192,9 @@ def _solve_lazy(task: Task, args):
             "lazy solving needs a thread of its own and is only allowed "
             "in regular threads")
     goal = _goal(task.rt.store, args[0])
-    env = env_child(_SOLVE_LOOP.env, {"E": Opaque("engine", Engine(task.rt, goal)),
-                                      "S": args[1]})
-    task.rt.spawn(Call(CVar(_SOLVE_LOOP.name), (CVar("E"), CVar("S"))), env)
+    frame = call_frame(_SOLVE_LOOP, [Opaque("engine", Engine(task.rt, goal)),
+                                     args[1]])
+    task.rt.spawn(_SOLVE_LOOP.code.body, frame)
 
 
 # -- registry ----------------------------------------------------------------------

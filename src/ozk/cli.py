@@ -155,11 +155,11 @@ def _translate_for_run(source: str, args) -> str:
 def _visible_var_names(session: Session, tid: int) -> dict:
     """Map unbound variables to names visible where the thread stopped.
 
-    Walks the suspended thread's innermost environment outwards (so
+    Reads the frame the thread stopped in, innermost scope first (so
     shadowing resolves the way the source reads), then the session
     globals.  Variables bound by a plain ``local`` have no global name,
-    which is why the thread's own scope comes first."""
-    from .runtime import env_names
+    which is why the thread's own frame comes first."""
+    from .compiler import frame_names
     from .terms import Var
     names: dict = {}
 
@@ -170,7 +170,7 @@ def _visible_var_names(session: Session, tid: int) -> dict:
 
     thread = session.rt.threads.get(tid)
     if thread is not None and thread.task.stack:
-        for name, term in env_names(thread.task.stack[-1][1]):
+        for name, term in frame_names(thread.task.stack[-1][1]):
             note(name, term)
     for name in session.names():
         note(name, session.lookup(name))

@@ -1,0 +1,646 @@
+"""The compile pass: from the desugared statement AST to the form the
+runtime runs.
+
+One top-down walk turns each statement into an instruction and resolves
+each name to a place: a slot of the activation frame it runs in.  A
+frame is a list, made once per procedure call (or per top-level piece):
+``[code, parameters..., locals..., captures...]``.  Every name a
+procedure's body declares, its locals, its ``case`` captures, its guard
+variables and the locals of its choice alternatives, gets a slot of its
+own in that one frame; a name that shadows another simply gets another
+slot (alpha renaming), and sibling scopes never share one, because a
+``thread`` and its sibling may both be alive in one activation.  A name
+the body uses but does not declare is captured: a closure copies the
+values of its free names out of the frame it is made in (a flat
+closure), and a call appends them to the new frame, where they sit at
+negative slots (``-1`` is the first captured), so no lookup walks a
+chain.  A top-level piece captures its free names, the globals, from the
+session's dictionary by name when it starts (:meth:`Code.frame`); no
+global is ever redeclared, so the value taken then is the one a later
+lookup would find.
+
+Every slot is written before it is read on every path, so frames are
+never trailed: a ``local`` writes the names it makes when it is reached,
+a first use writes the value it meets, a ``case`` arm its captures and
+a guard its variables; after a backtrack, a failed guard or a failed
+``case`` arm, the path taken writes a slot again before reading it.
+
+The instructions (each a slotted class, dispatched on by type):
+
+* ``Body(made, pushed)``: a block or a ``local``: make a variable in each
+  slot of ``made`` and push the statements, last first.  A procedure's
+  body, an ``if`` or ``case`` arm and an ``else`` that is a ``Body`` is
+  entered by the statement that pushes it, with no reduction of its own.
+* ``Unify(lhs, rhs)``, ``Call(target, args)``, ``Op`` (an integer
+  operator), ``Builtin(name, args)`` (``==`` and ``$test``),
+  ``Case``, ``If``, ``Choice``, ``Proc`` (a procedure definition),
+  ``Thread``, ``SKIP`` and ``FAIL``.
+
+An operand is a slot (an ``int``), a literal (an ``Atom`` or ``Int``),
+``None`` for a void (``_`` as an argument of a compound), a ``Build``
+(a compound to build) or a ``Fresh`` (a first use, see below).  A
+``case`` pattern is compiled as an operand is, with a tuple ``(label,
+arity, args)`` for a compound and a slot for a name it captures.
+
+A name of a ``local`` whose first use is, in a statement of the local's
+body itself, an occurrence in ``X = f(...)`` (as ``X`` or as an argument
+of ``f``, once) or the result of an integer operator of which it is not
+also an operand, is not made at entry: that occurrence is a ``Fresh``,
+which stores the value it meets in the slot (the WAM's
+``unify_variable`` for a first occurrence).  Nothing can read the name
+before, as no earlier statement mentions it.
+
+The compiled form holds no session state: it can be cached with the
+parse and shared between sessions.  Each :class:`Code` keeps the name
+of each frame slot (``names``), which the deadlock report reads.
+"""
+
+from __future__ import annotations
+
+import operator as _operator
+from typing import Optional
+
+from . import syntax as syn
+from .errors import OzkError
+from .syntax import CAnon, CCompound, CLit, CVar, PAnon, PCompound, PLit, PVar
+
+# -- operands ------------------------------------------------------------------
+
+
+class Build:
+    """A compound to build: its label and its arguments' operands."""
+    __slots__ = ("label", "args")
+
+    def __init__(self, label: str, args: tuple):
+        self.label = label
+        self.args = args
+
+
+class Fresh:
+    """The first use of a local name that its ``local`` does not make.
+    Where a term is built it makes the variable; where it meets a value
+    already there it takes that value; as an operator's result it is the
+    value computed.  Either way the slot is set to what it stands for."""
+    __slots__ = ("slot",)
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+
+# -- instructions ------------------------------------------------------------
+
+
+class Code:
+    """A compiled procedure, or a top-level piece (no parameters).
+
+    A frame is ``[code, parameters..., locals..., captured values...]``;
+    ``blank`` fills the locals, and ``captures`` says where the captured
+    values come from, in frame order: slots of the frame the procedure is
+    defined in, or, for a top-level piece or a procedure compiled on its
+    own, names.  ``names`` pairs each slot with its name, innermost scope
+    first: the scopes latest declared first (a scope's own names in
+    order), the parameters, then the captured names."""
+    __slots__ = ("name", "arity", "blank", "captures", "body", "names")
+
+    def __init__(self, name, arity, blank, captures, body, names):
+        self.name = name
+        self.arity = arity
+        self.blank = blank
+        self.captures = captures
+        self.body = body
+        self.names = names
+
+    def env(self, values: dict) -> list:
+        """The captured values of a piece whose captures are names, taken
+        from ``values``."""
+        try:
+            return [values[name] for name in self.captures]
+        except KeyError as e:
+            raise OzkError(f"variable {e.args[0]} has no binding at run "
+                           f"time") from None
+
+    def frame(self, values: dict) -> list:
+        """A frame for a top-level piece, its globals taken from
+        ``values``."""
+        frame = [self]
+        frame += self.blank
+        frame += self.env(values)
+        return frame
+
+
+class Body:
+    """A block or a ``local``: the slots it makes a variable in, and its
+    statements last first, in the order in which a task pushes them."""
+    __slots__ = ("made", "pushed")
+
+    def __init__(self, made: tuple, pushed: tuple):
+        self.made = made
+        self.pushed = pushed
+
+
+class Unify:
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        self.lhs = lhs
+        self.rhs = rhs
+
+
+class Call:
+    __slots__ = ("target", "args")
+
+    def __init__(self, target, args: tuple):
+        self.target = target
+        self.args = args
+
+
+class Op:
+    """An integer operator: ``r = a <name> b``, or, for a comparison with
+    no result (``r`` None), a test.  ``fn`` computes it and ``arith`` says
+    whether it is one of ``+ - * div``."""
+    __slots__ = ("name", "fn", "arith", "a", "b", "r")
+
+    def __init__(self, name, fn, arith, a, b, r):
+        self.name = name
+        self.fn = fn
+        self.arith = arith
+        self.a = a
+        self.b = b
+        self.r = r
+
+
+class Builtin:
+    """A statement looked up in the builtins registry (``==``, ``$test``)."""
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args
+
+
+class Case:
+    """``arms`` are ``(pattern, body)`` pairs, tried in order."""
+    __slots__ = ("subject", "arms", "otherwise")
+
+    def __init__(self, subject, arms: tuple, otherwise):
+        self.subject = subject
+        self.arms = arms
+        self.otherwise = otherwise
+
+
+# How an `if` arm's guard runs: a statement on a trail of its own, or one
+# of the pure tests, which bind nothing: an integer comparison, `==` of
+# two operands, or another registry test.
+GUARD, OP_TEST, EQ_TEST, TEST = range(4)
+
+
+class Arm:
+    """An ``if`` arm: the slots of its guard variables, its guard, its
+    body, and how the guard runs (``test``)."""
+    __slots__ = ("made", "guard", "body", "test")
+
+    def __init__(self, made, guard, body, test):
+        self.made = made
+        self.guard = guard
+        self.body = body
+        self.test = test
+
+
+class If:
+    __slots__ = ("arms", "otherwise")
+
+    def __init__(self, arms: tuple, otherwise):
+        self.arms = arms
+        self.otherwise = otherwise
+
+
+class Alt:
+    """A ``choice`` alternative: the slots it makes, its head (the leading
+    unifications of its body, in order, which a search engine runs before
+    it makes a choicepoint) and the rest, last first."""
+    __slots__ = ("made", "head", "pushed")
+
+    def __init__(self, made, head, pushed):
+        self.made = made
+        self.head = head
+        self.pushed = pushed
+
+
+class Choice:
+    __slots__ = ("alts",)
+
+    def __init__(self, alts: tuple):
+        self.alts = alts
+
+
+class Proc:
+    """A procedure definition: bind the slot ``slot`` to a closure of
+    ``code``."""
+    __slots__ = ("slot", "code")
+
+    def __init__(self, slot: int, code: Code):
+        self.slot = slot
+        self.code = code
+
+
+class Thread:
+    __slots__ = ("body",)
+
+    def __init__(self, body):
+        self.body = body
+
+
+class Skip:
+    __slots__ = ()
+
+
+class Fail:
+    __slots__ = ()
+
+
+SKIP = Skip()
+FAIL = Fail()
+
+
+def frame_names(frame: list):
+    """Yield the (name, value) pairs of a frame's written slots, innermost
+    scope first (see ``Code.names``)."""
+    for slot, name in frame[0].names:
+        value = frame[slot]
+        if value is not None:
+            yield name, value
+
+
+# -- first uses --------------------------------------------------------------
+
+
+def _unify_counts(s: syn.Unify) -> dict:
+    """How often each name occurs in a unification (walked with a stack)."""
+    counts: dict = {}
+    todo = [s.lhs, s.rhs]
+    while todo:
+        e = todo.pop()
+        if type(e) is CVar:
+            counts[e.name] = counts.get(e.name, 0) + 1
+        elif type(e) is CCompound:
+            todo.extend(e.args)
+    return counts
+
+
+def _first_in_unify(s: syn.Unify, first: set) -> list:
+    """The names of ``first`` that are the variable of ``s``, a ``X =
+    f(...)`` or ``f(...) = X``, or an argument of its compound."""
+    var, comp = s.lhs, s.rhs
+    if type(var) is not CVar:
+        var, comp = comp, var
+    if type(var) is not CVar or type(comp) is not CCompound:
+        return []
+    done = [a.name for a in comp.args
+            if type(a) is CVar and a.name in first]
+    if var.name in first:
+        done.append(var.name)
+    return done
+
+
+def _operator_names(exprs) -> set:
+    """The names that operands of an operator statement read: a name or a
+    literal, and rarely a compound (a type error when it runs)."""
+    out: set = set()
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        if type(e) is CVar:
+            out.add(e.name)
+        elif type(e) is CCompound:
+            todo.extend(e.args)
+    return out
+
+
+def first_uses(names: tuple, stmts) -> dict:
+    """The first uses of the names of ``local <names> in <stmts> end``:
+    a dict from the index of a statement to the names first used there.
+
+    A name is first used in a statement of the body itself (not nested in
+    another statement) when no earlier statement mentions it and it
+    occurs in ``X = f(...)`` or ``f(...) = X`` once, as ``X`` or as an
+    argument of ``f``, or is the result of an integer operator ``R = A op
+    B`` of which it is not also an operand.  A shallow scan finds the
+    last statement that may hold one; one pass over the statements up to
+    it, in order, decides, and stops once every name has been met."""
+    end = 0
+    for i, s in enumerate(stmts):
+        kind = type(s)
+        if kind is syn.Unify:
+            if CCompound in (type(s.lhs), type(s.rhs)):
+                end = i + 1
+        elif (kind is syn.BuiltinCall and len(s.args) == 3
+              and s.name in syn.OPERATORS and type(s.args[2]) is CVar
+              and s.args[2].name in names):
+            end = i + 1
+    out: dict = {}
+    if not end:
+        return out
+    unseen = set(names)
+    for i in range(end):
+        if not unseen:
+            break
+        s = stmts[i]
+        kind = type(s)
+        if kind is syn.Unify:
+            counts = _unify_counts(s)
+            first = {n for n in unseen.intersection(counts) if counts[n] == 1}
+            unseen.difference_update(counts)
+            if first:
+                done = _first_in_unify(s, first)
+                if done:
+                    out[i] = done
+        elif kind is syn.BuiltinCall and s.name in syn.OPERATORS:
+            args = s.args
+            unseen.difference_update(_operator_names(args[:2]))
+            if len(args) == 3:
+                r = args[2]
+                if type(r) is CVar and r.name in unseen:
+                    out[i] = [r.name]
+                    unseen.discard(r.name)
+                else:
+                    unseen.difference_update(_operator_names(args[2:]))
+        else:
+            unseen -= syn.free_names(s)
+    return out
+
+
+# -- the pass ------------------------------------------------------------------
+
+_ARITH = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
+          "div": _operator.floordiv}
+_COMPARE = {"<": _operator.lt, ">": _operator.gt, "=<": _operator.le,
+            ">=": _operator.ge}
+_PURE_TESTS = frozenset(("==", "<", ">", "=<", ">=", "$test"))
+
+
+class _Compiler:
+    """Compiles the statements of one activation.  It keeps the slot each
+    name in scope stands for, the name of each slot, and the captured
+    names with where each comes from: a slot of the enclosing
+    activation's frame (``up``), or, with no enclosing activation, the
+    name itself."""
+    __slots__ = ("up", "scope", "slots", "scopes", "sources", "captured")
+
+    def __init__(self, up: Optional["_Compiler"], params=()):
+        self.up = up
+        self.scope: dict = {}
+        self.slots: list = [None]       # frame position -> name
+        self.scopes: list = []          # the first slot of each scope
+        self.sources: list = []         # in capture order
+        self.captured: list = []
+        self.bind(params)
+
+    def resolve(self, name: str) -> int:
+        slot = self.scope.get(name)
+        if slot is None:
+            self.sources.append(name if self.up is None
+                                else self.up.resolve(name))
+            self.captured.append(name)
+            slot = self.scope[name] = -len(self.sources)
+        return slot
+
+    def bind(self, names) -> tuple:
+        """Give each of ``names`` a new slot: ``(slots, saved)``, where
+        ``saved`` is for :meth:`unbind` at the end of their scope."""
+        if not names:
+            return (), ()
+        scope, slots = self.scope, self.slots
+        saved = tuple([(n, scope.get(n)) for n in names])
+        first = len(slots)
+        self.scopes.append(first)
+        for n in names:
+            scope[n] = len(slots)
+            slots.append(n)
+        return tuple(range(first, len(slots))), saved
+
+    def unbind(self, saved) -> None:
+        scope = self.scope
+        for n, old in saved:
+            if old is None:
+                del scope[n]
+            else:
+                scope[n] = old
+
+    def code(self, name: str, body) -> Code:
+        """The code of a procedure (or piece) whose body is ``body``,
+        compiled after its parameters were bound."""
+        arity = len(self.slots) - 1
+        body = self.stmt(body)
+        slots = self.slots
+        names = []
+        end = len(slots)
+        for first in reversed(self.scopes):
+            names += [(i, slots[i]) for i in range(first, end)]
+            end = first
+        names += [(-1 - j, n) for j, n in enumerate(self.captured)]
+        return Code(name, arity, (None,) * (len(slots) - 1 - arity),
+                    tuple(reversed(self.sources)), body, tuple(names))
+
+    # -- operands --------------------------------------------------------
+
+    def expr(self, e, first=()):
+        """The operand of ``e``, where a name of ``first`` is a first use.
+        The chain of last arguments (a list's spine) is compiled in a
+        loop."""
+        kind = type(e)
+        if kind is CVar:
+            name = e.name
+            slot = self.scope.get(name)
+            if slot is None:
+                slot = self.resolve(name)
+            return Fresh(slot) if first and name in first else slot
+        if kind is CLit:
+            return e.value
+        if kind is CAnon:
+            return None
+        spine = []
+        while type(e) is CCompound and e.args:
+            spine.append(e)
+            e = e.args[-1]
+        form = (Build(e.label, ()) if type(e) is CCompound
+                else self.expr(e, first))
+        for c in reversed(spine):
+            form = Build(c.label, self.exprs(c.args[:-1], first) + (form,))
+        return form
+
+    def exprs(self, es, first=()) -> tuple:
+        """The operands of ``es``; a name is looked up here, the common
+        case."""
+        scope = self.scope
+        out = []
+        for e in es:
+            if type(e) is CVar and not first:
+                slot = scope.get(e.name)
+                out.append(slot if slot is not None else self.resolve(e.name))
+            else:
+                out.append(self.expr(e, first))
+        return tuple(out)
+
+    def pattern(self, p, saved: list):
+        """The compiled form of a ``case`` pattern; each name it captures
+        gets a new slot, its old one appended to ``saved``.  The caller
+        marks the scope."""
+        kind = type(p)
+        if kind is PVar:
+            name, scope = p.name, self.scope
+            saved.append((name, scope.get(name)))
+            slot = scope[name] = len(self.slots)
+            self.slots.append(name)
+            return slot
+        if kind is PAnon:
+            return None
+        if kind is PLit:
+            return p.value
+        spine = []
+        while type(p) is PCompound and p.args:
+            spine.append(p)
+            p = p.args[-1]
+        forms = [[self.pattern(a, saved) for a in q.args[:-1]] for q in spine]
+        form = ((p.label, 0, ()) if type(p) is PCompound
+                else self.pattern(p, saved))
+        for q, args in zip(reversed(spine), reversed(forms)):
+            form = (q.label, len(q.args), tuple(args) + (form,))
+        return form
+
+    # -- statements ---------------------------------------------------------
+
+    def stmts(self, stmts, firsts=None) -> tuple:
+        """Compile a run of statements: the instructions, last first."""
+        table = _COMPILE
+        if firsts:
+            out = [table[type(s)](self, s, firsts.get(i))
+                   for i, s in enumerate(stmts)]
+        else:
+            out = [table[type(s)](self, s, None) for s in stmts]
+        out.reverse()
+        return tuple(out)
+
+    def stmt(self, s, first=None):
+        compile_ = _COMPILE.get(type(s))
+        if compile_ is None:
+            raise TypeError(f"cannot compile {s!r}")
+        return compile_(self, s, first)
+
+    def call(self, s: syn.Call, first) -> Call:
+        return Call(self.expr(s.target), self.exprs(s.args))
+
+    def block(self, s: syn.Block, first) -> Body:
+        return Body((), self.stmts(s.stmts))
+
+    def local(self, s: syn.Local, first) -> Body:
+        body = s.body
+        stmts = body.stmts if type(body) is syn.Block else (body,)
+        firsts = first_uses(s.names, stmts)
+        slots, saved = self.bind(s.names)
+        if firsts:
+            fresh = {n for names in firsts.values() for n in names}
+            slots = tuple([slot for n, slot in zip(s.names, slots)
+                           if n not in fresh])
+        pushed = self.stmts(stmts, firsts)
+        self.unbind(saved)
+        return Body(slots, pushed)
+
+    def case(self, s: syn.CaseStmt, first) -> Case:
+        subject = self.expr(s.subject)
+        arms = []
+        for arm in s.arms:
+            saved: list = []
+            self.scopes.append(len(self.slots))
+            pattern = self.pattern(arm.pattern, saved)
+            arms.append((pattern, self.stmt(arm.body)))
+            self.unbind(saved)
+        return Case(subject, tuple(arms), self.stmt(s.otherwise))
+
+    def if_(self, s: syn.IfStmt, first) -> If:
+        arms = []
+        for arm in s.arms:
+            made, saved = self.bind(arm.guard_vars)
+            g = arm.guard
+            test = GUARD
+            if (not made and type(g) is syn.BuiltinCall
+                    and g.name in _PURE_TESTS and len(g.args) <= 2):
+                test = (OP_TEST if g.name in syn.OPERATORS
+                        else EQ_TEST if g.name == "==" else TEST)
+            arms.append(Arm(made, self.stmt(g), self.stmt(arm.body), test))
+            self.unbind(saved)
+        return If(tuple(arms), self.stmt(s.otherwise))
+
+    def choice(self, s: syn.Choice, first) -> Choice:
+        return Choice(tuple([self.alternative(a) for a in s.alternatives]))
+
+    def thread(self, s: syn.ThreadStmt, first) -> Thread:
+        return Thread(self.stmt(s.body))
+
+    def unify(self, s: syn.Unify, first) -> Unify:
+        if not first:
+            return Unify(self.expr(s.lhs), self.expr(s.rhs))
+        var, comp = s.lhs, s.rhs
+        var_left = type(var) is CVar
+        if not var_left:
+            var, comp = comp, var
+        build = Build(comp.label, self.exprs(comp.args, first))
+        if var.name in first:
+            # nothing is unified, so the orientation is moot: one form
+            return Unify(self.expr(var, first), build)
+        slot = self.resolve(var.name)
+        return Unify(slot, build) if var_left else Unify(build, slot)
+
+    def builtin(self, s: syn.BuiltinCall, first):
+        args = s.args
+        if s.name not in syn.OPERATORS:
+            return Builtin(s.name, self.exprs(args))
+        a, b = self.expr(args[0]), self.expr(args[1])
+        r = self.expr(args[2], first or ()) if len(args) == 3 else None
+        fn = _ARITH.get(s.name)
+        return Op(s.name, fn or _COMPARE[s.name], fn is not None, a, b, r)
+
+    def alternative(self, alt) -> Alt:
+        """Split a choice alternative into the slots it makes, its head and
+        the rest: the statements of a block, the compiled body of a local,
+        or the statement alone."""
+        ins = self.stmt(alt)
+        if type(ins) is Body:
+            made, stmts = ins.made, ins.pushed[::-1]
+        else:
+            made, stmts = (), (ins,)
+        n = 0
+        while n < len(stmts) and type(stmts[n]) is Unify:
+            n += 1
+        return Alt(made, stmts[:n], stmts[n:][::-1])
+
+    def proc(self, s: syn.ProcDef, first) -> Proc:
+        code = _Compiler(self, s.params).code(s.name, s.body)
+        return Proc(self.resolve(s.name), code)
+
+
+_COMPILE = {
+    syn.Call: _Compiler.call,
+    syn.Unify: _Compiler.unify,
+    syn.BuiltinCall: _Compiler.builtin,
+    syn.Block: _Compiler.block,
+    syn.Local: _Compiler.local,
+    syn.CaseStmt: _Compiler.case,
+    syn.IfStmt: _Compiler.if_,
+    syn.Choice: _Compiler.choice,
+    syn.ProcDef: _Compiler.proc,
+    syn.ThreadStmt: _Compiler.thread,
+    syn.Skip: lambda self, s, first: SKIP,
+    syn.Fail: lambda self, s, first: FAIL,
+}
+
+
+def compile_top(stmt) -> Code:
+    """Compile a top-level piece: its free names are the globals, which
+    :meth:`Code.frame` takes by name when it starts."""
+    return _Compiler(None).code("", stmt)
+
+
+def compile_procedure(proc: syn.ProcDef) -> Code:
+    """Compile a procedure on its own: its free names, its own among them,
+    are captured by name (see :meth:`Code.env`)."""
+    return _Compiler(None, proc.params).code(proc.name, proc.body)

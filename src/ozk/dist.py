@@ -57,6 +57,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .builtins import make_builtins
+from .compiler import compile_top
 from .errors import PlacementError
 from .interp import Session
 from .parser import parse_interactive
@@ -361,13 +362,16 @@ class Simulation:
                         self.nodes[nid].globals[name] = \
                             self.nodes[nid].store.intern(var.vid)
 
+        # each piece runs in a frame of its own, its free names taken
+        # from its node's globals
         if setup:
-            stmt = seq_all(list(setup))
+            code = compile_top(seq_all(list(setup)))
             for node in self.nodes:
-                node.rt.spawn(stmt, node.globals)
+                node.rt.spawn(code.body, code.frame(node.globals))
         for i, body in enumerate(threads):
             node = self.nodes[thread_nodes[i]]
-            node.rt.spawn(body, node.globals)
+            code = compile_top(body)
+            node.rt.spawn(code.body, code.frame(node.globals))
 
     # -- store hooks (one object serves every node's store) ------------
 

@@ -9,36 +9,41 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .builtins import make_builtins
+from .compiler import compile_top
 from .parser import parse_interactive
 from .prelude import PRELUDE
-from .runtime import RunResult, Runtime, env_child
+from .runtime import RunResult, Runtime
 from .terms import Store, Term
 
 
-# text -> (its identifiers, those of them that were global, the parse).
-# Statements are immutable, so a parse can be shared between sessions;
-# this mostly pays off for the prelude, which every session feeds.
+# text -> (its identifiers, those of them that were global, the compiled
+# chunk and its new global names).  The compiled form holds no session
+# state, so it can be shared between sessions; this mostly pays off for
+# the prelude, which every session feeds.
 _PARSES: dict = {}
 _PARSES_MAX = 64
 
 
-def _parse_cached(text: str, global_names: dict):
-    """Parse a chunk against `global_names`, reusing an earlier parse.
+def _compile_cached(text: str, global_names: dict):
+    """Parse and compile a chunk against `global_names`, reusing an
+    earlier compilation: ``(code, new_names)``.
 
     A parse depends only on the text and on which of the text's
-    identifiers are global, so an entry is keyed by the text and holds
-    while those identifiers are still the global ones.  The entries are
-    kept in least-recently-used order and bounded."""
+    identifiers are global, and the compiled form only on the parse, so
+    an entry is keyed by the text and holds while those identifiers are
+    still the global ones.  The entries are kept in least-recently-used
+    order and bounded."""
     entry = _PARSES.pop(text, None)
     if entry is not None and global_names.keys() & entry[0] == entry[1]:
         _PARSES[text] = entry
         return entry[2]
     idents: set = set()
-    parsed = parse_interactive(text, global_names, idents)
+    stmt, new_names = parse_interactive(text, global_names, idents)
+    compiled = compile_top(stmt), new_names
     if len(_PARSES) >= _PARSES_MAX:
         del _PARSES[next(iter(_PARSES))]
-    _PARSES[text] = (idents, global_names.keys() & idents, parsed)
-    return parsed
+    _PARSES[text] = (idents, global_names.keys() & idents, compiled)
+    return compiled
 
 
 class Session:
@@ -52,25 +57,24 @@ class Session:
                           seed=seed, max_steps=max_steps, real_time=real_time,
                           on_browse=on_browse, on_trace=on_trace)
         self.store = self.rt.store
-        # the global frame is shared, not copied: later feeds add names to it
-        self.globals: dict = env_child(None, native)
-        self.env = self.globals
+        # name -> value, shared by every chunk: later feeds add names to it
+        self.globals: dict = dict(native)
         if prelude:
             result = self.feed(PRELUDE)
             if result.status != "done":
                 raise AssertionError(f"prelude failed: {result}")
 
     def names(self) -> tuple:
-        return tuple(n for n in self.globals if not n.startswith("\x00"))
+        return tuple(self.globals)
 
     def feed(self, text: str) -> RunResult:
-        """Parse a chunk, expose its declarations globally, run to rest."""
-        # The frame itself is the global container: its "\x00up" key is
-        # never a source identifier.
-        stmt, new_names = _parse_cached(text, self.globals)
+        """Parse a chunk, expose its declarations globally, run to rest.
+        The chunk runs in a frame of its own, its globals taken from the
+        shared dictionary when it starts."""
+        code, new_names = _compile_cached(text, self.globals)
         for name in new_names:
             self.globals[name] = self.store.new_var()
-        self.rt.spawn(stmt, self.env)
+        self.rt.spawn(code.body, code.frame(self.globals))
         return self.rt.run()
 
     def lookup(self, name: str) -> Term:

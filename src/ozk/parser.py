@@ -55,7 +55,7 @@ MAX_NESTING = 100
 # -- tokens ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Tok:
     kind: str          # int var atom anon kw op eof
     val: object
@@ -290,7 +290,9 @@ class _Parser:
         self.idents: set[str] = {t.val for t in self.toks if t.kind == "var"}
 
     def peek(self, k: int = 0) -> Tok:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+        toks = self.toks
+        i = self.i + k
+        return toks[i] if i < len(toks) else toks[-1]
 
     def next(self) -> Tok:
         t = self.toks[self.i]

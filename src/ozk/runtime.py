@@ -1,27 +1,34 @@
 """Statement execution, green threads and the cooperative scheduler.
 
-One statement reduction at a time: a task owns a stack of (statement,
-environment) frames, and `Task.run` is the one loop that reduces them.
-It pops the top frame, counts it against the step budget and has
-`exec_stmt` interpret it, which pushes continuations.  Threads, the
-guards of `if` arms and search engines are all tasks run by that loop;
-a task's mode decides what it may do (only a thread creates threads and
-sleeps, only an engine pushes choicepoints) and how a signal leaves it.
-A thread runs a timeslice of its own reductions at a time; a guard or an
-engine runs to its end inside one reduction of the task that started
-it, so its reductions do not use up that task's timeslice.
+The runtime runs only the compiled form (see compiler.py).  One
+instruction reduction at a time: a task owns a stack of (instruction,
+frame) pairs, and `Task.run` is the one loop that reduces them.  It pops
+the top pair, counts it against the step budget and has `exec_stmt`
+interpret it, which pushes continuations.  Threads, the guards of `if`
+arms and search engines are all tasks run by that loop; a task's mode
+decides what it may do (only a thread creates threads and sleeps, only
+an engine pushes choicepoints) and how a signal leaves it.  A thread
+runs a timeslice of its own reductions at a time; a guard or an engine
+runs to its end inside one reduction of the task that started it, so
+its reductions do not use up that task's timeslice.
+
+A frame is a list, one per procedure call (and one per top-level piece):
+the code, the arguments, a slot for every name the body declares and
+the values the closure captured.  Every operand that names a variable
+is a slot index, so a name costs one list index and never a lookup.  A
+call makes the frame (`call_frame`, inlined in `exec_stmt`); a `local`,
+a `case` arm, a guard or a choice alternative writes its names into the
+slots of the frame it runs in and makes none of its own.
 
 A block pushes all of its statements in one reduction, and a body that
-is a block (of a `local`, a procedure, an `if` or `case` arm) is pushed
-flat with the statement that runs it.  A body that is a `local` (of a
-procedure, an `if` or `case` arm or an `else`) is entered by the
-statement that pushes it: its frame is made and its compiled statements
-pushed, with no reduction of its own (`Task.push_body`); a `thread`'s
-body is not, so its names are made when the thread first runs.  Tail
-calls replace the popped frame, so the stack stays flat through
-recursion.  `X = f(...)` is
-compiled unification: when `X` is already a compound of the same label
-and arity, its arguments are unified in place and nothing is built
+is a block or a `local` (of a procedure, an `if` or `case` arm or an
+`else`) is entered by the statement that pushes it: its variables are
+made and its statements pushed, with no reduction of its own
+(`Task.push_body`); a `thread`'s body is not, so its variables are made
+when the thread first runs.  Tail calls replace the popped pair, so the
+stack stays flat through recursion.  `X = f(...)` is compiled
+unification: when `X` is already a compound of the same label and
+arity, its arguments are unified in place and nothing is built
 (`unify_compound`).  A unification statement runs through `exec_unify`,
 as a reduction of its own or as part of the head of a `choice`
 alternative: an engine's `choice` runs its alternatives' leading
@@ -29,20 +36,23 @@ unifications inside its own reduction and pushes only the rest of the
 one it enters (`search.Engine.choose`).
 
 The integer operators `+ - * div` and `< > =< >=` run inline
-(`exec_op`): each operand comes from the environment or the literal and
-is dereferenced once, and an unbound one suspends the statement.  The
-other builtin statements (`==`, `$test`) are looked up in the builtins
-registry.  A `case` runs the compiled patterns of its arms
-(`match_case`), which write their captures straight into the arm's
-frame.
+(`exec_op`): each operand comes from its slot or is the literal and is
+dereferenced once, and an unbound one suspends the statement.  `==` as
+the test of an `if` compares two integers or two atoms inline
+(`exec_equal_test`); any other `==`, and `$test`, are looked up in the
+builtins registry.  A `case` runs the compiled patterns of its arms
+(`match_case`), which write their captures straight into their slots.
 
-A `local` makes only the names of its compiled form's `made`.  Each other
-name is first used as a `CFresh`, in a `X = f(...)` of its body or as the
+A `local` makes a variable only for the slots of its `made`.  Each other
+name is first used as a `Fresh`, in a `X = f(...)` of its body or as the
 result of an operator.  In read mode it takes the compound's argument as
 its value, with no variable and no binding; where the term is built it
 makes the variable there; an operator stores the integer (or `true` or
-`false`) it computes.  Either way the name is stored in the local's
-frame, which is the environment the statement runs in.
+`false`) it computes.  Either way the value is stored in the name's
+slot.
+
+A failure's text is made only when something reads it (`Failure`): an
+engine backtracks from most failures without ever showing one.
 
 Threads are cooperatively scheduled in timeslices over a single store.
 Blocking is dataflow only: a thread that needs a variable's value parks
@@ -62,22 +72,37 @@ from itertools import repeat as _repeat
 from typing import Callable, Optional
 
 from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
-                     RuntimeFailure, ThreadInSearchError)
-from .syntax import (OPERATORS, Block, BuiltinCall, Call, CaseStmt, CAnon,
-                     CCompound, CFresh, Choice, CLit, CVar, Fail, IfStmt,
-                     Local, ProcDef, Skip, ThreadStmt, Unify)
-from .terms import (FALSE, INT_MAX, INT_MIN, TRUE, Closure, Compound, Int,
-                    NativeProc, Store, Term, UnifyResult, Var, render)
+                     ThreadInSearchError)
+from .compiler import (EQ_TEST, OP_TEST, TEST, Body, Build, Builtin, Call,
+                       Case, Choice, Fail, Fresh, If, Op, Proc, Skip, Thread,
+                       Unify)
+from .terms import (FALSE, INT_MAX, INT_MIN, TRUE, Atom, Closure, Compound,
+                    Int, NativeProc, Store, Term, UnifyResult, Var, render)
 
 # -- control-flow signals -----------------------------------------------------
 
 
 class Failure(Exception):
-    """Declarative failure: a unification or test came out false."""
+    """Declarative failure: a unification or test came out false.
 
-    def __init__(self, reason: str = ""):
-        super().__init__(reason)
-        self.reason = reason
+    Its text is made only when it is read (``reason``): ``why`` is the
+    text, a failed :class:`UnifyResult`, or a false comparison ``(x,
+    name, y)``.  A search engine fails and backtracks far more often than
+    anything shows a failure's text."""
+
+    def __init__(self, why=""):
+        super().__init__(why)
+        self.why = why
+
+    @property
+    def reason(self) -> str:
+        why = self.why
+        if type(why) is str:
+            return why
+        if type(why) is tuple:
+            x, name, y = why
+            return f"{x}{name}{y} is false"
+        return "unification failed: " + why.reason
 
 
 class Suspend(Exception):
@@ -99,93 +124,54 @@ class StepLimit(Exception):
     pass
 
 
-# -- environments ------------------------------------------------------------
-
-_UP = "\x00up"
+# -- building terms ------------------------------------------------------------
 
 
-def env_child(parent: Optional[dict], bindings: dict) -> dict:
-    env = dict(bindings)
-    env[_UP] = parent
-    return env
-
-
-def env_get(env: Optional[dict], name: str) -> Term:
-    e = env
-    while e is not None:
-        v = e.get(name)
-        if v is not None:
-            return v
-        e = e[_UP]
-    raise OzkError(f"variable {name} has no binding at run time")
-
-
-def env_names(env: Optional[dict]):
-    """Yield (name, term) pairs, innermost scope first."""
-    e = env
-    while e is not None:
-        for name, term in e.items():
-            if not name.startswith("\x00"):
-                yield name, term
-        e = e[_UP]
-
-
-def build_term(store: Store, expr, env: dict) -> Term:
+def build_term(store: Store, expr, frame: list) -> Term:
+    """The term an operand stands for in ``frame``; a void or a first use
+    makes a variable."""
     kind = type(expr)
-    if kind is CVar:
-        return env_get(env, expr.name)
-    if kind is CLit:
-        return expr.value
-    if kind is CAnon:
-        return store.new_var()
-    if kind is CFresh:
-        v = env[expr.name] = store.new_var()
-        return v
-    if kind is CCompound:
+    if kind is int:
+        return frame[expr]
+    if kind is Build:
         exprs = expr.args
-        if exprs and type(exprs[-1]) is CCompound:
-            return _build_spine(store, expr, env)
+        if exprs and type(exprs[-1]) is Build:
+            return _build_spine(store, expr, frame)
         args = []
         for a in exprs:
             k = type(a)
-            if k is CVar:
-                # env_get, inlined: most arguments are variables
-                name = a.name
-                e = env
-                while True:
-                    v = e.get(name)
-                    if v is not None:
-                        break
-                    e = e[_UP]
-                    if e is None:
-                        raise OzkError(
-                            f"variable {name} has no binding at run time")
-                args.append(v)
-            elif k is CLit:
-                args.append(a.value)
-            elif k is CAnon:
+            if k is int:
+                args.append(frame[a])
+            elif a is None:
                 args.append(store.new_var())
-            elif k is CFresh:
-                v = env[a.name] = store.new_var()
+            elif k is Fresh:
+                v = frame[a.slot] = store.new_var()
                 args.append(v)
+            elif k is Build:
+                args.append(build_term(store, a, frame))
             else:
-                args.append(build_term(store, a, env))
+                args.append(a)
         return Compound(expr.label, args)
-    raise TypeError(f"cannot build {expr!r}")
+    if expr is None:
+        return store.new_var()
+    if kind is Fresh:
+        v = frame[expr.slot] = store.new_var()
+        return v
+    return expr
 
 
-def _build_spine(store: Store, expr: CCompound, env: dict) -> Term:
+def _build_spine(store: Store, expr: Build, frame: list) -> Term:
     """Build a compound down the chain of its last arguments in a loop.
 
     Only the other arguments are built by recursion, so a long list (a
     chain of '|' cells) takes no stack.  Arguments are built in the same
     order as by plain recursion."""
     cells = []
-    while type(expr) is CCompound and expr.args:
-        cells.append(Compound(expr.label, [build_term(store, a, env)
+    while type(expr) is Build and expr.args:
+        cells.append(Compound(expr.label, [build_term(store, a, frame)
                                            for a in expr.args[:-1]]))
         expr = expr.args[-1]
-    term = build_term(store, expr, env)
+    term = build_term(store, expr, frame)
     for cell in reversed(cells):
         cell.args.append(term)
         term = cell
@@ -195,54 +181,52 @@ def _build_spine(store: Store, expr: CCompound, env: dict) -> Term:
 # -- compiled unification ---------------------------------------------------------
 
 
-def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
+def unify_compound(store: Store, value: Term, pattern: Build, frame: list,
                    value_left: bool):
-    """Unify ``value`` with the compound expression ``pattern``.
+    """Unify ``value`` with the compound operand ``pattern``.
 
     The statement ``X = f(A1 ... An)`` (or ``f(A1 ... An) = X``) comes
-    here with the value of ``X``, dereferenced once.  If it is a compound
-    of the same label and arity, nothing is built (read mode): each
-    argument that is not a void is paired with the compound's argument
-    in the statement's orientation, and the pairs are settled by one
-    :meth:`Store.unify` whose stack they seed, so they are taken last to
-    first, as if the term had been built and unified.  A first use
-    (``CFresh``) takes the compound's argument as its value in ``env``
-    and adds no pair: unifying a fresh variable would only have bound it
-    to that argument.  The exception is another node's unbound variable,
-    which unification would bind (through a message to its owner) rather
-    than the fresh one; there the variable is made and paired as before.
-    A compound of another label or arity gives a failed result with the
-    text that unification gives.  Any other value is unified with the
-    built term (write mode).  Returns the :class:`UnifyResult`, or None
-    when there is nothing to settle."""
+    here with the value of ``X``.  If it is a compound of the same label
+    and arity, nothing is built (read mode): each argument that is not a
+    void is paired with the compound's argument in the statement's
+    orientation, and the pairs are settled by one :meth:`Store.unify`
+    whose stack they seed, so they are taken last to first, as if the
+    term had been built and unified.  A first use (``Fresh``) takes the
+    compound's argument as its value in ``frame`` and adds no pair:
+    unifying a fresh variable would only have bound it to that argument.
+    The exception is another node's unbound variable, which unification
+    would bind (through a message to its owner) rather than the fresh
+    one; there the variable is made and paired as before.  A compound of
+    another label or arity gives a failed result, whose text is the one
+    unification gives.  Any other value is unified with the built term
+    (write mode).  Returns the :class:`UnifyResult`, or None when there
+    is nothing to settle."""
     t = value
     if type(t) is Var and t.ref is not None:
         t = store.deref(t)
     if type(t) is not Compound:
-        built = build_term(store, pattern, env)
+        built = build_term(store, pattern, frame)
         return store.unify(t, built) if value_left else store.unify(built, t)
     xs, exprs = t.args, pattern.args
     if t.label != pattern.label or len(xs) != len(exprs):
-        mine = f"{t.label}/{len(xs)}"
-        theirs = f"{pattern.label}/{len(exprs)}"
-        return UnifyResult(False, (), (
-            f"{mine} = {theirs}" if value_left else f"{theirs} = {mine}"))
+        return UnifyResult(False, (), (t, pattern) if value_left
+                           else (pattern, t))
     pairs = []
     for x, a in zip(xs, exprs):
         k = type(a)
-        if k is CVar:
-            v = env_get(env, a.name)
-        elif k is CLit:
-            v = a.value
-        elif k is CAnon:
+        if k is int:
+            v = frame[a]
+        elif a is None:
             continue
-        elif k is CFresh:
+        elif k is Fresh:
             if store.dist is None or not _is_proxy(store, x):
-                env[a.name] = x
+                frame[a.slot] = x
                 continue
-            v = env[a.name] = store.new_var()
+            v = frame[a.slot] = store.new_var()
+        elif k is Build:
+            v = build_term(store, a, frame)
         else:
-            v = build_term(store, a, env)
+            v = a
         pairs.append((x, v) if value_left else (v, x))
     if not pairs:
         return None
@@ -250,31 +234,31 @@ def unify_compound(store: Store, value: Term, pattern: CCompound, env: dict,
     return store.unify(a, b, pairs)
 
 
-def exec_unify(rt: "Runtime", stmt: Unify, env: dict) -> Optional[str]:
-    """Run the unification statement ``stmt`` in ``env`` and wake the
-    threads it wakes: None when it succeeds, else its failure's text.
-    A reduction of ``stmt`` and a ``choice`` head both run it this way."""
+def exec_unify(rt: "Runtime", stmt: Unify, frame: list):
+    """Run the unification statement ``stmt`` in ``frame`` and wake the
+    threads it wakes: None when it succeeds, else the failed
+    :class:`UnifyResult`.  A reduction of ``stmt`` and a ``choice`` head
+    both run it this way."""
     store = rt.store
     e1, e2 = stmt.lhs, stmt.rhs
     k1, k2 = type(e1), type(e2)
-    if k1 is CVar and k2 is CCompound:
-        res = unify_compound(store, env_get(env, e1.name), e2, env, True)
-    elif k2 is CVar and k1 is CCompound:
-        res = unify_compound(store, env_get(env, e2.name), e1, env, False)
-    elif k1 is CFresh:
+    if k1 is int and k2 is Build:
+        res = unify_compound(store, frame[e1], e2, frame, True)
+    elif k2 is int and k1 is Build:
+        res = unify_compound(store, frame[e2], e1, frame, False)
+    elif k1 is Fresh:
         # the first use of a local name (compiled to the left): it is the
         # built term
-        env[e1.name] = build_term(store, e2, env)
+        frame[e1.slot] = build_term(store, e2, frame)
         return None
     else:
-        t1 = env_get(env, e1.name) if k1 is CVar else build_term(store, e1, env)
-        t2 = env_get(env, e2.name) if k2 is CVar else build_term(store, e2, env)
-        res = store.unify(t1, t2)
+        res = store.unify(frame[e1] if k1 is int else build_term(store, e1, frame),
+                          frame[e2] if k2 is int else build_term(store, e2, frame))
     if res is not None:
         if res.woken:
             rt.wake(res.woken)
         if not res.ok:
-            return "unification failed: " + res.reason
+            return res
     return None
 
 
@@ -287,11 +271,6 @@ def _is_proxy(store: Store, t: Term) -> bool:
 
 
 # -- integer operators ------------------------------------------------------------
-
-_ARITH = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
-          "div": _operator.floordiv}
-_COMPARE = {"<": _operator.lt, ">": _operator.gt, "=<": _operator.le,
-            ">=": _operator.ge}
 
 
 def int_value(store: Store, t: Term) -> int:
@@ -307,68 +286,86 @@ def int_value(store: Store, t: Term) -> int:
     return t.value
 
 
-def exec_op(rt: "Runtime", stmt: BuiltinCall, env: dict) -> Optional[str]:
+def exec_op(rt: "Runtime", stmt: Op, frame: list):
     """Run the integer operator statement ``stmt`` (``+ - * div`` and
-    ``< > =< >=``) in ``env``: None when it succeeds, else its failure's
-    text.  Each operand comes from the environment or the literal; the
-    first is checked, and suspended on, before the second.  A result that
-    is a first use (``CFresh``) stores the value in the frame, with no
+    ``< > =< >=``) in ``frame``: None when it succeeds, else why it
+    failed (see :class:`Failure`).  Each operand is a slot or a literal;
+    the first is checked, and suspended on, before the second.  A result
+    that is a first use (``Fresh``) stores the value in the frame, with no
     variable and no binding; any other result is unified with it.  A
     comparison with no result is a test."""
     store = rt.store
-    args = stmt.args
-    a = args[0]
+    a = stmt.a
     k = type(a)
-    # env_get, inlined for the frame: most operands are in it
-    t = ((env.get(a.name) or env_get(env, a.name)) if k is CVar
-         else a.value if k is CLit else build_term(store, a, env))
+    t = frame[a] if k is int else a if k is Int else build_term(store, a, frame)
     x = t.value if type(t) is Int else int_value(store, t)
-    a = args[1]
+    a = stmt.b
     k = type(a)
-    t = ((env.get(a.name) or env_get(env, a.name)) if k is CVar
-         else a.value if k is CLit else build_term(store, a, env))
+    t = frame[a] if k is int else a if k is Int else build_term(store, a, frame)
     y = t.value if type(t) is Int else int_value(store, t)
-    name = stmt.name
-    fn = _ARITH.get(name)
-    if fn is not None:
-        if not y and fn is _operator.floordiv:
+    r = stmt.r
+    if stmt.arith:
+        if not y and stmt.fn is _operator.floordiv:
             raise OzkError("division by zero")
-        v = fn(x, y)
+        v = stmt.fn(x, y)
         if not INT_MIN <= v <= INT_MAX:
-            raise OzkError(f"integer overflow in {name}")
+            raise OzkError(f"integer overflow in {stmt.name}")
         value = Int(v)
-    elif len(args) == 2:
-        return None if _COMPARE[name](x, y) else f"{x}{name}{y} is false"
+    elif r is None:
+        return None if stmt.fn(x, y) else (x, stmt.name, y)
     else:
-        value = TRUE if _COMPARE[name](x, y) else FALSE
-    r = args[2]
+        value = TRUE if stmt.fn(x, y) else FALSE
     k = type(r)
-    if k is CFresh:
-        env[r.name] = value
+    if k is Fresh:
+        frame[r.slot] = value
         return None
-    res = store.unify(env_get(env, r.name) if k is CVar
-                      else build_term(store, r, env), value)
+    res = store.unify(frame[r] if k is int else build_term(store, r, frame),
+                      value)
     if res.woken:
         rt.wake(res.woken)
     if not res.ok:
-        return "unification failed: " + res.reason
+        return res
     return None
+
+
+def exec_equal_test(task: "Task", stmt: Builtin, frame: list) -> bool:
+    """Whether the test ``A == B`` holds.  Two integers or two atoms are
+    compared here; anything else goes to the registry's ``==``, which
+    suspends on the variables that could still decide it."""
+    store = task.rt.store
+    a, b = stmt.args
+    x = frame[a] if type(a) is int else build_term(store, a, frame)
+    y = frame[b] if type(b) is int else build_term(store, b, frame)
+    if type(x) is Var:
+        x = store.deref(x)
+    if type(y) is Var:
+        y = store.deref(y)
+    kind = type(x)
+    if kind is type(y):
+        if kind is Int:
+            return x.value == y.value
+        if kind is Atom:
+            return x.name == y.name
+    try:
+        _registry(task.rt, "==")(task, [x, y])
+    except Failure:
+        return False
+    return True
 
 
 # -- pattern matching -----------------------------------------------------------
 
 
-def match_case(store: Store, pattern, t: Term, frame: dict):
+def match_case(store: Store, pattern, t: Term, frame: list):
     """Match the dereferenced value ``t`` against a compiled ``case``
-    pattern (``syntax.compile_pattern``), writing each capture,
-    dereferenced, into ``frame``: True on a match, False on a clash, or
-    the unbound variable that decides it.  Arguments are taken left to
-    right, depth first, and the first variable or clash met decides.  The
-    store is not changed; the chain of last arguments is followed in a
-    loop."""
+    pattern, writing each capture, dereferenced, into its slot of
+    ``frame``: True on a match, False on a clash, or the unbound variable
+    that decides it.  Arguments are taken left to right, depth first, and
+    the first variable or clash met decides.  The store is not changed;
+    the chain of last arguments is followed in a loop."""
     while True:
         if type(pattern) is not tuple:
-            if type(pattern) is str:
+            if type(pattern) is int:
                 frame[pattern] = t
                 return True
             if pattern is None:
@@ -390,7 +387,7 @@ def match_case(store: Store, pattern, t: Term, frame: dict):
             x = xs[i]
             if type(x) is Var and x.ref is not None:
                 x = store.deref(x)
-            if type(p) is str:
+            if type(p) is int:
                 frame[p] = x
             elif type(p) is not tuple:
                 if type(x) is Var:
@@ -412,7 +409,8 @@ def match_case(store: Store, pattern, t: Term, frame: dict):
 
 
 class Task:
-    """A stack of (statement, env) frames and the one loop that reduces them.
+    """A stack of (instruction, frame) pairs and the one loop that reduces
+    them.
 
     A task runs in one of three modes.  A ``thread`` task is a thread's,
     sliced by the scheduler; only it may create threads and sleep.  A
@@ -427,55 +425,43 @@ class Task:
         self.engine = engine
         self.stack: list = []
 
-    def push(self, stmt, env):
-        self.stack.append((stmt, env))
+    def push(self, stmt, frame):
+        self.stack.append((stmt, frame))
 
-    def push_block(self, block, env):
-        """Push the statements of a block, the compiled body of a local
-        or the rest of a choice alternative, so that the first runs
-        next."""
+    def push_block(self, block, frame):
+        """Push the statements of a body or of the rest of a choice
+        alternative, so that the first runs next."""
         stack = self.stack
         for stmt in block.pushed:
-            stack.append((stmt, env))
-
-    def push_local(self, local, env):
-        """Enter ``local``: make its frame, with a variable for each name
-        of its ``made``, and push its compiled statements there."""
-        frame = {}
-        new_var = self.rt.store.new_var
-        for name in local.made:
-            frame[name] = new_var()
-        frame[_UP] = env
-        stack = self.stack
-        for stmt in local.pushed:
             stack.append((stmt, frame))
 
-    def push_body(self, stmt, env):
-        """Push a body: a block's statements flat, a local entered (its
-        frame made and its statements pushed), any other statement as one
-        frame."""
-        kind = type(stmt)
-        if kind is Block:
+    def push_body(self, stmt, frame):
+        """Push a body: a ``Body`` entered (a variable made in each slot of
+        its ``made``, its statements pushed), any other statement as one
+        pair."""
+        if type(stmt) is Body:
+            if stmt.made:
+                new_var = self.rt.store.new_var
+                for i in stmt.made:
+                    frame[i] = new_var()
             stack = self.stack
             for s in stmt.pushed:
-                stack.append((s, env))
-        elif kind is Local:
-            self.push_local(stmt, env)
+                stack.append((s, frame))
         else:
-            self.stack.append((stmt, env))
+            self.stack.append((stmt, frame))
 
     def run(self, budget: Optional[int] = None) -> bool:
-        """Reduce frames until the stack is empty (True) or ``budget``
+        """Reduce pairs until the stack is empty (True) or ``budget``
         reductions have run (False; no budget is no bound).
 
-        Each reduction pops a frame, counts it in ``stats.reductions``
+        Each reduction pops a pair, counts it in ``stats.reductions``
         (``StepLimit`` past ``rt.step_limit``) and runs it.  A suspended
-        frame goes back on the stack and the ``Suspend`` propagates, as
-        do a ``SleepRequest`` and any error.  An engine's failure
-        backtracks to its newest choicepoint, which swaps the stack, and
-        propagates only when none is left; a reduction that grew an
-        engine's trail is checked for escapes.  A thread's deepest stack,
-        at the start of a reduction or at the end of the budget, goes to
+        pair goes back on the stack and the ``Suspend`` propagates, as do
+        a ``SleepRequest`` and any error.  An engine's failure backtracks
+        to its newest choicepoint, which swaps the stack, and propagates
+        only when none is left; a reduction that grew an engine's trail
+        is checked for escapes.  A thread's deepest stack, at the start of
+        a reduction or at the end of the budget, goes to
         ``stats.max_depth``."""
         stack = self.stack
         stats = self.rt.stats
@@ -488,14 +474,14 @@ class Task:
                     return True
                 if len(stack) > depth:
                     depth = len(stack)
-                stmt, env = stack.pop()
+                stmt, frame = stack.pop()
                 stats.reductions += 1
                 if limit is not None and stats.reductions > limit:
                     raise StepLimit()
                 try:
-                    exec_stmt(self, stmt, env)
+                    exec_stmt(self, stmt, frame)
                 except Suspend:
-                    stack.append((stmt, env))
+                    stack.append((stmt, frame))
                     raise
                 except Failure:
                     if engine is None or not engine.backtrack():
@@ -513,161 +499,175 @@ class Task:
                 stats.max_depth = depth
 
 
+def call_frame(closure: Closure, args: list) -> list:
+    """The frame of a call of ``closure`` with the values ``args``."""
+    frame = [closure.code]
+    frame += args
+    frame += closure.code.blank
+    frame += closure.env
+    return frame
+
+
 # -- one statement reduction -------------------------------------------------------
 
 
-def exec_stmt(task: Task, stmt, env):
+def exec_stmt(task: Task, stmt, frame: list):
     rt = task.rt
     store = rt.store
     kind = type(stmt)
 
-    if kind is Block:
-        task.push_block(stmt, env)
-        return
-
-    if kind is Unify:
-        reason = exec_unify(rt, stmt, env)
-        if reason is not None:
-            raise Failure(reason)
-        return
-
-    if kind is Local:
-        task.push_local(stmt, env)
-        return
-
     if kind is Call:
         target = stmt.target
-        # env_get, inlined here and below for names: most are in the frame
-        target = ((env.get(target.name) or env_get(env, target.name))
-                  if type(target) is CVar else build_term(store, target, env))
+        target = (frame[target] if type(target) is int
+                  else build_term(store, target, frame))
         if type(target) is Var:
             target = store.deref(target)
         if type(target) is Closure:
-            if len(stmt.args) != len(target.params):
+            code = target.code
+            args = stmt.args
+            if len(args) != code.arity:
                 raise OzkError(
-                    f"{{{target.name or 'a procedure'}}} expects "
-                    f"{len(target.params)} arguments, got {len(stmt.args)}")
-            args = {}
-            for p, a in zip(target.params, stmt.args):
-                args[p] = ((env.get(a.name) or env_get(env, a.name))
-                           if type(a) is CVar else build_term(store, a, env))
-            args[_UP] = target.env
-            task.push_body(target.body, args)
+                    f"{{{code.name or 'a procedure'}}} expects "
+                    f"{code.arity} arguments, got {len(args)}")
+            callee = [code]
+            for a in args:
+                callee.append(frame[a] if type(a) is int
+                              else build_term(store, a, frame))
+            callee += code.blank
+            callee += target.env
+            task.push_body(code.body, callee)
             return
         if type(target) is NativeProc:
             if len(stmt.args) != target.arity:
                 raise OzkError(f"{{{target.name}}} expects {target.arity} "
                                f"arguments, got {len(stmt.args)}")
-            args = [build_term(store, a, env) for a in stmt.args]
+            args = [build_term(store, a, frame) for a in stmt.args]
             target.fn(task, args)
             return
         if type(target) is Var:
             raise Suspend([target])
         raise OzkError(f"cannot call {render(store, target)}")
 
-    if kind is CaseStmt:
+    if kind is Op:
+        why = exec_op(rt, stmt, frame)
+        if why is not None:
+            raise Failure(why)
+        return
+
+    if kind is Case:
         subject = stmt.subject
-        t = ((env.get(subject.name) or env_get(env, subject.name))
-             if type(subject) is CVar else build_term(store, subject, env))
+        t = (frame[subject] if type(subject) is int
+             else build_term(store, subject, frame))
         if type(t) is Var and t.ref is not None:
             t = store.deref(t)
-        for arm in stmt.arms:
-            pattern = arm.compiled
-            # a literal or a void captures nothing: its body needs no frame
-            frame = {_UP: env} if type(pattern) in (tuple, str) else env
+        for pattern, body in stmt.arms:
             res = match_case(store, pattern, t, frame)
             if res is True:
-                task.push_body(arm.body, frame)
+                task.push_body(body, frame)
                 return
             if res is not False:
                 raise Suspend([res])
-        task.push_body(stmt.otherwise, env)
+        task.push_body(stmt.otherwise, frame)
         return
 
-    if kind is BuiltinCall:
-        if stmt.name in OPERATORS:
-            reason = exec_op(rt, stmt, env)
-            if reason is not None:
-                raise Failure(reason)
-            return
-        fn = rt.builtins.get(stmt.name)
-        if fn is None:
-            raise OzkError(f"unknown builtin {stmt.name}")
-        args = [build_term(store, a, env) for a in stmt.args]
-        fn(task, args)
+    if kind is Unify:
+        why = exec_unify(rt, stmt, frame)
+        if why is not None:
+            raise Failure(why)
         return
-
-    if kind is IfStmt:
-        exec_if(task, stmt, env)
-        return
-
-    if kind is Skip:
-        return
-
-    if kind is ProcDef:
-        closure = Closure(stmt.name, stmt.params, stmt.body, env)
-        res = store.unify(env_get(env, stmt.name), closure)
-        if res.woken:
-            rt.wake(res.woken)
-        if not res.ok:
-            raise Failure(f"{stmt.name} is already bound to something else")
-        return
-
-    if kind is ThreadStmt:
-        if task.mode != "thread":
-            raise ThreadInSearchError(
-                "cannot create a thread inside a " + (
-                    "guard" if task.mode == "guard" else "search engine"))
-        rt.spawn(stmt.body, env)
-        return
-
-    if kind is Fail:
-        raise Failure("fail statement")
 
     if kind is Choice:
         if task.engine is None:
             raise ChoiceOutsideSearchError(
                 "choice is only allowed inside a search engine")
-        task.engine.choose(stmt, env)
+        task.engine.choose(stmt, frame)
         return
+
+    if kind is Body:
+        task.push_body(stmt, frame)
+        return
+
+    if kind is If:
+        exec_if(task, stmt, frame)
+        return
+
+    if kind is Builtin:
+        fn = _registry(rt, stmt.name)
+        fn(task, [build_term(store, a, frame) for a in stmt.args])
+        return
+
+    if kind is Proc:
+        code = stmt.code
+        closure = Closure(code.name, code, [frame[i] for i in code.captures])
+        res = store.unify(frame[stmt.slot], closure)
+        if res.woken:
+            rt.wake(res.woken)
+        if not res.ok:
+            raise Failure(f"{code.name} is already bound to something else")
+        return
+
+    if kind is Thread:
+        if task.mode != "thread":
+            raise ThreadInSearchError(
+                "cannot create a thread inside a " + (
+                    "guard" if task.mode == "guard" else "search engine"))
+        rt.spawn(stmt.body, frame)
+        return
+
+    if kind is Skip:
+        return
+
+    if kind is Fail:
+        raise Failure("fail statement")
 
     raise TypeError(f"cannot execute {stmt!r}")
 
 
-_PURE_TESTS = frozenset(("==", "<", ">", "=<", ">=", "$test"))
+def _registry(rt: "Runtime", name: str):
+    fn = rt.builtins.get(name)
+    if fn is None:
+        raise OzkError(f"unknown builtin {name}")
+    return fn
 
 
-def exec_if(task: Task, stmt: IfStmt, env):
+def exec_if(task: Task, stmt: If, frame: list):
     """Try the arms in order; commit to the first whose guard succeeds.
 
     Guards run speculatively on a fresh trail.  An undetermined guard
     suspends the whole conditional (sequential semantics), a failing one
     moves on to the next arm, and a successful one must not have bound
-    anything that existed before it started.
+    anything that existed before it started.  A pure test binds nothing
+    and needs no trail.
     """
     rt = task.rt
     store = rt.store
     for arm in stmt.arms:
-        guard = arm.guard
-        if (not arm.guard_vars and type(guard) is BuiltinCall
-                and guard.name in _PURE_TESTS and len(guard.args) <= 2):
-            # pure test: cannot bind anything, so no trail is needed
-            if guard.name in OPERATORS:
-                if exec_op(rt, guard, env) is not None:
-                    continue
-            else:
-                try:
-                    exec_stmt(task, guard, env)
-                except Failure:
-                    continue
-            task.push_body(arm.body, env)
+        test = arm.test
+        if test is OP_TEST:
+            if exec_op(rt, arm.guard, frame) is None:
+                task.push_body(arm.body, frame)
+                return
+            continue
+        if test is EQ_TEST:
+            if exec_equal_test(task, arm.guard, frame):
+                task.push_body(arm.body, frame)
+                return
+            continue
+        if test is TEST:
+            try:
+                exec_stmt(task, arm.guard, frame)
+            except Failure:
+                continue
+            task.push_body(arm.body, frame)
             return
         age_mark = store.next_seq
-        genv = (env_child(env, {n: store.new_var() for n in arm.guard_vars})
-                if arm.guard_vars else env)
+        if arm.made:
+            new_var = store.new_var
+            for i in arm.made:
+                frame[i] = new_var()
         store.push_trail()
         guard = Task(rt, "guard")
-        guard.push(arm.guard, genv)
+        guard.push(arm.guard, frame)
         try:
             guard.run()
         except Failure:
@@ -689,9 +689,9 @@ def exec_if(task: Task, stmt: IfStmt, env):
                 raise QuietGuardViolation(
                     "guard bound a variable that exists outside it")
         store.pop_trail(merge=True)
-        task.push_body(arm.body, genv)
+        task.push_body(arm.body, frame)
         return
-    task.push_body(stmt.otherwise, env)
+    task.push_body(stmt.otherwise, frame)
 
 
 # -- threads -----------------------------------------------------------------
@@ -799,11 +799,11 @@ class Runtime:
 
     # -- thread management --------------------------------------------------
 
-    def spawn(self, stmt, env) -> int:
+    def spawn(self, stmt, frame) -> int:
         tid = self.next_tid
         self.next_tid += 1
         thread = OzThread(tid, Task(self))
-        thread.task.push(stmt, env)
+        thread.task.push(stmt, frame)
         self.threads[tid] = thread
         self.runq.append(tid)
         self.stats.spawned += 1

@@ -8,15 +8,17 @@ that threads and guards use, ``Task.run``: only such a task may run
 A ``choice`` is reduced by :meth:`Engine.choose`, with shallow
 backtracking (the WAM's; M. Carlsson, "On the Efficiency of Optimising
 Shallow Backtracking in Compiled Prolog", ICLP 1989).  Each alternative
-is compiled into its head, the leading unifications of its body, and the
-rest (``syntax.Alternative``).  The alternatives' heads run in order
-inside the choice's own reduction; a head that fails is undone to the
-trail's length before it, with no choicepoint and no exception, and the
-next is tried.  Only when a head succeeds and alternatives are left is a
-choicepoint made: a copy of the frame stack as the choice found it, the
-trail mark taken before the head, and the untried alternatives.  Then
-the rest of the alternative is pushed.  When every head fails, the
-choice fails.
+is compiled into the slots it makes, its head, the leading unifications
+of its body, and the rest (``compiler.Alt``).  The alternatives' heads
+run in order inside the choice's own reduction, in the frame the choice
+runs in; a head that fails is undone to the trail's length before it,
+with no choicepoint and no exception, and the next is tried.  Only when
+a head succeeds and alternatives are left is a choicepoint made: a copy
+of the stack as the choice found it, the frame, the trail mark taken
+before the head, and the untried alternatives.  Then the rest of the
+alternative is pushed.  When every head fails, the choice fails.  The
+frames themselves are not copied or trailed: the path taken after a
+backtrack writes each slot it reads before reading it.
 
 On a failure the loop calls :meth:`Engine.backtrack`, which undoes the
 trail to the newest choicepoint and runs the heads of its untried
@@ -51,19 +53,19 @@ from itertools import islice
 from typing import Optional
 
 from .errors import EscapeError, SearchStuckError, ThreadInSearchError
-from .runtime import _UP, Failure, Suspend, Task, env_child, exec_unify
-from .syntax import Choice
+from .compiler import Choice
+from .runtime import Failure, Suspend, Task, call_frame, exec_unify
 from .terms import Closure, Snapshot, Term, materialize, snapshot
 
 
 class _ChoicePoint:
-    __slots__ = ("stack", "alts", "next_alt", "env", "trail_mark")
+    __slots__ = ("stack", "alts", "next_alt", "frame", "trail_mark")
 
-    def __init__(self, stack, alts, env):
+    def __init__(self, stack, alts, frame):
         self.stack = stack
-        self.alts = alts         # compiled alternatives not yet tried
+        self.alts = alts         # alternatives not yet tried
         self.next_alt = 0
-        self.env = env
+        self.frame = frame
         self.trail_mark = None   # set by the maker, taken before the head
 
 
@@ -74,7 +76,7 @@ class Engine:
     :meth:`next_answer` runs to the next answer and copies it out."""
 
     def __init__(self, rt, goal: Closure):
-        if len(goal.params) != 1:
+        if goal.arity != 1:
             raise ThreadInSearchError(
                 "a search goal takes exactly one argument (its result)")
         self.rt = rt
@@ -90,7 +92,7 @@ class Engine:
         self.checked = 0         # trail entries already escape-checked
         self._outer_owns = None  # the store's `owns` while this one runs
         self.root = self.store.new_var()
-        self.task.push(goal.body, env_child(goal.env, {goal.params[0]: self.root}))
+        self.task.push(goal.code.body, call_frame(goal, [self.root]))
         self.bounds += (self.mark, self.store.next_seq)
 
     def _enter(self):
@@ -120,23 +122,23 @@ class Engine:
 
     # -- choicepoints ------------------------------------------------------------
 
-    def choose(self, choice: Choice, env):
+    def choose(self, choice: Choice, frame: list):
         """Reduce ``choice``: enter the first alternative whose head
         succeeds, with a choicepoint for the others when any are left."""
-        alts = choice.compiled
+        alts = choice.alts
         mark = len(self.trail)
-        i, frame = self._first_head(alts, 0, env, mark)
-        if frame is None:
-            raise Failure(i)     # the text of the last head's failure
+        i, why = self._first_head(alts, 0, frame, mark)
+        if why is not None:
+            raise Failure(why)   # the last head's failure
         if i + 1 < len(alts):
-            self.push_choicepoint(alts[i + 1:], env).trail_mark = mark
+            self.push_choicepoint(alts[i + 1:], frame).trail_mark = mark
         self.task.push_block(alts[i], frame)
 
-    def push_choicepoint(self, alternatives, env) -> _ChoicePoint:
+    def push_choicepoint(self, alternatives, frame) -> _ChoicePoint:
         """Save the stack as it is and the untried ``alternatives`` of a
-        choice run in ``env``; the caller sets the choicepoint's trail
+        choice run in ``frame``; the caller sets the choicepoint's trail
         mark, which it took before the head that succeeded."""
-        cp = _ChoicePoint(list(self.task.stack), alternatives, env)
+        cp = _ChoicePoint(list(self.task.stack), alternatives, frame)
         self.cps.append(cp)
         return cp
 
@@ -152,8 +154,8 @@ class Engine:
             if self.checked > mark:
                 self.checked = mark
             alts = cp.alts
-            i, frame = self._first_head(alts, cp.next_alt, cp.env, mark)
-            if frame is None:
+            i, why = self._first_head(alts, cp.next_alt, cp.frame, mark)
+            if why is not None:
                 cps.pop()
                 continue
             if i + 1 < len(alts):
@@ -163,43 +165,37 @@ class Engine:
                 # the last alternative: the saved stack has no other use
                 cps.pop()
                 self.task.stack = cp.stack
-            self.task.push_block(alts[i], frame)
+            self.task.push_block(alts[i], cp.frame)
             return True
         return False
 
-    def _first_head(self, alts, i: int, env, mark: int):
-        """Run the heads of ``alts`` from the ``i``-th on, in order, until
-        one succeeds: ``(index, frame)``, its index and the environment
-        its rest runs in.  Each head that fails is undone to ``mark``, the
-        trail's length before it.  When every head fails: ``(text,
-        None)``, the last failure's text.  A shallow failure like this
-        costs no reduction, no choicepoint and no exception."""
+    def _first_head(self, alts, i: int, frame: list, mark: int):
+        """Run the heads of ``alts`` from the ``i``-th on, in order and in
+        ``frame``, until one succeeds: ``(index, None)``.  Each head that
+        fails is undone to ``mark``, the trail's length before it.  When
+        every head fails: ``(index, why)``, the last failure (see
+        ``Failure``).  A shallow failure like this costs no reduction, no
+        choicepoint and no exception, and its text is never made."""
         rt = self.rt
         trail = self.trail
         new_var = self.store.new_var
-        reason = None
+        why = None
         for i in range(i, len(alts)):
             alt = alts[i]
-            made = alt.made
-            if made is None:
-                frame = env
-            else:
-                frame = {}
-                for name in made:
-                    frame[name] = new_var()
-                frame[_UP] = env
+            for slot in alt.made:
+                frame[slot] = new_var()
             for stmt in alt.head:
-                reason = exec_unify(rt, stmt, frame)
-                if reason is not None:
+                why = exec_unify(rt, stmt, frame)
+                if why is not None:
                     break
                 if len(trail) > self.checked:
                     self.check_escapes()
             else:
-                return i, frame
+                return i, None
             self.store.undo_to(mark)
             if self.checked > mark:
                 self.checked = mark
-        return reason, None
+        return i, why
 
     def check_escapes(self):
         trail = self.trail

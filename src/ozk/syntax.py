@@ -1,8 +1,11 @@
 """Core statement AST and its pretty printer.
 
-Everything the machine executes is one of these nodes; surface sugar
-(functions, nested calls, operators in expressions, anonymous variables)
-is compiled away by the desugarer in parser.py.
+Everything the machine executes is compiled from these nodes (see
+compiler.py); surface sugar (functions, nested calls, operators in
+expressions, anonymous variables) is compiled away by the desugarer in
+parser.py.  The AST itself is pure data: the desugarer builds it, and
+the printer, the compile pass, ``dist.split_program`` and
+:func:`free_names` read it.
 
 Expressions at this level are pure constructors: a variable reference, a
 literal, a void (``CAnon``, an argument written ``_``), or a compound of
@@ -17,39 +20,13 @@ runtime itself; their operands are names or literals (a compound is
 accepted, and is a type error when it runs).
 
 A sequence of statements is one flat ``Block``, built by :func:`seq_all`
-and never nested directly in another: running it pushes all of its
-statements in one reduction.  A ``Local``, a procedure body and an
-``if`` or ``case`` arm whose statement is a block push the block's
-statements themselves, without the reduction.
-
-A ``Local`` carries a compiled form beside its fields (``made`` and
-``pushed``, see :func:`compile_local`): a name whose first use is an
-argument of, or the variable of, a unification ``X = f(...)`` that the
-body runs directly, or the result of an integer operator there, is not
-made at entry.  That argument becomes a ``CFresh``, which stores the
-value it meets in the frame (the WAM's ``unify_variable`` for a first
-occurrence), so the common ``local T in X = _|T ... end`` makes no
-variable when ``X`` is already a list cell, and the desugarer's
-``local T in T = I+1 {Gen T N Xr} end`` stores the sum in the frame
-with no variable at all.  The AST, and so the printer, never sees a
-``CFresh``.
-
-A ``CaseArm`` carries its pattern compiled once (``compiled``, see
-:func:`compile_pattern`): a literal, a name, a void, or a label and
-arity with the compiled forms of the arguments.
-
-A ``Choice`` likewise carries ``compiled``, one :class:`Alternative` per
-alternative (see :func:`compile_alternative`): its head, the leading run
-of unifications of its body, which a search engine runs before it makes
-a choicepoint, and the rest, pushed as a block's statements are.  The
-body of a ``Local`` alternative is its compiled one, run in the local's
-frame.
+and never nested directly in another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 from .terms import Atom, Int
 
@@ -75,16 +52,6 @@ class CAnon:
 class CCompound:
     label: str
     args: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class CFresh:
-    """The first use of a name of the enclosing ``Local`` that the local
-    does not make (compiled form only).  Where a term is built it makes
-    the variable; where it meets a value already there it takes that
-    value; as an operator's result it is the value computed.  Either way
-    the frame's name is set to what it stands for."""
-    name: str
 
 
 Expr = Union[CVar, CLit, CAnon, CCompound]
@@ -129,31 +96,6 @@ def pattern_names(p: Pattern) -> list[str]:
     return out
 
 
-def compile_pattern(p: Pattern):
-    """The compiled form of a ``case`` pattern, which
-    ``runtime.match_case`` runs: a name is the name (a str), ``_`` is
-    None, a literal is its value (an Atom or Int), and a compound is the
-    tuple ``(label, arity, args)`` of its arguments' compiled forms.  The
-    chain of last arguments (a list's spine) is built in a loop; only the
-    other arguments recurse."""
-    kind = type(p)
-    if kind is PVar:
-        return p.name
-    if kind is PAnon:
-        return None
-    if kind is PLit:
-        return p.value
-    spine = []
-    while type(p) is PCompound and p.args:
-        spine.append(p)
-        p = p.args[-1]
-    form = (p.label, 0, ()) if type(p) is PCompound else compile_pattern(p)
-    for q in reversed(spine):
-        form = (q.label, len(q.args),
-                tuple(compile_pattern(a) for a in q.args[:-1]) + (form,))
-    return form
-
-
 # -- statements ----------------------------------------------------------
 
 # The integer operators, which the runtime runs itself (``runtime.exec_op``):
@@ -172,29 +114,15 @@ class Fail:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
-    # `pushed` is not a field: the statements last first, in the order in
-    # which a task pushes them.
-    __slots__ = ("stmts", "pushed")
     stmts: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "pushed", self.stmts[::-1])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Local:
-    # `made` and `pushed` are not fields: the compiled form of
-    # `compile_local`, built once, as a Block's `pushed` is.
-    __slots__ = ("names", "body", "made", "pushed")
     names: tuple
     body: "Statement"
-
-    def __post_init__(self):
-        made, pushed = compile_local(self.names, self.body)
-        object.__setattr__(self, "made", made)
-        object.__setattr__(self, "pushed", pushed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,16 +144,10 @@ class IfStmt:
     otherwise: "Statement"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseArm:
-    # `compiled` is not a field: the pattern's compiled form, built once
-    # by `compile_pattern`, as a Local's `made`/`pushed` are.
-    __slots__ = ("pattern", "body", "compiled")
     pattern: Pattern
     body: "Statement"
-
-    def __post_init__(self):
-        object.__setattr__(self, "compiled", compile_pattern(self.pattern))
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,16 +157,9 @@ class CaseStmt:
     otherwise: "Statement"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Choice:
-    # `compiled` is not a field: one `Alternative` per alternative, built
-    # once by `compile_alternative`, as a Local's `made`/`pushed` are.
-    __slots__ = ("alternatives", "compiled")
     alternatives: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "compiled", tuple(
-            compile_alternative(alt) for alt in self.alternatives))
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,157 +273,6 @@ def free_names(stmt) -> set:
             todo.append((s.body, bound))
         # Skip and Fail mention nothing.
     return out
-
-
-# -- compiled locals ---------------------------------------------------------
-
-
-def _unify_counts(s: Unify) -> dict:
-    """How often each name occurs in a unification (walked with a stack)."""
-    counts: dict = {}
-    todo = [s.lhs, s.rhs]
-    while todo:
-        e = todo.pop()
-        if type(e) is CVar:
-            counts[e.name] = counts.get(e.name, 0) + 1
-        elif type(e) is CCompound:
-            todo.extend(e.args)
-    return counts
-
-
-def _compile_first_uses(s: Unify, first: set) -> tuple:
-    """``s`` with each name of ``first`` that is its variable or an
-    argument of its compound turned into a CFresh, and those names."""
-    var, comp = s.lhs, s.rhs
-    var_left = type(var) is CVar
-    if not var_left:
-        var, comp = comp, var
-    if type(var) is not CVar or type(comp) is not CCompound:
-        return s, ()
-    done = []
-    args = []
-    for a in comp.args:
-        if type(a) is CVar and a.name in first:
-            done.append(a.name)
-            a = CFresh(a.name)
-        args.append(a)
-    if done:
-        comp = CCompound(comp.label, tuple(args))
-    if var.name in first:
-        # nothing is unified, so the orientation is moot: one form
-        done.append(var.name)
-        return Unify(CFresh(var.name), comp), done
-    if not done:
-        return s, ()
-    return (Unify(var, comp) if var_left else Unify(comp, var)), done
-
-
-def _operator_names(exprs) -> set:
-    """The names that operands of an operator statement read: a name or a
-    literal, and rarely a compound (a type error when it runs)."""
-    out: set = set()
-    for e in exprs:
-        if type(e) is CVar:
-            out.add(e.name)
-        elif type(e) is CCompound:
-            _expr_free(e, (), out)
-    return out
-
-
-def compile_local(names: tuple, body: Statement) -> tuple:
-    """The compiled form of ``local <names> in <body> end``: ``(made,
-    pushed)``, the names to make at entry and the body's statements last
-    first, as a task pushes them.
-
-    A name is left out of ``made`` when no earlier statement of the body
-    mentions it and its first use is, in a statement of the body itself
-    (not nested in another statement), either an occurrence in ``X =
-    f(...)`` or ``f(...) = X``, once, as ``X`` or as an argument of
-    ``f``, or the result of an integer operator ``R = A op B`` of which it
-    is not also an operand.  That occurrence is compiled to a ``CFresh``.
-    Nothing can read the name before it runs, and it runs in this very
-    frame, so storing the value there is all the variable would have been
-    for.  A shallow scan finds the last such statement; one pass over the
-    statements up to it, in order, decides, and stops once every name has
-    been met.  An operator's operands are names or literals and are read
-    directly, without ``free_names``."""
-    block = type(body) is Block
-    stmts = body.stmts if block else (body,)
-    end = 0
-    for i, s in enumerate(stmts):
-        kind = type(s)
-        if kind is Unify:
-            if CCompound in (type(s.lhs), type(s.rhs)):
-                end = i + 1
-        elif (kind is BuiltinCall and len(s.args) == 3
-              and s.name in OPERATORS and type(s.args[2]) is CVar
-              and s.args[2].name in names):
-            end = i + 1
-    if not end:
-        return names, (body.pushed if block else stmts)
-    stmts = list(stmts)
-    unseen = set(names)
-    fresh: set = set()
-    for i in range(end):
-        s = stmts[i]
-        if not unseen:
-            break
-        kind = type(s)
-        if kind is Unify:
-            counts = _unify_counts(s)
-            first = {n for n in unseen.intersection(counts) if counts[n] == 1}
-            unseen.difference_update(counts)
-            if first:
-                stmts[i], done = _compile_first_uses(s, first)
-                fresh.update(done)
-        elif kind is BuiltinCall and s.name in OPERATORS:
-            args = s.args
-            unseen.difference_update(_operator_names(args[:2]))
-            if len(args) == 3:
-                r = args[2]
-                if type(r) is CVar and r.name in unseen:
-                    stmts[i] = BuiltinCall(s.name, args[:2] + (CFresh(r.name),))
-                    fresh.add(r.name)
-                    unseen.discard(r.name)
-                else:
-                    unseen.difference_update(_operator_names(args[2:]))
-        else:
-            unseen -= free_names(s)
-    if not fresh:
-        return names, (body.pushed if block else (body,))
-    return tuple(n for n in names if n not in fresh), tuple(reversed(stmts))
-
-
-# -- compiled choice alternatives ---------------------------------------------
-
-
-class Alternative:
-    """The compiled form of a ``choice`` alternative.
-
-    ``head`` is the leading run of unifications of its body, in order;
-    ``pushed`` is the rest, last first, as a task pushes it.  ``made`` is
-    None when the body runs in the choice's own environment; for a
-    ``Local`` it is the local's ``made``, the names of the frame that
-    the head and the rest run in."""
-    __slots__ = ("made", "head", "pushed")
-
-    def __init__(self, made, head, pushed):
-        self.made = made
-        self.head = head
-        self.pushed = pushed
-
-
-def compile_alternative(alt: Statement) -> Alternative:
-    """Split ``alt`` into its head and the rest: the statements of a
-    block, the compiled body of a local, or the statement alone."""
-    if type(alt) is Local:
-        made, stmts = alt.made, alt.pushed[::-1]
-    else:
-        made, stmts = None, alt.stmts if type(alt) is Block else (alt,)
-    n = 0
-    while n < len(stmts) and type(stmts[n]) is Unify:
-        n += 1
-    return Alternative(made, stmts[:n], stmts[n:][::-1])
 
 
 # -- pretty printer -------------------------------------------------------

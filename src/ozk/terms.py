@@ -97,20 +97,21 @@ class Compound(Term):
 
 
 class Closure(Term):
-    """A procedure value.  Unifies by identity only."""
+    """A procedure value: its compiled code (``compiler.Code``) and the
+    values of its free names, captured when it was made.  Unifies by
+    identity only."""
 
-    __slots__ = ("name", "params", "body", "env", "serial")
+    __slots__ = ("name", "code", "env", "serial")
 
-    def __init__(self, name: str, params, body, env):
+    def __init__(self, name: str, code, env: list):
         self.name = name
-        self.params = params
-        self.body = body
+        self.code = code
         self.env = env
         self.serial = next(_closure_serial)
 
     @property
     def arity(self) -> int:
-        return len(self.params)
+        return self.code.arity
 
     def __repr__(self):
         return f"<proc {self.name}/{self.arity}>"
@@ -170,12 +171,31 @@ def is_cons(t: Term) -> bool:
 
 
 class UnifyResult:
-    __slots__ = ("ok", "woken", "reason")
+    """Whether a unification succeeded, the threads it woke and, when it
+    failed, the pair that clashed (``clash``), whose text (``reason``) is
+    made only when it is read."""
+    __slots__ = ("ok", "woken", "clash")
 
-    def __init__(self, ok: bool, woken: set[int], reason: str = ""):
+    def __init__(self, ok: bool, woken: set[int], clash: tuple = ()):
         self.ok = ok
         self.woken = woken
-        self.reason = reason
+        self.clash = clash
+
+    @property
+    def reason(self) -> str:
+        if not self.clash:
+            return ""
+        a, b = self.clash
+        ta, tb = type(a), type(b)
+        if ta is tb is Atom:
+            return f"{a.name} = {b.name}"
+        if ta is tb is Int:
+            return f"{a.value} = {b.value}"
+        # two compounds, or a compound and the compiled one it was
+        # matched against (``runtime.unify_compound``)
+        if hasattr(a, "args") and hasattr(b, "args"):
+            return f"{a.label}/{len(a.args)} = {b.label}/{len(b.args)}"
+        return "incompatible values"
 
 
 _NO_WAKES: frozenset = frozenset()
@@ -429,9 +449,7 @@ class Store:
                     seen.add(pair)
                     xs, ys = a.args, b.args
                     if a.label != b.label or len(xs) != len(ys):
-                        return UnifyResult(
-                            False, woken or _NO_WAKES,
-                            f"{a.label}/{len(xs)} = {b.label}/{len(ys)}")
+                        return UnifyResult(False, woken or _NO_WAKES, (a, b))
                     if xs:
                         # Stack every pair but the last, and take the
                         # last at once: the order of a LIFO stack.
@@ -443,17 +461,14 @@ class Store:
                         continue
             elif ta is Atom and tb is Atom:
                 if a.name != b.name:
-                    return UnifyResult(False, woken or _NO_WAKES,
-                                       f"{a.name} = {b.name}")
+                    return UnifyResult(False, woken or _NO_WAKES, (a, b))
             elif ta is Int and tb is Int:
                 if a.value != b.value:
-                    return UnifyResult(False, woken or _NO_WAKES,
-                                       f"{a.value} = {b.value}")
+                    return UnifyResult(False, woken or _NO_WAKES, (a, b))
             else:
                 # Procedure values and opaques unify by identity only;
                 # distinct kinds always clash.
-                return UnifyResult(False, woken or _NO_WAKES,
-                                   "incompatible values")
+                return UnifyResult(False, woken or _NO_WAKES, (a, b))
             if not stack:
                 return _UNIFIED if woken is None else UnifyResult(True, woken)
             a, b = stack.pop()

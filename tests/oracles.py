@@ -540,3 +540,113 @@ def match_pattern(store, pattern, term):
             return MATCH_FAIL, None
         raise TypeError(f"bad pattern {p!r}")
     return MATCH_OK, captures
+
+
+# ---------------------------------------------------------------------------
+# Reference statement runner: dict frames, every local name made at entry
+# ---------------------------------------------------------------------------
+
+from ozk.errors import OzkError  # noqa: E402
+from ozk.syntax import (Block, BuiltinCall, CAnon, CCompound, CLit,  # noqa: E402
+                        CVar, IfStmt, Local, Unify)
+from ozk.terms import FALSE, INT_MAX, INT_MIN, TRUE, render  # noqa: E402
+
+_REF_ARITH = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+              "*": lambda x, y: x * y, "div": lambda x, y: x // y}
+_REF_COMPARE = {"<": lambda x, y: x < y, ">": lambda x, y: x > y,
+                "=<": lambda x, y: x <= y, ">=": lambda x, y: x >= y}
+
+
+class RefFailure(Exception):
+    pass
+
+
+class RefSuspend(Exception):
+    def __init__(self, var):
+        super().__init__()
+        self.var = var
+
+
+class DictFrameRunner:
+    """Runs unifications, integer operators, `if`s on an operator test,
+    blocks and locals the plain way: each `local` makes a frame, a dict
+    over its enclosing one, with a variable for every name at entry, and
+    every expression is built before it is unified.  The outcome of a run
+    is the one the compiled runtime must give: the failure's or error's
+    text, the variable a suspension waits for, the threads woken."""
+
+    def __init__(self, store):
+        self.store = store
+        self.woken: set = set()
+        self.frames: list = []      # every frame a local made, in order
+
+    def lookup(self, env, name):
+        while env is not None:
+            if name in env[0]:
+                return env[0][name]
+            env = env[1]
+        raise OzkError(f"variable {name} has no binding at run time")
+
+    def build(self, expr, env):
+        if isinstance(expr, CVar):
+            return self.lookup(env, expr.name)
+        if isinstance(expr, CLit):
+            return expr.value
+        if isinstance(expr, CAnon):
+            return self.store.new_var()
+        if isinstance(expr, CCompound):
+            return Compound(expr.label, [self.build(a, env) for a in expr.args])
+        raise TypeError(f"cannot build {expr!r}")
+
+    def unify(self, a, b):
+        res = self.store.unify(a, b)
+        self.woken |= res.woken
+        if not res.ok:
+            raise RefFailure("unification failed: " + res.reason)
+
+    def integer(self, expr, env) -> int:
+        t = self.store.deref(self.build(expr, env))
+        if isinstance(t, Var):
+            raise RefSuspend(t)
+        if not isinstance(t, Int):
+            raise OzkError(f"expected an integer, got {render(self.store, t)}")
+        return t.value
+
+    def run(self, stmt, env):
+        if isinstance(stmt, Block):
+            for item in stmt.stmts:
+                self.run(item, env)
+        elif isinstance(stmt, Local):
+            frame = {name: self.store.new_var() for name in stmt.names}
+            self.frames.append(frame)
+            self.run(stmt.body, (frame, env))
+        elif isinstance(stmt, Unify):
+            self.unify(self.build(stmt.lhs, env), self.build(stmt.rhs, env))
+        elif isinstance(stmt, BuiltinCall):
+            x = self.integer(stmt.args[0], env)
+            y = self.integer(stmt.args[1], env)
+            if stmt.name in _REF_ARITH:
+                if stmt.name == "div" and y == 0:
+                    raise OzkError("division by zero")
+                v = _REF_ARITH[stmt.name](x, y)
+                if not INT_MIN <= v <= INT_MAX:
+                    raise OzkError(f"integer overflow in {stmt.name}")
+                value = Int(v)
+            elif len(stmt.args) == 2:
+                if not _REF_COMPARE[stmt.name](x, y):
+                    raise RefFailure(f"{x}{stmt.name}{y} is false")
+                return
+            else:
+                value = TRUE if _REF_COMPARE[stmt.name](x, y) else FALSE
+            self.unify(self.build(stmt.args[2], env), value)
+        elif isinstance(stmt, IfStmt):
+            for arm in stmt.arms:
+                try:
+                    self.run(arm.guard, env)
+                except RefFailure:
+                    continue
+                self.run(arm.body, env)
+                return
+            self.run(stmt.otherwise, env)
+        else:
+            raise TypeError(f"cannot run {stmt!r}")

@@ -113,6 +113,28 @@ class TestRun:
         assert code == 2
         assert re.fullmatch(r"deadlock: thread \d+ waiting on %s\n" % name, err)
 
+    @pytest.mark.parametrize("program, name", [
+        # a parameter of the procedure the thread stopped in
+        ("proc {P A} {Wait A} end local Z in {P Z} end", "A"),
+        # a local that shadows another of the same name
+        ("local X in X = 1 local X in {Wait X} end end", "X"),
+        # the innermost name of a variable that a shadowed one is bound to
+        ("local X in local Y in Y = X local X in {Wait Y} end end end", "Y"),
+        # a global
+        ("X in {Wait X}", "X"),
+        # of two names of one scope, the first declared; in the thread
+        # that shares the scope's frame too
+        ("local A B in B = A {Wait B} end", "A"),
+        ("local A B in B = A thread {Wait B} end end", "A"),
+    ], ids=["parameter", "shadowed_local", "inner_name", "global",
+            "same_scope", "same_scope_thread"])
+    def test_deadlock_names_the_variable_as_the_source_does(
+            self, capsys, tmp_path, program, name):
+        f = write(tmp_path, "d.ozk", program)
+        code, out, err = run_cli(capsys, "run", f)
+        assert code == 2
+        assert re.fullmatch(r"deadlock: thread \d+ waiting on %s\n" % name, err)
+
     def test_failure_exit_1(self, capsys, tmp_path):
         f = write(tmp_path, "f.ozk", "local X in X = 1 X = 2 end")
         code, out, err = run_cli(capsys, "run", f)

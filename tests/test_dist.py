@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ozk.compiler import compile_top
 from ozk.dist import (Network, Simulation, free_names, parse_placement,
                       replica_divergences, run_simulation, split_program)
 from ozk.errors import PlacementError
@@ -348,9 +349,9 @@ class TestProtocol:
         thread X = f(Y) end
         thread {Wait X} local A in %s X = f(A) A = 7 end {Wait Y} {Browse Y} end
         """
-        first_use = parse_program(
-            "local A in X = f(A) A = 7 end", ("X",))
-        assert first_use.made == ()
+        first_use = compile_top(parse_program(
+            "local A in X = f(A) A = 7 end", ("X",)))
+        assert first_use.body.made == ()
         reports = [quiesced(run_simulation(program % pre, {"a": 1, "b": 0}))
                    for pre in ("", "A = A")]
         assert reports[0].outputs == reports[1].outputs == {0: ["7"], 1: []}

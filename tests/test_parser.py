@@ -2,10 +2,11 @@
 
 import pytest
 
+from ozk import compiler
 from ozk.errors import ParseError, QuietGuardViolation
 from ozk.parser import parse_interactive, parse_program
 from ozk.syntax import (
-    BuiltinCall, Call, CaseStmt, CAnon, CCompound, CFresh, Choice, CLit, CVar,
+    BuiltinCall, Call, CaseStmt, CAnon, CCompound, Choice, CLit, CVar,
     Fail, IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar, Skip,
     ThreadStmt, Unify, pretty, seq_items,
 )
@@ -331,30 +332,52 @@ def test_queens_program_shape():
 
 # -- compiled locals: first uses ------------------------------------------------
 
+def _show(code, e):
+    """An operand as text: a slot by its name, a first use as ^Name."""
+    if type(e) is int:
+        return dict(code.names)[e]
+    if type(e) is compiler.Fresh:
+        return "^" + dict(code.names)[e.slot]
+    if e is None:
+        return "_"
+    if type(e) is compiler.Build:
+        return f"{e.label}({' '.join(_show(code, a) for a in e.args)})"
+    return repr(e)
+
+
+def _show_stmt(code, s):
+    if type(s) is compiler.Unify:
+        return f"{_show(code, s.lhs)} = {_show(code, s.rhs)}"
+    if type(s) is compiler.Call:
+        return "{" + " ".join(_show(code, a) for a in (s.target,) + s.args) + "}"
+    return type(s).__name__
+
+
 def _compiled(src):
     """The names a local makes and its body as it runs, first first; X is
     global."""
-    s = parse_program(src, GLOBALS + ("X",))
-    assert isinstance(s, Local)
-    return s.made, list(reversed(s.pushed))
+    code = compiler.compile_top(parse_program(src, GLOBALS + ("X",)))
+    body = code.body
+    assert type(body) is compiler.Body
+    return ([dict(code.names)[i] for i in body.made],
+            [_show_stmt(code, s) for s in reversed(body.pushed)])
 
 
 def test_first_uses_in_a_clause_make_no_variables():
     made, run = _compiled("local Cs2 Us2 in X=_|Cs2 X=_|Us2 {Browse Cs2} end")
-    assert made == ()
-    assert run[:2] == [Unify(CVar("X"), CCompound("|", (CAnon(), CFresh("Cs2")))),
-                       Unify(CVar("X"), CCompound("|", (CAnon(), CFresh("Us2"))))]
+    assert made == []
+    assert run[:2] == ["X = |(_ ^Cs2)", "X = |(_ ^Us2)"]
     # a later use is a plain name
-    assert run[2] == Call(CVar("Browse"), (CVar("Cs2"),))
+    assert run[2] == "{Browse Cs2}"
 
 
 def test_a_first_use_may_be_the_variable_of_the_unification():
     made, run = _compiled("local Us2 in Us2=_|X {Browse Us2} end")
-    assert made == ()
-    assert run[0] == Unify(CFresh("Us2"), CCompound("|", (CAnon(), CVar("X"))))
+    assert made == []
+    assert run[0] == "^Us2 = |(_ X)"
     made, run = _compiled("local Us2 Us in Us2=_|Us end")
-    assert made == ()
-    assert run == [Unify(CFresh("Us2"), CCompound("|", (CAnon(), CFresh("Us"))))]
+    assert made == []
+    assert run == ["^Us2 = |(_ ^Us)"]
 
 
 @pytest.mark.parametrize("src", [
@@ -374,13 +397,12 @@ def test_a_first_use_may_be_the_variable_of_the_unification():
 def test_names_that_are_not_first_uses_are_made(src):
     made, run = _compiled(src)
     assert "Y" in made
-    assert all(not isinstance(a, CFresh) for s in run if isinstance(s, Unify)
-               for a in (s.lhs, s.rhs, *getattr(s.rhs, "args", ())))
+    assert not any("^" in s for s in run)
 
 
 def test_a_shadowing_local_is_not_a_use():
     made, _ = _compiled("local Y in local Y in Y=1 end X=f(Y) end")
-    assert made == ()
+    assert made == []
 
 
 def test_the_compiled_form_leaves_the_ast_alone():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import GEN_MAP_SQUARES
 from ozk.errors import (ChoiceOutsideSearchError, OzkError,
                         QuietGuardViolation, ThreadInSearchError)
@@ -672,6 +673,85 @@ def test_random_policy_is_reproducible_per_seed():
 
 
 # -- sessions (the interactive loop's substrate) --------------------------------------
+
+# -- names and frames -------------------------------------------------------
+# Each name resolves to a slot of its activation's frame; a name that
+# shadows another has a slot of its own, and a closure captures the values
+# of its free names when it is made.
+
+@pytest.mark.parametrize("program, browses", [
+    # a nested local X shadows another X
+    ("local X in X = 1 local X in X = 2 {Browse X} end {Browse X} end",
+     ["2", "1"]),
+    # a case capture shadows an outer name
+    ("local X Y in X = 5 Y = f(7) case Y of f(X) then {Browse X} end "
+     "{Browse X} end", ["7", "5"]),
+    # guard variables of two arms with one name; the first guard fails
+    ("local X in X = 3 "
+     "if Y in Y = X + 1 Y > 10 then {Browse big(Y)} "
+     "elseif Y in Y = X * 2 then {Browse twice(Y)} "
+     "else {Browse no} end {Browse X} end", ["twice(6)", "3"]),
+    # a thread and a sibling local declare the same name; both are alive
+    # in one activation, and the thread reads its X after the sibling has
+    # made and bound its own
+    ("local R S in "
+     "thread local X in X = 1 S = unit {Wait R} {Browse X} end end "
+     "{Wait S} local X in X = 2 R = unit {Browse X} end end", ["2", "1"]),
+    # a closure captures a name that is bound after the closure is made
+    ("local Y F in fun {F} Y end Y = 42 {Browse {F}} end", ["42"]),
+    # mutually recursive local procedures capture each other
+    ("local Even Odd in "
+     "fun {Even N} if N == 0 then true else {Odd N - 1} end end "
+     "fun {Odd N} if N == 0 then false else {Even N - 1} end end "
+     "{Browse {Even 10}} {Browse {Odd 7}} end", ["true", "true"]),
+])
+def test_names_resolve_to_their_own_declarations(program, browses):
+    for policy, seed in (("fifo", None), ("random", 1), ("random", 2)):
+        r = run_text(program, policy=policy, seed=seed)
+        assert r.status == "done"
+        assert r.browses == browses
+
+
+def test_a_choice_alternative_local_is_made_again_after_a_backtrack():
+    # The alternatives' locals are slots of the goal's one frame; each
+    # path writes them before it reads them.
+    r = run_text("""
+    S in
+    {SolveAll proc {$ R} X in
+                 choice X = 1 [] X = 2 end
+                 choice A in A = X * 10 R = a(X A)
+                 [] A B in A = X + 1 B = f(A) R = b(X B)
+                 end
+              end S}
+    {Browse S}
+    """)
+    db = oracles.read_program("""
+    q(R) :- x(X), y(X, R).
+    x(1). x(2).
+    y(X, a(X, A)) :- A is X * 10.
+    y(X, b(X, B)) :- A is X + 1, B = f(A).
+    """)
+    goals, qvars = oracles.read_query("q(R)")
+    answers = [oracles.to_plain(a)
+               for a in oracles.solve_all(db, goals, qvars["R"])]
+
+    def text(t):
+        if isinstance(t, tuple):
+            return f"{t[0]}({' '.join(text(a) for a in t[1:])})"
+        return str(t)
+    assert r.status == "done"
+    assert r.browses == ["[" + " ".join(text(a) for a in answers) + "]"]
+    assert answers == [("a", 1, 10), ("b", 1, ("f", 2)),
+                       ("a", 2, 20), ("b", 2, ("f", 3))]
+
+
+def test_a_later_local_does_not_change_what_a_closure_captured():
+    s = Session()
+    s.feed("X = 5")
+    s.feed("fun {F} X end")
+    assert s.feed("local X in X = 3 {Browse X} end").browses == ["3"]
+    assert s.feed("{Browse {F}}").browses == ["5"]
+
 
 def test_session_keeps_declarations_across_feeds():
     s = Session()

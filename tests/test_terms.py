@@ -5,13 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import MATCH_OK, MATCH_UNDET, match_pattern
+from oracles import (MATCH_OK, MATCH_UNDET, DictFrameRunner, RefFailure,
+                     RefSuspend, match_pattern)
+from ozk.compiler import compile_top
 from ozk.errors import OzkError
-from ozk.runtime import (Failure, Runtime, Suspend, Task, build_term,
-                         exec_stmt)
+from ozk.runtime import Failure, Runtime, Suspend, Task, exec_stmt
 from ozk.syntax import (OPERATORS, BuiltinCall, Call, CaseArm, CaseStmt, CAnon,
                         CCompound, CLit, CVar, IfArm, IfStmt, Local, PAnon,
-                        PCompound, PLit, PVar, Unify, seq_all, seq_items)
+                        PCompound, PLit, PVar, Unify, pattern_names, seq_all)
 from ozk.terms import (
     Atom, Compound, Int, NIL, Store, Var, bisimilar, compare_terms, cons,
     is_cons, list_to_python, make_list, materialize, render, snapshot,
@@ -413,7 +414,7 @@ def test_compiled_unify_matches_build_then_unify(
         if trailed:
             store.push_trail()
         env = {f"V{i}": vs[i] for i in range(4)}
-        env.update({"X": vs[4], "\x00up": None})
+        env["X"] = vs[4]
         x = store.deref(vs[4])
         if not isinstance(x, Compound):
             builds = _voids(pattern)            # write mode
@@ -427,15 +428,16 @@ def test_compiled_unify_matches_build_then_unify(
         if compiled:
             rt = Runtime(store=store)
             rt.wake = woken.update
+            code = compile_top(stmt)
             try:
-                exec_stmt(Task(rt), stmt, env)
+                exec_stmt(Task(rt), code.body, code.frame(env))
                 ok, reason = True, ""
             except Failure as f:
                 ok, reason = False, f.reason.removeprefix("unification failed: ")
             # a void makes a variable only where the term is built
             assert store.next_seq - before == builds
         else:
-            built = build_term(store, pattern, env)
+            built = DictFrameRunner(store).build(pattern, (env, None))
             res = (store.unify(vs[4], built) if x_left
                    else store.unify(built, vs[4]))
             ok, reason = res.ok, res.reason
@@ -494,9 +496,9 @@ def _run_local(stmt, compiled, prebinds, waiting, trailed):
     outcome, its text (a failure's, an error's or the rendered variable a
     suspension waits for), the woken threads and the rendered values of
     the outside variables (and, on success, of the local's names).
-    Compiled, it runs as the runtime runs it; otherwise every local,
-    nested ones and those an `if` enters too, makes all of its names at
-    entry and runs its body as written."""
+    Compiled, it runs as the runtime runs it; otherwise it runs on the
+    reference runner, where every local, nested ones and those an `if`
+    enters too, makes all of its names at entry."""
     store = Store()
     vs = [store.new_var() for _ in range(4)]
     for i, shape in prebinds:
@@ -508,35 +510,42 @@ def _run_local(stmt, compiled, prebinds, waiting, trailed):
     if trailed:
         store.push_trail()
     env = {f"V{i}": vs[i] for i in range(4)}
-    env["\x00up"] = None
-    rt = Runtime(store=store)
     woken: set = set()
-    rt.wake = woken.update
-    task = Task(rt)
-    if not compiled:
-        def push_local(local, e):
-            inner = {n: store.new_var() for n in local.names}
-            inner["\x00up"] = e
-            for item in reversed(seq_items(local.body)):
-                task.push(item, inner)
-        task.push_local = push_local
-    task.push(stmt, env)
-    frame = None
     waits = []
-    try:
-        while task.stack:
-            exec_stmt(task, *task.stack.pop())
-            if frame is None:
-                frame = task.stack[-1][1]
-        outcome, text = "ok", ""
-    except Failure as f:
-        outcome, text = "failed", f.reason
-    except Suspend as s:
-        outcome, text, waits = "suspended", "", s.vars
-    except OzkError as e:
-        outcome, text = "error", str(e)
-    shown = list(vs) + waits + (
-        [frame[n] for n in stmt.names] if outcome == "ok" else [])
+    if compiled:
+        rt = Runtime(store=store)
+        rt.wake = woken.update
+        task = Task(rt)
+        code = compile_top(stmt)
+        frame = code.frame(env)
+        task.push(code.body, frame)
+        try:
+            while task.stack:
+                exec_stmt(task, *task.stack.pop())
+            outcome, text = "ok", ""
+        except Failure as f:
+            outcome, text = "failed", f.reason
+        except Suspend as s:
+            outcome, text, waits = "suspended", "", s.vars
+        except OzkError as e:
+            outcome, text = "error", str(e)
+        # the local's own names have the first slots with their names
+        values = [frame[min(i for i, m in code.names if m == n)]
+                  for n in stmt.names]
+    else:
+        runner = DictFrameRunner(store)
+        try:
+            runner.run(stmt, (env, None))
+            outcome, text = "ok", ""
+        except RefFailure as f:
+            outcome, text = "failed", str(f)
+        except RefSuspend as s:
+            outcome, text, waits = "suspended", "", [s.var]
+        except OzkError as e:
+            outcome, text = "error", str(e)
+        woken = runner.woken
+        values = [runner.frames[0][n] for n in stmt.names]
+    shown = list(vs) + waits + (values if outcome == "ok" else [])
     return outcome, text, sorted(woken), render(store, Compound("r", shown))
 
 
@@ -607,21 +616,26 @@ def _case_outcome(compiled, arms, subject, prebinds):
             vs[i].ref = term
     t = _build(store, subject, vs)
     if compiled:
-        env = {"S": t, "\x00up": None}
+        env = {"S": t, "Arm": Atom("arm"), "Otherwise": Atom("otherwise")}
         task = Task(Runtime(store=store))
         stmt = CaseStmt(CVar("S"), tuple(
             CaseArm(p, Call(CVar("Arm"), (CLit(Int(i)),)))
             for i, p in enumerate(arms)), Call(CVar("Otherwise"), ()))
+        code = compile_top(stmt)
         try:
-            exec_stmt(task, stmt, env)
+            exec_stmt(task, code.body, code.frame(env))
         except Suspend as s:
             assert len(s.vars) == 1
             chosen, shown = "suspend", s.vars
         else:
             (body, frame), = task.stack
-            chosen = (body.args[0].value.value if body.args else "otherwise")
-            captures = {} if frame is env else frame
-            shown = [captures[n] for n in sorted(captures) if n != "\x00up"]
+            chosen = (body.args[0].value if body.args else "otherwise")
+            # the captures of the arm entered: those of arms tried before
+            # it may hold what they met before they clashed
+            captures = ({} if chosen == "otherwise" else
+                        set(pattern_names(arms[chosen])))
+            slots = {n: i for i, n in code.names}
+            shown = [frame[slots[n]] for n in sorted(captures)]
     else:
         for i, p in enumerate(arms):
             status, payload = match_pattern(store, p, t)
