@@ -17,7 +17,7 @@ from .dist import parse_placement, run_simulation
 from .errors import OzkError, ParseError, PlacementError, UnsupportedConstruct
 from .interp import Session
 from .prolog import parse_prolog, translate_query_source, translate_source
-from .runtime import StepLimit
+from .runtime import SCHED_POLICIES, StepLimit
 from .search import Engine
 from .terms import render
 
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, net=False):
-        p.add_argument("--sched-policy", choices=("fifo", "random"),
+        p.add_argument("--sched-policy", choices=SCHED_POLICIES,
                        default="fifo", help="thread scheduling order "
                        "(default fifo)")
         p.add_argument("--sched-seed", type=int, default=None, metavar="N",

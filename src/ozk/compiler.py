@@ -3,21 +3,22 @@ runtime runs.
 
 One top-down walk turns each statement into an instruction and resolves
 each name to a place: a slot of the activation frame it runs in.  A
-frame is a list, made once per procedure call (or per top-level piece):
-``[code, parameters..., locals..., captures...]``.  Every name a
-procedure's body declares, its locals, its ``case`` captures, its guard
-variables and the locals of its choice alternatives, gets a slot of its
-own in that one frame; a name that shadows another simply gets another
-slot (alpha renaming), and sibling scopes never share one, because a
-``thread`` and its sibling may both be alive in one activation.  A name
-the body uses but does not declare is captured: a closure copies the
-values of its free names out of the frame it is made in (a flat
-closure), and a call appends them to the new frame, where they sit at
-negative slots (``-1`` is the first captured), so no lookup walks a
-chain.  A top-level piece captures its free names, the globals, from the
-session's dictionary by name when it starts (:meth:`Code.frame`); no
-global is ever redeclared, so the value taken then is the one a later
-lookup would find.
+frame is a list, made once per procedure call, per thread (or per
+top-level piece): ``[code, parameters..., locals..., captures...]``.
+Every name a procedure's body declares, its locals, its ``case``
+captures, its guard variables and the locals of its choice
+alternatives, gets a slot of its own in that one frame; a name that
+shadows another simply gets another slot (alpha renaming), and sibling
+scopes never share one.  A ``thread``'s body is compiled as a procedure
+with no parameters, so its names live in a frame of its own and die
+with the thread.  A name the body uses but does not declare is
+captured: a closure (or a thread) copies the values of its free names
+out of the frame it is made in (a flat closure), and a call appends
+them to the new frame, where they sit at negative slots (``-1`` is the
+first captured), so no lookup walks a chain.  A top-level piece
+captures its free names, the globals, from the session's dictionary by
+name when it starts (:meth:`Code.frame`); no global is ever redeclared,
+so the value taken then is the one a later lookup would find.
 
 Every slot is written before it is read on every path, so frames are
 never trailed: a ``local`` writes the names it makes when it is reached,
@@ -91,7 +92,8 @@ class Fresh:
 
 
 class Code:
-    """A compiled procedure, or a top-level piece (no parameters).
+    """A compiled procedure, a thread's body or a top-level piece (the
+    two with no parameters).
 
     A frame is ``[code, parameters..., locals..., captured values...]``;
     ``blank`` fills the locals, and ``captures`` says where the captured
@@ -244,10 +246,12 @@ class Proc:
 
 
 class Thread:
-    __slots__ = ("body",)
+    """A ``thread``: spawn ``code``'s body in a frame of its own, which
+    captures the values of its free names from the frame it starts in."""
+    __slots__ = ("code",)
 
-    def __init__(self, body):
-        self.body = body
+    def __init__(self, code: Code):
+        self.code = code
 
 
 class Skip:
@@ -574,7 +578,7 @@ class _Compiler:
         return Choice(tuple([self.alternative(a) for a in s.alternatives]))
 
     def thread(self, s: syn.ThreadStmt, first) -> Thread:
-        return Thread(self.stmt(s.body))
+        return Thread(_Compiler(self).code("", s.body))
 
     def unify(self, s: syn.Unify, first) -> Unify:
         if not first:

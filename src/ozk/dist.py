@@ -25,9 +25,11 @@ under the same VarId and learns of bindings through messages:
   always points the greater at the lesser, so the total order yields one
   global representative per equivalence class and no binding cycles.
 
-The network is failure-free — no loss, no duplication — and delivers
-either in global arrival order (``fifo``, which preserves per-link
-order) or in a seeded random shuffle that freely reorders everything the
+The network is failure-free — no loss, no duplication.  It keeps one
+queue of pending messages, in the order they were posted, and takes the
+next one through the runtime's ``take_next``: with no net seed the
+oldest, which preserves per-link order; with a net seed any one, picked
+by a ``random.Random`` so seeded, which freely reorders everything the
 protocol must tolerate.  The whole simulation is single-context
 discrete-event: one loop alternates node scheduler work and message
 deliveries, and virtual time advances only when every node is idle and
@@ -62,7 +64,7 @@ from .errors import PlacementError
 from .interp import Session
 from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
-from .runtime import Runtime, StepLimit
+from .runtime import Runtime, StepLimit, take_next
 from .syntax import Local, ThreadStmt, free_names, seq_all, seq_items
 from .terms import (Snapshot, Store, Var, VarId, bisimilar, materialize,
                     render, snapshot)
@@ -118,6 +120,17 @@ def split_program(text: str, ambient: tuple) -> tuple:
     return tuple(names), tuple(setup), tuple(threads)
 
 
+@lru_cache(maxsize=64)
+def _compiled_pieces(text: str, ambient: tuple) -> tuple:
+    """:func:`split_program` with each piece compiled: ``(declared_names,
+    setup_code, thread_codes)``, where the setup statements compile to one
+    piece, or None when there are none.  Each piece's ``captures`` are its
+    free names."""
+    names, setup, threads = split_program(text, ambient)
+    setup_code = compile_top(seq_all(list(setup))) if setup else None
+    return names, setup_code, tuple(compile_top(body) for body in threads)
+
+
 def parse_placement(text: str) -> dict:
     """Parse ``a=0,b=1`` into {'a': 0, 'b': 1}."""
     out: dict = {}
@@ -146,7 +159,6 @@ def parse_placement(text: str) -> dict:
 
 @dataclass(frozen=True)
 class Message:
-    seq: int
     src: int
     dst: int
     kind: str                 # one of MESSAGE_KINDS
@@ -158,47 +170,31 @@ class Message:
 
 
 class Network:
-    """Per-ordered-pair queues with a pluggable delivery order.
+    """The messages in flight, in one queue in the order they were posted,
+    delivered in ``order`` (see :func:`take_next`).
 
-    ``fifo`` always delivers the globally oldest pending message, which
-    in particular preserves per-link order.  ``shuffle`` delivers any
-    pending message, picked by a seeded RNG — adversarial reordering
+    With ``order`` None the globally oldest pending message goes first,
+    which in particular preserves per-link order.  A seeded
+    ``random.Random`` picks any pending message — adversarial reordering
     (across and within links) that a correct protocol must tolerate."""
 
-    def __init__(self, policy: str = "fifo", seed: Optional[int] = None):
-        if policy not in ("fifo", "shuffle"):
-            raise ValueError(f"unknown delivery policy {policy!r}")
-        self.policy = policy
-        self.rng = random.Random(seed)
-        self.queues: dict = {}
-        self.pending = 0
+    def __init__(self, order: Optional[random.Random] = None):
+        self.order = order
+        self.queue: deque = deque()
         self.sent: Counter = Counter()
         self.delivered: Counter = Counter()
-        self._seq = 0
+
+    @property
+    def pending(self) -> int:
+        return len(self.queue)
 
     def post(self, src: int, dst: int, kind: str, var: VarId,
              payload=None) -> None:
-        self._seq += 1
-        msg = Message(self._seq, src, dst, kind, var, payload)
-        self.queues.setdefault((src, dst), deque()).append(msg)
-        self.pending += 1
+        self.queue.append(Message(src, dst, kind, var, payload))
         self.sent[kind] += 1
 
     def take(self) -> Message:
-        if self.policy == "fifo":
-            link = min((q[0].seq, l) for l, q in self.queues.items() if q)[1]
-            msg = self.queues[link].popleft()
-        else:
-            i = self.rng.randrange(self.pending)
-            msg = None
-            for link in sorted(self.queues):
-                q = self.queues[link]
-                if i < len(q):
-                    msg = q[i]
-                    del q[i]
-                    break
-                i -= len(q)
-        self.pending -= 1
+        msg = take_next(self.queue, self.order)
         self.delivered[msg.kind] += 1
         return msg
 
@@ -242,7 +238,6 @@ class SimReport:
     sent: Counter                    # messages posted, by kind
     delivered: Counter               # messages delivered, by kind
     steps: int                       # event-loop iterations
-    trace: list                      # one "src dst kind var" line per delivery
     failures: list
     suspended: dict                  # node id -> [(tid, [vid, ...]), ...]
     nodes: list = field(repr=False, default_factory=list)
@@ -286,7 +281,6 @@ class Simulation:
     and no thread is sleeping (virtual time has run out of work)."""
 
     def __init__(self, source: str, placement: Optional[dict] = None, *,
-                 net_policy: Optional[str] = None,
                  net_seed: Optional[int] = None,
                  sched_policy: str = "fifo",
                  sched_seed: Optional[int] = None,
@@ -296,7 +290,7 @@ class Simulation:
         placement = dict(placement or {})
         _, native = make_builtins()
         ambient = tuple(native) + PRELUDE_NAMES
-        names, setup, threads = split_program(source, ambient)
+        names, setup, threads = _compiled_pieces(source, ambient)
 
         thread_names = THREAD_NAMES[:len(threads)]
         for key in placement:
@@ -308,9 +302,8 @@ class Simulation:
         self.placement = {nm: placement.get(nm, 0) for nm in thread_names}
         node_count = max(self.placement.values(), default=0) + 1
 
-        if net_policy is None:
-            net_policy = "shuffle" if net_seed is not None else "fifo"
-        self.network = Network(net_policy, net_seed)
+        self.network = Network(None if net_seed is None
+                               else random.Random(net_seed))
         self.on_net_trace = on_net_trace
 
         self.nodes = []
@@ -328,7 +321,6 @@ class Simulation:
 
         self.clock = 0
         self.steps = 0
-        self.trace: list = []
         self.failure: Optional[str] = None
 
         self._place(names, setup, threads)
@@ -336,10 +328,8 @@ class Simulation:
     # -- program placement --------------------------------------------
 
     def _place(self, names, setup, threads) -> None:
-        thread_free = [free_names(body) for body in threads]
-        setup_free: set = set()
-        for stmt in setup:
-            setup_free |= free_names(stmt)
+        thread_free = [code.captures for code in threads]
+        setup_free = setup.captures if setup is not None else ()
         thread_nodes = [self.placement[THREAD_NAMES[i]]
                         for i in range(len(threads))]
 
@@ -364,13 +354,11 @@ class Simulation:
 
         # each piece runs in a frame of its own, its free names taken
         # from its node's globals
-        if setup:
-            code = compile_top(seq_all(list(setup)))
+        if setup is not None:
             for node in self.nodes:
-                node.rt.spawn(code.body, code.frame(node.globals))
-        for i, body in enumerate(threads):
+                node.rt.spawn(setup.body, setup.frame(node.globals))
+        for i, code in enumerate(threads):
             node = self.nodes[thread_nodes[i]]
-            code = compile_top(body)
             node.rt.spawn(code.body, code.frame(node.globals))
 
     # -- store hooks (one object serves every node's store) ------------
@@ -428,7 +416,6 @@ class Simulation:
                 f"{detail}")
 
     def _deliver(self, msg: Message) -> None:
-        self.trace.append(msg.trace_line())
         if self.on_net_trace is not None:
             self.on_net_trace(msg.trace_line())
         node = self.nodes[msg.dst]
@@ -506,10 +493,11 @@ class Simulation:
             status = "failed"
         elif suspended:
             status = "deadlock"
-        outputs = {node.node_id: list(node.rt.browses) for node in self.nodes}
+        outputs = {node.node_id: [text for _, text in node.rt.browse_log]
+                   for node in self.nodes}
         return SimReport(status, self.clock, outputs, self.network.sent,
-                         self.network.delivered, self.steps, self.trace,
-                         failures, suspended, self.nodes)
+                         self.network.delivered, self.steps, failures,
+                         suspended, self.nodes)
 
 
 def run_simulation(source: str, placement: Optional[dict] = None,

@@ -12,7 +12,7 @@ from .builtins import make_builtins
 from .compiler import compile_top
 from .parser import parse_interactive
 from .prelude import PRELUDE
-from .runtime import RunResult, Runtime
+from .runtime import RunResult, Runtime, sched_order
 from .terms import Store, Term
 
 
@@ -53,8 +53,9 @@ class Session:
                  on_trace: Optional[Callable[[str, dict], None]] = None,
                  store: Optional[Store] = None, prelude: bool = True):
         funcs, native = make_builtins()
-        self.rt = Runtime(store=store, builtins=funcs, policy=policy,
-                          seed=seed, max_steps=max_steps, real_time=real_time,
+        self.rt = Runtime(store=store, builtins=funcs,
+                          order=sched_order(policy, seed),
+                          max_steps=max_steps, real_time=real_time,
                           on_browse=on_browse, on_trace=on_trace)
         self.store = self.rt.store
         # name -> value, shared by every chunk: later feeds add names to it

@@ -12,13 +12,15 @@ runs a timeslice of its own reductions at a time; a guard or an engine
 runs to its end inside one reduction of the task that started it, so
 its reductions do not use up that task's timeslice.
 
-A frame is a list, one per procedure call (and one per top-level piece):
-the code, the arguments, a slot for every name the body declares and
-the values the closure captured.  Every operand that names a variable
-is a slot index, so a name costs one list index and never a lookup.  A
-call makes the frame (`call_frame`, inlined in `exec_stmt`); a `local`,
-a `case` arm, a guard or a choice alternative writes its names into the
-slots of the frame it runs in and makes none of its own.
+A frame is a list, one per procedure call, per thread and per top-level
+piece: the code, the arguments, a slot for every name the body declares
+and the values the closure captured.  Every operand that names a
+variable is a slot index, so a name costs one list index and never a
+lookup.  A call makes the frame (`call_frame`, inlined in `exec_stmt`),
+and so does a `thread`, which captures the values of the names its body
+uses when it is created, so that its temporaries die with it; a
+`local`, a `case` arm, a guard or a choice alternative writes its names
+into the slots of the frame it runs in and makes none of its own.
 
 A block pushes all of its statements in one reduction, and a body that
 is a block or a `local` (of a procedure, an `if` or `case` arm or an
@@ -58,6 +60,13 @@ Threads are cooperatively scheduled in timeslices over a single store.
 Blocking is dataflow only: a thread that needs a variable's value parks
 on it and is woken by the binding.  Time is virtual: `Delay` sleeps the
 thread, and the clock jumps forward only when nothing is runnable.
+
+Every choice of what goes next is made by `take_next`, over a queue
+listed oldest first and an order: None takes the oldest, a seeded
+`random.Random` any.  The scheduler takes its next runnable thread
+there, and a network simulation its next message (dist.py).  The
+policy names of the command line and of `Session` are mapped to an
+order in one place, `sched_order`.
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ import random as _random
 import time as _time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat as _repeat
 from typing import Callable, Optional
 
@@ -611,7 +621,11 @@ def exec_stmt(task: Task, stmt, frame: list):
             raise ThreadInSearchError(
                 "cannot create a thread inside a " + (
                     "guard" if task.mode == "guard" else "search engine"))
-        rt.spawn(stmt.body, frame)
+        code = stmt.code
+        child = [code]
+        child += code.blank
+        child += [frame[i] for i in code.captures]
+        rt.spawn(code.body, child)
         return
 
     if kind is Skip:
@@ -727,12 +741,45 @@ class Stats:
 class RunResult:
     status: str                      # done | failed | deadlock | limit
     clock: int
-    browses: list
-    browse_log: list
+    browse_log: list                 # (clock, text) per line browsed
     failures: list
     suspended: list
     stats: Stats
     idle: list = field(default_factory=list)
+
+    @cached_property
+    def browses(self) -> list:
+        """The texts of ``browse_log``, made when first read."""
+        return [text for _, text in self.browse_log]
+
+
+# -- what goes next -------------------------------------------------------------
+
+SCHED_POLICIES = ("fifo", "random")
+
+
+def sched_order(policy: str, seed: Optional[int]) -> Optional[_random.Random]:
+    """The order a scheduling policy name stands for (see
+    :func:`take_next`): None for ``fifo``, and for ``random`` a
+    ``random.Random`` seeded with ``seed``."""
+    if policy == "fifo":
+        return None
+    if policy == "random":
+        return _random.Random(seed)
+    raise ValueError(f"unknown scheduling policy {policy!r}")
+
+
+def take_next(queue: deque, order):
+    """Remove and return the next item of ``queue``, whose items are listed
+    oldest first: the oldest when ``order`` is None, else the item at
+    ``order.randrange(len(queue))``.  The scheduler takes the next
+    runnable thread and the network the next message to deliver here."""
+    if order is None:
+        return queue.popleft()
+    i = order.randrange(len(queue))
+    item = queue[i]
+    del queue[i]
+    return item
 
 
 TIMESLICE = 1000
@@ -751,18 +798,18 @@ class Runtime:
     budget or an error stops a run, the thread that ran and every other
     runnable or sleeping thread leave with status ``stopped``.  The lines
     browsed during a run go to its :class:`RunResult` and leave
-    ``browses`` and ``browse_log``; a run stopped by an error drops them,
-    and its failures, with the exception."""
+    ``browse_log``; a run stopped by an error drops them, and its
+    failures, with the exception.  The next runnable thread is taken from
+    ``runq`` in ``order`` (see :func:`take_next`)."""
 
     def __init__(self, store: Optional[Store] = None, builtins: Optional[dict] = None,
-                 policy: str = "fifo", seed: Optional[int] = None,
+                 order: Optional[_random.Random] = None,
                  max_steps: Optional[int] = None, real_time: bool = False,
                  on_browse: Optional[Callable[[str], None]] = None,
                  on_trace: Optional[Callable[[str, dict], None]] = None):
         self.store = store if store is not None else Store()
         self.builtins = builtins if builtins is not None else {}
-        self.policy = policy
-        self.rng = _random.Random(seed)
+        self.order = order
         self.max_steps = max_steps
         self.step_limit: Optional[int] = None   # see renew_budget
         self.real_time = real_time
@@ -775,7 +822,6 @@ class Runtime:
         self.unreported_failures: dict[int, str] = {}
         self.next_tid = 1
         self.stats = Stats()
-        self.browses: list = []
         self.browse_log: list = []
         self.renew_budget()
 
@@ -792,7 +838,6 @@ class Runtime:
 
     def browse(self, term: Term):
         text = render(self.store, term)
-        self.browses.append(text)
         self.browse_log.append((self.clock, text))
         if self.on_browse is not None:
             self.on_browse(text)
@@ -859,15 +904,6 @@ class Runtime:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _pick(self) -> int:
-        if self.policy == "random":
-            i = self.rng.randrange(len(self.runq))
-            self.runq.rotate(-i)
-            tid = self.runq.popleft()
-            self.runq.rotate(i)
-            return tid
-        return self.runq.popleft()
-
     def _slice(self, thread: OzThread):
         if self.on_trace is not None:
             self.on_trace("run", {"tid": thread.tid})
@@ -899,7 +935,7 @@ class Runtime:
         or a network simulation, owns time and decides when the whole
         system is quiescent.  ``StepLimit`` propagates."""
         while self.runq:
-            self._slice(self.threads[self._pick()])
+            self._slice(self.threads[take_next(self.runq, self.order)])
 
     def next_wake(self) -> Optional[int]:
         """Earliest wake-up time among sleeping threads, or None."""
@@ -967,7 +1003,7 @@ class Runtime:
         except BaseException:
             # an error: the run's output and failures go with it
             self._stop()
-            self.browses, self.browse_log = [], []
+            self.browse_log = []
             self.unreported_failures.clear()
             raise
 
@@ -979,7 +1015,6 @@ class Runtime:
                 status = "deadlock"
         # The run's output goes to its result and leaves the runtime, so
         # a long session keeps no lines from earlier runs.
-        browses, self.browses = self.browses, []
         browse_log, self.browse_log = self.browse_log, []
-        return RunResult(status, self.clock, browses, browse_log,
-                         failures, suspended, self.stats, idle)
+        return RunResult(status, self.clock, browse_log, failures, suspended,
+                         self.stats, idle)

@@ -122,10 +122,10 @@ class TestRun:
         ("local X in local Y in Y = X local X in {Wait Y} end end end", "Y"),
         # a global
         ("X in {Wait X}", "X"),
-        # of two names of one scope, the first declared; in the thread
-        # that shares the scope's frame too
+        # of two names of one scope, the first declared
         ("local A B in B = A {Wait B} end", "A"),
-        ("local A B in B = A thread {Wait B} end end", "A"),
+        # a thread's frame holds only the names its body uses
+        ("local A B in B = A thread {Wait B} end end", "B"),
     ], ids=["parameter", "shadowed_local", "inner_name", "global",
             "same_scope", "same_scope_thread"])
     def test_deadlock_names_the_variable_as_the_source_does(

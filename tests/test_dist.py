@@ -1,16 +1,22 @@
 """Multi-node simulation: protocol behavior, confluence, replica checks."""
 
+import random
 import re
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
 
+from ozk.builtins import make_builtins
 from ozk.compiler import compile_top
-from ozk.dist import (Network, Simulation, free_names, parse_placement,
+from ozk.dist import (Network, Simulation, parse_placement,
                       replica_divergences, run_simulation, split_program)
 from ozk.errors import PlacementError
-from ozk.interp import run_text
+from ozk.interp import Session, run_text
 from ozk.parser import parse_program
+from ozk.prelude import PRELUDE_NAMES
+from ozk.runtime import take_next
+from ozk.syntax import free_names
 from ozk.terms import Var
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
@@ -53,6 +59,14 @@ def quiesced(report):
     assert report.status == "done", report.summary()
     assert not replica_divergences(report.nodes), report.summary()
     return report
+
+
+def traced(source, placement, **options):
+    """Run a simulation; its report and the line of each delivery."""
+    lines: list = []
+    report = run_simulation(source, placement, on_net_trace=lines.append,
+                            **options)
+    return report, lines
 
 
 class TestPlacementParsing:
@@ -362,15 +376,15 @@ class TestProtocol:
 
 class TestDeterminismAndConfluence:
     def test_fifo_runs_are_identical(self):
-        a = run_simulation(GEN_MAP, {"a": 0, "b": 1})
-        b = run_simulation(GEN_MAP, {"a": 0, "b": 1})
-        assert a.trace == b.trace
+        a, a_trace = traced(GEN_MAP, {"a": 0, "b": 1})
+        b, b_trace = traced(GEN_MAP, {"a": 0, "b": 1})
+        assert a_trace == b_trace
         assert a.outputs == b.outputs
 
     def test_same_shuffle_seed_same_trace(self):
-        a = run_simulation(GEN_MAP, {"a": 0, "b": 1}, net_seed=7)
-        b = run_simulation(GEN_MAP, {"a": 0, "b": 1}, net_seed=7)
-        assert a.trace == b.trace
+        _, a_trace = traced(GEN_MAP, {"a": 0, "b": 1}, net_seed=7)
+        _, b_trace = traced(GEN_MAP, {"a": 0, "b": 1}, net_seed=7)
+        assert a_trace == b_trace
 
     def test_outputs_confluent_across_seeds(self):
         for seed in range(25):
@@ -386,41 +400,94 @@ class TestDeterminismAndConfluence:
             assert report.outputs[1] == [SQUARES]
 
     def test_trace_line_format(self):
-        report = run_simulation(GEN_MAP, {"a": 0, "b": 1})
+        report, lines = traced(GEN_MAP, {"a": 0, "b": 1})
         pattern = re.compile(
             r"^\d+ \d+ (Register|BindRequest|BindNotify|UnifyVarVar) "
             r"v\d+\.\d+$")
-        assert report.trace
-        for line in report.trace:
+        assert lines
+        assert len(lines) == report.total_delivered
+        for line in lines:
             assert pattern.match(line), line
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS.glob("*.ozk")),
+                             ids=lambda p: p.name)
+    def test_docs_programs_confluent_across_schedules(self, program):
+        # A sampled sweep of both order choices: every schedule and every
+        # delivery order must reach the FIFO run's status and lines.
+        text = program.read_text()
+        want = run_text(text)
+        lines = Counter(want.browses)
+        for seed in range(5):
+            got = run_text(text, policy="random", seed=seed)
+            assert (got.status, Counter(got.browses)) == (want.status, lines)
+        _, native = make_builtins()
+        _, _, threads = split_program(text, tuple(native) + PRELUDE_NAMES)
+        placement = dict([("a", 0), ("b", 1)][:len(threads)])
+        for sched_seed in range(5):
+            for net_seed in range(5):
+                report = run_simulation(
+                    text, placement, sched_policy="random",
+                    sched_seed=sched_seed, net_seed=net_seed)
+                browsed = Counter(line for out in report.outputs.values()
+                                  for line in out)
+                assert (report.status, browsed) == (want.status, lines), \
+                    report.summary()
+                assert replica_divergences(report.nodes) == []
 
 
 class TestNetwork:
     def test_fifo_preserves_per_link_order(self):
-        net = Network("fifo")
+        net = Network(None)
         for i in range(5):
             net.post(0, 1, "Register", (0, i))
         got = [net.take().var[1] for _ in range(5)]
         assert got == [0, 1, 2, 3, 4]
 
     def test_fifo_is_globally_oldest_first(self):
-        net = Network("fifo")
+        net = Network(None)
         net.post(0, 1, "Register", (0, 1))
         net.post(1, 0, "Register", (1, 1))
         net.post(0, 1, "Register", (0, 2))
         order = [(net.take().src, net.take().src, net.take().src)]
         assert order == [(0, 1, 0)]
+        assert net.pending == 0
 
     def test_shuffle_reproducible_and_complete(self):
         def drain(seed):
-            net = Network("shuffle", seed)
+            net = Network(random.Random(seed))
             for i in range(6):
                 net.post(i % 2, 1 - i % 2, "Register", (0, i))
+            assert net.pending == 6
             return [net.take().var[1] for _ in range(6)]
         assert drain(3) == drain(3)
         assert sorted(drain(3)) == [0, 1, 2, 3, 4, 5]
         assert drain(3) != drain(4) or drain(4) != drain(5)
 
+
+class TestTakeNext:
+    def test_fifo_takes_in_post_order_across_links(self):
+        net = Network(None)
+        posts = [(0, 1), (1, 0), (0, 2), (2, 1), (0, 1), (1, 0)]
+        for i, (src, dst) in enumerate(posts):
+            net.post(src, dst, "Register", (src, i))
+        got = [take_next(net.queue, None) for _ in posts]
+        assert [(m.src, m.dst, m.var[1]) for m in got] == \
+            [(src, dst, i) for i, (src, dst) in enumerate(posts)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_seeded_takes_what_randrange_picks(self, seed):
+        items = list("abcdefgh")
+        queue = deque(items)
+        order = random.Random(seed)
+        got = [take_next(queue, order) for _ in items]
+        rng, rest, want = random.Random(seed), list(items), []
+        while rest:
+            want.append(rest.pop(rng.randrange(len(rest))))
+        assert got == want
+        assert not queue
+
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Network("carrier-pigeon")
+        with pytest.raises(ValueError, match="rnadom"):
+            Session(policy="rnadom", prelude=False)
+        with pytest.raises(ValueError, match="rnadom"):
+            run_simulation(GEN_MAP, {"a": 0, "b": 1}, sched_policy="rnadom")
