@@ -1,13 +1,10 @@
-"""Built-in operations: equality, tests, waiting, browsing, search.
+"""Built-in procedures: waiting, browsing, sorting, search.
 
-The registry serves two call paths: the statements ``==`` and ``$test``
-compiled by the desugarer (``BuiltinCall``) look functions up by name,
-and user-callable names (``Browse``, ``Wait``, ``SolveAll`` ...) are the
-same functions wrapped as NativeProc values in the global environment.
-The test ``A == B`` of an ``if`` on two integers or two atoms is
-compared by the runtime itself (``runtime.exec_equal_test``).
-The integer operators (``+ - * div < > =< >=``) are not in it: the
-runtime runs them itself (``runtime.exec_op``).
+Each is a NativeProc value in the global environment under a
+user-callable name (``Browse``, ``Wait``, ``SolveAll`` ...).  The
+statements the desugarer makes of operators and tests are not here: the
+runtime runs the integer operators (``runtime.exec_op``), ``==`` and
+``$test`` itself.
 
 Every function takes (task, args) with args as store terms and either
 returns after binding its outputs or raises one of the control signals
@@ -45,35 +42,6 @@ def _bind(task: Task, lhs: Term, value: Term):
         task.rt.wake(res.woken)
     if not res.ok:
         raise Failure(res)
-
-
-def _bool_term(b: bool) -> Atom:
-    return Atom("true") if b else Atom("false")
-
-
-# -- equality and tests ----------------------------------------------------------
-
-
-def _equal(task: Task, args):
-    store = task.rt.store
-    res, frontier = store.equals(args[0], args[1])
-    if res is None:
-        raise Suspend(frontier)
-    if len(args) == 2:
-        if not res:
-            raise Failure("== is false")
-    else:
-        _bind(task, args[2], _bool_term(res))
-
-
-def _test(task: Task, args):
-    store = task.rt.store
-    v = _value(store, args[0])
-    if v == Atom("true"):
-        return
-    if v == Atom("false"):
-        raise Failure("condition is false")
-    raise OzkError(f"a condition must be true or false, got {render(store, v)}")
 
 
 # -- waiting and time ----------------------------------------------------------
@@ -197,25 +165,13 @@ def _solve_lazy(task: Task, args):
     task.rt.spawn(_SOLVE_LOOP.code.body, frame)
 
 
-# -- registry ----------------------------------------------------------------------
+# -- the global environment ------------------------------------------------------
 
 
-def make_builtins():
-    """Return (name->function registry, name->NativeProc environment)."""
-    funcs = {
-        "==": _equal,
-        "$test": _test,
-        "Wait": _wait,
-        "WaitNeeded": _wait_needed,
-        "Delay": _delay,
-        "Browse": _browse,
-        "Sort": _sort,
-        "SolveOne": _solve_eager(1),
-        "SolveAll": _solve_eager(None),
-        "Solve": _solve_lazy,
-    }
-    arities = {"Wait": 1, "WaitNeeded": 1, "Delay": 1, "Browse": 1,
-               "Sort": 2, "SolveOne": 2, "SolveAll": 2, "Solve": 2}
-    native = {name: NativeProc(name, arity, funcs[name])
-              for name, arity in arities.items()}
-    return funcs, native
+def make_builtins() -> dict:
+    """Return the name->NativeProc map of the built-in procedures."""
+    procs = [("Wait", 1, _wait), ("WaitNeeded", 1, _wait_needed),
+             ("Delay", 1, _delay), ("Browse", 1, _browse), ("Sort", 2, _sort),
+             ("SolveOne", 2, _solve_eager(1)),
+             ("SolveAll", 2, _solve_eager(None)), ("Solve", 2, _solve_lazy)]
+    return {name: NativeProc(name, arity, fn) for name, arity, fn in procs}

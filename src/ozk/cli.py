@@ -142,12 +142,13 @@ def _print_browse(text: str) -> None:
     sys.stdout.flush()
 
 
-def _translate_for_run(source: str, args) -> str:
+def _translate(source: str, args, all_solutions: bool = False) -> str:
     kernel = translate_source(source, generators=args.bagof_generators)
     if args.query:
         clauses = parse_prolog(source)
         query = translate_query_source(args.query, clauses,
-                                       generators=args.bagof_generators)
+                                       generators=args.bagof_generators,
+                                       all_solutions=all_solutions)
         kernel = kernel + ("\n" if kernel else "") + query
     return kernel
 
@@ -198,7 +199,7 @@ def _report_outcome(result, session: Session) -> int:
 def cmd_run(args) -> int:
     source = _read(args.file)
     if args.file.endswith(".pl"):
-        source = _translate_for_run(source, args)
+        source = _translate(source, args)
     elif args.query:
         return _usage_error("--query only applies to .pl files")
     session = Session(policy=args.sched_policy, seed=args.sched_seed,
@@ -210,14 +211,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    source = _read(args.file)
-    kernel = translate_source(source, generators=args.bagof_generators)
-    if args.query:
-        clauses = parse_prolog(source)
-        query = translate_query_source(args.query, clauses,
-                                       generators=args.bagof_generators,
-                                       all_solutions=args.all)
-        kernel = kernel + ("\n" if kernel else "") + query
+    kernel = _translate(_read(args.file), args, args.all)
     _check_roundtrip(kernel)
     sys.stdout.write(kernel)
     return EXIT_DONE
@@ -230,7 +224,7 @@ def _check_roundtrip(kernel: str) -> None:
     from .builtins import make_builtins
     from .parser import parse_program
     from .prelude import PRELUDE_NAMES
-    ambient = tuple(make_builtins()[1]) + PRELUDE_NAMES
+    ambient = tuple(make_builtins()) + PRELUDE_NAMES
     parse_program(kernel, ambient)
 
 

@@ -40,8 +40,10 @@ The instructions (each a slotted class, dispatched on by type):
 An operand is a slot (an ``int``), a literal (an ``Atom`` or ``Int``),
 ``None`` for a void (``_`` as an argument of a compound), a ``Build``
 (a compound to build) or a ``Fresh`` (a first use, see below).  A
-``case`` pattern is compiled as an operand is, with a tuple ``(label,
-arity, args)`` for a compound and a slot for a name it captures.
+``case`` pattern is the same kind of expression as an operand, but its
+names are binding occurrences: it compiles to a literal, ``None`` for a
+void, a new slot for each name it captures, and a tuple ``(label,
+arity, args)`` for a compound.
 
 A name of a ``local`` whose first use is, in a statement of the local's
 body itself, an occurrence in ``X = f(...)`` (as ``X`` or as an argument
@@ -63,7 +65,7 @@ from typing import Optional
 
 from . import syntax as syn
 from .errors import OzkError
-from .syntax import CAnon, CCompound, CLit, CVar, PAnon, PCompound, PLit, PVar
+from .syntax import CAnon, CCompound, CLit, CVar, expr_names
 
 # -- operands ------------------------------------------------------------------
 
@@ -172,7 +174,8 @@ class Op:
 
 
 class Builtin:
-    """A statement looked up in the builtins registry (``==``, ``$test``)."""
+    """``==`` (a test, or with a result) or ``$test``, each of which the
+    runtime runs itself."""
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple):
@@ -192,7 +195,7 @@ class Case:
 
 # How an `if` arm's guard runs: a statement on a trail of its own, or one
 # of the pure tests, which bind nothing: an integer comparison, `==` of
-# two operands, or another registry test.
+# two operands, or `$test`.
 GUARD, OP_TEST, EQ_TEST, TEST = range(4)
 
 
@@ -278,19 +281,6 @@ def frame_names(frame: list):
 # -- first uses --------------------------------------------------------------
 
 
-def _unify_counts(s: syn.Unify) -> dict:
-    """How often each name occurs in a unification (walked with a stack)."""
-    counts: dict = {}
-    todo = [s.lhs, s.rhs]
-    while todo:
-        e = todo.pop()
-        if type(e) is CVar:
-            counts[e.name] = counts.get(e.name, 0) + 1
-        elif type(e) is CCompound:
-            todo.extend(e.args)
-    return counts
-
-
 def _first_in_unify(s: syn.Unify, first: set) -> list:
     """The names of ``first`` that are the variable of ``s``, a ``X =
     f(...)`` or ``f(...) = X``, or an argument of its compound."""
@@ -304,20 +294,6 @@ def _first_in_unify(s: syn.Unify, first: set) -> list:
     if var.name in first:
         done.append(var.name)
     return done
-
-
-def _operator_names(exprs) -> set:
-    """The names that operands of an operator statement read: a name or a
-    literal, and rarely a compound (a type error when it runs)."""
-    out: set = set()
-    todo = list(exprs)
-    while todo:
-        e = todo.pop()
-        if type(e) is CVar:
-            out.add(e.name)
-        elif type(e) is CCompound:
-            todo.extend(e.args)
-    return out
 
 
 def first_uses(names: tuple, stmts) -> dict:
@@ -351,23 +327,23 @@ def first_uses(names: tuple, stmts) -> dict:
         s = stmts[i]
         kind = type(s)
         if kind is syn.Unify:
-            counts = _unify_counts(s)
-            first = {n for n in unseen.intersection(counts) if counts[n] == 1}
-            unseen.difference_update(counts)
+            used = expr_names(s.lhs, s.rhs)
+            first = {n for n in unseen.intersection(used) if used.count(n) == 1}
+            unseen.difference_update(used)
             if first:
                 done = _first_in_unify(s, first)
                 if done:
                     out[i] = done
         elif kind is syn.BuiltinCall and s.name in syn.OPERATORS:
             args = s.args
-            unseen.difference_update(_operator_names(args[:2]))
+            unseen.difference_update(expr_names(*args[:2]))
             if len(args) == 3:
                 r = args[2]
                 if type(r) is CVar and r.name in unseen:
                     out[i] = [r.name]
                     unseen.discard(r.name)
                 else:
-                    unseen.difference_update(_operator_names(args[2:]))
+                    unseen.difference_update(expr_names(r))
         else:
             unseen -= syn.free_names(s)
     return out
@@ -485,30 +461,24 @@ class _Compiler:
                 out.append(self.expr(e, first))
         return tuple(out)
 
-    def pattern(self, p, saved: list):
-        """The compiled form of a ``case`` pattern; each name it captures
-        gets a new slot, its old one appended to ``saved``.  The caller
-        marks the scope."""
+    def pattern(self, p):
+        """The compiled form of a ``case`` pattern, whose names the caller
+        has bound to new slots."""
         kind = type(p)
-        if kind is PVar:
-            name, scope = p.name, self.scope
-            saved.append((name, scope.get(name)))
-            slot = scope[name] = len(self.slots)
-            self.slots.append(name)
-            return slot
-        if kind is PAnon:
+        if kind is CVar:
+            return self.scope[p.name]
+        if kind is CAnon:
             return None
-        if kind is PLit:
+        if kind is CLit:
             return p.value
         spine = []
-        while type(p) is PCompound and p.args:
+        while type(p) is CCompound and p.args:
             spine.append(p)
             p = p.args[-1]
-        forms = [[self.pattern(a, saved) for a in q.args[:-1]] for q in spine]
-        form = ((p.label, 0, ()) if type(p) is PCompound
-                else self.pattern(p, saved))
-        for q, args in zip(reversed(spine), reversed(forms)):
-            form = (q.label, len(q.args), tuple(args) + (form,))
+        form = (p.label, 0, ()) if type(p) is CCompound else self.pattern(p)
+        for q in reversed(spine):
+            args = tuple([self.pattern(a) for a in q.args[:-1]])
+            form = (q.label, len(q.args), args + (form,))
         return form
 
     # -- statements ---------------------------------------------------------
@@ -553,10 +523,8 @@ class _Compiler:
         subject = self.expr(s.subject)
         arms = []
         for arm in s.arms:
-            saved: list = []
-            self.scopes.append(len(self.slots))
-            pattern = self.pattern(arm.pattern, saved)
-            arms.append((pattern, self.stmt(arm.body)))
+            _, saved = self.bind(expr_names(arm.pattern))
+            arms.append((self.pattern(arm.pattern), self.stmt(arm.body)))
             self.unbind(saved)
         return Case(subject, tuple(arms), self.stmt(s.otherwise))
 

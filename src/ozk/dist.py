@@ -65,7 +65,7 @@ from .interp import Session
 from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
 from .runtime import Runtime, StepLimit, take_next
-from .syntax import Local, ThreadStmt, free_names, seq_all, seq_items
+from .syntax import Local, ThreadStmt, seq_all, seq_items
 from .terms import (Snapshot, Store, Var, VarId, bisimilar, materialize,
                     render, snapshot)
 
@@ -77,7 +77,6 @@ MESSAGE_KINDS = ("Register", "BindRequest", "BindNotify", "UnifyVarVar")
 # -- program splitting -------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def split_program(text: str, ambient: tuple) -> tuple:
     """Split a program's top level for placement.
 
@@ -157,7 +156,7 @@ def parse_placement(text: str) -> dict:
 # -- the network -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     src: int
     dst: int
@@ -288,8 +287,7 @@ class Simulation:
                  on_net_trace: Optional[Callable[[str], None]] = None,
                  on_sched_trace: Optional[Callable] = None):
         placement = dict(placement or {})
-        _, native = make_builtins()
-        ambient = tuple(native) + PRELUDE_NAMES
+        ambient = tuple(make_builtins()) + PRELUDE_NAMES
         names, setup, threads = _compiled_pieces(source, ambient)
 
         thread_names = THREAD_NAMES[:len(threads)]

@@ -52,14 +52,12 @@ class Session:
                  on_browse: Optional[Callable[[str], None]] = None,
                  on_trace: Optional[Callable[[str, dict], None]] = None,
                  store: Optional[Store] = None, prelude: bool = True):
-        funcs, native = make_builtins()
-        self.rt = Runtime(store=store, builtins=funcs,
-                          order=sched_order(policy, seed),
+        self.rt = Runtime(store=store, order=sched_order(policy, seed),
                           max_steps=max_steps, real_time=real_time,
                           on_browse=on_browse, on_trace=on_trace)
         self.store = self.rt.store
         # name -> value, shared by every chunk: later feeds add names to it
-        self.globals: dict = dict(native)
+        self.globals: dict = make_builtins()
         if prelude:
             result = self.feed(PRELUDE)
             if result.status != "done":

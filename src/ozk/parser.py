@@ -18,15 +18,15 @@ Two lowering disciplines matter for performance and are fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation
 from .terms import INT_MAX, INT_MIN, Atom, Int
 from .syntax import (
     Block, BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound, Choice,
-    CLit, CVar, Fail, IfArm, IfStmt, Local, PAnon, PCompound, PLit, ProcDef,
-    PVar, Skip, Statement, ThreadStmt, Unify, pattern_names, seq_all,
+    CLit, CVar, Fail, IfArm, IfStmt, Local, ProcDef, Skip, Statement,
+    ThreadStmt, Unify, expr_names, seq_all,
 )
 
 KEYWORDS = frozenset(
@@ -203,7 +203,7 @@ class EIf:
 @dataclass
 class ECase:
     subject: object
-    arms: list          # (Pattern, SBlock) pairs
+    arms: list          # (pattern, SBlock) pairs
     els: object         # None | SBlock | ECase (elsecase chain)
     pos: tuple
 
@@ -527,7 +527,7 @@ class _Parser:
             parts.append(self.parse_pattern_primary(seen))
         p = parts.pop()
         for head in reversed(parts):
-            p = PCompound("|", (head, p))
+            p = CCompound("|", (head, p))
         return p
 
     def parse_pattern_primary(self, seen: set):
@@ -540,7 +540,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return PLit(Int(t.val))
+            return CLit(Int(t.val))
         if t.kind == "atom":
             self.next()
             if self.at("op", "(") and self._adjacent(t):
@@ -551,17 +551,17 @@ class _Parser:
                 self.expect("op", ")")
                 if not args:
                     self.err("constructor pattern needs at least one argument", t)
-                return PCompound(t.val, tuple(args))
-            return PLit(Atom(t.val))
+                return CCompound(t.val, tuple(args))
+            return CLit(Atom(t.val))
         if t.kind == "var":
             self.next()
             if t.val in seen:
                 self.err(f"variable {t.val} occurs twice in one pattern", t)
             seen.add(t.val)
-            return PVar(t.val)
+            return CVar(t.val)
         if t.kind == "anon":
             self.next()
-            return PAnon()
+            return CAnon()
         if t.kind == "op" and t.val == "(":
             self.next()
             p = self.parse_pattern(seen)
@@ -573,9 +573,9 @@ class _Parser:
             while not self.at("op", "]"):
                 items.append(self.parse_pattern_primary(seen))
             self.expect("op", "]")
-            out = PLit(Atom("nil"))
+            out = CLit(Atom("nil"))
             for item in reversed(items):
-                out = PCompound("|", (item, out))
+                out = CCompound("|", (item, out))
             return out
         self.err(f"expected a pattern, found {self._show(t)}")
 
@@ -689,6 +689,8 @@ class _Parser:
 
 # -- desugarer ---------------------------------------------------------------
 
+_NEW = object()     # a call's result that is a fresh temporary (call_core)
+
 
 class _Scope:
     """One level of a lexical scope over the level that encloses it.
@@ -800,14 +802,7 @@ class _Desugar:
                 out = CVar(t)
             return out
         if isinstance(e, ECall):
-            target = self.lower(e.target, scope, fills, temps)
-            args = [self.lower(a, scope, fills, temps) for a in e.args]
-            t = self.fresh("R")
-            temps.append(t)
-            at = e.hole if e.hole is not None else len(args)
-            args.insert(at, CVar(t))
-            fills.append(Call(target, tuple(args)))
-            return CVar(t)
+            return self.call_core(e, scope, fills, temps, _NEW)
         if isinstance(e, EDef):
             if e.name is not None:
                 self.err("a named definition is not an expression", e.pos)
@@ -826,6 +821,22 @@ class _Desugar:
             fills.append(self.case_core(e, scope, t))
             return CVar(t)
         raise TypeError(f"cannot lower {e!r}")
+
+    def call_core(self, call: ECall, scope, pre: list, temps: list,
+                  res=None):
+        """Lower a call into `pre`: the statements its target and then its
+        arguments need, left to right, and the call itself.  `res`, its
+        result, goes in at the `$` hole, or last; `_NEW` makes it a fresh
+        temporary, named once the arguments are lowered.  Returns `res`."""
+        target = self.lower(call.target, scope, pre, temps)
+        args = [self.lower(a, scope, pre, temps) for a in call.args]
+        if res is _NEW:
+            res = CVar(self.fresh("R"))
+            temps.append(res.name)
+        if res is not None:
+            args.insert(len(args) if call.hole is None else call.hole, res)
+        pre.append(Call(target, tuple(args)))
+        return res
 
     def lower_arg(self, e, scope, fills: list, temps: list):
         """Lower an argument of a compound: there `_` is a void."""
@@ -852,9 +863,8 @@ class _Desugar:
             if s.call.hole is not None:
                 self.err("'$' only makes sense where a result is expected", s.pos)
             pre, temps = [], []
-            target = self.lower(s.call.target, scope, pre, temps)
-            args = tuple(self.lower(a, scope, pre, temps) for a in s.call.args)
-            return self.wrap(temps, pre + [Call(target, args)])
+            self.call_core(s.call, scope, pre, temps)
+            return self.wrap(temps, pre)
         if isinstance(s, SThread):
             return ThreadStmt(self.block_core(s.block, scope, None))
         if isinstance(s, SChoice):
@@ -882,11 +892,8 @@ class _Desugar:
             if isinstance(b, ECall) and isinstance(a, (EVar, EAnon)):
                 pre, temps = [], []
                 res = self.lower(a, scope, pre, temps)
-                target = self.lower(b.target, scope, pre, temps)
-                args = [self.lower(x, scope, pre, temps) for x in b.args]
-                at = b.hole if b.hole is not None else len(args)
-                args.insert(at, res)
-                return self.wrap(temps, pre + [Call(target, tuple(args))])
+                self.call_core(b, scope, pre, temps, res)
+                return self.wrap(temps, pre)
             if (isinstance(b, EBin) and b.op in (_ARITH_OPS | _CMP_OPS)
                     and isinstance(a, (EVar, EAnon))):
                 # X = A+B computes straight into X, no temporary
@@ -964,7 +971,7 @@ class _Desugar:
         subject = self.lower(e.subject, scope, pre, temps)
         arms = []
         for pat, block in e.arms:
-            body = self.block_core(block, _nest(scope, pattern_names(pat)),
+            body = self.block_core(block, _nest(scope, expr_names(pat)),
                                    result)
             arms.append(CaseArm(pat, body))
         if e.els is None:
@@ -1032,11 +1039,8 @@ class _Desugar:
         """Lower a block's final item so that it produces `result`."""
         if isinstance(item, SCallS):
             pre, temps = [], []
-            target = self.lower(item.call.target, scope, pre, temps)
-            args = [self.lower(a, scope, pre, temps) for a in item.call.args]
-            at = item.call.hole if item.call.hole is not None else len(args)
-            args.insert(at, CVar(result))
-            return self.wrap(temps, pre + [Call(target, tuple(args))])
+            self.call_core(item.call, scope, pre, temps, CVar(result))
+            return self.wrap(temps, pre)
         if isinstance(item, SLocal):
             return self.block_core(item.block, scope, result)
         if isinstance(item, SExpr):
@@ -1127,7 +1131,7 @@ def _check_quiet_guard(arm: IfArm, pos):
         elif isinstance(s, CaseStmt):
             todo.append((s.otherwise, declared))
             for a in reversed(s.arms):
-                todo.append((a.body, declared | set(pattern_names(a.pattern))))
+                todo.append((a.body, declared | set(expr_names(a.pattern))))
         elif isinstance(s, Choice):
             for alt in reversed(s.alternatives):
                 todo.append((alt, declared))

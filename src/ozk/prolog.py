@@ -35,8 +35,8 @@ from typing import Optional
 from .errors import ParseError, QuietGuardViolation, UnsupportedConstruct
 from .parser import MAX_NESTING
 from .syntax import (BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound,
-                     Choice, CLit, CVar, Fail, IfArm, IfStmt, Local, PCompound,
-                     PLit, ProcDef, PVar, Statement, Unify, pretty, seq_all)
+                     Choice, CLit, CVar, Fail, IfArm, IfStmt, Local, ProcDef,
+                     Statement, Unify, pretty, seq_all)
 from .terms import Atom, Int
 
 # ---------------------------------------------------------------------------
@@ -920,7 +920,7 @@ def _translate_case(name, params, clauses, names, pos, generators) -> ProcDef:
     arms = []
     for c in clauses:
         (kind, key), test = _case_test(c, c.head_args[pos])
-        pattern = PLit(Int(key) if kind == "int" else Atom(key))
+        pattern = CLit(Int(key) if kind == "int" else Atom(key))
         ctx = _Ctx(names, set(params), generators)
         stmts = _head_stmts(c, params, ctx)
         body = list(c.body)
@@ -1074,16 +1074,14 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
         gstmts = _head_stmts(c, params, gctx)
         gstmts.extend(_body_stmts(guard_goals, gctx))
         out_names = [gctx.var_name(v) for v in outputs]
+        # the guard's answer, and in the arm the pattern that takes it apart
         if len(out_names) == 1:
-            result_expr = CVar(out_names[0])
-            inner_pat = PVar(out_names[0])
+            answer = CVar(out_names[0])
         elif out_names:
-            result_expr = CCompound("g", tuple(CVar(o) for o in out_names))
-            inner_pat = PCompound("g", tuple(PVar(o) for o in out_names))
+            answer = CCompound("g", tuple(CVar(o) for o in out_names))
         else:
-            result_expr = CLit(Atom("g"))
-            inner_pat = PLit(Atom("g"))
-        gstmts.append(Unify(CVar(param), result_expr))
+            answer = CLit(Atom("g"))
+        gstmts.append(Unify(CVar(param), answer))
         guard_proc = ProcDef(proc_name, (param,),
                              _local_or_seq(gctx.locals, gstmts))
 
@@ -1094,7 +1092,7 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
         bstmts.extend(_body_stmts(body_goals, bctx))
         arm_body = _local_or_seq(bctx.locals, bstmts)
 
-        arm = CaseArm(PCompound("|", (inner_pat, PLit(Atom("nil")))), arm_body)
+        arm = CaseArm(CCompound("|", (answer, CLit(Atom("nil")))), arm_body)
         return seq_all([
             guard_proc,
             Call(CVar("SolveOne"), (CVar(proc_name), CVar(res_name))),

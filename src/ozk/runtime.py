@@ -41,8 +41,8 @@ The integer operators `+ - * div` and `< > =< >=` run inline
 (`exec_op`): each operand comes from its slot or is the literal and is
 dereferenced once, and an unbound one suspends the statement.  `==` as
 the test of an `if` compares two integers or two atoms inline
-(`exec_equal_test`); any other `==`, and `$test`, are looked up in the
-builtins registry.  A `case` runs the compiled patterns of its arms
+(`exec_equal_test`); any other `==`, and `$test`, run in `_equal` and
+`_test`.  A `case` runs the compiled patterns of its arms
 (`match_case`), which write their captures straight into their slots.
 
 A `local` makes a variable only for the slots of its `made`.  Each other
@@ -340,8 +340,8 @@ def exec_op(rt: "Runtime", stmt: Op, frame: list):
 
 def exec_equal_test(task: "Task", stmt: Builtin, frame: list) -> bool:
     """Whether the test ``A == B`` holds.  Two integers or two atoms are
-    compared here; anything else goes to the registry's ``==``, which
-    suspends on the variables that could still decide it."""
+    compared here; anything else goes to :func:`_equal`, which suspends
+    on the variables that could still decide it."""
     store = task.rt.store
     a, b = stmt.args
     x = frame[a] if type(a) is int else build_term(store, a, frame)
@@ -357,10 +357,40 @@ def exec_equal_test(task: "Task", stmt: Builtin, frame: list) -> bool:
         if kind is Atom:
             return x.name == y.name
     try:
-        _registry(task.rt, "==")(task, [x, y])
+        _equal(task, [x, y])
     except Failure:
         return False
     return True
+
+
+def _equal(task: "Task", args) -> None:
+    """``A == B`` as a test, or ``R = (A == B)`` with three arguments."""
+    store = task.rt.store
+    res, frontier = store.equals(args[0], args[1])
+    if res is None:
+        raise Suspend(frontier)
+    if len(args) == 2:
+        if not res:
+            raise Failure("== is false")
+        return
+    bound = store.unify(args[2], TRUE if res else FALSE)
+    if bound.woken:
+        task.rt.wake(bound.woken)
+    if not bound.ok:
+        raise Failure(bound)
+
+
+def _test(task: "Task", args) -> None:
+    """``$test``: an ``if`` condition, which must be true or false."""
+    store = task.rt.store
+    v = store.deref(args[0])
+    if type(v) is Var:
+        raise Suspend([v])
+    if v == TRUE:
+        return
+    if v == FALSE:
+        raise Failure("condition is false")
+    raise OzkError(f"a condition must be true or false, got {render(store, v)}")
 
 
 # -- pattern matching -----------------------------------------------------------
@@ -602,8 +632,8 @@ def exec_stmt(task: Task, stmt, frame: list):
         return
 
     if kind is Builtin:
-        fn = _registry(rt, stmt.name)
-        fn(task, [build_term(store, a, frame) for a in stmt.args])
+        args = [build_term(store, a, frame) for a in stmt.args]
+        (_equal if stmt.name == "==" else _test)(task, args)
         return
 
     if kind is Proc:
@@ -635,13 +665,6 @@ def exec_stmt(task: Task, stmt, frame: list):
         raise Failure("fail statement")
 
     raise TypeError(f"cannot execute {stmt!r}")
-
-
-def _registry(rt: "Runtime", name: str):
-    fn = rt.builtins.get(name)
-    if fn is None:
-        raise OzkError(f"unknown builtin {name}")
-    return fn
 
 
 def exec_if(task: Task, stmt: If, frame: list):
@@ -802,13 +825,12 @@ class Runtime:
     failures, with the exception.  The next runnable thread is taken from
     ``runq`` in ``order`` (see :func:`take_next`)."""
 
-    def __init__(self, store: Optional[Store] = None, builtins: Optional[dict] = None,
+    def __init__(self, store: Optional[Store] = None,
                  order: Optional[_random.Random] = None,
                  max_steps: Optional[int] = None, real_time: bool = False,
                  on_browse: Optional[Callable[[str], None]] = None,
                  on_trace: Optional[Callable[[str, dict], None]] = None):
         self.store = store if store is not None else Store()
-        self.builtins = builtins if builtins is not None else {}
         self.order = order
         self.max_steps = max_steps
         self.step_limit: Optional[int] = None   # see renew_budget

@@ -19,6 +19,12 @@ answer is false.  The integer operators (``OPERATORS``) are run by the
 runtime itself; their operands are names or literals (a compound is
 accepted, and is a type error when it runs).
 
+A ``case`` pattern is an expression too, as a record with variables in
+it is in Oz's kernel language.  A name's role comes from where it
+stands: in a pattern it is a binding occurrence, everywhere else a use.
+A void in a pattern matches anything and binds nothing.
+:func:`expr_names` lists the names of either.
+
 A sequence of statements is one flat ``Block``, built by :func:`seq_all`
 and never nested directly in another.
 """
@@ -56,43 +62,19 @@ class CCompound:
 
 Expr = Union[CVar, CLit, CAnon, CCompound]
 
-# -- patterns ----------------------------------------------------------
 
-
-@dataclass(frozen=True, slots=True)
-class PVar:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class PAnon:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PLit:
-    value: Union[Atom, Int]
-
-
-@dataclass(frozen=True, slots=True)
-class PCompound:
-    label: str
-    args: tuple
-
-
-Pattern = Union[PVar, PAnon, PLit, PCompound]
-
-
-def pattern_names(p: Pattern) -> list[str]:
-    """The names a pattern binds, left to right (walked with a stack)."""
+def expr_names(*exprs) -> list:
+    """The names the expressions mention, left to right, each as often as
+    it occurs (walked with a stack)."""
     out = []
-    todo = [p]
+    todo = list(exprs)
+    todo.reverse()
     while todo:
-        q = todo.pop()
-        if isinstance(q, PVar):
-            out.append(q.name)
-        elif isinstance(q, PCompound):
-            todo.extend(reversed(q.args))
+        e = todo.pop()
+        if type(e) is CVar:
+            out.append(e.name)
+        elif type(e) is CCompound:
+            todo.extend(reversed(e.args))
     return out
 
 
@@ -100,7 +82,8 @@ def pattern_names(p: Pattern) -> list[str]:
 
 # The integer operators, which the runtime runs itself (``runtime.exec_op``):
 # ``op(a, b, r)`` computes into r, and a comparison's two-argument form is
-# a test.  Every other BuiltinCall is looked up in the builtins registry.
+# a test.  The only other BuiltinCalls are ``==`` (a test, or with a result)
+# and ``$test``, which the runtime also runs itself.
 OPERATORS = frozenset(("+", "-", "*", "div", "<", ">", "=<", ">="))
 
 
@@ -146,7 +129,7 @@ class IfStmt:
 
 @dataclass(frozen=True, slots=True)
 class CaseArm:
-    pattern: Pattern
+    pattern: Expr
     body: "Statement"
 
 
@@ -215,17 +198,6 @@ def seq_items(s: Statement) -> list:
 # -- free names of a statement ---------------------------------------------
 
 
-def _expr_free(expr, bound, out: set) -> None:
-    todo = [expr]
-    while todo:
-        e = todo.pop()
-        if type(e) is CVar:
-            if e.name not in bound:
-                out.add(e.name)
-        elif type(e) is CCompound:
-            todo.extend(e.args)
-
-
 def free_names(stmt) -> set:
     """Names a statement reads or writes but does not itself declare.
 
@@ -241,8 +213,7 @@ def free_names(stmt) -> set:
         elif t is Local:
             todo.append((s.body, bound | set(s.names)))
         elif t is Unify:
-            _expr_free(s.lhs, bound, out)
-            _expr_free(s.rhs, bound, out)
+            out.update(n for n in expr_names(s.lhs, s.rhs) if n not in bound)
         elif t is IfStmt:
             todo.append((s.otherwise, bound))
             for arm in s.arms:
@@ -251,9 +222,9 @@ def free_names(stmt) -> set:
                     todo.append((arm.guard, inner))
                 todo.append((arm.body, inner))
         elif t is CaseStmt:
-            _expr_free(s.subject, bound, out)
+            out.update(n for n in expr_names(s.subject) if n not in bound)
             for arm in s.arms:
-                todo.append((arm.body, bound.union(pattern_names(arm.pattern))))
+                todo.append((arm.body, bound.union(expr_names(arm.pattern))))
             todo.append((s.otherwise, bound))
         elif t is Choice:
             for alt in s.alternatives:
@@ -263,12 +234,10 @@ def free_names(stmt) -> set:
                 out.add(s.name)
             todo.append((s.body, bound | set(s.params)))
         elif t is Call:
-            _expr_free(s.target, bound, out)
-            for arg in s.args:
-                _expr_free(arg, bound, out)
+            out.update(n for n in expr_names(s.target, *s.args)
+                       if n not in bound)
         elif t is BuiltinCall:
-            for arg in s.args:
-                _expr_free(arg, bound, out)
+            out.update(n for n in expr_names(*s.args) if n not in bound)
         elif t is ThreadStmt:
             todo.append((s.body, bound))
         # Skip and Fail mention nothing.
@@ -317,33 +286,6 @@ def _expr_text(e: Expr, prec: int = 0) -> str:
         args = " ".join(_expr_text(a) for a in e.args)
         return f"{e.label}({args})"
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _pattern_text(p: Pattern, prec: int = 0) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PAnon):
-        return "_"
-    if isinstance(p, PLit):
-        if isinstance(p.value, Int):
-            v = p.value.value
-            return str(v) if v >= 0 else f"~{-v}"
-        return p.value.name
-    if isinstance(p, PCompound):
-        if p.label == "|" and len(p.args) == 2:
-            items, tail = [], p
-            while isinstance(tail, PCompound) and tail.label == "|" and len(tail.args) == 2:
-                items.append(tail.args[0])
-                tail = tail.args[1]
-            if isinstance(tail, PLit) and tail.value == Atom("nil"):
-                return "[" + " ".join(_pattern_text(i) for i in items) + "]"
-            parts = [_pattern_text(i, _PREC_CONS + 1) for i in items]
-            parts.append(_pattern_text(tail, _PREC_CONS))
-            text = "|".join(parts)
-            return f"({text})" if prec > _PREC_CONS else text
-        args = " ".join(_pattern_text(a) for a in p.args)
-        return f"{p.label}({args})"
-    raise TypeError(f"not a pattern: {p!r}")
 
 
 class _Printer:
@@ -403,10 +345,10 @@ class _Printer:
                 self.block(s.otherwise)
             self.emit("end")
         elif isinstance(s, CaseStmt):
-            self.emit(f"case {_expr_text(s.subject)} of {_pattern_text(s.arms[0].pattern)} then")
+            self.emit(f"case {_expr_text(s.subject)} of {_expr_text(s.arms[0].pattern)} then")
             self.block(s.arms[0].body)
             for arm in s.arms[1:]:
-                self.emit(f"[] {_pattern_text(arm.pattern)} then")
+                self.emit(f"[] {_expr_text(arm.pattern)} then")
                 self.block(arm.body)
             if not isinstance(s.otherwise, Fail):
                 self.emit("else")
@@ -434,8 +376,7 @@ class _Printer:
         g = arm.guard
         if not arm.guard_vars:
             if isinstance(g, BuiltinCall) and g.name in _COMPARE and len(g.args) == 2:
-                a, b = g.args
-                return f"{_expr_text(a, _PREC_CMP + 1)}{g.name}{_expr_text(b, _PREC_CMP + 1)}"
+                return self._builtin_text(g)
             if isinstance(g, BuiltinCall) and g.name == "$test" and len(g.args) == 1:
                 return _expr_text(g.args[0], _PREC_CMP + 1)
         # statement guard: <vars> in <stmts>, printed on one line

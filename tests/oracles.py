@@ -502,7 +502,7 @@ def plain_list(t, binds=None):
 # Reference `case` matcher: a work list over the pattern AST
 # ---------------------------------------------------------------------------
 
-from ozk.syntax import PAnon, PCompound, PLit, PVar  # noqa: E402
+from ozk.syntax import CAnon, CCompound, CLit, CVar  # noqa: E402
 from ozk.terms import Atom, Compound, Int, Var  # noqa: E402
 
 MATCH_OK = 0
@@ -521,18 +521,18 @@ def match_pattern(store, pattern, term):
     while work:
         p, t = work.pop()
         t = store.deref(t)
-        if isinstance(p, PVar):
+        if isinstance(p, CVar):
             captures[p.name] = t
             continue
-        if isinstance(p, PAnon):
+        if isinstance(p, CAnon):
             continue
         if isinstance(t, Var):
             return MATCH_UNDET, t
-        if isinstance(p, PLit):
+        if isinstance(p, CLit):
             if isinstance(t, (Atom, Int)) and t == p.value:
                 continue
             return MATCH_FAIL, None
-        if isinstance(p, PCompound):
+        if isinstance(p, CCompound):
             if (isinstance(t, Compound) and t.label == p.label
                     and len(t.args) == len(p.args)):
                 work.extend(reversed(list(zip(p.args, t.args))))

@@ -512,7 +512,7 @@ class TestDocsPrograms:
                 assert code == 0, err
                 assert sorted(rand_out.splitlines()) == sorted(out.splitlines())
             # Two nodes, as far as the program has threads to place.
-            _, native = make_builtins()
+            native = make_builtins()
             _, _, threads = split_program(program.read_text(),
                                           tuple(native) + PRELUDE_NAMES)
             placement = ",".join(["a=0", "b=1"][:len(threads)])

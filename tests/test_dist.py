@@ -87,7 +87,7 @@ class TestPlacementParsing:
     def test_split_finds_threads_and_setup(self):
         from ozk.builtins import make_builtins
         from ozk.prelude import PRELUDE_NAMES
-        ambient = tuple(make_builtins()[1]) + PRELUDE_NAMES
+        ambient = tuple(make_builtins()) + PRELUDE_NAMES
         names, setup, threads = split_program(GEN_MAP, ambient)
         assert set(names) == {"Gen", "Square", "Xs", "Ys"}
         assert len(setup) == 2 and len(threads) == 2
@@ -420,7 +420,7 @@ class TestDeterminismAndConfluence:
         for seed in range(5):
             got = run_text(text, policy="random", seed=seed)
             assert (got.status, Counter(got.browses)) == (want.status, lines)
-        _, native = make_builtins()
+        native = make_builtins()
         _, _, threads = split_program(text, tuple(native) + PRELUDE_NAMES)
         placement = dict([("a", 0), ("b", 1)][:len(threads)])
         for sched_seed in range(5):

@@ -43,7 +43,7 @@ _QUERY = re.compile(r"^%\s+ozk run \S+\.pl --query '([^']*)'", re.M)
 
 
 def _placement(program: Path) -> str:
-    _, native = make_builtins()
+    native = make_builtins()
     _, _, threads = split_program(program.read_text(),
                                   tuple(native) + PRELUDE_NAMES)
     return ",".join(["a=0", "b=1"][:len(threads)])

@@ -7,8 +7,8 @@ from ozk.errors import ParseError, QuietGuardViolation
 from ozk.parser import parse_interactive, parse_program
 from ozk.syntax import (
     BuiltinCall, Call, CaseStmt, CAnon, CCompound, Choice, CLit, CVar,
-    Fail, IfStmt, Local, PAnon, PCompound, PLit, ProcDef, PVar, Skip,
-    ThreadStmt, Unify, pretty, seq_items,
+    Fail, IfStmt, Local, ProcDef, Skip,
+    ThreadStmt, Unify, expr_names, pretty, seq_items,
 )
 from ozk.terms import Atom, Int
 
@@ -156,8 +156,8 @@ def test_append_case_shape():
     body = items[0].body
     assert isinstance(body, CaseStmt)
     assert body.subject == CVar("As")
-    assert body.arms[0].pattern == PLit(Atom("nil"))
-    assert body.arms[1].pattern == PCompound("|", (PVar("A"), PVar("Ar")))
+    assert body.arms[0].pattern == CLit(Atom("nil"))
+    assert body.arms[1].pattern == CCompound("|", (CVar("A"), CVar("Ar")))
     assert isinstance(body.otherwise, Fail)
     names, steps = unwrap_local(body.arms[1].body)
     assert names == ("Cr",)
@@ -241,7 +241,7 @@ def test_elsecase_chains():
     _, items = unwrap_local(s)
     outer = items[0]
     assert isinstance(outer.otherwise, CaseStmt)
-    assert outer.otherwise.arms[0].pattern == PLit(Int(2))
+    assert outer.otherwise.arms[0].pattern == CLit(Int(2))
 
 
 def test_boolean_variable_guard():
@@ -485,6 +485,12 @@ def test_globals_are_read_by_membership_only():
     assert parse_program(src, globals_) == parse_program(src, GLOBALS)
 
 
+def test_expr_names_left_to_right_with_repeats():
+    e = CCompound("f", (CVar("X"), CCompound("|", (CVar("Y"), CVar("X"))),
+                        CAnon(), CLit(Int(1))))
+    assert expr_names(e, CLit(Atom("a")), CVar("Z")) == ["X", "Y", "X", "Z"]
+
+
 # -- pretty round-trips ------------------------------------------------------------
 
 ROUND_TRIP_SOURCES = [
@@ -502,6 +508,11 @@ ROUND_TRIP_SOURCES = [
     "local X in X=pair(a ~3|nil) end",
     "local X Y in X = f(_ g(_ Y)) end",
     "local X Y Z in X=1 Y=2 local W in W=X Z=W end {Browse Z} {Browse [_ X]} end",
+    # every pattern form: integer, negative integer, atom, nested
+    # compound, void, list display, and a cons whose head is a cons
+    "local X in case X of 0 then skip [] ~3 then skip [] a then skip "
+    "[] f(g(A b) _) then {Browse A} [] [A _ 1] then {Browse A} "
+    "[] (A|B)|C then {Browse B|C} else skip end end",
     QUEENS,
 ]
 

@@ -90,6 +90,78 @@ speak(X, R) :- X == cat, R = meow.
 speak(X, R) :- X == dog, R = woof.
 """
 
+SPEAK_KERNEL = """\
+proc {Speak X R}
+   case X of cat then
+      R=meow
+   [] dog then
+      R=woof
+   end
+end
+"""
+
+PICK = """
+pick(K, V, W) :- lookup(K, V0, W0), !, V = V0, W = W0.
+pick(K, V, none) :- lookup(K, V0, _), !, V = V0.
+pick(K, none, none) :- lookup(K, _, _), !.
+pick(_, none, none).
+lookup(a, 1, 2).
+"""
+
+PICK_KERNEL = """\
+proc {Pick K V W}
+   local Guard1 GR1 Guard2 GR2 Guard3 GR3 in
+      proc {Guard1 Guard1R}
+         local V1 V2 in
+            {Lookup K V1 V2}
+            Guard1R=g(V1 V2)
+         end
+      end
+      {SolveOne Guard1 GR1}
+      case GR1 of [g(V1 V2)] then
+         V=V1
+         W=V2
+      else
+         proc {Guard2 Guard2R}
+            local V1 V2 in
+               W=none
+               {Lookup K V1 V2}
+               Guard2R=V1
+            end
+         end
+         {SolveOne Guard2 GR2}
+         case GR2 of [V1] then
+            W=none
+            V=V1
+         else
+            proc {Guard3 Guard3R}
+               local V1 V2 in
+                  V=none
+                  W=none
+                  {Lookup K V1 V2}
+                  Guard3R=g
+               end
+            end
+            {SolveOne Guard3 GR3}
+            case GR3 of [g] then
+               V=none
+               W=none
+            else
+               V=none
+               W=none
+            end
+         end
+      end
+   end
+end
+
+proc {Lookup A1 A2 A3}
+   A1=a
+   A2=1
+   A3=2
+end
+"""
+
 LOOKUP_GUARD = """
 lookup(a, 1).
 lookup(b, 2).
@@ -288,6 +360,14 @@ class TestTranslationShapes:
         p = proc_named(SPEAK, "Speak")
         assert isinstance(p.body, CaseStmt)
         assert len(p.body.arms) == 2 and isinstance(p.body.otherwise, Fail)
+
+    def test_case_scheme_text(self):
+        assert translate_source(SPEAK) == SPEAK_KERNEL
+
+    def test_solve_cascade_text(self):
+        # guards with two, one and no outputs: the answer term doubles as
+        # the pattern of the arm that takes it apart
+        assert translate_source(PICK) == PICK_KERNEL
 
     def test_sign_final_clause_becomes_the_else_branch(self):
         p = proc_named(SIGN, "Sign")

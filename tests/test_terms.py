@@ -11,8 +11,8 @@ from ozk.compiler import compile_top
 from ozk.errors import OzkError
 from ozk.runtime import Failure, Runtime, Suspend, Task, exec_stmt
 from ozk.syntax import (OPERATORS, BuiltinCall, Call, CaseArm, CaseStmt, CAnon,
-                        CCompound, CLit, CVar, IfArm, IfStmt, Local, PAnon,
-                        PCompound, PLit, PVar, Unify, pattern_names, seq_all)
+                        CCompound, CLit, CVar, IfArm, IfStmt, Local, Unify,
+                        expr_names, seq_all)
 from ozk.terms import (
     Atom, Compound, Int, NIL, Store, Var, bisimilar, compare_terms, cons,
     is_cons, list_to_python, make_list, materialize, render, snapshot,
@@ -587,19 +587,19 @@ def test_operator_results_match_making_every_name_at_entry(
 # `case` patterns: literals, names, voids and compounds of them, nested
 # and at the top; the names of a pattern are made distinct (linear).
 _case_patterns = st.recursive(
-    st.sampled_from((PVar("?"), PAnon(), PLit(Int(0)), PLit(Int(1)),
-                     PLit(Atom("a")), PLit(Atom("f")))),
-    lambda sub: st.builds(lambda la, args: PCompound(la, tuple(args)),
+    st.sampled_from((CVar("?"), CAnon(), CLit(Int(0)), CLit(Int(1)),
+                     CLit(Atom("a")), CLit(Atom("f")))),
+    lambda sub: st.builds(lambda la, args: CCompound(la, tuple(args)),
                           st.sampled_from("fg"),
                           st.lists(sub, min_size=1, max_size=3)),
     max_leaves=6)
 
 
 def _linear(pattern, names):
-    if isinstance(pattern, PVar):
-        return PVar(f"P{next(names)}")
-    if isinstance(pattern, PCompound):
-        return PCompound(pattern.label,
+    if isinstance(pattern, CVar):
+        return CVar(f"P{next(names)}")
+    if isinstance(pattern, CCompound):
+        return CCompound(pattern.label,
                          tuple(_linear(a, names) for a in pattern.args))
     return pattern
 
@@ -633,7 +633,7 @@ def _case_outcome(compiled, arms, subject, prebinds):
             # the captures of the arm entered: those of arms tried before
             # it may hold what they met before they clashed
             captures = ({} if chosen == "otherwise" else
-                        set(pattern_names(arms[chosen])))
+                        set(expr_names(arms[chosen])))
             slots = {n: i for i, n in code.names}
             shown = [frame[slots[n]] for n in sorted(captures)]
     else:
@@ -656,10 +656,10 @@ _var_shapes = st.tuples(st.just("var"), st.integers(0, 3))
 def _shape_like(pattern):
     """Shapes that follow ``pattern``: each name, void or literal may
     become any shape, and each literal may stay itself."""
-    if isinstance(pattern, PCompound):
+    if isinstance(pattern, CCompound):
         return st.builds(lambda args: (pattern.label, args), st.tuples(
             *(_shape_like(a) for a in pattern.args)).map(list))
-    if isinstance(pattern, PLit):
+    if isinstance(pattern, CLit):
         v = pattern.value
         same = ("int", v.value) if isinstance(v, Int) else ("atom", v.name)
         return st.one_of(st.just(same), st.just(same), _var_shapes, shapes)
