@@ -45,6 +45,17 @@ names are binding occurrences: it compiles to a literal, ``None`` for a
 void, a new slot for each name it captures, and a tuple ``(label,
 arity, args)`` for a compound.
 
+The compound of a ``Unify`` whose other side is a slot (``X = f(...)``
+or ``f(...) = X``) also has a read ``Plan``: what the WAM's ``unify_*``
+instructions after a ``get_structure`` say.  It lists only the
+arguments that are not voids, each tagged as a first use, a value (a
+slot), a literal or a nested ``Build``.  The runtime walks it when ``X``
+is already a compound of that label and arity (read mode), and settles
+a lone pair of an atomic value inline.  A nested ``Build`` is still
+built and unified, as nested read mode is open under ROADMAP direction
+3.  No other ``Build`` has a plan: a call's arguments are only ever
+built.
+
 A name of a ``local`` whose first use is, in a statement of the local's
 body itself, an occurrence in ``X = f(...)`` (as ``X`` or as an argument
 of ``f``, once) or the result of an integer operator of which it is not
@@ -88,6 +99,45 @@ class Fresh:
 
     def __init__(self, slot: int):
         self.slot = slot
+
+
+# The tag of each step of a read plan: what stands at that argument.
+READ_FRESH, READ_SLOT, READ_LITERAL, READ_BUILD = range(4)
+
+
+class Plan:
+    """The read plan of ``X = f(...)`` (or ``f(...) = X``), where ``X`` is
+    the slot ``slot`` and ``f(...)`` the compound operand ``build``, whose
+    ``label`` and ``arity`` read mode checks first.
+
+    ``steps`` lists only the arguments that are not voids, left to right,
+    each as ``(index, tag, operand)``: a first use (``READ_FRESH``, with
+    its slot), a value (``READ_SLOT``, with its slot), a literal
+    (``READ_LITERAL``, with the term) or a nested compound
+    (``READ_BUILD``, with its ``Build``).  ``value_left`` says whether
+    ``X`` is on the left of the statement."""
+    __slots__ = ("slot", "value_left", "build", "label", "arity", "steps")
+
+    def __init__(self, slot: int, value_left: bool, build: Build):
+        self.slot = slot
+        self.value_left = value_left
+        self.build = build
+        self.label = build.label
+        self.arity = len(build.args)
+        steps = []
+        for i, a in enumerate(build.args):
+            if a is None:
+                continue
+            k = type(a)
+            if k is Fresh:
+                steps.append((i, READ_FRESH, a.slot))
+            elif k is int:
+                steps.append((i, READ_SLOT, a))
+            elif k is Build:
+                steps.append((i, READ_BUILD, a))
+            else:
+                steps.append((i, READ_LITERAL, a))
+        self.steps = tuple(steps)
 
 
 # -- instructions ------------------------------------------------------------
@@ -143,11 +193,19 @@ class Body:
 
 
 class Unify:
-    __slots__ = ("lhs", "rhs")
+    """``lhs = rhs``.  When one side is a slot and the other a compound,
+    ``plan`` is the compound's read :class:`Plan`; else it is None."""
+    __slots__ = ("lhs", "rhs", "plan")
 
     def __init__(self, lhs, rhs):
         self.lhs = lhs
         self.rhs = rhs
+        if type(lhs) is int and type(rhs) is Build:
+            self.plan = Plan(lhs, True, rhs)
+        elif type(rhs) is int and type(lhs) is Build:
+            self.plan = Plan(rhs, False, lhs)
+        else:
+            self.plan = None
 
 
 class Call:

@@ -28,14 +28,27 @@ is a block or a `local` (of a procedure, an `if` or `case` arm or an
 made and its statements pushed, with no reduction of its own
 (`Task.push_body`); a `thread`'s body is not, so its variables are made
 when the thread first runs.  Tail calls replace the popped pair, so the
-stack stays flat through recursion.  `X = f(...)` is compiled
-unification: when `X` is already a compound of the same label and
-arity, its arguments are unified in place and nothing is built
-(`unify_compound`).  A unification statement runs through `exec_unify`,
-as a reduction of its own or as part of the head of a `choice`
-alternative: an engine's `choice` runs its alternatives' leading
-unifications inside its own reduction and pushes only the rest of the
-one it enters (`search.Engine.choose`).
+stack stays flat through recursion.  A unification statement runs
+through `exec_unify`, as a reduction of its own or as part of the head
+of a `choice` alternative: an engine's `choice` runs its alternatives'
+leading unifications inside its own reduction and pushes only the rest
+of the one it enters (`search.Engine.choose`).
+
+`X = f(...)` is compiled unification, run from the read plan the
+compiler gave its compound (`compiler.Plan`; `unify_compound`).  When
+`X` is already a compound of the same label and arity, nothing is built
+(read mode): the plan lists the arguments that are not voids, each a
+first use, a value, a literal or a nested compound, and is walked in
+place of a dispatch on each argument's type.  A first use takes the
+compound's argument; each other step pairs its value with the argument.
+When one pair is left and there is no network, it is settled inline:
+two integers or two atoms are compared, and an unbound variable is bound
+by `Store._bind_local` to a value that is neither a variable nor a
+compound.  Any other pairs go to `Store.unify`, as do two variables, a
+compound and a network's proxies.
+A nested compound argument is built and paired, so read mode stops at
+the first level (nested read mode is open under ROADMAP direction 3).
+Any other value of `X` is unified with the built term (write mode).
 
 The integer operators `+ - * div` and `< > =< >=` run inline
 (`exec_op`): each operand comes from its slot or is the literal and is
@@ -83,9 +96,9 @@ from typing import Callable, Optional
 
 from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
                      ThreadInSearchError)
-from .compiler import (EQ_TEST, OP_TEST, TEST, Body, Build, Builtin, Call,
-                       Case, Choice, Fail, Fresh, If, Op, Proc, Skip, Thread,
-                       Unify)
+from .compiler import (EQ_TEST, OP_TEST, READ_FRESH, READ_LITERAL, READ_SLOT,
+                       TEST, Body, Build, Builtin, Call, Case, Choice, Fail,
+                       Fresh, If, Op, Plan, Proc, Skip, Thread, Unify)
 from .terms import (FALSE, INT_MAX, INT_MIN, TRUE, Atom, Closure, Compound,
                     Int, NativeProc, Store, Term, UnifyResult, Var, render)
 
@@ -191,55 +204,97 @@ def _build_spine(store: Store, expr: Build, frame: list) -> Term:
 # -- compiled unification ---------------------------------------------------------
 
 
-def unify_compound(store: Store, value: Term, pattern: Build, frame: list,
-                   value_left: bool):
-    """Unify ``value`` with the compound operand ``pattern``.
+def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
+    """Unify ``value`` with the compound operand of ``plan``.
 
     The statement ``X = f(A1 ... An)`` (or ``f(A1 ... An) = X``) comes
     here with the value of ``X``.  If it is a compound of the same label
-    and arity, nothing is built (read mode): each argument that is not a
-    void is paired with the compound's argument in the statement's
-    orientation, and the pairs are settled by one :meth:`Store.unify`
-    whose stack they seed, so they are taken last to first, as if the
-    term had been built and unified.  A first use (``Fresh``) takes the
+    and arity, nothing is built (read mode): the plan's steps, one for
+    each argument that is not a void, are walked in order (the WAM's
+    ``get_structure`` with ``unify_variable`` and ``unify_value``, the
+    voids being ``unify_void``).  A first use (``Fresh``) takes the
     compound's argument as its value in ``frame`` and adds no pair:
     unifying a fresh variable would only have bound it to that argument.
     The exception is another node's unbound variable, which unification
     would bind (through a message to its owner) rather than the fresh
-    one; there the variable is made and paired as before.  A compound of
-    another label or arity gives a failed result, whose text is the one
-    unification gives.  Any other value is unified with the built term
-    (write mode).  Returns the :class:`UnifyResult`, or None when there
-    is nothing to settle."""
+    one; there the variable is made and paired.  A value or a literal is
+    paired with the compound's argument in the statement's orientation,
+    and a nested compound is built and paired, so read mode stops at the
+    first level.
+
+    When the walk leaves exactly one pair and there is no network, the
+    pair is settled here: two integers or two atoms are compared, and an
+    unbound variable and a value that is neither a variable nor a
+    compound are bound by ``Store._bind_local``.  Every other case (two
+    variables, which follow the ``owns`` rule, a compound, several pairs
+    or a network) goes to one :meth:`Store.unify`, whose stack the pairs
+    seed, so they are taken last to first, as if the term had been built
+    and unified.  The first uses after the pair have been written by
+    then, whatever the binding wakes.
+
+    A compound of another label or arity gives a failed result, whose
+    text is the one unification gives.  Any other value is unified with
+    the built term (write mode).  Returns the :class:`UnifyResult`, or
+    None when it succeeded and woke nothing."""
     t = value
     if type(t) is Var and t.ref is not None:
-        t = store.deref(t)
+        t = t.ref
+        if type(t) is Var and t.ref is not None:
+            t = store.deref(t)
     if type(t) is not Compound:
-        built = build_term(store, pattern, frame)
-        return store.unify(t, built) if value_left else store.unify(built, t)
-    xs, exprs = t.args, pattern.args
-    if t.label != pattern.label or len(xs) != len(exprs):
-        return UnifyResult(False, (), (t, pattern) if value_left
-                           else (pattern, t))
+        built = build_term(store, plan.build, frame)
+        return (store.unify(t, built) if plan.value_left
+                else store.unify(built, t))
+    xs = t.args
+    if t.label != plan.label or len(xs) != plan.arity:
+        return UnifyResult(False, (), (t, plan.build) if plan.value_left
+                           else (plan.build, t))
+    dist = store.dist
     pairs = []
-    for x, a in zip(xs, exprs):
-        k = type(a)
-        if k is int:
-            v = frame[a]
-        elif a is None:
-            continue
-        elif k is Fresh:
-            if store.dist is None or not _is_proxy(store, x):
-                frame[a.slot] = x
+    for i, tag, a in plan.steps:
+        x = xs[i]
+        if tag is READ_FRESH:
+            if dist is None or not _is_proxy(store, x):
+                frame[a] = x
                 continue
-            v = frame[a.slot] = store.new_var()
-        elif k is Build:
-            v = build_term(store, a, frame)
-        else:
+            v = frame[a] = store.new_var()
+        elif tag is READ_SLOT:
+            v = frame[a]
+        elif tag is READ_LITERAL:
             v = a
-        pairs.append((x, v) if value_left else (v, x))
+        else:
+            v = build_term(store, a, frame)
+        pairs.append((x, v))
     if not pairs:
         return None
+    if len(pairs) == 1 and dist is None:
+        # one pair, settled here when it is atomic; a dereference that
+        # one link ends needs no call
+        x, v = pairs[0]
+        if type(x) is Var and x.ref is not None:
+            x = x.ref
+            if type(x) is Var and x.ref is not None:
+                x = store.deref(x)
+        if type(v) is Var and v.ref is not None:
+            v = v.ref
+            if type(v) is Var and v.ref is not None:
+                v = store.deref(v)
+        kx, kv = type(x), type(v)
+        if kx is Var:
+            if kv is not Var and kv is not Compound:
+                woken = store._bind_local(x, v)
+                return UnifyResult(True, woken) if woken else None
+        elif kv is Var:
+            if kx is not Compound:
+                woken = store._bind_local(v, x)
+                return UnifyResult(True, woken) if woken else None
+        elif kx is kv and (kx is Int or kx is Atom):
+            if x.value == v.value if kx is Int else x.name == v.name:
+                return None
+            return UnifyResult(False, (), (x, v) if plan.value_left
+                               else (v, x))
+    if not plan.value_left:
+        pairs = [(v, x) for x, v in pairs]
     a, b = pairs.pop()
     return store.unify(a, b, pairs)
 
@@ -250,18 +305,17 @@ def exec_unify(rt: "Runtime", stmt: Unify, frame: list):
     :class:`UnifyResult`.  A reduction of ``stmt`` and a ``choice`` head
     both run it this way."""
     store = rt.store
-    e1, e2 = stmt.lhs, stmt.rhs
-    k1, k2 = type(e1), type(e2)
-    if k1 is int and k2 is Build:
-        res = unify_compound(store, frame[e1], e2, frame, True)
-    elif k2 is int and k1 is Build:
-        res = unify_compound(store, frame[e2], e1, frame, False)
-    elif k1 is Fresh:
-        # the first use of a local name (compiled to the left): it is the
-        # built term
-        frame[e1.slot] = build_term(store, e2, frame)
-        return None
+    plan = stmt.plan
+    if plan is not None:
+        res = unify_compound(store, frame[plan.slot], plan, frame)
     else:
+        e1, e2 = stmt.lhs, stmt.rhs
+        k1, k2 = type(e1), type(e2)
+        if k1 is Fresh:
+            # the first use of a local name (compiled to the left): it is
+            # the built term
+            frame[e1.slot] = build_term(store, e2, frame)
+            return None
         res = store.unify(frame[e1] if k1 is int else build_term(store, e1, frame),
                           frame[e2] if k2 is int else build_term(store, e2, frame))
     if res is not None:

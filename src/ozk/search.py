@@ -9,16 +9,23 @@ A ``choice`` is reduced by :meth:`Engine.choose`, with shallow
 backtracking (the WAM's; M. Carlsson, "On the Efficiency of Optimising
 Shallow Backtracking in Compiled Prolog", ICLP 1989).  Each alternative
 is compiled into the slots it makes, its head, the leading unifications
-of its body, and the rest (``compiler.Alt``).  The alternatives' heads
-run in order inside the choice's own reduction, in the frame the choice
-runs in; a head that fails is undone to the trail's length before it,
-with no choicepoint and no exception, and the next is tried.  Only when
-a head succeeds and alternatives are left is a choicepoint made: a copy
-of the stack as the choice found it, the frame, the trail mark taken
-before the head, and the untried alternatives.  Then the rest of the
-alternative is pushed.  When every head fails, the choice fails.  The
-frames themselves are not copied or trailed: the path taken after a
-backtrack writes each slot it reads before reading it.
+of its body, and the rest (``compiler.Alt``).  A head unification ``X =
+f(...)`` runs from its compound's read plan
+(``runtime.unify_compound``): when ``X`` is already a compound of that
+label and arity, the voids are skipped, a first use takes its argument,
+and a lone pair of an atomic value is settled inline, with no call of
+``Store.unify``.  So ``Cs=_|Cs2`` pairs nothing and ``Cs=N|_`` compares
+or binds one argument; a nested compound argument is still built and
+unified (nested read mode is open under ROADMAP direction 3).  The
+alternatives' heads run in order inside the choice's own reduction, in
+the frame the choice runs in; a head that fails is undone to the trail's
+length before it, with no choicepoint and no exception, and the next is
+tried.  Only when a head succeeds and alternatives are left is a
+choicepoint made: a copy of the stack as the choice found it, the frame,
+the trail mark taken before the head, and the untried alternatives.
+Then the rest of the alternative is pushed.  When every head fails, the
+choice fails.  The frames themselves are not copied or trailed: the path
+taken after a backtrack writes each slot it reads before reading it.
 
 On a failure the loop calls :meth:`Engine.backtrack`, which undoes the
 trail to the newest choicepoint and runs the heads of its untried

@@ -272,14 +272,19 @@ class Store:
     def deref(self, t: Term) -> Term:
         if type(t) is not Var or t.ref is None:
             return t
+        if self.trails:
+            # Path compression is safe only when no undo log is active:
+            # under one, the chain is only walked.
+            t = t.ref
+            while type(t) is Var and t.ref is not None:
+                t = t.ref
+            return t
         chain = []
         while type(t) is Var and t.ref is not None:
             chain.append(t)
             t = t.ref
-        if not self.trails:
-            # Path compression is safe only when no undo log is active.
-            for v in chain:
-                v.ref = t
+        for v in chain:
+            v.ref = t
         return t
 
     # -- trail -------------------------------------------------------
@@ -382,7 +387,8 @@ class Store:
         The compiled ``X = f(...)`` passes the argument pairs of a
         compound it did not build this way (read mode, see
         ``runtime.unify_compound``), so that they are settled exactly as
-        if the compound had been built and unified with ``X``'s value.
+        if the compound had been built and unified with ``X``'s value;
+        a lone pair of an atomic value it settles itself.
 
         A variable-variable pair binds the greater VarId to the lesser,
         except that a running search engine (``owns``) binds its own

@@ -407,6 +407,15 @@ def test_a_first_use_makes_no_variable():
     assert s.store.next_seq == before
 
 
+def test_a_bind_that_wakes_a_thread_still_writes_the_later_first_uses():
+    # X = f(1 Z) matches f(A 5) in read mode: its one pair binds A, which
+    # wakes the waiting thread, and the first use Z after it still takes 5
+    r = run_text("local X A Z in X = f(A 5) thread {Wait A} {Browse woke} end "
+                 "{Delay 1} X = f(1 Z) {Browse Z} end")
+    assert r.status == "done"
+    assert r.browses == ["5", "woke"]
+
+
 # -- laziness ------------------------------------------------------------------
 
 LAZY_INTS = """

@@ -210,6 +210,20 @@ def test_a_first_use_that_aliases_an_outside_variable_cannot_bind_it():
     assert s.feed("{Browse X}").browses == ["f(_G1)"]
 
 
+@pytest.mark.parametrize("goal", ["X = f(1) unit",
+                                  "choice X = f(1) [] skip end unit"],
+                         ids=["reduction", "choice-head"])
+def test_a_read_mode_bind_of_an_outside_argument_is_an_escape_error(goal):
+    # X = f(1) meets f(Y) in read mode and binds the outside Y inline, in a
+    # reduction or in a choice's head; the escape check still sees it
+    s = Session()
+    s.feed("X Y in X = f(Y)")
+    with pytest.raises(EscapeError):
+        s.feed(f"S in {{SolveAll fun {{$}} {goal} end S}}")
+    assert s.store.trails == []
+    assert s.feed("{Browse X}").browses == ["f(_G1)"]
+
+
 def test_waiting_on_an_outside_variable_is_a_stuck_error():
     s = Session()
     with pytest.raises(SearchStuckError):

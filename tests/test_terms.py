@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (MATCH_OK, MATCH_UNDET, DictFrameRunner, RefFailure,
                      RefSuspend, match_pattern)
@@ -555,6 +555,15 @@ def _run_local(stmt, compiled, prebinds, waiting, trailed):
                           st.tuples(st.just("int"), st.integers(0, 2))
                           | shapes), max_size=4),
        st.lists(st.integers(0, 3), max_size=4), st.booleans())
+# V0 is bound to the flat f(V1 2) and a thread waits on V1: the read-mode
+# V0 = f(<value> L0) binds V1, which wakes the thread, and the first use
+# L0 must still take 2
+@example(stmts=[Unify(CVar("V0"), CCompound("f", (CVar("V2"), CVar("L0"))))],
+         prebinds=[(0, ("f", [("var", 1), ("int", 2)])), (2, ("int", 1))],
+         waiting=[1], trailed=False)
+@example(stmts=[Unify(CCompound("f", (CLit(Int(1)), CVar("L0"))), CVar("V0"))],
+         prebinds=[(0, ("f", [("var", 1), ("int", 2)]))],
+         waiting=[1], trailed=True)
 def test_first_uses_match_making_every_name_at_entry(
         stmts, prebinds, waiting, trailed):
     stmt = Local(_LOCALS, seq_all(stmts))
