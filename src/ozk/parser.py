@@ -3,6 +3,9 @@
 The surface language adds functions, nested calls, operator expressions,
 anonymous variables, list sugar and implicit declarations on top of the
 core statement set in syntax.py.  The desugarer removes all of that.
+A ``case`` pattern is written as a record expression and read by the one
+expression grammar; the parser then checks that the expression is a
+pattern and turns it into one.
 
 Two lowering disciplines matter for performance and are fixed here:
 
@@ -41,13 +44,14 @@ _CMP_OPS = {"==", "<", ">", "=<", ">="}
 _PREC = {"=": 1, "==": 2, "<": 2, ">": 2, "=<": 2, ">=": 2,
          "|": 3, "+": 4, "-": 4, "*": 5, "div": 5}
 _RIGHT_ASSOC = {"|"}
-_NONASSOC = {"=", "==", "<", ">", "=<", ">="}
 
 _ARG_PREC = 2        # call/constructor arguments: everything above '='
 _ITEM_PREC = 4       # list display items: above '|'
 
-# Expressions, blocks and patterns may nest this deep.  The parser and the
-# desugarer recurse once per level, so deeper input is refused with a
+# Expressions (patterns among them) and blocks may nest this deep, and so
+# may the links of an `elsecase` chain, each in the one before, as each
+# desugars to the `else` of the one before.  The parser, the desugarer and
+# the compiler recurse once per level, so deeper input is refused with a
 # syntax error where its nesting is entered.
 MAX_NESTING = 100
 
@@ -472,8 +476,12 @@ class _Parser:
         body = self.parse_block(frozenset({"elseif", "else", "end"}))
         return (guard, body)
 
-    def parse_case(self) -> ECase:
-        t = self.expect("kw", "case")
+    def parse_case(self, tok: Optional[Tok] = None) -> ECase:
+        """Read ``case ... end``; given `tok`, the ``elsecase`` just read,
+        read that link of the chain, whose ``end`` the chain's head reads.
+        Each link nests one level in the one before, as its desugaring
+        does."""
+        t = tok or self.expect("kw", "case")
         subject = self.parse_expr(2)
         self.expect("kw", "of")
         arms = [self.parse_case_arm()]
@@ -485,99 +493,47 @@ class _Parser:
             self.next()
             els = self.parse_block(frozenset({"end"}))
         elif self.at("kw", "elsecase"):
-            tok = self.peek()
-            self.next()
-            inner = self.parse_case_tail(tok)
+            self.enter()
+            els = self.parse_case(self.next())
+            self.depth -= 1
+        if tok is None:
             self.expect("kw", "end")
-            return ECase(subject, arms, inner, (t.line, t.col))
-        self.expect("kw", "end")
         return ECase(subject, arms, els, (t.line, t.col))
 
-    def parse_case_tail(self, tok) -> ECase:
-        subject = self.parse_expr(2)
-        self.expect("kw", "of")
-        arms = [self.parse_case_arm()]
-        while self.at("op", "[]"):
-            self.next()
-            arms.append(self.parse_case_arm())
-        els = None
-        if self.at("kw", "else"):
-            self.next()
-            els = self.parse_block(frozenset({"end", "elsecase"}))
-        elif self.at("kw", "elsecase"):
-            t2 = self.peek()
-            self.next()
-            els = self.parse_case_tail(t2)
-        return ECase(subject, arms, els, (tok.line, tok.col))
-
     def parse_case_arm(self):
-        seen: set[str] = set()
-        pat = self.parse_pattern(seen)
+        pat = self.pattern(self.parse_expr(_PREC["|"]), set())
         self.expect("kw", "then")
         body = self.parse_block(frozenset({"[]", "else", "elsecase", "end"}))
         return (pat, body)
 
-    # -- patterns ---------------------------------------------------------
-
-    def parse_pattern(self, seen: set):
-        # H1|H2|...|T is right-associative; read it in a loop.
-        parts = [self.parse_pattern_primary(seen)]
-        while self.at("op", "|"):
-            self.next()
-            parts.append(self.parse_pattern_primary(seen))
-        p = parts.pop()
-        for head in reversed(parts):
+    def pattern(self, e, seen: set):
+        """The `case` pattern that the expression `e` writes: integers,
+        atoms, names (each at most once, kept in `seen`), ``_``, and
+        constructors and ``|`` cells of patterns."""
+        heads = []
+        while isinstance(e, EBin) and e.op == "|":
+            heads.append(self.pattern(e.l, seen))
+            e = e.r
+        if isinstance(e, EInt):
+            p = CLit(Int(e.v))
+        elif isinstance(e, EAtom):
+            p = CLit(Atom(e.name))
+        elif isinstance(e, EVar):
+            if e.name in seen:
+                raise ParseError(f"variable {e.name} occurs twice in one "
+                                 "pattern", *e.pos)
+            seen.add(e.name)
+            p = CVar(e.name)
+        elif isinstance(e, EAnon):
+            p = CAnon()
+        elif isinstance(e, EComp):
+            p = CCompound(e.label, tuple(self.pattern(a, seen)
+                                         for a in e.args))
+        else:
+            raise ParseError("expected a pattern", *e.pos)
+        for head in reversed(heads):
             p = CCompound("|", (head, p))
         return p
-
-    def parse_pattern_primary(self, seen: set):
-        self.enter()
-        p = self._pattern_primary(seen)
-        self.depth -= 1
-        return p
-
-    def _pattern_primary(self, seen: set):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return CLit(Int(t.val))
-        if t.kind == "atom":
-            self.next()
-            if self.at("op", "(") and self._adjacent(t):
-                self.next()
-                args = []
-                while not self.at("op", ")"):
-                    args.append(self.parse_pattern(seen))
-                self.expect("op", ")")
-                if not args:
-                    self.err("constructor pattern needs at least one argument", t)
-                return CCompound(t.val, tuple(args))
-            return CLit(Atom(t.val))
-        if t.kind == "var":
-            self.next()
-            if t.val in seen:
-                self.err(f"variable {t.val} occurs twice in one pattern", t)
-            seen.add(t.val)
-            return CVar(t.val)
-        if t.kind == "anon":
-            self.next()
-            return CAnon()
-        if t.kind == "op" and t.val == "(":
-            self.next()
-            p = self.parse_pattern(seen)
-            self.expect("op", ")")
-            return p
-        if t.kind == "op" and t.val == "[":
-            self.next()
-            items = []
-            while not self.at("op", "]"):
-                items.append(self.parse_pattern_primary(seen))
-            self.expect("op", "]")
-            out = CLit(Atom("nil"))
-            for item in reversed(items):
-                out = CCompound("|", (item, out))
-            return out
-        self.err(f"expected a pattern, found {self._show(t)}")
 
     # -- expressions --------------------------------------------------------
 

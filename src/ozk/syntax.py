@@ -250,12 +250,10 @@ _ARITH = {"+", "-", "*", "div"}
 _COMPARE = {"==", "<", ">", "=<", ">="}
 
 # precedence levels for expression printing; higher binds tighter
-_PREC_EQ = 1
 _PREC_CMP = 2
 _PREC_CONS = 3
 _PREC_ADD = 4
 _PREC_MUL = 5
-_PREC_ATOMIC = 6
 
 _OP_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "div": _PREC_MUL}
 
@@ -278,7 +276,8 @@ def _expr_text(e: Expr, prec: int = 0) -> str:
                 items.append(tail.args[0])
                 tail = tail.args[1]
             if isinstance(tail, CLit) and tail.value == Atom("nil"):
-                return "[" + " ".join(_expr_text(i) for i in items) + "]"
+                return "[" + " ".join(_expr_text(i, _PREC_CONS + 1)
+                                      for i in items) + "]"
             parts = [_expr_text(i, _PREC_CONS + 1) for i in items]
             parts.append(_expr_text(tail, _PREC_CONS))
             text = "|".join(parts)

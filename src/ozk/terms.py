@@ -150,7 +150,6 @@ class Opaque(Term):
 NIL = Atom("nil")
 TRUE = Atom("true")
 FALSE = Atom("false")
-UNIT = Atom("unit")
 
 CONS = "|"
 

@@ -60,6 +60,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def elsecase_chain(links: int) -> str:
+    """A `case` on X = links-1, then links-1 `elsecase` links; link k
+    browses k."""
+    return (f"X = {links - 1} case X of 0 then {{Browse 0}} "
+            + "".join(f"elsecase X of {k} then {{Browse {k}}} "
+                      for k in range(1, links))
+            + "end")
+
+
 def repl(capsys, monkeypatch, lines, *flags):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     code = main(["repl", *flags])
@@ -183,6 +192,24 @@ class TestRun:
         # one line, at the parenthesis that opens one level too many
         assert err == (f"ozk: line 1:{4 + MAX_NESTING}: nesting deeper "
                        f"than {MAX_NESTING} levels\n")
+
+    def test_long_elsecase_chain_is_a_syntax_error(self, capsys, tmp_path):
+        text = elsecase_chain(3000)
+        src = write(tmp_path, "chain.ozk", text)
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out) == (3, "")
+        # Each link nests in the one before.  The first token past the
+        # limit is the Browse of link k = MAX_NESTING-3, which sits under
+        # the program's block, k links, the arm's block and the call.
+        k = MAX_NESTING - 3
+        col = text.index(f"{{Browse {k}}}") + 2
+        assert err == (f"ozk: line 1:{col}: nesting deeper "
+                       f"than {MAX_NESTING} levels\n")
+
+    def test_elsecase_chain_within_the_limit_runs(self, capsys, tmp_path):
+        src = write(tmp_path, "chain.ozk", elsecase_chain(90))
+        code, out, err = run_cli(capsys, "run", src)
+        assert (code, out, err) == (0, "89\n", "")
 
     def test_long_operator_chain_runs(self, capsys, tmp_path):
         # a left-leaning chain: ((1+1)+1)+...

@@ -1,11 +1,14 @@
-"""Every module of ozk uses each name it imports."""
+"""Every module of ozk uses each name it imports, and each name it
+defines at module level is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ozk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ozk"
+READERS = ("src", "tests", "perfbench")
 
 
 def unused_imports(text: str) -> list:
@@ -44,3 +47,65 @@ def test_an_unused_import_is_found():
             "def f(x: 'Optional') -> None:\n"
             "    return os.sep\n")
     assert unused_imports(text) == [(2, "system"), (3, "Union")]
+
+
+def defined_names(text: str) -> list:
+    """The ``(line, name)`` of each function, class and constant that a
+    module defines at module level, apart from dunder names."""
+    out = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, ast.Assign):
+            out.extend((node.lineno, t.id) for t in node.targets
+                       if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            out.append((node.lineno, node.target.id))
+    return [(line, name) for line, name in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def read_names(text: str) -> set:
+    """Every name a module reads: as a name, as an attribute, as a name it
+    imports, or as a string that is just that name."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unread_names(defining: dict, reading: list) -> list:
+    """The ``(module, line, name)`` of each name that a module of
+    `defining` (module name to text) defines and no text of `reading`
+    reads."""
+    read = set().union(*map(read_names, reading))
+    return [(module, line, name) for module, text in sorted(defining.items())
+            for line, name in defined_names(text) if name not in read]
+
+
+def test_every_module_level_name_is_read():
+    reading = [p.read_text() for d in READERS for p in (ROOT / d).rglob("*.py")]
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_names(defining, reading) == []
+
+
+def test_an_unread_name_is_found():
+    lib = ("import os\n"
+           "LIMIT: int = 3\n"
+           "SPARE = OTHER = 0\n"
+           "__all__ = ['Used']\n"
+           "class Used: pass\n"
+           "def helper(): return os.sep\n"
+           "def unused(): return LIMIT\n")
+    user = "from lib import Used\nprint(Used, helper(), lib.OTHER)\n"
+    assert unread_names({"lib.py": lib}, [lib, user]) == [
+        ("lib.py", 3, "SPARE"), ("lib.py", 7, "unused")]

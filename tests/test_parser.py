@@ -1,6 +1,9 @@
 """Parser and desugarer: golden shapes, errors, and pretty round-trips."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 from ozk import compiler
 from ozk.errors import ParseError, QuietGuardViolation
@@ -8,9 +11,10 @@ from ozk.parser import parse_interactive, parse_program
 from ozk.syntax import (
     BuiltinCall, Call, CaseStmt, CAnon, CCompound, Choice, CLit, CVar,
     Fail, IfStmt, Local, ProcDef, Skip,
-    ThreadStmt, Unify, expr_names, pretty, seq_items,
+    ThreadStmt, Unify, _expr_text, expr_names, pretty, seq_items,
 )
 from ozk.terms import Atom, Int
+from test_terms import _case_patterns, _linear
 
 GLOBALS = ("Browse", "WaitNeeded", "Wait", "Delay", "SolveOne", "SolveAll",
            "Solve", "Map", "Sort", "Append")
@@ -419,6 +423,23 @@ def test_nonlinear_pattern_rejected():
         parse("local X in case X of f(A A) then skip end end")
 
 
+# A malformed pattern is refused at the token where it goes wrong.
+@pytest.mark.parametrize("src, error", [
+    ("case X of N+1 then", "line 1:23: expected a pattern"),
+    ("case X of {F} then", "line 1:22: expected a pattern"),
+    ("case X of f() then",
+     "line 1:22: constructor needs at least one argument"),
+    ("case X of then", "line 1:22: expected an expression, found 'then'"),
+    ("case X of A|A then", "line 1:24: variable A occurs twice in one pattern"),
+    ("case X of f(A A) then",
+     "line 1:26: variable A occurs twice in one pattern"),
+])
+def test_malformed_pattern_error_positions(src, error):
+    with pytest.raises(ParseError) as info:
+        parse(f"local X in {src} skip end end")
+    assert str(info.value) == error
+
+
 def test_unify_chain_rejected():
     with pytest.raises(ParseError, match="'='"):
         parse("local X Y Z in X=Y=Z end")
@@ -523,3 +544,12 @@ def test_pretty_round_trip(src):
     text = pretty(core)
     again = parse_program(text, GLOBALS)
     assert again == core
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_case_patterns)
+def test_printed_pattern_parses_back(pattern):
+    pattern = _linear(pattern, itertools.count())
+    src = f"local X in case X of {_expr_text(pattern)} then skip end end"
+    (arm,) = parse_program(src).body.arms
+    assert arm.pattern == pattern

@@ -162,6 +162,12 @@ proc {Lookup A1 A2 A3}
 end
 """
 
+# lists whose first item is a partial list
+NESTED = """
+wrap([[1|T]]) :- T = [2].
+first([[H|_]|_], H).
+"""
+
 LOOKUP_GUARD = """
 lookup(a, 1).
 lookup(b, 2).
@@ -469,6 +475,8 @@ EQUIVALENCE_CORPUS = [
     (SPEAK, "speak(dog, R)"),
     (LOOKUP_GUARD, "double(b, Z)"),
     (LOOKUP_GUARD, "double(zz, Z)"),
+    (NESTED, "wrap(X)"),
+    (NESTED, "wrap(X), first(X, H)"),
 ]
 
 

@@ -593,14 +593,17 @@ def test_operator_results_match_making_every_name_at_entry(
             == _run_local(stmt, False, prebinds, [], trailed))
 
 
-# `case` patterns: literals, names, voids and compounds of them, nested
-# and at the top; the names of a pattern are made distinct (linear).
+# `case` patterns: literals, names, voids, and compounds and `|` cells of
+# them, nested and at the top; the names of a pattern are made distinct
+# (linear).
 _case_patterns = st.recursive(
     st.sampled_from((CVar("?"), CAnon(), CLit(Int(0)), CLit(Int(1)),
-                     CLit(Atom("a")), CLit(Atom("f")))),
-    lambda sub: st.builds(lambda la, args: CCompound(la, tuple(args)),
-                          st.sampled_from("fg"),
-                          st.lists(sub, min_size=1, max_size=3)),
+                     CLit(Int(-3)), CLit(Atom("a")), CLit(Atom("f")),
+                     CLit(Atom("nil")))),
+    lambda sub: st.one_of(
+        st.builds(lambda la, args: CCompound(la, tuple(args)),
+                  st.sampled_from("fg"), st.lists(sub, min_size=1, max_size=3)),
+        st.builds(lambda head, tail: CCompound("|", (head, tail)), sub, sub)),
     max_leaves=6)
 
 
