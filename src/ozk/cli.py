@@ -1,7 +1,9 @@
 """Command-line interface: run, repl, translate, dist-run.
 
-Exit codes: 0 the program ran to completion, 1 it failed, 2 it
-deadlocked, 3 usage or parse problems.  Standard output carries only the
+Exit codes (the table ``ozk --help`` ends with, ``EXIT_CODES``): 0 the
+program ran to completion, 1 it failed, hit an error or ran out of its
+step budget, 2 it deadlocked, 3 usage or parse problems.  Standard
+output carries only the
 program's own output (Browse lines, translated source, or the
 simulation report); diagnostics go to standard error.  With fixed seeds
 the standard output of a run is byte-identical across invocations.
@@ -36,6 +38,16 @@ _STATUS_EXIT = {
 }
 
 
+EXIT_CODES = """\
+exit codes:
+  0  done      the program ran to completion
+  1  failed    a thread failed, or an error stopped the run
+  1  limit     the step budget (--max-steps) ran out
+  2  deadlock  threads wait on values that nothing will bind
+  3  usage     bad arguments, or a parse, translation or placement error
+"""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -47,8 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ozk",
         description="A small concurrent kernel language with dataflow "
-                    "variables, encapsulated search, a Prolog translator "
-                    "and a simulated distributed runtime.")
+                    "variables, encapsulated search,\na Prolog translator "
+                    "and a simulated distributed runtime.",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, net=False):

@@ -49,11 +49,15 @@ The compound of a ``Unify`` whose other side is a slot (``X = f(...)``
 or ``f(...) = X``) also has a read ``Plan``: what the WAM's ``unify_*``
 instructions after a ``get_structure`` say.  It lists only the
 arguments that are not voids, each tagged as a first use, a value (a
-slot), a literal or a nested ``Build``.  The runtime walks it when ``X``
-is already a compound of that label and arity (read mode), and settles
-a lone pair of an atomic value inline.  A nested ``Build`` is still
-built and unified, as nested read mode is open under ROADMAP direction
-3.  No other ``Build`` has a plan: a call's arguments are only ever
+slot), a literal or a nested ``Build``, and splits them at compile
+time: the first uses, as ``(index, slot)`` pairs, and the other steps.
+The runtime takes the plan when ``X`` is already a compound of that
+label and arity (read mode).  With no network it writes the first uses
+into the frame in one loop, is then done if no other step is left, and
+settles a lone pair of an atomic value inline; a network's proxies need
+the steps in argument order, which the plan also keeps.  A nested
+``Build`` is still built and unified: read mode stops at the first
+level.  No other ``Build`` has a plan: a call's arguments are only ever
 built.
 
 A name of a ``local`` whose first use is, in a statement of the local's
@@ -114,9 +118,14 @@ class Plan:
     each as ``(index, tag, operand)``: a first use (``READ_FRESH``, with
     its slot), a value (``READ_SLOT``, with its slot), a literal
     (``READ_LITERAL``, with the term) or a nested compound
-    (``READ_BUILD``, with its ``Build``).  ``value_left`` says whether
-    ``X`` is on the left of the statement."""
-    __slots__ = ("slot", "value_left", "build", "label", "arity", "steps")
+    (``READ_BUILD``, with its ``Build``).  The same steps, split: the first
+    uses as ``(index, slot)`` pairs (``firsts``), and the others, still
+    tagged and in order (``reads``).  With no network, read mode writes
+    ``firsts`` into the frame in one loop and pairs only ``reads``; a
+    network's proxies need the walk of ``steps`` in order.  ``value_left``
+    says whether ``X`` is on the left of the statement."""
+    __slots__ = ("slot", "value_left", "build", "label", "arity", "steps",
+                 "firsts", "reads")
 
     def __init__(self, slot: int, value_left: bool, build: Build):
         self.slot = slot
@@ -138,6 +147,9 @@ class Plan:
             else:
                 steps.append((i, READ_LITERAL, a))
         self.steps = tuple(steps)
+        self.firsts = tuple([(i, a) for i, tag, a in steps
+                             if tag is READ_FRESH])
+        self.reads = tuple([s for s in steps if s[1] is not READ_FRESH])
 
 
 # -- instructions ------------------------------------------------------------

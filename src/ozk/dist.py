@@ -56,6 +56,7 @@ import string
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Optional
 
 from .builtins import make_builtins
@@ -66,8 +67,8 @@ from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
 from .runtime import Runtime, StepLimit, take_next
 from .syntax import Local, ThreadStmt, seq_all, seq_items
-from .terms import (Snapshot, Store, Var, VarId, bisimilar, materialize,
-                    render, snapshot)
+from .terms import (Atom, Compound, Int, Snapshot, Store, Var, VarId,
+                    materialize, render, snapshot)
 
 THREAD_NAMES = string.ascii_lowercase
 
@@ -509,21 +510,65 @@ def replica_divergences(nodes: list) -> list:
 
     Every variable known to two or more nodes must look the same
     everywhere: structurally bisimilar, with unbound positions resolved
-    to identical VarIds.  Returns human-readable divergences (empty when
-    consistent)."""
+    to identical VarIds.  Each node that shares a variable is compared
+    with the first node that holds it, and each such pair of nodes is
+    walked once over all the variables they share, with one visited set,
+    so the check is linear in the size of their stores.  A difference is
+    reported against the nearest shared variable above it on the walk.
+    Returns human-readable divergences (empty when consistent)."""
     holders: dict = {}
     for node in nodes:
         for vid in node.store.vars:
             holders.setdefault(vid, []).append(node)
-    out = []
+    shared: dict = {}            # (base, other) -> the VarIds they share
     for vid, sharing in holders.items():
-        if len(sharing) < 2:
-            continue
-        base = sharing[0]
         for other in sharing[1:]:
-            if not bisimilar(base.store, base.store.vars[vid],
-                             other.store, other.store.vars[vid],
-                             strict_vars=True):
-                out.append(f"v{vid[0]}.{vid[1]} differs between node "
-                           f"{base.node_id} and node {other.node_id}")
+            shared.setdefault((sharing[0], other), []).append(vid)
+    out = []
+    for (base, other), vids in shared.items():
+        for vid in _divergent_roots(base.store, other.store, vids):
+            out.append(f"v{vid[0]}.{vid[1]} differs between node "
+                       f"{base.node_id} and node {other.node_id}")
     return out
+
+
+def _divergent_roots(store_a: Store, store_b: Store, vids: list) -> list:
+    """The VarIds of ``vids``, registered in both stores, under which the
+    two stores' graphs differ, each named once, in the order found.  One
+    walk covers every root: a pair of nodes is visited once, and a
+    difference is charged to the nearest registered variable of ``vids``
+    above it (a replica reached through the graph counts as one too)."""
+    roots = set(vids)
+    visited: set = set()
+    found: dict = {}
+    va, vb = store_a.vars, store_b.vars
+    stack = [(va[vid], vb[vid], vid) for vid in reversed(vids)]
+    while stack:
+        a, b, name = stack.pop()
+        if (type(a) is Var and type(b) is Var and a.vid == b.vid
+                and a.vid in roots):
+            name = a.vid
+        a = store_a.deref(a)
+        b = store_b.deref(b)
+        # an unbound variable by its VarId, as the replicas share it
+        pair = (a.vid if type(a) is Var else id(a),
+                b.vid if type(b) is Var else id(b))
+        if pair in visited:
+            continue
+        visited.add(pair)
+        ka, kb = type(a), type(b)
+        if ka is Var or kb is Var:
+            same = ka is kb and a.vid == b.vid
+        elif ka is Compound and kb is Compound:
+            same = a.label == b.label and len(a.args) == len(b.args)
+            if same:
+                stack.extend(zip(a.args, b.args, repeat(name)))
+        elif ka is Atom and kb is Atom:
+            same = a.name == b.name
+        elif ka is Int and kb is Int:
+            same = a.value == b.value
+        else:
+            same = a is b
+        if not same:
+            found[name] = None
+    return list(found)

@@ -32,22 +32,24 @@ stack stays flat through recursion.  A unification statement runs
 through `exec_unify`, as a reduction of its own or as part of the head
 of a `choice` alternative: an engine's `choice` runs its alternatives'
 leading unifications inside its own reduction and pushes only the rest
-of the one it enters (`search.Engine.choose`).
+of the one it enters (`search.Engine.choose`).  An engine's call of a
+procedure whose body is a `choice` enters that choice in the same step,
+counting it as a reduction of its own; a thread or a guard pushes it.
 
 `X = f(...)` is compiled unification, run from the read plan the
 compiler gave its compound (`compiler.Plan`; `unify_compound`).  When
 `X` is already a compound of the same label and arity, nothing is built
 (read mode): the plan lists the arguments that are not voids, each a
-first use, a value, a literal or a nested compound, and is walked in
-place of a dispatch on each argument's type.  A first use takes the
-compound's argument; each other step pairs its value with the argument.
-When one pair is left and there is no network, it is settled inline:
-two integers or two atoms are compared, and an unbound variable is bound
-by `Store._bind_local` to a value that is neither a variable nor a
-compound.  Any other pairs go to `Store.unify`, as do two variables, a
-compound and a network's proxies.
-A nested compound argument is built and paired, so read mode stops at
-the first level (nested read mode is open under ROADMAP direction 3).
+first use, a value, a literal or a nested compound, split into the first
+uses and the other steps, and is taken in place of a dispatch on each
+argument's type.  With no network, the first uses take the compound's
+arguments in one loop, and each other step pairs its value with its
+argument; a plan with no pair is done, and a lone pair is settled
+inline: two integers or two atoms are compared, and an unbound variable
+is bound by `Store._bind_local` to a value that is neither a variable
+nor a compound.  Any other pairs go to `Store.unify`, as do two
+variables, a compound and a network's proxies.  A nested compound
+argument is built and paired, so read mode stops at the first level.
 Any other value of `X` is unified with the built term (write mode).
 
 The integer operators `+ - * div` and `< > =< >=` run inline
@@ -210,27 +212,31 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     The statement ``X = f(A1 ... An)`` (or ``f(A1 ... An) = X``) comes
     here with the value of ``X``.  If it is a compound of the same label
     and arity, nothing is built (read mode): the plan's steps, one for
-    each argument that is not a void, are walked in order (the WAM's
-    ``get_structure`` with ``unify_variable`` and ``unify_value``, the
-    voids being ``unify_void``).  A first use (``Fresh``) takes the
-    compound's argument as its value in ``frame`` and adds no pair:
-    unifying a fresh variable would only have bound it to that argument.
-    The exception is another node's unbound variable, which unification
-    would bind (through a message to its owner) rather than the fresh
-    one; there the variable is made and paired.  A value or a literal is
-    paired with the compound's argument in the statement's orientation,
-    and a nested compound is built and paired, so read mode stops at the
-    first level.
+    each argument that is not a void, are taken in place of a dispatch on
+    each argument's type (the WAM's ``get_structure`` with
+    ``unify_variable`` and ``unify_value``, the voids being
+    ``unify_void``).  A first use (``Fresh``) takes the compound's
+    argument as its value in ``frame`` and adds no pair: unifying a fresh
+    variable would only have bound it to that argument.  A value or a
+    literal is paired with the compound's argument in the statement's
+    orientation, and a nested compound is built and paired, so read mode
+    stops at the first level.
 
-    When the walk leaves exactly one pair and there is no network, the
-    pair is settled here: two integers or two atoms are compared, and an
-    unbound variable and a value that is neither a variable nor a
-    compound are bound by ``Store._bind_local``.  Every other case (two
-    variables, which follow the ``owns`` rule, a compound, several pairs
-    or a network) goes to one :meth:`Store.unify`, whose stack the pairs
-    seed, so they are taken last to first, as if the term had been built
-    and unified.  The first uses after the pair have been written by
-    then, whatever the binding wakes.
+    With no network, the first uses (``plan.firsts``) are written in one
+    loop before anything is paired; no step reads a slot they write, as
+    each first use occurs once in the statement.  A plan with no other
+    step is then done.  A plan with one (``plan.reads``) settles its pair
+    here when it is atomic: two integers or two atoms are compared, and
+    an unbound variable and a value that is neither a variable nor a
+    compound are bound by ``Store._bind_local``.  Under a network the
+    steps are walked in order (``plan.steps``), and a first use whose
+    argument is another node's unbound variable is the exception: there
+    unification would bind that variable (through a message to its
+    owner) rather than the fresh one, so the variable is made and
+    paired.  Every other case (two variables, which follow the ``owns``
+    rule, a compound, several pairs or a network) goes to one
+    :meth:`Store.unify`, whose stack the pairs seed, so they are taken
+    last to first, as if the term had been built and unified.
 
     A compound of another label or arity gives a failed result, whose
     text is the one unification gives.  Any other value is unified with
@@ -249,50 +255,68 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     if t.label != plan.label or len(xs) != plan.arity:
         return UnifyResult(False, (), (t, plan.build) if plan.value_left
                            else (plan.build, t))
-    dist = store.dist
-    pairs = []
-    for i, tag, a in plan.steps:
-        x = xs[i]
-        if tag is READ_FRESH:
-            if dist is None or not _is_proxy(store, x):
-                frame[a] = x
-                continue
-            v = frame[a] = store.new_var()
-        elif tag is READ_SLOT:
-            v = frame[a]
-        elif tag is READ_LITERAL:
-            v = a
+    if store.dist is None:
+        for i, slot in plan.firsts:
+            frame[slot] = xs[i]
+        reads = plan.reads
+        if not reads:
+            return None
+        if len(reads) > 1:
+            pairs = []
+            for i, tag, a in reads:
+                pairs.append((xs[i], frame[a] if tag is READ_SLOT
+                              else a if tag is READ_LITERAL
+                              else build_term(store, a, frame)))
         else:
-            v = build_term(store, a, frame)
-        pairs.append((x, v))
-    if not pairs:
-        return None
-    if len(pairs) == 1 and dist is None:
-        # one pair, settled here when it is atomic; a dereference that
-        # one link ends needs no call
-        x, v = pairs[0]
-        if type(x) is Var and x.ref is not None:
-            x = x.ref
+            # one pair, settled here when it is atomic; a dereference that
+            # one link ends needs no call
+            i, tag, a = reads[0]
+            x0 = x = xs[i]
+            v0 = v = (frame[a] if tag is READ_SLOT
+                      else a if tag is READ_LITERAL
+                      else build_term(store, a, frame))
             if type(x) is Var and x.ref is not None:
-                x = store.deref(x)
-        if type(v) is Var and v.ref is not None:
-            v = v.ref
+                x = x.ref
+                if type(x) is Var and x.ref is not None:
+                    x = store.deref(x)
             if type(v) is Var and v.ref is not None:
-                v = store.deref(v)
-        kx, kv = type(x), type(v)
-        if kx is Var:
-            if kv is not Var and kv is not Compound:
-                woken = store._bind_local(x, v)
-                return UnifyResult(True, woken) if woken else None
-        elif kv is Var:
-            if kx is not Compound:
-                woken = store._bind_local(v, x)
-                return UnifyResult(True, woken) if woken else None
-        elif kx is kv and (kx is Int or kx is Atom):
-            if x.value == v.value if kx is Int else x.name == v.name:
-                return None
-            return UnifyResult(False, (), (x, v) if plan.value_left
-                               else (v, x))
+                v = v.ref
+                if type(v) is Var and v.ref is not None:
+                    v = store.deref(v)
+            kx, kv = type(x), type(v)
+            if kx is Var:
+                if kv is not Var and kv is not Compound:
+                    woken = store._bind_local(x, v)
+                    return UnifyResult(True, woken) if woken else None
+            elif kv is Var:
+                if kx is not Compound:
+                    woken = store._bind_local(v, x)
+                    return UnifyResult(True, woken) if woken else None
+            elif kx is kv and (kx is Int or kx is Atom):
+                if x.value == v.value if kx is Int else x.name == v.name:
+                    return None
+                return UnifyResult(False, (), (x, v) if plan.value_left
+                                   else (v, x))
+            return (store.unify(x0, v0) if plan.value_left
+                    else store.unify(v0, x0))
+    else:
+        pairs = []
+        for i, tag, a in plan.steps:
+            x = xs[i]
+            if tag is READ_FRESH:
+                if not _is_proxy(store, x):
+                    frame[a] = x
+                    continue
+                v = frame[a] = store.new_var()
+            elif tag is READ_SLOT:
+                v = frame[a]
+            elif tag is READ_LITERAL:
+                v = a
+            else:
+                v = build_term(store, a, frame)
+            pairs.append((x, v))
+        if not pairs:
+            return None
     if not plan.value_left:
         pairs = [(v, x) for x, v in pairs]
     a, b = pairs.pop()
@@ -629,7 +653,17 @@ def exec_stmt(task: Task, stmt, frame: list):
                               else build_term(store, a, frame))
             callee += code.blank
             callee += target.env
-            task.push_body(code.body, callee)
+            body = code.body
+            if type(body) is Choice and task.engine is not None:
+                # an engine enters a callee's choice in this step, as a
+                # reduction of its own
+                stats, limit = rt.stats, rt.step_limit
+                stats.reductions += 1
+                if limit is not None and stats.reductions > limit:
+                    raise StepLimit()
+                task.engine.choose(body, callee)
+                return
+            task.push_body(body, callee)
             return
         if type(target) is NativeProc:
             if len(stmt.args) != target.arity:
@@ -771,10 +805,10 @@ def exec_if(task: Task, stmt: If, frame: list):
             store.undo_to(0)
             store.pop_trail(merge=False)
             raise
-        entries = store.trails[-1]
-        for entry_kind, var in entries:
-            if entry_kind == "bind" and (var.vid[0] != store.node_id
-                                         or var.vid[1] < age_mark):
+        node = store.node_id
+        for var in store.trails[-1]:
+            if type(var) is Var and (var.vid[1] < age_mark
+                                     or var.vid[0] != node):
                 store.undo_to(0)
                 store.pop_trail(merge=False)
                 raise QuietGuardViolation(

@@ -10,31 +10,41 @@ backtracking (the WAM's; M. Carlsson, "On the Efficiency of Optimising
 Shallow Backtracking in Compiled Prolog", ICLP 1989).  Each alternative
 is compiled into the slots it makes, its head, the leading unifications
 of its body, and the rest (``compiler.Alt``).  A head unification ``X =
-f(...)`` runs from its compound's read plan
+f(...)`` goes straight to its compound's read plan
 (``runtime.unify_compound``): when ``X`` is already a compound of that
-label and arity, the voids are skipped, a first use takes its argument,
-and a lone pair of an atomic value is settled inline, with no call of
-``Store.unify``.  So ``Cs=_|Cs2`` pairs nothing and ``Cs=N|_`` compares
-or binds one argument; a nested compound argument is still built and
-unified (nested read mode is open under ROADMAP direction 3).  The
-alternatives' heads run in order inside the choice's own reduction, in
-the frame the choice runs in; a head that fails is undone to the trail's
-length before it, with no choicepoint and no exception, and the next is
-tried.  Only when a head succeeds and alternatives are left is a
-choicepoint made: a copy of the stack as the choice found it, the frame,
-the trail mark taken before the head, and the untried alternatives.
-Then the rest of the alternative is pushed.  When every head fails, the
-choice fails.  The frames themselves are not copied or trailed: the path
-taken after a backtrack writes each slot it reads before reading it.
+label and arity, the voids are skipped, the first uses take their
+arguments in one loop, and a lone pair of an atomic value is settled
+inline, with no call of ``Store.unify``.  So ``Cs=_|Cs2`` pairs nothing
+and ``Cs=N|_`` compares or binds one argument; a nested compound
+argument is still built and unified.  The alternatives' heads run in
+order inside the choice's own reduction, in the frame the choice runs
+in; a head that fails is undone to the trail's length before it, with
+no choicepoint and no exception, and the next is tried.  Only when a
+head succeeds and alternatives are left is a choicepoint made: a copy of
+the stack as the choice found it, the frame, the trail mark taken before
+the head, and the untried alternatives.  Then the rest of the
+alternative is pushed.  When every head fails, the choice fails.  The
+frames themselves are not copied or trailed: the path taken after a
+backtrack writes each slot it reads before reading it.
+
+An engine that calls a procedure whose body is a ``choice`` enters the
+choice in the call's own step (``runtime.exec_stmt``): the choice is
+not pushed and popped, but it still counts as a reduction of its own,
+in ``stats.reductions`` and against the step budget.  A thread or a
+guard, even a guard inside an engine, pushes the body as before, and
+the choice then raises ``ChoiceOutsideSearchError``.
 
 On a failure the loop calls :meth:`Engine.backtrack`, which undoes the
 trail to the newest choicepoint and runs the heads of its untried
 alternatives the same way, depth-first and left to right; a choicepoint
 whose heads all fail is dropped for the next older one, and the failure
 leaves the loop only when none is left.  The last alternative takes the
-saved stack itself, as the choicepoint is gone.  After each head
-unification, and each reduction, that grew the trail the engine checks
-it for escapes (:meth:`Engine.check_escapes`).
+saved stack itself, as the choicepoint is gone.  The engine checks the
+trail for escapes (:meth:`Engine.check_escapes`) after each reduction
+that grew it, and once per head: after the head, or, when it fails,
+over the statements of it that succeeded, before the undo.  A binding
+on the trail is the variable itself and a need mark a 1-tuple (see
+``terms``), so the check tells them apart by type alone.
 
 Answers are copied out in two phases: snapshot the root while the
 speculative bindings are live, then materialize the snapshot for the
@@ -61,8 +71,9 @@ from typing import Optional
 
 from .errors import EscapeError, SearchStuckError, ThreadInSearchError
 from .compiler import Choice
-from .runtime import Failure, Suspend, Task, call_frame, exec_unify
-from .terms import Closure, Snapshot, Term, materialize, snapshot
+from .runtime import (Failure, Suspend, Task, call_frame, exec_unify,
+                      unify_compound)
+from .terms import Closure, Snapshot, Term, Var, materialize, snapshot
 
 
 class _ChoicePoint:
@@ -178,43 +189,70 @@ class Engine:
 
     def _first_head(self, alts, i: int, frame: list, mark: int):
         """Run the heads of ``alts`` from the ``i``-th on, in order and in
-        ``frame``, until one succeeds: ``(index, None)``.  Each head that
-        fails is undone to ``mark``, the trail's length before it.  When
-        every head fails: ``(index, why)``, the last failure (see
-        ``Failure``).  A shallow failure like this costs no reduction, no
-        choicepoint and no exception, and its text is never made."""
+        ``frame``, until one succeeds: ``(index, None)``.  A head
+        unification with a read plan goes straight to ``unify_compound``,
+        any other through ``exec_unify``.  The trail is checked for
+        escapes once per head: after it succeeds, or, when it fails,
+        before it is undone to ``mark``, the trail's length before it.  What
+        a failing unification bound is undone with it, unchecked, as after
+        a failing reduction, so the check of a failed head stops where its
+        failing statement began.  When every head fails: ``(index, why)``,
+        the last failure (see ``Failure``).  A shallow failure like this
+        costs no reduction, no choicepoint and no exception, and its text
+        is never made."""
         rt = self.rt
+        store = self.store
         trail = self.trail
-        new_var = self.store.new_var
+        new_var = store.new_var
         why = None
         for i in range(i, len(alts)):
             alt = alts[i]
             for slot in alt.made:
                 frame[slot] = new_var()
             for stmt in alt.head:
-                why = exec_unify(rt, stmt, frame)
-                if why is not None:
-                    break
+                start = len(trail)
+                plan = stmt.plan
+                if plan is None:
+                    why = exec_unify(rt, stmt, frame)
+                    if why is not None:
+                        break
+                    continue
+                res = unify_compound(store, frame[plan.slot], plan, frame)
+                if res is not None:
+                    if res.woken:
+                        rt.wake(res.woken)
+                    if not res.ok:
+                        why = res
+                        break
+            else:
                 if len(trail) > self.checked:
                     self.check_escapes()
-            else:
                 return i, None
-            self.store.undo_to(mark)
+            if start > self.checked:
+                self.check_escapes(start)
+            store.undo_to(mark)
             if self.checked > mark:
                 self.checked = mark
         return i, why
 
-    def check_escapes(self):
+    def check_escapes(self, end: Optional[int] = None):
+        """Raise ``EscapeError`` when a binding on the trail from
+        ``checked`` to ``end`` (its end when None) is of a variable the
+        engine does not own; need marks (1-tuples) are skipped."""
         trail = self.trail
+        if end is None:
+            end = len(trail)
         node = self.store.node_id
-        while self.checked < len(trail):
-            kind, var = trail[self.checked]
-            self.checked += 1
-            vid = var.vid
-            if kind == "bind" and (vid[1] < self.mark or vid[0] != node) \
-                    and not self._owns(vid):
-                raise EscapeError(
-                    "search tried to bind a variable from outside the engine")
+        mark = self.mark
+        for k in range(self.checked, end):
+            var = trail[k]
+            if type(var) is Var:
+                vid = var.vid
+                if (vid[1] < mark or vid[0] != node) and not self._owns(vid):
+                    self.checked = k + 1
+                    raise EscapeError("search tried to bind a variable from "
+                                      "outside the engine")
+        self.checked = end
 
     # -- enumeration ----------------------------------------------------------
 

@@ -9,6 +9,13 @@ distributed store.
 The store supports rational trees: unification has no occurs check, cycles
 are legal values, and both unification and equality testing terminate on
 cyclic terms by memoizing visited pairs of compound nodes.
+
+While a trail is active, each change to a variable is logged on it, in
+one of two entry forms: a binding is the ``Var`` itself, undone by
+unbinding it, and a need mark is the 1-tuple ``(var,)``, undone by
+clearing ``needed``.  Each reader (``Store.undo_to``, a search engine's
+escape check, a guard's quiet check) tells them apart with
+``type(entry) is Var``.
 """
 
 from __future__ import annotations
@@ -295,13 +302,16 @@ class Store:
         return len(self.trails[-1])
 
     def undo_to(self, mark: int) -> None:
+        """Undo the entries of the innermost trail past ``mark``, newest
+        first: a binding (the variable) is unbound, and a need mark (a
+        1-tuple of the variable) cleared."""
         trail = self.trails[-1]
-        while len(trail) > mark:
-            kind, var = trail.pop()
-            if kind == "bind":
-                var.ref = None
-            else:  # "need"
-                var.needed = False
+        for _ in range(len(trail) - mark):
+            entry = trail.pop()
+            if type(entry) is Var:
+                entry.ref = None
+            else:
+                entry[0].needed = False
 
     def pop_trail(self, merge: bool) -> list:
         """Drop the innermost trail.  With ``merge`` the entries are
@@ -318,7 +328,7 @@ class Store:
         """Unconditionally bind an unbound variable of this store; return
         the threads to wake (a shared empty set when there are none)."""
         if self.trails:
-            self.trails[-1].append(("bind", var))
+            self.trails[-1].append(var)
         var.ref = value
         if not (var.waiters or var.byneed or var.needed):
             return _NO_WAKES
@@ -343,7 +353,7 @@ class Store:
         if var.needed:
             return set()
         if self.trails:
-            self.trails[-1].append(("need", var))
+            self.trails[-1].append((var,))
         var.needed = True
         woken: set[int] = set()
         if var.byneed:

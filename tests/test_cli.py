@@ -11,7 +11,7 @@ import pytest
 
 from oracles import QUEENS8_FIRST, queens_brute
 from ozk.builtins import make_builtins
-from ozk.cli import main
+from ozk.cli import _STATUS_EXIT, EXIT_CODES, EXIT_USAGE, main
 from ozk.dist import split_program
 from ozk.parser import MAX_NESTING
 from ozk.prelude import PRELUDE_NAMES
@@ -481,6 +481,12 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(EXIT_CODES)
+        # one line per run status, with the code a run of it exits with
+        codes = {status: int(code) for code, status in
+                 re.findall(r"^  (\d)  (\w+) ", EXIT_CODES, re.M)}
+        assert codes == {**_STATUS_EXIT, "usage": EXIT_USAGE}
 
 
 class TestDeterminism:

@@ -17,7 +17,7 @@ from ozk.parser import parse_program
 from ozk.prelude import PRELUDE_NAMES
 from ozk.runtime import take_next
 from ozk.syntax import free_names
-from ozk.terms import Var
+from ozk.terms import Compound, Int, Var
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
 
@@ -433,6 +433,37 @@ class TestDeterminismAndConfluence:
                 assert (report.status, browsed) == (want.status, lines), \
                     report.summary()
                 assert replica_divergences(report.nodes) == []
+
+
+    # X is sent while Y and Z are unbound, so node 1's replica of X holds
+    # the replicas of Y and Z; all three are shared by nodes 0 and 1
+    NESTED_SHARED = """
+    local X Y Z in
+       thread X = f(Y Z) {Delay 10} Y = g(5) Z = 7 end
+       thread {Wait X} {Wait Y} {Wait Z} {Browse X} end
+    end
+    """
+
+    @pytest.mark.parametrize("name, plant", [
+        ("Y", lambda y, z: Compound("g", [Int(6)])),
+        ("Z", lambda y, z: None),
+        ("X", lambda y, z: Compound("f", [y, Int(8)])),
+    ], ids=["Y-rebound", "Z-unbound", "X-below-it"])
+    def test_a_divergent_replica_is_named(self, name, plant):
+        # A difference planted in node 1's replica is reported once,
+        # against the nearest shared variable above it: a difference in Y
+        # is not charged to X, whose graph reaches it.
+        report = quiesced(run_simulation(self.NESTED_SHARED,
+                                         {"a": 0, "b": 1}))
+        _, other = report.nodes
+        x, y, z = sorted(other.store.vars)
+        vids = {"X": x, "Y": y, "Z": z}
+        replicas = other.store.vars
+        assert replicas[x].ref.args == [replicas[y], replicas[z]]
+        replicas[vids[name]].ref = plant(replicas[y], replicas[z])
+        vid = vids[name]
+        assert replica_divergences(report.nodes) == [
+            f"v{vid[0]}.{vid[1]} differs between node 0 and node 1"]
 
 
 class TestNetwork:

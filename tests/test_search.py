@@ -269,6 +269,9 @@ _STATEMENTS = {
     "thread": "thread skip end",
     "Delay": "{Delay 1}",
     "choice": "choice skip [] skip end",
+    # an engine enters a called choice in the call's step; the others push
+    # the body and reject the choice when they reach it
+    "called choice": "local P in proc {P} choice skip [] skip end end {P} end",
     "Solve": "L in {Solve fun {$} D in {Digit D} D end L}",
 }
 _CHOICE = (ChoiceOutsideSearchError,
@@ -280,9 +283,11 @@ _IN_ENGINE = (ThreadInSearchError,
               "cannot create a thread inside a search engine")
 _REJECTED = {
     ("thread", "choice"): _CHOICE,
+    ("thread", "called choice"): _CHOICE,
     ("guard", "thread"): _IN_GUARD,
     ("guard", "Delay"): _DELAY,
     ("guard", "choice"): _CHOICE,
+    ("guard", "called choice"): _CHOICE,
     ("guard", "Solve"): _SOLVE,
     ("engine", "thread"): _IN_ENGINE,
     ("engine", "Delay"): _DELAY,
@@ -290,6 +295,7 @@ _REJECTED = {
     ("guard-in-engine", "thread"): _IN_GUARD,
     ("guard-in-engine", "Delay"): _DELAY,
     ("guard-in-engine", "choice"): _CHOICE,
+    ("guard-in-engine", "called choice"): _CHOICE,
     ("guard-in-engine", "Solve"): _SOLVE,
 }
 
@@ -305,6 +311,21 @@ def test_each_kind_of_task_rejects_what_it_cannot_run(context, statement):
     error, text = expected
     with pytest.raises(error, match=text):
         run_text(program)
+
+
+def test_a_called_choice_in_an_engine_is_a_reduction_of_its_own():
+    # {P R} and the choice it enters count two reductions, as when the
+    # choice was pushed by the call and popped: the run takes 7, and a
+    # budget of any fewer stops it.
+    for steps in range(8):
+        s = Session()
+        s.feed("proc {P X} choice X = 1 [] X = 2 end end")
+        s.rt.max_steps = steps
+        before = s.rt.stats.reductions
+        r = s.feed("S in {SolveAll proc {$ R} {P R} end S} {Browse S}")
+        assert r.status == ("done" if steps == 7 else "limit")
+        assert s.rt.stats.reductions - before == min(steps + 1, 7)
+    assert r.browses == ["[1 2]"]
 
 
 @pytest.mark.parametrize("chunk", [
@@ -343,6 +364,37 @@ def test_a_head_that_binds_an_outside_variable_and_then_fails_escapes():
                "unit end S}")
     assert s.store.trails == []
     assert s.feed("X = 2 {Browse X}").browses == ["2"]
+
+
+@pytest.mark.parametrize("alternative", ["T = f(1 X)", "skip T = f(1 X)"],
+                         ids=["head", "reduction"])
+def test_a_failing_unification_that_bound_an_outside_variable_fails(
+        alternative):
+    # The pairs are settled last to first: X = 5 binds X, then 2 = 1
+    # clashes.  The failure undoes X unchecked, in a head as after a
+    # reduction, and the next alternative is taken.
+    s = Session()
+    r = s.feed("X S in {SolveAll fun {$} T in T = f(2 5) "
+               f"choice {alternative} [] skip end 1 end S}} {{Browse S}}")
+    assert r.browses == ["[1]"]
+    assert s.lookup("X").ref is None
+
+
+def test_a_need_spread_in_an_engine_is_undone_with_its_escape():
+    # Z is needed (a thread waits on it) and is the greater of two outside
+    # variables, so the engine's Y = Z binds Z to Y and spreads the need to
+    # Y: a need mark on the engine's trail.  The binding escapes, and the
+    # undo clears both.  Only an escape puts a need mark on an engine's
+    # trail: the engine binds an outside variable in no other way, and
+    # none of its own variables is needed.
+    s = Session()
+    assert s.feed("Y Z in thread {Wait Z} end").status == "deadlock"
+    y, z = s.lookup("Y"), s.lookup("Z")
+    assert z.needed and not y.needed
+    with pytest.raises(EscapeError):
+        s.feed("S in {SolveAll fun {$} Y = Z 1 end S}")
+    assert s.store.trails == []
+    assert z.ref is None and not y.needed
 
 
 def test_a_local_alternative_whose_head_fails_leaves_the_store_clean():

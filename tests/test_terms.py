@@ -222,11 +222,33 @@ def test_trail_undo_restores_bindings_and_need():
     s.push_trail()
     mark = s.trail_mark()
     s.unify(y, Int(2))
-    s.mark_needed(s.new_var())
+    z = s.new_var()
+    s.mark_needed(z)
+    assert z.needed
     s.undo_to(mark)
     s.pop_trail(merge=False)
     assert y.ref is None
+    assert not z.needed
     assert s.deref(x) == Int(1)  # pre-trail binding untouched
+
+
+def test_trail_undo_clears_a_need_spread_by_a_binding():
+    # A needed variable bound to an unbound one passes its need on; the
+    # trail holds the binding and the spread mark, and the undo clears
+    # both, leaving the first mark, made before the trail.
+    s = Store()
+    x = s.new_var()
+    y = s.new_var()
+    s.mark_needed(y)
+    s.push_trail()
+    mark = s.trail_mark()
+    assert s.unify(x, y).ok      # y (greater) binds to x (lesser)
+    assert y.ref is x and x.needed
+    assert s.trails[-1] == [y, (x,)]
+    s.undo_to(mark)
+    s.pop_trail(merge=False)
+    assert y.ref is None and not x.needed
+    assert y.needed
 
 
 def test_no_path_compression_while_trailed():
