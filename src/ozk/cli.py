@@ -173,7 +173,10 @@ def _visible_var_names(session: Session, tid: int) -> dict:
     Reads the frame the thread stopped in, innermost scope first (so
     shadowing resolves the way the source reads), then the session
     globals.  Variables bound by a plain ``local`` have no global name,
-    which is why the thread's own frame comes first."""
+    which is why the thread's own frame comes first.  The frame holds only
+    the slots still to be read: a slot cleared after its last read drops
+    out of the report, so of two names of one variable the one still in
+    use is shown."""
     from .compiler import frame_names
     from .terms import Var
     names: dict = {}

@@ -26,6 +26,22 @@ a first use writes the value it meets, a ``case`` arm its captures and
 a guard its variables; after a backtrack, a failed guard or a failed
 ``case`` arm, the path taken writes a slot again before reading it.
 
+Frames are safe for space (the WAM's environment trimming): a thread
+clears each slot once its last read is done, so that a frame that stays
+live does not keep, say, the head of a stream it has handed on.  One
+backward walk over each compiled body (``_live``, over int masks of
+slots) gives each instruction that reads a slot a ``clear``: the slots
+it reads or writes that nothing reads after it, in the rest of the
+bodies it is in.  A ``case`` or ``if`` has one for each arm (and one for
+``otherwise``): the slots live into the statement, or written on
+entering the arm, that neither the arm nor what follows reads.  The
+last statement to run in a frame clears nothing, as the frame dies with
+it.  The runtime clears in a thread's task only, after a reduction
+completes; a statement that suspends runs again and clears nothing.  A
+guard or a search engine never clears: a failed guard's next arm, and a
+choicepoint's untried alternatives, read the same frame again.  Equal
+clears are one shared tuple.
+
 The instructions (each a slotted class, dispatched on by type):
 
 * ``Body(made, pushed)``: a block or a ``local``: make a variable in each
@@ -207,11 +223,12 @@ class Body:
 class Unify:
     """``lhs = rhs``.  When one side is a slot and the other a compound,
     ``plan`` is the compound's read :class:`Plan`; else it is None."""
-    __slots__ = ("lhs", "rhs", "plan")
+    __slots__ = ("lhs", "rhs", "plan", "clear")
 
     def __init__(self, lhs, rhs):
         self.lhs = lhs
         self.rhs = rhs
+        self.clear = ()
         if type(lhs) is int and type(rhs) is Build:
             self.plan = Plan(lhs, True, rhs)
         elif type(rhs) is int and type(lhs) is Build:
@@ -221,18 +238,19 @@ class Unify:
 
 
 class Call:
-    __slots__ = ("target", "args")
+    __slots__ = ("target", "args", "clear")
 
     def __init__(self, target, args: tuple):
         self.target = target
         self.args = args
+        self.clear = ()
 
 
 class Op:
     """An integer operator: ``r = a <name> b``, or, for a comparison with
     no result (``r`` None), a test.  ``fn`` computes it and ``arith`` says
     whether it is one of ``+ - * div``."""
-    __slots__ = ("name", "fn", "arith", "a", "b", "r")
+    __slots__ = ("name", "fn", "arith", "a", "b", "r", "clear")
 
     def __init__(self, name, fn, arith, a, b, r):
         self.name = name
@@ -241,26 +259,31 @@ class Op:
         self.a = a
         self.b = b
         self.r = r
+        self.clear = ()
 
 
 class Builtin:
     """``==`` (a test, or with a result) or ``$test``, each of which the
     runtime runs itself."""
-    __slots__ = ("name", "args")
+    __slots__ = ("name", "args", "clear")
 
     def __init__(self, name: str, args: tuple):
         self.name = name
         self.args = args
+        self.clear = ()
 
 
 class Case:
-    """``arms`` are ``(pattern, body)`` pairs, tried in order."""
-    __slots__ = ("subject", "arms", "otherwise")
+    """``arms`` are ``(pattern, body, clear)`` triples, tried in order,
+    where ``clear`` is what entering the arm clears; ``else_clear`` is
+    what entering ``otherwise`` clears."""
+    __slots__ = ("subject", "arms", "otherwise", "else_clear")
 
     def __init__(self, subject, arms: tuple, otherwise):
         self.subject = subject
         self.arms = arms
         self.otherwise = otherwise
+        self.else_clear = ()
 
 
 # How an `if` arm's guard runs: a statement on a trail of its own, or one
@@ -271,22 +294,26 @@ GUARD, OP_TEST, EQ_TEST, TEST = range(4)
 
 class Arm:
     """An ``if`` arm: the slots of its guard variables, its guard, its
-    body, and how the guard runs (``test``)."""
-    __slots__ = ("made", "guard", "body", "test")
+    body, how the guard runs (``test``) and what entering the arm
+    clears."""
+    __slots__ = ("made", "guard", "body", "test", "clear")
 
     def __init__(self, made, guard, body, test):
         self.made = made
         self.guard = guard
         self.body = body
         self.test = test
+        self.clear = ()
 
 
 class If:
-    __slots__ = ("arms", "otherwise")
+    """``else_clear`` is what entering ``otherwise`` clears."""
+    __slots__ = ("arms", "otherwise", "else_clear")
 
     def __init__(self, arms: tuple, otherwise):
         self.arms = arms
         self.otherwise = otherwise
+        self.else_clear = ()
 
 
 class Alt:
@@ -311,20 +338,22 @@ class Choice:
 class Proc:
     """A procedure definition: bind the slot ``slot`` to a closure of
     ``code``."""
-    __slots__ = ("slot", "code")
+    __slots__ = ("slot", "code", "clear")
 
     def __init__(self, slot: int, code: Code):
         self.slot = slot
         self.code = code
+        self.clear = ()
 
 
 class Thread:
     """A ``thread``: spawn ``code``'s body in a frame of its own, which
     captures the values of its free names from the frame it starts in."""
-    __slots__ = ("code",)
+    __slots__ = ("code", "clear")
 
     def __init__(self, code: Code):
         self.code = code
+        self.clear = ()
 
 
 class Skip:
@@ -419,6 +448,205 @@ def first_uses(names: tuple, stmts) -> dict:
     return out
 
 
+# -- clearing ------------------------------------------------------------------
+
+# A set of slots is an int mask with bit ``s % size`` for slot ``s``, where
+# ``size`` is the length of the frame, so that a captured (negative) slot
+# has the bit of its frame position.  A clear tuple lists those positions;
+# equal ones are one object.
+_CLEARS: dict = {}
+_CLEARS_MAX = 4096
+
+
+def _clear(mask: int) -> tuple:
+    """The frame positions of the slots of ``mask``."""
+    if not mask:
+        return ()
+    positions = _CLEARS.get(mask)
+    if positions is None:
+        out = []
+        m = mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        if len(_CLEARS) >= _CLEARS_MAX:
+            _CLEARS.clear()
+        positions = _CLEARS[mask] = tuple(out)
+    return positions
+
+
+def _mask(slots: tuple) -> int:
+    """The mask of ``slots``, new slots (so none is negative)."""
+    mask = 0
+    for s in slots:
+        mask |= 1 << s
+    return mask
+
+
+def _uses(e, size: int, use: int, made: int):
+    """``(use, made)`` with the slots operand ``e`` reads added to ``use``
+    and those it writes (its first uses) to ``made``.  The chain of last
+    arguments is walked in a loop."""
+    while True:
+        kind = type(e)
+        if kind is int:
+            return use | 1 << e % size, made
+        if kind is Fresh:
+            return use, made | 1 << e.slot % size
+        if kind is not Build or not e.args:
+            return use, made
+        args = e.args
+        for a in args[:-1]:
+            k = type(a)
+            if k is int:
+                use |= 1 << a % size
+            elif k is Fresh or k is Build:
+                use, made = _uses(a, size, use, made)
+        e = args[-1]
+
+
+def _reads(es, size: int) -> int:
+    """The slots the operands ``es`` read (none of them a first use)."""
+    use = 0
+    for e in es:
+        if type(e) is int:
+            use |= 1 << e % size
+        elif type(e) is Build:
+            use = _uses(e, size, use, 0)[0]
+    return use
+
+
+def _captures(pattern) -> int:
+    """The slots a ``case`` pattern captures into; the chain of last
+    arguments is walked in a loop."""
+    mask = 0
+    while type(pattern) is tuple:
+        args = pattern[2]
+        if not args:
+            return mask
+        for a in args[:-1]:
+            if type(a) is int:
+                mask |= 1 << a
+            elif type(a) is tuple:
+                mask |= _captures(a)
+        pattern = args[-1]
+    return mask | 1 << pattern if type(pattern) is int else mask
+
+
+def _seq(pushed, out: int, size: int) -> int:
+    """The slots live into statements listed last first, followed by more
+    in their frame (see ``_live``)."""
+    for ins in pushed:
+        out = _live(ins, out, size, False)
+    return out
+
+
+def _entries(live: int, paths) -> list:
+    """The clear of each path of a ``case`` or ``if`` whose live slots are
+    ``live``: ``paths`` pairs the slots live into each path's body with
+    those written on entering it, and a path clears what is then dead."""
+    return [_clear((live | written) & ~body) for body, written in paths]
+
+
+def _live(ins, out: int, size: int, last: bool) -> int:
+    """The slots live into the instruction ``ins``, given ``out``, those
+    live after it; it sets the clears of ``ins`` on the way.  ``last``
+    says that nothing runs after ``ins`` in its frame.
+
+    A slot is live where a later read may see it.  A statement clears each
+    slot it reads or writes that is not live after it, unless it is the
+    last in its frame, which dies with it.  Entering a ``case`` or ``if``
+    arm clears each slot live into the statement, or written on entering
+    the arm, that the arm's body and what follows do not read.  A guard
+    runs before its arm's body and does not clear, nor does a ``choice``,
+    which only an engine runs."""
+    kind = type(ins)
+    if kind is Body:
+        for s in ins.pushed:
+            out = _live(s, out, size, last)
+            last = False
+        for s in ins.made:
+            out &= ~(1 << s)
+        return out
+    use = made = 0
+    if kind is Call:
+        for a in ins.args:
+            if type(a) is int:
+                use |= 1 << a % size
+            elif type(a) is Build:
+                use = _uses(a, size, use, 0)[0]
+        a = ins.target
+        if type(a) is int:
+            use |= 1 << a % size
+        elif type(a) is Build:
+            use = _uses(a, size, use, 0)[0]
+    elif kind is Op:
+        for a in (ins.a, ins.b, ins.r):
+            k = type(a)
+            if k is int:
+                use |= 1 << a % size
+            elif k is Fresh:
+                made |= 1 << a.slot % size
+            elif k is Build:
+                use = _uses(a, size, use, 0)[0]
+    elif kind is Unify:
+        use, made = _uses(ins.lhs, size, 0, 0)
+        use, made = _uses(ins.rhs, size, use, made)
+    elif kind is Case:
+        arms = ins.arms
+        paths = []
+        live = _reads((ins.subject,), size)
+        for pattern, body, _ in arms:
+            written = _captures(pattern)
+            body = _live(body, out, size, last)
+            live |= body & ~written
+            paths.append((body, written))
+        body = _live(ins.otherwise, out, size, last)
+        live |= body
+        paths.append((body, 0))
+        entries = _entries(live, paths)
+        ins.arms = tuple([(p, b, c) for (p, b, _), c in zip(arms, entries)])
+        ins.else_clear = entries[-1]
+        return live
+    elif kind is If:
+        paths = []
+        live = 0
+        for arm in ins.arms:
+            written = _mask(arm.made)
+            body = _live(arm.body, out, size, last)
+            live |= _live(arm.guard, body, size, False) & ~written
+            paths.append((body, written))
+        body = _live(ins.otherwise, out, size, last)
+        live |= body
+        paths.append((body, 0))
+        entries = _entries(live, paths)
+        for arm, entry in zip(ins.arms, entries):
+            arm.clear = entry
+        ins.else_clear = entries[-1]
+        return live
+    elif kind is Builtin:
+        use = _reads(ins.args, size)
+    elif kind is Proc:
+        use = _reads(ins.code.captures, size) | 1 << ins.slot % size
+    elif kind is Thread:
+        use = _reads(ins.code.captures, size)
+    elif kind is Choice:
+        live = 0
+        for alt in ins.alts:
+            live |= (_seq(alt.head[::-1], _seq(alt.pushed, out, size), size)
+                     & ~_mask(alt.made))
+        return live
+    elif kind is Fail:
+        return 0
+    else:
+        return out
+    dead = (use | made) & ~out
+    if dead and not last:
+        ins.clear = _CLEARS.get(dead) or _clear(dead)
+    return (out & ~made) | use
+
+
 # -- the pass ------------------------------------------------------------------
 
 _ARITH = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul,
@@ -482,6 +710,7 @@ class _Compiler:
         arity = len(self.slots) - 1
         body = self.stmt(body)
         slots = self.slots
+        _live(body, 0, len(slots) + len(self.captured), True)
         names = []
         end = len(slots)
         for first in reversed(self.scopes):
@@ -594,7 +823,7 @@ class _Compiler:
         arms = []
         for arm in s.arms:
             _, saved = self.bind(expr_names(arm.pattern))
-            arms.append((self.pattern(arm.pattern), self.stmt(arm.body)))
+            arms.append((self.pattern(arm.pattern), self.stmt(arm.body), ()))
             self.unbind(saved)
         return Case(subject, tuple(arms), self.stmt(s.otherwise))
 

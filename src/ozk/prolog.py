@@ -1030,10 +1030,26 @@ def _translate_if_chain(name, params, clauses, names, generators) -> ProcDef:
 # ---------------------------------------------------------------------------
 
 
+# Each link of a cascade is the `else` of the one before, so the k-th sits
+# k blocks deep under the program, the procedure and its `local`, and its
+# guard procedure's body one deeper: the parser reads back this many links
+# whose guards open no block of their own.  A guard that does fits fewer,
+# and meets the parser's own nesting error.
+MAX_CASCADE = MAX_NESTING - 5
+
+
 def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDef:
     """Each guard runs encapsulated; the chain commits to the first
     clause whose guard has a solution, passing guard bindings to the
-    body through the answer term."""
+    body through the answer term.  A cascade of more than
+    ``MAX_CASCADE`` guarded clauses is refused."""
+    links = sum(1 for c in clauses
+                if c.cut_index is not None or _guard_goals(c))
+    if links > MAX_CASCADE:
+        c = clauses[0]
+        raise UnsupportedConstruct(
+            f"line {c.line}: {c.functor}/{c.arity} has {links} guarded "
+            f"clauses, more than the {MAX_CASCADE} a cut cascade may nest")
     reserved = set(params)
     for c in clauses:
         reserved.update(v.name for v in term_vars(c.head))

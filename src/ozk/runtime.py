@@ -22,6 +22,15 @@ uses when it is created, so that its temporaries die with it; a
 `local`, a `case` arm, a guard or a choice alternative writes its names
 into the slots of the frame it runs in and makes none of its own.
 
+A thread clears each frame slot once its last read is done: after a
+reduction completes, `Task.run` writes None into each slot that
+`exec_stmt` returns, the instruction's `clear`, or for a `case` or an
+`if` the clear of the arm it entered (the compiler's clearing rule,
+compiler.py).  A `{Delay T}` completes by raising `SleepRequest`, and
+clears first.  A suspended statement clears nothing, as it runs again,
+and a guard or an engine never clears, as a failed guard's next arm and
+a choicepoint's untried alternatives read the same frame.
+
 A block pushes all of its statements in one reduction, and a body that
 is a block or a `local` (of a procedure, an `if` or `case` arm or an
 `else`) is entered by the statement that pushes it: its variables are
@@ -535,7 +544,9 @@ class Task:
     ``guard`` task runs the guard of an ``if`` arm to its end inside one
     reduction of the task that reached the ``if``.  An ``engine`` task is
     a search engine's (``engine``), run to its next answer; only it may
-    push choicepoints.  A guard inside an engine is a guard."""
+    push choicepoints.  A guard inside an engine is a guard.  Only a
+    thread task clears the slots of a frame (see :meth:`run`)."""
+    __slots__ = ("rt", "mode", "engine", "stack")
 
     def __init__(self, rt: "Runtime", mode: str = "thread", engine=None):
         self.rt = rt
@@ -578,13 +589,17 @@ class Task:
         a ``SleepRequest`` and any error.  An engine's failure backtracks
         to its newest choicepoint, which swaps the stack, and propagates
         only when none is left; a reduction that grew an engine's trail
-        is checked for escapes.  A thread's deepest stack, at the start of
-        a reduction or at the end of the budget, goes to
-        ``stats.max_depth``."""
+        is checked for escapes.  In a thread, a reduction that completes
+        then writes None into each slot that ``exec_stmt`` returns, as one
+        that ends in a ``SleepRequest`` does into each of its ``clear``; a
+        suspended one clears nothing, as it runs again.  A thread's
+        deepest stack, at the start of a reduction or at the end of the
+        budget, goes to ``stats.max_depth``."""
         stack = self.stack
         stats = self.rt.stats
         limit = self.rt.step_limit
         engine = self.engine
+        clears = self.mode == "thread"
         depth = stats.max_depth
         try:
             for _ in (_repeat(None) if budget is None else range(budget)):
@@ -597,7 +612,7 @@ class Task:
                 if limit is not None and stats.reductions > limit:
                     raise StepLimit()
                 try:
-                    exec_stmt(self, stmt, frame)
+                    clear = exec_stmt(self, stmt, frame)
                 except Suspend:
                     stack.append((stmt, frame))
                     raise
@@ -606,7 +621,14 @@ class Task:
                         raise
                     stack = self.stack
                     continue
-                if engine is not None and len(engine.trail) > engine.checked:
+                except SleepRequest:
+                    for i in stmt.clear:
+                        frame[i] = None
+                    raise
+                if clears:
+                    for i in clear:
+                        frame[i] = None
+                elif engine is not None and len(engine.trail) > engine.checked:
                     engine.check_escapes()
             if len(stack) > depth:
                 depth = len(stack)
@@ -630,6 +652,9 @@ def call_frame(closure: Closure, args: list) -> list:
 
 
 def exec_stmt(task: Task, stmt, frame: list):
+    """Reduce ``stmt`` in ``frame``: the slots that a thread clears after
+    it (see :meth:`Task.run`), the instruction's ``clear``, or for a
+    ``case`` or an ``if`` the clear of the arm it entered."""
     rt = task.rt
     store = rt.store
     kind = type(stmt)
@@ -662,16 +687,16 @@ def exec_stmt(task: Task, stmt, frame: list):
                 if limit is not None and stats.reductions > limit:
                     raise StepLimit()
                 task.engine.choose(body, callee)
-                return
+                return stmt.clear
             task.push_body(body, callee)
-            return
+            return stmt.clear
         if type(target) is NativeProc:
             if len(stmt.args) != target.arity:
                 raise OzkError(f"{{{target.name}}} expects {target.arity} "
                                f"arguments, got {len(stmt.args)}")
             args = [build_term(store, a, frame) for a in stmt.args]
             target.fn(task, args)
-            return
+            return stmt.clear
         if type(target) is Var:
             raise Suspend([target])
         raise OzkError(f"cannot call {render(store, target)}")
@@ -680,7 +705,7 @@ def exec_stmt(task: Task, stmt, frame: list):
         why = exec_op(rt, stmt, frame)
         if why is not None:
             raise Failure(why)
-        return
+        return stmt.clear
 
     if kind is Case:
         subject = stmt.subject
@@ -688,41 +713,40 @@ def exec_stmt(task: Task, stmt, frame: list):
              else build_term(store, subject, frame))
         if type(t) is Var and t.ref is not None:
             t = store.deref(t)
-        for pattern, body in stmt.arms:
+        for pattern, body, clear in stmt.arms:
             res = match_case(store, pattern, t, frame)
             if res is True:
                 task.push_body(body, frame)
-                return
+                return clear
             if res is not False:
                 raise Suspend([res])
         task.push_body(stmt.otherwise, frame)
-        return
+        return stmt.else_clear
 
     if kind is Unify:
         why = exec_unify(rt, stmt, frame)
         if why is not None:
             raise Failure(why)
-        return
+        return stmt.clear
 
     if kind is Choice:
         if task.engine is None:
             raise ChoiceOutsideSearchError(
                 "choice is only allowed inside a search engine")
         task.engine.choose(stmt, frame)
-        return
+        return ()
 
     if kind is Body:
         task.push_body(stmt, frame)
-        return
+        return ()
 
     if kind is If:
-        exec_if(task, stmt, frame)
-        return
+        return exec_if(task, stmt, frame)
 
     if kind is Builtin:
         args = [build_term(store, a, frame) for a in stmt.args]
         (_equal if stmt.name == "==" else _test)(task, args)
-        return
+        return stmt.clear
 
     if kind is Proc:
         code = stmt.code
@@ -732,7 +756,7 @@ def exec_stmt(task: Task, stmt, frame: list):
             rt.wake(res.woken)
         if not res.ok:
             raise Failure(f"{code.name} is already bound to something else")
-        return
+        return stmt.clear
 
     if kind is Thread:
         if task.mode != "thread":
@@ -744,10 +768,10 @@ def exec_stmt(task: Task, stmt, frame: list):
         child += code.blank
         child += [frame[i] for i in code.captures]
         rt.spawn(code.body, child)
-        return
+        return stmt.clear
 
     if kind is Skip:
-        return
+        return ()
 
     if kind is Fail:
         raise Failure("fail statement")
@@ -762,7 +786,8 @@ def exec_if(task: Task, stmt: If, frame: list):
     suspends the whole conditional (sequential semantics), a failing one
     moves on to the next arm, and a successful one must not have bound
     anything that existed before it started.  A pure test binds nothing
-    and needs no trail.
+    and needs no trail.  Returns the clear of the arm taken (or of
+    ``otherwise``).
     """
     rt = task.rt
     store = rt.store
@@ -771,12 +796,12 @@ def exec_if(task: Task, stmt: If, frame: list):
         if test is OP_TEST:
             if exec_op(rt, arm.guard, frame) is None:
                 task.push_body(arm.body, frame)
-                return
+                return arm.clear
             continue
         if test is EQ_TEST:
             if exec_equal_test(task, arm.guard, frame):
                 task.push_body(arm.body, frame)
-                return
+                return arm.clear
             continue
         if test is TEST:
             try:
@@ -784,7 +809,7 @@ def exec_if(task: Task, stmt: If, frame: list):
             except Failure:
                 continue
             task.push_body(arm.body, frame)
-            return
+            return arm.clear
         age_mark = store.next_seq
         if arm.made:
             new_var = store.new_var
@@ -815,8 +840,9 @@ def exec_if(task: Task, stmt: If, frame: list):
                     "guard bound a variable that exists outside it")
         store.pop_trail(merge=True)
         task.push_body(arm.body, frame)
-        return
+        return arm.clear
     task.push_body(stmt.otherwise, frame)
+    return stmt.else_clear
 
 
 # -- threads -----------------------------------------------------------------

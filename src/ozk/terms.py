@@ -810,53 +810,6 @@ def materialize(store: Store, snap: Snapshot,
     return built[snap.root]
 
 
-# -- cross-store structural equality --------------------------------------
-
-
-def bisimilar(store_a: Store, ta: Term, store_b: Store, tb: Term,
-              strict_vars: bool = False) -> bool:
-    """Structural (bisimulation) equality of two term graphs, possibly
-    living in different stores.  Unbound variables match one-to-one; with
-    ``strict_vars`` they must carry the same VarId (replica check)."""
-    fwd: dict = {}
-    bwd: dict = {}
-    visited: set[tuple] = set()
-    stack = [(ta, tb)]
-    while stack:
-        a, b = stack.pop()
-        a = store_a.deref(a)
-        b = store_b.deref(b)
-        pair = (_node_key(a), _node_key(b))
-        if pair in visited:
-            continue
-        visited.add(pair)
-        if isinstance(a, Var) or isinstance(b, Var):
-            if not (isinstance(a, Var) and isinstance(b, Var)):
-                return False
-            if strict_vars:
-                if a.vid != b.vid:
-                    return False
-                continue
-            if fwd.get(a.vid, b.vid) != b.vid or bwd.get(b.vid, a.vid) != a.vid:
-                return False
-            fwd[a.vid] = b.vid
-            bwd[b.vid] = a.vid
-        elif isinstance(a, Atom) and isinstance(b, Atom):
-            if a.name != b.name:
-                return False
-        elif isinstance(a, Int) and isinstance(b, Int):
-            if a.value != b.value:
-                return False
-        elif isinstance(a, Compound) and isinstance(b, Compound):
-            if a.label != b.label or len(a.args) != len(b.args):
-                return False
-            stack.extend(zip(a.args, b.args))
-        else:
-            if a is not b:
-                return False
-    return True
-
-
 def list_to_python(store: Store, term: Term, limit: int = 10**7) -> list[Term]:
     """Strict list to Python list.  Raises on an unbound or improper tail."""
     out = []

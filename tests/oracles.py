@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
-Nothing in this file imports from ozk, apart from the reference matcher
-at its end, which matches ozk's own patterns against ozk's own terms.
+Nothing in this file imports from ozk, apart from the reference matcher,
+runner and graph equality at its end, which work on ozk's own patterns,
+statements and terms.
 Terms here use a tiny tuple encoding of their own:
 
     variables   OVar instances
@@ -650,3 +651,55 @@ class DictFrameRunner:
             self.run(stmt.otherwise, env)
         else:
             raise TypeError(f"cannot run {stmt!r}")
+
+
+# ---------------------------------------------------------------------------
+# Cross-store structural equality
+# ---------------------------------------------------------------------------
+
+
+def bisimilar(store_a, ta, store_b, tb, strict_vars: bool = False) -> bool:
+    """Structural (bisimulation) equality of two term graphs, possibly
+    living in different stores.  Unbound variables match one-to-one; with
+    ``strict_vars`` they must carry the same VarId.  A pair of nodes is
+    visited once, an unbound variable keyed by its VarId and any other
+    node by its identity, so cycles end."""
+    def key(t):
+        return t.vid if isinstance(t, Var) else id(t)
+
+    fwd: dict = {}
+    bwd: dict = {}
+    visited: set = set()
+    stack = [(ta, tb)]
+    while stack:
+        a, b = stack.pop()
+        a = store_a.deref(a)
+        b = store_b.deref(b)
+        pair = (key(a), key(b))
+        if pair in visited:
+            continue
+        visited.add(pair)
+        if isinstance(a, Var) or isinstance(b, Var):
+            if not (isinstance(a, Var) and isinstance(b, Var)):
+                return False
+            if strict_vars:
+                if a.vid != b.vid:
+                    return False
+                continue
+            if fwd.get(a.vid, b.vid) != b.vid or bwd.get(b.vid, a.vid) != a.vid:
+                return False
+            fwd[a.vid] = b.vid
+            bwd[b.vid] = a.vid
+        elif isinstance(a, Atom) and isinstance(b, Atom):
+            if a.name != b.name:
+                return False
+        elif isinstance(a, Int) and isinstance(b, Int):
+            if a.value != b.value:
+                return False
+        elif isinstance(a, Compound) and isinstance(b, Compound):
+            if a.label != b.label or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(a.args, b.args))
+        elif a is not b:
+            return False
+    return True

@@ -131,8 +131,9 @@ class TestRun:
         ("local X in local Y in Y = X local X in {Wait Y} end end end", "Y"),
         # a global
         ("X in {Wait X}", "X"),
-        # of two names of one scope, the first declared
-        ("local A B in B = A {Wait B} end", "A"),
+        # of two names of one scope, the one still live: A was read for
+        # the last time by B = A, which cleared its slot
+        ("local A B in B = A {Wait B} end", "B"),
         # a thread's frame holds only the names its body uses
         ("local A B in B = A thread {Wait B} end end", "B"),
     ], ids=["parameter", "shadowed_local", "inner_name", "global",

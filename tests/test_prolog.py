@@ -10,9 +10,10 @@ from ozk.cli import main
 from ozk.errors import ParseError, QuietGuardViolation, UnsupportedConstruct
 from ozk.interp import Session
 from ozk.parser import MAX_NESTING, parse_program
-from ozk.prolog import (DETERMINISTIC, GUARDED_CUT, NONDETERMINISTIC, PA, PI,
-                        PS, PV, classify, parse_prolog, parse_query,
-                        translate_query_source, translate_source)
+from ozk.prolog import (DETERMINISTIC, GUARDED_CUT, MAX_CASCADE,
+                        NONDETERMINISTIC, PA, PI, PS, PV, classify,
+                        parse_prolog, parse_query, translate_query_source,
+                        translate_source)
 from ozk.syntax import CaseStmt, Choice, Fail, IfStmt, ProcDef, Unify
 
 # ---------------------------------------------------------------------------
@@ -592,6 +593,29 @@ class TestDeepInput:
         code, out, err = self.cli(capsys, tmp_path, text, "run",
                                   "--query", "q(X)")
         assert (code, out, err) == (0, "[1]\n", "")
+
+    @staticmethod
+    def cascade(clauses: int) -> str:
+        """A predicate whose every clause commits with a cut after calling
+        another predicate: a SolveOne cascade, one link per clause."""
+        return "q(_, 7).\n" + "p(I, Y) :- q(I, 7), !, Y = 7.\n" * clauses
+
+    @pytest.mark.parametrize("clauses", [120, 1200])
+    @pytest.mark.parametrize("argv", [["run", "--query", "p(1, Y)"],
+                                      ["translate"]], ids=["run", "translate"])
+    def test_too_deep_a_cut_cascade_is_refused(self, capsys, tmp_path,
+                                               clauses, argv):
+        code, out, err = self.cli(capsys, tmp_path, self.cascade(clauses),
+                                  *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"ozk: line 2: p/2 has {clauses} guarded clauses, "
+                       f"more than the {MAX_CASCADE} a cut cascade may "
+                       f"nest\n")
+
+    def test_the_deepest_cut_cascade_runs(self, capsys, tmp_path):
+        code, out, err = self.cli(capsys, tmp_path, self.cascade(MAX_CASCADE),
+                                  "run", "--query", "p(1, Y)")
+        assert (code, out, err) == (0, "[7]\n", "")
 
     @pytest.mark.parametrize("command", ["run", "translate"])
     def test_deep_term_is_a_syntax_error(self, capsys, tmp_path, command):

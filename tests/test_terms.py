@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (MATCH_OK, MATCH_UNDET, DictFrameRunner, RefFailure,
-                     RefSuspend, match_pattern)
+                     RefSuspend, bisimilar, match_pattern)
 from ozk.compiler import compile_top
 from ozk.errors import OzkError
 from ozk.runtime import Failure, Runtime, Suspend, Task, exec_stmt
@@ -14,7 +14,7 @@ from ozk.syntax import (OPERATORS, BuiltinCall, Call, CaseArm, CaseStmt, CAnon,
                         CCompound, CLit, CVar, IfArm, IfStmt, Local, Unify,
                         expr_names, seq_all)
 from ozk.terms import (
-    Atom, Compound, Int, NIL, Store, Var, bisimilar, compare_terms, cons,
+    Atom, Compound, Int, NIL, Store, Var, compare_terms, cons,
     is_cons, list_to_python, make_list, materialize, render, snapshot,
 )
 
