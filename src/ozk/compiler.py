@@ -11,8 +11,10 @@ alternatives, gets a slot of its own in that one frame; a name that
 shadows another simply gets another slot (alpha renaming), and sibling
 scopes never share one.  A ``thread``'s body is compiled as a procedure
 with no parameters, so its names live in a frame of its own and die
-with the thread.  A name the body uses but does not declare is
-captured: a closure (or a thread) copies the values of its free names
+with the thread; so is the body of a ``lazy R then S end``, a ``fun
+lazy``'s, whose frame waits on ``R`` as a trigger.  A name the body
+uses but does not declare is captured: a closure (or a thread) copies
+the values of its free names
 out of the frame it is made in (a flat closure), and a call appends
 them to the new frame, where they sit at negative slots (``-1`` is the
 first captured), so no lookup walks a chain.  A top-level piece
@@ -46,8 +48,17 @@ The instructions (each a slotted class, dispatched on by type):
 
 * ``Body(made, pushed)``: a block or a ``local``: make a variable in each
   slot of ``made`` and push the statements, last first.  A procedure's
-  body, an ``if`` or ``case`` arm and an ``else`` that is a ``Body`` is
-  entered by the statement that pushes it, with no reduction of its own.
+  body, an ``if`` or ``case`` arm, an ``else``, a thread's body and a
+  trigger's that is a ``Body`` is entered by what pushes it, with no
+  reduction of its own.  A ``Body`` that makes no variable is never a
+  statement of another: its statements are spliced into the run of
+  statements it stands in (``_Compiler.stmts``), so it costs no
+  reduction there either.
+* ``Lazy(slot, code)``: a ``lazy R then S end``, with ``R`` the slot
+  ``slot``: the frame of ``code``, whose body is ``S``, is made as a
+  ``thread``'s is and left as a trigger on ``R``'s value, or run at once
+  as a thread when that is already needed or bound
+  (``runtime.Runtime.by_need``).
 * ``Unify(lhs, rhs)``, ``Call(target, args)``, ``Op`` (an integer
   operator), ``Builtin(name, args)`` (``==`` and ``$test``),
   ``Case``, ``If``, ``Choice``, ``Proc`` (a procedure definition),
@@ -356,6 +367,19 @@ class Thread:
         self.clear = ()
 
 
+class Lazy:
+    """A ``lazy R then S end`` (the body of a ``fun lazy``): leave a
+    trigger on the value of the slot ``slot``, whose frame, of ``code``,
+    captures the values of its free names from the frame it is made in,
+    as a ``thread``'s does (see ``runtime.exec_stmt``)."""
+    __slots__ = ("slot", "code", "clear")
+
+    def __init__(self, slot: int, code: Code):
+        self.slot = slot
+        self.code = code
+        self.clear = ()
+
+
 class Skip:
     __slots__ = ()
 
@@ -631,6 +655,8 @@ def _live(ins, out: int, size: int, last: bool) -> int:
         use = _reads(ins.code.captures, size) | 1 << ins.slot % size
     elif kind is Thread:
         use = _reads(ins.code.captures, size)
+    elif kind is Lazy:
+        use = _reads(ins.code.captures, size) | 1 << ins.slot % size
     elif kind is Choice:
         live = 0
         for alt in ins.alts:
@@ -783,13 +809,17 @@ class _Compiler:
     # -- statements ---------------------------------------------------------
 
     def stmts(self, stmts, firsts=None) -> tuple:
-        """Compile a run of statements: the instructions, last first."""
+        """Compile a run of statements: the instructions, last first.  A
+        statement that compiles to a ``Body`` that makes no variable is
+        spliced in: its statements take its place."""
         table = _COMPILE
-        if firsts:
-            out = [table[type(s)](self, s, firsts.get(i))
-                   for i, s in enumerate(stmts)]
-        else:
-            out = [table[type(s)](self, s, None) for s in stmts]
+        out = []
+        for i, s in enumerate(stmts):
+            ins = table[type(s)](self, s, firsts.get(i) if firsts else None)
+            if type(ins) is Body and not ins.made:
+                out += ins.pushed[::-1]
+            else:
+                out.append(ins)
         out.reverse()
         return tuple(out)
 
@@ -847,6 +877,9 @@ class _Compiler:
     def thread(self, s: syn.ThreadStmt, first) -> Thread:
         return Thread(_Compiler(self).code("", s.body))
 
+    def lazy(self, s: syn.LazyStmt, first) -> Lazy:
+        return Lazy(self.resolve(s.result), _Compiler(self).code("", s.body))
+
     def unify(self, s: syn.Unify, first) -> Unify:
         if not first:
             return Unify(self.expr(s.lhs), self.expr(s.rhs))
@@ -900,6 +933,7 @@ _COMPILE = {
     syn.Choice: _Compiler.choice,
     syn.ProcDef: _Compiler.proc,
     syn.ThreadStmt: _Compiler.thread,
+    syn.LazyStmt: _Compiler.lazy,
     syn.Skip: lambda self, s, first: SKIP,
     syn.Fail: lambda self, s, first: FAIL,
 }

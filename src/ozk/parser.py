@@ -17,6 +17,13 @@ Two lowering disciplines matter for performance and are fixed here:
 * Everywhere else (call arguments, case subjects, tests) nested calls are
   lifted into fresh locals evaluated left to right *before* the enclosing
   statement.
+
+A ``fun lazy {F X} E end`` is the procedure ``proc {F X R} lazy R then
+R = E end end``: a call leaves its body as a by-need trigger on its
+result ``R`` (``syntax.LazyStmt``; run by ``runtime.Runtime.by_need``),
+which the first thread to need ``R`` enters on its own stack.  It spawns
+no thread.  ``lazy R then S end`` is also read as a statement, so that
+the desugared form prints and reads back; its ``R`` must be declared.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .terms import INT_MAX, INT_MIN, Atom, Int
 from .syntax import (
     Block, BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound, Choice,
     CLit, CVar, Fail, IfArm, IfStmt, Local, ProcDef, Skip, Statement,
-    ThreadStmt, Unify, expr_names, seq_all,
+    LazyStmt, ThreadStmt, Unify, expr_names, seq_all,
 )
 
 KEYWORDS = frozenset(
@@ -248,8 +255,10 @@ class SLocal:
 
 @dataclass
 class SThread:
+    """``thread ... end``, or with ``result`` ``lazy R then ... end``."""
     block: SBlock
     pos: tuple
+    result: Optional[Tok] = None
 
 
 @dataclass
@@ -384,6 +393,13 @@ class _Parser:
                 b = self.parse_block(frozenset({"end"}))
                 self.expect("kw", "end")
                 return SThread(b, (t.line, t.col))
+            if t.val == "lazy" and self.at("var", k=1):
+                self.next()
+                result = self.next()
+                self.expect("kw", "then")
+                b = self.parse_block(frozenset({"end"}))
+                self.expect("kw", "end")
+                return SThread(b, (t.line, t.col), result)
             if t.val == "choice":
                 self.next()
                 blocks = [self.parse_block(frozenset({"[]", "end"}))]
@@ -643,6 +659,33 @@ class _Parser:
         self.err(f"expected an expression, found {self._show(t)}")
 
 
+class _Depth(_Parser):
+    """Reads as the parser does, counting the deepest nesting level it
+    opens rather than refusing past ``MAX_NESTING``; past twice that, it
+    stops."""
+
+    deepest = 0
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > self.deepest:
+            self.deepest = self.depth
+            if self.depth > 2 * MAX_NESTING:
+                self.err("nesting far too deep")
+
+
+def nesting_depth(text: str) -> int:
+    """The deepest nesting level that reading ``text`` opens, as the
+    parser counts levels against ``MAX_NESTING``; a text that stops being
+    read past twice that counts one more."""
+    p = _Depth(text)
+    try:
+        p.parse_program()
+    except ParseError:
+        pass
+    return p.deepest
+
+
 # -- desugarer ---------------------------------------------------------------
 
 _NEW = object()     # a call's result that is a fresh temporary (call_core)
@@ -822,7 +865,12 @@ class _Desugar:
             self.call_core(s.call, scope, pre, temps)
             return self.wrap(temps, pre)
         if isinstance(s, SThread):
-            return ThreadStmt(self.block_core(s.block, scope, None))
+            r = s.result
+            if r is None:
+                return ThreadStmt(self.block_core(s.block, scope, None))
+            if r.val not in scope:
+                self.err(f"undeclared variable {r.val}", (r.line, r.col))
+            return LazyStmt(r.val, self.block_core(s.block, scope, None))
         if isinstance(s, SChoice):
             return Choice(tuple(self.block_core(b, scope, None) for b in s.blocks))
         if isinstance(s, SLocal):
@@ -881,8 +929,7 @@ class _Desugar:
             inner.add(res)
             body = self.block_core(e.body, _Scope(inner, scope), res)
             if e.lazy:
-                body = ThreadStmt(seq_all(
-                    [Call(CVar("WaitNeeded"), (CVar(res),)), body]))
+                body = LazyStmt(res, body)
             return ProcDef(name, tuple(params) + (res,), body)
         if e.lazy:
             self.err("'lazy' only applies to 'fun'", e.pos)
@@ -1091,7 +1138,7 @@ def _check_quiet_guard(arm: IfArm, pos):
         elif isinstance(s, Choice):
             for alt in reversed(s.alternatives):
                 todo.append((alt, declared))
-        elif isinstance(s, ThreadStmt):
+        elif isinstance(s, (ThreadStmt, LazyStmt)):
             todo.append((s.body, declared))
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation, UnsupportedConstruct
-from .parser import MAX_NESTING
+from .parser import MAX_NESTING, nesting_depth
 from .syntax import (BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound,
                      Choice, CLit, CVar, Fail, IfArm, IfStmt, Local, ProcDef,
                      Statement, Unify, pretty, seq_all)
@@ -1030,26 +1030,34 @@ def _translate_if_chain(name, params, clauses, names, generators) -> ProcDef:
 # ---------------------------------------------------------------------------
 
 
-# Each link of a cascade is the `else` of the one before, so the k-th sits
-# k blocks deep under the program, the procedure and its `local`, and its
-# guard procedure's body one deeper: the parser reads back this many links
-# whose guards open no block of their own.  A guard that does fits fewer,
-# and meets the parser's own nesting error.
+# The nesting levels a cascade's links may take.  Each link is the `else`
+# of the one before, so it adds one level to every link after it, under
+# the program, the procedure and its `local`; a link's own deepest point
+# is under its guard procedure's body and a statement there, and deeper
+# when its guard opens a `local` or nests its terms.  So the deepest
+# point of a cascade whose guards open no block of their own and call
+# with plain arguments is 5 levels deeper than its links, and the
+# cascade's levels are the printed procedure's deepest level, as the
+# parser counts it, less those 5.  More than this many is refused.
 MAX_CASCADE = MAX_NESTING - 5
 
 
 def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDef:
     """Each guard runs encapsulated; the chain commits to the first
     clause whose guard has a solution, passing guard bindings to the
-    body through the answer term.  A cascade of more than
-    ``MAX_CASCADE`` guarded clauses is refused."""
+    body through the answer term.  A cascade that takes more than
+    ``MAX_CASCADE`` levels is refused: first by its count of guarded
+    clauses, as each takes at least one level, and once built by the
+    levels its printed form takes, so that every cascade accepted reads
+    back."""
     links = sum(1 for c in clauses
                 if c.cut_index is not None or _guard_goals(c))
+    first = clauses[0]
     if links > MAX_CASCADE:
-        c = clauses[0]
         raise UnsupportedConstruct(
-            f"line {c.line}: {c.functor}/{c.arity} has {links} guarded "
-            f"clauses, more than the {MAX_CASCADE} a cut cascade may nest")
+            f"line {first.line}: {first.functor}/{first.arity} has {links} "
+            f"guarded clauses, more than the {MAX_CASCADE} a cut cascade "
+            f"may nest")
     reserved = set(params)
     for c in clauses:
         reserved.update(v.name for v in term_vars(c.head))
@@ -1115,7 +1123,14 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
             CaseStmt(CVar(res_name), (arm,), build(k + 1))])
 
     chain = build(0)
-    return ProcDef(name, params, Local(tuple(decls), chain) if decls else chain)
+    proc = ProcDef(name, params, Local(tuple(decls), chain) if decls else chain)
+    levels = nesting_depth(pretty(proc)) - (MAX_NESTING - MAX_CASCADE)
+    if levels > MAX_CASCADE:
+        raise UnsupportedConstruct(
+            f"line {first.line}: {first.functor}/{first.arity} has {links} "
+            f"guarded clauses, which nest {levels} levels, more than the "
+            f"{MAX_CASCADE} a cut cascade may nest")
+    return proc
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,49 @@ and a guard or an engine never clears, as a failed guard's next arm and
 a choicepoint's untried alternatives read the same frame.
 
 A block pushes all of its statements in one reduction, and a body that
-is a block or a `local` (of a procedure, an `if` or `case` arm or an
-`else`) is entered by the statement that pushes it: its variables are
-made and its statements pushed, with no reduction of its own
-(`Task.push_body`); a `thread`'s body is not, so its variables are made
-when the thread first runs.  Tail calls replace the popped pair, so the
-stack stays flat through recursion.  A unification statement runs
+is a block or a `local` (of a procedure, an `if` or `case` arm, an
+`else`, a `thread`, a search engine's goal or a trigger) is entered by
+what pushes it: its variables are made and its statements pushed, with
+no reduction of its own (`Task.push_body`).  A `thread`'s body is
+entered when the thread is spawned, so its variables are made then.  A
+nested block that makes no variable is not there to enter: the compiler
+splices its statements into the block around it.  Tail calls replace
+the popped pair, so the stack stays flat through recursion.  A call
+reads its target's slot and follows the one link from the variable
+there (a global or a captured name) to the procedure inline; only a
+longer chain goes through `Store.deref`.
+
+A lazy call leaves a by-need trigger on its result and spawns nothing:
+the frame of its body, which captures its free names as a `thread`'s
+does, kept on the variable itself (`Var.trigger`, `Runtime.by_need`),
+so that a trigger nothing needs is freed with its variable (Van Roy &
+Haridi, *Concepts, Techniques, and Models of Computer Programming*,
+2004, sections 4.5 and 13.1.13).  When a statement of a thread task
+suspends on a variable's value and the variable has a trigger, the task
+pushes the statement back, enters the trigger's body above it and
+carries on (`Task.enter`): the body runs as a call would, and the
+statement runs again once it ends.  Every other need fires the trigger
+as a thread of its own (`Runtime.fire`): a later variable of a thread
+that parks, the value suspension of a guard inside a thread reaching
+that thread, a binding that spreads need, the binding of the variable
+itself, or a lazy call whose result is already needed or bound.  A
+binding of the variable to another one that is unbound and not needed
+moves the trigger there.  `{WaitNeeded X}` is a suspension by need and
+fires nothing; an engine's suspension stops it as before
+(`SearchStuckError`), and a lazy call in a guard or an engine is an
+error, as a `thread` there is.
+
+A body entered in place is a thread's to split, as in lazy task
+creation (Mohr, Kranz & Halstead, IEEE TPDS 1991): the task remembers
+the height of its stack where each entered body starts, and the
+statement that needed the value, below it (`Task.entered`).  When a
+statement of the body suspends, sleeps or fails before the body ends,
+the pairs above that height become a thread of their own, which parks
+on the same variables, sleeps or fails with the same text
+(`Task.split`, `Runtime.split`); the needer runs the statement that
+needed the value again, and parks on it if the body left it unbound.
+So a body that binds its result and then blocks still lets its needer
+go on.  A unification statement runs
 through `exec_unify`, as a reduction of its own or as part of the head
 of a `choice` alternative: an engine's `choice` runs its alternatives'
 leading unifications inside its own reduction and pushes only the rest
@@ -109,7 +146,7 @@ from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
                      ThreadInSearchError)
 from .compiler import (EQ_TEST, OP_TEST, READ_FRESH, READ_LITERAL, READ_SLOT,
                        TEST, Body, Build, Builtin, Call, Case, Choice, Fail,
-                       Fresh, If, Op, Plan, Proc, Skip, Thread, Unify)
+                       Fresh, If, Lazy, Op, Plan, Proc, Skip, Thread, Unify)
 from .terms import (FALSE, INT_MAX, INT_MIN, TRUE, Atom, Closure, Compound,
                     Int, NativeProc, Store, Term, UnifyResult, Var, render)
 
@@ -545,14 +582,20 @@ class Task:
     reduction of the task that reached the ``if``.  An ``engine`` task is
     a search engine's (``engine``), run to its next answer; only it may
     push choicepoints.  A guard inside an engine is a guard.  Only a
-    thread task clears the slots of a frame (see :meth:`run`)."""
-    __slots__ = ("rt", "mode", "engine", "stack")
+    thread task clears the slots of a frame (see :meth:`run`), and only
+    it enters a trigger's body on its own stack (see :meth:`suspended`):
+    ``entered`` holds ``(height, pair)`` for each body it entered, the
+    height of the stack where the body starts and the pair below it, the
+    statement that needed the value, so that the body is known to have
+    ended once that pair is no longer there."""
+    __slots__ = ("rt", "mode", "engine", "stack", "entered")
 
     def __init__(self, rt: "Runtime", mode: str = "thread", engine=None):
         self.rt = rt
         self.mode = mode
         self.engine = engine
         self.stack: list = []
+        self.entered = ()           # a list once a body is entered
 
     def push(self, stmt, frame):
         self.stack.append((stmt, frame))
@@ -592,9 +635,12 @@ class Task:
         is checked for escapes.  In a thread, a reduction that completes
         then writes None into each slot that ``exec_stmt`` returns, as one
         that ends in a ``SleepRequest`` does into each of its ``clear``; a
-        suspended one clears nothing, as it runs again.  A thread's
-        deepest stack, at the start of a reduction or at the end of the
-        budget, goes to ``stats.max_depth``."""
+        suspended one clears nothing, as it runs again.  A thread does not
+        let a suspension, a ``SleepRequest`` or a failure leave while it
+        can enter a trigger or split off an entered body instead
+        (:meth:`suspended`, :meth:`split`).  A thread's deepest stack, at
+        the start of a reduction or at the end of the budget, goes to
+        ``stats.max_depth``."""
         stack = self.stack
         stats = self.rt.stats
         limit = self.rt.step_limit
@@ -613,17 +659,24 @@ class Task:
                     raise StepLimit()
                 try:
                     clear = exec_stmt(self, stmt, frame)
-                except Suspend:
+                except Suspend as s:
                     stack.append((stmt, frame))
+                    if clears and self.suspended(s):
+                        continue
                     raise
-                except Failure:
-                    if engine is None or not engine.backtrack():
-                        raise
-                    stack = self.stack
-                    continue
-                except SleepRequest:
+                except Failure as f:
+                    if engine is not None:
+                        if engine.backtrack():
+                            stack = self.stack
+                            continue
+                    elif clears and self.split(f):
+                        continue
+                    raise
+                except SleepRequest as s:
                     for i in stmt.clear:
                         frame[i] = None
+                    if self.split(s):
+                        continue
                     raise
                 if clears:
                     for i in clear:
@@ -637,6 +690,76 @@ class Task:
             # no thread runs inside another's run, so none has gone deeper
             if self.mode == "thread":
                 stats.max_depth = depth
+
+    def suspended(self, susp: Suspend) -> bool:
+        """A statement of this thread suspended, and is back on the stack.
+        On a value suspension, enter the trigger of the first of its
+        variables that has one; else split off the body the statement is
+        part of, if it was entered here.  False when neither is left, and
+        the thread parks."""
+        if not susp.byneed:
+            for var in susp.vars:
+                if var.trigger:
+                    self.enter(var, susp.vars)
+                    return True
+        return self.split(susp)
+
+    def enter(self, var: Var, needed: list) -> None:
+        """Enter the trigger of ``var``, which the statement on top of the
+        stack needs, above that statement, as a call enters a body: the
+        statement runs again once the body ends.  Every variable of
+        ``needed`` is marked needed, as parking on them would, so that
+        their by-need waiters wake and their other triggers fire."""
+        rt = self.rt
+        store = rt.store
+        trigger = var.trigger
+        var.trigger = None
+        if type(trigger) is tuple:
+            rt.fire(trigger[1:])
+            trigger = trigger[0]
+        woken = store.mark_needed(var)
+        if len(needed) > 1:
+            woken = set(woken)
+            for v in needed:
+                woken |= store.mark_needed(v)
+        if woken:
+            rt.wake(woken)
+        stack = self.stack
+        height = len(stack)
+        entered = self.entered or []
+        # forget the bodies that have ended
+        while entered:
+            mark, pair = entered[-1]
+            if mark < height and stack[mark - 1] is pair:
+                break
+            entered.pop()
+        entered.append((height, stack[-1]))
+        self.entered = entered
+        self.push_body(trigger[0].body, trigger)
+        rt.stats.entered += 1
+        if rt.on_trace is not None:
+            rt.on_trace("enter", {"vid": var.vid})
+
+    def split(self, signal) -> bool:
+        """A statement of a body this thread entered suspended, slept or
+        failed before the body ended (``signal`` is the ``Suspend``,
+        ``SleepRequest`` or ``Failure``): the pairs above the innermost
+        body's start become a thread of their own, which parks, sleeps or
+        fails (``Runtime.split``), and the statement that needed the value
+        runs next, again.  False when no entered body is left."""
+        entered = self.entered
+        stack = self.stack
+        height = len(stack)
+        while entered:
+            mark, pair = entered.pop()
+            if mark <= height and stack[mark - 1] is pair:
+                break
+        else:
+            return False
+        part = stack[mark:]
+        del stack[mark:]
+        self.rt.split(part, signal)
+        return True
 
 
 def call_frame(closure: Closure, args: list) -> list:
@@ -663,8 +786,12 @@ def exec_stmt(task: Task, stmt, frame: list):
         target = stmt.target
         target = (frame[target] if type(target) is int
                   else build_term(store, target, frame))
-        if type(target) is Var:
-            target = store.deref(target)
+        # a global or a captured name is a variable one link from its
+        # value: read that link here
+        if type(target) is Var and target.ref is not None:
+            target = target.ref
+            if type(target) is Var and target.ref is not None:
+                target = store.deref(target)
         if type(target) is Closure:
             code = target.code
             args = stmt.args
@@ -758,7 +885,7 @@ def exec_stmt(task: Task, stmt, frame: list):
             raise Failure(f"{code.name} is already bound to something else")
         return stmt.clear
 
-    if kind is Thread:
+    if kind is Thread or kind is Lazy:
         if task.mode != "thread":
             raise ThreadInSearchError(
                 "cannot create a thread inside a " + (
@@ -767,7 +894,10 @@ def exec_stmt(task: Task, stmt, frame: list):
         child = [code]
         child += code.blank
         child += [frame[i] for i in code.captures]
-        rt.spawn(code.body, child)
+        if kind is Thread:
+            rt.spawn(code.body, child)
+        else:
+            rt.by_need(frame[stmt.slot], child)
         return stmt.clear
 
     if kind is Skip:
@@ -869,9 +999,15 @@ class OzThread:
 @dataclass
 class Stats:
     reductions: int = 0
-    spawned: int = 0
+    spawned: int = 0                 # threads started by `thread` or a fire
     exits: Counter = field(default_factory=Counter)   # exit status -> count
     max_depth: int = 0               # the deepest stack of any thread
+    # by-need triggers: left on a variable, entered on a needer's stack,
+    # fired as a thread, and entered bodies split off as a thread
+    triggers: int = 0
+    entered: int = 0
+    fired: int = 0
+    splits: int = 0
 
 
 @dataclass
@@ -959,6 +1095,7 @@ class Runtime:
         self.next_tid = 1
         self.stats = Stats()
         self.browse_log: list = []
+        self.store.fire = self.fire
         self.renew_budget()
 
     # -- bookkeeping -----------------------------------------------------
@@ -980,17 +1117,65 @@ class Runtime:
 
     # -- thread management --------------------------------------------------
 
-    def spawn(self, stmt, frame) -> int:
+    def _thread(self, task: Task) -> OzThread:
         tid = self.next_tid
         self.next_tid += 1
-        thread = OzThread(tid, Task(self))
-        thread.task.push(stmt, frame)
-        self.threads[tid] = thread
+        thread = self.threads[tid] = OzThread(tid, task)
+        return thread
+
+    def spawn(self, stmt, frame) -> int:
+        """Start a thread that runs the body ``stmt`` in ``frame``, entered
+        now (``Task.push_body``)."""
+        thread = self._thread(Task(self))
+        thread.task.push_body(stmt, frame)
+        tid = thread.tid
         self.runq.append(tid)
         self.stats.spawned += 1
         if self.on_trace is not None:
             self.on_trace("spawn", {"tid": tid})
         return tid
+
+    def by_need(self, value: Term, trigger: list) -> None:
+        """A lazy call: leave ``trigger``, the frame of its body, on its
+        result ``value`` while that is an unbound variable nothing needs
+        yet; else the need has come, and it fires."""
+        if type(value) is Var and value.ref is not None:
+            value = self.store.deref(value)
+        if type(value) is Var and not value.needed:
+            value.add_trigger(trigger)
+            self.stats.triggers += 1
+            if self.on_trace is not None:
+                self.on_trace("trigger", {"vid": value.vid})
+        else:
+            self.fire(trigger)
+
+    def fire(self, trigger) -> None:
+        """Run a trigger (a frame, or a tuple of them) as a thread of its
+        own: its variable was needed other than by a thread's value
+        suspension, which enters it in place (``Task.enter``), or bound."""
+        for frame in (trigger if type(trigger) is tuple else (trigger,)):
+            tid = self.spawn(frame[0].body, frame)
+            self.stats.fired += 1
+            if self.on_trace is not None:
+                self.on_trace("fire", {"tid": tid})
+
+    def split(self, stack: list, signal) -> None:
+        """Make the pairs ``stack``, split off an entered body
+        (``Task.split``), a thread of their own, which parks on the
+        ``Suspend``, sleeps for the ``SleepRequest`` or fails with the
+        ``Failure`` that ``signal`` is."""
+        task = Task(self)
+        task.stack = stack
+        thread = self._thread(task)
+        self.stats.splits += 1
+        if self.on_trace is not None:
+            self.on_trace("split", {"tid": thread.tid})
+        if type(signal) is Suspend:
+            self._park(thread, signal)
+        elif type(signal) is SleepRequest:
+            self._sleep(thread, signal.ms)
+        else:
+            self._finish(thread, FAILED, signal.reason)
 
     def wake(self, tids):
         for tid in tids:

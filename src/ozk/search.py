@@ -110,7 +110,7 @@ class Engine:
         self.checked = 0         # trail entries already escape-checked
         self._outer_owns = None  # the store's `owns` while this one runs
         self.root = self.store.new_var()
-        self.task.push(goal.code.body, call_frame(goal, [self.root]))
+        self.task.push_body(goal.code.body, call_frame(goal, [self.root]))
         self.bounds += (self.mark, self.store.next_seq)
 
     def _enter(self):

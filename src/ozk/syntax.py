@@ -169,8 +169,18 @@ class ThreadStmt:
     body: "Statement"
 
 
+@dataclass(frozen=True, slots=True)
+class LazyStmt:
+    """``lazy R then S end``: a by-need trigger on the variable ``R``,
+    which runs ``S`` once ``R`` is needed (the body of a ``fun lazy``,
+    with ``R`` its result).  The parser reads it as a statement only so
+    that a printed program reads back."""
+    result: str
+    body: "Statement"
+
+
 Statement = Union[Skip, Fail, Block, Local, Unify, IfStmt, CaseStmt, Choice,
-                  ProcDef, Call, BuiltinCall, ThreadStmt]
+                  ProcDef, Call, BuiltinCall, ThreadStmt, LazyStmt]
 
 
 def seq_all(stmts) -> Statement:
@@ -239,6 +249,10 @@ def free_names(stmt) -> set:
         elif t is BuiltinCall:
             out.update(n for n in expr_names(*s.args) if n not in bound)
         elif t is ThreadStmt:
+            todo.append((s.body, bound))
+        elif t is LazyStmt:
+            if s.result not in bound:
+                out.add(s.result)
             todo.append((s.body, bound))
         # Skip and Fail mention nothing.
     return out
@@ -325,6 +339,10 @@ class _Printer:
             self.emit("end")
         elif isinstance(s, ThreadStmt):
             self.emit("thread")
+            self.block(s.body)
+            self.emit("end")
+        elif isinstance(s, LazyStmt):
+            self.emit(f"lazy {s.result} then")
             self.block(s.body)
             self.emit("end")
         elif isinstance(s, Choice):

@@ -16,6 +16,15 @@ unbinding it, and a need mark is the 1-tuple ``(var,)``, undone by
 clearing ``needed``.  Each reader (``Store.undo_to``, a search engine's
 escape check, a guard's quiet check) tells them apart with
 ``type(entry) is Var``.
+
+A variable may hold a by-need trigger, the frame of a lazy body
+(``Var.trigger``).  Need fires it through the store's ``fire`` hook,
+which the runtime sets: a need mark (``Store.mark_needed``), or a
+binding of the variable, which instead moves the trigger to an unbound
+variable nothing needs yet.  The runtime takes a trigger off itself
+when a thread enters it in place.  Under a trail, triggers are left
+where they are: a speculative need or binding is undone, or, being of
+an outside variable, an error.
 """
 
 from __future__ import annotations
@@ -43,10 +52,14 @@ class Var(Term):
     ``waiters`` holds ids of threads suspended on the variable's value;
     ``byneed`` holds ids of threads suspended until the variable is needed.
     Both are created lazily.  ``needed`` is sticky: it stays set after the
-    variable is bound.
+    variable is bound.  ``trigger`` is the by-need trigger of an unbound
+    variable that is not needed: the frame of a lazy body waiting for the
+    need (``runtime.Runtime.by_need``), or a tuple of such frames when
+    several wait on it, else None.  A trigger lives here and nowhere else,
+    so one that is never needed is freed with its variable.
     """
 
-    __slots__ = ("vid", "ref", "waiters", "byneed", "needed")
+    __slots__ = ("vid", "ref", "waiters", "byneed", "needed", "trigger")
 
     def __init__(self, vid: VarId):
         self.vid = vid
@@ -54,6 +67,18 @@ class Var(Term):
         self.waiters: Optional[set[int]] = None
         self.byneed: Optional[set[int]] = None
         self.needed = False
+        self.trigger = None
+
+    def add_trigger(self, trigger) -> None:
+        """Leave ``trigger`` (a frame, or a tuple of them) on this unbound
+        variable, beside any trigger it already has."""
+        old = self.trigger
+        if old is None:
+            self.trigger = trigger
+        else:
+            self.trigger = ((old if type(old) is tuple else (old,))
+                            + (trigger if type(trigger) is tuple
+                               else (trigger,)))
 
     def __repr__(self):
         state = "free" if self.ref is None else "bound"
@@ -244,6 +269,9 @@ class Store:
         # While a search engine runs: whether it owns a VarId (else None).
         self.owns: Optional[Callable[[VarId], bool]] = None
         self.dist = None  # distribution hooks, set by the network simulator
+        # Runs a trigger that a need reached, or a binding set off (see
+        # ``mark_needed``): set by the runtime over this store.
+        self.fire: Optional[Callable] = None
 
     # -- variables ---------------------------------------------------
 
@@ -326,11 +354,17 @@ class Store:
 
     def _bind_local(self, var: Var, value: Term):
         """Unconditionally bind an unbound variable of this store; return
-        the threads to wake (a shared empty set when there are none)."""
+        the threads to wake (a shared empty set when there are none).
+
+        A trigger on ``var`` moves to the variable ``var`` is now bound
+        to, when that is unbound and not needed, as the need has still not
+        come; else the binding fires it.  Under a trail (a guard or an
+        engine) a trigger stays where it is: that binding is either undone
+        or, being of a variable from outside, an error."""
         if self.trails:
             self.trails[-1].append(var)
         var.ref = value
-        if not (var.waiters or var.byneed or var.needed):
+        if not (var.waiters or var.byneed or var.needed or var.trigger):
             return _NO_WAKES
         woken: set[int] = set()
         if var.waiters:
@@ -343,6 +377,14 @@ class Store:
             target = self.deref(value)
             if isinstance(target, Var):
                 woken |= self.mark_needed(target)
+        elif var.trigger and not self.trails:
+            trigger = var.trigger
+            var.trigger = None
+            target = self.deref(value)
+            if type(target) is Var and not target.needed:
+                target.add_trigger(trigger)
+            else:
+                self.fire(trigger)
         return woken
 
     def bind_notified(self, var: Var, value: Term) -> set[int]:
@@ -350,16 +392,23 @@ class Store:
         return self._bind_local(var, value)
 
     def mark_needed(self, var: Var) -> set[int]:
+        """Mark ``var`` needed: return the by-need waiters to wake, and
+        fire its trigger (see ``fire``), which then has a need.  Under a
+        trail the trigger stays, as the mark may be undone."""
         if var.needed:
-            return set()
+            return _NO_WAKES
         if self.trails:
             self.trails[-1].append((var,))
+        elif var.trigger:
+            trigger = var.trigger
+            var.trigger = None
+            self.fire(trigger)
         var.needed = True
-        woken: set[int] = set()
-        if var.byneed:
-            woken |= var.byneed
+        woken = var.byneed
+        if woken:
             var.byneed = None
-        return woken
+            return woken
+        return _NO_WAKES
 
     # -- suspension registry ------------------------------------------
 

@@ -10,7 +10,7 @@ from ozk.errors import ParseError, QuietGuardViolation
 from ozk.parser import parse_interactive, parse_program
 from ozk.syntax import (
     BuiltinCall, Call, CaseStmt, CAnon, CCompound, Choice, CLit, CVar,
-    Fail, IfStmt, Local, ProcDef, Skip,
+    Fail, IfStmt, LazyStmt, Local, ProcDef, Skip,
     ThreadStmt, Unify, _expr_text, expr_names, pretty, seq_items,
 )
 from ozk.terms import Atom, Int
@@ -204,13 +204,18 @@ def test_anonymous_fun():
     assert d.name in names
 
 
-def test_lazy_function_wraps_body_in_demand_wait():
+def test_lazy_function_leaves_a_trigger_on_its_result():
     s = parse("fun lazy {Ints N} N|{Ints N+1} end")
     _, items = unwrap_local(s)
     d = items[0]
-    assert isinstance(d.body, ThreadStmt)
-    steps = seq_items(d.body.body)
-    assert steps[0] == Call(CVar("WaitNeeded"), (CVar(d.params[-1]),))
+    assert isinstance(d.body, LazyStmt)
+    assert d.body.result == d.params[-1]
+    assert parse(pretty(s)) == s
+
+
+def test_a_lazy_statement_needs_a_declared_variable():
+    with pytest.raises(ParseError, match="undeclared variable R"):
+        parse("lazy R then skip end")
 
 
 def test_thread_statement():

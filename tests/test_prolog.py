@@ -6,10 +6,12 @@ import dataclasses
 import pytest
 
 import oracles
+from ozk.builtins import make_builtins
 from ozk.cli import main
 from ozk.errors import ParseError, QuietGuardViolation, UnsupportedConstruct
 from ozk.interp import Session
 from ozk.parser import MAX_NESTING, parse_program
+from ozk.prelude import PRELUDE_NAMES
 from ozk.prolog import (DETERMINISTIC, GUARDED_CUT, MAX_CASCADE,
                         NONDETERMINISTIC, PA, PI, PS, PV, classify,
                         parse_prolog, parse_query, translate_query_source,
@@ -616,6 +618,45 @@ class TestDeepInput:
         code, out, err = self.cli(capsys, tmp_path, self.cascade(MAX_CASCADE),
                                   "run", "--query", "p(1, Y)")
         assert (code, out, err) == (0, "[7]\n", "")
+
+    @staticmethod
+    def two_goal_cascade(clauses: int) -> str:
+        """A cascade whose every guard calls two predicates, so that its
+        guard procedure opens a `local` for the variable they share: one
+        level more than a one-goal cascade of as many links."""
+        return ("q(_, 7).\nr(_).\n" + "p(X) :- q(X, Z), r(Z), !.\n" * clauses
+                + "p(_).\n")
+
+    # (program at its level limit, its query and answer, the refusal one
+    # clause past it)
+    LIMITS = {
+        "one_goal": ("cascade", MAX_CASCADE,
+                     "p(1, Y)", "[7]\n",
+                     f"ozk: line 2: p/2 has {MAX_CASCADE + 1} guarded "
+                     f"clauses, more than the {MAX_CASCADE} a cut cascade "
+                     f"may nest\n"),
+        "two_goal": ("two_goal_cascade", MAX_CASCADE - 1, "p(1)", "[true]\n",
+                     f"ozk: line 3: p/1 has {MAX_CASCADE} guarded clauses, "
+                     f"which nest {MAX_CASCADE + 1} levels, more than the "
+                     f"{MAX_CASCADE} a cut cascade may nest\n"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(LIMITS))
+    @pytest.mark.parametrize("command", ["run", "translate"])
+    def test_a_cascade_at_its_level_limit_reads_back_and_one_past_is_refused(
+            self, capsys, tmp_path, shape, command):
+        maker, links, query, answer, refusal = self.LIMITS[shape]
+        program = getattr(self, maker)
+        argv = [command] + (["--query", query] if command == "run" else [])
+        code, out, err = self.cli(capsys, tmp_path, program(links), *argv)
+        assert (code, err) == (0, "")
+        if command == "run":
+            assert out == answer
+        else:
+            ambient = tuple(make_builtins()) + PRELUDE_NAMES
+            assert parse_program(out, ambient)
+        code, out, err = self.cli(capsys, tmp_path, program(links + 1), *argv)
+        assert (code, out, err) == (3, "", refusal)
 
     @pytest.mark.parametrize("command", ["run", "translate"])
     def test_deep_term_is_a_syntax_error(self, capsys, tmp_path, command):

@@ -379,10 +379,10 @@ def test_a_search_inside_a_thread_does_not_use_up_its_timeslice():
 
 
 def test_a_block_costs_one_reduction():
-    # the local and its block of three statements together, then each
-    # statement: four reductions
+    # the local is the body of the piece's thread, entered when the
+    # thread is spawned, so only its three statements are reductions
     r = run_text("local X Y in X = 1 Y = X {Browse Y} end", prelude=False)
-    assert r.stats.reductions == 4
+    assert r.stats.reductions == 3
 
 
 @pytest.mark.parametrize("body", [
@@ -391,11 +391,12 @@ def test_a_block_costs_one_reduction():
     "case f(1) of f(A) then X = A {Browse X} end",
 ])
 def test_a_block_body_is_pushed_with_what_runs_it(body):
-    # the local, then the definition (if any) and the call, if or case,
-    # which pushes its body flat: then each of the body's two statements
+    # the local, entered with the thread, then the definition (if any)
+    # and the call, if or case, which pushes its body flat: then each of
+    # the body's two statements
     r = run_text("local X in " + body + " end", prelude=False)
     assert r.browses == ["1"]
-    assert r.stats.reductions == (5 if body.startswith("proc") else 4)
+    assert r.stats.reductions == (4 if body.startswith("proc") else 3)
 
 
 def test_a_first_use_makes_no_variable():
@@ -615,9 +616,10 @@ def test_gen_map_runs_in_a_pinned_number_of_reductions_and_variables():
     # The exact counts of docs/programs/gen_map.ozk.  They fall when an
     # operator stores a result that is a local's first use in the frame
     # (`{Gen I+1 N Xr}` makes no variable for I+1), a `case` matches its
-    # compiled patterns, or a local that is a body is entered by the
-    # statement that pushes it (before these: 177 reductions and 44
-    # variables).  The ten suspensions are the consumer thread's, one for
+    # compiled patterns, a local that is a body is entered by the
+    # statement that pushes it, or a thread's body is entered when the
+    # thread is spawned (before these: 177 reductions and 44 variables;
+    # 157 before the last).  The ten suspensions are the consumer thread's, one for
     # each cell it waits for.
     suspends = []
     s = Session(on_trace=lambda kind, p: suspends.append(p)
@@ -627,7 +629,7 @@ def test_gen_map_runs_in_a_pinned_number_of_reductions_and_variables():
                 / "gen_map.ozk").read_text())
     assert r.status == "done"
     assert r.browses == ["[" + " ".join(map(str, GEN_MAP_SQUARES)) + "]"]
-    assert s.rt.stats.reductions - r0 == 157
+    assert s.rt.stats.reductions - r0 == 145
     assert s.store.next_seq - seq0 == 34
     assert len(suspends) == 10
 

@@ -315,17 +315,33 @@ def test_each_kind_of_task_rejects_what_it_cannot_run(context, statement):
 
 def test_a_called_choice_in_an_engine_is_a_reduction_of_its_own():
     # {P R} and the choice it enters count two reductions, as when the
-    # choice was pushed by the call and popped: the run takes 7, and a
-    # budget of any fewer stops it.
-    for steps in range(8):
+    # choice was pushed by the call and popped: the run takes 6 (7 before
+    # a thread's body was entered when it is spawned), and a budget of
+    # any fewer stops it.
+    for steps in range(7):
         s = Session()
         s.feed("proc {P X} choice X = 1 [] X = 2 end end")
         s.rt.max_steps = steps
         before = s.rt.stats.reductions
         r = s.feed("S in {SolveAll proc {$ R} {P R} end S} {Browse S}")
-        assert r.status == ("done" if steps == 7 else "limit")
-        assert s.rt.stats.reductions - before == min(steps + 1, 7)
+        assert r.status == ("done" if steps == 6 else "limit")
+        assert s.rt.stats.reductions - before == min(steps + 1, 6)
     assert r.browses == ["[1 2]"]
+
+
+def test_a_goal_body_is_entered_where_the_engine_pushes_it():
+    # the goal's body is entered as a call's is, so `skip` is the only
+    # reduction the block adds: one, not two
+    def cost(goal):
+        s = Session()
+        s.feed(goal)
+        before = s.rt.stats.reductions
+        r = s.feed("S in {SolveAll Q S} {Browse S}")
+        assert r.browses == ["[1 2]"]
+        return s.rt.stats.reductions - before
+    plain = cost("proc {Q X} choice X = 1 [] X = 2 end end")
+    block = cost("proc {Q X} skip choice X = 1 [] X = 2 end end")
+    assert block == plain + 1
 
 
 @pytest.mark.parametrize("chunk", [
@@ -687,8 +703,8 @@ def _queens6(source: str) -> str:
 
 
 @pytest.mark.parametrize("source, reductions, made, choicepoints", [
-    ("queens.ozk", 2167, 1379, 152),
-    ("queens.pl", 2155, 1379, 152),
+    ("queens.ozk", 2160, 1379, 152),
+    ("queens.pl", 2153, 1379, 152),
 ], ids=["queens.ozk", "queens.pl"])
 def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
         source, reductions, made, choicepoints, monkeypatch):
@@ -703,7 +719,9 @@ def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
     # them (before first uses: 8731/8719 reductions and 4005/3999
     # variables; before heads: 7688/7676 reductions and 1043
     # choicepoints; before entered locals and operator results:
-    # 2180/2168 reductions and 1391 variables).
+    # 2180/2168 reductions and 1391 variables; before thread and goal
+    # bodies were entered where they are pushed, and blocks that make
+    # no variable were spliced: 2167/2155 reductions).
     made_cps = []
     push = Engine.push_choicepoint
 
