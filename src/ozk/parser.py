@@ -659,33 +659,6 @@ class _Parser:
         self.err(f"expected an expression, found {self._show(t)}")
 
 
-class _Depth(_Parser):
-    """Reads as the parser does, counting the deepest nesting level it
-    opens rather than refusing past ``MAX_NESTING``; past twice that, it
-    stops."""
-
-    deepest = 0
-
-    def enter(self) -> None:
-        self.depth += 1
-        if self.depth > self.deepest:
-            self.deepest = self.depth
-            if self.depth > 2 * MAX_NESTING:
-                self.err("nesting far too deep")
-
-
-def nesting_depth(text: str) -> int:
-    """The deepest nesting level that reading ``text`` opens, as the
-    parser counts levels against ``MAX_NESTING``; a text that stops being
-    read past twice that counts one more."""
-    p = _Depth(text)
-    try:
-        p.parse_program()
-    except ParseError:
-        pass
-    return p.deepest
-
-
 # -- desugarer ---------------------------------------------------------------
 
 _NEW = object()     # a call's result that is a fresh temporary (call_core)

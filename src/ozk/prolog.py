@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation, UnsupportedConstruct
-from .parser import MAX_NESTING, nesting_depth
+from .parser import MAX_NESTING
 from .syntax import (BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound,
                      Choice, CLit, CVar, Fail, IfArm, IfStmt, Local, ProcDef,
                      Statement, Unify, pretty, seq_all)
@@ -1030,15 +1030,14 @@ def _translate_if_chain(name, params, clauses, names, generators) -> ProcDef:
 # ---------------------------------------------------------------------------
 
 
-# The nesting levels a cascade's links may take.  Each link is the `else`
-# of the one before, so it adds one level to every link after it, under
-# the program, the procedure and its `local`; a link's own deepest point
-# is under its guard procedure's body and a statement there, and deeper
-# when its guard opens a `local` or nests its terms.  So the deepest
-# point of a cascade whose guards open no block of their own and call
-# with plain arguments is 5 levels deeper than its links, and the
-# cascade's levels are the printed procedure's deepest level, as the
-# parser counts it, less those 5.  More than this many is refused.
+# The nesting levels a cascade may take.  Each guarded clause is a link,
+# the `else` of the one before, so the k-th link (from 0) sits k levels
+# deep, under the program, the procedure and its `local`, and takes one
+# level of its own; its guard procedure's body or its arm's body takes
+# one more when it opens a `local`.  A cascade of links that open no
+# `local` and pass plain terms is 5 levels shallower than what the parser
+# reads, so it reads back.  A term nested in a clause takes levels of its
+# own, which the parser bounds as it does in any clause.
 MAX_CASCADE = MAX_NESTING - 5
 
 
@@ -1046,18 +1045,19 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
     """Each guard runs encapsulated; the chain commits to the first
     clause whose guard has a solution, passing guard bindings to the
     body through the answer term.  A cascade that takes more than
-    ``MAX_CASCADE`` levels is refused: first by its count of guarded
-    clauses, as each takes at least one level, and once built by the
-    levels its printed form takes, so that every cascade accepted reads
-    back."""
+    ``MAX_CASCADE`` levels is refused, as soon as a link is built past
+    them."""
     links = sum(1 for c in clauses
                 if c.cut_index is not None or _guard_goals(c))
     first = clauses[0]
-    if links > MAX_CASCADE:
-        raise UnsupportedConstruct(
-            f"line {first.line}: {first.functor}/{first.arity} has {links} "
-            f"guarded clauses, more than the {MAX_CASCADE} a cut cascade "
-            f"may nest")
+
+    def check(levels: int) -> None:
+        if levels > MAX_CASCADE:
+            raise UnsupportedConstruct(
+                f"line {first.line}: {first.functor}/{first.arity} has "
+                f"{links} guarded clauses, which nest more than the "
+                f"{MAX_CASCADE} levels a cut cascade may take")
+
     reserved = set(params)
     for c in clauses:
         reserved.update(v.name for v in term_vars(c.head))
@@ -1085,6 +1085,7 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
             ctx = _Ctx(names, reserved, generators)
             stmts = _head_stmts(c, params, ctx)
             stmts.extend(_body_stmts(body_goals, ctx))
+            check(k + bool(ctx.locals))
             return _local_or_seq(ctx.locals, stmts)
 
         outputs = [v for v in goals_vars(guard_goals)
@@ -1115,6 +1116,7 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
         bstmts = _head_stmts(c, params, bctx)
         bstmts.extend(_body_stmts(body_goals, bctx))
         arm_body = _local_or_seq(bctx.locals, bstmts)
+        check(k + 1 + bool(gctx.locals or bctx.locals))
 
         arm = CaseArm(CCompound("|", (answer, CLit(Atom("nil")))), arm_body)
         return seq_all([
@@ -1123,14 +1125,7 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
             CaseStmt(CVar(res_name), (arm,), build(k + 1))])
 
     chain = build(0)
-    proc = ProcDef(name, params, Local(tuple(decls), chain) if decls else chain)
-    levels = nesting_depth(pretty(proc)) - (MAX_NESTING - MAX_CASCADE)
-    if levels > MAX_CASCADE:
-        raise UnsupportedConstruct(
-            f"line {first.line}: {first.functor}/{first.arity} has {links} "
-            f"guarded clauses, which nest {levels} levels, more than the "
-            f"{MAX_CASCADE} a cut cascade may nest")
-    return proc
+    return ProcDef(name, params, Local(tuple(decls), chain) if decls else chain)
 
 
 # ---------------------------------------------------------------------------

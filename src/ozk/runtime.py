@@ -73,12 +73,15 @@ the pairs above that height become a thread of their own, which parks
 on the same variables, sleeps or fails with the same text
 (`Task.split`, `Runtime.split`); the needer runs the statement that
 needed the value again, and parks on it if the body left it unbound.
-So a body that binds its result and then blocks still lets its needer
-go on.  A unification statement runs
-through `exec_unify`, as a reduction of its own or as part of the head
-of a `choice` alternative: an engine's `choice` runs its alternatives'
-leading unifications inside its own reduction and pushes only the rest
-of the one it enters (`search.Engine.choose`).  An engine's call of a
+A body that has not ended when the timeslice does is split off too, as
+a runnable thread (`Task.split_unended`).  So a body that binds its
+result and then blocks, or runs on, still lets its needer go on.
+
+A unification statement runs through `exec_unify`, as a reduction of
+its own or as part of the head of a `choice` alternative: an engine's
+`choice` runs its alternatives' leading unifications inside its own
+reduction and pushes only the rest of the one it enters
+(`search.Engine.choose`).  An engine's call of a
 procedure whose body is a `choice` enters that choice in the same step,
 counting it as a reduction of its own; a thread or a guard pushes it.
 
@@ -638,7 +641,9 @@ class Task:
         suspended one clears nothing, as it runs again.  A thread does not
         let a suspension, a ``SleepRequest`` or a failure leave while it
         can enter a trigger or split off an entered body instead
-        (:meth:`suspended`, :meth:`split`).  A thread's deepest stack, at
+        (:meth:`suspended`, :meth:`split`), and a budget that runs out
+        inside an entered body splits it off (:meth:`split_unended`).  A
+        thread's deepest stack, at
         the start of a reduction or at the end of the budget, goes to
         ``stats.max_depth``."""
         stack = self.stack
@@ -685,6 +690,8 @@ class Task:
                     engine.check_escapes()
             if len(stack) > depth:
                 depth = len(stack)
+            if self.entered:
+                self.split_unended()
             return not stack
         finally:
             # no thread runs inside another's run, so none has gone deeper
@@ -712,11 +719,11 @@ class Task:
         their by-need waiters wake and their other triggers fire."""
         rt = self.rt
         store = rt.store
-        trigger = var.trigger
+        frames = var.trigger
         var.trigger = None
-        if type(trigger) is tuple:
-            rt.fire(trigger[1:])
-            trigger = trigger[0]
+        if len(frames) > 1:
+            rt.fire(frames[1:])
+        trigger = frames[0]
         woken = store.mark_needed(var)
         if len(needed) > 1:
             woken = set(woken)
@@ -760,6 +767,21 @@ class Task:
         del stack[mark:]
         self.rt.split(part, signal)
         return True
+
+    def split_unended(self) -> None:
+        """The budget ran out: each body this thread entered that has not
+        ended becomes a runnable thread of its own, innermost first, and
+        the statement that needed its value runs again in this thread's
+        next slice.  So a body that binds its result and runs on holds up
+        its needer for no more than a timeslice, as a thread would."""
+        entered = self.entered
+        stack = self.stack
+        while entered:
+            mark, pair = entered.pop()
+            if mark < len(stack) and stack[mark - 1] is pair:
+                part = stack[mark:]
+                del stack[mark:]
+                self.rt.split(part, None)
 
 
 def call_frame(closure: Closure, args: list) -> list:
@@ -1142,18 +1164,18 @@ class Runtime:
         if type(value) is Var and value.ref is not None:
             value = self.store.deref(value)
         if type(value) is Var and not value.needed:
-            value.add_trigger(trigger)
+            value.add_trigger((trigger,))
             self.stats.triggers += 1
             if self.on_trace is not None:
                 self.on_trace("trigger", {"vid": value.vid})
         else:
-            self.fire(trigger)
+            self.fire((trigger,))
 
-    def fire(self, trigger) -> None:
-        """Run a trigger (a frame, or a tuple of them) as a thread of its
-        own: its variable was needed other than by a thread's value
-        suspension, which enters it in place (``Task.enter``), or bound."""
-        for frame in (trigger if type(trigger) is tuple else (trigger,)):
+    def fire(self, frames: tuple) -> None:
+        """Run the triggers ``frames`` each as a thread of its own: their
+        variable was needed other than by a thread's value suspension,
+        which enters one in place (``Task.enter``), or bound."""
+        for frame in frames:
             tid = self.spawn(frame[0].body, frame)
             self.stats.fired += 1
             if self.on_trace is not None:
@@ -1161,16 +1183,19 @@ class Runtime:
 
     def split(self, stack: list, signal) -> None:
         """Make the pairs ``stack``, split off an entered body
-        (``Task.split``), a thread of their own, which parks on the
-        ``Suspend``, sleeps for the ``SleepRequest`` or fails with the
-        ``Failure`` that ``signal`` is."""
+        (``Task.split``, ``Task.split_unended``), a thread of their own,
+        which parks on the ``Suspend``, sleeps for the ``SleepRequest`` or
+        fails with the ``Failure`` that ``signal`` is, or is runnable when
+        ``signal`` is None."""
         task = Task(self)
         task.stack = stack
         thread = self._thread(task)
         self.stats.splits += 1
         if self.on_trace is not None:
             self.on_trace("split", {"tid": thread.tid})
-        if type(signal) is Suspend:
+        if signal is None:
+            self.runq.append(thread.tid)
+        elif type(signal) is Suspend:
             self._park(thread, signal)
         elif type(signal) is SleepRequest:
             self._sleep(thread, signal.ms)

@@ -17,12 +17,12 @@ clearing ``needed``.  Each reader (``Store.undo_to``, a search engine's
 escape check, a guard's quiet check) tells them apart with
 ``type(entry) is Var``.
 
-A variable may hold a by-need trigger, the frame of a lazy body
-(``Var.trigger``).  Need fires it through the store's ``fire`` hook,
-which the runtime sets: a need mark (``Store.mark_needed``), or a
-binding of the variable, which instead moves the trigger to an unbound
-variable nothing needs yet.  The runtime takes a trigger off itself
-when a thread enters it in place.  Under a trail, triggers are left
+A variable may hold by-need triggers, a tuple of the frames of lazy
+bodies (``Var.trigger``).  Need fires them through the store's ``fire``
+hook, which the runtime sets: a need mark (``Store.mark_needed``), or a
+binding of the variable, which instead moves them to an unbound
+variable nothing needs yet.  The runtime takes them off the variable
+when a thread enters one in place.  Under a trail, triggers are left
 where they are: a speculative need or binding is undone, or, being of
 an outside variable, an error.
 """
@@ -52,11 +52,11 @@ class Var(Term):
     ``waiters`` holds ids of threads suspended on the variable's value;
     ``byneed`` holds ids of threads suspended until the variable is needed.
     Both are created lazily.  ``needed`` is sticky: it stays set after the
-    variable is bound.  ``trigger`` is the by-need trigger of an unbound
-    variable that is not needed: the frame of a lazy body waiting for the
-    need (``runtime.Runtime.by_need``), or a tuple of such frames when
-    several wait on it, else None.  A trigger lives here and nowhere else,
-    so one that is never needed is freed with its variable.
+    variable is bound.  ``trigger`` holds the by-need triggers of an
+    unbound variable that is not needed: a tuple of the frames of the lazy
+    bodies waiting for the need (``runtime.Runtime.by_need``), else None.
+    A trigger lives here and nowhere else, so one that is never needed is
+    freed with its variable.
     """
 
     __slots__ = ("vid", "ref", "waiters", "byneed", "needed", "trigger")
@@ -69,16 +69,11 @@ class Var(Term):
         self.needed = False
         self.trigger = None
 
-    def add_trigger(self, trigger) -> None:
-        """Leave ``trigger`` (a frame, or a tuple of them) on this unbound
-        variable, beside any trigger it already has."""
+    def add_trigger(self, frames: tuple) -> None:
+        """Leave the trigger ``frames`` on this unbound variable, after any
+        it already has."""
         old = self.trigger
-        if old is None:
-            self.trigger = trigger
-        else:
-            self.trigger = ((old if type(old) is tuple else (old,))
-                            + (trigger if type(trigger) is tuple
-                               else (trigger,)))
+        self.trigger = frames if old is None else old + frames
 
     def __repr__(self):
         state = "free" if self.ref is None else "bound"

@@ -102,6 +102,13 @@ NAMED = {
         case L of X|_ then {Browse X} end
         {Browse done}
     """,
+    # the body binds R, then runs on until the step limit: the needer
+    # still browses a, in the slice after the body's first
+    "binds_then_spins": """
+        fun {Spin} {Spin} end
+        fun lazy {F} a|{Spin} end
+        case {F} of X|_ then {Browse X} end
+    """,
     "failing_body": """
         fun lazy {F} X in X = 1 X = 2 X end
         thread {Browse {F}+1} end
@@ -226,11 +233,13 @@ def test_the_named_cases_show_what_they_are_named_for():
     # stops exercising its path shows
     with thread_form():
         blocks = run_outcome(NAMED["binds_then_blocks"], None)
+        spins = run_outcome(NAMED["binds_then_spins"], None)
         fails = run_outcome(NAMED["failing_body"], None)
         stuck = run_outcome(NAMED["engine_needs_outside_lazy"], None)
         guard = run_outcome(NAMED["lazy_call_in_guard"], None)
         engine = run_outcome(NAMED["lazy_call_in_engine"], None)
     assert blocks == (["a", "done"], "deadlock", [])
+    assert spins == (["a"], "limit", [])
     assert fails == (["other"], "failed", ["unification failed: 1 = 2"])
     assert stuck[0] == "SearchStuckError"
     assert guard == ("ThreadInSearchError",
@@ -260,8 +269,9 @@ def test_a_consumed_stream_enters_every_trigger_in_place():
     r = s.feed(INTS + "{Browse {Length {Take {Ints 0} 2000}}}")
     assert r.browses == ["2000"]
     stats = r.stats
+    # the one split is a body that the first timeslice ended inside
     assert (stats.triggers, stats.entered, stats.fired, stats.splits) == \
-        (2001, 2000, 0, 0)
+        (2001, 2000, 0, 1)
     assert stats.spawned - before == 1      # the program's own thread
     assert r.idle == []
 

@@ -611,8 +611,8 @@ class TestDeepInput:
                                   *argv)
         assert (code, out) == (3, "")
         assert err == (f"ozk: line 2: p/2 has {clauses} guarded clauses, "
-                       f"more than the {MAX_CASCADE} a cut cascade may "
-                       f"nest\n")
+                       f"which nest more than the {MAX_CASCADE} levels a "
+                       f"cut cascade may take\n")
 
     def test_the_deepest_cut_cascade_runs(self, capsys, tmp_path):
         code, out, err = self.cli(capsys, tmp_path, self.cascade(MAX_CASCADE),
@@ -633,12 +633,12 @@ class TestDeepInput:
         "one_goal": ("cascade", MAX_CASCADE,
                      "p(1, Y)", "[7]\n",
                      f"ozk: line 2: p/2 has {MAX_CASCADE + 1} guarded "
-                     f"clauses, more than the {MAX_CASCADE} a cut cascade "
-                     f"may nest\n"),
+                     f"clauses, which nest more than the {MAX_CASCADE} "
+                     f"levels a cut cascade may take\n"),
         "two_goal": ("two_goal_cascade", MAX_CASCADE - 1, "p(1)", "[true]\n",
                      f"ozk: line 3: p/1 has {MAX_CASCADE} guarded clauses, "
-                     f"which nest {MAX_CASCADE + 1} levels, more than the "
-                     f"{MAX_CASCADE} a cut cascade may nest\n"),
+                     f"which nest more than the {MAX_CASCADE} levels a cut "
+                     f"cascade may take\n"),
     }
 
     @pytest.mark.parametrize("shape", sorted(LIMITS))
