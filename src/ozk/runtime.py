@@ -643,9 +643,8 @@ class Task:
         can enter a trigger or split off an entered body instead
         (:meth:`suspended`, :meth:`split`), and a budget that runs out
         inside an entered body splits it off (:meth:`split_unended`).  A
-        thread's deepest stack, at
-        the start of a reduction or at the end of the budget, goes to
-        ``stats.max_depth``."""
+        thread's deepest stack, at the start of a reduction or at the end
+        of the budget, goes to ``stats.max_depth``."""
         stack = self.stack
         stats = self.rt.stats
         limit = self.rt.step_limit
