@@ -81,9 +81,9 @@ A unification statement runs through `exec_unify`, as a reduction of
 its own or as part of the head of a `choice` alternative: an engine's
 `choice` runs its alternatives' leading unifications inside its own
 reduction and pushes only the rest of the one it enters
-(`search.Engine.choose`).  An engine's call of a
-procedure whose body is a `choice` enters that choice in the same step,
-counting it as a reduction of its own; a thread or a guard pushes it.
+(`search.Engine.choose`).  An engine's call of a procedure whose body
+is a `choice` enters that choice in the same step, counting it as a
+reduction of its own; a thread or a guard pushes it.
 
 `X = f(...)` is compiled unification, run from the read plan the
 compiler gave its compound (`compiler.Plan`; `unify_compound`).  When
