@@ -9,8 +9,10 @@ rejected by name with UnsupportedConstruct.
 Each predicate is translated on its own, from its clause list alone:
 
 * clauses guarded by cuts become an if/elseif chain; when a guard calls
-  user predicates it is encapsulated with SolveOne instead, one case arm
-  per clause, committing to the first clause whose guard has a solution;
+  user predicates, the guards become the alternatives of one choice that
+  one SolveOne runs encapsulated, and one flat case on its answer commits
+  to the first clause whose guard has a solution, so a call runs one
+  engine however many clauses the predicate has;
 * cut-free clauses discriminated by pairwise-distinct constants in one
   argument position become a case statement;
 * a single cut-free clause becomes a plain procedure body;
@@ -124,6 +126,17 @@ class Clause:
 # Reader
 # ---------------------------------------------------------------------------
 
+# The reader refuses a clause nested deeper than this, and leaves the rest
+# of the parser's levels to what the translation wraps around the clause's
+# terms, so that all it reads translates to text that reads back.  The
+# first goal of a cut guard that calls a user predicate is nested deepest,
+# five levels more than in the reader: in the `local` that declares the
+# guard procedure, the procedure, its `choice`, the clause's alternative
+# and that alternative's `local`.  A bagof/setof goal procedure and its
+# `local` take one level more than the reader's one for the call's
+# arguments, so the reader charges each bagof/setof term one level.
+MAX_READ_NESTING = MAX_NESTING - 5
+
 _PUNCT2 = (":-", "=<", ">=", "==", "//", "->", "\\+")
 
 _REJECTED_TOKENS = {
@@ -187,7 +200,8 @@ class _Reader:
     < *,div,// (400) < ^ (200, right-associative).
 
     Each nested ``term`` and each link of a left-leaning operator chain is
-    a level; more than ``parser.MAX_NESTING`` levels is a syntax error.
+    a level, and a bagof/setof term one more; more than
+    ``MAX_READ_NESTING`` levels is a syntax error.
     List items and right-associative chains (``a, b, c``) are read in a
     loop, so only a list's spine or a conjunction grows without limit."""
 
@@ -223,8 +237,8 @@ class _Reader:
 
     def enter(self) -> None:
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+        if self.depth > MAX_READ_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_READ_NESTING} levels",
                              self.peek()[2], 0)
 
     def clauses(self) -> list[Clause]:
@@ -314,10 +328,13 @@ class _Reader:
         if kind == "name":
             if self.peek()[:2] == ("punct", "("):
                 self.take()
+                charge = 1 if v in ("bagof", "setof") else 0
+                self.depth += charge
                 args = [self.term(999)]
                 while self.peek()[:2] == ("punct", ","):
                     self.take()
                     args.append(self.term(999))
+                self.depth -= charge
                 self.expect(")")
                 return PS(v, tuple(args))
             return PA(v)
@@ -613,13 +630,15 @@ class _Ctx:
         self.locals: list[str] = []
         self._counter = itertools.count(1)
 
-    def fresh(self, base: str = "T") -> str:
-        while True:
-            name = f"{base}{next(self._counter)}"
-            if name not in self.used:
-                self.used.add(name)
-                self.locals.append(name)
-                return name
+    def fresh(self, base: str = "T", bare: bool = False) -> str:
+        """A name not used yet, declared here: ``base`` with the next free
+        number, or ``base`` itself when ``bare`` and it is free."""
+        tries = itertools.chain([base] if bare else [],
+                                (f"{base}{n}" for n in self._counter))
+        name = next(n for n in tries if n not in self.used)
+        self.used.add(name)
+        self.locals.append(name)
+        return name
 
     def alias(self, v: PV, name: str):
         """Map a variable to an existing name without declaring it."""
@@ -887,19 +906,23 @@ def _head_stmts(clause: Clause, params, ctx: _Ctx,
     return stmts
 
 
+def _clause_block(ctx: _Ctx, clause: Clause, params, goals: list) -> Statement:
+    """The clause's head unifications, then ``goals``, in a `local` that
+    declares the variables they bring in."""
+    stmts = _head_stmts(clause, params, ctx)
+    stmts.extend(_body_stmts(goals, ctx))
+    return _local_or_seq(ctx.locals, stmts)
+
+
 # ---------------------------------------------------------------------------
 # Scheme: nondeterministic choice
 # ---------------------------------------------------------------------------
 
 
 def _translate_choice(name, params, clauses, names, generators) -> ProcDef:
-    alts = []
-    for c in clauses:
-        ctx = _Ctx(names, set(params), generators)
-        stmts = _head_stmts(c, params, ctx)
-        stmts.extend(_body_stmts(c.body, ctx))
-        alts.append(_local_or_seq(ctx.locals, stmts))
-    return ProcDef(name, params, Choice(tuple(alts)))
+    return ProcDef(name, params, Choice(tuple(
+        _clause_block(_Ctx(names, set(params), generators), c, params, c.body)
+        for c in clauses)))
 
 
 # ---------------------------------------------------------------------------
@@ -908,10 +931,8 @@ def _translate_choice(name, params, clauses, names, generators) -> ProcDef:
 
 
 def _translate_single(name, params, clause, names, generators) -> ProcDef:
-    ctx = _Ctx(names, set(params), generators)
-    stmts = _head_stmts(clause, params, ctx)
-    stmts.extend(_body_stmts(clause.body, ctx))
-    return ProcDef(name, params, _local_or_seq(ctx.locals, stmts))
+    return ProcDef(name, params, _clause_block(
+        _Ctx(names, set(params), generators), clause, params, clause.body))
 
 
 def _translate_case(name, params, clauses, names, pos, generators) -> ProcDef:
@@ -921,12 +942,10 @@ def _translate_case(name, params, clauses, names, pos, generators) -> ProcDef:
     for c in clauses:
         (kind, key), test = _case_test(c, c.head_args[pos])
         pattern = CLit(Int(key) if kind == "int" else Atom(key))
-        ctx = _Ctx(names, set(params), generators)
-        stmts = _head_stmts(c, params, ctx)
         body = list(c.body)
         body.remove(test)
-        stmts.extend(_body_stmts(body, ctx))
-        arms.append(CaseArm(pattern, _local_or_seq(ctx.locals, stmts)))
+        arms.append(CaseArm(pattern, _clause_block(
+            _Ctx(names, set(params), generators), c, params, body)))
     return ProcDef(name, params, CaseStmt(CVar(params[pos]), tuple(arms), Fail()))
 
 
@@ -1022,110 +1041,54 @@ def _translate_if_chain(name, params, clauses, names, generators) -> ProcDef:
             otherwise = Local(guard_vars, body) if guard_vars else body
             break
         arms.append(IfArm(guard_vars, guard, body))
-    return ProcDef(name, params, IfStmt(tuple(arms), otherwise))
+    return ProcDef(name, params,
+                   IfStmt(tuple(arms), otherwise) if arms else otherwise)
 
 
 # ---------------------------------------------------------------------------
-# Scheme: guarded cuts with user predicates -> SolveOne cascade
+# Scheme: guarded cuts with user predicates -> one SolveOne over a choice
 # ---------------------------------------------------------------------------
-
-
-# The nesting levels a cascade may take.  Each guarded clause is a link,
-# the `else` of the one before, so the k-th link (from 0) sits k levels
-# deep, under the program, the procedure and its `local`, and takes one
-# level of its own; its guard procedure's body or its arm's body takes
-# one more when it opens a `local`.  A cascade of links that open no
-# `local` and pass plain terms is 5 levels shallower than what the parser
-# reads, so it reads back.  A term nested in a clause takes levels of its
-# own, which the parser bounds as it does in any clause.
-MAX_CASCADE = MAX_NESTING - 5
 
 
 def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDef:
-    """Each guard runs encapsulated; the chain commits to the first
-    clause whose guard has a solution, passing guard bindings to the
-    body through the answer term.  A cascade that takes more than
-    ``MAX_CASCADE`` levels is refused, as soon as a link is built past
-    them."""
-    links = sum(1 for c in clauses
-                if c.cut_index is not None or _guard_goals(c))
-    first = clauses[0]
-
-    def check(levels: int) -> None:
-        if levels > MAX_CASCADE:
-            raise UnsupportedConstruct(
-                f"line {first.line}: {first.functor}/{first.arity} has "
-                f"{links} guarded clauses, which nest more than the "
-                f"{MAX_CASCADE} levels a cut cascade may take")
-
-    reserved = set(params)
-    for c in clauses:
-        reserved.update(v.name for v in term_vars(c.head))
-        reserved.update(v.name for v in goals_vars(c.body))
-    decls: list[str] = []
-    counter = itertools.count(1)
-
-    def fresh_pair():
-        while True:
-            n = next(counter)
-            g, r = f"Guard{n}", f"GR{n}"
-            if g not in reserved and r not in reserved:
-                reserved.update((g, r))
-                return g, r
-
-    def build(k: int) -> Statement:
-        if k == len(clauses):
-            return Fail()
-        c = clauses[k]
+    """The guards are the alternatives of one `choice`, run encapsulated
+    by one SolveOne.  Its first answer comes from the first clause whose
+    guard has a solution, which is the clause the cut commits to: the
+    answer `c<k>(outputs)` names the clause and carries the guard's
+    bindings to its arm of one flat case.  A trailing clause with no guard
+    is the case's `else`."""
+    scope = _Ctx(names, set(params), generators)
+    guard, res, param = (scope.fresh(base, bare=True)
+                         for base in ("Guard", "GR", "R"))
+    answer_var = PV(param)
+    last = clauses[-1]
+    final: Statement = Fail()
+    if last.cut_index is None and not _guard_goals(last):
+        clauses = clauses[:-1]
+        final = _clause_block(_Ctx(names, scope.used, generators),
+                              last, params, last.body)
+    alts, arms = [], []
+    for k, c in enumerate(clauses, 1):
         guard_goals = _guard_goals(c)
-        body_goals = _rest_goals(c)
         head_vars = term_vars(c.head)
-
-        if not guard_goals and c.cut_index is None:
-            ctx = _Ctx(names, reserved, generators)
-            stmts = _head_stmts(c, params, ctx)
-            stmts.extend(_body_stmts(body_goals, ctx))
-            check(k + bool(ctx.locals))
-            return _local_or_seq(ctx.locals, stmts)
-
-        outputs = [v for v in goals_vars(guard_goals)
-                   if v not in head_vars and not v.anon]
-
-        proc_name, res_name = fresh_pair()
-        decls.extend((proc_name, res_name))
-        param = f"{proc_name}R"
-
-        gctx = _Ctx(names, reserved | {param}, generators)
-        gstmts = _head_stmts(c, params, gctx)
-        gstmts.extend(_body_stmts(guard_goals, gctx))
-        out_names = [gctx.var_name(v) for v in outputs]
-        # the guard's answer, and in the arm the pattern that takes it apart
-        if len(out_names) == 1:
-            answer = CVar(out_names[0])
-        elif out_names:
-            answer = CCompound("g", tuple(CVar(o) for o in out_names))
-        else:
-            answer = CLit(Atom("g"))
-        gstmts.append(Unify(CVar(param), answer))
-        guard_proc = ProcDef(proc_name, (param,),
-                             _local_or_seq(gctx.locals, gstmts))
-
-        bctx = _Ctx(names, reserved, generators)
-        for v, n in zip(outputs, out_names):
-            bctx.alias(v, n)
-        bstmts = _head_stmts(c, params, bctx)
-        bstmts.extend(_body_stmts(body_goals, bctx))
-        arm_body = _local_or_seq(bctx.locals, bstmts)
-        check(k + 1 + bool(gctx.locals or bctx.locals))
-
-        arm = CaseArm(CCompound("|", (answer, CLit(Atom("nil")))), arm_body)
-        return seq_all([
-            guard_proc,
-            Call(CVar("SolveOne"), (CVar(proc_name), CVar(res_name))),
-            CaseStmt(CVar(res_name), (arm,), build(k + 1))])
-
-    chain = build(0)
-    return ProcDef(name, params, Local(tuple(decls), chain) if decls else chain)
+        outputs = tuple(v for v in goals_vars(guard_goals)
+                        if v not in head_vars and not v.anon)
+        # the guard ends with `R = c<k>(outputs)`, and the arm's pattern
+        # takes that answer apart under the guard's names for the outputs
+        answer = PS(f"c{k}", outputs) if outputs else PA(f"c{k}")
+        gctx = _Ctx(names, scope.used, generators)
+        gctx.alias(answer_var, param)
+        alts.append(_clause_block(gctx, c, params, guard_goals
+                                  + [PS("=", (answer_var, answer))]))
+        bctx = _Ctx(names, scope.used, generators)
+        for v in outputs:
+            bctx.alias(v, gctx.m[id(v)])
+        arms.append(CaseArm(term_expr(PS(".", (answer, NIL)), bctx),
+                            _clause_block(bctx, c, params, _rest_goals(c))))
+    return ProcDef(name, params, Local((guard, res), seq_all([
+        ProcDef(guard, (param,), Choice(tuple(alts))),
+        Call(CVar("SolveOne"), (CVar(guard), CVar(res))),
+        CaseStmt(CVar(res), tuple(arms), final)])))
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,20 @@ solution-level equivalence against the reference meta-interpreter."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from ozk.builtins import make_builtins
 from ozk.cli import main
 from ozk.errors import ParseError, QuietGuardViolation, UnsupportedConstruct
 from ozk.interp import Session
-from ozk.parser import MAX_NESTING, parse_program
+from ozk.parser import parse_program
 from ozk.prelude import PRELUDE_NAMES
-from ozk.prolog import (DETERMINISTIC, GUARDED_CUT, MAX_CASCADE,
+from ozk.prolog import (DETERMINISTIC, GUARDED_CUT, MAX_READ_NESTING,
                         NONDETERMINISTIC, PA, PI, PS, PV, classify,
                         parse_prolog, parse_query, translate_query_source,
                         translate_source)
-from ozk.syntax import CaseStmt, Choice, Fail, IfStmt, ProcDef, Unify
+from ozk.syntax import Call, CaseStmt, Choice, Fail, IfStmt, ProcDef, Unify
 
 # ---------------------------------------------------------------------------
 # Program corpus
@@ -113,47 +114,41 @@ lookup(a, 1, 2).
 
 PICK_KERNEL = """\
 proc {Pick K V W}
-   local Guard1 GR1 Guard2 GR2 Guard3 GR3 in
-      proc {Guard1 Guard1R}
-         local V1 V2 in
-            {Lookup K V1 V2}
-            Guard1R=g(V1 V2)
-         end
-      end
-      {SolveOne Guard1 GR1}
-      case GR1 of [g(V1 V2)] then
-         V=V1
-         W=V2
-      else
-         proc {Guard2 Guard2R}
+   local Guard GR in
+      proc {Guard R}
+         choice
+            local V0 W0 in
+               {Lookup K V0 W0}
+               R=c1(V0 W0)
+            end
+         []
+            local V0 V1 in
+               W=none
+               {Lookup K V0 V1}
+               R=c2(V0)
+            end
+         []
             local V1 V2 in
+               V=none
                W=none
                {Lookup K V1 V2}
-               Guard2R=V1
+               R=c3
             end
          end
-         {SolveOne Guard2 GR2}
-         case GR2 of [V1] then
-            W=none
-            V=V1
-         else
-            proc {Guard3 Guard3R}
-               local V1 V2 in
-                  V=none
-                  W=none
-                  {Lookup K V1 V2}
-                  Guard3R=g
-               end
-            end
-            {SolveOne Guard3 GR3}
-            case GR3 of [g] then
-               V=none
-               W=none
-            else
-               V=none
-               W=none
-            end
-         end
+      end
+      {SolveOne Guard GR}
+      case GR of [c1(V0 W0)] then
+         V=V0
+         W=W0
+      [] [c2(V0)] then
+         W=none
+         V=V0
+      [] [c3] then
+         V=none
+         W=none
+      else
+         V=none
+         W=none
       end
    end
 end
@@ -163,6 +158,16 @@ proc {Lookup A1 A2 A3}
    A2=1
    A3=2
 end
+"""
+
+# guards that call two predicates and share a variable
+TWO_GOAL_GUARDS = """
+q(a, 1).
+q(b, 2).
+r(2).
+p(X) :- q(X, Z), r(Z), !.
+p(X) :- q(X, Z), Z > 0, !.
+p(_).
 """
 
 # lists whose first item is a partial list
@@ -383,11 +388,19 @@ class TestTranslationShapes:
         assert isinstance(p.body, IfStmt) and len(p.body.arms) == 2
         assert not isinstance(p.body.otherwise, Fail)
 
-    def test_user_predicate_guards_become_a_solve_cascade(self):
-        src = translate_source(LOOKUP_GUARD)
-        assert "SolveOne" in src
-        p = proc_named(LOOKUP_GUARD, "Double")
-        assert not any(isinstance(n, Choice) for n in nodes(p))
+    @pytest.mark.parametrize("program,name", [(LOOKUP_GUARD, "Double"),
+                                              (PICK, "Pick"),
+                                              (TWO_GOAL_GUARDS, "P")])
+    def test_user_predicate_guards_become_a_solve_cascade(self, program, name):
+        # one engine per call: the guards are the alternatives of one
+        # choice, the body of the procedure passed to SolveOne
+        p = proc_named(program, name)
+        (solve,) = [n for n in nodes(p) if isinstance(n, Call)
+                    and n.target.name == "SolveOne"]
+        (guard,) = [n for n in nodes(p) if isinstance(n, ProcDef)
+                    and n.name == solve.args[0].name]
+        choices = [n for n in nodes(p) if isinstance(n, Choice)]
+        assert len(choices) == 1 and choices[0] is guard.body
 
     def test_snake_case_predicates_become_camel_case(self):
         src = translate_source(QUEENS)
@@ -403,7 +416,7 @@ class TestTranslationShapes:
 
     @pytest.mark.parametrize("program", [
         FATHER, CHILDREN, QUEENS, APPEND, MEMBER, NREV, PAIRS, GRANDFATHER,
-        SIGN, SUM_TO, SPEAK, LOOKUP_GUARD,
+        SIGN, SUM_TO, SPEAK, LOOKUP_GUARD, PICK, TWO_GOAL_GUARDS,
     ])
     def test_emitted_text_reparses(self, program):
         src = translate_source(program)
@@ -434,7 +447,9 @@ def fmt_plain(t) -> str:
     return f"{t[0]}({' '.join(fmt_plain(a) for a in t[1:])})"
 
 
-def oracle_all_text(program: str, query: str) -> str:
+def oracle_all_text(program: str, query: str, first: bool = False) -> str:
+    """The meta-interpreter's answer list, or with ``first`` the list of
+    its first answer only, as SolveOne gives it."""
     db = oracles.read_program(program)
     goals, qvars = oracles.read_query(query)
     vs = list(qvars.values())
@@ -445,6 +460,8 @@ def oracle_all_text(program: str, query: str) -> str:
     else:
         template = ("s", "q", tuple(vs))
     answers = oracles.solve_all(db, goals, template)
+    if first:
+        answers = answers[:1]
     return fmt_plain(oracles.to_plain(oracles.olist(answers)))
 
 
@@ -549,6 +566,57 @@ class TestBagofSetof:
 
 
 # ---------------------------------------------------------------------------
+# Generated cut cascades against the meta-interpreter
+# ---------------------------------------------------------------------------
+
+CASCADE_FACTS = "q(a, 1).\nq(b, 2).\nq(0, 1).\nq(b, 3).\nr(1).\nr(3).\n"
+CASCADE_QUERIES = [f"p({c}, Y)" for c in ("a", "b", "0", "1", "zz")] + [
+    "p(b, 2)", "p(b, f(2))"]
+
+
+@st.composite
+def cascades(draw):
+    """1 to 4 clauses of p(X, Y) whose guards call q/2, then perhaps r/1
+    and a test of what q/2 gave, then cut.  The second head argument is a
+    variable, so no guard binds one of the caller's variables."""
+    n = draw(st.integers(1, 4))
+    clauses = []
+    for k in range(n):
+        first = draw(st.sampled_from(("a", "b", "0", "1", "X")))
+        guard = [f"q({first}, Z)"]
+        if draw(st.booleans()):
+            guard.append("r(Z)")
+        if draw(st.booleans()):
+            guard.append(draw(st.sampled_from(
+                ("Z > 1", "Z < 3", "Z =< 1", "Z >= 3", "Z == 2"))))
+        body = draw(st.sampled_from(("Y = Z", "Y = f(Z)", "Y = c")))
+        cut = ["!"]
+        if k == n - 1:
+            dropped = draw(st.sampled_from(("none", "cut", "guard")))
+            if dropped == "cut":
+                cut = []
+            elif dropped == "guard":
+                guard, body = [], "Y = c"
+        clauses.append(f"p({first}, Y) :- "
+                       + ", ".join(guard + cut + [body]) + ".\n")
+    return CASCADE_FACTS + "".join(clauses)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cascades())
+def test_generated_cut_cascades_match_the_meta_interpreter(program):
+    session = Session()
+    session.feed(translate_source(program))
+    clauses = parse_prolog(program)
+    for query in CASCADE_QUERIES:
+        res = session.feed(translate_query_source(query, clauses,
+                                                  all_solutions=True))
+        assert res.status == "done", (program, query, res)
+        assert res.browses[-1] == oracle_all_text(program, query), (
+            program, query)
+
+
+# ---------------------------------------------------------------------------
 # Queens through the translator
 # ---------------------------------------------------------------------------
 
@@ -599,64 +667,40 @@ class TestDeepInput:
     @staticmethod
     def cascade(clauses: int) -> str:
         """A predicate whose every clause commits with a cut after calling
-        another predicate: a SolveOne cascade, one link per clause."""
-        return "q(_, 7).\n" + "p(I, Y) :- q(I, 7), !, Y = 7.\n" * clauses
-
-    @pytest.mark.parametrize("clauses", [120, 1200])
-    @pytest.mark.parametrize("argv", [["run", "--query", "p(1, Y)"],
-                                      ["translate"]], ids=["run", "translate"])
-    def test_too_deep_a_cut_cascade_is_refused(self, capsys, tmp_path,
-                                               clauses, argv):
-        code, out, err = self.cli(capsys, tmp_path, self.cascade(clauses),
-                                  *argv)
-        assert (code, out) == (3, "")
-        assert err == (f"ozk: line 2: p/2 has {clauses} guarded clauses, "
-                       f"which nest more than the {MAX_CASCADE} levels a "
-                       f"cut cascade may take\n")
-
-    def test_the_deepest_cut_cascade_runs(self, capsys, tmp_path):
-        code, out, err = self.cli(capsys, tmp_path, self.cascade(MAX_CASCADE),
-                                  "run", "--query", "p(1, Y)")
-        assert (code, out, err) == (0, "[7]\n", "")
+        another predicate, and whose last clause alone has a guard that
+        holds: one SolveOne over a choice of ``clauses`` guards."""
+        return f"q(_, {clauses - 1}).\n" + "".join(
+            f"p(I, Y) :- q(I, {k}), !, Y = {k}.\n" for k in range(clauses))
 
     @staticmethod
     def two_goal_cascade(clauses: int) -> str:
-        """A cascade whose every guard calls two predicates, so that its
-        guard procedure opens a `local` for the variable they share: one
-        level more than a one-goal cascade of as many links."""
+        """A cascade whose every guard calls two predicates, so that each
+        alternative of its guard procedure opens a `local` for the variable
+        they share."""
         return ("q(_, 7).\nr(_).\n" + "p(X) :- q(X, Z), r(Z), !.\n" * clauses
                 + "p(_).\n")
 
-    # (program at its level limit, its query and answer, the refusal one
-    # clause past it)
-    LIMITS = {
-        "one_goal": ("cascade", MAX_CASCADE,
-                     "p(1, Y)", "[7]\n",
-                     f"ozk: line 2: p/2 has {MAX_CASCADE + 1} guarded "
-                     f"clauses, which nest more than the {MAX_CASCADE} "
-                     f"levels a cut cascade may take\n"),
-        "two_goal": ("two_goal_cascade", MAX_CASCADE - 1, "p(1)", "[true]\n",
-                     f"ozk: line 3: p/1 has {MAX_CASCADE} guarded clauses, "
-                     f"which nest more than the {MAX_CASCADE} levels a cut "
-                     f"cascade may take\n"),
+    # the program's maker, its clauses, and the query
+    CASCADES = {
+        "one_goal_120": ("cascade", 120, "p(1, Y)"),
+        "one_goal_1200": ("cascade", 1200, "p(1, Y)"),
+        "two_goal_95": ("two_goal_cascade", 95, "p(1)"),
     }
 
-    @pytest.mark.parametrize("shape", sorted(LIMITS))
+    @pytest.mark.parametrize("shape", sorted(CASCADES))
     @pytest.mark.parametrize("command", ["run", "translate"])
-    def test_a_cascade_at_its_level_limit_reads_back_and_one_past_is_refused(
-            self, capsys, tmp_path, shape, command):
-        maker, links, query, answer, refusal = self.LIMITS[shape]
-        program = getattr(self, maker)
+    def test_a_long_cut_cascade_runs_and_reads_back(self, capsys, tmp_path,
+                                                   shape, command):
+        maker, clauses, query = self.CASCADES[shape]
+        program = getattr(self, maker)(clauses)
         argv = [command] + (["--query", query] if command == "run" else [])
-        code, out, err = self.cli(capsys, tmp_path, program(links), *argv)
+        code, out, err = self.cli(capsys, tmp_path, program, *argv)
         assert (code, err) == (0, "")
         if command == "run":
-            assert out == answer
+            assert out == oracle_all_text(program, query, first=True) + "\n"
         else:
             ambient = tuple(make_builtins()) + PRELUDE_NAMES
             assert parse_program(out, ambient)
-        code, out, err = self.cli(capsys, tmp_path, program(links + 1), *argv)
-        assert (code, out, err) == (3, "", refusal)
 
     @pytest.mark.parametrize("command", ["run", "translate"])
     def test_deep_term_is_a_syntax_error(self, capsys, tmp_path, command):
@@ -666,7 +710,8 @@ class TestDeepInput:
         code, out, err = self.cli(capsys, tmp_path, f"q(X) :- X = {deep}.\n",
                                   command, "--query", "q(X)")
         assert code == 3
-        assert err == f"ozk: line 1:0: nesting deeper than {MAX_NESTING} levels\n"
+        assert err == (f"ozk: line 1:0: nesting deeper than {MAX_READ_NESTING} "
+                       f"levels\n")
 
     def test_deep_query_is_a_syntax_error(self, capsys, tmp_path):
         code, _, err = self.cli(capsys, tmp_path, "p(a).\n", "run", "--query",
@@ -676,12 +721,48 @@ class TestDeepInput:
     def test_nesting_just_within_the_limit_reads(self):
         # the clause, its body, the = and its right side take four levels
         deep = "a"
-        for _ in range(MAX_NESTING - 4):
+        for _ in range(MAX_READ_NESTING - 4):
             deep = f"f({deep})"
         clause, = parse_prolog(f"q(X) :- X = {deep}.")
         assert translate_source(f"q(X) :- X = {deep}.")
         with pytest.raises(ParseError, match="nesting deeper"):
             parse_prolog(f"q(X) :- X = f({deep}).")
+
+    # A term f(...f(X)...) nested `depth` deep in each place the translation
+    # wraps in levels of its own, at the deepest the reader accepts there:
+    # a choice's head, a cut guard's call, and a bagof goal procedure in
+    # the body, in a cut guard, and in another bagof's goal.
+    DEEPEST = {
+        "unify": ("q(X) :- X = {}.", 91),
+        "choice_head": ("p({}).\np(b).", 93),
+        "cascade_guard": ("q(_).\np(X) :- q({}), !.\np(_).", 92),
+        "bagof": ("q(_).\np(L) :- bagof(X, q({}), L).", 90),
+        "bagof_in_guard": ("q(_).\np(L) :- bagof(X, q({}), L), !.\np(_).",
+                           90),
+        "nested_bagof": ("q(_).\n"
+                         "p(L) :- bagof(Y, bagof(X, q({}), Y), L), !.\np(_).",
+                         88),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DEEPEST))
+    def test_the_deepest_term_the_reader_accepts_reads_back(
+            self, capsys, tmp_path, shape):
+        program, depth = self.DEEPEST[shape]
+        inner = "a" if shape in ("unify", "choice_head") else "X"
+
+        def nested(n):
+            return "f(" * n + inner + ")" * n
+
+        code, out, err = self.cli(capsys, tmp_path,
+                                  program.format(nested(depth)), "translate")
+        assert (code, err) == (0, "")
+        assert parse_program(out, tuple(make_builtins()) + PRELUDE_NAMES)
+        text = program.format(nested(depth + 1))
+        line = 1 + text[:text.index("f(")].count("\n")
+        code, out, err = self.cli(capsys, tmp_path, text, "translate")
+        assert (code, out) == (3, "")
+        assert err == (f"ozk: line {line}:0: nesting deeper than "
+                       f"{MAX_READ_NESTING} levels\n")
 
     def test_long_list_prints_without_recursion(self):
         items = ",".join(str(i) for i in range(3000))
