@@ -52,9 +52,7 @@ across nodes.
 from __future__ import annotations
 
 import random
-import string
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Optional
@@ -70,7 +68,7 @@ from .syntax import Local, ThreadStmt, seq_all, seq_items
 from .terms import (Atom, Compound, Int, Snapshot, Store, Var, VarId,
                     materialize, render, snapshot)
 
-THREAD_NAMES = string.ascii_lowercase
+THREAD_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 MESSAGE_KINDS = ("Register", "BindRequest", "BindNotify", "UnifyVarVar")
 
@@ -157,13 +155,17 @@ def parse_placement(text: str) -> dict:
 # -- the network -------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class Message:
-    src: int
-    dst: int
-    kind: str                 # one of MESSAGE_KINDS
-    var: VarId                # the variable the message is about
-    payload: object = None    # Snapshot for binds, lesser VarId for UnifyVarVar
+    __slots__ = ("src", "dst", "kind", "var", "payload")
+
+    def __init__(self, src: int, dst: int, kind: str, var: VarId,
+                 payload: object):
+        self.src = src
+        self.dst = dst
+        self.kind = kind          # one of MESSAGE_KINDS
+        self.var = var            # the variable the message is about
+        # a Snapshot for binds, the lesser VarId for UnifyVarVar
+        self.payload = payload
 
     def trace_line(self) -> str:
         return f"{self.src} {self.dst} {self.kind} v{self.var[0]}.{self.var[1]}"
@@ -230,17 +232,22 @@ class Node:
 # -- the simulation ----------------------------------------------------------
 
 
-@dataclass
 class SimReport:
-    status: str                      # done | failed | deadlock | limit
-    clock: int                       # virtual ms at quiescence
-    outputs: dict                    # node id -> list of browse lines
-    sent: Counter                    # messages posted, by kind
-    delivered: Counter               # messages delivered, by kind
-    steps: int                       # event-loop iterations
-    failures: list
-    suspended: dict                  # node id -> [(tid, [vid, ...]), ...]
-    nodes: list = field(repr=False, default_factory=list)
+    __slots__ = ("status", "clock", "outputs", "sent", "delivered", "steps",
+                 "failures", "suspended", "nodes")
+
+    def __init__(self, status: str, clock: int, outputs: dict, sent: Counter,
+                 delivered: Counter, steps: int, failures: list,
+                 suspended: dict, nodes: list):
+        self.status = status         # done | failed | deadlock | limit
+        self.clock = clock           # virtual ms at quiescence
+        self.outputs = outputs       # node id -> list of browse lines
+        self.sent = sent             # messages posted, by kind
+        self.delivered = delivered   # messages delivered, by kind
+        self.steps = steps           # event-loop iterations
+        self.failures = failures
+        self.suspended = suspended   # node id -> [(tid, [vid, ...]), ...]
+        self.nodes = nodes
 
     @property
     def total_delivered(self) -> int:

@@ -61,7 +61,8 @@ class Session:
         if prelude:
             result = self.feed(PRELUDE)
             if result.status != "done":
-                raise AssertionError(f"prelude failed: {result}")
+                raise AssertionError(f"prelude failed: {result.status} "
+                                     f"{result.failures}")
 
     def names(self) -> tuple:
         return tuple(self.globals)

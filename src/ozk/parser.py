@@ -28,7 +28,6 @@ the desugared form prints and reads back; its ``R`` must be declared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation
@@ -66,13 +65,15 @@ MAX_NESTING = 100
 # -- tokens ---------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class Tok:
-    kind: str          # int var atom anon kw op eof
-    val: object
-    line: int
-    col: int
-    end: int           # column just past the token
+    __slots__ = ("kind", "val", "line", "col", "end")
+
+    def __init__(self, kind: str, val: object, line: int, col: int, end: int):
+        self.kind = kind  # int var atom anon kw op eof
+        self.val = val
+        self.line = line
+        self.col = col
+        self.end = end  # column just past the token
 
 
 def tokenize(src: str) -> list[Tok]:
@@ -147,149 +148,196 @@ def tokenize(src: str) -> list[Tok]:
 # -- surface syntax tree ---------------------------------------------------
 
 
-@dataclass
 class EInt:
-    v: int
-    pos: tuple
+    __slots__ = ("v", "pos")
+
+    def __init__(self, v: int, pos: tuple):
+        self.v = v
+        self.pos = pos
 
 
-@dataclass
 class EAtom:
-    name: str
-    pos: tuple
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: tuple):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class EVar:
-    name: str
-    pos: tuple
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: tuple):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class EAnon:
-    pos: tuple
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: tuple):
+        self.pos = pos
 
 
-@dataclass
 class EComp:
-    label: str
-    args: list
-    pos: tuple
+    __slots__ = ("label", "args", "pos")
+
+    def __init__(self, label: str, args: list, pos: tuple):
+        self.label = label
+        self.args = args
+        self.pos = pos
 
 
-@dataclass
 class ECall:
-    target: object
-    args: list
-    hole: Optional[int]
-    pos: tuple
+    __slots__ = ("target", "args", "hole", "pos")
+
+    def __init__(self, target: object, args: list, hole: Optional[int],
+                 pos: tuple):
+        self.target = target
+        self.args = args
+        self.hole = hole
+        self.pos = pos
 
 
-@dataclass
 class EBin:
-    op: str
-    l: object
-    r: object
-    pos: tuple
+    __slots__ = ("op", "l", "r", "pos")
+
+    def __init__(self, op: str, l: object, r: object, pos: tuple):
+        self.op = op
+        self.l = l
+        self.r = r
+        self.pos = pos
 
 
-@dataclass
 class GExpr:
-    e: object
+    __slots__ = ("e",)
+
+    def __init__(self, e: object):
+        self.e = e
 
 
-@dataclass
 class GStmts:
-    vars: list
-    block: "SBlock"
+    __slots__ = ("vars", "block")
+
+    def __init__(self, vars: list, block: SBlock):
+        self.vars = vars
+        self.block = block
 
 
-@dataclass
 class EIf:
-    arms: list          # (guard, SBlock) pairs
-    els: Optional["SBlock"]
-    pos: tuple
+    __slots__ = ("arms", "els", "pos")
+
+    def __init__(self, arms: list, els: Optional[SBlock], pos: tuple):
+        self.arms = arms  # (guard, SBlock) pairs
+        self.els = els
+        self.pos = pos
 
 
-@dataclass
 class ECase:
-    subject: object
-    arms: list          # (pattern, SBlock) pairs
-    els: object         # None | SBlock | ECase (elsecase chain)
-    pos: tuple
+    __slots__ = ("subject", "arms", "els", "pos")
+
+    def __init__(self, subject: object, arms: list, els: object, pos: tuple):
+        self.subject = subject
+        self.arms = arms  # (pattern, SBlock) pairs
+        self.els = els  # None | SBlock | ECase (elsecase chain)
+        self.pos = pos
 
 
-@dataclass
 class EDef:
-    name: Optional[str]  # None for anonymous ($) definitions
-    params: list         # 'var' names or None for _ placeholders
-    body: "SBlock"
-    isfun: bool
-    lazy: bool
-    pos: tuple
+    __slots__ = ("name", "params", "body", "isfun", "lazy", "pos")
+
+    def __init__(self, name: Optional[str], params: list, body: SBlock,
+                 isfun: bool, lazy: bool, pos: tuple):
+        self.name = name  # None for anonymous ($) definitions
+        self.params = params  # 'var' names or None for _ placeholders
+        self.body = body
+        self.isfun = isfun
+        self.lazy = lazy
+        self.pos = pos
 
 
-@dataclass
 class SBlock:
-    decls: list
-    body: list
-    has_in: bool
-    pos: tuple
+    __slots__ = ("decls", "body", "has_in", "pos")
+
+    def __init__(self, decls: list, body: list, has_in: bool, pos: tuple):
+        self.decls = decls
+        self.body = body
+        self.has_in = has_in
+        self.pos = pos
 
 
-@dataclass
 class SSkip:
-    pos: tuple
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: tuple):
+        self.pos = pos
 
 
-@dataclass
 class SFail:
-    pos: tuple
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: tuple):
+        self.pos = pos
 
 
-@dataclass
 class SLocal:
-    block: SBlock
-    pos: tuple
+    __slots__ = ("block", "pos")
+
+    def __init__(self, block: SBlock, pos: tuple):
+        self.block = block
+        self.pos = pos
 
 
-@dataclass
 class SThread:
     """``thread ... end``, or with ``result`` ``lazy R then ... end``."""
-    block: SBlock
-    pos: tuple
-    result: Optional[Tok] = None
+    __slots__ = ("block", "pos", "result")
+
+    def __init__(self, block: SBlock, pos: tuple,
+                 result: Optional[Tok] = None):
+        self.block = block
+        self.pos = pos
+        self.result = result
 
 
-@dataclass
 class SChoice:
-    blocks: list
-    pos: tuple
+    __slots__ = ("blocks", "pos")
+
+    def __init__(self, blocks: list, pos: tuple):
+        self.blocks = blocks
+        self.pos = pos
 
 
-@dataclass
 class SUnify:
-    l: object
-    r: object
-    pos: tuple
+    __slots__ = ("l", "r", "pos")
+
+    def __init__(self, l: object, r: object, pos: tuple):
+        self.l = l
+        self.r = r
+        self.pos = pos
 
 
-@dataclass
 class STest:
-    e: EBin
-    pos: tuple
+    __slots__ = ("e", "pos")
+
+    def __init__(self, e: EBin, pos: tuple):
+        self.e = e
+        self.pos = pos
 
 
-@dataclass
 class SCallS:
-    call: ECall
-    pos: tuple
+    __slots__ = ("call", "pos")
+
+    def __init__(self, call: ECall, pos: tuple):
+        self.call = call
+        self.pos = pos
 
 
-@dataclass
 class SExpr:
-    e: object
-    pos: tuple
+    __slots__ = ("e", "pos")
+
+    def __init__(self, e: object, pos: tuple):
+        self.e = e
+        self.pos = pos
 
 
 # -- parser ----------------------------------------------------------------
@@ -792,7 +840,7 @@ class _Desugar:
             temps.append(t)
             fills.append(self.case_core(e, scope, t))
             return CVar(t)
-        raise TypeError(f"cannot lower {e!r}")
+        raise TypeError(f"cannot lower {type(e).__name__}")
 
     def call_core(self, call: ECall, scope, pre: list, temps: list,
                   res=None):
@@ -859,7 +907,7 @@ class _Desugar:
             if isinstance(e, EVar):
                 self.err(f"variable {e.name} by itself is not a statement", s.pos)
             self.err("this expression is only allowed as a function result", s.pos)
-        raise TypeError(f"cannot desugar {s!r}")
+        raise TypeError(f"cannot desugar {type(s).__name__}")
 
     def unify_core(self, s: SUnify, scope) -> Statement:
         # When one side is exactly a call and the other a variable, pass the

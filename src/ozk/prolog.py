@@ -31,7 +31,6 @@ enumerate bindings for the free variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation, UnsupportedConstruct
@@ -102,12 +101,15 @@ NIL = PA("[]")
 CUT = PA("!")
 
 
-@dataclass
 class Clause:
-    head: PTerm                  # PA (arity 0) or PS
-    body: list                   # goal terms, the `!` removed
-    cut_index: Optional[int]     # index in body where the cut sat
-    line: int = 0
+    __slots__ = ("head", "body", "cut_index", "line")
+
+    def __init__(self, head: PTerm, body: list, cut_index: Optional[int],
+                 line: int):
+        self.head = head             # PA (arity 0) or PS
+        self.body = body             # goal terms, the `!` removed
+        self.cut_index = cut_index   # index in body where the cut sat
+        self.line = line
 
     @property
     def functor(self) -> str:
@@ -461,11 +463,15 @@ GUARDED_CUT = "guarded_cut"
 NONDETERMINISTIC = "nondeterministic"
 
 
-@dataclass
 class PredicateClass:
-    kind: str
-    deterministic_guard: bool = True
-    case_position: Optional[int] = None   # for DETERMINISTIC with >1 clause
+    __slots__ = ("kind", "deterministic_guard", "case_position")
+
+    def __init__(self, kind: str, deterministic_guard: bool = True,
+                 case_position: Optional[int] = None):
+        self.kind = kind
+        self.deterministic_guard = deterministic_guard
+        # for DETERMINISTIC with more than one clause
+        self.case_position = case_position
 
 
 def _guard_goals(clause: Clause) -> list:

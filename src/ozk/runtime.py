@@ -140,7 +140,6 @@ import operator as _operator
 import random as _random
 import time as _time
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat as _repeat
 from typing import Callable, Optional
@@ -1017,29 +1016,47 @@ class OzThread:
         self.byneed = False
 
 
-@dataclass
 class Stats:
-    reductions: int = 0
-    spawned: int = 0                 # threads started by `thread` or a fire
-    exits: Counter = field(default_factory=Counter)   # exit status -> count
-    max_depth: int = 0               # the deepest stack of any thread
-    # by-need triggers: left on a variable, entered on a needer's stack,
-    # fired as a thread, and entered bodies split off as a thread
-    triggers: int = 0
-    entered: int = 0
-    fired: int = 0
-    splits: int = 0
+    """Counts over a runtime's life."""
+
+    __slots__ = ("reductions", "spawned", "exits", "max_depth", "triggers",
+                 "entered", "fired", "splits")
+
+    def __init__(self):
+        self.reductions = 0
+        self.spawned = 0             # threads started by `thread` or a fire
+        self.exits: Counter = Counter()   # exit status -> count
+        self.max_depth = 0           # the deepest stack of any thread
+        # by-need triggers: left on a variable, entered on a needer's
+        # stack, fired as a thread, and entered bodies split off as a thread
+        self.triggers = 0
+        self.entered = 0
+        self.fired = 0
+        self.splits = 0
 
 
-@dataclass
 class RunResult:
-    status: str                      # done | failed | deadlock | limit
-    clock: int
-    browse_log: list                 # (clock, text) per line browsed
-    failures: list
-    suspended: list
-    stats: Stats
-    idle: list = field(default_factory=list)
+    """What one run did: ``status`` is done, failed, deadlock or limit,
+    and ``browse_log`` holds a (clock, text) pair per line browsed."""
+
+    # no __slots__: ``browses`` is a cached_property, kept in __dict__
+
+    def __init__(self, status: str, clock: int, browse_log: list,
+                 failures: list, suspended: list, stats: Stats,
+                 idle: list):
+        self.status = status
+        self.clock = clock
+        self.browse_log = browse_log
+        self.failures = failures
+        self.suspended = suspended
+        self.stats = stats
+        self.idle = idle
+
+    def __repr__(self):
+        return (f"RunResult(status={self.status!r}, clock={self.clock}, "
+                f"browse_log={self.browse_log!r}, "
+                f"failures={self.failures!r}, "
+                f"suspended={self.suspended!r}, idle={self.idle!r})")
 
     @cached_property
     def browses(self) -> list:

@@ -31,33 +31,62 @@ and never nested directly in another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .terms import Atom, Int
 
+
+class _Node:
+    """A node of the tree, whose fields are its class's ``__slots__``.
+    Two nodes are equal when they are of one class and their fields are
+    equal, and a node prints as its class called with its fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
 # -- expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CVar:
-    name: str
+class CVar(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True, slots=True)
-class CLit:
-    value: Union[Atom, Int]
+class CLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[Atom, Int]):
+        self.value = value
 
 
-@dataclass(frozen=True, slots=True)
-class CAnon:
-    pass
+class CAnon(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CCompound:
-    label: str
-    args: tuple
+class CCompound(_Node):
+    __slots__ = ("label", "args")
+
+    def __init__(self, label: str, args: tuple):
+        self.label = label
+        self.args = args
 
 
 Expr = Union[CVar, CLit, CAnon, CCompound]
@@ -87,96 +116,120 @@ def expr_names(*exprs) -> list:
 OPERATORS = frozenset(("+", "-", "*", "div", "<", ">", "=<", ">="))
 
 
-@dataclass(frozen=True, slots=True)
-class Skip:
-    pass
+class Skip(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Fail:
-    pass
+class Fail(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
-    stmts: tuple
+class Block(_Node):
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: tuple):
+        self.stmts = stmts
 
 
-@dataclass(frozen=True, slots=True)
-class Local:
-    names: tuple
-    body: "Statement"
+class Local(_Node):
+    __slots__ = ("names", "body")
+
+    def __init__(self, names: tuple, body: Statement):
+        self.names = names
+        self.body = body
 
 
-@dataclass(frozen=True, slots=True)
-class Unify:
-    lhs: Expr
-    rhs: Expr
+class Unify(_Node):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Expr, rhs: Expr):
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass(frozen=True, slots=True)
-class IfArm:
-    guard_vars: tuple
-    guard: "Statement"
-    body: "Statement"
+class IfArm(_Node):
+    __slots__ = ("guard_vars", "guard", "body")
+
+    def __init__(self, guard_vars: tuple, guard: Statement, body: Statement):
+        self.guard_vars = guard_vars
+        self.guard = guard
+        self.body = body
 
 
-@dataclass(frozen=True, slots=True)
-class IfStmt:
-    arms: tuple
-    otherwise: "Statement"
+class IfStmt(_Node):
+    __slots__ = ("arms", "otherwise")
+
+    def __init__(self, arms: tuple, otherwise: Statement):
+        self.arms = arms
+        self.otherwise = otherwise
 
 
-@dataclass(frozen=True, slots=True)
-class CaseArm:
-    pattern: Expr
-    body: "Statement"
+class CaseArm(_Node):
+    __slots__ = ("pattern", "body")
+
+    def __init__(self, pattern: Expr, body: Statement):
+        self.pattern = pattern
+        self.body = body
 
 
-@dataclass(frozen=True, slots=True)
-class CaseStmt:
-    subject: Expr
-    arms: tuple
-    otherwise: "Statement"
+class CaseStmt(_Node):
+    __slots__ = ("subject", "arms", "otherwise")
+
+    def __init__(self, subject: Expr, arms: tuple, otherwise: Statement):
+        self.subject = subject
+        self.arms = arms
+        self.otherwise = otherwise
 
 
-@dataclass(frozen=True, slots=True)
-class Choice:
-    alternatives: tuple
+class Choice(_Node):
+    __slots__ = ("alternatives",)
+
+    def __init__(self, alternatives: tuple):
+        self.alternatives = alternatives
 
 
-@dataclass(frozen=True, slots=True)
-class ProcDef:
-    name: str
-    params: tuple
-    body: "Statement"
+class ProcDef(_Node):
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: tuple, body: Statement):
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    target: Expr
-    args: tuple
+class Call(_Node):
+    __slots__ = ("target", "args")
+
+    def __init__(self, target: Expr, args: tuple):
+        self.target = target
+        self.args = args
 
 
-@dataclass(frozen=True, slots=True)
-class BuiltinCall:
-    name: str
-    args: tuple
+class BuiltinCall(_Node):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args
 
 
-@dataclass(frozen=True, slots=True)
-class ThreadStmt:
-    body: "Statement"
+class ThreadStmt(_Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Statement):
+        self.body = body
 
 
-@dataclass(frozen=True, slots=True)
-class LazyStmt:
+class LazyStmt(_Node):
     """``lazy R then S end``: a by-need trigger on the variable ``R``,
     which runs ``S`` once ``R`` is needed (the body of a ``fun lazy``,
     with ``R`` its result).  The parser reads it as a statement only so
     that a printed program reads back."""
-    result: str
-    body: "Statement"
+    __slots__ = ("result", "body")
+
+    def __init__(self, result: str, body: Statement):
+        self.result = result
+        self.body = body
 
 
 Statement = Union[Skip, Fail, Block, Local, Unify, IfStmt, CaseStmt, Choice,

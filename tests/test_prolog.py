@@ -1,8 +1,6 @@
 """Prolog front end: reader, classification, translation shapes, and
 solution-level equivalence against the reference meta-interpreter."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,14 +188,14 @@ def pred(clauses_text, functor, arity):
 
 
 def nodes(tree):
-    """All dataclass nodes of a core AST, depth first."""
+    """All nodes of a core AST, depth first: a node's fields are its
+    ``__slots__``."""
     yield tree
-    if dataclasses.is_dataclass(tree):
-        for f in dataclasses.fields(tree):
-            value = getattr(tree, f.name)
-            for item in value if isinstance(value, tuple) else (value,):
-                if dataclasses.is_dataclass(item):
-                    yield from nodes(item)
+    for name in tree.__slots__:
+        value = getattr(tree, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if type(item).__module__ == "ozk.syntax":
+                yield from nodes(item)
 
 
 def proc_named(source_text, name, generators=False):
