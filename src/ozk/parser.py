@@ -64,6 +64,11 @@ MAX_NESTING = 100
 
 # -- tokens ---------------------------------------------------------------
 
+# An integer literal is written in ASCII digits only.  Another character
+# that str.isdigit accepts (``²``, ``٣``) starts no token, and is refused
+# where it stands; inside a name it is part of the name.
+DIGITS = frozenset("0123456789")
+
 
 class Tok:
     __slots__ = ("kind", "val", "line", "col", "end")
@@ -114,11 +119,11 @@ def tokenize(src: str) -> list[Tok]:
             else:
                 toks.append(Tok("atom", word, line, start_col, col))
             continue
-        if c.isdigit() or (c == "~" and i + 1 < n and src[i + 1].isdigit()):
+        if c in DIGITS or (c == "~" and i + 1 < n and src[i + 1] in DIGITS):
             neg = c == "~"
             j = i + 1 if neg else i
             k = j
-            while k < n and src[k].isdigit():
+            while k < n and src[k] in DIGITS:
                 k += 1
             v = int(src[j:k])
             if neg:

@@ -34,11 +34,11 @@ import itertools
 from typing import Optional
 
 from .errors import ParseError, QuietGuardViolation, UnsupportedConstruct
-from .parser import MAX_NESTING
+from .parser import DIGITS, KEYWORDS, MAX_NESTING
 from .syntax import (BuiltinCall, Call, CaseArm, CaseStmt, CAnon, CCompound,
                      Choice, CLit, CVar, Fail, IfArm, IfStmt, Local, ProcDef,
                      Statement, Unify, pretty, seq_all)
-from .terms import Atom, Int
+from .terms import INT_MAX, INT_MIN, Atom, Int
 
 # ---------------------------------------------------------------------------
 # Source terms
@@ -168,9 +168,9 @@ def _tokenize(text: str):
         if c == "'":
             raise UnsupportedConstruct(
                 f"line {line}: quoted atoms are outside the subset")
-        if c.isdigit():
+        if c in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             toks.append(("int", int(text[i:j]), line))
             i = j
@@ -306,10 +306,13 @@ class _Reader:
 
     def primary(self):
         kind, v, line = self.take()
-        if kind == "int":
-            return PI(v)
         if kind == "punct" and v == "-" and self.peek()[0] == "int":
-            return PI(-self.take()[1])
+            kind, v, line = self.take()
+            v = -v
+        if kind == "int":
+            if not INT_MIN <= v <= INT_MAX:
+                raise ParseError("integer literal out of range", line, 0)
+            return PI(v)
         if kind == "var":
             if v == "_":
                 return PV(f"_{next(self._anon)}", anon=True)
@@ -628,21 +631,28 @@ class _Ctx:
     """Per-scope translation state: the variable renaming, declared
     locals, and a fresh-name supply."""
 
-    def __init__(self, names: _Names, reserved: set, generators: bool):
+    def __init__(self, names: _Names, reserved: set, generators: bool,
+                 line: int):
         self.names = names
         self.generators = generators
+        self.line = line                   # the clause's, for refusals
         self.used: set[str] = set(reserved) | names.taken | set(_RESERVED)
         self.m: dict[int, str] = {}        # id(PV) -> kernel name
         self.locals: list[str] = []
         self._counter = itertools.count(1)
 
-    def fresh(self, base: str = "T", bare: bool = False) -> str:
-        """A name not used yet, declared here: ``base`` with the next free
+    def unused(self, base: str, bare: bool = False) -> str:
+        """A name not used yet, now taken: ``base`` with the next free
         number, or ``base`` itself when ``bare`` and it is free."""
         tries = itertools.chain([base] if bare else [],
                                 (f"{base}{n}" for n in self._counter))
         name = next(n for n in tries if n not in self.used)
         self.used.add(name)
+        return name
+
+    def fresh(self, base: str = "T", bare: bool = False) -> str:
+        """An :meth:`unused` name, declared here."""
+        name = self.unused(base, bare)
         self.locals.append(name)
         return name
 
@@ -675,6 +685,7 @@ class _Ctx:
         c = _Ctx.__new__(_Ctx)
         c.names = self.names
         c.generators = self.generators
+        c.line = self.line
         c.used = self.used          # shared on purpose: one namespace
         c.m = dict(self.m)
         c.locals = []
@@ -695,7 +706,10 @@ def term_expr(t: PTerm, ctx: _Ctx):
     (printed `_`)."""
     spine = []
     while isinstance(t, PS) and t.args:
-        label = "|" if t.functor == "." and len(t.args) == 2 else t.functor
+        if t.functor == "." and len(t.args) == 2:
+            label = "|"
+        else:
+            label = _label(t.functor, len(t.args), ctx.line)
         spine.append((label, tuple(_arg_expr(a, ctx) for a in t.args[:-1])))
         t = t.args[-1]
     if spine and _is_void(t, ctx):
@@ -703,7 +717,8 @@ def term_expr(t: PTerm, ctx: _Ctx):
     elif isinstance(t, PV):
         expr = CVar(ctx.var_name(t))
     elif isinstance(t, PA):
-        expr = CLit(Atom("nil" if t.name == "[]" else t.name))
+        expr = CLit(Atom("nil" if t.name == "[]"
+                         else _label(t.name, 0, ctx.line)))
     elif isinstance(t, PI):
         expr = CLit(Int(t.value))
     else:
@@ -711,6 +726,17 @@ def term_expr(t: PTerm, ctx: _Ctx):
     for label, first in reversed(spine):
         expr = CCompound(label, first + (expr,))
     return expr
+
+
+def _label(name: str, arity: int, line: int) -> str:
+    """``name`` as the kernel's label of a record or atom of ``arity``
+    arguments.  A name the reader makes is a word, or an operator such as
+    ``^`` or ``,``; the kernel reads a word that is not a keyword, and
+    has no quoted atoms to write the rest in."""
+    if name[0].isalpha() and name not in KEYWORDS and name != "div":
+        return name
+    raise ParseError(f"the kernel cannot read {name}/{arity} as a label",
+                     line, 0)
 
 
 def _is_void(t: PTerm, ctx: _Ctx) -> bool:
@@ -835,8 +861,7 @@ def _bagof_stmts(g: PS, ctx: _Ctx) -> list:
         out.append(_local_or_seq(gctx.locals, gen))
 
     proc_name = ctx.fresh("P")
-    param = f"{proc_name}R"
-    ctx.used.add(param)
+    param = ctx.unused(f"{proc_name}R", bare=True)
     inner_ctx = ctx.child()
     for v in ex_vars:
         inner_ctx.m[id(v)] = inner_ctx.fresh("V")
@@ -927,7 +952,8 @@ def _clause_block(ctx: _Ctx, clause: Clause, params, goals: list) -> Statement:
 
 def _translate_choice(name, params, clauses, names, generators) -> ProcDef:
     return ProcDef(name, params, Choice(tuple(
-        _clause_block(_Ctx(names, set(params), generators), c, params, c.body)
+        _clause_block(_Ctx(names, set(params), generators, c.line), c,
+                      params, c.body)
         for c in clauses)))
 
 
@@ -938,7 +964,8 @@ def _translate_choice(name, params, clauses, names, generators) -> ProcDef:
 
 def _translate_single(name, params, clause, names, generators) -> ProcDef:
     return ProcDef(name, params, _clause_block(
-        _Ctx(names, set(params), generators), clause, params, clause.body))
+        _Ctx(names, set(params), generators, clause.line), clause, params,
+        clause.body))
 
 
 def _translate_case(name, params, clauses, names, pos, generators) -> ProcDef:
@@ -947,11 +974,13 @@ def _translate_case(name, params, clauses, names, pos, generators) -> ProcDef:
     arms = []
     for c in clauses:
         (kind, key), test = _case_test(c, c.head_args[pos])
-        pattern = CLit(Int(key) if kind == "int" else Atom(key))
+        pattern = CLit(Int(key) if kind == "int"
+                       else Atom(_label(key, 0, c.line)))
         body = list(c.body)
         body.remove(test)
         arms.append(CaseArm(pattern, _clause_block(
-            _Ctx(names, set(params), generators), c, params, body)))
+            _Ctx(names, set(params), generators, c.line), c, params,
+            body)))
     return ProcDef(name, params, CaseStmt(CVar(params[pos]), tuple(arms), Fail()))
 
 
@@ -979,7 +1008,7 @@ _PRINTABLE_TESTS = frozenset(("==", "<", ">", "=<", ">="))
 
 def _translate_if_arm(clause: Clause, params, guard_pos, names, generators):
     """One clause -> (guard_vars, guard statement or None, body)."""
-    ctx = _Ctx(names, set(params), generators)
+    ctx = _Ctx(names, set(params), generators, clause.line)
     guard_goals = _guard_goals(clause)
     body_goals = _rest_goals(clause)
     tested = set(goals_vars([g for g in guard_goals if _is_test(g)]))
@@ -1063,7 +1092,7 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
     answer `c<k>(outputs)` names the clause and carries the guard's
     bindings to its arm of one flat case.  A trailing clause with no guard
     is the case's `else`."""
-    scope = _Ctx(names, set(params), generators)
+    scope = _Ctx(names, set(params), generators, 0)
     guard, res, param = (scope.fresh(base, bare=True)
                          for base in ("Guard", "GR", "R"))
     answer_var = PV(param)
@@ -1071,7 +1100,7 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
     final: Statement = Fail()
     if last.cut_index is None and not _guard_goals(last):
         clauses = clauses[:-1]
-        final = _clause_block(_Ctx(names, scope.used, generators),
+        final = _clause_block(_Ctx(names, scope.used, generators, last.line),
                               last, params, last.body)
     alts, arms = [], []
     for k, c in enumerate(clauses, 1):
@@ -1082,11 +1111,11 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
         # the guard ends with `R = c<k>(outputs)`, and the arm's pattern
         # takes that answer apart under the guard's names for the outputs
         answer = PS(f"c{k}", outputs) if outputs else PA(f"c{k}")
-        gctx = _Ctx(names, scope.used, generators)
+        gctx = _Ctx(names, scope.used, generators, c.line)
         gctx.alias(answer_var, param)
         alts.append(_clause_block(gctx, c, params, guard_goals
                                   + [PS("=", (answer_var, answer))]))
-        bctx = _Ctx(names, scope.used, generators)
+        bctx = _Ctx(names, scope.used, generators, c.line)
         for v in outputs:
             bctx.alias(v, gctx.m[id(v)])
         arms.append(CaseArm(term_expr(PS(".", (answer, NIL)), bctx),
@@ -1155,7 +1184,7 @@ def translate_query_source(query_text: str, clauses: list[Clause],
     browse the solution list (first solution only by default)."""
     goals, qvars = parse_query(query_text)
     names = _Names(predicate_indicators(clauses))
-    ctx = _Ctx(names, {"QGoal", "QS", "QR"}, generators)
+    ctx = _Ctx(names, {"QGoal", "QS", "QR"}, generators, 0)
     body_stmts = _body_stmts(goals, ctx)
     if len(qvars) == 1:
         template = CVar(ctx.var_name(qvars[0]))

@@ -145,6 +145,24 @@ class TestRun:
         assert code == 2
         assert re.fullmatch(r"deadlock: thread \d+ waiting on %s\n" % name, err)
 
+    @pytest.mark.parametrize("text, error", [
+        ("local X in X = \u00b2 {Browse X} end",
+         "line 1:16: unexpected character '\u00b2'"),
+        ("local X in\n   X = 1\u0663 {Browse X}\nend",
+         "line 2:9: unexpected character '\u0663'"),
+    ], ids=["superscript_two", "arabic_indic_three"])
+    def test_a_digit_that_is_not_ascii_is_a_syntax_error(self, capsys,
+                                                         tmp_path, text,
+                                                         error):
+        f = write(tmp_path, "d.ozk", text)
+        assert run_cli(capsys, "run", f) == (3, "", f"ozk: {error}\n")
+
+    def test_a_name_may_hold_a_digit_that_is_not_ascii(self, capsys,
+                                                       tmp_path):
+        f = write(tmp_path, "d.ozk", "local X\u00b2 in X\u00b2 = 4 "
+                  "{Browse X\u00b2} end")
+        assert run_cli(capsys, "run", f) == (0, "4\n", "")
+
     def test_failure_exit_1(self, capsys, tmp_path):
         f = write(tmp_path, "f.ozk", "local X in X = 1 X = 2 end")
         code, out, err = run_cli(capsys, "run", f)

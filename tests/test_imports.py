@@ -1,7 +1,11 @@
 """Every module of ozk uses each name it imports, and each name it
-defines at module level is read somewhere."""
+defines at module level is read somewhere.  Importing ozk loads neither
+``dataclasses`` nor ``inspect``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +113,15 @@ def test_an_unread_name_is_found():
     user = "from lib import Used\nprint(Used, helper(), lib.OTHER)\n"
     assert unread_names({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 3, "SPARE"), ("lib.py", 7, "unused")]
+
+
+def test_importing_ozk_loads_neither_dataclasses_nor_inspect():
+    # Every run of ozk pays for its import.  Building its classes with
+    # dataclasses (which imports inspect) was about a quarter of that.
+    code = ("import sys\n"
+            "import ozk.cli, ozk.interp, ozk.dist, ozk.prolog\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

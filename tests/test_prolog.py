@@ -555,12 +555,72 @@ class TestBagofSetof:
         assert got == ("[q(terach [abraham]) q(abraham [isaac])"
                        " q(haran [milcah yiscah]) q(haran [milcah yiscah])]")
 
+    @pytest.mark.parametrize("name", ["K", "P1R"])
+    def test_the_goal_procedure_parameter_captures_no_clause_variable(
+            self, name):
+        # the goal procedure is P1, and its parameter was always P1R
+        program = ("q(1, a).\nq(2, b).\n"
+                   f"p({name}, L) :- bagof(X, q(X, {name}), L).\n")
+        assert first_solution(program, "p(a, L)") == "[[1]]"
+
     def test_default_mode_treats_free_variables_as_inputs(self):
         src = translate_source(CHILDREN)
         assert "SolveAll" in src
         # no generator call before the collection
         body = src[src.index("proc {Children1"):src.index("proc {Children2")]
         assert body.count("{Father") == 1
+
+
+# ---------------------------------------------------------------------------
+# Text the kernel cannot hold is refused on the clause's own line
+# ---------------------------------------------------------------------------
+
+
+class TestRefusedOnItsLine:
+    @staticmethod
+    def run(capsys, tmp_path, text, query):
+        return TestDeepInput.cli(capsys, tmp_path, text, "run",
+                                 "--query", query)
+
+    @pytest.mark.parametrize("text, error", [
+        ("q(a).\np(\u00b2).\n", "line 2:0: unexpected '\u00b2'"),
+        ("q(a).\np(X) :- X = 1\u0663.\n", "line 2:0: expected '.', "
+                                           "found '\u0663'"),
+    ], ids=["superscript_two", "arabic_indic_three"])
+    def test_a_digit_that_is_not_ascii_is_a_syntax_error(
+            self, capsys, tmp_path, text, error):
+        assert self.run(capsys, tmp_path, text, "p(X)") == (
+            3, "", f"ozk: {error}\n")
+
+    @pytest.mark.parametrize("value, browsed", [
+        ("9223372036854775807", "[9223372036854775807]\n"),
+        ("9223372036854775808", None),
+        ("-9223372036854775808", "[~9223372036854775808]\n"),
+        ("-9223372036854775809", None),
+    ])
+    def test_an_integer_the_kernel_cannot_hold_is_refused(
+            self, capsys, tmp_path, value, browsed):
+        text = f"q(a).\nr(b).\np({value}).\n"
+        got = self.run(capsys, tmp_path, text, "p(X)")
+        if browsed is None:
+            assert got == (3, "", "ozk: line 3:0: integer literal out of "
+                                  "range\n")
+        else:
+            assert got == (0, browsed, "")
+
+    @pytest.mark.parametrize("term, functor", [
+        ("a^b", "^/2"), ("a+b", "+/2"), ("a-b", "-/2"), ("a*b", "*/2"),
+        ("a//b", "///2"), ("(a = b)", "=/2"), ("(a, b)", ",/2"),
+        ("f(g, a^b)", "^/2"), ("end", "end/0"), ("div(a, b)", "div/2"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "translate"])
+    def test_a_functor_the_kernel_cannot_read_is_refused(
+            self, capsys, tmp_path, command, term, functor):
+        text = f"r(1).\nq(X) :- X = {term}.\n"
+        got = TestDeepInput.cli(capsys, tmp_path, text, command,
+                                "--query", "q(X)")
+        assert got == (3, "", f"ozk: line 2:0: the kernel cannot read "
+                              f"{functor} as a label\n")
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +636,21 @@ CASCADE_QUERIES = [f"p({c}, Y)" for c in ("a", "b", "0", "1", "zz")] + [
 def cascades(draw):
     """1 to 4 clauses of p(X, Y) whose guards call q/2, then perhaps r/1
     and a test of what q/2 gave, then cut.  The second head argument is a
-    variable, so no guard binds one of the caller's variables."""
+    variable, so no guard binds one of the caller's variables.  The
+    variable that q/2 binds is named as one of the translator's own names
+    may be, so a name it makes that captured the variable would show."""
     n = draw(st.integers(1, 4))
+    z = draw(st.sampled_from(("Z", "P1R", "Guard", "GR", "R", "A1", "V0")))
     clauses = []
     for k in range(n):
         first = draw(st.sampled_from(("a", "b", "0", "1", "X")))
-        guard = [f"q({first}, Z)"]
+        guard = [f"q({first}, {z})"]
         if draw(st.booleans()):
-            guard.append("r(Z)")
+            guard.append(f"r({z})")
         if draw(st.booleans()):
-            guard.append(draw(st.sampled_from(
-                ("Z > 1", "Z < 3", "Z =< 1", "Z >= 3", "Z == 2"))))
-        body = draw(st.sampled_from(("Y = Z", "Y = f(Z)", "Y = c")))
+            guard.append(z + draw(st.sampled_from(
+                (" > 1", " < 3", " =< 1", " >= 3", " == 2"))))
+        body = draw(st.sampled_from((f"Y = {z}", f"Y = f({z})", "Y = c")))
         cut = ["!"]
         if k == n - 1:
             dropped = draw(st.sampled_from(("none", "cut", "guard")))
