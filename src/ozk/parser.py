@@ -74,11 +74,11 @@ class Tok:
     __slots__ = ("kind", "val", "line", "col", "end")
 
     def __init__(self, kind: str, val: object, line: int, col: int, end: int):
-        self.kind = kind  # int var atom anon kw op eof
+        self.kind = kind        # int var atom anon kw op eof
         self.val = val
         self.line = line
         self.col = col
-        self.end = end  # column just past the token
+        self.end = end          # column just past the token
 
 
 def tokenize(src: str) -> list[Tok]:
@@ -233,7 +233,7 @@ class EIf:
     __slots__ = ("arms", "els", "pos")
 
     def __init__(self, arms: list, els: Optional[SBlock], pos: tuple):
-        self.arms = arms  # (guard, SBlock) pairs
+        self.arms = arms        # (guard, SBlock) pairs
         self.els = els
         self.pos = pos
 
@@ -243,8 +243,8 @@ class ECase:
 
     def __init__(self, subject: object, arms: list, els: object, pos: tuple):
         self.subject = subject
-        self.arms = arms  # (pattern, SBlock) pairs
-        self.els = els  # None | SBlock | ECase (elsecase chain)
+        self.arms = arms        # (pattern, SBlock) pairs
+        self.els = els          # None | SBlock | ECase (elsecase chain)
         self.pos = pos
 
 
@@ -253,8 +253,8 @@ class EDef:
 
     def __init__(self, name: Optional[str], params: list, body: SBlock,
                  isfun: bool, lazy: bool, pos: tuple):
-        self.name = name  # None for anonymous ($) definitions
-        self.params = params  # 'var' names or None for _ placeholders
+        self.name = name        # None for anonymous ($) definitions
+        self.params = params    # 'var' names or None for _ placeholders
         self.body = body
         self.isfun = isfun
         self.lazy = lazy

@@ -4,7 +4,10 @@ The subset: facts and rules built from user predicates, `=`, `is`,
 arithmetic comparisons, `==`, true/fail, at most one `!` per clause, and
 bagof/3 / setof/3 with `^` qualification.  Everything else (assert,
 negation as failure, disjunction, if-then-else, quoted atoms, ...) is
-rejected by name with UnsupportedConstruct.
+rejected by name with UnsupportedConstruct.  A term the kernel cannot
+write is a syntax error on its clause's line: an integer outside the
+kernel's range, and as data a functor or atom that is not a kernel label
+(an operator such as ``^`` or ``,``, or a kernel keyword).
 
 Each predicate is translated on its own, from its clause list alone:
 

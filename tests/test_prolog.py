@@ -622,6 +622,13 @@ class TestRefusedOnItsLine:
         assert got == (3, "", f"ozk: line 2:0: the kernel cannot read "
                               f"{functor} as a label\n")
 
+    def test_a_case_key_the_kernel_cannot_read_is_refused(self, capsys,
+                                                          tmp_path):
+        # distinct constants in one position: the case scheme
+        text = "p(X, a) :- X == go.\np(X, b) :- X == end.\n"
+        assert self.run(capsys, tmp_path, text, "p(go, Y)") == (
+            3, "", "ozk: line 2:0: the kernel cannot read end/0 as a label\n")
+
 
 # ---------------------------------------------------------------------------
 # Generated cut cascades against the meta-interpreter
