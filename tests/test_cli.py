@@ -464,6 +464,13 @@ class TestRepl:
         assert out[-1] == "ok"
         assert any("parse error" in line for line in out)
 
+    def test_an_undeclared_name_is_reported_once_its_chunk_ends(
+            self, capsys, monkeypatch):
+        code, out = repl(capsys, monkeypatch, [
+            "local X in {Browse Y}", "   {Browse X}", "end", "{Browse 2}"])
+        assert code == 0
+        assert out == ["** parse error: line 1:20: undeclared variable Y", "2"]
+
     def test_session_survives_failure(self, capsys, monkeypatch):
         code, out = repl(capsys, monkeypatch, [
             "X = 1", "X = 2", "{Browse X}"])
