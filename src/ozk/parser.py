@@ -1,11 +1,14 @@
-"""Lexer, parser and desugarer: surface text to core statements.
+"""Lexer and parser: surface text to core statements, in one pass.
 
 The surface language adds functions, nested calls, operator expressions,
 anonymous variables, list sugar and implicit declarations on top of the
-core statement set in syntax.py.  The desugarer removes all of that.
-A ``case`` pattern is written as a record expression and read by the one
-expression grammar; the parser then checks that the expression is a
-pattern and turns it into one.
+core statement set in syntax.py.  The parser lowers each construct to
+core statements as it reads it, one construct at a time: an expression
+gives its core operand, and appends the statements its nested calls lift
+out (and the fresh temporaries that hold their results) to lists its
+reader passes in.  A ``case`` pattern is written as a record expression
+and read by the one expression grammar, which checks and lowers it as a
+pattern where it is read.
 
 Two lowering disciplines matter for performance and are fixed here:
 
@@ -18,12 +21,34 @@ Two lowering disciplines matter for performance and are fixed here:
   lifted into fresh locals evaluated left to right *before* the enclosing
   statement.
 
+Some context arrives only after the text it governs:
+
+* A bare call, a side of ``=`` and the last item of a block are lowered
+  by what follows them: a call takes the variable on the other side of
+  ``=`` as its result, and a block that gives a value makes its last item
+  give it.  A call or an operation is kept as a small pending form until
+  the next token tells; a statement ``if``, ``case`` or ``local`` in such
+  a block looks ahead to the ``end`` that closes it.
+* A block's scope is settled when it closes, as a name may be used
+  before the body item that declares it (``{F} fun {F} 1 end``).  A use
+  that is not in scope where it stands is checked again once the whole
+  text is read.  A body-level ``X = E`` in a nested block declares ``X``
+  unless an enclosing block has it, which that block may show only
+  further on; in that rare case the text is read a second time, with
+  the names the nested blocks must not declare known.
+* Syntax errors come before all others: an error of scope or of the
+  desugaring (an undeclared name, a repeated parameter, a value missing
+  where one is expected) is kept until the whole text has parsed, and
+  then the first of them in the text is raised.  So a chunk that stops
+  short is incomplete input (``ParseError.incomplete``), whatever else is
+  wrong with it.
+
 A ``fun lazy {F X} E end`` is the procedure ``proc {F X R} lazy R then
 R = E end end``: a call leaves its body as a by-need trigger on its
 result ``R`` (``syntax.LazyStmt``; run by ``runtime.Runtime.by_need``),
 which the first thread to need ``R`` enters on its own stack.  It spawns
 no thread.  ``lazy R then S end`` is also read as a statement, so that
-the desugared form prints and reads back; its ``R`` must be declared.
+the lowered form prints and reads back; its ``R`` must be declared.
 """
 
 from __future__ import annotations
@@ -49,16 +74,15 @@ _CMP_OPS = {"==", "<", ">", "=<", ">="}
 # operator precedence: higher binds tighter; '=' is lowest
 _PREC = {"=": 1, "==": 2, "<": 2, ">": 2, "=<": 2, ">=": 2,
          "|": 3, "+": 4, "-": 4, "*": 5, "div": 5}
-_RIGHT_ASSOC = {"|"}
 
 _ARG_PREC = 2        # call/constructor arguments: everything above '='
 _ITEM_PREC = 4       # list display items: above '|'
 
 # Expressions (patterns among them) and blocks may nest this deep, and so
-# may the links of an `elsecase` chain, each in the one before, as each
-# desugars to the `else` of the one before.  The parser, the desugarer and
-# the compiler recurse once per level, so deeper input is refused with a
-# syntax error where its nesting is entered.
+# may the links of an `elsecase` chain, each in the one before, as each is
+# lowered to the `else` of the one before.  The parser and the compiler
+# recurse once per level, so deeper input is refused with a syntax error
+# where its nesting is entered.
 MAX_NESTING = 100
 
 
@@ -150,210 +174,105 @@ def tokenize(src: str) -> list[Tok]:
     return toks
 
 
-# -- surface syntax tree ---------------------------------------------------
+# -- the parser -----------------------------------------------------------------
+
+_END = frozenset({"end"})
+_THEN = frozenset({"then"})
+_IF_ARM_STOPS = frozenset({"elseif", "else", "end"})
+_CASE_ARM_STOPS = frozenset({"[]", "else", "elsecase", "end"})
+_CHOICE_STOPS = frozenset({"[]", "end"})
+
+# The keywords whose construct an `end` closes; so does `lazy R then`.
+_OPENERS = frozenset("local proc fun if case thread choice".split())
+
+# `_` where it has been read but not yet placed: in a constructor's
+# argument, a list item or a `|` chain it is a void, elsewhere a fresh
+# variable.
+_ANON = object()
+_VOID = CAnon()
 
 
-class EInt:
-    __slots__ = ("v", "pos")
+class _Call:
+    """A call read where its result may yet be given: by the variable on
+    the other side of ``=``, by the block whose last item it is, or else
+    by a fresh temporary.  Its target and arguments are lowered."""
 
-    def __init__(self, v: int, pos: tuple):
-        self.v = v
-        self.pos = pos
+    __slots__ = ("target", "args", "hole")
 
-
-class EAtom:
-    __slots__ = ("name", "pos")
-
-    def __init__(self, name: str, pos: tuple):
-        self.name = name
-        self.pos = pos
-
-
-class EVar:
-    __slots__ = ("name", "pos")
-
-    def __init__(self, name: str, pos: tuple):
-        self.name = name
-        self.pos = pos
-
-
-class EAnon:
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: tuple):
-        self.pos = pos
-
-
-class EComp:
-    __slots__ = ("label", "args", "pos")
-
-    def __init__(self, label: str, args: list, pos: tuple):
-        self.label = label
-        self.args = args
-        self.pos = pos
-
-
-class ECall:
-    __slots__ = ("target", "args", "hole", "pos")
-
-    def __init__(self, target: object, args: list, hole: Optional[int],
-                 pos: tuple):
+    def __init__(self, target, args: list, hole: Optional[int]):
         self.target = target
         self.args = args
-        self.hole = hole
-        self.pos = pos
+        self.hole = hole        # where `$` stands, the result goes
 
 
-class EBin:
-    __slots__ = ("op", "l", "r", "pos")
+class _Op:
+    """An operation read where its result may yet be given, as for
+    :class:`_Call`: ``a op b`` over lowered operands or, for ``=``, its
+    two sides as read."""
 
-    def __init__(self, op: str, l: object, r: object, pos: tuple):
+    __slots__ = ("op", "a", "b", "tok", "first")
+
+    def __init__(self, op: str, a, b, tok: Tok, first: Tok):
         self.op = op
-        self.l = l
-        self.r = r
-        self.pos = pos
+        self.a = a
+        self.b = b
+        self.tok = tok          # the operator
+        self.first = first      # the first token of the operation
 
 
-class GExpr:
-    __slots__ = ("e",)
+class _Scope:
+    """One level of a lexical scope over the level that encloses it.
 
-    def __init__(self, e: object):
-        self.e = e
+    A level holds the few names one construct binds: a block's
+    declarations, a definition's parameters and result, guard or pattern
+    variables.  A block's level grows as its items are read, and holds
+    all of them once it closes.  The bottom of the chain is the caller's
+    global container, which is only ever asked whether it holds a name,
+    so the cost of a scope test does not grow with the number of globals.
+    """
 
+    __slots__ = ("names", "up")
 
-class GStmts:
-    __slots__ = ("vars", "block")
+    def __init__(self, names, up):
+        self.names = names
+        self.up = up
 
-    def __init__(self, vars: list, block: SBlock):
-        self.vars = vars
-        self.block = block
-
-
-class EIf:
-    __slots__ = ("arms", "els", "pos")
-
-    def __init__(self, arms: list, els: Optional[SBlock], pos: tuple):
-        self.arms = arms        # (guard, SBlock) pairs
-        self.els = els
-        self.pos = pos
-
-
-class ECase:
-    __slots__ = ("subject", "arms", "els", "pos")
-
-    def __init__(self, subject: object, arms: list, els: object, pos: tuple):
-        self.subject = subject
-        self.arms = arms        # (pattern, SBlock) pairs
-        self.els = els          # None | SBlock | ECase (elsecase chain)
-        self.pos = pos
+    def __contains__(self, name) -> bool:
+        s = self
+        while type(s) is _Scope:
+            if name in s.names:
+                return True
+            s = s.up
+        return name in s
 
 
-class EDef:
-    __slots__ = ("name", "params", "body", "isfun", "lazy", "pos")
-
-    def __init__(self, name: Optional[str], params: list, body: SBlock,
-                 isfun: bool, lazy: bool, pos: tuple):
-        self.name = name        # None for anonymous ($) definitions
-        self.params = params    # 'var' names or None for _ placeholders
-        self.body = body
-        self.isfun = isfun
-        self.lazy = lazy
-        self.pos = pos
+def _nest(scope, names):
+    return _Scope(names, scope) if names else scope
 
 
-class SBlock:
-    __slots__ = ("decls", "body", "has_in", "pos")
-
-    def __init__(self, decls: list, body: list, has_in: bool, pos: tuple):
-        self.decls = decls
-        self.body = body
-        self.has_in = has_in
-        self.pos = pos
-
-
-class SSkip:
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: tuple):
-        self.pos = pos
-
-
-class SFail:
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: tuple):
-        self.pos = pos
-
-
-class SLocal:
-    __slots__ = ("block", "pos")
-
-    def __init__(self, block: SBlock, pos: tuple):
-        self.block = block
-        self.pos = pos
-
-
-class SThread:
-    """``thread ... end``, or with ``result`` ``lazy R then ... end``."""
-    __slots__ = ("block", "pos", "result")
-
-    def __init__(self, block: SBlock, pos: tuple,
-                 result: Optional[Tok] = None):
-        self.block = block
-        self.pos = pos
-        self.result = result
-
-
-class SChoice:
-    __slots__ = ("blocks", "pos")
-
-    def __init__(self, blocks: list, pos: tuple):
-        self.blocks = blocks
-        self.pos = pos
-
-
-class SUnify:
-    __slots__ = ("l", "r", "pos")
-
-    def __init__(self, l: object, r: object, pos: tuple):
-        self.l = l
-        self.r = r
-        self.pos = pos
-
-
-class STest:
-    __slots__ = ("e", "pos")
-
-    def __init__(self, e: EBin, pos: tuple):
-        self.e = e
-        self.pos = pos
-
-
-class SCallS:
-    __slots__ = ("call", "pos")
-
-    def __init__(self, call: ECall, pos: tuple):
-        self.call = call
-        self.pos = pos
-
-
-class SExpr:
-    __slots__ = ("e", "pos")
-
-    def __init__(self, e: object, pos: tuple):
-        self.e = e
-        self.pos = pos
-
-
-# -- parser ----------------------------------------------------------------
+def _wrap(temps: list, stmts: list) -> Statement:
+    body = seq_all(stmts)
+    return Local(tuple(temps), body) if temps else body
 
 
 class _Parser:
-    def __init__(self, src: str):
-        self.toks = tokenize(src)
+    def __init__(self, toks: list, global_names, revoked=frozenset()):
+        self.toks = toks
         self.i = 0
         self.depth = 0           # open nesting levels, see MAX_NESTING
-        self.idents: set[str] = {t.val for t in self.toks if t.kind == "var"}
+        self.idents: set[str] = {t.val for t in toks if t.kind == "var"}
+        self.counter = 0
+        self.scope = global_names
+        self.anons: set = set()  # the fresh variables that stand for `_`
+        self.unresolved: list = []   # (token, scope) of uses to check again
+        self.late = None         # ((line, col, rank), error): see `later`
+        # (block, name, scope): a name a nested block declares, unless
+        # `scope` holds it once the text is read; `revoked` holds the
+        # (block, name) pairs a first reading found it did.
+        self.fixups: list = []
+        self.revoked = revoked
+        self.pattern_names: Optional[set] = None   # while reading a pattern
+        self.pattern_error = None    # (token index, error) in that pattern
 
     def peek(self, k: int = 0) -> Tok:
         toks = self.toks
@@ -394,94 +313,286 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.err(f"nesting deeper than {MAX_NESTING} levels")
 
+    def fresh(self, base: str = "T") -> str:
+        # Fresh temporaries avoid only the text's own identifiers.  Each is
+        # bound by an enclosing `local` or parameter list, so it can shadow
+        # only names the text never mentions.
+        while True:
+            self.counter += 1
+            name = f"_{base}{self.counter}"
+            if name not in self.idents:
+                return name
+
+    def later(self, tok: Tok, error: Exception, rank: int = 1) -> None:
+        """Keep an error that is not a syntax error, to raise once the
+        whole text has parsed; of those kept, the first by the position
+        of `tok` is raised.  An error of a whole item (`rank` 0) comes
+        before those of what the item holds."""
+        key = (tok.line, tok.col, rank)
+        if self.late is None or key < self.late[0]:
+            self.late = (key, error)
+
+    def later_at(self, tok: Tok, msg: str, rank: int = 1) -> None:
+        self.later(tok, ParseError(msg, tok.line, tok.col), rank)
+
+    def finish(self) -> set:
+        """Raise the first error kept by `later`, once every scope is
+        complete; else the implicit declarations a second reading must
+        drop (see `fixups`)."""
+        for t, scope in self.unresolved:
+            if t.val not in scope:
+                self.later_at(t, f"undeclared variable {t.val}")
+                break
+        if self.late is not None:
+            raise self.late[1]
+        return {(block, name) for block, name, scope in self.fixups
+                if name in scope}
+
     # -- blocks ---------------------------------------------------------
 
-    def at_stop(self, stops) -> bool:
-        t = self.peek()
-        if t.kind == "eof":
-            return True
-        return (t.kind in ("kw", "op")) and t.val in stops
+    def last_at(self, i: int, stops) -> bool:
+        """Whether the item that ends just before token `i` is its
+        block's last: a stop follows it, or an `in` and then a stop."""
+        toks = self.toks
+        t = toks[min(i, len(toks) - 1)]
+        if t.kind == "kw" and t.val == "in":
+            t = toks[i + 1]
+        return t.kind == "eof" or (t.kind in ("kw", "op") and t.val in stops)
 
-    def parse_block(self, stops) -> SBlock:
+    def end_of(self, i: int) -> int:
+        """The index of the `end` that closes the construct token `i`
+        opens (or of the end of input)."""
+        toks = self.toks
+        depth = 0
+        last = len(toks) - 1
+        while i < last:
+            t = toks[i]
+            if t.kind == "kw":
+                if t.val == "end":
+                    depth -= 1
+                    if depth == 0:
+                        return i
+                elif t.val in _OPENERS or (t.val == "lazy"
+                                           and toks[i + 1].kind == "var"):
+                    depth += 1
+            i += 1
+        return last
+
+    def parse_block(self, stops, result: Optional[str] = None):
+        """Read a block up to one of `stops`: its statement, the names it
+        declares (which the caller wraps around it) and whether it has a
+        declaration part.  With `result`, the block's last item gives the
+        value of that variable."""
         self.enter()
-        pos = (self.peek().line, self.peek().col)
-        decls: Optional[list] = None
-        items: list = []
-        while not self.at_stop(stops):
-            if self.at("kw", "in"):
+        start = self.i
+        first = self.peek()
+        outer = self.scope
+        names: set = set()
+        self.scope = _Scope(names, outer)
+        core: list = []
+        # (name, forced) for each name the items declare as body items,
+        # and as items of a declaration part; see `declared` below.
+        roles: list = []
+        droles: list = []
+        decls = None
+        bare = None              # the first body item that is a variable
+        empty = True
+        toks = self.toks
+        while True:
+            t = toks[self.i]
+            if t.kind == "eof" or (t.kind in ("kw", "op") and t.val in stops):
+                break
+            if t.kind == "kw" and t.val == "in":
                 if decls is not None:
                     self.err("duplicate 'in' in the same block")
                 self.next()
-                decls, items = items, []
+                decls, droles, roles = droles, [], []
+                names.update(name for name, _ in decls)
+                bare = None
                 continue
-            items.append(self.parse_statement())
+            empty = False
+            var = self.statement(stops, result, core, roles, droles)
+            if bare is None:
+                bare = var
+        self.scope = outer
         self.depth -= 1
-        return SBlock(decls or [], items, decls is not None, pos)
+        if result is not None and empty:
+            self.later_at(first, "a value is expected here")
+        if bare is not None:
+            self.later_at(bare, f"variable {bare.val} by itself is not "
+                          "a statement", 0)
+        # A name is declared once, where it first comes; one that a
+        # unification could declare (not `forced`) is declared only when
+        # no enclosing scope has it.
+        declared: list = []
+        own: set = set()
+        for name, forced in (decls or []) + roles:
+            if name in own:
+                continue
+            if not forced:
+                if name in outer or (start, name) in self.revoked:
+                    continue
+                if type(outer) is _Scope:
+                    self.fixups.append((start, name, outer))
+            declared.append(name)
+            own.add(name)
+        return seq_all(core), tuple(declared), decls is not None
 
-    def parse_program(self) -> SBlock:
-        b = self.parse_block(frozenset())
-        self.expect("eof")
-        return b
+    def block(self, stops, result: Optional[str] = None) -> Statement:
+        body, declared, _ = self.parse_block(stops, result)
+        return Local(declared, body) if declared else body
 
     # -- statements -------------------------------------------------------
 
-    def parse_statement(self):
-        t = self.peek()
+    def statement(self, stops, result, core: list, roles: list,
+                  droles: list) -> Optional[Tok]:
+        """Read one item of a block into `core`, and the names it declares
+        into `roles` and `droles` (see `parse_block`).  Returns the token
+        of an item that is a variable alone, which only a declaration
+        part may hold."""
+        t = self.toks[self.i]
         if t.kind == "kw":
-            if t.val == "skip":
+            v = t.val
+            if v in ("if", "case", "local"):
+                # the last item of a block that gives a value gives it
+                res = result if result is not None and self.last_at(
+                    self.end_of(self.i) + 1, stops) else None
+                if v == "if":
+                    core.append(self.parse_if(res))
+                elif v == "case":
+                    core.append(self.parse_case(res))
+                else:
+                    self.next()
+                    body, declared, has_in = self.parse_block(_END, res)
+                    self.expect("kw", "end")
+                    if not has_in:
+                        self.err("'local' needs 'in' before its body", t)
+                    core.append(Local(declared, body) if declared else body)
+                return None
+            if v == "skip":
                 self.next()
-                return SSkip((t.line, t.col))
-            if t.val == "fail":
+                s = Skip()
+            elif v == "fail":
                 self.next()
-                return SFail((t.line, t.col))
-            if t.val == "local":
+                s = Fail()
+            elif v == "thread":
                 self.next()
-                b = self.parse_block(frozenset({"end"}))
+                s = ThreadStmt(self.block(_END))
                 self.expect("kw", "end")
-                if not b.has_in:
-                    self.err("'local' needs 'in' before its body", t)
-                return SLocal(b, (t.line, t.col))
-            if t.val == "thread":
+            elif v == "lazy" and self.at("var", k=1):
                 self.next()
-                b = self.parse_block(frozenset({"end"}))
-                self.expect("kw", "end")
-                return SThread(b, (t.line, t.col))
-            if t.val == "lazy" and self.at("var", k=1):
-                self.next()
-                result = self.next()
+                r = self.next()
+                self.use(r)
                 self.expect("kw", "then")
-                b = self.parse_block(frozenset({"end"}))
+                s = LazyStmt(r.val, self.block(_END))
                 self.expect("kw", "end")
-                return SThread(b, (t.line, t.col), result)
-            if t.val == "choice":
+            elif v == "choice":
                 self.next()
-                blocks = [self.parse_block(frozenset({"[]", "end"}))]
+                alts = [self.block(_CHOICE_STOPS)]
                 while self.at("op", "[]"):
                     self.next()
-                    blocks.append(self.parse_block(frozenset({"[]", "end"})))
+                    alts.append(self.block(_CHOICE_STOPS))
                 self.expect("kw", "end")
-                return SChoice(blocks, (t.line, t.col))
-            if t.val in ("proc", "fun"):
-                d = self.parse_def()
-                if d.name is None:
+                s = Choice(tuple(alts))
+            elif v in ("proc", "fun"):
+                s = self.parse_def(self.scope.names)
+                if s is None:
                     self.err("an anonymous definition is not a statement", t)
-                return SExpr(d, d.pos)
-            if t.val == "if":
-                return SExpr(self.parse_if(), (t.line, t.col))
-            if t.val == "case":
-                return SExpr(self.parse_case(), (t.line, t.col))
-            self.err(f"unexpected keyword '{t.val}'")
-        e = self.parse_expr(1)
-        pos = (t.line, t.col)
-        if isinstance(e, EBin) and e.op == "=":
-            return SUnify(e.l, e.r, pos)
-        if isinstance(e, EBin) and e.op in _CMP_OPS:
-            return STest(e, pos)
-        if isinstance(e, ECall):
-            return SCallS(e, pos)
-        return SExpr(e, pos)
+                roles.append((s.name, True))
+                droles.append((s.name, True))
+            else:
+                self.err(f"unexpected keyword '{v}'")
+            if result is not None and self.last_at(self.i, stops):
+                self.later_at(t, "function body must end in an expression", 0)
+            core.append(s)
+            return None
+        out: list = []
+        temps: list = []
+        e = self.parse_expr(1, out, temps)
+        last = result is not None and self.last_at(self.i, stops)
+        te = type(e)
+        if te is _Op and e.op == "=":
+            lhs = e.a
+            if self.is_var(lhs):
+                self.scope.names.add(lhs.name)
+                roles.append((lhs.name, False))
+                droles.append((lhs.name, True))
+            droles.extend((name, False) for name in self.declarable(lhs))
+            droles.extend((name, False) for name in self.declarable(e.b))
+            core.append(self.unify(e, out, temps))
+        elif te is _Op and e.op in _CMP_OPS:
+            out.append(BuiltinCall(e.op, (e.a, e.b)))
+            core.append(_wrap(temps, out))
+        elif te is _Call:
+            if last:
+                out.append(self.call(e, CVar(result)))
+                core.append(_wrap(temps, out))
+                return None
+            if e.hole is not None:
+                self.later_at(t, "'$' only makes sense where a result is "
+                              "expected", 0)
+            out.append(self.call(e, None))
+            core.append(_wrap(temps, out))
+            return None
+        elif last:
+            # R = E, with the skeleton of E bound first
+            if self.is_var(e):
+                droles.append((e.name, True))
+            r = CVar(result)
+            if te is _Op:
+                out.append(BuiltinCall(e.op, (e.a, e.b, r)))
+                core.append(_wrap(temps, out))
+            else:
+                e = self.value(e, out, temps)
+                core.append(_wrap(temps, [Unify(r, e)] + out))
+            return None
+        elif self.is_var(e):
+            droles.append((e.name, True))
+            return t
+        else:
+            self.later_at(t, "this expression is only allowed as a function "
+                          "result", 0)
+            return None
+        if last:
+            self.later_at(t, "function body must end in an expression", 0)
+        return None
 
-    def parse_def(self) -> EDef:
+    def unify(self, u: _Op, out: list, temps: list) -> Statement:
+        # When one side is exactly a call and the other a variable, pass the
+        # variable as the call's result argument: no intermediate unification,
+        # and the call stays in tail position.  X = A+B computes straight
+        # into X, no temporary.
+        for a, b in ((u.a, u.b), (u.b, u.a)):
+            tb = type(b)
+            if tb is _Call and self.is_var(a, True):
+                out.append(self.call(b, a))
+                return _wrap(temps, out)
+            if tb is _Op and b.op != "=" and self.is_var(a, True):
+                out.append(BuiltinCall(b.op, (b.a, b.b, a)))
+                return _wrap(temps, out)
+        lhs = self.value(u.a, out, temps)
+        rhs = self.value(u.b, out, temps)
+        return _wrap(temps, [Unify(lhs, rhs)] + out)
+
+    def is_var(self, e, anon: bool = False) -> bool:
+        """Whether `e` is a variable of the text (or, with `anon`, one
+        that stands for `_`)."""
+        return type(e) is CVar and (e.name in self.idents
+                                    or (anon and e.name in self.anons))
+
+    def declarable(self, side) -> list:
+        """The names a declaration-part unification may declare on this
+        side: its variables outside calls, operations and definitions."""
+        if type(side) is CVar or type(side) is CCompound:
+            return [n for n in expr_names(side) if n in self.idents]
+        return []
+
+    def parse_def(self, names: Optional[set]):
+        """Read ``proc`` or ``fun ... end``.  A named definition is a
+        statement: its name goes into `names`, the declarations of the
+        block it stands in.  An anonymous one is an expression; it is
+        given a fresh name.  Returns None for a definition that is not
+        what `names` asks for, once it has been read."""
         t = self.next()          # proc | fun
         isfun = t.val == "fun"
         lazy = False
@@ -492,631 +603,398 @@ class _Parser:
             lazy = True
         self.expect("op", "{")
         head = self.peek()
-        name: Optional[str] = None
         if head.kind == "var":
-            name = self.next().val
+            self.next()
+            name = head.val
+            fits = names is not None
+            if fits:
+                names.add(name)
         elif head.kind == "op" and head.val == "$":
             self.next()
+            name = self.fresh("P")
+            fits = names is None
         else:
             self.err("definition head must be a variable or '$'")
         params: list = []
+        seen: set = set()
         while not self.at("op", "}"):
             p = self.peek()
             if p.kind == "var":
-                params.append(self.next().val)
+                self.next()
+                if p.val in seen:
+                    self.later_at(t, f"parameter {p.val} repeated")
+                seen.add(p.val)
+                params.append(p.val)
             elif p.kind == "anon":
                 self.next()
-                params.append(None)
+                params.append(self.fresh("A"))
             else:
                 self.err("formal parameter must be a variable or '_'")
         self.expect("op", "}")
-        body = self.parse_block(frozenset({"end"}))
+        inner = {name, *params}
+        res = None
+        if isfun:
+            res = self.fresh("R")
+            inner.add(res)
+            params.append(res)
+        outer = self.scope
+        self.scope = _Scope(inner, outer)
+        body = self.block(_END, res)
+        self.scope = outer
+        if lazy:
+            body = LazyStmt(res, body)
         self.expect("kw", "end")
-        return EDef(name, params, body, isfun, lazy, (t.line, t.col))
+        return ProcDef(name, tuple(params), body) if fits else None
 
-    def parse_if(self) -> EIf:
+    def parse_if(self, result: Optional[str]) -> IfStmt:
         t = self.expect("kw", "if")
-        arms = [self.parse_if_arm()]
+        arms = [self.parse_if_arm(t, result)]
         while self.at("kw", "elseif"):
             self.next()
-            arms.append(self.parse_if_arm())
-        els = None
+            arms.append(self.parse_if_arm(t, result))
+        otherwise: Statement = Skip()
         if self.at("kw", "else"):
             self.next()
-            els = self.parse_block(frozenset({"end"}))
+            otherwise = self.block(_END, result)
         self.expect("kw", "end")
-        return EIf(arms, els, (t.line, t.col))
+        return IfStmt(tuple(arms), otherwise)
 
-    def parse_if_arm(self):
+    def parse_if_arm(self, t: Tok, result: Optional[str]) -> IfArm:
+        outer = self.scope
         # lookahead: VAR* 'in' means an explicit statement guard
         k = 0
         while self.at("var", k=k):
             k += 1
         if self.at("kw", "in", k=k):
-            vars_ = [self.next().val for _ in range(k)]
+            first = self.peek()
+            gvars = tuple(self.next().val for _ in range(k))
             self.next()  # in
-            block = self.parse_block(frozenset({"then"}))
+            for i, v in enumerate(gvars):
+                if v in gvars[:i]:
+                    self.later(first, ParseError(
+                        f"guard variable {v} repeated", t.line, t.col))
+                    break
+            self.scope = _nest(outer, gvars)
+            guard = self.block(_THEN)
             self.expect("kw", "then")
-            guard = GStmts(vars_, block)
         else:
-            e = self.parse_expr(2)
+            gvars = ()
+            out: list = []
+            temps: list = []
+            g = self.parse_expr(2, out, temps)
             self.expect("kw", "then")
-            guard = GExpr(e)
-        body = self.parse_block(frozenset({"elseif", "else", "end"}))
-        return (guard, body)
+            if type(g) is _Op and g.op in _CMP_OPS:
+                out.append(BuiltinCall(g.op, (g.a, g.b)))
+            else:
+                out.append(BuiltinCall("$test", (self.value(g, out, temps),)))
+            guard = _wrap(temps, out)
+        body = self.block(_IF_ARM_STOPS, result)
+        self.scope = outer
+        arm = IfArm(gvars, guard, body)
+        name = _guard_binds(arm)
+        if name is not None:
+            self.later(self.peek(), QuietGuardViolation(
+                f"line {t.line}:{t.col}: guard may bind only its own "
+                f"variables, not {name}"))
+        return arm
 
-    def parse_case(self, tok: Optional[Tok] = None) -> ECase:
+    def parse_case(self, result: Optional[str], tok: Optional[Tok] = None):
         """Read ``case ... end``; given `tok`, the ``elsecase`` just read,
         read that link of the chain, whose ``end`` the chain's head reads.
-        Each link nests one level in the one before, as its desugaring
+        Each link nests one level in the one before, as its lowering
         does."""
-        t = tok or self.expect("kw", "case")
-        subject = self.parse_expr(2)
+        if tok is None:
+            self.expect("kw", "case")
+        out: list = []
+        temps: list = []
+        subject = self.value(self.parse_expr(2, out, temps), out, temps)
         self.expect("kw", "of")
-        arms = [self.parse_case_arm()]
+        arms = [self.parse_case_arm(result)]
         while self.at("op", "[]"):
             self.next()
-            arms.append(self.parse_case_arm())
-        els = None
+            arms.append(self.parse_case_arm(result))
         if self.at("kw", "else"):
             self.next()
-            els = self.parse_block(frozenset({"end"}))
+            otherwise = self.block(_END, result)
         elif self.at("kw", "elsecase"):
             self.enter()
-            els = self.parse_case(self.next())
+            otherwise = self.parse_case(result, self.next())
             self.depth -= 1
+        else:
+            otherwise = Fail()
         if tok is None:
             self.expect("kw", "end")
-        return ECase(subject, arms, els, (t.line, t.col))
+        out.append(CaseStmt(subject, tuple(arms), otherwise))
+        return _wrap(temps, out)
 
-    def parse_case_arm(self):
-        pat = self.pattern(self.parse_expr(_PREC["|"]), set())
+    def parse_case_arm(self, result: Optional[str]) -> CaseArm:
+        pattern = self.parse_pattern()
         self.expect("kw", "then")
-        body = self.parse_block(frozenset({"[]", "else", "elsecase", "end"}))
-        return (pat, body)
+        outer = self.scope
+        self.scope = _nest(outer, expr_names(pattern))
+        body = self.block(_CASE_ARM_STOPS, result)
+        self.scope = outer
+        return CaseArm(pattern, body)
 
-    def pattern(self, e, seen: set):
-        """The `case` pattern that the expression `e` writes: integers,
-        atoms, names (each at most once, kept in `seen`), ``_``, and
-        constructors and ``|`` cells of patterns."""
-        heads = []
-        while isinstance(e, EBin) and e.op == "|":
-            heads.append(self.pattern(e.l, seen))
-            e = e.r
-        if isinstance(e, EInt):
-            p = CLit(Int(e.v))
-        elif isinstance(e, EAtom):
-            p = CLit(Atom(e.name))
-        elif isinstance(e, EVar):
-            if e.name in seen:
-                raise ParseError(f"variable {e.name} occurs twice in one "
-                                 "pattern", *e.pos)
-            seen.add(e.name)
-            p = CVar(e.name)
-        elif isinstance(e, EAnon):
-            p = CAnon()
-        elif isinstance(e, EComp):
-            p = CCompound(e.label, tuple(self.pattern(a, seen)
-                                         for a in e.args))
-        else:
-            raise ParseError("expected a pattern", *e.pos)
-        for head in reversed(heads):
-            p = CCompound("|", (head, p))
-        return p
+    def parse_pattern(self):
+        """Read the `case` pattern that an expression writes: integers,
+        atoms, names (each at most once), ``_``, and constructors and
+        ``|`` cells of patterns.  A piece that is none of these is refused
+        once the expression is read, the outermost first."""
+        saved = self.pattern_names, self.pattern_error
+        self.pattern_names, self.pattern_error = set(), None
+        out: list = []
+        temps: list = []
+        pattern = self.value(self.parse_expr(_PREC["|"], out, temps),
+                             out, temps)
+        error = self.pattern_error
+        self.pattern_names, self.pattern_error = saved
+        if error is not None:
+            raise error[1]
+        return pattern
+
+    def not_pattern(self, t: Tok, start: int = -1,
+                    msg: str = "expected a pattern") -> None:
+        """In a pattern, note that the piece at token `t` (the next one)
+        is not a pattern.  The first noted is refused, but an operator
+        overrides what its left operand, read from token `start`, noted."""
+        if self.pattern_error is None or self.pattern_error[0] >= start >= 0:
+            self.pattern_error = (self.i, ParseError(msg, t.line, t.col))
 
     # -- expressions --------------------------------------------------------
 
-    def _adjacent(self, prev: Tok) -> bool:
-        nxt = self.peek()
-        return nxt.line == prev.line and nxt.col == prev.end
+    def use(self, t: Tok) -> CVar:
+        if t.val not in self.scope:
+            self.unresolved.append((t, self.scope))
+        return CVar(t.val)
 
-    def parse_expr(self, min_prec: int):
-        left = self.parse_primary()
+    def value(self, e, out: list, temps: list):
+        """The core operand of what `parse_expr` read: a pending call or
+        operation computes into a fresh temporary, and `_` is one."""
+        te = type(e)
+        if te is _Call:
+            if self.pattern_names is not None:
+                return _VOID
+            res = CVar(self.fresh("R"))
+            temps.append(res.name)
+            out.append(self.call(e, res))
+            return res
+        if te is _Op:
+            if self.pattern_names is not None:
+                return _VOID
+            if e.op == "=":
+                # refused before anything its sides hold
+                self.later(e.first, ParseError(
+                    "'=' cannot be nested inside an expression",
+                    e.tok.line, e.tok.col))
+                return _VOID
+            res = CVar(self.fresh())
+            temps.append(res.name)
+            out.append(BuiltinCall(e.op, (e.a, e.b, res)))
+            return res
+        if e is _ANON:
+            if self.pattern_names is not None:
+                return _VOID
+            name = self.fresh("A")
+            temps.append(name)
+            self.anons.add(name)
+            return CVar(name)
+        return e
+
+    def arg(self, min_prec: int, out: list, temps: list):
+        """Read an argument of a constructor, a list item or an element
+        of a `|` chain: there `_` is a void."""
+        e = self.parse_expr(min_prec, out, temps)
+        return _VOID if e is _ANON else self.value(e, out, temps)
+
+    @staticmethod
+    def call(c: _Call, res) -> Call:
+        """The call `c` with its result `res` at the `$` hole, or last."""
+        args = c.args
+        if res is not None:
+            args.insert(len(args) if c.hole is None else c.hole, res)
+        return Call(c.target, tuple(args))
+
+    def var_follows(self) -> bool:
+        """Whether the next item is a variable or `_` alone (perhaps in
+        parentheses): an operand of '=' that may take a call's result."""
+        toks = self.toks
+        i = self.i
+        k = 0
+        while toks[i].kind == "op" and toks[i].val == "(":
+            i += 1
+            k += 1
+        if toks[i].kind not in ("var", "anon"):
+            return False
+        i += 1
+        for _ in range(k):
+            if toks[i].kind != "op" or toks[i].val != ")":
+                return False
+            i += 1
+        t = toks[i]
+        return t.kind != "op" or _PREC.get(t.val, 0) < _ARG_PREC
+
+    def parse_expr(self, min_prec: int, out: list, temps: list):
+        """Read an expression of operators binding at least as tightly as
+        `min_prec`, lowering it into `out` and `temps`: a lowered operand,
+        `_ANON`, or a pending call or operation, which `value` places."""
+        start = self.i
+        left = self.parse_primary(out, temps)
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t.kind != "op" or t.val not in _PREC:
+            t = toks[self.i]
+            if t.kind != "op":
+                return left
+            prec = _PREC.get(t.val)
+            if prec is None or prec < min_prec:
                 return left
             op = t.val
-            prec = _PREC[op]
-            if prec < min_prec:
-                return left
+            if op == "|":
+                # A chain E1|E2|...|En, read in a loop and folded from the
+                # right; each Ei binds tighter than '|'.
+                self.next()
+                items = [_VOID if left is _ANON
+                         else self.value(left, out, temps),
+                         self.arg(prec + 1, out, temps)]
+                while self.at("op", "|"):
+                    self.next()
+                    items.append(self.arg(prec + 1, out, temps))
+                left = items.pop()
+                for item in reversed(items):
+                    left = CCompound("|", (item, left))
+                continue
+            if self.pattern_names is not None:
+                self.not_pattern(t, start)
             self.next()
-            if op in _RIGHT_ASSOC:
-                # A chain E1 op E2 op ... op En, read in a loop and folded
-                # from the right; each Ei binds tighter than op.
-                parts = [(left, t)]
-                right = self.parse_expr(prec + 1)
-                while self.at("op", op):
-                    parts.append((right, self.next()))
-                    right = self.parse_expr(prec + 1)
-                for operand, tok in reversed(parts):
-                    right = EBin(op, operand, right, (tok.line, tok.col))
-                left = right
+            if op == "=":
+                # The sides stay as read where the other one may be the
+                # result of a call or an operation (see `unify`), and so
+                # does a '=' on the left, refused where it is placed.
+                if left is _ANON or (type(left) in (_Call, _Op) and
+                                     getattr(left, "op", None) != "=" and
+                                     not self.var_follows()):
+                    left = self.value(left, out, temps)
+                right = self.parse_expr(prec + 1, out, temps)
+                if right is _ANON:
+                    right = self.value(right, out, temps)
+                left = _Op(op, left, right, t, self.toks[start])
             else:
-                right = self.parse_expr(prec + 1)
-                left = EBin(op, left, right, (t.line, t.col))
+                a = self.value(left, out, temps)
+                b = self.value(self.parse_expr(prec + 1, out, temps),
+                               out, temps)
+                left = _Op(op, a, b, t, t)
 
-    def parse_primary(self):
-        self.enter()
-        e = self._primary()
+    def parse_primary(self, out: list, temps: list):
+        self.depth += 1             # self.enter(), on the hottest path
+        if self.depth > MAX_NESTING:
+            self.err(f"nesting deeper than {MAX_NESTING} levels")
+        e = self._primary(out, temps)
         self.depth -= 1
         return e
 
-    def _primary(self):
-        t = self.peek()
-        pos = (t.line, t.col)
-        if t.kind == "int":
-            self.next()
-            return EInt(t.val, pos)
-        if t.kind == "var":
-            self.next()
-            return EVar(t.val, pos)
-        if t.kind == "anon":
-            self.next()
-            return EAnon(pos)
-        if t.kind == "atom":
-            self.next()
-            if self.at("op", "(") and self._adjacent(t):
-                self.next()
+    def _primary(self, out: list, temps: list):
+        toks = self.toks
+        t = toks[self.i]
+        kind = t.kind
+        if kind == "var":
+            names = self.pattern_names
+            if names is None:
+                self.i += 1
+                if t.val not in self.scope:
+                    self.unresolved.append((t, self.scope))
+                return CVar(t.val)
+            if t.val in names:
+                self.not_pattern(t, msg=f"variable {t.val} occurs twice in "
+                                 "one pattern")
+            names.add(t.val)
+            self.i += 1
+            return CVar(t.val)
+        if kind == "int":
+            self.i += 1
+            return CLit(Int(t.val))
+        if kind == "anon":
+            self.i += 1
+            return _ANON
+        if kind == "atom":
+            self.i += 1
+            n = toks[self.i]
+            if (n.kind == "op" and n.val == "(" and n.line == t.line
+                    and n.col == t.end):
+                self.i += 1
                 args = []
                 while not self.at("op", ")"):
-                    args.append(self.parse_expr(_ARG_PREC))
+                    args.append(self.arg(_ARG_PREC, out, temps))
                 self.expect("op", ")")
                 if not args:
                     self.err("constructor needs at least one argument", t)
-                return EComp(t.val, args, pos)
-            return EAtom(t.val, pos)
-        if t.kind == "kw" and t.val in ("proc", "fun"):
-            d = self.parse_def()
-            if d.name is not None:
-                self.err("a named definition is a statement, not an expression", t)
-            return d
-        if t.kind == "kw" and t.val == "if":
-            return self.parse_if()
-        if t.kind == "kw" and t.val == "case":
-            return self.parse_case()
-        if t.kind != "op":
+                return CCompound(t.val, tuple(args))
+            return CLit(Atom(t.val))
+        if kind == "kw" and t.val in ("proc", "fun", "if", "case"):
+            if self.pattern_names is not None:
+                self.not_pattern(t)
+            if t.val in ("proc", "fun"):
+                d = self.parse_def(None)
+                if d is None:
+                    self.err("a named definition is a statement, not an "
+                             "expression", t)
+                name = d.name
+                out.append(d)
+            else:
+                name = self.fresh("R")
+                out.append(self.parse_if(name) if t.val == "if"
+                           else self.parse_case(name))
+            temps.append(name)
+            return CVar(name)
+        if kind != "op":
             self.err(f"expected an expression, found {self._show(t)}")
         if t.val == "{":
-            self.next()
-            target = self.parse_primary()
+            if self.pattern_names is not None:
+                self.not_pattern(t)
+            self.i += 1
+            target = self.value(self.parse_primary(out, temps), out, temps)
             args: list = []
             hole: Optional[int] = None
-            while not self.at("op", "}"):
-                if self.at("op", "$"):
-                    if hole is not None:
-                        self.err("more than one '$' in a call")
-                    hole = len(args)
-                    self.next()
-                    continue
-                args.append(self.parse_expr(_ARG_PREC))
-            self.expect("op", "}")
-            return ECall(target, args, hole, pos)
+            while True:
+                a = toks[self.i]
+                if a.kind == "op":
+                    if a.val == "}":
+                        break
+                    if a.val == "$":
+                        if hole is not None:
+                            self.err("more than one '$' in a call")
+                        hole = len(args)
+                        self.i += 1
+                        continue
+                args.append(self.value(self.parse_expr(_ARG_PREC, out, temps),
+                                       out, temps))
+            self.i += 1
+            return _Call(target, args, hole)
         if t.val == "(":
             self.next()
-            e = self.parse_expr(1)
+            e = self.parse_expr(1, out, temps)
             self.expect("op", ")")
             return e
         if t.val == "[":
             self.next()
             items = []
             while not self.at("op", "]"):
-                items.append(self.parse_expr(_ITEM_PREC))
+                items.append(self.arg(_ITEM_PREC, out, temps))
             self.expect("op", "]")
-            out = EAtom("nil", pos)
+            e = CLit(Atom("nil"))
             for item in reversed(items):
-                out = EBin("|", item, out, pos)
-            return out
+                e = CCompound("|", (item, e))
+            return e
         if t.val == "[]":
             self.err("'[]' is an alternative separator; the empty list is 'nil'")
         self.err(f"expected an expression, found {self._show(t)}")
 
 
-# -- desugarer ---------------------------------------------------------------
-
-_NEW = object()     # a call's result that is a fresh temporary (call_core)
-
-
-class _Scope:
-    """One level of a lexical scope over the level that encloses it.
-
-    A level holds the few names one construct binds: a block's
-    declarations, a definition's parameters and result, guard or pattern
-    variables.  The bottom of the chain is the caller's global container,
-    which is only ever asked whether it holds a name, so the cost of a
-    scope test does not grow with the number of globals.
-    """
-
-    __slots__ = ("names", "up")
-
-    def __init__(self, names, up):
-        self.names = names
-        self.up = up
-
-    def __contains__(self, name) -> bool:
-        s = self
-        while type(s) is _Scope:
-            if name in s.names:
-                return True
-            s = s.up
-        return name in s
-
-
-def _nest(scope, names):
-    return _Scope(names, scope) if names else scope
-
-
-class _Desugar:
-    def __init__(self, idents: set):
-        # Fresh temporaries avoid only the text's own identifiers.  Each is
-        # bound by an enclosing `local` or parameter list, so it can shadow
-        # only names the text never mentions.
-        self.idents = idents
-        self.counter = 0
-
-    def fresh(self, base: str = "T") -> str:
-        while True:
-            self.counter += 1
-            name = f"_{base}{self.counter}"
-            if name not in self.idents:
-                return name
-
-    @staticmethod
-    def err(msg: str, pos):
-        raise ParseError(msg, pos[0], pos[1])
-
-    def wrap(self, temps: list, stmts: list) -> Statement:
-        body = seq_all(stmts)
-        return Local(tuple(temps), body) if temps else body
-
-    # -- expression lowering ------------------------------------------------
-
-    def lower(self, e, scope, fills: list, temps: list):
-        """Lower a surface expression to a core constructor expression.
-
-        Statements that compute sub-results are appended to `fills`, their
-        fresh result names to `temps`.  The caller decides whether fills
-        run before the consuming statement (eager) or after a unification
-        (skeleton-first).  A `_` that is an argument of a compound (or a
-        list's head or tail) becomes a void, CAnon; anywhere else it is a
-        fresh temporary.
-        """
-        if isinstance(e, EInt):
-            return CLit(Int(e.v))
-        if isinstance(e, EAtom):
-            return CLit(Atom(e.name))
-        if isinstance(e, EVar):
-            if e.name not in scope:
-                self.err(f"undeclared variable {e.name}", e.pos)
-            return CVar(e.name)
-        if isinstance(e, EAnon):
-            t = self.fresh("A")
-            temps.append(t)
-            return CVar(t)
-        if isinstance(e, EComp):
-            return CCompound(e.label, tuple(self.lower_arg(a, scope, fills, temps)
-                                            for a in e.args))
-        if isinstance(e, EBin):
-            if e.op == "|":
-                # Loop down the spine, so a long list literal takes no
-                # stack; heads are lowered first to last, then the tail.
-                heads = []
-                while isinstance(e, EBin) and e.op == "|":
-                    heads.append(self.lower_arg(e.l, scope, fills, temps))
-                    e = e.r
-                out = self.lower_arg(e, scope, fills, temps)
-                for head in reversed(heads):
-                    out = CCompound("|", (head, out))
-                return out
-            # Loop down a left-leaning chain such as 1+2+...+n, so that its
-            # length takes no stack.  Operands are lowered left to right and
-            # each operation's result is named after its operands, as plain
-            # recursion would.
-            chain = []
-            while isinstance(e, EBin) and e.op != "|":
-                if e.op == "=":
-                    self.err("'=' cannot be nested inside an expression", e.pos)
-                chain.append(e)
-                e = e.l
-            out = self.lower(e, scope, fills, temps)
-            for link in reversed(chain):
-                b = self.lower(link.r, scope, fills, temps)
-                t = self.fresh()
-                temps.append(t)
-                fills.append(BuiltinCall(link.op, (out, b, CVar(t))))
-                out = CVar(t)
-            return out
-        if isinstance(e, ECall):
-            return self.call_core(e, scope, fills, temps, _NEW)
-        if isinstance(e, EDef):
-            if e.name is not None:
-                self.err("a named definition is not an expression", e.pos)
-            t = self.fresh("P")
-            temps.append(t)
-            fills.append(self.def_core(e, scope, t))
-            return CVar(t)
-        if isinstance(e, EIf):
-            t = self.fresh("R")
-            temps.append(t)
-            fills.append(self.if_core(e, scope, t))
-            return CVar(t)
-        if isinstance(e, ECase):
-            t = self.fresh("R")
-            temps.append(t)
-            fills.append(self.case_core(e, scope, t))
-            return CVar(t)
-        raise TypeError(f"cannot lower {type(e).__name__}")
-
-    def call_core(self, call: ECall, scope, pre: list, temps: list,
-                  res=None):
-        """Lower a call into `pre`: the statements its target and then its
-        arguments need, left to right, and the call itself.  `res`, its
-        result, goes in at the `$` hole, or last; `_NEW` makes it a fresh
-        temporary, named once the arguments are lowered.  Returns `res`."""
-        target = self.lower(call.target, scope, pre, temps)
-        args = [self.lower(a, scope, pre, temps) for a in call.args]
-        if res is _NEW:
-            res = CVar(self.fresh("R"))
-            temps.append(res.name)
-        if res is not None:
-            args.insert(len(args) if call.hole is None else call.hole, res)
-        pre.append(Call(target, tuple(args)))
-        return res
-
-    def lower_arg(self, e, scope, fills: list, temps: list):
-        """Lower an argument of a compound: there `_` is a void."""
-        if isinstance(e, EAnon):
-            return CAnon()
-        return self.lower(e, scope, fills, temps)
-
-    # -- statement lowering ---------------------------------------------------
-
-    def stmt_core(self, s, scope) -> Statement:
-        if isinstance(s, SSkip):
-            return Skip()
-        if isinstance(s, SFail):
-            return Fail()
-        if isinstance(s, SUnify):
-            return self.unify_core(s, scope)
-        if isinstance(s, STest):
-            pre: list = []
-            temps: list = []
-            a = self.lower(s.e.l, scope, pre, temps)
-            b = self.lower(s.e.r, scope, pre, temps)
-            return self.wrap(temps, pre + [BuiltinCall(s.e.op, (a, b))])
-        if isinstance(s, SCallS):
-            if s.call.hole is not None:
-                self.err("'$' only makes sense where a result is expected", s.pos)
-            pre, temps = [], []
-            self.call_core(s.call, scope, pre, temps)
-            return self.wrap(temps, pre)
-        if isinstance(s, SThread):
-            r = s.result
-            if r is None:
-                return ThreadStmt(self.block_core(s.block, scope, None))
-            if r.val not in scope:
-                self.err(f"undeclared variable {r.val}", (r.line, r.col))
-            return LazyStmt(r.val, self.block_core(s.block, scope, None))
-        if isinstance(s, SChoice):
-            return Choice(tuple(self.block_core(b, scope, None) for b in s.blocks))
-        if isinstance(s, SLocal):
-            return self.block_core(s.block, scope, None)
-        if isinstance(s, SExpr):
-            e = s.e
-            if isinstance(e, EDef) and e.name is not None:
-                return self.def_core(e, scope, e.name)
-            if isinstance(e, EIf):
-                return self.if_core(e, scope, None)
-            if isinstance(e, ECase):
-                return self.case_core(e, scope, None)
-            if isinstance(e, EVar):
-                self.err(f"variable {e.name} by itself is not a statement", s.pos)
-            self.err("this expression is only allowed as a function result", s.pos)
-        raise TypeError(f"cannot desugar {type(s).__name__}")
-
-    def unify_core(self, s: SUnify, scope) -> Statement:
-        # When one side is exactly a call and the other a variable, pass the
-        # variable as the call's result argument: no intermediate unification,
-        # and the call stays in tail position.
-        for a, b in ((s.l, s.r), (s.r, s.l)):
-            if isinstance(b, ECall) and isinstance(a, (EVar, EAnon)):
-                pre, temps = [], []
-                res = self.lower(a, scope, pre, temps)
-                self.call_core(b, scope, pre, temps, res)
-                return self.wrap(temps, pre)
-            if (isinstance(b, EBin) and b.op in (_ARITH_OPS | _CMP_OPS)
-                    and isinstance(a, (EVar, EAnon))):
-                # X = A+B computes straight into X, no temporary
-                pre, temps = [], []
-                res = self.lower(a, scope, pre, temps)
-                x = self.lower(b.l, scope, pre, temps)
-                y = self.lower(b.r, scope, pre, temps)
-                return self.wrap(temps, pre + [BuiltinCall(b.op, (x, y, res))])
-        fills: list = []
-        temps: list = []
-        lhs = self.lower(s.l, scope, fills, temps)
-        rhs = self.lower(s.r, scope, fills, temps)
-        return self.wrap(temps, [Unify(lhs, rhs)] + fills)
-
-    def def_core(self, e: EDef, scope, name: str) -> ProcDef:
-        params: list = []
-        seen: set[str] = set()
-        for p in e.params:
-            if p is None:
-                params.append(self.fresh("A"))
-                continue
-            if p in seen:
-                self.err(f"parameter {p} repeated", e.pos)
-            seen.add(p)
-            params.append(p)
-        inner = {name, *params}
-        if e.isfun:
-            res = self.fresh("R")
-            inner.add(res)
-            body = self.block_core(e.body, _Scope(inner, scope), res)
-            if e.lazy:
-                body = LazyStmt(res, body)
-            return ProcDef(name, tuple(params) + (res,), body)
-        if e.lazy:
-            self.err("'lazy' only applies to 'fun'", e.pos)
-        return ProcDef(name, tuple(params),
-                       self.block_core(e.body, _Scope(inner, scope), None))
-
-    def if_core(self, e: EIf, scope, result: Optional[str]) -> Statement:
-        arms = []
-        for guard, block in e.arms:
-            if isinstance(guard, GExpr):
-                pre: list = []
-                temps: list = []
-                g = guard.e
-                if isinstance(g, EBin) and g.op in _CMP_OPS:
-                    a = self.lower(g.l, scope, pre, temps)
-                    b = self.lower(g.r, scope, pre, temps)
-                    test = BuiltinCall(g.op, (a, b))
-                else:
-                    v = self.lower(g, scope, pre, temps)
-                    test = BuiltinCall("$test", (v,))
-                gstmt = self.wrap(temps, pre + [test])
-                gvars: tuple = ()
-            else:
-                seen = set()
-                for v in guard.vars:
-                    if v in seen:
-                        self.err(f"guard variable {v} repeated", e.pos)
-                    seen.add(v)
-                gvars = tuple(guard.vars)
-                gstmt = self.block_core(guard.block, _nest(scope, gvars), None)
-            body = self.block_core(block, _nest(scope, gvars), result)
-            arm = IfArm(gvars, gstmt, body)
-            _check_quiet_guard(arm, e.pos)
-            arms.append(arm)
-        otherwise = (self.block_core(e.els, scope, result)
-                     if e.els is not None else Skip())
-        return IfStmt(tuple(arms), otherwise)
-
-    def case_core(self, e: ECase, scope, result: Optional[str]) -> Statement:
-        pre: list = []
-        temps: list = []
-        subject = self.lower(e.subject, scope, pre, temps)
-        arms = []
-        for pat, block in e.arms:
-            body = self.block_core(block, _nest(scope, expr_names(pat)),
-                                   result)
-            arms.append(CaseArm(pat, body))
-        if e.els is None:
-            otherwise: Statement = Fail()
-        elif isinstance(e.els, ECase):
-            otherwise = self.case_core(e.els, scope, result)
-        else:
-            otherwise = self.block_core(e.els, scope, result)
-        return self.wrap(temps, pre + [CaseStmt(subject, tuple(arms), otherwise)])
-
-    # -- blocks and implicit declaration ------------------------------------
-
-    def block_core(self, b: SBlock, scope, result: Optional[str],
-                   expose: bool = False):
-        declared: list = []
-        own: set[str] = set()
-
-        def add(name: str, force: bool):
-            if name in own or (not force and name in scope):
-                return
-            declared.append(name)
-            own.add(name)
-
-        for item in b.decls:
-            if isinstance(item, SExpr) and isinstance(item.e, EDef) and item.e.name:
-                add(item.e.name, force=True)
-            elif isinstance(item, SExpr) and isinstance(item.e, EVar):
-                add(item.e.name, force=True)
-            elif isinstance(item, SUnify):
-                if isinstance(item.l, EVar):
-                    add(item.l.name, force=True)
-                for side in (item.l, item.r):
-                    for name in _declarable_idents(side):
-                        add(name, force=False)
-        for item in b.body:
-            if isinstance(item, SExpr) and isinstance(item.e, EDef) and item.e.name:
-                add(item.e.name, force=True)
-            elif isinstance(item, SUnify) and isinstance(item.l, EVar):
-                add(item.l.name, force=False)
-
-        inner = _nest(scope, own)
-        decl_ids = {id(x) for x in b.decls}
-        items = list(b.decls) + list(b.body)
-        final = None
-        if result is not None:
-            if not items:
-                self.err("a value is expected here", b.pos)
-            final = items.pop()
-
-        core = []
-        for item in items:
-            if (isinstance(item, SExpr) and isinstance(item.e, EVar)
-                    and id(item) in decl_ids):
-                continue  # pure declaration, nothing to execute
-            core.append(self.stmt_core(item, inner))
-        if final is not None:
-            core.append(self.final_core(final, inner, result))
-
-        stmt = seq_all(core)
-        if expose:
-            return stmt, tuple(declared)
-        return Local(tuple(declared), stmt) if declared else stmt
-
-    def final_core(self, item, scope, result: str) -> Statement:
-        """Lower a block's final item so that it produces `result`."""
-        if isinstance(item, SCallS):
-            pre, temps = [], []
-            self.call_core(item.call, scope, pre, temps, CVar(result))
-            return self.wrap(temps, pre)
-        if isinstance(item, SLocal):
-            return self.block_core(item.block, scope, result)
-        if isinstance(item, SExpr):
-            e = item.e
-            if isinstance(e, EIf):
-                return self.if_core(e, scope, result)
-            if isinstance(e, ECase):
-                return self.case_core(e, scope, result)
-            if isinstance(e, EDef) and e.name is not None:
-                self.err("function body must end in an expression", item.pos)
-            return self.unify_core(
-                SUnify(EVar(result, item.pos), e, item.pos),
-                _Scope((result,), scope))
-        self.err("function body must end in an expression", item.pos)
-
-
-def _declarable_idents(e) -> list:
-    """Variable names introducible by a declaration-part unification.
-
-    Call and definition subtrees are skipped: their arguments are uses,
-    not declarations.
-    """
-    out: list = []
-    todo = [e]                 # left to right, without recursion
-    while todo:
-        x = todo.pop()
-        if isinstance(x, EVar):
-            out.append(x.name)
-        elif isinstance(x, EComp):
-            todo.extend(reversed(x.args))
-        elif isinstance(x, EBin) and x.op == "|":
-            todo.append(x.r)
-            todo.append(x.l)
-    return out
-
-
 # -- static quiet-guard check -------------------------------------------------
 
 
-def _check_quiet_guard(arm: IfArm, pos):
-    """Reject guards that visibly bind variables from outside the guard."""
-
-    def bad(name):
-        raise QuietGuardViolation(
-            f"line {pos[0]}:{pos[1]}: guard may bind only its own variables, "
-            f"not {name}")
-
+def _guard_binds(arm: IfArm) -> Optional[str]:
+    """A variable from outside the guard that the guard visibly binds,
+    or None."""
     # The walk keeps its own stack of (statement, declared names), so a
     # long guard takes no Python stack.
     todo = [(arm.guard, frozenset(arm.guard_vars))]
@@ -1143,15 +1021,15 @@ def _check_quiet_guard(arm: IfArm, pos):
                 elif isinstance(x, CCompound):
                     exprs.extend(reversed(x.args))
             if seen and not local:
-                bad(seen[0])
+                return seen[0]
         elif isinstance(s, BuiltinCall):
             if s.name in _ARITH_OPS or (s.name in _CMP_OPS and len(s.args) == 3):
                 res = s.args[-1]
                 if isinstance(res, CVar) and res.name not in declared:
-                    bad(res.name)
+                    return res.name
         elif isinstance(s, ProcDef):
             if s.name not in declared:
-                bad(s.name)
+                return s.name
         elif isinstance(s, IfStmt):
             todo.append((s.otherwise, declared))
             for a in reversed(s.arms):
@@ -1166,6 +1044,7 @@ def _check_quiet_guard(arm: IfArm, pos):
                 todo.append((alt, declared))
         elif isinstance(s, (ThreadStmt, LazyStmt)):
             todo.append((s.body, declared))
+    return None
 
 
 # -- public API ---------------------------------------------------------------
@@ -1179,8 +1058,23 @@ def _globals(global_names):
     return global_names
 
 
+def _read(text: str, global_names):
+    """Parse a whole text: the parser, the text's statement and the names
+    it declares."""
+    toks = tokenize(text)
+    global_names = _globals(global_names)
+    p = _Parser(toks, global_names)
+    stmt, declared, _ = p.parse_block(frozenset())
+    p.expect("eof")
+    revoked = p.finish()
+    if revoked:
+        p = _Parser(toks, global_names, revoked)
+        stmt, declared, _ = p.parse_block(frozenset())
+    return p, stmt, declared
+
+
 def parse_program(text: str, global_names=()) -> Statement:
-    """Parse and desugar a whole program into one core statement.
+    """Parse a whole program into one core statement.
 
     `global_names` holds the names already bound around the program.  It
     is only ever asked whether it holds a name (``in``): it is neither
@@ -1188,9 +1082,8 @@ def parse_program(text: str, global_names=()) -> Statement:
     and a parse costs the same however many globals there are.  A tuple
     or list is turned into a set first.
     """
-    p = _Parser(text)
-    block = p.parse_program()
-    return _Desugar(p.idents).block_core(block, _globals(global_names), None)
+    _, stmt, declared = _read(text, global_names)
+    return Local(declared, stmt) if declared else stmt
 
 
 def parse_interactive(text: str, global_names=(), idents: Optional[set] = None):
@@ -1203,9 +1096,7 @@ def parse_interactive(text: str, global_names=(), idents: Optional[set] = None):
     given, those identifiers are added to it, so that a caller can keep
     the parse and tell when it still holds.
     """
-    p = _Parser(text)
-    block = p.parse_program()
+    p, stmt, declared = _read(text, global_names)
     if idents is not None:
         idents.update(p.idents)
-    return _Desugar(p.idents).block_core(block, _globals(global_names), None,
-                                         expose=True)
+    return stmt, declared

@@ -427,6 +427,21 @@ def test_a_name_may_be_used_before_its_declaration_in_the_body():
     parse_program("{F} X = 1 fun {F} 1 end", GLOBALS)
 
 
+@pytest.mark.parametrize("text, core", [
+    # X = 1 declares no X of its own where an enclosing block has one,
+    # even one that block declares only further on
+    ("local B in X = 1 end X = 2",
+     "local X in\n   local B in\n      X=1\n   end\n   X=2\nend\n"),
+    ("local in X = 1 end X = 2", "local X in\n   X=1\n   X=2\nend\n"),
+    ("local Y = f(X) local in X = 1 end in skip end",
+     "local Y X in\n   Y=f(X)\n   X=1\n   skip\nend\n"),
+    ("if a == b then X = 1 end {Browse 1}",
+     "if a==b then\n   local X in\n      X=1\n   end\nend\n{Browse 1}\n"),
+])
+def test_a_block_declares_what_no_enclosing_block_does(text, core):
+    assert pretty(parse_program(text, GLOBALS)) == core
+
+
 @pytest.mark.parametrize("text, error", [
     ("proc {P X X} skip end", "line 1:1: parameter X repeated"),
     ("local X in if Y Y in skip then skip end end",

@@ -1,4 +1,4 @@
-"""Parser and desugarer: golden shapes, errors, and pretty round-trips."""
+"""Parser: golden shapes, errors, and pretty round-trips."""
 
 import itertools
 
