@@ -301,6 +301,9 @@ class Repl:
                 line = input("ozk> " if not buffer else "...  "
                              ) if self.interactive else input()
             except EOFError:
+                if buffer:
+                    # what is left is reported, not dropped
+                    self.feed(buffer, at_end=True)
                 break
             except KeyboardInterrupt:
                 print()
@@ -318,12 +321,13 @@ class Repl:
                 buffer = ""
         return EXIT_DONE
 
-    def feed(self, text: str) -> bool:
-        """Run one chunk; False means 'incomplete, keep reading'."""
+    def feed(self, text: str, at_end: bool = False) -> bool:
+        """Run one chunk; False means 'incomplete, keep reading', which
+        at the end of the input (`at_end`) is a parse error."""
         try:
             result = self.session.feed(text)
         except ParseError as exc:
-            if getattr(exc, "incomplete", False):
+            if getattr(exc, "incomplete", False) and not at_end:
                 return False
             print(f"** parse error: {exc}")
             return True

@@ -471,6 +471,14 @@ class TestRepl:
         assert code == 0
         assert out == ["** parse error: line 1:20: undeclared variable Y", "2"]
 
+    def test_a_chunk_cut_short_by_the_end_of_input_is_reported(
+            self, capsys, monkeypatch):
+        code, out = repl(capsys, monkeypatch, ["{Browse 1}",
+                                               "local X in {Browse X}"])
+        assert code == 0
+        assert out == ["1", "** parse error: line 1:22: expected 'end', "
+                       "found end of input"]
+
     def test_session_survives_failure(self, capsys, monkeypatch):
         code, out = repl(capsys, monkeypatch, [
             "X = 1", "X = 2", "{Browse X}"])
