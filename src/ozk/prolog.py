@@ -750,6 +750,12 @@ def _arg_expr(t: PTerm, ctx: _Ctx):
     return CAnon() if _is_void(t, ctx) else term_expr(t, ctx)
 
 
+def _refusal(line: int, msg: str) -> UnsupportedConstruct:
+    """A refusal that names the clause's line (a query's goals, read as
+    line 0, have none)."""
+    return UnsupportedConstruct(f"line {line}: {msg}" if line else msg)
+
+
 def arith_expr(t: PTerm, ctx: _Ctx, out: list):
     """Translate an arithmetic expression, emitting helper statements
     into ``out``; returns the core expression holding the value."""
@@ -763,15 +769,15 @@ def arith_expr(t: PTerm, ctx: _Ctx, out: list):
         r = ctx.fresh()
         out.append(BuiltinCall(op, (a, b, CVar(r))))
         return CVar(r)
-    raise UnsupportedConstruct(f"{t!r} is not arithmetic")
+    raise _refusal(ctx.line, f"{t!r} is not arithmetic")
 
 
-def _strip_carets(t: PTerm) -> tuple[list, PTerm]:
+def _strip_carets(t: PTerm, line: int) -> tuple[list, PTerm]:
     ex = []
     while isinstance(t, PS) and t.functor == "^" and len(t.args) == 2:
         q = t.args[0]
         if not isinstance(q, PV):
-            raise UnsupportedConstruct(f"{q!r} cannot be ^-quantified")
+            raise _refusal(line, f"{q!r} cannot be ^-quantified")
         ex.append(q)
         t = t.args[1]
     return ex, t
@@ -785,7 +791,7 @@ def goal_stmts(g: PTerm, ctx: _Ctx) -> list:
             return [Fail()]
         key = (g.name, 0)
         if key not in ctx.names:
-            raise UnsupportedConstruct(f"unknown predicate {g.name}/0")
+            raise _refusal(ctx.line, f"unknown predicate {g.name}/0")
         return [Call(CVar(ctx.names[key]), ())]
     if isinstance(g, PS):
         f, args = g.functor, g.args
@@ -819,10 +825,10 @@ def goal_stmts(g: PTerm, ctx: _Ctx) -> list:
             return _bagof_stmts(g, ctx)
         key = (f, len(args))
         if key not in ctx.names:
-            raise UnsupportedConstruct(f"unknown predicate {f}/{len(args)}")
+            raise _refusal(ctx.line, f"unknown predicate {f}/{len(args)}")
         return [Call(CVar(ctx.names[key]),
                      tuple(term_expr(a, ctx) for a in args))]
-    raise UnsupportedConstruct(f"{g!r} cannot be called")
+    raise _refusal(ctx.line, f"{g!r} cannot be called")
 
 
 def _body_stmts(goals: list, ctx: _Ctx) -> list:
@@ -840,10 +846,10 @@ def _local_or_seq(names: list, stmts: list) -> Statement:
 def _bagof_stmts(g: PS, ctx: _Ctx) -> list:
     """bagof/setof: SolveAll over an anonymous goal procedure."""
     template, qualified, result = g.args
-    ex_vars, inner = _strip_carets(qualified)
+    ex_vars, inner = _strip_carets(qualified, ctx.line)
     inner_goals = conj_list(inner)
     for ig in inner_goals:
-        _check_goal(ig, 0)
+        _check_goal(ig, ctx.line)
     tmpl_vars = term_vars(template)
     inner_vars = goals_vars(inner_goals)
     free = [v for v in inner_vars

@@ -269,6 +269,20 @@ class TestRun:
                                  "grandfather(terach, G)")
         assert (code, out) == (0, "[isaac]\n")
 
+    # A refusal of the translation names the line of the clause it is in.
+    @pytest.mark.parametrize("clause, refusal", [
+        ("p(L) :- bagof(X, assert(X), L).", "assert is outside the subset"),
+        ("p(X) :- X is 2 ^ 3.", "^(2, 3) is not arithmetic"),
+        ("p(X) :- r(X).", "unknown predicate r/1"),
+        ("p(L) :- bagof(X, f(a)^q(X), L).", "f(a) cannot be ^-quantified"),
+    ])
+    def test_prolog_refusal_names_the_clause_line(self, capsys, tmp_path,
+                                                 clause, refusal):
+        f = write(tmp_path, "bad.pl", f"q(1).\n{clause}\n")
+        code, out, err = run_cli(capsys, "run", f, "--query", "p(X)")
+        assert code == 3
+        assert f"line 2: {refusal}" in err
+
     def test_query_rejected_for_kernel_file(self, capsys, tmp_path):
         f = write(tmp_path, "p.ozk", "skip")
         code, out, err = run_cli(capsys, "run", f, "--query", "foo(X)")
