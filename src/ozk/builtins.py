@@ -2,7 +2,7 @@
 
 Each is a NativeProc value in the global environment under a
 user-callable name (``Browse``, ``Wait``, ``SolveAll`` ...).  The
-statements the desugarer makes of operators and tests are not here: the
+statements the parser makes of operators and tests are not here: the
 runtime runs the integer operators (``runtime.exec_op``), ``==`` and
 ``$test`` itself.
 

@@ -1,4 +1,4 @@
-"""The compile pass: from the desugared statement AST to the form the
+"""The compile pass: from the core statement AST to the form the
 runtime runs.
 
 One top-down walk turns each statement into an instruction and resolves

@@ -37,7 +37,7 @@ Some context arrives only after the text it governs:
   further on; in that rare case the text is read a second time, with
   the names the nested blocks must not declare known.
 * Syntax errors come before all others: an error of scope or of the
-  desugaring (an undeclared name, a repeated parameter, a value missing
+  lowering (an undeclared name, a repeated parameter, a value missing
   where one is expected) is kept until the whole text has parsed, and
   then the first of them in the text is raised.  So a chunk that stops
   short is incomplete input (``ParseError.incomplete``), whatever else is

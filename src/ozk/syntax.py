@@ -2,9 +2,9 @@
 
 Everything the machine executes is compiled from these nodes (see
 compiler.py); surface sugar (functions, nested calls, operators in
-expressions, anonymous variables) is compiled away by the desugarer in
-parser.py.  The AST itself is pure data: the desugarer builds it, and
-the printer, the compile pass, ``dist.split_program`` and
+expressions, anonymous variables) is lowered away by the parser in
+parser.py as it reads.  The AST itself is pure data: the parser builds
+it, and the printer, the compile pass, ``dist.split_program`` and
 :func:`free_names` read it.
 
 Expressions at this level are pure constructors: a variable reference, a

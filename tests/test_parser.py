@@ -118,7 +118,7 @@ def test_undeclared_variable_rejected():
 
 # -- functions and tail shapes -------------------------------------------------
 
-def test_fun_desugars_to_proc_with_result():
+def test_fun_is_lowered_to_a_proc_with_result():
     s = parse("fun {Inc N} N+1 end")
     names, items = unwrap_local(s)
     assert names == ("Inc",)
