@@ -753,17 +753,20 @@ class _Parser:
             raise error[1]
         return pattern
 
-    def not_pattern(self, t: Tok, start: int = -1,
+    def not_pattern(self, t: Tok, start: Optional[int] = None,
                     msg: str = "expected a pattern") -> None:
         """In a pattern, note that the piece at token `t` (the next one)
         is not a pattern.  The first noted is refused, but an operator
         overrides what its left operand, read from token `start`, noted."""
-        if self.pattern_error is None or self.pattern_error[0] >= start >= 0:
+        noted = self.pattern_error
+        if noted is None or (start is not None and noted[0] >= start):
             self.pattern_error = (self.i, ParseError(msg, t.line, t.col))
 
     # -- expressions --------------------------------------------------------
 
     def use(self, t: Tok) -> CVar:
+        """The use of the name `t`; one not in scope yet is checked again
+        once the whole text is read (see `finish`)."""
         if t.val not in self.scope:
             self.unresolved.append((t, self.scope))
         return CVar(t.val)
@@ -900,9 +903,7 @@ class _Parser:
             names = self.pattern_names
             if names is None:
                 self.i += 1
-                if t.val not in self.scope:
-                    self.unresolved.append((t, self.scope))
-                return CVar(t.val)
+                return self.use(t)
             if t.val in names:
                 self.not_pattern(t, msg=f"variable {t.val} occurs twice in "
                                  "one pattern")
