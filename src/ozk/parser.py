@@ -873,14 +873,14 @@ class _Parser:
                 # The sides stay as read where the other one may be the
                 # result of a call or an operation (see `unify`), and so
                 # does a '=' on the left, refused where it is placed.
-                if left is _ANON or (type(left) in (_Call, _Op) and
-                                     getattr(left, "op", None) != "=" and
-                                     not self.var_follows()):
+                pending = type(left) is _Call or (type(left) is _Op
+                                                  and left.op != "=")
+                if left is _ANON or (pending and not self.var_follows()):
                     left = self.value(left, out, temps)
                 right = self.parse_expr(prec + 1, out, temps)
                 if right is _ANON:
                     right = self.value(right, out, temps)
-                left = _Op(op, left, right, t, self.toks[start])
+                left = _Op(op, left, right, t, toks[start])
             else:
                 a = self.value(left, out, temps)
                 b = self.value(self.parse_expr(prec + 1, out, temps),

@@ -160,7 +160,7 @@ class _Gen:
             return "[" + " ".join(self.item(scope, depth - 1) for _ in
                                   range(self.draw(st.integers(1, 2)))) + "]"
         if kind in ("call", "hole"):
-            args = [self.call_arg(scope, depth - 1)
+            args = [self.arg(scope, depth - 1)
                     for _ in range(self.draw(st.integers(0, 2)))]
             if kind == "hole":
                 args.insert(self.draw(st.integers(0, len(args))), "$")
@@ -202,13 +202,8 @@ class _Gen:
             self.chain(scope, depth)
 
     def arg(self, scope, depth):
-        """A constructor's argument: `_` is a void."""
-        if self.chance() and self.chance():
-            return "_"
-        return self.expr(scope, depth)
-
-    def call_arg(self, scope, depth):
-        """A call's argument: `_` is a fresh variable."""
+        """An argument of a constructor, where `_` is a void, or of a
+        call, where it is a fresh variable."""
         if self.chance() and self.chance():
             return "_"
         return self.expr(scope, depth)
@@ -259,7 +254,7 @@ class _Gen:
                          else self.cons(scope, depth))
         if kind == "call":
             return "{" + " ".join([self.pick(scope)] + [
-                self.call_arg(scope, depth - 1)
+                self.arg(scope, depth - 1)
                 for _ in range(self.draw(st.integers(0, 2)))]) + "}"
         if kind == "if":
             return self.if_(scope, depth - 1, True)
@@ -279,11 +274,11 @@ class _Gen:
         if kind == "anon":
             return f"_={self.primary(scope, depth)}"
         if kind == "callleft":
-            return (f"{{{self.pick(scope)} {self.call_arg(scope, d)}}}"
+            return (f"{{{self.pick(scope)} {self.arg(scope, d)}}}"
                     f"={self.pick(scope + ['_'])}")
         if kind == "call":
             return "{" + " ".join([self.pick(scope)] + [
-                self.call_arg(scope, d)
+                self.arg(scope, d)
                 for _ in range(self.draw(st.integers(0, 2)))]) + "}"
         if kind == "test":
             return _lead(self.chain(scope, depth) + self.pick(_CMP)
