@@ -17,14 +17,12 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .errors import OzkError, ThreadInSearchError
-from .compiler import compile_procedure
-from .runtime import (Failure, SleepRequest, Suspend, Task, call_frame,
-                      int_value)
-from .parser import parse_program
+from .compiler import compile_top
+from .runtime import Failure, SleepRequest, Suspend, Task, int_value
 from .search import Engine, solve_answers
-from .syntax import Local, ProcDef
-from .terms import (Atom, Closure, Compound, NativeProc, Opaque, Store, Term,
-                    Var, compare_terms, make_list, render)
+from .syntax import Call, CVar
+from .terms import (NIL, Atom, Closure, Compound, NativeProc, Store, Term,
+                    Var, compare_terms, cons, make_list, render)
 
 # -- helpers -------------------------------------------------------------------
 
@@ -114,44 +112,31 @@ def _solve_eager(limit: Optional[int]):
     return fn
 
 
-# The lazy driver: a thread that runs the engine one answer further each
-# time the stream's next cell is needed.  SolveStep is bound only in the
-# loop's own frame.
-_SOLVE_LOOP_TEXT = """
-proc {SolveLoop E S}
-   A in
-   {WaitNeeded S}
-   {SolveStep E A}
-   case A of none then S = nil
-   [] some(X) then S2 in S = X|S2 {SolveLoop E S2} end
-end
-"""
+# A lazy Solve list is a by-need trigger on each of its cells, as a ``fun
+# lazy`` result is (``runtime.Runtime.by_need``): the trigger's one
+# statement runs the engine one answer further when the cell is needed.
+_SOLVE_NEXT = compile_top(Call(CVar("SolveNext"), (CVar("E"), CVar("S"))))
 
 
-def _solve_step(task: Task, args):
-    engine = task.rt.store.deref(args[0]).payload
+def _solve_next(task: Task, args):
+    engine, stream = args
     answer = engine.next_answer()
-    _bind(task, args[1],
-          Atom("none") if answer is None else Compound("some", [answer]))
+    if answer is None:
+        _bind(task, stream, NIL)
+        return
+    rest = task.rt.store.new_var()
+    _solve_later(task.rt, engine, rest)
+    _bind(task, stream, cons(answer, rest))
 
 
-def _make_solve_loop() -> Closure:
-    names = {"WaitNeeded": NativeProc("WaitNeeded", 1, _wait_needed),
-             "SolveStep": NativeProc("SolveStep", 2, _solve_step)}
-    stmt = parse_program(_SOLVE_LOOP_TEXT, names)
-    if not (isinstance(stmt, Local) and isinstance(stmt.body, ProcDef)):
-        raise AssertionError(f"the lazy driver is not one procedure: {stmt}")
-    proc = stmt.body
-    code = compile_procedure(proc)
-    # the loop captures itself: its captured values are filled in once
-    # the closure exists
-    loop = Closure(proc.name, code, [])
-    names[proc.name] = loop
-    loop.env += code.env(names)
-    return loop
+_SOLVE_NEXT_PROC = NativeProc("SolveNext", 2, _solve_next)
 
 
-_SOLVE_LOOP = _make_solve_loop()
+def _solve_later(rt, engine: Engine, stream: Term):
+    """Leave on ``stream`` the trigger that runs ``engine`` to its next
+    answer."""
+    rt.by_need(stream, _SOLVE_NEXT.frame(
+        {"SolveNext": _SOLVE_NEXT_PROC, "E": engine, "S": stream}))
 
 
 def _solve_lazy(task: Task, args):
@@ -160,9 +145,7 @@ def _solve_lazy(task: Task, args):
             "lazy solving needs a thread of its own and is only allowed "
             "in regular threads")
     goal = _goal(task.rt.store, args[0])
-    frame = call_frame(_SOLVE_LOOP, [Opaque("engine", Engine(task.rt, goal)),
-                                     args[1]])
-    task.rt.spawn(_SOLVE_LOOP.code.body, frame)
+    _solve_later(task.rt, Engine(task.rt, goal), args[1])
 
 
 # -- the global environment ------------------------------------------------------

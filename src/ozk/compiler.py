@@ -189,10 +189,10 @@ class Code:
     A frame is ``[code, parameters..., locals..., captured values...]``;
     ``blank`` fills the locals, and ``captures`` says where the captured
     values come from, in frame order: slots of the frame the procedure is
-    defined in, or, for a top-level piece or a procedure compiled on its
-    own, names.  ``names`` pairs each slot with its name, innermost scope
-    first: the scopes latest declared first (a scope's own names in
-    order), the parameters, then the captured names."""
+    defined in, or, for a top-level piece, names.  ``names`` pairs each
+    slot with its name, innermost scope first: the scopes latest declared
+    first (a scope's own names in order), the parameters, then the
+    captured names."""
     __slots__ = ("name", "arity", "blank", "captures", "body", "names")
 
     def __init__(self, name, arity, blank, captures, body, names):
@@ -944,8 +944,3 @@ def compile_top(stmt) -> Code:
     :meth:`Code.frame` takes by name when it starts."""
     return _Compiler(None).code("", stmt)
 
-
-def compile_procedure(proc: syn.ProcDef) -> Code:
-    """Compile a procedure on its own: its free names, its own among them,
-    are captured by name (see :meth:`Code.env`)."""
-    return _Compiler(None, proc.params).code(proc.name, proc.body)

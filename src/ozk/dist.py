@@ -285,7 +285,10 @@ class Simulation:
     """Drive N nodes and the network to global quiescence.
 
     Quiescence: no node has a runnable thread, no message is in flight,
-    and no thread is sleeping (virtual time has run out of work)."""
+    and no thread is sleeping (virtual time has run out of work).  When
+    the step budget stops the run, every node's runnable and sleeping
+    threads leave with status ``stopped`` (``Runtime.stop``), as in a
+    run of one runtime."""
 
     def __init__(self, source: str, placement: Optional[dict] = None, *,
                  net_seed: Optional[int] = None,
@@ -444,7 +447,7 @@ class Simulation:
             var = store.intern(msg.var)
             term = self._materialize(node, msg.payload)
             if var.ref is None:
-                woken = store.bind_notified(var, term)
+                woken = store._bind_local(var, term)
                 if woken:
                     node.rt.wake(woken)
             else:
@@ -485,6 +488,8 @@ class Simulation:
                 break
         except StepLimit:
             status = "limit"
+            for node in self.nodes:
+                node.rt.stop()
 
         failures = [] if self.failure is None else [self.failure]
         suspended: dict = {}

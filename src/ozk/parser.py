@@ -121,8 +121,11 @@ def tokenize(src: str) -> list[Tok]:
             col += 1
             continue
         if c == "%":
-            while i < n and src[i] != "\n":
-                i += 1
+            j = src.find("\n", i)
+            if j < 0:
+                j = n
+            col += j - i
+            i = j
             continue
         start_col = col
         if c.isalpha() or c == "_":

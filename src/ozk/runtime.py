@@ -1332,7 +1332,7 @@ class Runtime:
                 suspended.append((t.tid, [v.vid for v in t.waiting_on]))
         return failures, suspended, idle
 
-    def _stop(self) -> None:
+    def stop(self) -> None:
         """End a run that the step budget or an error stopped: every
         runnable or sleeping thread leaves with status ``stopped``, in tid
         order, so the next run does not resume it.  Suspended threads
@@ -1361,10 +1361,10 @@ class Runtime:
                 self.wake_due()
         except StepLimit:
             status = "limit"
-            self._stop()
+            self.stop()
         except BaseException:
             # an error: the run's output and failures go with it
-            self._stop()
+            self.stop()
             self.browse_log = []
             self.unreported_failures.clear()
             raise

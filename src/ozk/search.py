@@ -53,7 +53,9 @@ next one.  Variables from outside the engine stay shared;
 everything the engine made is fresh in the copy.
 
 One driver, :meth:`Engine.next_answer`, serves eager and lazy search
-alike.  Between answers the engine's bindings stay in place: its trail
+alike: a lazy ``Solve`` list is a by-need trigger on each cell, whose
+body asks the engine for one more answer (``builtins._solve_next``).
+Between answers the engine's bindings stay in place: its trail
 is on the store's trail stack only while it runs, and is taken off
 without undo when it stops at an answer.  This is safe because only the
 engine can reach its own variables: answers are copies, and binding any

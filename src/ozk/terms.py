@@ -159,21 +159,6 @@ class NativeProc(Term):
         return f"<builtin {self.name}/{self.arity}>"
 
 
-class Opaque(Term):
-    """A native payload threaded through kernel code (e.g. a paused search
-    engine behind a lazy solution stream).  Unifies by identity."""
-
-    __slots__ = ("tag", "payload", "serial")
-
-    def __init__(self, tag: str, payload):
-        self.tag = tag
-        self.payload = payload
-        self.serial = next(_closure_serial)
-
-    def __repr__(self):
-        return f"<{self.tag}#{self.serial}>"
-
-
 NIL = Atom("nil")
 TRUE = Atom("true")
 FALSE = Atom("false")
@@ -382,10 +367,6 @@ class Store:
                 self.fire(trigger)
         return woken
 
-    def bind_notified(self, var: Var, value: Term) -> set[int]:
-        """Apply an owner-authorized binding to a replica variable."""
-        return self._bind_local(var, value)
-
     def mark_needed(self, var: Var) -> set[int]:
         """Mark ``var`` needed: return the by-need waiters to wake, and
         fire its trigger (see ``fire``), which then has a need.  Under a
@@ -525,7 +506,7 @@ class Store:
                 if a.value != b.value:
                     return UnifyResult(False, woken or _NO_WAKES, (a, b))
             else:
-                # Procedure values and opaques unify by identity only;
+                # Procedure values unify by identity only;
                 # distinct kinds always clash.
                 return UnifyResult(False, woken or _NO_WAKES, (a, b))
             if not stack:
@@ -697,8 +678,6 @@ def render(store: Store, term: Term) -> str:
             out.append(_atom_text(t.name))
         elif isinstance(t, (Closure, NativeProc)):
             out.append(f"<P/{t.arity} {getattr(t, 'name', '$')}>")
-        elif isinstance(t, Opaque):
-            out.append(f"<{t.tag}>")
         elif id(t) in path:
             out.append(f"@{label_for(t)}")
         elif is_cons(t):
@@ -774,9 +753,6 @@ class Snapshot:
         self.root = root
         self.nodes = nodes
         self.kept = kept
-
-    def size(self) -> int:
-        return len(self.nodes)
 
 
 def snapshot(store: Store, term: Term,

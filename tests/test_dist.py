@@ -341,15 +341,21 @@ class TestProtocol:
         assert "waiting on" in report.summary()
 
     def test_step_budget_reported(self):
+        # The budget runs out on node 0 before node 1 has run: node 1's
+        # threads are stopped too, and none is left runnable.
         program = """
         local Loop in
            proc {Loop} {Loop} end
            thread {Loop} end
+           thread {Browse 1} end
         end
         """
-        report = run_simulation(program, {"a": 0}, max_steps=5000)
+        report = run_simulation(program, {"a": 0, "b": 1}, max_steps=5000)
         assert report.status == "limit"
         assert any("step budget" in f for f in report.failures)
+        summary = report.summary()
+        assert "runnable=" not in summary and "sleeping=" not in summary
+        assert "node 1: stopped=" in summary
 
     def test_a_first_use_meeting_a_proxy_sends_what_a_made_variable_did(self):
         # Y is node 1's; on node 0, X's replica is f(Y's unbound proxy).

@@ -1,6 +1,7 @@
 """Every module of ozk uses each name it imports, and each name it
-defines at module level is read somewhere.  Importing ozk loads neither
-``dataclasses`` nor ``inspect``."""
+defines at module level, and each method of its classes, is read
+somewhere.  Importing ozk loads neither ``dataclasses`` nor
+``inspect``."""
 
 import ast
 import os
@@ -113,6 +114,62 @@ def test_an_unread_name_is_found():
     user = "from lib import Used\nprint(Used, helper(), lib.OTHER)\n"
     assert unread_names({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 3, "SPARE"), ("lib.py", 7, "unused")]
+
+
+def defined_methods(text: str) -> list:
+    """The ``(line, class, name)`` of each method that a class defined at
+    module level defines, apart from dunder methods."""
+    out = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.ClassDef):
+            out.extend((item.lineno, node.name, item.name) for item in node.body
+                       if isinstance(item, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       and not (item.name.startswith("__")
+                                and item.name.endswith("__")))
+    return out
+
+
+def read_attributes(text: str) -> set:
+    """Every name a module reads as an attribute, or as a string that is
+    just that name."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unread_methods(defining: dict, reading: list) -> list:
+    """The ``(module, line, class.method)`` of each method that a class of
+    a module of `defining` defines and no text of `reading` reads."""
+    read = set().union(*map(read_attributes, reading))
+    return [(module, line, f"{cls}.{name}")
+            for module, text in sorted(defining.items())
+            for line, cls, name in defined_methods(text) if name not in read]
+
+
+def test_every_method_is_read():
+    reading = [p.read_text() for d in READERS for p in (ROOT / d).rglob("*.py")]
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_methods(defining, reading) == []
+
+
+def test_an_unread_method_is_found():
+    lib = ("class Box:\n"
+           "    def __init__(self): self.size = 0\n"
+           "    def get(self): return self.size\n"
+           "    def put(self, x): self.put_count = x\n"
+           "    def by_name(self): pass\n"
+           "    def spare(self): pass\n")
+    user = ("b = Box()\n"
+            "b.put_count = b.get()\n"
+            "getattr(b, 'by_name')()\n"
+            "b.spare = None\n")
+    assert unread_methods({"lib.py": lib}, [lib, user]) == [
+        ("lib.py", 4, "Box.put"), ("lib.py", 6, "Box.spare")]
 
 
 def test_importing_ozk_loads_neither_dataclasses_nor_inspect():

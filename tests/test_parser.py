@@ -478,6 +478,19 @@ def test_error_position_reported():
         parse("skip\n)")
 
 
+# The end of input is past a trailing comment, as it is past the text.
+@pytest.mark.parametrize("src, error", [
+    ("local X in skip", "line 1:16: expected 'end', found end of input"),
+    ("local X in skip % note",
+     "line 1:23: expected 'end', found end of input"),
+    ("local X in % note\nskip", "line 2:5: expected 'end', found end of input"),
+])
+def test_end_of_input_position_after_a_comment(src, error):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert str(info.value) == error
+
+
 # -- interactive parsing ---------------------------------------------------------
 
 def test_interactive_exposes_declarations():

@@ -26,6 +26,7 @@ from ozk.compiler import Body, Case, Choice, Fail, If, Skip, compile_top
 from ozk.interp import Session
 from ozk.prolog import parse_prolog, translate_query_source, translate_source
 from ozk.runtime import OzThread, Task
+from ozk.search import Engine
 from ozk.terms import Compound, NativeProc
 from test_golden import _placement
 from test_prolog import EQUIVALENCE_CORPUS
@@ -69,11 +70,11 @@ def empty_clears(code: compiler.Code) -> compiler.Code:
 @contextlib.contextmanager
 def no_clears():
     """Within it, everything compiled has every clear emptied: each chunk a
-    session or a network compiles, the prelude among them, and the loop
-    behind lazy ``Solve`` (``_SOLVE_LOOP``).  The compile caches are
-    emptied on the way in and out, so no code crosses the boundary."""
+    session or a network compiles, the prelude among them.  (The trigger
+    body behind lazy ``Solve``, ``_SOLVE_NEXT``, is one call and has no
+    clear.)  The compile caches are emptied on the way in and out, so no
+    code crosses the boundary."""
     saved = dict(interp._PARSES)
-    loop = ozk_builtins._SOLVE_LOOP
 
     def compile_empty(stmt):
         return empty_clears(compile_top(stmt))
@@ -81,13 +82,10 @@ def no_clears():
     interp._PARSES.clear()
     dist._compiled_pieces.cache_clear()
     interp.compile_top = dist.compile_top = compile_empty
-    ozk_builtins._SOLVE_LOOP = ozk_builtins._make_solve_loop()
-    empty_clears(ozk_builtins._SOLVE_LOOP.code)
     try:
         yield
     finally:
         interp.compile_top = dist.compile_top = compile_top
-        ozk_builtins._SOLVE_LOOP = loop
         interp._PARSES.clear()
         interp._PARSES.update(saved)
         dist._compiled_pieces.cache_clear()
@@ -127,14 +125,13 @@ def test_no_clears_empties_and_restores():
         op, = [ins for ins in body.pushed if type(ins) is compiler.Op]
         return op.clear
 
-    loop = ozk_builtins._SOLVE_LOOP
     with no_clears():
         assert op_clear() == ()
-        assert ozk_builtins._SOLVE_LOOP is not loop
     # Y = X + 1 is the last read of X, which is the local's first slot
     assert op_clear() == (1,)
-    assert ozk_builtins._SOLVE_LOOP is loop
     assert interp.compile_top is dist.compile_top is compile_top
+    # the lazy Solve trigger's one statement is the last of its frame
+    assert ozk_builtins._SOLVE_NEXT.body.clear == ()
 
 
 @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.ozk")),
@@ -248,6 +245,24 @@ def test_ended_threads_leave_nothing():
     gc.collect()
     after = sum(1 for o in gc.get_objects() if type(o) in (Task, OzThread))
     assert after <= before
+
+
+def test_a_dropped_lazy_search_leaves_no_thread_or_engine():
+    # Each cell of a lazy Solve list is a trigger on its variable: a list
+    # that nothing reads further is freed with its engine, and parks no
+    # idle thread.
+    session = Session()
+    session.feed("proc {Digit D} choice D = 1 [] D = 2 [] D = 3 end end")
+    idle = []
+    for i in range(2000):
+        result = session.feed(f"local L in {{Solve fun {{$}} D in {{Digit D}} "
+                              f"D+{i} end L}} {{Browse {{Nth L 2}}}} end")
+        assert result.browses == [str(2 + i)], result
+        idle += result.idle
+    gc.collect()
+    assert session.rt.threads == {}
+    assert sum(1 for o in gc.get_objects() if type(o) is Engine) == 0
+    assert idle == []
 
 
 def test_a_long_session_grows_by_a_constant_per_chunk():
