@@ -79,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "go to stderr, delivered messages to stdout")
         if net:
             p.add_argument("--net-seed", type=int, default=None, metavar="N",
-                           help="shuffle message deliveries with this seed "
-                           "(default: FIFO delivery)")
+                           help="interleave deliveries and timeslices in "
+                           "an order picked with this seed (default: FIFO "
+                           "delivery, once every node is drained)")
 
     p_run = sub.add_parser("run", help="run a .ozk kernel program or a "
                            ".pl Prolog program (auto-translated)")

@@ -26,15 +26,16 @@ under the same VarId and learns of bindings through messages:
   global representative per equivalence class and no binding cycles.
 
 The network is failure-free — no loss, no duplication.  It keeps one
-queue of pending messages, in the order they were posted, and takes the
-next one through the runtime's ``take_next``: with no net seed the
-oldest, which preserves per-link order; with a net seed any one, picked
-by a ``random.Random`` so seeded, which freely reorders everything the
-protocol must tolerate.  The whole simulation is single-context
-discrete-event: one loop alternates node scheduler work and message
-deliveries, and virtual time advances only when every node is idle and
-no message is in flight.  Determinism is therefore a function of
-(program, placement, seeds) alone.
+queue of pending messages, in the order they were posted.  The whole
+simulation is single-context discrete-event, run by the runtime's one
+event loop (``run_events``): each step is a timeslice of a node that has
+a runnable thread or the delivery of a pending message.  With no net
+seed every node drains before the oldest message goes, which preserves
+per-link order; with a net seed a ``random.Random`` so seeded picks each
+step, so a delivery can come between any two slices and messages are
+freely reordered, as the protocol must tolerate.  Virtual time advances
+only when every node is idle and no message is in flight.  Determinism
+is therefore a function of (program, placement, seeds) alone.
 
 Program placement: the top level of the program is split into plain
 statements (procedure definitions and other setup), which run on every
@@ -63,7 +64,7 @@ from .errors import PlacementError
 from .interp import Session
 from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
-from .runtime import Runtime, StepLimit, take_next
+from .runtime import Runtime, run_events
 from .syntax import Local, ThreadStmt, seq_all, seq_items
 from .terms import (Atom, Compound, Int, Snapshot, Store, Var, VarId,
                     materialize, render, snapshot)
@@ -172,16 +173,10 @@ class Message:
 
 
 class Network:
-    """The messages in flight, in one queue in the order they were posted,
-    delivered in ``order`` (see :func:`take_next`).
+    """The messages in flight, in one queue in the order they were posted.
+    The event loop picks which one goes next (``run_events``)."""
 
-    With ``order`` None the globally oldest pending message goes first,
-    which in particular preserves per-link order.  A seeded
-    ``random.Random`` picks any pending message — adversarial reordering
-    (across and within links) that a correct protocol must tolerate."""
-
-    def __init__(self, order: Optional[random.Random] = None):
-        self.order = order
+    def __init__(self):
         self.queue: deque = deque()
         self.sent: Counter = Counter()
         self.delivered: Counter = Counter()
@@ -195,8 +190,10 @@ class Network:
         self.queue.append(Message(src, dst, kind, var, payload))
         self.sent[kind] += 1
 
-    def take(self) -> Message:
-        msg = take_next(self.queue, self.order)
+    def take(self, i: int) -> Message:
+        """Remove and return the pending message at ``i``, oldest first."""
+        msg = self.queue[i]
+        del self.queue[i]
         self.delivered[msg.kind] += 1
         return msg
 
@@ -244,7 +241,9 @@ class SimReport:
         self.outputs = outputs       # node id -> list of browse lines
         self.sent = sent             # messages posted, by kind
         self.delivered = delivered   # messages delivered, by kind
-        self.steps = steps           # event-loop iterations
+        # one per delivery and per clock jump, plus the last look at rest;
+        # a timeslice is no step
+        self.steps = steps
         self.failures = failures
         self.suspended = suspended   # node id -> [(tid, [vid, ...]), ...]
         self.nodes = nodes
@@ -282,7 +281,8 @@ def _keep_all(vid: VarId) -> bool:
 
 
 class Simulation:
-    """Drive N nodes and the network to global quiescence.
+    """Drive N nodes and the network to global quiescence, through the
+    runtime's one event loop (``run_events``), with the net seed's order.
 
     Quiescence: no node has a runnable thread, no message is in flight,
     and no thread is sleeping (virtual time has run out of work).  When
@@ -311,8 +311,8 @@ class Simulation:
         self.placement = {nm: placement.get(nm, 0) for nm in thread_names}
         node_count = max(self.placement.values(), default=0) + 1
 
-        self.network = Network(None if net_seed is None
-                               else random.Random(net_seed))
+        self.network = Network()
+        self.order = None if net_seed is None else random.Random(net_seed)
         self.on_net_trace = on_net_trace
 
         self.nodes = []
@@ -328,8 +328,6 @@ class Simulation:
         for node in self.nodes:
             node.store.dist = self
 
-        self.clock = 0
-        self.steps = 0
         self.failure: Optional[str] = None
 
         self._place(names, setup, threads)
@@ -424,7 +422,9 @@ class Simulation:
                 f"{render(node.store, a)} with {render(node.store, b)}"
                 f"{detail}")
 
-    def _deliver(self, msg: Message) -> None:
+    def _deliver(self, msg: Message) -> bool:
+        """Apply ``msg`` at its destination; True once a clash has failed
+        the run."""
         if self.on_net_trace is not None:
             self.on_net_trace(msg.trace_line())
         node = self.nodes[msg.dst]
@@ -432,7 +432,7 @@ class Simulation:
         if msg.kind == "Register":
             audience = node.registered.setdefault(msg.var, set())
             if msg.src in audience:
-                return                      # double registration: idempotent
+                return False                # double registration: idempotent
             audience.add(msg.src)
             var = store.intern(msg.var)
             if var.ref is not None:
@@ -457,40 +457,13 @@ class Simulation:
             greater = store.intern(msg.var)
             lesser = store.intern(msg.payload)
             self._apply_unify(node, greater, lesser)
+        return self.failure is not None
 
-    # -- the event loop --------------------------------------------------
+    # -- running ---------------------------------------------------------
 
     def run(self) -> SimReport:
-        status = "done"
-        for node in self.nodes:
-            node.rt.renew_budget()
-        try:
-            while True:
-                self.steps += 1
-                for node in self.nodes:
-                    node.rt.clock = self.clock
-                    node.rt.drain()
-                if self.failure is not None:
-                    break
-                if self.network.pending:
-                    self._deliver(self.network.take())
-                    if self.failure is not None:
-                        break
-                    continue
-                wakes = [w for node in self.nodes
-                         if (w := node.rt.next_wake()) is not None]
-                if wakes:
-                    self.clock = max(self.clock, min(wakes))
-                    for node in self.nodes:
-                        node.rt.clock = self.clock
-                        node.rt.wake_due()
-                    continue
-                break
-        except StepLimit:
-            status = "limit"
-            for node in self.nodes:
-                node.rt.stop()
-
+        status, steps = run_events([node.rt for node in self.nodes],
+                                   self.order, self.network, self._deliver)
         failures = [] if self.failure is None else [self.failure]
         suspended: dict = {}
         for node in self.nodes:
@@ -506,9 +479,9 @@ class Simulation:
             status = "deadlock"
         outputs = {node.node_id: [text for _, text in node.rt.browse_log]
                    for node in self.nodes}
-        return SimReport(status, self.clock, outputs, self.network.sent,
-                         self.network.delivered, self.steps, failures,
-                         suspended, self.nodes)
+        return SimReport(status, self.nodes[0].rt.clock, outputs,
+                         self.network.sent, self.network.delivered, steps,
+                         failures, suspended, self.nodes)
 
 
 def run_simulation(source: str, placement: Optional[dict] = None,

@@ -53,8 +53,8 @@ class Session:
                  on_trace: Optional[Callable[[str, dict], None]] = None,
                  store: Optional[Store] = None, prelude: bool = True):
         self.rt = Runtime(store=store, order=sched_order(policy, seed),
-                          max_steps=max_steps, real_time=real_time,
-                          on_browse=on_browse, on_trace=on_trace)
+                          real_time=real_time, on_browse=on_browse,
+                          on_trace=on_trace)
         self.store = self.rt.store
         # name -> value, shared by every chunk: later feeds add names to it
         self.globals: dict = make_builtins()
@@ -63,6 +63,8 @@ class Session:
             if result.status != "done":
                 raise AssertionError(f"prelude failed: {result.status} "
                                      f"{result.failures}")
+        # the budget is the user's: the prelude runs before it applies
+        self.rt.max_steps = max_steps
 
     def names(self) -> tuple:
         return tuple(self.globals)

@@ -125,12 +125,17 @@ Blocking is dataflow only: a thread that needs a variable's value parks
 on it and is woken by the binding.  Time is virtual: `Delay` sleeps the
 thread, and the clock jumps forward only when nothing is runnable.
 
-Every choice of what goes next is made by `take_next`, over a queue
-listed oldest first and an order: None takes the oldest, a seeded
-`random.Random` any.  The scheduler takes its next runnable thread
-there, and a network simulation its next message (dist.py).  The
-policy names of the command line and of `Session` are mapped to an
-order in one place, `sched_order`.
+Every choice of what goes next is made by `take_next`'s rule, over
+candidates listed oldest first and an order: None takes the first, a
+seeded `random.Random` any; each scheduler takes its next runnable
+thread by it.  One event loop, `run_events`, runs both a single runtime
+(`Runtime.run`) and a network simulation's nodes (dist.py): each step
+picks a runtime with a runnable thread, in node order, or a pending
+message, oldest first.  With no order every runtime drains before the
+oldest message goes; with a net seed a picked runtime runs one
+timeslice, so a delivery can come between any two slices.  The policy
+names of the command line and of `Session` are mapped to an order in
+one place, `sched_order`.
 """
 
 from __future__ import annotations
@@ -1083,8 +1088,9 @@ def sched_order(policy: str, seed: Optional[int]) -> Optional[_random.Random]:
 def take_next(queue: deque, order):
     """Remove and return the next item of ``queue``, whose items are listed
     oldest first: the oldest when ``order`` is None, else the item at
-    ``order.randrange(len(queue))``.  The scheduler takes the next
-    runnable thread and the network the next message to deliver here."""
+    ``order.randrange(len(queue))``.  A scheduler takes its next runnable
+    thread here, and :func:`run_events` picks its next event by the same
+    rule."""
     if order is None:
         return queue.popleft()
     i = order.randrange(len(queue))
@@ -1102,8 +1108,8 @@ class Runtime:
     Only live state is kept.  After :meth:`run` returns, the runtime
     holds the threads that are still suspended (``threads``) and the
     failure texts of threads that failed since the last verdict
-    (``unreported_failures``); between the runs of a network simulation,
-    which drives :meth:`drain` itself, it also holds sleeping threads in
+    (``unreported_failures``); while :func:`run_events` runs it, alone or
+    as a node of a network simulation, it also holds sleeping threads in
     the heap of ``(wake_at, tid)`` pairs.  A thread that ends leaves
     ``threads`` at once and is counted in ``stats.exits``.  When the step
     budget or an error stops a run, the thread that ran and every other
@@ -1115,12 +1121,13 @@ class Runtime:
 
     def __init__(self, store: Optional[Store] = None,
                  order: Optional[_random.Random] = None,
-                 max_steps: Optional[int] = None, real_time: bool = False,
+                 real_time: bool = False,
                  on_browse: Optional[Callable[[str], None]] = None,
                  on_trace: Optional[Callable[[str, dict], None]] = None):
         self.store = store if store is not None else Store()
         self.order = order
-        self.max_steps = max_steps
+        # the budget of each run; a session sets it once its prelude ran
+        self.max_steps: Optional[int] = None
         self.step_limit: Optional[int] = None   # see renew_budget
         self.real_time = real_time
         self.on_browse = on_browse
@@ -1134,7 +1141,6 @@ class Runtime:
         self.stats = Stats()
         self.browse_log: list = []
         self.store.fire = self.fire
-        self.renew_budget()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -1290,14 +1296,17 @@ class Runtime:
         else:
             self.runq.append(thread.tid)
 
-    def drain(self) -> None:
-        """Run runnable threads until none is left.
+    def drain(self, once: bool = False) -> None:
+        """Run runnable threads, a timeslice at a time, until none is left,
+        or for one timeslice when ``once``.
 
-        The clock is never advanced and no verdict is reached: :meth:`run`,
-        or a network simulation, owns time and decides when the whole
-        system is quiescent.  ``StepLimit`` propagates."""
+        The clock is never advanced and no verdict is reached:
+        :func:`run_events` owns time and decides when the whole system is
+        quiescent.  ``StepLimit`` propagates."""
         while self.runq:
             self._slice(self.threads[take_next(self.runq, self.order)])
+            if once:
+                return
 
     def next_wake(self) -> Optional[int]:
         """Earliest wake-up time among sleeping threads, or None."""
@@ -1345,30 +1354,7 @@ class Runtime:
         self.sleepers.clear()
 
     def run(self) -> RunResult:
-        status = "done"
-        self.renew_budget()
-        try:
-            while True:
-                self.drain()
-                wake_at = self.next_wake()
-                if wake_at is None:
-                    break
-                if self.real_time and wake_at > self.clock:
-                    _time.sleep((wake_at - self.clock) / 1000.0)
-                self.clock = max(self.clock, wake_at)
-                if self.on_trace is not None:
-                    self.on_trace("clock", {"now": self.clock})
-                self.wake_due()
-        except StepLimit:
-            status = "limit"
-            self.stop()
-        except BaseException:
-            # an error: the run's output and failures go with it
-            self.stop()
-            self.browse_log = []
-            self.unreported_failures.clear()
-            raise
-
+        status, _ = run_events((self,))
         failures, suspended, idle = self.verdict()
         if status == "done":
             if failures:
@@ -1380,3 +1366,68 @@ class Runtime:
         browse_log, self.browse_log = self.browse_log, []
         return RunResult(status, self.clock, browse_log, failures, suspended,
                          self.stats, idle)
+
+
+def run_events(runtimes, order=None, network=None,
+               deliver=None) -> tuple[str, int]:
+    """The one event loop: run ``runtimes``, which share a clock, and the
+    pending messages of ``network``, if any, until nothing is left to do.
+
+    Each step picks one event by :func:`take_next`'s rule from the
+    candidates: first each runtime with a runnable thread, in the order
+    given, then each message of ``network.queue``, oldest first.  With
+    ``order`` None the first candidate goes, and a runtime drains; else
+    ``order.randrange(n)`` picks, and a runtime runs one timeslice of the
+    thread its own scheduler picks.  A message is taken off the network
+    (``Network.take``) and handed to ``deliver``, which returns True to
+    end the run at once.  With no candidate, the clock of every runtime
+    jumps to the earliest sleeper's wake time and the sleepers due wake,
+    or the run ends.
+
+    Each runtime gets a fresh step budget.  When it runs out every
+    runtime stops its runnable and sleeping threads (``Runtime.stop``);
+    an error does that too, drops the runtimes' browsed lines and
+    unreported failures, and propagates.  Returns ``(status, steps)``:
+    status ``done`` or ``limit``, and one step per delivery and per clock
+    jump, plus the last look, at rest or cut by the budget."""
+    for rt in runtimes:
+        rt.renew_budget()
+    steps = 0
+    try:
+        while True:
+            ready = [rt for rt in runtimes if rt.runq]
+            count = len(ready) + (network.pending if network is not None
+                                  else 0)
+            if count:
+                i = 0 if order is None else order.randrange(count)
+                if i < len(ready):
+                    ready[i].drain(once=order is not None)
+                else:
+                    steps += 1
+                    if deliver(network.take(i - len(ready))):
+                        break
+                continue
+            steps += 1
+            wakes = [w for rt in runtimes if (w := rt.next_wake()) is not None]
+            if not wakes:
+                break
+            now, first = min(wakes), runtimes[0]
+            if first.real_time and now > first.clock:
+                _time.sleep((now - first.clock) / 1000.0)
+            for rt in runtimes:
+                rt.clock = now
+                if rt.on_trace is not None:
+                    rt.on_trace("clock", {"now": now})
+                rt.wake_due()
+    except StepLimit:
+        for rt in runtimes:
+            rt.stop()
+        return "limit", steps + 1
+    except BaseException:
+        # an error: the run's output and failures go with it
+        for rt in runtimes:
+            rt.stop()
+            rt.browse_log = []
+            rt.unreported_failures.clear()
+        raise
+    return "done", steps

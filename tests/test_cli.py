@@ -514,6 +514,44 @@ class TestRepl:
         assert out == []
 
 
+# -- the step budget ---------------------------------------------------------
+
+
+class TestStepBudget:
+    """``--max-steps`` is the budget of the user's own run: the prelude
+    (8 reductions) runs before it applies, so a budget below that stops
+    the program with the command's diagnostic, not the session's set-up
+    with a traceback.  An exception escaping ``main`` fails these tests."""
+
+    PROGRAM = "thread {Browse 1} end"
+
+    def test_run(self, capsys, tmp_path):
+        f = write(tmp_path, "t.ozk", self.PROGRAM)
+        assert run_cli(capsys, "run", f, "--max-steps", "0") == (
+            1, "", "stopped: step budget exhausted before the program "
+            "finished\n")
+        assert run_cli(capsys, "run", f, "--max-steps", "5") == (0, "1\n", "")
+
+    def test_dist_run(self, capsys, tmp_path):
+        f = write(tmp_path, "t.ozk", self.PROGRAM)
+        code, out, err = run_cli(capsys, "dist-run", f, "--max-steps", "0")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("status: limit ")
+        assert lines[-1] == ("failure: did not reach quiescence within the "
+                             "step budget")
+        code, out, err = run_cli(capsys, "dist-run", f, "--max-steps", "5")
+        assert (code, err) == (0, "")
+        assert "  1" in out.splitlines()
+
+    def test_repl(self, capsys, monkeypatch):
+        # the session goes on after a stopped chunk, and exits 0
+        assert repl(capsys, monkeypatch, [self.PROGRAM], "--max-steps",
+                    "0") == (0, ["** stopped: step budget exhausted"])
+        assert repl(capsys, monkeypatch, [self.PROGRAM], "--max-steps",
+                    "5") == (0, ["1"])
+
+
 # -- usage and determinism ----------------------------------------------------
 
 

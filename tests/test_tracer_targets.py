@@ -1,5 +1,5 @@
 """Every function and method that ``perfbench/tracer.py`` wraps exists in
-ozk.
+ozk, and the event loop's steps among them are called.
 
 The tracer patches ozk by name and skips a name it cannot find, so a
 renamed or removed target silently reads 0 in its per-layer count.  This
@@ -9,7 +9,11 @@ and looks each target up the way the tracer does."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
+
+from ozk.dist import Simulation
+from ozk.interp import run_text
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -103,3 +107,41 @@ def test_the_reader_finds_loop_targets_and_methods():
     assert tracer_targets(text) == [
         ("ozk.a", None, "f"), ("ozk.b", None, "g"), ("ozk.b", None, "h"),
         ("ozk.c", "C", "m")]
+
+
+# The scheduler and network targets are the event loop's steps: each must
+# still be called, or its span (``runtime.sched_self_s``,
+# ``dist.take_self_s``) reads 0 while the target exists.
+LOOP_STEPS = [("ozk.runtime", "Runtime", name)
+              for name in ("run", "drain", "next_wake", "wake_due")] + [
+    ("ozk.dist", "Network", "take"), ("ozk.dist", "Simulation", "run")]
+
+
+def _count_calls(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for module, owner, attr in LOOP_STEPS:
+        cls = getattr(importlib.import_module(module), owner)
+        original = cls.__dict__[attr]
+
+        def counted(*args, _key=f"{owner}.{attr}", _f=original, **kwargs):
+            calls[_key] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cls, attr, counted)
+    return calls
+
+
+def test_the_loop_steps_are_called(monkeypatch):
+    assert set(tracer_targets(TRACER.read_text())) >= set(LOOP_STEPS)
+    calls = _count_calls(monkeypatch)
+    assert run_text("thread {Delay 10} {Browse 1} end").browses == ["1"]
+    assert all(calls[f"Runtime.{name}"] for name in
+               ("run", "drain", "next_wake", "wake_due")), calls
+    source = (TRACER.parent.parent / "docs" / "programs"
+              / "dist_gen_map.ozk").read_text()
+    for net_seed in (None, 7):      # a node drains, or runs one slice
+        sim = Simulation(source, {"a": 0, "b": 1}, net_seed=net_seed)
+        calls.clear()               # the nodes' preludes ran Runtime.run
+        assert sim.run().status == "done"
+        assert all(calls[key] for key in (
+            "Runtime.drain", "Runtime.next_wake", "Runtime.wake_due",
+            "Network.take", "Simulation.run")), calls
