@@ -359,6 +359,9 @@ def _show_stmt(code, s):
         return f"{_show(code, s.lhs)} = {_show(code, s.rhs)}"
     if type(s) is compiler.Call:
         return "{" + " ".join(_show(code, a) for a in (s.target,) + s.args) + "}"
+    if type(s) is compiler.Op and s.r is not None:
+        return (f"{_show(code, s.r)} = {_show(code, s.a)} {s.name} "
+                f"{_show(code, s.b)}")
     return type(s).__name__
 
 
@@ -402,6 +405,17 @@ def test_a_first_use_may_be_the_variable_of_the_unification():
     "local Y in if X==1 then X=f(Y) end end",
     # an earlier nested local reads the outer name
     "local Y in local Z in Z=Y end X=f(Y) end",
+    # mentioned only inside an earlier procedure's body
+    "local Y P in proc {P} {Browse Y} end X=f(Y) end",
+    # mentioned only inside an earlier thread's body
+    "local Y in thread {Browse Y} end X=f(Y) end",
+    # mentioned only as the result of an earlier lazy
+    "local Y in lazy Y then skip end X=f(Y) end",
+    # an operator's result that is also its operand
+    "local Y in Y = Y + 1 end",
+    "local Y in Y = 1 + Y end",
+    # in X = f(...) at the top of an inner local's body, not the outer's
+    "local Y in local Z in X=f(Y) {Browse Z} end end",
 ])
 def test_names_that_are_not_first_uses_are_made(src):
     made, run = _compiled(src)
@@ -412,6 +426,21 @@ def test_names_that_are_not_first_uses_are_made(src):
 def test_a_shadowing_local_is_not_a_use():
     made, _ = _compiled("local Y in local Y in Y=1 end X=f(Y) end")
     assert made == []
+
+
+@pytest.mark.parametrize("src, run", [
+    # a case pattern's name that shadows Y is not a use of it
+    ("local Y in case X of f(Y) then skip end X=f(Y) end",
+     ["Case", "X = f(^Y)"]),
+    # nor is a guard variable that shadows it
+    ("local Y in if Y in Y = 1 then skip end X=f(Y) end",
+     ["If", "X = f(^Y)"]),
+    # the result of an integer operator
+    ("local Y in Y = X + 1 {Browse Y} end",
+     ["^Y = X + Int(1)", "{Browse Y}"]),
+])
+def test_names_first_used_are_not_made(src, run):
+    assert _compiled(src) == ([], run)
 
 
 def test_the_compiled_form_leaves_the_ast_alone():
