@@ -93,7 +93,12 @@ of ``f``, once) or the result of an integer operator of which it is not
 also an operand, is not made at entry: that occurrence is a ``Fresh``,
 which stores the value it meets in the slot (the WAM's
 ``unify_variable`` for a first occurrence).  Nothing can read the name
-before, as no earlier statement mentions it.
+before, as no earlier statement mentions it.  The one walk decides this
+at the name's first mention: a ``local``'s names stay pending in the
+scope (``_Pending``) until a mention, a nested procedure's, thread's or
+trigger's included, puts the slot in their place; a statement of the
+local's own body that meets a name still pending in one of those places
+makes it a ``Fresh``, and the ``local`` makes the others.
 
 The compiled form holds no session state: it can be cached with the
 parse and shared between sessions.  Each :class:`Code` keeps the name
@@ -404,72 +409,30 @@ def frame_names(frame: list):
 # -- first uses --------------------------------------------------------------
 
 
-def _first_in_unify(s: syn.Unify, first: set) -> list:
-    """The names of ``first`` that are the variable of ``s``, a ``X =
-    f(...)`` or ``f(...) = X``, or an argument of its compound."""
+class _Pending:
+    """The scope entry of a name of a ``local`` that nothing has mentioned
+    yet: its slot, and whether a first use writes the slot (``fresh``), in
+    which case the ``local`` does not make it.  The first mention of the
+    name puts the slot itself in its place."""
+    __slots__ = ("slot", "fresh")
+
+    def __init__(self, slot: int):
+        self.slot = slot
+        self.fresh = False
+
+
+def _first_in_unify(s: syn.Unify, scope: dict, pending: tuple) -> list:
+    """The names that are first used in ``s``, a ``X = f(...)`` or ``f(...)
+    = X``: those whose entry in ``scope`` is still one of the placeholders
+    ``pending`` and that are ``X`` or an argument of ``f``, once."""
     var, comp = s.lhs, s.rhs
     if type(var) is not CVar:
         var, comp = comp, var
     if type(var) is not CVar or type(comp) is not CCompound:
         return []
-    done = [a.name for a in comp.args
-            if type(a) is CVar and a.name in first]
-    if var.name in first:
-        done.append(var.name)
-    return done
-
-
-def first_uses(names: tuple, stmts) -> dict:
-    """The first uses of the names of ``local <names> in <stmts> end``:
-    a dict from the index of a statement to the names first used there.
-
-    A name is first used in a statement of the body itself (not nested in
-    another statement) when no earlier statement mentions it and it
-    occurs in ``X = f(...)`` or ``f(...) = X`` once, as ``X`` or as an
-    argument of ``f``, or is the result of an integer operator ``R = A op
-    B`` of which it is not also an operand.  A shallow scan finds the
-    last statement that may hold one; one pass over the statements up to
-    it, in order, decides, and stops once every name has been met."""
-    end = 0
-    for i, s in enumerate(stmts):
-        kind = type(s)
-        if kind is syn.Unify:
-            if CCompound in (type(s.lhs), type(s.rhs)):
-                end = i + 1
-        elif (kind is syn.BuiltinCall and len(s.args) == 3
-              and s.name in syn.OPERATORS and type(s.args[2]) is CVar
-              and s.args[2].name in names):
-            end = i + 1
-    out: dict = {}
-    if not end:
-        return out
-    unseen = set(names)
-    for i in range(end):
-        if not unseen:
-            break
-        s = stmts[i]
-        kind = type(s)
-        if kind is syn.Unify:
-            used = expr_names(s.lhs, s.rhs)
-            first = {n for n in unseen.intersection(used) if used.count(n) == 1}
-            unseen.difference_update(used)
-            if first:
-                done = _first_in_unify(s, first)
-                if done:
-                    out[i] = done
-        elif kind is syn.BuiltinCall and s.name in syn.OPERATORS:
-            args = s.args
-            unseen.difference_update(expr_names(*args[:2]))
-            if len(args) == 3:
-                r = args[2]
-                if type(r) is CVar and r.name in unseen:
-                    out[i] = [r.name]
-                    unseen.discard(r.name)
-                else:
-                    unseen.difference_update(expr_names(r))
-        else:
-            unseen -= syn.free_names(s)
-    return out
+    used = expr_names(var, comp)
+    return [n for n in [a.name for a in comp.args if type(a) is CVar]
+            + [var.name] if scope.get(n) in pending and used.count(n) == 1]
 
 
 # -- clearing ------------------------------------------------------------------
@@ -700,13 +663,25 @@ class _Compiler:
         self.bind(params)
 
     def resolve(self, name: str) -> int:
+        """The slot of ``name``, which is mentioned here: a name still
+        pending is not first used after this."""
         slot = self.scope.get(name)
         if slot is None:
             self.sources.append(name if self.up is None
                                 else self.up.resolve(name))
             self.captured.append(name)
             slot = self.scope[name] = -len(self.sources)
+        elif type(slot) is _Pending:
+            slot = self.scope[name] = slot.slot
         return slot
+
+    def first_use(self, name: str) -> Fresh:
+        """The first use of the pending ``name``, which its ``local`` then
+        does not make."""
+        pending = self.scope[name]
+        pending.fresh = True
+        self.scope[name] = pending.slot
+        return Fresh(pending.slot)
 
     def bind(self, names) -> tuple:
         """Give each of ``names`` a new slot: ``(slots, saved)``, where
@@ -755,10 +730,10 @@ class _Compiler:
         kind = type(e)
         if kind is CVar:
             name = e.name
+            if first and name in first:
+                return self.first_use(name)
             slot = self.scope.get(name)
-            if slot is None:
-                slot = self.resolve(name)
-            return Fresh(slot) if first and name in first else slot
+            return slot if type(slot) is int else self.resolve(name)
         if kind is CLit:
             return e.value
         if kind is CAnon:
@@ -781,7 +756,7 @@ class _Compiler:
         for e in es:
             if type(e) is CVar and not first:
                 slot = scope.get(e.name)
-                out.append(slot if slot is not None else self.resolve(e.name))
+                out.append(slot if type(slot) is int else self.resolve(e.name))
             else:
                 out.append(self.expr(e, first))
         return tuple(out)
@@ -808,14 +783,16 @@ class _Compiler:
 
     # -- statements ---------------------------------------------------------
 
-    def stmts(self, stmts, firsts=None) -> tuple:
+    def stmts(self, stmts, pending=()) -> tuple:
         """Compile a run of statements: the instructions, last first.  A
         statement that compiles to a ``Body`` that makes no variable is
-        spliced in: its statements take its place."""
+        spliced in: its statements take its place.  ``pending`` are the
+        placeholders of the ``local`` whose body the statements are, which
+        each statement gets, as a first use of them can stand only there."""
         table = _COMPILE
         out = []
-        for i, s in enumerate(stmts):
-            ins = table[type(s)](self, s, firsts.get(i) if firsts else None)
+        for s in stmts:
+            ins = table[type(s)](self, s, pending)
             if type(ins) is Body and not ins.made:
                 out += ins.pushed[::-1]
             else:
@@ -823,32 +800,31 @@ class _Compiler:
         out.reverse()
         return tuple(out)
 
-    def stmt(self, s, first=None):
+    def stmt(self, s):
         compile_ = _COMPILE.get(type(s))
         if compile_ is None:
             raise TypeError(f"cannot compile {s!r}")
-        return compile_(self, s, first)
+        return compile_(self, s, ())
 
-    def call(self, s: syn.Call, first) -> Call:
+    def call(self, s: syn.Call, pending) -> Call:
         return Call(self.expr(s.target), self.exprs(s.args))
 
-    def block(self, s: syn.Block, first) -> Body:
+    def block(self, s: syn.Block, pending) -> Body:
         return Body((), self.stmts(s.stmts))
 
-    def local(self, s: syn.Local, first) -> Body:
+    def local(self, s: syn.Local, outer) -> Body:
+        """Each name stays pending until its first mention: the
+        ``local`` makes those that are not first used (``_Pending``)."""
         body = s.body
         stmts = body.stmts if type(body) is syn.Block else (body,)
-        firsts = first_uses(s.names, stmts)
         slots, saved = self.bind(s.names)
-        if firsts:
-            fresh = {n for names in firsts.values() for n in names}
-            slots = tuple([slot for n, slot in zip(s.names, slots)
-                           if n not in fresh])
-        pushed = self.stmts(stmts, firsts)
+        pending = tuple([_Pending(slot) for slot in slots])
+        self.scope.update(zip(s.names, pending))
+        pushed = self.stmts(stmts, pending)
         self.unbind(saved)
-        return Body(slots, pushed)
+        return Body(tuple([p.slot for p in pending if not p.fresh]), pushed)
 
-    def case(self, s: syn.CaseStmt, first) -> Case:
+    def case(self, s: syn.CaseStmt, pending) -> Case:
         subject = self.expr(s.subject)
         arms = []
         for arm in s.arms:
@@ -857,7 +833,7 @@ class _Compiler:
             self.unbind(saved)
         return Case(subject, tuple(arms), self.stmt(s.otherwise))
 
-    def if_(self, s: syn.IfStmt, first) -> If:
+    def if_(self, s: syn.IfStmt, pending) -> If:
         arms = []
         for arm in s.arms:
             made, saved = self.bind(arm.guard_vars)
@@ -871,16 +847,17 @@ class _Compiler:
             self.unbind(saved)
         return If(tuple(arms), self.stmt(s.otherwise))
 
-    def choice(self, s: syn.Choice, first) -> Choice:
+    def choice(self, s: syn.Choice, pending) -> Choice:
         return Choice(tuple([self.alternative(a) for a in s.alternatives]))
 
-    def thread(self, s: syn.ThreadStmt, first) -> Thread:
+    def thread(self, s: syn.ThreadStmt, pending) -> Thread:
         return Thread(_Compiler(self).code("", s.body))
 
-    def lazy(self, s: syn.LazyStmt, first) -> Lazy:
+    def lazy(self, s: syn.LazyStmt, pending) -> Lazy:
         return Lazy(self.resolve(s.result), _Compiler(self).code("", s.body))
 
-    def unify(self, s: syn.Unify, first) -> Unify:
+    def unify(self, s: syn.Unify, pending) -> Unify:
+        first = pending and _first_in_unify(s, self.scope, pending)
         if not first:
             return Unify(self.expr(s.lhs), self.expr(s.rhs))
         var, comp = s.lhs, s.rhs
@@ -894,12 +871,17 @@ class _Compiler:
         slot = self.resolve(var.name)
         return Unify(slot, build) if var_left else Unify(build, slot)
 
-    def builtin(self, s: syn.BuiltinCall, first):
+    def builtin(self, s: syn.BuiltinCall, pending):
         args = s.args
         if s.name not in syn.OPERATORS:
             return Builtin(s.name, self.exprs(args))
         a, b = self.expr(args[0]), self.expr(args[1])
-        r = self.expr(args[2], first or ()) if len(args) == 3 else None
+        r = None
+        if len(args) == 3:
+            # a result that the operands did not mention is first used here
+            r = args[2]
+            r = (self.first_use(r.name) if type(r) is CVar
+                 and self.scope.get(r.name) in pending else self.expr(r))
         fn = _ARITH.get(s.name)
         return Op(s.name, fn or _COMPARE[s.name], fn is not None, a, b, r)
 
@@ -917,7 +899,7 @@ class _Compiler:
             n += 1
         return Alt(made, stmts[:n], stmts[n:][::-1])
 
-    def proc(self, s: syn.ProcDef, first) -> Proc:
+    def proc(self, s: syn.ProcDef, pending) -> Proc:
         code = _Compiler(self, s.params).code(s.name, s.body)
         return Proc(self.resolve(s.name), code)
 
@@ -934,8 +916,8 @@ _COMPILE = {
     syn.ProcDef: _Compiler.proc,
     syn.ThreadStmt: _Compiler.thread,
     syn.LazyStmt: _Compiler.lazy,
-    syn.Skip: lambda self, s, first: SKIP,
-    syn.Fail: lambda self, s, first: FAIL,
+    syn.Skip: lambda self, s, pending: SKIP,
+    syn.Fail: lambda self, s, pending: FAIL,
 }
 
 

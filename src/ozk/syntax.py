@@ -4,8 +4,8 @@ Everything the machine executes is compiled from these nodes (see
 compiler.py); surface sugar (functions, nested calls, operators in
 expressions, anonymous variables) is lowered away by the parser in
 parser.py as it reads.  The AST itself is pure data: the parser builds
-it, and the printer, the compile pass, ``dist.split_program`` and
-:func:`free_names` read it.
+it, and the printer, the compile pass and ``dist.split_program`` read
+it.
 
 Expressions at this level are pure constructors: a variable reference, a
 literal, a void (``CAnon``, an argument written ``_``), or a compound of
@@ -256,59 +256,6 @@ def seq_all(stmts) -> Statement:
 def seq_items(s: Statement) -> list:
     """The statements of a Block, or the statement alone."""
     return list(s.stmts) if type(s) is Block else [s]
-
-
-# -- free names of a statement ---------------------------------------------
-
-
-def free_names(stmt) -> set:
-    """Names a statement reads or writes but does not itself declare.
-
-    The walk keeps its own stack of (statement, names bound around it),
-    so a long sequence or a deep nesting takes no Python stack."""
-    out: set = set()
-    todo = [(stmt, frozenset())]
-    while todo:
-        s, bound = todo.pop()
-        t = type(s)
-        if t is Block:
-            todo.extend((item, bound) for item in s.stmts)
-        elif t is Local:
-            todo.append((s.body, bound | set(s.names)))
-        elif t is Unify:
-            out.update(n for n in expr_names(s.lhs, s.rhs) if n not in bound)
-        elif t is IfStmt:
-            todo.append((s.otherwise, bound))
-            for arm in s.arms:
-                inner = bound | set(arm.guard_vars)
-                if arm.guard is not None:
-                    todo.append((arm.guard, inner))
-                todo.append((arm.body, inner))
-        elif t is CaseStmt:
-            out.update(n for n in expr_names(s.subject) if n not in bound)
-            for arm in s.arms:
-                todo.append((arm.body, bound.union(expr_names(arm.pattern))))
-            todo.append((s.otherwise, bound))
-        elif t is Choice:
-            for alt in s.alternatives:
-                todo.append((alt, bound))
-        elif t is ProcDef:
-            if s.name not in bound:
-                out.add(s.name)
-            todo.append((s.body, bound | set(s.params)))
-        elif t is Call:
-            out.update(n for n in expr_names(s.target, *s.args)
-                       if n not in bound)
-        elif t is BuiltinCall:
-            out.update(n for n in expr_names(*s.args) if n not in bound)
-        elif t is ThreadStmt:
-            todo.append((s.body, bound))
-        elif t is LazyStmt:
-            if s.result not in bound:
-                out.add(s.result)
-            todo.append((s.body, bound))
-        # Skip and Fail mention nothing.
-    return out
 
 
 # -- pretty printer -------------------------------------------------------

@@ -16,7 +16,6 @@ from ozk.interp import Session, run_text
 from ozk.parser import parse_program
 from ozk.prelude import PRELUDE_NAMES
 from ozk.runtime import take_next
-from ozk.syntax import free_names
 from ozk.terms import Compound, Int, Var
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
@@ -115,9 +114,16 @@ class TestPlacementParsing:
 
 
 class TestFreeNames:
+    """The free names of a piece are its ``captures``, which
+    ``Simulation._place`` reads."""
+
+    @staticmethod
+    def free(stmt) -> set:
+        return set(compile_top(stmt).captures)
+
     def test_local_binds(self):
         stmt = parse_program("local X in X = 1 end", ())
-        assert free_names(stmt) == set()
+        assert self.free(stmt) == set()
 
     def test_proc_def_uses_its_name_and_free_vars(self):
         stmt = parse_program(
@@ -125,12 +131,12 @@ class TestFreeNames:
         # P and Y are declared by the outer local, so nothing is free;
         # strip the local to see the uses.
         inner = stmt.body
-        assert free_names(inner) == {"P", "Y"}
+        assert self.free(inner) == {"P", "Y"}
 
     def test_case_pattern_binds(self):
         stmt = parse_program(
             "local Xs Y in case Xs of A|B then A = B Y = A end end", ())
-        assert free_names(stmt.body) == {"Xs", "Y"}
+        assert self.free(stmt.body) == {"Xs", "Y"}
 
 
 class TestProtocol:
