@@ -15,7 +15,8 @@ under the same VarId and learns of bindings through messages:
   comes back, so every replica only ever holds owner-confirmed state.
   Conflicting requests are serialized by the owner: the first one wins
   and a later incompatible one is a unification clash, which marks the
-  whole run as failed.
+  whole run as failed; the run goes on to quiescence, as a single
+  runtime does after a thread fails.
 * ``BindNotify`` — the owner's broadcast of a new binding to every
   registered node.  Frontier variables inside the snapshot introduce
   themselves to the receiver, which registers for them in turn, so
@@ -328,7 +329,7 @@ class Simulation:
         for node in self.nodes:
             node.store.dist = self
 
-        self.failure: Optional[str] = None
+        self.clashes: list = []     # each clash a delivery met, in order
 
         self._place(names, setup, threads)
 
@@ -417,14 +418,14 @@ class Simulation:
             node.rt.wake(res.woken)
         if not res.ok:
             detail = f" ({res.reason})" if res.reason else ""
-            self.failure = (
+            self.clashes.append(
                 f"node {node.node_id}: unification clash: "
                 f"{render(node.store, a)} with {render(node.store, b)}"
                 f"{detail}")
 
-    def _deliver(self, msg: Message) -> bool:
-        """Apply ``msg`` at its destination; True once a clash has failed
-        the run."""
+    def _deliver(self, msg: Message) -> None:
+        """Apply ``msg`` at its destination.  A clash fails the run, which
+        goes on, as a single runtime does after a thread fails."""
         if self.on_net_trace is not None:
             self.on_net_trace(msg.trace_line())
         node = self.nodes[msg.dst]
@@ -432,7 +433,7 @@ class Simulation:
         if msg.kind == "Register":
             audience = node.registered.setdefault(msg.var, set())
             if msg.src in audience:
-                return False                # double registration: idempotent
+                return                      # double registration: idempotent
             audience.add(msg.src)
             var = store.intern(msg.var)
             if var.ref is not None:
@@ -457,14 +458,13 @@ class Simulation:
             greater = store.intern(msg.var)
             lesser = store.intern(msg.payload)
             self._apply_unify(node, greater, lesser)
-        return self.failure is not None
 
     # -- running ---------------------------------------------------------
 
     def run(self) -> SimReport:
         status, steps = run_events([node.rt for node in self.nodes],
                                    self.order, self.network, self._deliver)
-        failures = [] if self.failure is None else [self.failure]
+        failures = list(self.clashes)
         suspended: dict = {}
         for node in self.nodes:
             node_failures, node_suspended, _ = node.rt.verdict()

@@ -966,6 +966,7 @@ def exec_if(task: Task, stmt: If, frame: list):
             task.push_body(arm.body, frame)
             return arm.clear
         age_mark = store.next_seq
+        node = store.node_id
         if arm.made:
             new_var = store.new_var
             for i in arm.made:
@@ -973,6 +974,11 @@ def exec_if(task: Task, stmt: If, frame: list):
         store.push_trail()
         guard = Task(rt, "guard")
         guard.push(arm.guard, frame)
+        # The guard owns the variables made on this node since it began,
+        # and binds one of them rather than an outside one, as an engine
+        # does (``Store.unify``).
+        outer_owns = store.owns
+        store.owns = lambda vid: vid[0] == node and vid[1] >= age_mark
         try:
             guard.run()
         except Failure:
@@ -985,7 +991,8 @@ def exec_if(task: Task, stmt: If, frame: list):
             store.undo_to(0)
             store.pop_trail(merge=False)
             raise
-        node = store.node_id
+        finally:
+            store.owns = outer_owns
         for var in store.trails[-1]:
             if type(var) is Var and (var.vid[1] < age_mark
                                      or var.vid[0] != node):
@@ -1379,8 +1386,7 @@ def run_events(runtimes, order=None, network=None,
     ``order`` None the first candidate goes, and a runtime drains; else
     ``order.randrange(n)`` picks, and a runtime runs one timeslice of the
     thread its own scheduler picks.  A message is taken off the network
-    (``Network.take``) and handed to ``deliver``, which returns True to
-    end the run at once.  With no candidate, the clock of every runtime
+    (``Network.take``) and handed to ``deliver``.  With no candidate, the clock of every runtime
     jumps to the earliest sleeper's wake time and the sleepers due wake,
     or the run ends.
 
@@ -1404,8 +1410,7 @@ def run_events(runtimes, order=None, network=None,
                     ready[i].drain(once=order is not None)
                 else:
                     steps += 1
-                    if deliver(network.take(i - len(ready))):
-                        break
+                    deliver(network.take(i - len(ready)))
                 continue
             steps += 1
             wakes = [w for rt in runtimes if (w := rt.next_wake()) is not None]

@@ -227,6 +227,49 @@ class TestProtocol:
         assert report.status == "failed"
         assert any("apple" in f and "orange" in f for f in report.failures)
 
+    CLASH = """
+    proc {Loop N} if N > 0 then {Loop N-1} end end
+    local X in
+       thread X = 1 {Loop 5000} {Browse a} end
+       thread X = 2 {Loop 5000} {Browse b} end
+    end
+    """
+
+    @pytest.mark.parametrize("net_seed", [None] + list(range(10)))
+    def test_a_clash_fails_the_run_but_does_not_end_it(self, net_seed):
+        # Which binding of X reaches its owner first depends on the
+        # interleaving.  The loser fails on its own node when the winner's
+        # binding is there before it; else its request clashes at the
+        # owner, and it still runs on and browses.  Either way every
+        # thread runs to its end and one failure is reported.
+        report = run_simulation(self.CLASH, {"a": 0, "b": 1},
+                                net_seed=net_seed)
+        assert report.status == "failed"
+        assert len(report.failures) == 1
+        statuses = [node.thread_statuses() for node in report.nodes]
+        assert all(set(s) <= {"terminated", "failed"} for s in statuses)
+        failed = sum(s["failed"] for s in statuses)
+        browses = sorted(report.outputs[0] + report.outputs[1])
+        if "clash" in report.failures[0]:
+            assert failed == 0 and browses == ["a", "b"]
+        else:
+            assert failed == 1 and browses in (["a"], ["b"])
+
+    GUARD_OVER_PROXY = """
+    local X in
+       thread X = _ {Delay 5} end
+       thread {Delay 1} if Y in Y = X then {Browse yes} else {Browse no} end end
+    end
+    """
+
+    def test_a_guard_binds_its_own_variable_to_another_nodes(self):
+        assert run_text(self.GUARD_OVER_PROXY).browses == ["yes"]
+        for placement in ({"a": 0, "b": 1}, {"a": 1, "b": 0}):
+            for net_seed in [None] + list(range(5)):
+                report = quiesced(run_simulation(
+                    self.GUARD_OVER_PROXY, placement, net_seed=net_seed))
+                assert report.outputs[placement["b"]] == ["yes"]
+
     def test_var_var_unify_third_node(self):
         # X lives on node 0, Y on node 1, and node 2 merges them: every
         # node must end up dereferencing Y to X (the lesser variable).
