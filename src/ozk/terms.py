@@ -306,9 +306,6 @@ class Store:
     def push_trail(self) -> None:
         self.trails.append([])
 
-    def trail_mark(self) -> int:
-        return len(self.trails[-1])
-
     def undo_to(self, mark: int) -> None:
         """Undo the entries of the innermost trail past ``mark``, newest
         first: a binding (the variable) is unbound, and a need mark (a
@@ -828,18 +825,3 @@ def materialize(store: Store, snap: Snapshot,
         if node[0] == "compound":
             built[i].args.extend(built[j] for j in node[2])
     return built[snap.root]
-
-
-def list_to_python(store: Store, term: Term, limit: int = 10**7) -> list[Term]:
-    """Strict list to Python list.  Raises on an unbound or improper tail."""
-    out = []
-    t = store.deref(term)
-    while True:
-        if isinstance(t, Atom) and t.name == "nil":
-            return out
-        if not is_cons(t):
-            raise RuntimeFailure(f"not a proper list (tail {t!r})")
-        out.append(store.deref(t.args[0]))
-        t = store.deref(t.args[1])
-        if len(out) > limit:
-            raise RuntimeFailure("list too long")

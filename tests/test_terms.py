@@ -15,7 +15,7 @@ from ozk.syntax import (OPERATORS, BuiltinCall, Call, CaseArm, CaseStmt, CAnon,
                         expr_names, seq_all)
 from ozk.terms import (
     Atom, Compound, Int, NIL, Store, Var, compare_terms, cons,
-    is_cons, list_to_python, make_list, materialize, render, snapshot,
+    is_cons, make_list, materialize, render, snapshot,
 )
 
 
@@ -220,7 +220,7 @@ def test_trail_undo_restores_bindings_and_need():
     y = s.new_var()
     s.unify(x, Int(1))
     s.push_trail()
-    mark = s.trail_mark()
+    mark = len(s.trails[-1])
     s.unify(y, Int(2))
     z = s.new_var()
     s.mark_needed(z)
@@ -241,7 +241,7 @@ def test_trail_undo_clears_a_need_spread_by_a_binding():
     y = s.new_var()
     s.mark_needed(y)
     s.push_trail()
-    mark = s.trail_mark()
+    mark = len(s.trails[-1])
     assert s.unify(x, y).ok      # y (greater) binds to x (lesser)
     assert y.ref is x and x.needed
     assert s.trails[-1] == [y, (x,)]
@@ -255,7 +255,7 @@ def test_no_path_compression_while_trailed():
     s = Store()
     a, b, c = s.new_var(), s.new_var(), s.new_var()
     s.push_trail()
-    mark = s.trail_mark()
+    mark = len(s.trails[-1])
     s.unify(b, a)
     s.unify(c, b)
     s.unify(a, Int(5))
@@ -843,11 +843,3 @@ def test_bisimilar_strict_vs_loose():
     ya, yb = a.new_var(), b.new_var()
     assert not bisimilar(a, f(xa, xa), b, f(xb, yb))
     assert not bisimilar(a, f(xa, ya), b, f(xb, xb))
-
-
-def test_list_to_python():
-    s = Store()
-    t = make_list([Int(1), Int(2)])
-    assert [x.value for x in list_to_python(s, t)] == [1, 2]
-    with pytest.raises(Exception):
-        list_to_python(s, cons(Int(1), s.new_var()))
