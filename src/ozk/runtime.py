@@ -974,11 +974,12 @@ def exec_if(task: Task, stmt: If, frame: list):
         store.push_trail()
         guard = Task(rt, "guard")
         guard.push(arm.guard, frame)
-        # The guard owns the variables made on this node since it began,
-        # and binds one of them rather than an outside one, as an engine
-        # does (``Store.unify``).
+        # The guard owns the variables made on this node since it began:
+        # it binds one of them rather than an outside one, as an engine
+        # does (``Store.unify``), and may bind no other.
         outer_owns = store.owns
-        store.owns = lambda vid: vid[0] == node and vid[1] >= age_mark
+        store.owns = owns = (lambda vid: vid[0] == node
+                             and vid[1] >= age_mark)
         try:
             guard.run()
         except Failure:
@@ -994,8 +995,7 @@ def exec_if(task: Task, stmt: If, frame: list):
         finally:
             store.owns = outer_owns
         for var in store.trails[-1]:
-            if type(var) is Var and (var.vid[1] < age_mark
-                                     or var.vid[0] != node):
+            if type(var) is Var and not owns(var.vid):
                 store.undo_to(0)
                 store.pop_trail(merge=False)
                 raise QuietGuardViolation(
@@ -1386,9 +1386,9 @@ def run_events(runtimes, order=None, network=None,
     ``order`` None the first candidate goes, and a runtime drains; else
     ``order.randrange(n)`` picks, and a runtime runs one timeslice of the
     thread its own scheduler picks.  A message is taken off the network
-    (``Network.take``) and handed to ``deliver``.  With no candidate, the clock of every runtime
-    jumps to the earliest sleeper's wake time and the sleepers due wake,
-    or the run ends.
+    (``Network.take``) and handed to ``deliver``.  With no candidate, the
+    clock of every runtime jumps to the earliest sleeper's wake time and
+    the sleepers due wake, or the run ends.
 
     Each runtime gets a fresh step budget.  When it runs out every
     runtime stops its runnable and sleeping threads (``Runtime.stop``);
