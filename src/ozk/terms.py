@@ -739,6 +739,13 @@ class Snapshot:
     unbound variables serialize as ``("var", None)`` and materialize
     fresh.
 
+    A bound variable is encoded as its value.  Each unbound variable is
+    one node, found by its VarId; each other term object is one node,
+    found by its identity, so sharing and cycles are kept.  Node 0 is
+    the root.  When a compound is expanded, its arguments are numbered
+    left to right, each one not met before taking the next index, and
+    then the compounds so numbered are expanded, the last one first.
+
     ``kept`` maps the VarId of each frontier variable to the variable
     itself, for a snapshot that stays in its store; it is None in a
     snapshot for the network, whose frontier variables are exported

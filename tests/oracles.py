@@ -703,3 +703,70 @@ def bisimilar(store_a, ta, store_b, tb, strict_vars: bool = False) -> bool:
         elif a is not b:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference snapshot encoder
+# ---------------------------------------------------------------------------
+
+from ozk.errors import RuntimeFailure  # noqa: E402
+
+
+def ref_snapshot(term, keep_var, for_network=False):
+    """Encode the graph of ``term`` as ``terms.Snapshot``'s docstring says,
+    recursively: ``(root, nodes, kept, exported)``, ``exported`` being the
+    frontier variables a snapshot for the network exports, in order.
+    Bindings are followed by reading ``ref``, and the store is not
+    touched."""
+    nodes: list = []
+    index: dict = {}
+    kept: dict = {}
+    exported: list = []
+
+    def number(t):
+        """The index of ``t``, and ``(cell, compound)`` when it is a
+        compound numbered just now, still to expand."""
+        while isinstance(t, Var) and t.ref is not None:
+            t = t.ref
+        key = ("var", t.vid) if isinstance(t, Var) else id(t)
+        if key in index:
+            return index[key], None
+        index[key] = len(nodes)
+        if isinstance(t, Compound):
+            cell = ["compound", t.label, None]
+            nodes.append(cell)
+            return index[key], (cell, t)
+        if isinstance(t, Var):
+            if keep_var(t.vid):
+                nodes.append(("var", t.vid))
+                if for_network:
+                    exported.append(t)
+                else:
+                    kept[t.vid] = t
+            else:
+                nodes.append(("var", None))
+        elif isinstance(t, Atom):
+            nodes.append(("atom", t.name))
+        elif isinstance(t, Int):
+            nodes.append(("int", t.value))
+        elif for_network:
+            raise RuntimeFailure(f"{t!r} cannot be sent between nodes")
+        else:
+            nodes.append(("closure", t))
+        return index[key], None
+
+    def expand(cell, t):
+        children, opened = [], []
+        for arg in t.args:
+            i, new = number(arg)
+            children.append(i)
+            if new is not None:
+                opened.append(new)
+        cell[2] = children
+        for new in reversed(opened):
+            expand(*new)
+
+    root, new = number(term)
+    if new is not None:
+        expand(*new)
+    return root, nodes, (None if for_network else kept), exported

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (MATCH_OK, MATCH_UNDET, DictFrameRunner, RefFailure,
-                     RefSuspend, bisimilar, match_pattern)
+                     RefSuspend, bisimilar, match_pattern, ref_snapshot)
 from ozk.compiler import compile_top
-from ozk.errors import OzkError
+from ozk.errors import OzkError, RuntimeFailure
 from ozk.runtime import Failure, Runtime, Suspend, Task, exec_stmt
 from ozk.syntax import (OPERATORS, BuiltinCall, Call, CaseArm, CaseStmt, CAnon,
                         CCompound, CLit, CVar, IfArm, IfStmt, Local, Unify,
                         expr_names, seq_all)
 from ozk.terms import (
-    Atom, Compound, Int, NIL, Store, Var, compare_terms, cons,
+    Atom, Compound, Int, NIL, NativeProc, Store, Var, compare_terms, cons,
     is_cons, make_list, materialize, render, snapshot,
 )
 
@@ -831,6 +831,119 @@ def test_snapshot_keep_var_frontier():
     snap = snapshot(s, t, keep_var=lambda vid: True)
     kinds = [n for n in snap.nodes if n[0] == "var"]
     assert kinds == [("var", x.vid)]
+
+
+# A term graph: a tree of compounds over atoms, integers, procedures,
+# free variables (kept or not) and links, each position possibly behind
+# a chain of bound variables.  A link is the k-th term made, other than
+# a bound variable, so that subterms are shared and cycles run through
+# compounds.
+_graph_leaves = st.one_of(
+    st.tuples(st.just("atom"), st.sampled_from("ab")),
+    st.tuples(st.just("int"), st.integers(-1, 1)),
+    st.tuples(st.just("proc")),
+    st.tuples(st.just("free"), st.booleans()),
+    st.tuples(st.just("link"), st.integers(0, 20)),
+    st.tuples(st.just("link"), st.integers(0, 20)))
+_graph_shapes = st.recursive(_graph_leaves, lambda kids: st.one_of(
+    st.tuples(st.just("bound"), kids),
+    st.tuples(st.just("compound"), st.sampled_from(("f", "|")),
+              st.lists(kids, min_size=1, max_size=3))), max_leaves=14)
+
+
+def _graph(store, shape):
+    """The term of ``shape`` (see ``_graph_shapes``), and the VarIds of
+    its free variables to keep."""
+    made, links, keep = [], [], set()
+
+    def build(shape, put):
+        kind = shape[0]
+        if kind == "bound":
+            v = store.new_var()
+            build(shape[1], lambda t: setattr(v, "ref", t))
+            return put(v)
+        if kind == "link":
+            return links.append((shape[1], put))
+        if kind == "compound":
+            t = Compound(shape[1], [None] * len(shape[2]))
+            for i, kid in enumerate(shape[2]):
+                build(kid, lambda x, i=i: t.args.__setitem__(i, x))
+        elif kind == "atom":
+            t = Atom(shape[1])
+        elif kind == "int":
+            t = Int(shape[1])
+        elif kind == "proc":
+            t = NativeProc("P", 0, None)
+        else:
+            t = store.new_var()
+            if shape[1]:
+                keep.add(t.vid)
+        made.append(t)
+        put(t)
+
+    root = []
+    build(shape, root.append)
+    if not made:
+        made.append(Atom("a"))
+    for k, put in links:
+        put(made[k % len(made)])
+    return root[0], keep
+
+
+def _unbound_vars(store, term) -> list:
+    seen, out, work = set(), [], [term]
+    while work:
+        t = store.deref(work.pop())
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if type(t) is Var:
+            out.append(t)
+        elif type(t) is Compound:
+            work.extend(t.args)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_graph_shapes, st.booleans())
+def test_snapshot_matches_the_reference_encoder(shape, for_network):
+    store = Store()
+    term, keep = _graph(store, shape)
+    keep_var = keep.__contains__
+    try:
+        want = ref_snapshot(term, keep_var, for_network)
+    except RuntimeFailure:
+        with pytest.raises(RuntimeFailure):
+            snapshot(store, term, keep_var, for_network)
+        return
+    snap = snapshot(store, term, keep_var, for_network)
+    root_index, nodes, kept, exported = want
+    assert (snap.root, snap.nodes, snap.kept) == (root_index, nodes, kept)
+    assert list(store.vars) == [v.vid for v in exported]
+
+    # the rebuilt graph is the same graph: it encodes to the same nodes,
+    # its frontier variables are the kept or interned ones, and each
+    # anonymous variable is fresh and distinct
+    if for_network:
+        target = Store(node_id=1)
+        lookup = target.intern
+    else:
+        target, lookup = store, snap.kept.__getitem__
+    first_fresh = target.next_seq
+    copy = materialize(target, snap,
+                       lambda vid: target.new_var() if vid is None
+                       else lookup(vid))
+    assert bisimilar(store, term, target, copy)
+    frontier = {n[1] for n in nodes if n[0] == "var" and n[1] is not None}
+    assert ref_snapshot(copy, frontier.__contains__)[1] == nodes
+    anonymous = 0
+    for v in _unbound_vars(target, copy):
+        if v.vid in frontier:
+            assert v is lookup(v.vid)
+        else:
+            anonymous += 1
+            assert v.vid[0] == target.node_id and v.vid[1] >= first_fresh
+    assert anonymous == nodes.count(("var", None))
 
 
 def test_bisimilar_strict_vs_loose():
