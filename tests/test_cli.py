@@ -302,6 +302,17 @@ class TestRun:
         assert "sched spawn" in err
         assert all(line in ("1", "2") for line in out.splitlines())
 
+    def test_real_time_prints_what_virtual_time_does(self, capsys, tmp_path,
+                                                     monkeypatch):
+        slept = []
+        monkeypatch.setattr("ozk.runtime._time.sleep", slept.append)
+        f = write(tmp_path, "d.ozk", "thread {Delay 30} {Browse a} end\n"
+                  "thread {Delay 50} {Browse b} end\n")
+        virtual = run_cli(capsys, "run", f)
+        assert virtual == (0, "a\nb\n", "") and slept == []
+        assert run_cli(capsys, "run", f, "--real-time") == virtual
+        assert sum(slept) == pytest.approx(0.05)
+
 
 # -- translate ---------------------------------------------------------------
 

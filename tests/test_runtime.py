@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from oracles import GEN_MAP_SQUARES
+from ozk import runtime
 from ozk.errors import (ChoiceOutsideSearchError, OzkError,
                         QuietGuardViolation, ThreadInSearchError)
 from ozk.interp import Session, run_text
@@ -246,6 +247,23 @@ def test_parallel_delays_overlap():
     assert r.status == "done"
     assert r.clock == 100
     assert r.browse_log == [(100, "a"), (100, "b")]
+
+
+REAL_TIME = """
+thread {Delay 30} {Browse a} end
+thread {Delay 50} {Browse b} end
+"""
+
+
+def test_real_time_sleeps_each_clock_jump(monkeypatch):
+    slept = []
+    monkeypatch.setattr(runtime._time, "sleep", slept.append)
+    virtual = run_text(REAL_TIME)
+    assert slept == []
+    real = run_text(REAL_TIME, real_time=True)
+    assert real.browse_log == virtual.browse_log == [(30, "a"), (50, "b")]
+    assert slept == pytest.approx([0.03, 0.02])
+    assert sum(slept) == pytest.approx(real.clock / 1000)
 
 
 # -- tail calls and scale --------------------------------------------------------
