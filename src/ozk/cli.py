@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .dist import parse_placement, run_simulation
+from .dist import MAX_NODE_ID, parse_placement, run_simulation
 from .errors import OzkError, ParseError, PlacementError, UnsupportedConstruct
 from .interp import Session
 from .prolog import parse_prolog, translate_query_source, translate_source
@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("file")
     p_dist.add_argument("--placement", metavar="a=0,b=1", default="",
                         help="assign top-level threads (named a, b, ... in "
-                        "source order) to node ids; unplaced threads run "
-                        "on node 0")
+                        f"source order) to node ids 0 to {MAX_NODE_ID}; "
+                        "unplaced threads run on node 0")
     common(p_dist, net=True)
 
     return parser

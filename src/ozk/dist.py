@@ -42,11 +42,12 @@ Program placement: the top level of the program is split into plain
 statements (procedure definitions and other setup), which run on every
 node, and ``thread ... end`` statements, which are named ``a``, ``b``,
 ``c``, ... in source order and run on the node the placement assigns
-them to (default node 0).  A top-level variable mentioned by the setup
-code is per-node (each node gets its own — setup must compute it
-identically everywhere, which holds for procedure definitions); a
-variable mentioned only by threads is created on the node of the first
-thread that mentions it and shared with the others.  Consequently the
+them to (default node 0), a node id from 0 to 25.  A top-level variable
+mentioned by the setup code is per-node (each node gets its own — setup
+must compute it identically everywhere, which holds for procedure
+definitions); a variable mentioned only by threads is created on the
+node of the first thread that mentions it and shared with the others.
+Consequently the
 same source text runs unchanged as a single-node program or distributed
 across nodes.
 """
@@ -71,6 +72,10 @@ from .terms import (Atom, Compound, Int, Snapshot, Store, Var, VarId,
                     materialize, render, snapshot)
 
 THREAD_NAMES = "abcdefghijklmnopqrstuvwxyz"
+# The largest node id a placement may name.  A program has at most one
+# top-level thread per name, and nodes 0 to the largest id named are
+# each built, prelude and all.
+MAX_NODE_ID = len(THREAD_NAMES) - 1
 
 MESSAGE_KINDS = ("Register", "BindRequest", "BindNotify", "UnifyVarVar")
 
@@ -303,12 +308,17 @@ class Simulation:
         names, setup, threads = _compiled_pieces(source, ambient)
 
         thread_names = THREAD_NAMES[:len(threads)]
-        for key in placement:
+        for key, nid in placement.items():
             if key not in thread_names:
                 known = ", ".join(thread_names) or "none"
                 raise PlacementError(
                     f"placement names unknown thread {key!r} "
                     f"(this program has: {known})")
+            if not 0 <= nid <= MAX_NODE_ID:
+                raise PlacementError(
+                    f"placement entry {key}={nid}: a node id runs from 0 "
+                    f"to {MAX_NODE_ID}, one node per top-level thread at "
+                    f"most")
         self.placement = {nm: placement.get(nm, 0) for nm in thread_names}
         node_count = max(self.placement.values(), default=0) + 1
 

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from ozk import dist
 from ozk.builtins import make_builtins
+from ozk.cli import main
 from ozk.compiler import compile_top
-from ozk.dist import (Network, Simulation, parse_placement,
+from ozk.dist import (MAX_NODE_ID, Network, Simulation, parse_placement,
                       replica_divergences, run_simulation, split_program)
 from ozk.errors import PlacementError
 from ozk.interp import Session, run_text
@@ -82,6 +84,29 @@ class TestPlacementParsing:
     def test_unknown_thread_rejected(self):
         with pytest.raises(PlacementError, match="unknown thread 'c'"):
             run_simulation(GEN_MAP, {"c": 1})
+
+    def test_a_node_id_past_the_last_thread_builds_no_node(self, monkeypatch,
+                                                           capsys):
+        built = []
+        node = dist.Node
+
+        def counted(*args, **kwargs):
+            built.append(args[0])
+            if len(built) > 3:
+                raise AssertionError(f"built nodes {built}")
+            return node(*args, **kwargs)
+        monkeypatch.setattr(dist, "Node", counted)
+        for nid in (26, 99999999, -1):
+            with pytest.raises(PlacementError, match=f"b={nid}: "):
+                Simulation(GEN_MAP, {"a": 0, "b": nid})
+        assert built == []
+        code = main(["dist-run", str(PROGRAMS / "dist_gen_map.ozk"),
+                     "--placement", "a=0,b=99999999"])
+        assert code == 3 and built == []
+        assert "b=99999999" in capsys.readouterr().err
+        monkeypatch.setattr(dist, "Node", node)
+        report = run_simulation(GEN_MAP, {"a": 0, "b": MAX_NODE_ID})
+        assert report.status == "done" and len(report.nodes) == 26
 
     def test_split_finds_threads_and_setup(self):
         from ozk.builtins import make_builtins
