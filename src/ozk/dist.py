@@ -26,6 +26,14 @@ under the same VarId and learns of bindings through messages:
   always points the greater at the lesser, so the total order yields one
   global representative per equivalence class and no binding cycles.
 
+A value travels as a ``terms.Snapshot`` of its graph, made by
+``terms.snapshot`` in one pass at the sender.  Every unbound variable in
+it is on the frontier: it keeps its VarId and the sender exports it, so
+that it can come back by that VarId.  The receiver rebuilds the graph
+with ``terms.materialize``, whose lookup is its store's ``intern``: a
+frontier variable becomes the receiver's own variable or its registered
+replica, and a replica met for the first time registers with its owner.
+
 The network is failure-free — no loss, no duplication.  It keeps one
 queue of pending messages, in the order they were posted.  The whole
 simulation is single-context discrete-event, run by the runtime's one
@@ -68,8 +76,8 @@ from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
 from .runtime import Runtime, run_events
 from .syntax import Local, ThreadStmt, seq_all, seq_items
-from .terms import (Atom, Compound, Int, Snapshot, Store, Var, VarId,
-                    materialize, render, snapshot)
+from .terms import (Atom, Compound, Int, Store, Var, VarId, materialize,
+                    render, snapshot)
 
 THREAD_NAMES = "abcdefghijklmnopqrstuvwxyz"
 # The largest node id a placement may name.  A program has at most one
@@ -198,8 +206,12 @@ class Network:
 
     def take(self, i: int) -> Message:
         """Remove and return the pending message at ``i``, oldest first."""
-        msg = self.queue[i]
-        del self.queue[i]
+        queue = self.queue
+        if i:
+            msg = queue[i]
+            del queue[i]
+        else:
+            msg = queue.popleft()
         self.delivered[msg.kind] += 1
         return msg
 
@@ -415,13 +427,6 @@ class Simulation:
 
     # -- message application -------------------------------------------
 
-    def _materialize(self, node: Node, snap: Snapshot):
-        def resolve(vid):
-            if vid is None:
-                return node.store.new_var()
-            return node.store.intern(vid)
-        return materialize(node.store, snap, resolve)
-
     def _apply_unify(self, node: Node, a, b) -> None:
         res = node.store.unify(a, b)
         if res.woken:
@@ -452,11 +457,11 @@ class Simulation:
                     snapshot(store, var, _keep_all, for_network=True))
         elif msg.kind == "BindRequest":
             var = store.intern(msg.var)
-            term = self._materialize(node, msg.payload)
+            term = materialize(store, msg.payload, store.intern)
             self._apply_unify(node, var, term)
         elif msg.kind == "BindNotify":
             var = store.intern(msg.var)
-            term = self._materialize(node, msg.payload)
+            term = materialize(store, msg.payload, store.intern)
             if var.ref is None:
                 woken = store._bind_local(var, term)
                 if woken:

@@ -123,7 +123,10 @@ engine backtracks from most failures without ever showing one.
 Threads are cooperatively scheduled in timeslices over a single store.
 Blocking is dataflow only: a thread that needs a variable's value parks
 on it and is woken by the binding.  Time is virtual: `Delay` sleeps the
-thread, and the clock jumps forward only when nothing is runnable.
+thread, and the clock jumps forward only when nothing is runnable.  A
+timeslice returns the signal that stopped its thread, where a guard or
+an engine raises it to its caller, and the scheduler parks, sleeps or
+fails the thread from that value (`Task.run`, `Runtime._slice`).
 
 Every choice of what goes next is made by `take_next`'s rule, over
 candidates listed oldest first and an order: None takes the first, a
@@ -187,14 +190,12 @@ class Suspend(Exception):
     """The current statement needs variables that are still unbound."""
 
     def __init__(self, vars_: list, byneed: bool = False):
-        super().__init__()
         self.vars = vars_
         self.byneed = byneed
 
 
 class SleepRequest(Exception):
     def __init__(self, ms: int):
-        super().__init__()
         self.ms = ms
 
 
@@ -629,26 +630,31 @@ class Task:
         else:
             self.stack.append((stmt, frame))
 
-    def run(self, budget: Optional[int] = None) -> bool:
-        """Reduce pairs until the stack is empty (True) or ``budget``
-        reductions have run (False; no budget is no bound).
+    def run(self, budget: Optional[int] = None):
+        """Reduce pairs until the stack is empty (True), ``budget``
+        reductions have run (False; no budget is no bound), or a thread
+        stops on a signal, which is returned.
 
         Each reduction pops a pair, counts it in ``stats.reductions``
         (``StepLimit`` past ``rt.step_limit``) and runs it.  A suspended
-        pair goes back on the stack and the ``Suspend`` propagates, as do
-        a ``SleepRequest`` and any error.  An engine's failure backtracks
-        to its newest choicepoint, which swaps the stack, and propagates
-        only when none is left; a reduction that grew an engine's trail
-        is checked for escapes.  In a thread, a reduction that completes
-        then writes None into each slot that ``exec_stmt`` returns, as one
-        that ends in a ``SleepRequest`` does into each of its ``clear``; a
-        suspended one clears nothing, as it runs again.  A thread does not
-        let a suspension, a ``SleepRequest`` or a failure leave while it
-        can enter a trigger or split off an entered body instead
-        (:meth:`suspended`, :meth:`split`), and a budget that runs out
-        inside an entered body splits it off (:meth:`split_unended`).  A
-        thread's deepest stack, at the start of a reduction or at the end
-        of the budget, goes to ``stats.max_depth``."""
+        pair goes back on the stack.  A thread task returns the
+        ``Suspend``, ``SleepRequest`` or ``Failure`` that stopped it, its
+        ``__traceback__`` cleared so that it holds no frame of the run;
+        a guard or engine task raises it instead, as its caller acts on
+        the exception.  An engine's failure backtracks to its newest
+        choicepoint, which swaps the stack, and propagates only when none
+        is left; a reduction that grew an engine's trail is checked for
+        escapes.  Any error propagates.  In a thread, a reduction that
+        completes then writes None into each slot that ``exec_stmt``
+        returns, as one that ends in a ``SleepRequest`` does into each of
+        its ``clear``; a suspended one clears nothing, as it runs again.
+        A thread does not stop on a suspension, a ``SleepRequest`` or a
+        failure while it can enter a trigger or split off an entered body
+        instead (:meth:`suspended`, :meth:`split`), and a budget that
+        runs out inside an entered body splits it off
+        (:meth:`split_unended`).  A thread's deepest stack, at the start
+        of a reduction or at the end of the budget, goes to
+        ``stats.max_depth``."""
         stack = self.stack
         stats = self.rt.stats
         limit = self.rt.step_limit
@@ -669,23 +675,32 @@ class Task:
                     clear = exec_stmt(self, stmt, frame)
                 except Suspend as s:
                     stack.append((stmt, frame))
-                    if clears and self.suspended(s):
+                    if not clears:
+                        raise
+                    if self.suspended(s):
                         continue
-                    raise
+                    s.__traceback__ = None
+                    return s
                 except Failure as f:
                     if engine is not None:
                         if engine.backtrack():
                             stack = self.stack
                             continue
-                    elif clears and self.split(f):
+                        raise
+                    if not clears:
+                        raise
+                    if self.split(f):
                         continue
-                    raise
+                    f.__traceback__ = None
+                    return f
                 except SleepRequest as s:
+                    # only a thread sleeps (``builtins._delay``)
                     for i in stmt.clear:
                         frame[i] = None
                     if self.split(s):
                         continue
-                    raise
+                    s.__traceback__ = None
+                    return s
                 if clears:
                     for i in clear:
                         frame[i] = None
@@ -1222,6 +1237,12 @@ class Runtime:
         self.stats.splits += 1
         if self.on_trace is not None:
             self.on_trace("split", {"tid": thread.tid})
+        self._settle(thread, signal)
+
+    def _settle(self, thread: OzThread, signal) -> None:
+        """Put ``thread`` where ``signal`` sends it: on the run queue when
+        it is None, parked on a ``Suspend``, asleep for a
+        ``SleepRequest``, or failed with a ``Failure``."""
         if signal is None:
             self.runq.append(thread.tid)
         elif type(signal) is Suspend:
@@ -1280,28 +1301,24 @@ class Runtime:
     # -- scheduling -----------------------------------------------------------
 
     def _slice(self, thread: OzThread):
+        """Run ``thread`` for one timeslice, then act on how it ended
+        (:meth:`Task.run`): it terminates, goes back on the run queue, or
+        settles on the signal that stopped it (:meth:`_settle`)."""
         if self.on_trace is not None:
             self.on_trace("run", {"tid": thread.tid})
         try:
-            done = thread.task.run(TIMESLICE)
-        except Suspend as s:
-            self._park(thread, s)
-            return
-        except SleepRequest as s:
-            self._sleep(thread, s.ms)
-            return
-        except Failure as f:
-            self._finish(thread, FAILED, f.reason)
-            return
+            end = thread.task.run(TIMESLICE)
         except BaseException:
             # StepLimit or an error: the thread is not resumed, so it
             # leaves with its frames before the exception goes on
             self._finish(thread, STOPPED)
             raise
-        if done:
+        if end is True:
             self._finish(thread, TERMINATED)
-        else:
+        elif end is False:
             self.runq.append(thread.tid)
+        else:
+            self._settle(thread, end)
 
     def drain(self, once: bool = False) -> None:
         """Run runnable threads, a timeslice at a time, until none is left,
@@ -1383,12 +1400,17 @@ def run_events(runtimes, order=None, network=None,
     Each step picks one event by :func:`take_next`'s rule from the
     candidates: first each runtime with a runnable thread, in the order
     given, then each message of ``network.queue``, oldest first.  With
-    ``order`` None the first candidate goes, and a runtime drains; else
-    ``order.randrange(n)`` picks, and a runtime runs one timeslice of the
-    thread its own scheduler picks.  A message is taken off the network
-    (``Network.take``) and handed to ``deliver``.  With no candidate, the
-    clock of every runtime jumps to the earliest sleeper's wake time and
-    the sleepers due wake, or the run ends.
+    ``order`` None the first candidate goes: the first runtime with a
+    runnable thread drains, or else the oldest message is delivered.
+    Else ``order.randrange(n)`` picks among the ``n`` candidates, and a
+    runtime runs one timeslice of the thread its own scheduler picks.  A
+    message is taken off the network (``Network.take``) and handed to
+    ``deliver``.  With no candidate, the clock of every runtime jumps to
+    the earliest sleeper's wake time and the sleepers due wake, or the
+    run ends; with ``real_time`` set on the first runtime, the jump
+    sleeps for as long in wall time.  The candidates are counted and the
+    pick is found by walking the runtimes again, so that a step builds
+    no list.
 
     Each runtime gets a fresh step budget.  When it runs out every
     runtime stops its runnable and sleeping threads (``Runtime.stop``);
@@ -1398,25 +1420,38 @@ def run_events(runtimes, order=None, network=None,
     jump, plus the last look, at rest or cut by the budget."""
     for rt in runtimes:
         rt.renew_budget()
+    once = order is not None
+    first = runtimes[0]
     steps = 0
     try:
         while True:
-            ready = [rt for rt in runtimes if rt.runq]
-            count = len(ready) + (network.pending if network is not None
-                                  else 0)
+            ready = 0
+            for rt in runtimes:
+                if rt.runq:
+                    ready += 1
+            count = ready + (network.pending if network is not None else 0)
             if count:
                 i = 0 if order is None else order.randrange(count)
-                if i < len(ready):
-                    ready[i].drain(once=order is not None)
+                if i < ready:
+                    # the i-th runtime with a runnable thread
+                    for rt in runtimes:
+                        if rt.runq:
+                            if not i:
+                                break
+                            i -= 1
+                    rt.drain(once)
                 else:
                     steps += 1
-                    deliver(network.take(i - len(ready)))
+                    deliver(network.take(i - ready))
                 continue
             steps += 1
-            wakes = [w for rt in runtimes if (w := rt.next_wake()) is not None]
-            if not wakes:
+            now = None
+            for rt in runtimes:
+                wake = rt.next_wake()
+                if wake is not None and (now is None or wake < now):
+                    now = wake
+            if now is None:
                 break
-            now, first = min(wakes), runtimes[0]
             if first.real_time and now > first.clock:
                 _time.sleep((now - first.clock) / 1000.0)
             for rt in runtimes:

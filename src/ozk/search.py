@@ -298,12 +298,7 @@ class Engine:
         snap = self.next_snapshot()
         if snap is None:
             return None
-        kept = snap.kept
-        new_var = self.store.new_var
-
-        def resolve(vid):
-            return new_var() if vid is None else kept[vid]
-        return materialize(self.store, snap, resolve)
+        return materialize(self.store, snap, snap.kept.__getitem__)
 
 
 def solve_answers(rt, goal: Closure, limit: Optional[int] = None) -> list[Term]:

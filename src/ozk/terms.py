@@ -763,72 +763,88 @@ def snapshot(store: Store, term: Term,
              keep_var: Callable[[VarId], bool],
              for_network: bool = False) -> Snapshot:
     """Serialize the graph of ``term``; see :class:`Snapshot`.  With
-    ``for_network`` each frontier variable is exported from ``store``."""
+    ``for_network`` each frontier variable is exported from ``store``.
+
+    One loop encodes the graph: each turn expands a compound, the newest
+    one not yet expanded, and the root is the one argument of a first
+    turn.  Only a bound variable is dereferenced (``Store.deref``, which
+    compresses its chain when no trail is active)."""
     nodes: list = []
     index: dict = {}
-    work: list = []
     kept: Optional[dict] = None if for_network else {}
-
-    def encode(t: Term) -> int:
-        t = store.deref(t)
-        key = _node_key(t)
-        got = index.get(key)
-        if got is not None:
-            return got
-        idx = len(nodes)
-        index[key] = idx
-        if isinstance(t, Var):
-            if keep_var(t.vid):
-                if kept is None:
-                    store.export(t)
-                else:
-                    kept[t.vid] = t
-                nodes.append(("var", t.vid))
-            else:
-                nodes.append(("var", None))
-        elif isinstance(t, Atom):
-            nodes.append(("atom", t.name))
-        elif isinstance(t, Int):
-            nodes.append(("int", t.value))
-        elif isinstance(t, Compound):
-            # Allocate the shell now so cycles resolve; fill children later
-            # from the work queue (keeps encoding iterative on deep terms).
-            cell = ["compound", t.label, None]
-            nodes.append(cell)
-            work.append((cell, t.args))
-        else:
-            if for_network:
-                raise RuntimeFailure(f"{t!r} cannot be sent between nodes")
-            nodes.append(("closure", t))
-        return idx
-
-    root = encode(term)
+    top = [None, None, None]
+    work = [(top, (term,))]
+    deref = store.deref
     while work:
         cell, args = work.pop()
-        cell[2] = [encode(a) for a in args]
-    return Snapshot(root, nodes, kept)
+        children = []
+        for t in args:
+            kind = type(t)
+            if kind is Var:
+                if t.ref is not None:
+                    t = deref(t)
+                    kind = type(t)
+                    key = t.vid if kind is Var else id(t)
+                else:
+                    key = t.vid
+            else:
+                key = id(t)
+            idx = index.get(key)
+            if idx is None:
+                idx = index[key] = len(nodes)
+                if kind is Compound:
+                    # the shell now, so that cycles resolve; its children
+                    # when its turn comes
+                    child = ["compound", t.label, None]
+                    nodes.append(child)
+                    work.append((child, t.args))
+                elif kind is Var:
+                    if keep_var(t.vid):
+                        if kept is None:
+                            store.export(t)
+                        else:
+                            kept[t.vid] = t
+                        nodes.append(("var", t.vid))
+                    else:
+                        nodes.append(("var", None))
+                elif kind is Atom:
+                    nodes.append(("atom", t.name))
+                elif kind is Int:
+                    nodes.append(("int", t.value))
+                elif for_network:
+                    raise RuntimeFailure(f"{t!r} cannot be sent between nodes")
+                else:
+                    nodes.append(("closure", t))
+            children.append(idx)
+        cell[2] = children
+    return Snapshot(0, nodes, kept)
 
 
 def materialize(store: Store, snap: Snapshot,
-                resolve_var: Callable[[Optional[VarId]], Var]) -> Term:
-    """Rebuild a snapshot in ``store``.  ``resolve_var`` maps a frontier
-    VarId (or None for an anonymous fresh variable) to a Var of the
-    target store."""
-    built: list[Optional[Term]] = [None] * len(snap.nodes)
-    # First pass: create shells so cycles can point back.
-    for i, node in enumerate(snap.nodes):
+                lookup: Callable[[VarId], Var]) -> Term:
+    """Rebuild a snapshot in ``store``.  ``lookup`` maps the VarId of a
+    frontier variable to a variable of ``store``: ``store.intern`` for a
+    snapshot from another node, the snapshot's ``kept.__getitem__`` for
+    one that stays in its store.  Each anonymous variable is made fresh
+    in ``store``.  One pass makes a term per node, the compounds empty,
+    and their arguments are filled in after, so that cycles resolve."""
+    built: list = []
+    fill = []
+    new_var = store.new_var
+    for node in snap.nodes:
         kind = node[0]
-        if kind == "var":
-            built[i] = resolve_var(node[1])
+        if kind == "compound":
+            args: list = []
+            built.append(Compound(node[1], args))
+            fill.append((args, node[2]))
+        elif kind == "var":
+            built.append(new_var() if node[1] is None else lookup(node[1]))
         elif kind == "atom":
-            built[i] = Atom(node[1])
+            built.append(Atom(node[1]))
         elif kind == "int":
-            built[i] = Int(node[1])
-        elif kind == "compound":
-            built[i] = Compound(node[1], [])
+            built.append(Int(node[1]))
         else:  # closure passed by reference
-            built[i] = node[1]
-    for i, node in enumerate(snap.nodes):
-        if node[0] == "compound":
-            built[i].args.extend(built[j] for j in node[2])
+            built.append(node[1])
+    for args, children in fill:
+        args += [built[j] for j in children]
     return built[snap.root]

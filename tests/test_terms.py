@@ -800,15 +800,7 @@ def test_snapshot_materialize_round_trip():
     t = f(Int(1), cons(Atom("a"), x), x)
     snap = snapshot(s, t, keep_var=lambda vid: False)
     s2 = Store(node_id=3)
-    fresh: dict = {}
-
-    def resolve(vid):
-        key = vid if vid is not None else len(fresh)
-        if key not in fresh:
-            fresh[key] = s2.new_var()
-        return fresh[key]
-
-    t2 = materialize(s2, snap, resolve)
+    t2 = materialize(s2, snap, s2.intern)
     assert bisimilar(s, t, s2, t2)
 
 
@@ -818,7 +810,7 @@ def test_snapshot_preserves_cycles_and_sharing():
     s.unify(x, f(x, x))
     snap = snapshot(s, x, keep_var=lambda vid: False)
     s2 = Store()
-    t2 = materialize(s2, snap, lambda vid: s2.new_var())
+    t2 = materialize(s2, snap, s2.intern)
     t2 = s2.deref(t2)
     assert s2.deref(t2.args[0]) is t2
     assert bisimilar(s, x, s2, t2)
@@ -930,9 +922,7 @@ def test_snapshot_matches_the_reference_encoder(shape, for_network):
     else:
         target, lookup = store, snap.kept.__getitem__
     first_fresh = target.next_seq
-    copy = materialize(target, snap,
-                       lambda vid: target.new_var() if vid is None
-                       else lookup(vid))
+    copy = materialize(target, snap, lookup)
     assert bisimilar(store, term, target, copy)
     frontier = {n[1] for n in nodes if n[0] == "var" and n[1] is not None}
     assert ref_snapshot(copy, frontier.__contains__)[1] == nodes
