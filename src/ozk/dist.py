@@ -55,9 +55,8 @@ mentioned by the setup code is per-node (each node gets its own — setup
 must compute it identically everywhere, which holds for procedure
 definitions); a variable mentioned only by threads is created on the
 node of the first thread that mentions it and shared with the others.
-Consequently the
-same source text runs unchanged as a single-node program or distributed
-across nodes.
+Consequently the same source text runs unchanged as a single-node
+program or distributed across nodes.
 """
 
 from __future__ import annotations
