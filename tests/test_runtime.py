@@ -7,8 +7,9 @@ import pytest
 import oracles
 from oracles import GEN_MAP_SQUARES
 from ozk import runtime
-from ozk.errors import (ChoiceOutsideSearchError, OzkError,
-                        QuietGuardViolation, ThreadInSearchError)
+from ozk.errors import (ChoiceOutsideSearchError, EscapeError, OzkError,
+                        QuietGuardViolation, SearchStuckError,
+                        ThreadInSearchError)
 from ozk.interp import Session, run_text
 
 
@@ -167,6 +168,51 @@ def test_guard_may_not_bind_outside_variables():
         X in
         if B in {Sneak X} B = true then skip end
         """)
+
+
+SNEAK = "proc {Sneak Y} Y = 1 end\n"
+
+
+def test_a_guard_that_binds_an_outside_variable_and_fails_takes_the_next_arm():
+    # a guard's quiet check is made once, when it commits: a binding of an
+    # outside variable that its own failure undoes is no error
+    s = Session()
+    s.feed(SNEAK)
+    r = s.feed("X in if B in {Sneak X} 1 = 2 B = true then {Browse yes} "
+               "else {Browse no} end")
+    assert (r.status, r.browses) == ("done", ["no"])
+    assert s.lookup("X").ref is None
+
+
+@pytest.mark.parametrize("outside", [False, True],
+                         ids=["engine-variable", "outside-variable"])
+def test_a_guard_in_an_engine_that_binds_an_outside_variable_and_fails(
+        outside):
+    # the guard fails before it commits, so the engine never sees Y bound:
+    # no escape, whether Y is the engine's or from outside the engine
+    guard = "if B in {Sneak Y} 1 = 2 B = true then 1 else 2 end"
+    program = ("Y S in {SolveAll fun {$} %s end S}" if outside
+               else "S in {SolveAll fun {$} Y in %s end S}")
+    s = Session()
+    s.feed(SNEAK)
+    r = s.feed(program % guard + " {Browse S}")
+    assert (r.status, r.browses) == ("done", ["[2]"])
+    if outside:
+        assert s.lookup("Y").ref is None
+
+
+def test_a_guard_in_an_engine_may_not_bind_the_engines_variable():
+    with pytest.raises(QuietGuardViolation,
+                       match="^guard bound a variable that exists outside it$"):
+        run_text(SNEAK + "S in {SolveAll fun {$} Y in "
+                 "if B in {Sneak Y} B = true then 1 else 2 end end S}")
+
+
+def test_an_engine_in_a_guard_may_not_bind_the_guards_variable():
+    with pytest.raises(EscapeError, match="^search tried to bind a variable "
+                                          "from outside the engine$"):
+        run_text("if B S in {SolveAll fun {$} B = true 1 end S} "
+                 "then skip end")
 
 
 def test_thread_creation_inside_guard_is_rejected():
@@ -338,16 +384,24 @@ def test_a_thread_stopped_by_an_error_leaves_the_runtime():
 @pytest.mark.parametrize("chunk, error", [
     ("if X in {Loop} then skip end", None),
     ("if B in thread skip end B = true then skip end", ThreadInSearchError),
+    ("S in {SolveAll fun {$} Y in "
+     "if B in {Sneak Y} B = true then 1 else 2 end end S}",
+     QuietGuardViolation),
+    ("if B S in {SolveAll fun {$} B = true 1 end S} then skip end",
+     EscapeError),
+    ("if B S in {SolveAll fun {$} Z in {Wait Z} 1 end S} then skip end",
+     SearchStuckError),
 ])
 def test_a_guard_stopped_by_the_budget_or_an_error_drops_its_trail(chunk, error):
     s = Session(max_steps=5000)
-    s.feed("proc {Loop} {Loop} end")
+    s.feed("proc {Loop} {Loop} end " + SNEAK)
     if error is None:
         assert s.feed(chunk).status == "limit"
     else:
         with pytest.raises(error):
             s.feed(chunk)
     assert s.store.trails == []
+    assert s.store.owns is None
     # later bindings are not trailed, and the session goes on
     assert s.feed("Y in Y = 1 {Browse Y}").browses == ["1"]
     assert s.store.trails == []
