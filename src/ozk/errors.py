@@ -34,13 +34,18 @@ class ThreadInSearchError(RuntimeFailure):
 
 
 class EscapeError(RuntimeFailure):
-    """A search goal tried to bind a variable created outside the engine."""
+    """A search goal bound a variable that its engine's space does not
+    own, one made outside the engine.  The engine checks after each step
+    that grew its trail, so a binding that a later failure undoes is
+    still an escape."""
 
 
 class QuietGuardViolation(OzkError):
     """A guard bound a variable that is not one of its declared guard
     variables.  Raised statically by the parser where detectable, and
-    dynamically by the guard runner otherwise."""
+    otherwise when a deep guard's space commits: its whole trail is
+    checked then, once, so a binding that the guard's own failure undoes
+    is none."""
 
 
 class UnsupportedConstruct(OzkError):

@@ -10,7 +10,10 @@ decides what it may do (only a thread creates threads and sleeps, only
 an engine pushes choicepoints) and how a signal leaves it.  A thread
 runs a timeslice of its own reductions at a time; a guard or an engine
 runs to its end inside one reduction of the task that started it, so
-its reductions do not use up that task's timeslice.
+its reductions do not use up that task's timeslice.  Each of those two
+runs in a computation space (`terms.Space`; an engine is one with
+choicepoints), which holds its trail and the rule of which variables it
+owns, and checks that it binds no other; this module keeps no trail.
 
 A frame is a list, one per procedure call, per thread and per top-level
 piece: the code, the arguments, a slot for every name the body declares
@@ -152,13 +155,13 @@ from functools import cached_property
 from itertools import repeat as _repeat
 from typing import Callable, Optional
 
-from .errors import (ChoiceOutsideSearchError, OzkError, QuietGuardViolation,
-                     ThreadInSearchError)
+from .errors import ChoiceOutsideSearchError, OzkError, ThreadInSearchError
 from .compiler import (EQ_TEST, OP_TEST, READ_FRESH, READ_LITERAL, READ_SLOT,
                        TEST, Body, Build, Builtin, Call, Case, Choice, Fail,
                        Fresh, If, Lazy, Op, Plan, Proc, Skip, Thread, Unify)
 from .terms import (FALSE, INT_MAX, INT_MIN, TRUE, Atom, Closure, Compound,
-                    Int, NativeProc, Store, Term, UnifyResult, Var, render)
+                    Int, NativeProc, Space, Store, Term, UnifyResult, Var,
+                    render)
 
 # -- control-flow signals -----------------------------------------------------
 
@@ -605,9 +608,6 @@ class Task:
         self.stack: list = []
         self.entered = ()           # a list once a body is entered
 
-    def push(self, stmt, frame):
-        self.stack.append((stmt, frame))
-
     def push_block(self, block, frame):
         """Push the statements of a body or of the rest of a choice
         alternative, so that the first runs next."""
@@ -665,7 +665,7 @@ class Task:
             for _ in (_repeat(None) if budget is None else range(budget)):
                 if not stack:
                     return True
-                if len(stack) > depth:
+                if clears and len(stack) > depth:
                     depth = len(stack)
                 stmt, frame = stack.pop()
                 stats.reductions += 1
@@ -713,7 +713,7 @@ class Task:
             return not stack
         finally:
             # no thread runs inside another's run, so none has gone deeper
-            if self.mode == "thread":
+            if clears:
                 stats.max_depth = depth
 
     def suspended(self, susp: Suspend) -> bool:
@@ -952,12 +952,15 @@ def exec_stmt(task: Task, stmt, frame: list):
 def exec_if(task: Task, stmt: If, frame: list):
     """Try the arms in order; commit to the first whose guard succeeds.
 
-    Guards run speculatively on a fresh trail.  An undetermined guard
-    suspends the whole conditional (sequential semantics), a failing one
-    moves on to the next arm, and a successful one must not have bound
-    anything that existed before it started.  A pure test binds nothing
-    and needs no trail.  Returns the clear of the arm taken (or of
-    ``otherwise``).
+    A deep guard runs in a space of its own (``terms.Space``): the space
+    is entered, a guard task runs the guard to its end, and the space is
+    left.  An undetermined guard suspends the whole conditional
+    (sequential semantics), and a failing one moves on to the next arm:
+    either way the space undoes what the guard did.  A successful one
+    must not have bound anything that existed before it started (the
+    space's check of its whole trail); it commits, and its trail merges
+    into the enclosing one.  A pure test binds nothing and needs no
+    space.  Returns the clear of the arm taken (or of ``otherwise``).
     """
     rt = task.rt
     store = rt.store
@@ -980,42 +983,23 @@ def exec_if(task: Task, stmt: If, frame: list):
                 continue
             task.push_body(arm.body, frame)
             return arm.clear
-        age_mark = store.next_seq
-        node = store.node_id
-        if arm.made:
-            new_var = store.new_var
-            for i in arm.made:
-                frame[i] = new_var()
-        store.push_trail()
+        space = Space(store)
+        for i in arm.made:
+            frame[i] = store.new_var()
         guard = Task(rt, "guard")
-        guard.push(arm.guard, frame)
-        # The guard owns the variables made on this node since it began:
-        # it binds one of them rather than an outside one, as an engine
-        # does (``Store.unify``), and may bind no other.
-        outer_owns = store.owns
-        store.owns = owns = (lambda vid: vid[0] == node
-                             and vid[1] >= age_mark)
+        guard.stack.append((arm.guard, frame))
         try:
             guard.run()
+            space.check_escapes()
         except Failure:
-            store.undo_to(0)
-            store.pop_trail(merge=False)
+            space.leave("undo")
             continue
         except BaseException:
             # a suspension, the step budget or an error: the guard's
             # trail goes with it, or every later binding would be trailed
-            store.undo_to(0)
-            store.pop_trail(merge=False)
+            space.leave("undo")
             raise
-        finally:
-            store.owns = outer_owns
-        for var in store.trails[-1]:
-            if type(var) is Var and not owns(var.vid):
-                store.undo_to(0)
-                store.pop_trail(merge=False)
-                raise QuietGuardViolation(
-                    "guard bound a variable that exists outside it")
-        store.pop_trail(merge=True)
+        space.leave("merge")
         task.push_body(arm.body, frame)
         return arm.clear
     task.push_body(stmt.otherwise, frame)

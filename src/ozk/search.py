@@ -1,9 +1,10 @@
 """Encapsulated search: run a goal speculatively and enumerate answers.
 
-An engine executes ``{Goal Root}`` on the shared store but under its own
-trail.  It runs in a task of mode ``engine`` through the reduction loop
-that threads and guards use, ``Task.run``: only such a task may run
-``choice``.
+An engine is a computation space with choicepoints: a ``terms.Space``,
+the one a deep guard runs in, so that it executes ``{Goal Root}`` on the
+shared store under its own trail and owns rule.  It runs in a task of
+mode ``engine`` through the reduction loop that threads and guards use,
+``Task.run``: only such a task may run ``choice``.
 
 A ``choice`` is reduced by :meth:`Engine.choose`, with shallow
 backtracking (the WAM's; M. Carlsson, "On the Efficiency of Optimising
@@ -39,12 +40,15 @@ trail to the newest choicepoint and runs the heads of its untried
 alternatives the same way, depth-first and left to right; a choicepoint
 whose heads all fail is dropped for the next older one, and the failure
 leaves the loop only when none is left.  The last alternative takes the
-saved stack itself, as the choicepoint is gone.  The engine checks the
-trail for escapes (:meth:`Engine.check_escapes`) after each reduction
-that grew it, and once per head: after the head, or, when it fails,
-over the statements of it that succeeded, before the undo.  A binding
-on the trail is the variable itself and a need mark a 1-tuple (see
-``terms``), so the check tells them apart by type alone.
+saved stack itself, as the choicepoint is gone.  The engine checks its
+trail for escapes (the space's ``check_escapes``, which raises
+``EscapeError`` for an engine) after each reduction that grew it, and
+once per head: after the head, or, when it fails, over the statements of
+it that succeeded, before the undo.  So a binding of an outside variable
+is an escape even when a later failure undoes it, where a guard checks
+only when it commits.  A binding on the trail is the variable itself
+and a need mark a 1-tuple (see ``terms``), so the check tells them apart
+by type alone.
 
 Answers are copied out in two phases: snapshot the root while the
 speculative bindings are live, then materialize the snapshot for the
@@ -55,19 +59,19 @@ everything the engine made is fresh in the copy.
 One driver, :meth:`Engine.next_answer`, serves eager and lazy search
 alike: a lazy ``Solve`` list is a by-need trigger on each cell, whose
 body asks the engine for one more answer (``builtins._solve_next``).
-Between answers the engine's bindings stay in place: its trail
-is on the store's trail stack only while it runs, and is taken off
-without undo when it stops at an answer.  This is safe because only the
-engine can reach its own variables: answers are copies, and binding any
-other variable is an EscapeError.  An engine owns exactly the variables
-made while it was running, so a variable that another thread makes
-while a lazy engine waits is an outside variable, as one made before the
-engine is; of an own and an outside variable, the engine binds its own.
+Between answers the engine's bindings stay in place: its space is
+entered only while it runs, and is left without undo (``"keep"``) when
+it stops at an answer.  This is safe because only the engine can reach
+its own variables: answers are copies, and binding any other variable
+is an EscapeError.  By the space's rule an engine owns exactly the
+variables made while it was being built or running, so a variable that
+another thread makes while a lazy engine waits is an outside variable,
+as one made before the engine is; of an own and an outside variable,
+the engine binds its own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import islice
 from typing import Optional
 
@@ -75,7 +79,7 @@ from .errors import EscapeError, SearchStuckError, ThreadInSearchError
 from .compiler import Choice
 from .runtime import (Failure, Suspend, Task, call_frame, exec_unify,
                       unify_compound)
-from .terms import Closure, Snapshot, Term, Var, materialize, snapshot
+from .terms import Closure, Snapshot, Space, Term, materialize, snapshot
 
 
 class _ChoicePoint:
@@ -89,56 +93,30 @@ class _ChoicePoint:
         self.trail_mark = None   # set by the maker, taken before the head
 
 
-class Engine:
-    """Depth-first enumeration of the answers of a unary goal.
+class Engine(Space):
+    """Depth-first enumeration of the answers of a unary goal: a space
+    with choicepoints.
 
     Construction makes the root variable and schedules the goal; each
     :meth:`next_answer` runs to the next answer and copies it out."""
+
+    __slots__ = ("rt", "task", "cps", "finished", "root")
+
+    Escape = EscapeError
+    escape_text = "search tried to bind a variable from outside the engine"
 
     def __init__(self, rt, goal: Closure):
         if goal.arity != 1:
             raise ThreadInSearchError(
                 "a search goal takes exactly one argument (its result)")
+        super().__init__(rt.store)   # what it makes here is its own
         self.rt = rt
-        self.store = rt.store
         self.task = Task(rt, "engine", self)
         self.cps: list[_ChoicePoint] = []
-        self.trail: list = []    # on the store's stack only while running
-        # It owns the seqs from `mark` on while it runs, and the [lo, hi)
-        # ranges of its earlier runs, flat in `bounds` (lo1, hi1, ...).
-        self.bounds: list[int] = []
-        self.mark = self.store.next_seq
         self.finished = False
-        self.checked = 0         # trail entries already escape-checked
-        self._outer_owns = None  # the store's `owns` while this one runs
         self.root = self.store.new_var()
         self.task.push_body(goal.code.body, call_frame(goal, [self.root]))
-        self.bounds += (self.mark, self.store.next_seq)
-
-    def _enter(self):
-        store = self.store
-        store.trails.append(self.trail)
-        self._outer_owns, store.owns = store.owns, self._owns
-        self.mark = store.next_seq
-        if self.bounds and self.bounds[-1] == self.mark:
-            # nothing was made since the last run: continue its range
-            self.mark = self.bounds[-2]
-            del self.bounds[-2:]
-
-    def _leave(self, finished: bool):
-        """Stop running: undo every binding when finished, else keep them
-        in place for the next run."""
-        store = self.store
-        if finished:
-            store.undo_to(0)
-        store.pop_trail(merge=False)
-        store.owns = self._outer_owns
-        self.bounds += (self.mark, store.next_seq)
-        self.finished = finished
-
-    def _owns(self, vid) -> bool:
-        return vid[0] == self.store.node_id and (
-            vid[1] >= self.mark or bisect_right(self.bounds, vid[1]) % 2 == 1)
+        self.leave("keep")
 
     # -- choicepoints ------------------------------------------------------------
 
@@ -170,9 +148,7 @@ class Engine:
         while cps:
             cp = cps[-1]
             mark = cp.trail_mark
-            self.store.undo_to(mark)
-            if self.checked > mark:
-                self.checked = mark
+            self.undo(mark)
             alts = cp.alts
             i, why = self._first_head(alts, cp.next_alt, cp.frame, mark)
             if why is not None:
@@ -232,29 +208,8 @@ class Engine:
                 return i, None
             if start > self.checked:
                 self.check_escapes(start)
-            store.undo_to(mark)
-            if self.checked > mark:
-                self.checked = mark
+            self.undo(mark)
         return i, why
-
-    def check_escapes(self, end: Optional[int] = None):
-        """Raise ``EscapeError`` when a binding on the trail from
-        ``checked`` to ``end`` (its end when None) is of a variable the
-        engine does not own; need marks (1-tuples) are skipped."""
-        trail = self.trail
-        if end is None:
-            end = len(trail)
-        node = self.store.node_id
-        mark = self.mark
-        for k in range(self.checked, end):
-            var = trail[k]
-            if type(var) is Var:
-                vid = var.vid
-                if (vid[1] < mark or vid[0] != node) and not self._owns(vid):
-                    self.checked = k + 1
-                    raise EscapeError("search tried to bind a variable from "
-                                      "outside the engine")
-        self.checked = end
 
     # -- enumeration ----------------------------------------------------------
 
@@ -269,26 +224,27 @@ class Engine:
         """
         if self.finished:
             return None
-        self._enter()
+        self.enter()
         try:
             if self.task.stack or self.backtrack():
                 self.task.run()
-                snap = snapshot(self.store, self.root,
-                                lambda vid: not self._owns(vid))
+                snap = snapshot(self.store, self.root, self.outside)
             else:
                 snap = None
         except Failure:
             # the task backtracks in place: a failure is the last one
             snap = None
         except BaseException as exc:
-            self._leave(finished=True)
+            self.leave("undo")
+            self.finished = True
             if isinstance(exc, Suspend):
                 vids = [v.vid for v in exc.vars]
                 raise SearchStuckError(
                     f"the search goal suspended on {vids}; a complete goal "
                     f"must not wait on outside values") from None
             raise
-        self._leave(finished=snap is None)
+        self.finished = snap is None
+        self.leave("undo" if self.finished else "keep")
         return snap
 
     def next_answer(self) -> Optional[Term]:

@@ -13,9 +13,8 @@ cyclic terms by memoizing visited pairs of compound nodes.
 While a trail is active, each change to a variable is logged on it, in
 one of two entry forms: a binding is the ``Var`` itself, undone by
 unbinding it, and a need mark is the 1-tuple ``(var,)``, undone by
-clearing ``needed``.  Each reader (``Store.undo_to``, a search engine's
-escape check, a guard's quiet check) tells them apart with
-``type(entry) is Var``.
+clearing ``needed``.  Each reader (``Store.undo_to``, a space's escape
+check) tells them apart with ``type(entry) is Var``.
 
 A variable may hold by-need triggers, a tuple of the frames of lazy
 bodies (``Var.trigger``).  Need fires them through the store's ``fire``
@@ -30,9 +29,10 @@ an outside variable, an error.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import Callable, Iterable, Optional
 
-from .errors import RuntimeFailure
+from .errors import QuietGuardViolation, RuntimeFailure
 
 VarId = tuple[int, int]  # (origin_node, seq)
 
@@ -234,11 +234,11 @@ class Store:
     with them; a search engine finds the outside variables of an answer
     in the answer's snapshot, not here.
 
-    ``trails`` is a stack of undo logs: one per guard being evaluated, and
-    a search engine's own log while the engine runs (it keeps the log, and
-    its bindings, between runs).  While any log is on the stack,
-    dereference chains are not path-compressed, so that undoing restores
-    the exact previous state.
+    ``trails`` is a stack of undo logs, the trail of each entered
+    :class:`Space` (a guard being evaluated, or a running search engine,
+    which keeps its log and its bindings between runs).  While any log is
+    on the stack, dereference chains are not path-compressed, so that
+    undoing restores the exact previous state.
     """
 
     def __init__(self, node_id: int = 0):
@@ -246,7 +246,7 @@ class Store:
         self.next_seq = 1
         self.vars: dict[VarId, Var] = {}
         self.trails: list[list] = []
-        # While a search engine runs: whether it owns a VarId (else None).
+        # While a space is entered: whether it owns a VarId (else None).
         self.owns: Optional[Callable[[VarId], bool]] = None
         self.dist = None  # distribution hooks, set by the network simulator
         # Runs a trigger that a need reached, or a binding set off (see
@@ -303,9 +303,6 @@ class Store:
 
     # -- trail -------------------------------------------------------
 
-    def push_trail(self) -> None:
-        self.trails.append([])
-
     def undo_to(self, mark: int) -> None:
         """Undo the entries of the innermost trail past ``mark``, newest
         first: a binding (the variable) is unbound, and a need mark (a
@@ -318,14 +315,14 @@ class Store:
             else:
                 entry[0].needed = False
 
-    def pop_trail(self, merge: bool) -> list:
+    def pop_trail(self, merge: bool) -> None:
         """Drop the innermost trail.  With ``merge`` the entries are
-        appended to the enclosing trail (committed guard inside an
-        engine); otherwise the caller has already undone them."""
+        appended to the enclosing trail, if any (a guard that commits);
+        otherwise the caller has already undone them, or keeps them
+        (an engine stopped at an answer)."""
         entries = self.trails.pop()
         if merge and self.trails:
             self.trails[-1].extend(entries)
-        return entries
 
     # -- binding -----------------------------------------------------
 
@@ -422,8 +419,8 @@ class Store:
         a lone pair of an atomic value it settles itself.
 
         A variable-variable pair binds the greater VarId to the lesser,
-        except that a running search engine (``owns``) binds its own
-        variable rather than an outside one.  Only the two kinds of pair
+        except that an entered space (``owns``, :class:`Space`) binds its
+        own variable rather than an outside one.  Only the two kinds of pair
         whose repeat would be seen are memoised: a pair of compounds, so
         that unification terminates on rational trees, and a bind
         forwarded to its owner (below), whose replica stays unbound and
@@ -556,6 +553,99 @@ class Store:
         if frontier:
             return None, [frontier[vid] for vid in sorted(frontier)]
         return True, []
+
+
+# -- encapsulated computation ---------------------------------------------
+
+
+class Space:
+    """A computation encapsulated on the shared store: a deep guard, or a
+    search engine (``search.Engine``, a space with choicepoints), one
+    primitive for both as in C. Schulte, *Programming Constraint
+    Services* (LNAI 2302, 2002).
+
+    A space is entered when it is made.  While it is entered its trail is
+    the innermost on the store's stack and its rule is the store's
+    ``owns``: it owns the variables of this store made while it is
+    entered, the seqs from ``mark`` on, and those of its earlier entries,
+    the ``[lo, hi)`` ranges flat in ``bounds`` (lo1, hi1, ...); of an own
+    and an outside variable it binds its own (``Store.unify``).
+    :meth:`leave` either undoes its trail, keeps its bindings in place for
+    a later :meth:`enter` (an engine built, or stopped at an answer), or
+    merges its trail into the enclosing one (a guard that commits).
+
+    It may bind no variable it does not own: :meth:`check_escapes` scans
+    its trail from ``checked`` on and raises ``Escape``.  A guard scans its
+    whole trail once, when it commits, so a binding that its own failure
+    undoes is no error; an engine scans after each step that grew the
+    trail, and raises its own ``Escape``."""
+
+    __slots__ = ("store", "trail", "mark", "bounds", "checked", "outer")
+
+    Escape = QuietGuardViolation
+    escape_text = "guard bound a variable that exists outside it"
+
+    def __init__(self, store: Store):
+        """Make a space over ``store`` and enter it."""
+        self.store = store
+        self.trail: list = []    # on the store's stack only while entered
+        self.bounds: list[int] = []
+        self.checked = 0         # trail entries already scanned
+        store.trails.append(self.trail)
+        self.outer, store.owns = store.owns, self.owns
+        self.mark = store.next_seq
+
+    def enter(self) -> None:
+        """Enter again, after leaving with ``"keep"``."""
+        store = self.store
+        store.trails.append(self.trail)
+        self.outer, store.owns = store.owns, self.owns
+        self.mark = store.next_seq
+        if self.bounds[-1] == self.mark:
+            # nothing was made since the last entry: continue its range
+            self.mark = self.bounds[-2]
+            del self.bounds[-2:]
+
+    def leave(self, mode: str) -> None:
+        """Stop running, as ``mode`` says: ``"undo"`` every binding,
+        ``"keep"`` them in place for the next entry, or ``"merge"`` the
+        trail into the enclosing one."""
+        store = self.store
+        if mode == "undo":
+            store.undo_to(0)
+        elif mode == "keep":
+            self.bounds += (self.mark, store.next_seq)
+        store.pop_trail(merge=mode == "merge")
+        store.owns = self.outer
+
+    def owns(self, vid: VarId) -> bool:
+        return vid[0] == self.store.node_id and (
+            vid[1] >= self.mark or bisect_right(self.bounds, vid[1]) % 2 == 1)
+
+    def outside(self, vid: VarId) -> bool:
+        return not self.owns(vid)
+
+    def undo(self, mark: int) -> None:
+        """Undo the trail to ``mark``; the scan goes on from there."""
+        self.store.undo_to(mark)
+        if self.checked > mark:
+            self.checked = mark
+
+    def check_escapes(self, end: Optional[int] = None):
+        """Raise ``Escape`` when a binding on the trail from ``checked`` to
+        ``end`` (its end when None) is of a variable the space does not
+        own; need marks (1-tuples) are skipped.  A space that raised is
+        left with its trail undone, so ``checked`` is not kept then."""
+        if end is None:
+            end = len(self.trail)
+        node = self.store.node_id
+        mark = self.mark
+        for var in self.trail[self.checked:end]:
+            if type(var) is Var:
+                vid = var.vid
+                if (vid[1] < mark or vid[0] != node) and not self.owns(vid):
+                    raise self.Escape(self.escape_text)
+        self.checked = end
 
 
 # -- standard order of terms ------------------------------------------

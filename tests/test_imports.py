@@ -1,7 +1,7 @@
 """Every module of ozk uses each name it imports, and each name it
 defines at module level, and each method of its classes, is read
-somewhere.  Importing ozk loads neither ``dataclasses`` nor
-``inspect``."""
+somewhere.  Only ``terms`` touches the store's trail stack and owns
+rule.  Importing ozk loads neither ``dataclasses`` nor ``inspect``."""
 
 import ast
 import os
@@ -170,6 +170,38 @@ def test_an_unread_method_is_found():
             "b.spare = None\n")
     assert unread_methods({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 4, "Box.put"), ("lib.py", 6, "Box.spare")]
+
+
+# The state of the store that only a computation space (``terms.Space``)
+# decides: which trail is innermost and which variables the running
+# speculation owns.
+SPACE_STATE = {"owns", "trails", "push_trail", "pop_trail", "undo_to"}
+SPACE_MODULES = {"terms.py"}
+
+
+def space_state_uses(defining: dict) -> list:
+    """The ``(module, name)`` of each name of ``SPACE_STATE`` that a
+    module of `defining`, other than those of ``SPACE_MODULES``, uses as
+    an attribute."""
+    return [(module, name) for module, text in sorted(defining.items())
+            if module not in SPACE_MODULES
+            for name in sorted({node.attr for node in ast.walk(ast.parse(text))
+                                if isinstance(node, ast.Attribute)}
+                               & SPACE_STATE)]
+
+
+def test_only_the_space_touches_the_trail_and_the_owns_rule():
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert space_state_uses(defining) == []
+
+
+def test_a_use_of_the_space_state_is_found():
+    lib = ("def guard(store):\n"
+           "    store.push_trail()\n"
+           "    outer, store.owns = store.owns, None\n"
+           "    return store.trail, store.trails_seen\n")
+    assert space_state_uses({"lib.py": lib, "terms.py": lib}) == [
+        ("lib.py", "owns"), ("lib.py", "push_trail")]
 
 
 def test_importing_ozk_loads_neither_dataclasses_nor_inspect():

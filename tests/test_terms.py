@@ -219,7 +219,7 @@ def test_trail_undo_restores_bindings_and_need():
     x = s.new_var()
     y = s.new_var()
     s.unify(x, Int(1))
-    s.push_trail()
+    s.trails.append([])
     mark = len(s.trails[-1])
     s.unify(y, Int(2))
     z = s.new_var()
@@ -240,7 +240,7 @@ def test_trail_undo_clears_a_need_spread_by_a_binding():
     x = s.new_var()
     y = s.new_var()
     s.mark_needed(y)
-    s.push_trail()
+    s.trails.append([])
     mark = len(s.trails[-1])
     assert s.unify(x, y).ok      # y (greater) binds to x (lesser)
     assert y.ref is x and x.needed
@@ -254,7 +254,7 @@ def test_trail_undo_clears_a_need_spread_by_a_binding():
 def test_no_path_compression_while_trailed():
     s = Store()
     a, b, c = s.new_var(), s.new_var(), s.new_var()
-    s.push_trail()
+    s.trails.append([])
     mark = len(s.trails[-1])
     s.unify(b, a)
     s.unify(c, b)
@@ -370,7 +370,7 @@ def test_unify_matches_reference(s1, s2, prebinds, waiting, trailed):
         for i in waiting:
             store.add_waiter(vs[i], 10 + i)
         if trailed:
-            store.push_trail()
+            store.trails.append([])
         ok, woken, reason = unify(store, _build(store, s1, vs),
                                   _build(store, s2, vs))
         reps = []
@@ -434,7 +434,7 @@ def test_compiled_unify_matches_build_then_unify(
         for i in waiting:
             store.add_waiter(vs[i], 10 + i)
         if trailed:
-            store.push_trail()
+            store.trails.append([])
         env = {f"V{i}": vs[i] for i in range(4)}
         env["X"] = vs[4]
         x = store.deref(vs[4])
@@ -530,7 +530,7 @@ def _run_local(stmt, compiled, prebinds, waiting, trailed):
     for i in waiting:
         store.add_waiter(vs[i], 10 + i)
     if trailed:
-        store.push_trail()
+        store.trails.append([])
     env = {f"V{i}": vs[i] for i in range(4)}
     woken: set = set()
     waits = []
@@ -540,7 +540,7 @@ def _run_local(stmt, compiled, prebinds, waiting, trailed):
         task = Task(rt)
         code = compile_top(stmt)
         frame = code.frame(env)
-        task.push(code.body, frame)
+        task.stack.append((code.body, frame))
         try:
             while task.stack:
                 exec_stmt(task, *task.stack.pop())
