@@ -927,9 +927,9 @@ def exec_stmt(task: Task, stmt, frame: list):
 
     if kind is Thread or kind is Lazy:
         if task.mode != "thread":
-            raise ThreadInSearchError(
-                "cannot create a thread inside a " + (
-                    "guard" if task.mode == "guard" else "search engine"))
+            raise ThreadInSearchError("cannot %s inside a %s" % (
+                "create a thread" if kind is Thread else "make a lazy call",
+                "guard" if task.mode == "guard" else "search engine"))
         code = stmt.code
         child = [code]
         child += code.blank

@@ -207,9 +207,26 @@ NAMED = {
 }
 
 
+# A lazy call in a guard or an engine is refused, as the thread of the
+# thread form is, but each form names what it met.
+REFUSED_IN = {"lazy_call_in_guard": "guard",
+              "lazy_call_in_engine": "search engine"}
+
+
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_case_gives_the_thread_form_answers(name):
     text = NAMED[name]
+    where = REFUSED_IN.get(name)
+    if where is not None:
+        for seed in SEEDS:
+            assert run_outcome(text, seed) == (
+                "ThreadInSearchError",
+                f"cannot make a lazy call inside a {where}")
+            with thread_form():
+                assert run_outcome(text, seed) == (
+                    "ThreadInSearchError",
+                    f"cannot create a thread inside a {where}")
+        return
     placement = {"a": 0, "b": 1} if name == "threads_on_two_nodes" else None
     assert_forms_agree(text, placement)
 

@@ -273,6 +273,7 @@ _STATEMENTS = {
     # the body and reject the choice when they reach it
     "called choice": "local P in proc {P} choice skip [] skip end end {P} end",
     "Solve": "L in {Solve fun {$} D in {Digit D} D end L}",
+    "lazy call": "local F X in fun lazy {F} 1 end X = {F} end",
 }
 _CHOICE = (ChoiceOutsideSearchError,
            "choice is only allowed inside a search engine")
@@ -281,6 +282,9 @@ _SOLVE = (ThreadInSearchError, "lazy solving needs a thread of its own")
 _IN_GUARD = (ThreadInSearchError, "cannot create a thread inside a guard")
 _IN_ENGINE = (ThreadInSearchError,
               "cannot create a thread inside a search engine")
+_LAZY_IN_GUARD = (ThreadInSearchError, "cannot make a lazy call inside a guard")
+_LAZY_IN_ENGINE = (ThreadInSearchError,
+                   "cannot make a lazy call inside a search engine")
 _REJECTED = {
     ("thread", "choice"): _CHOICE,
     ("thread", "called choice"): _CHOICE,
@@ -289,14 +293,17 @@ _REJECTED = {
     ("guard", "choice"): _CHOICE,
     ("guard", "called choice"): _CHOICE,
     ("guard", "Solve"): _SOLVE,
+    ("guard", "lazy call"): _LAZY_IN_GUARD,
     ("engine", "thread"): _IN_ENGINE,
     ("engine", "Delay"): _DELAY,
     ("engine", "Solve"): _SOLVE,
+    ("engine", "lazy call"): _LAZY_IN_ENGINE,
     ("guard-in-engine", "thread"): _IN_GUARD,
     ("guard-in-engine", "Delay"): _DELAY,
     ("guard-in-engine", "choice"): _CHOICE,
     ("guard-in-engine", "called choice"): _CHOICE,
     ("guard-in-engine", "Solve"): _SOLVE,
+    ("guard-in-engine", "lazy call"): _LAZY_IN_GUARD,
 }
 
 
