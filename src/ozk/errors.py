@@ -30,7 +30,8 @@ class ChoiceOutsideSearchError(RuntimeFailure):
 
 
 class ThreadInSearchError(RuntimeFailure):
-    """A thread statement was reached inside a search engine or guard."""
+    """A thread statement or a lazy call was reached inside a search
+    engine or guard."""
 
 
 class EscapeError(RuntimeFailure):

@@ -282,7 +282,8 @@ _SOLVE = (ThreadInSearchError, "lazy solving needs a thread of its own")
 _IN_GUARD = (ThreadInSearchError, "cannot create a thread inside a guard")
 _IN_ENGINE = (ThreadInSearchError,
               "cannot create a thread inside a search engine")
-_LAZY_IN_GUARD = (ThreadInSearchError, "cannot make a lazy call inside a guard")
+_LAZY_IN_GUARD = (ThreadInSearchError,
+                  "cannot make a lazy call inside a guard")
 _LAZY_IN_ENGINE = (ThreadInSearchError,
                    "cannot make a lazy call inside a search engine")
 _REJECTED = {
