@@ -35,11 +35,9 @@ def _value(store: Store, t: Term) -> Term:
 
 
 def _bind(task: Task, lhs: Term, value: Term):
-    res = task.rt.store.unify(lhs, value)
-    if res.woken:
-        task.rt.wake(res.woken)
-    if not res.ok:
-        raise Failure(res)
+    clash = task.rt.store.unify(lhs, value)
+    if clash is not None:
+        raise Failure(clash)
 
 
 # -- waiting and time ----------------------------------------------------------

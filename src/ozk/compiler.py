@@ -77,15 +77,14 @@ or ``f(...) = X``) also has a read ``Plan``: what the WAM's ``unify_*``
 instructions after a ``get_structure`` say.  It lists only the
 arguments that are not voids, each tagged as a first use, a value (a
 slot), a literal or a nested ``Build``, and splits them at compile
-time: the first uses, as ``(index, slot)`` pairs, and the other steps.
+time: the first uses, as ``(index, slot)`` pairs, and the other pairs.
 The runtime takes the plan when ``X`` is already a compound of that
-label and arity (read mode).  With no network it writes the first uses
-into the frame in one loop, is then done if no other step is left, and
-settles a lone pair of an atomic value inline; a network's proxies need
-the steps in argument order, which the plan also keeps.  A nested
-``Build`` is still built and unified: read mode stops at the first
-level.  No other ``Build`` has a plan: a call's arguments are only ever
-built.
+label and arity (read mode).  It writes the first uses into the frame in
+one loop, is then done if no other pair is left, and settles a lone
+pair of an atomic value inline; a first use takes the argument it meets
+even when that is a network's proxy.  A nested ``Build`` is still built
+and unified: read mode stops at the first level.  No other ``Build`` has
+a plan: a call's arguments are only ever built.
 
 A name of a ``local`` whose first use is, in a statement of the local's
 body itself, an occurrence in ``X = f(...)`` (as ``X`` or as an argument
@@ -137,8 +136,8 @@ class Fresh:
         self.slot = slot
 
 
-# The tag of each step of a read plan: what stands at that argument.
-READ_FRESH, READ_SLOT, READ_LITERAL, READ_BUILD = range(4)
+# The tag of each pair of a read plan: what stands at that argument.
+READ_SLOT, READ_LITERAL, READ_BUILD = range(3)
 
 
 class Plan:
@@ -146,18 +145,16 @@ class Plan:
     the slot ``slot`` and ``f(...)`` the compound operand ``build``, whose
     ``label`` and ``arity`` read mode checks first.
 
-    ``steps`` lists only the arguments that are not voids, left to right,
-    each as ``(index, tag, operand)``: a first use (``READ_FRESH``, with
-    its slot), a value (``READ_SLOT``, with its slot), a literal
-    (``READ_LITERAL``, with the term) or a nested compound
-    (``READ_BUILD``, with its ``Build``).  The same steps, split: the first
-    uses as ``(index, slot)`` pairs (``firsts``), and the others, still
-    tagged and in order (``reads``).  With no network, read mode writes
-    ``firsts`` into the frame in one loop and pairs only ``reads``; a
-    network's proxies need the walk of ``steps`` in order.  ``value_left``
-    says whether ``X`` is on the left of the statement."""
-    __slots__ = ("slot", "value_left", "build", "label", "arity", "steps",
-                 "firsts", "reads")
+    It lists only the arguments that are not voids, left to right, split
+    in two: the first uses as ``(index, slot)`` pairs (``firsts``), and
+    the others (``reads``) as ``(index, tag, operand)``: a value
+    (``READ_SLOT``, with its slot), a literal (``READ_LITERAL``, with the
+    term) or a nested compound (``READ_BUILD``, with its ``Build``).  Read
+    mode writes ``firsts`` into the frame in one loop and pairs only
+    ``reads``.  ``value_left`` says whether ``X`` is on the left of the
+    statement."""
+    __slots__ = ("slot", "value_left", "build", "label", "arity", "firsts",
+                 "reads")
 
     def __init__(self, slot: int, value_left: bool, build: Build):
         self.slot = slot
@@ -165,23 +162,21 @@ class Plan:
         self.build = build
         self.label = build.label
         self.arity = len(build.args)
-        steps = []
+        firsts, reads = [], []
         for i, a in enumerate(build.args):
             if a is None:
                 continue
             k = type(a)
             if k is Fresh:
-                steps.append((i, READ_FRESH, a.slot))
+                firsts.append((i, a.slot))
             elif k is int:
-                steps.append((i, READ_SLOT, a))
+                reads.append((i, READ_SLOT, a))
             elif k is Build:
-                steps.append((i, READ_BUILD, a))
+                reads.append((i, READ_BUILD, a))
             else:
-                steps.append((i, READ_LITERAL, a))
-        self.steps = tuple(steps)
-        self.firsts = tuple([(i, a) for i, tag, a in steps
-                             if tag is READ_FRESH])
-        self.reads = tuple([s for s in steps if s[1] is not READ_FRESH])
+                reads.append((i, READ_LITERAL, a))
+        self.firsts = tuple(firsts)
+        self.reads = tuple(reads)
 
 
 # -- instructions ------------------------------------------------------------

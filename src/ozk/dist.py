@@ -427,15 +427,12 @@ class Simulation:
     # -- message application -------------------------------------------
 
     def _apply_unify(self, node: Node, a, b) -> None:
-        res = node.store.unify(a, b)
-        if res.woken:
-            node.rt.wake(res.woken)
-        if not res.ok:
-            detail = f" ({res.reason})" if res.reason else ""
+        clash = node.store.unify(a, b)
+        if clash is not None:
             self.clashes.append(
                 f"node {node.node_id}: unification clash: "
                 f"{render(node.store, a)} with {render(node.store, b)}"
-                f"{detail}")
+                f" ({clash.reason})")
 
     def _deliver(self, msg: Message) -> None:
         """Apply ``msg`` at its destination.  A clash fails the run, which
@@ -462,9 +459,7 @@ class Simulation:
             var = store.intern(msg.var)
             term = materialize(store, msg.payload, store.intern)
             if var.ref is None:
-                woken = store._bind_local(var, term)
-                if woken:
-                    node.rt.wake(woken)
+                store._bind_local(var, term)
             else:
                 # Late or redundant news; must agree with what we hold.
                 self._apply_unify(node, var, term)

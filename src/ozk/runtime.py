@@ -93,16 +93,23 @@ compiler gave its compound (`compiler.Plan`; `unify_compound`).  When
 `X` is already a compound of the same label and arity, nothing is built
 (read mode): the plan lists the arguments that are not voids, each a
 first use, a value, a literal or a nested compound, split into the first
-uses and the other steps, and is taken in place of a dispatch on each
-argument's type.  With no network, the first uses take the compound's
-arguments in one loop, and each other step pairs its value with its
-argument; a plan with no pair is done, and a lone pair is settled
-inline: two integers or two atoms are compared, and an unbound variable
-is bound by `Store._bind_local` to a value that is neither a variable
-nor a compound.  Any other pairs go to `Store.unify`, as do two
-variables, a compound and a network's proxies.  A nested compound
-argument is built and paired, so read mode stops at the first level.
-Any other value of `X` is unified with the built term (write mode).
+uses and the other pairs, and is taken in place of a dispatch on each
+argument's type.  The first uses take the compound's arguments in one
+loop, and each other entry pairs its value with its argument; a plan
+with no pair is done, and a lone pair is settled inline: two integers or
+two atoms are compared, and, with no network, an unbound variable is
+bound by `Store._bind_local` to a value that is neither a variable nor
+a compound.  Any other pairs go to `Store.unify`, as do two variables, a
+compound and any binding under a network.  A nested compound argument
+is built and paired, so read mode stops at the first level.  Any other
+value of `X` is unified with the built term (write mode).
+
+A unification returns None when it succeeds and the failed
+`terms.UnifyResult`, which names the clash, when it fails; it returns no
+threads to wake.  The store wakes them itself: each binding and each
+need mark makes the threads suspended on that variable runnable through
+the store's `wake` hook, which is `Runtime.wake`, as it fires triggers
+through its `fire` hook, `Runtime.fire`.  No statement wakes a thread.
 
 The integer operators `+ - * div` and `< > =< >=` run inline
 (`exec_op`): each operand comes from its slot or is the literal and is
@@ -125,11 +132,12 @@ engine backtracks from most failures without ever showing one.
 
 Threads are cooperatively scheduled in timeslices over a single store.
 Blocking is dataflow only: a thread that needs a variable's value parks
-on it and is woken by the binding.  Time is virtual: `Delay` sleeps the
-thread, and the clock jumps forward only when nothing is runnable.  A
-timeslice returns the signal that stopped its thread, where a guard or
-an engine raises it to its caller, and the scheduler parks, sleeps or
-fails the thread from that value (`Task.run`, `Runtime._slice`).
+on it and is woken by the binding; threads wake in the order their
+variables are bound.  Time is virtual: `Delay` sleeps the thread, and
+the clock jumps forward only when nothing is runnable.  A timeslice
+returns the signal that stopped its thread, where a guard or an engine
+raises it to its caller, and the scheduler parks, sleeps or fails the
+thread from that value (`Task.run`, `Runtime._slice`).
 
 Every choice of what goes next is made by `take_next`'s rule, over
 candidates listed oldest first and an order: None takes the first, a
@@ -156,8 +164,8 @@ from itertools import repeat as _repeat
 from typing import Callable, Optional
 
 from .errors import ChoiceOutsideSearchError, OzkError, ThreadInSearchError
-from .compiler import (EQ_TEST, OP_TEST, READ_FRESH, READ_LITERAL, READ_SLOT,
-                       TEST, Body, Build, Builtin, Call, Case, Choice, Fail,
+from .compiler import (EQ_TEST, OP_TEST, READ_LITERAL, READ_SLOT, TEST,
+                       Body, Build, Builtin, Call, Case, Choice, Fail,
                        Fresh, If, Lazy, Op, Plan, Proc, Skip, Thread, Unify)
 from .terms import (FALSE, INT_MAX, INT_MIN, TRUE, Atom, Closure, Compound,
                     Int, NativeProc, Space, Store, Term, UnifyResult, Var,
@@ -279,26 +287,24 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     orientation, and a nested compound is built and paired, so read mode
     stops at the first level.
 
-    With no network, the first uses (``plan.firsts``) are written in one
-    loop before anything is paired; no step reads a slot they write, as
-    each first use occurs once in the statement.  A plan with no other
-    step is then done.  A plan with one (``plan.reads``) settles its pair
-    here when it is atomic: two integers or two atoms are compared, and
-    an unbound variable and a value that is neither a variable nor a
-    compound are bound by ``Store._bind_local``.  Under a network the
-    steps are walked in order (``plan.steps``), and a first use whose
-    argument is another node's unbound variable is the exception: there
-    unification would bind that variable (through a message to its
-    owner) rather than the fresh one, so the variable is made and
-    paired.  Every other case (two variables, which follow the ``owns``
-    rule, a compound, several pairs or a network) goes to one
-    :meth:`Store.unify`, whose stack the pairs seed, so they are taken
-    last to first, as if the term had been built and unified.
+    The first uses (``plan.firsts``) are written in one loop before
+    anything is paired; no step reads a slot they write, as each first
+    use occurs once in the statement.  A plan with no other step is then
+    done.  A plan with one (``plan.reads``) settles its pair here when it
+    is atomic: two integers or two atoms are compared, and, with no
+    network, an unbound variable and a value that is neither a variable
+    nor a compound are bound by ``Store._bind_local``.  Every other case
+    (two variables, which follow the ``owns`` rule, a compound, several
+    pairs, or a binding under a network, which may be of a proxy and
+    must tell the variable's audience) goes to one :meth:`Store.unify`,
+    whose stack the pairs seed, so they are taken last to first, as if
+    the term had been built and unified.
 
     A compound of another label or arity gives a failed result, whose
     text is the one unification gives.  Any other value is unified with
-    the built term (write mode).  Returns the :class:`UnifyResult`, or
-    None when it succeeded and woke nothing."""
+    the built term (write mode).  As :meth:`Store.unify`, returns None
+    when it succeeded, else the failed :class:`UnifyResult`; a binding
+    wakes its own waiters."""
     t = value
     if type(t) is Var and t.ref is not None:
         t = t.ref
@@ -310,70 +316,49 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
                 else store.unify(built, t))
     xs = t.args
     if t.label != plan.label or len(xs) != plan.arity:
-        return UnifyResult(False, (), (t, plan.build) if plan.value_left
+        return UnifyResult((t, plan.build) if plan.value_left
                            else (plan.build, t))
-    if store.dist is None:
-        for i, slot in plan.firsts:
-            frame[slot] = xs[i]
-        reads = plan.reads
-        if not reads:
-            return None
-        if len(reads) > 1:
-            pairs = []
-            for i, tag, a in reads:
-                pairs.append((xs[i], frame[a] if tag is READ_SLOT
-                              else a if tag is READ_LITERAL
-                              else build_term(store, a, frame)))
-        else:
-            # one pair, settled here when it is atomic; a dereference that
-            # one link ends needs no call
-            i, tag, a = reads[0]
-            x0 = x = xs[i]
-            v0 = v = (frame[a] if tag is READ_SLOT
-                      else a if tag is READ_LITERAL
-                      else build_term(store, a, frame))
+    for i, slot in plan.firsts:
+        frame[slot] = xs[i]
+    reads = plan.reads
+    if not reads:
+        return None
+    if len(reads) == 1:
+        # one pair, settled here when it is atomic; a dereference that
+        # one link ends needs no call
+        i, tag, a = reads[0]
+        x0 = x = xs[i]
+        v0 = v = (frame[a] if tag is READ_SLOT
+                  else a if tag is READ_LITERAL
+                  else build_term(store, a, frame))
+        if type(x) is Var and x.ref is not None:
+            x = x.ref
             if type(x) is Var and x.ref is not None:
-                x = x.ref
-                if type(x) is Var and x.ref is not None:
-                    x = store.deref(x)
+                x = store.deref(x)
+        if type(v) is Var and v.ref is not None:
+            v = v.ref
             if type(v) is Var and v.ref is not None:
-                v = v.ref
-                if type(v) is Var and v.ref is not None:
-                    v = store.deref(v)
-            kx, kv = type(x), type(v)
-            if kx is Var:
-                if kv is not Var and kv is not Compound:
-                    woken = store._bind_local(x, v)
-                    return UnifyResult(True, woken) if woken else None
-            elif kv is Var:
-                if kx is not Compound:
-                    woken = store._bind_local(v, x)
-                    return UnifyResult(True, woken) if woken else None
-            elif kx is kv and (kx is Int or kx is Atom):
-                if x.value == v.value if kx is Int else x.name == v.name:
-                    return None
-                return UnifyResult(False, (), (x, v) if plan.value_left
-                                   else (v, x))
-            return (store.unify(x0, v0) if plan.value_left
-                    else store.unify(v0, x0))
-    else:
-        pairs = []
-        for i, tag, a in plan.steps:
-            x = xs[i]
-            if tag is READ_FRESH:
-                if not _is_proxy(store, x):
-                    frame[a] = x
-                    continue
-                v = frame[a] = store.new_var()
-            elif tag is READ_SLOT:
-                v = frame[a]
-            elif tag is READ_LITERAL:
-                v = a
-            else:
-                v = build_term(store, a, frame)
-            pairs.append((x, v))
-        if not pairs:
-            return None
+                v = store.deref(v)
+        kx, kv = type(x), type(v)
+        if kx is Var:
+            if kv is not Var and kv is not Compound and store.dist is None:
+                store._bind_local(x, v)
+                return None
+        elif kv is Var:
+            if kx is not Compound and store.dist is None:
+                store._bind_local(v, x)
+                return None
+        elif kx is kv and (kx is Int or kx is Atom):
+            if x.value == v.value if kx is Int else x.name == v.name:
+                return None
+            return UnifyResult((x, v) if plan.value_left else (v, x))
+        return (store.unify(x0, v0) if plan.value_left
+                else store.unify(v0, x0))
+    pairs = []
+    for i, tag, a in reads:
+        pairs.append((xs[i], frame[a] if tag is READ_SLOT
+                      else a if tag is READ_LITERAL
+                      else build_term(store, a, frame)))
     if not plan.value_left:
         pairs = [(v, x) for x, v in pairs]
     a, b = pairs.pop()
@@ -381,38 +366,23 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
 
 
 def exec_unify(rt: "Runtime", stmt: Unify, frame: list):
-    """Run the unification statement ``stmt`` in ``frame`` and wake the
-    threads it wakes: None when it succeeds, else the failed
-    :class:`UnifyResult`.  A reduction of ``stmt`` and a ``choice`` head
-    both run it this way."""
+    """Run the unification statement ``stmt`` in ``frame``: None when it
+    succeeds, else the failed :class:`UnifyResult`.  The store wakes the
+    threads its bindings wake.  A reduction of ``stmt`` and a ``choice``
+    head both run it this way."""
     store = rt.store
     plan = stmt.plan
     if plan is not None:
-        res = unify_compound(store, frame[plan.slot], plan, frame)
-    else:
-        e1, e2 = stmt.lhs, stmt.rhs
-        k1, k2 = type(e1), type(e2)
-        if k1 is Fresh:
-            # the first use of a local name (compiled to the left): it is
-            # the built term
-            frame[e1.slot] = build_term(store, e2, frame)
-            return None
-        res = store.unify(frame[e1] if k1 is int else build_term(store, e1, frame),
-                          frame[e2] if k2 is int else build_term(store, e2, frame))
-    if res is not None:
-        if res.woken:
-            rt.wake(res.woken)
-        if not res.ok:
-            return res
-    return None
-
-
-def _is_proxy(store: Store, t: Term) -> bool:
-    """Whether ``t`` is an unbound replica of another node's variable
-    (followed without path compression, which would change the store)."""
-    while type(t) is Var and t.ref is not None:
-        t = t.ref
-    return type(t) is Var and t.vid[0] != store.node_id
+        return unify_compound(store, frame[plan.slot], plan, frame)
+    e1, e2 = stmt.lhs, stmt.rhs
+    k1, k2 = type(e1), type(e2)
+    if k1 is Fresh:
+        # the first use of a local name (compiled to the left): it is the
+        # built term
+        frame[e1.slot] = build_term(store, e2, frame)
+        return None
+    return store.unify(frame[e1] if k1 is int else build_term(store, e1, frame),
+                       frame[e2] if k2 is int else build_term(store, e2, frame))
 
 
 # -- integer operators ------------------------------------------------------------
@@ -464,13 +434,8 @@ def exec_op(rt: "Runtime", stmt: Op, frame: list):
     if k is Fresh:
         frame[r.slot] = value
         return None
-    res = store.unify(frame[r] if k is int else build_term(store, r, frame),
-                      value)
-    if res.woken:
-        rt.wake(res.woken)
-    if not res.ok:
-        return res
-    return None
+    return store.unify(frame[r] if k is int else build_term(store, r, frame),
+                       value)
 
 
 def exec_equal_test(task: "Task", stmt: Builtin, frame: list) -> bool:
@@ -508,11 +473,9 @@ def _equal(task: "Task", args) -> None:
         if not res:
             raise Failure("== is false")
         return
-    bound = store.unify(args[2], TRUE if res else FALSE)
-    if bound.woken:
-        task.rt.wake(bound.woken)
-    if not bound.ok:
-        raise Failure(bound)
+    clash = store.unify(args[2], TRUE if res else FALSE)
+    if clash is not None:
+        raise Failure(clash)
 
 
 def _test(task: "Task", args) -> None:
@@ -742,13 +705,10 @@ class Task:
         if len(frames) > 1:
             rt.fire(frames[1:])
         trigger = frames[0]
-        woken = store.mark_needed(var)
+        store.mark_needed(var)
         if len(needed) > 1:
-            woken = set(woken)
             for v in needed:
-                woken |= store.mark_needed(v)
-        if woken:
-            rt.wake(woken)
+                store.mark_needed(v)
         stack = self.stack
         height = len(stack)
         entered = self.entered or []
@@ -918,10 +878,7 @@ def exec_stmt(task: Task, stmt, frame: list):
     if kind is Proc:
         code = stmt.code
         closure = Closure(code.name, code, [frame[i] for i in code.captures])
-        res = store.unify(frame[stmt.slot], closure)
-        if res.woken:
-            rt.wake(res.woken)
-        if not res.ok:
+        if store.unify(frame[stmt.slot], closure) is not None:
             raise Failure(f"{code.name} is already bound to something else")
         return stmt.clear
 
@@ -1147,6 +1104,7 @@ class Runtime:
         self.stats = Stats()
         self.browse_log: list = []
         self.store.fire = self.fire
+        self.store.wake = self.wake
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -1237,6 +1195,10 @@ class Runtime:
             self._finish(thread, FAILED, signal.reason)
 
     def wake(self, tids):
+        """The store's ``wake`` hook: make each suspended thread of
+        ``tids`` runnable, dropped from every variable it waits on.  The
+        store detaches ``tids`` from its variable before the call, so
+        the drops change no set being walked."""
         for tid in tids:
             t = self.threads.get(tid)
             if t is None or t.status != SUSPENDED:
@@ -1250,21 +1212,22 @@ class Runtime:
                 self.on_trace("wake", {"tid": tid})
 
     def _park(self, thread: OzThread, susp: Suspend):
-        woken: set[int] = set()
+        """Suspend ``thread`` on the variables of ``susp``.  The suspension
+        is traced before the by-need waiters that a value wait wakes
+        (``Store.add_waiter``)."""
         thread.waiting_on = list(susp.vars)
         thread.byneed = susp.byneed
-        for v in susp.vars:
-            if susp.byneed:
-                self.store.add_byneed_waiter(v, thread.tid)
-            else:
-                woken |= self.store.add_waiter(v, thread.tid)
         thread.status = SUSPENDED
         if self.on_trace is not None:
             self.on_trace("suspend", {"tid": thread.tid,
                                       "vids": [v.vid for v in susp.vars],
                                       "byneed": susp.byneed})
-        if woken:
-            self.wake(woken)
+        store = self.store
+        for v in susp.vars:
+            if susp.byneed:
+                store.add_byneed_waiter(v, thread.tid)
+            else:
+                store.add_waiter(v, thread.tid)
 
     def _sleep(self, thread: OzThread, ms: int):
         wake_at = self.clock + max(0, ms)

@@ -190,18 +190,10 @@ class Engine(Space):
             for stmt in alt.head:
                 start = len(trail)
                 plan = stmt.plan
-                if plan is None:
-                    why = exec_unify(rt, stmt, frame)
-                    if why is not None:
-                        break
-                    continue
-                res = unify_compound(store, frame[plan.slot], plan, frame)
-                if res is not None:
-                    if res.woken:
-                        rt.wake(res.woken)
-                    if not res.ok:
-                        why = res
-                        break
+                why = (exec_unify(rt, stmt, frame) if plan is None
+                       else unify_compound(store, frame[plan.slot], plan, frame))
+                if why is not None:
+                    break
             else:
                 if len(trail) > self.checked:
                     self.check_escapes()

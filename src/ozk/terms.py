@@ -16,6 +16,11 @@ unbinding it, and a need mark is the 1-tuple ``(var,)``, undone by
 clearing ``needed``.  Each reader (``Store.undo_to``, a space's escape
 check) tells them apart with ``type(entry) is Var``.
 
+Binding a variable, or marking it needed, wakes the threads suspended
+on it through the store's ``wake`` hook, which the runtime sets: the
+waiter set is detached from the variable before the hook runs.  A
+unification returns nothing but its clash.
+
 A variable may hold by-need triggers, a tuple of the frames of lazy
 bodies (``Var.trigger``).  Need fires them through the store's ``fire``
 hook, which the runtime sets: a need mark (``Store.mark_needed``), or a
@@ -182,20 +187,15 @@ def is_cons(t: Term) -> bool:
 
 
 class UnifyResult:
-    """Whether a unification succeeded, the threads it woke and, when it
-    failed, the pair that clashed (``clash``), whose text (``reason``) is
-    made only when it is read."""
-    __slots__ = ("ok", "woken", "clash")
+    """A failed unification: the pair that clashed (``clash``), whose
+    text (``reason``) is made only when it is read."""
+    __slots__ = ("clash",)
 
-    def __init__(self, ok: bool, woken: set[int], clash: tuple = ()):
-        self.ok = ok
-        self.woken = woken
+    def __init__(self, clash: tuple):
         self.clash = clash
 
     @property
     def reason(self) -> str:
-        if not self.clash:
-            return ""
         a, b = self.clash
         ta, tb = type(a), type(b)
         if ta is tb is Atom:
@@ -209,11 +209,6 @@ class UnifyResult:
         return "incompatible values"
 
 
-_NO_WAKES: frozenset = frozenset()
-# The result of every unification that succeeds and wakes no thread.
-_UNIFIED = UnifyResult(True, _NO_WAKES)
-
-
 def _node_key(t: Term):
     # Identity key for the pair memo.  Unbound variables key by VarId so
     # that replica stores agree; other nodes key by object identity.
@@ -224,6 +219,11 @@ def _node_key(t: Term):
 
 class Store:
     """Single-assignment store with suspension registry and trail stack.
+
+    The store wakes the threads suspended on a variable itself: a binding
+    wakes its value and by-need waiters, and a need mark its by-need
+    waiters, through the ``wake`` hook, as it fires triggers through the
+    ``fire`` hook.  No caller of a unification wakes anything.
 
     ``vars`` registers only the variables whose VarId can come back to
     this store from outside: its own variables once exported (sent to
@@ -252,6 +252,10 @@ class Store:
         # Runs a trigger that a need reached, or a binding set off (see
         # ``mark_needed``): set by the runtime over this store.
         self.fire: Optional[Callable] = None
+        # Makes runnable the threads of a set of ids, detached from the
+        # variable they waited on, that a binding or a need woke: set by
+        # the runtime over this store.
+        self.wake: Optional[Callable] = None
 
     # -- variables ---------------------------------------------------
 
@@ -326,9 +330,9 @@ class Store:
 
     # -- binding -----------------------------------------------------
 
-    def _bind_local(self, var: Var, value: Term):
-        """Unconditionally bind an unbound variable of this store; return
-        the threads to wake (a shared empty set when there are none).
+    def _bind_local(self, var: Var, value: Term) -> None:
+        """Unconditionally bind an unbound variable of this store, and wake
+        the threads that wait on it, by value or by need (see ``wake``).
 
         A trigger on ``var`` moves to the variable ``var`` is now bound
         to, when that is unbound and not needed, as the need has still not
@@ -339,18 +343,11 @@ class Store:
             self.trails[-1].append(var)
         var.ref = value
         if not (var.waiters or var.byneed or var.needed or var.trigger):
-            return _NO_WAKES
-        woken: set[int] = set()
-        if var.waiters:
-            woken |= var.waiters
-            var.waiters = None
-        if var.byneed:
-            woken |= var.byneed
-            var.byneed = None
+            return
         if var.needed:
             target = self.deref(value)
             if isinstance(target, Var):
-                woken |= self.mark_needed(target)
+                self.mark_needed(target)
         elif var.trigger and not self.trails:
             trigger = var.trigger
             var.trigger = None
@@ -359,14 +356,21 @@ class Store:
                 target.add_trigger(trigger)
             else:
                 self.fire(trigger)
-        return woken
+        waiters = var.waiters
+        if waiters:
+            var.waiters = None
+            self.wake(waiters)
+        waiters = var.byneed
+        if waiters:
+            var.byneed = None
+            self.wake(waiters)
 
-    def mark_needed(self, var: Var) -> set[int]:
-        """Mark ``var`` needed: return the by-need waiters to wake, and
-        fire its trigger (see ``fire``), which then has a need.  Under a
-        trail the trigger stays, as the mark may be undone."""
+    def mark_needed(self, var: Var) -> None:
+        """Mark ``var`` needed: wake its by-need waiters, and fire its
+        trigger (see ``fire``), which then has a need.  Under a trail the
+        trigger stays, as the mark may be undone."""
         if var.needed:
-            return _NO_WAKES
+            return
         if self.trails:
             self.trails[-1].append((var,))
         elif var.trigger:
@@ -374,21 +378,20 @@ class Store:
             var.trigger = None
             self.fire(trigger)
         var.needed = True
-        woken = var.byneed
-        if woken:
+        waiters = var.byneed
+        if waiters:
             var.byneed = None
-            return woken
-        return _NO_WAKES
+            self.wake(waiters)
 
     # -- suspension registry ------------------------------------------
 
-    def add_waiter(self, var: Var, tid: int) -> set[int]:
+    def add_waiter(self, var: Var, tid: int) -> None:
         """Register a value waiter.  Waiting on a value makes the
         variable needed, which may wake by-need waiters."""
         if var.waiters is None:
             var.waiters = set()
         var.waiters.add(tid)
-        return self.mark_needed(var)
+        self.mark_needed(var)
 
     def add_byneed_waiter(self, var: Var, tid: int) -> None:
         if var.byneed is None:
@@ -404,8 +407,12 @@ class Store:
     # -- unification ---------------------------------------------------
 
     def unify(self, t1: Term, t2: Term,
-              pending: Optional[list] = None) -> UnifyResult:
-        """Unify two terms, binding variables in this store.
+              pending: Optional[list] = None) -> Optional[UnifyResult]:
+        """Unify two terms, binding variables in this store: None when
+        they unify, else the failed :class:`UnifyResult`.  Each binding
+        wakes its waiters as it is made (``_bind_local``), so a
+        unification that stops at a clash has already woken the threads
+        of what it bound before it.
 
         Pairs are settled one at a time from a LIFO stack, so the
         arguments of two compounds are unified last to first, and the
@@ -438,7 +445,6 @@ class Store:
         no other node can know about yet."""
         deref = self.deref
         dist = self.dist
-        woken = None
         seen = None      # memo: compound pairs and forwarded binds
         stack = pending
         a, b = t1, t2
@@ -461,11 +467,7 @@ class Store:
                         not self.owns(var.vid) and self.owns(value.vid)):
                     var, value = value, var     # two variables
                 if dist is None or self.trails or var.vid[0] == self.node_id:
-                    w = self._bind_local(var, value)
-                    if w:
-                        if woken is None:
-                            woken = set()
-                        woken |= w
+                    self._bind_local(var, value)
                     if dist is not None and not self.trails:
                         dist.on_owner_bound(self, var)
                 else:
@@ -483,7 +485,7 @@ class Store:
                     seen.add(pair)
                     xs, ys = a.args, b.args
                     if a.label != b.label or len(xs) != len(ys):
-                        return UnifyResult(False, woken or _NO_WAKES, (a, b))
+                        return UnifyResult((a, b))
                     if xs:
                         # Stack every pair but the last, and take the
                         # last at once: the order of a LIFO stack.
@@ -495,16 +497,16 @@ class Store:
                         continue
             elif ta is Atom and tb is Atom:
                 if a.name != b.name:
-                    return UnifyResult(False, woken or _NO_WAKES, (a, b))
+                    return UnifyResult((a, b))
             elif ta is Int and tb is Int:
                 if a.value != b.value:
-                    return UnifyResult(False, woken or _NO_WAKES, (a, b))
+                    return UnifyResult((a, b))
             else:
                 # Procedure values unify by identity only;
                 # distinct kinds always clash.
-                return UnifyResult(False, woken or _NO_WAKES, (a, b))
+                return UnifyResult((a, b))
             if not stack:
-                return _UNIFIED if woken is None else UnifyResult(True, woken)
+                return None
             a, b = stack.pop()
 
     # -- entailment ----------------------------------------------------

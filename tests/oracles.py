@@ -579,6 +579,7 @@ class DictFrameRunner:
     def __init__(self, store):
         self.store = store
         self.woken: set = set()
+        store.wake = self.woken.update
         self.frames: list = []      # every frame a local made, in order
 
     def lookup(self, env, name):
@@ -600,10 +601,9 @@ class DictFrameRunner:
         raise TypeError(f"cannot build {expr!r}")
 
     def unify(self, a, b):
-        res = self.store.unify(a, b)
-        self.woken |= res.woken
-        if not res.ok:
-            raise RefFailure("unification failed: " + res.reason)
+        clash = self.store.unify(a, b)
+        if clash is not None:
+            raise RefFailure("unification failed: " + clash.reason)
 
     def integer(self, expr, env) -> int:
         t = self.store.deref(self.build(expr, env))

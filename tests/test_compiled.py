@@ -35,8 +35,8 @@ COMPILED = Path(__file__).resolve().parent / "golden" / "compiled"
 
 _TESTS = {c.GUARD: "guard", c.OP_TEST: "op-test", c.EQ_TEST: "eq-test",
           c.TEST: "test"}
-_TAGS = {c.READ_FRESH: "fresh", c.READ_SLOT: "slot",
-         c.READ_LITERAL: "literal", c.READ_BUILD: "build"}
+_TAGS = {c.READ_SLOT: "slot", c.READ_LITERAL: "literal",
+         c.READ_BUILD: "build"}
 
 
 class _Dump:

@@ -431,13 +431,15 @@ class TestProtocol:
         assert "runnable=" not in summary and "sleeping=" not in summary
         assert "node 1: stopped=" in summary
 
-    def test_a_first_use_meeting_a_proxy_sends_what_a_made_variable_did(self):
+    def test_a_first_use_meeting_a_proxy_takes_it(self):
         # Y is node 1's; on node 0, X's replica is f(Y's unbound proxy).
-        # A local variable made on node 0 is less than the proxy, so
-        # unifying it with A binds the proxy: a BindRequest to node 1 for
-        # A, which then travels as a variable.  The first use of A must
-        # do the same as the variable made at entry (`A = A` is a use
-        # before the first, so A is made there).
+        # The first use of A takes that proxy as A's value, as it takes
+        # any argument, so `A = 7` asks node 1 to bind Y: one BindRequest
+        # for Y with 7.  A variable made at entry (`A = A` is a use before
+        # the first, so A is made there) is less than the proxy, so
+        # `X = f(A)` binds the proxy to it: a BindRequest for Y with A,
+        # which then travels as a variable, and one more Register and
+        # BindNotify for A.  Both browse the same.
         program = """
         X Y in
         thread X = f(Y) end
@@ -449,9 +451,16 @@ class TestProtocol:
         reports = [quiesced(run_simulation(program % pre, {"a": 1, "b": 0}))
                    for pre in ("", "A = A")]
         assert reports[0].outputs == reports[1].outputs == {0: ["7"], 1: []}
-        assert reports[0].sent == reports[1].sent
-        assert reports[0].delivered == reports[1].delivered
-        assert reports[0].sent["BindRequest"] == 1
+        sent = [{kind: report.sent[kind] for kind in
+                 ("Register", "BindNotify", "BindRequest", "UnifyVarVar")}
+                for report in reports]
+        assert sent == [
+            {"Register": 2, "BindNotify": 2, "BindRequest": 1,
+             "UnifyVarVar": 0},
+            {"Register": 3, "BindNotify": 3, "BindRequest": 1,
+             "UnifyVarVar": 0}]
+        assert reports[0].delivered == reports[0].sent
+        assert reports[1].delivered == reports[1].sent
 
 
 class TestDeterminismAndConfluence:

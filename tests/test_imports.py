@@ -1,7 +1,8 @@
 """Every module of ozk uses each name it imports, and each name it
 defines at module level, and each method of its classes, is read
 somewhere.  Only ``terms`` touches the store's trail stack and owns
-rule.  Importing ozk loads neither ``dataclasses`` nor ``inspect``."""
+rule, and only it wakes threads.  Importing ozk loads neither
+``dataclasses`` nor ``inspect``."""
 
 import ast
 import os
@@ -202,6 +203,49 @@ def test_a_use_of_the_space_state_is_found():
            "    return store.trail, store.trails_seen\n")
     assert space_state_uses({"lib.py": lib, "terms.py": lib}) == [
         ("lib.py", "owns"), ("lib.py", "push_trail")]
+
+
+# Only the store wakes the threads that a binding or a need mark wakes
+# (``Store.wake``, ``Store._bind_local``): no other module reads a set of
+# woken threads or calls a ``wake``.
+WAKE_MODULES = {"terms.py"}
+
+
+def wake_uses(defining: dict) -> list:
+    """The ``(module, line, use)`` of each read of a ``.woken`` attribute
+    and each call of a ``.wake`` attribute in a module of `defining`, other
+    than those of ``WAKE_MODULES``."""
+    out = []
+    for module, text in sorted(defining.items()):
+        if module in WAKE_MODULES:
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Attribute) and node.attr == "woken"
+                    and isinstance(node.ctx, ast.Load)):
+                out.append((module, node.lineno, "woken"))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "wake"):
+                out.append((module, node.lineno, "wake()"))
+    return sorted(out)
+
+
+def test_only_the_store_wakes_threads():
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert wake_uses(defining) == []
+
+
+def test_a_wake_outside_the_store_is_found():
+    lib = ("def bind(rt, store, x, v):\n"
+           "    res = store.unify(x, v)\n"
+           "    if res.woken:\n"
+           "        rt.wake(res.woken)\n"
+           "    store.wake = rt.wake\n"
+           "    rt.wake_due()\n"
+           "    res.woken = None\n")
+    assert wake_uses({"lib.py": lib, "terms.py": lib}) == [
+        ("lib.py", 3, "woken"), ("lib.py", 4, "wake()"),
+        ("lib.py", 4, "woken")]
 
 
 def test_importing_ozk_loads_neither_dataclasses_nor_inspect():

@@ -489,6 +489,54 @@ def test_a_bind_that_wakes_a_thread_still_writes_the_later_first_uses():
     assert r.browses == ["5", "woke"]
 
 
+# A binding wakes the threads that wait on its variable as it is made
+# (``Store._bind_local``), even when the unification goes on to bind more
+# or to fail, or runs in a guard that is then undone.
+TWO_WAITERS = ("local A B in thread {Wait A} {Browse a} end "
+               "thread {Wait B} {Browse b} end {Delay 1} f(A B) = f(1 2) end")
+
+
+def test_a_unification_that_binds_two_variables_wakes_both_waiters():
+    for policy, seed in [("fifo", None)] + [("random", n) for n in range(5)]:
+        r = run_text(TWO_WAITERS, policy=policy, seed=seed)
+        assert r.status == "done", (policy, seed)
+        assert sorted(r.browses) == ["a", "b"], (policy, seed)
+
+
+def test_threads_wake_in_the_order_their_variables_are_bound():
+    # the argument pairs are taken last to first, so B is bound, and its
+    # waiter woken, before A; under FIFO that waiter runs first
+    r = run_text(TWO_WAITERS)
+    assert (r.status, r.browses) == ("done", ["b", "a"])
+
+
+def test_a_unification_that_fails_still_wakes_what_it_bound_before():
+    # the pair (A 5) is settled before the clash of 1 with 2
+    r = run_text("local A in thread {Wait A} {Browse A} end "
+                 "{Delay 1} f(1 A) = f(2 5) end")
+    assert (r.status, r.browses) == ("failed", ["5"])
+    assert r.failures == ["unification failed: 1 = 2"]
+
+
+def test_a_guard_that_fails_wakes_the_waiter_of_what_it_bound():
+    # {Sneak X} binds X in the guard, which wakes the waiter; the guard's
+    # failure undoes the binding, so the waiter parks on X again, and the
+    # later X = 2 wakes it for good
+    events = []
+    s = Session(on_trace=lambda kind, data: events.append((kind, data)))
+    s.feed(SNEAK)
+    events.clear()
+    r = s.feed("X in thread {Wait X} {Browse X} end {Delay 1} "
+               "if B in {Sneak X} 1 = 2 B = true then {Browse yes} "
+               "else {Browse no} end {Delay 1} X = 2")
+    assert (r.status, r.browses) == ("done", ["no", "2"])
+    # the chunk's thread is spawned first, and the waiter next
+    waiter = [data["tid"] for kind, data in events if kind == "spawn"][1]
+    assert [kind for kind, data in events if data.get("tid") == waiter
+            and kind in ("suspend", "wake")] == [
+        "suspend", "wake", "suspend", "wake"]
+
+
 # -- laziness ------------------------------------------------------------------
 
 LAZY_INTS = """
