@@ -330,13 +330,19 @@ class If:
 class Alt:
     """A ``choice`` alternative: the slots it makes, its head (the leading
     unifications of its body, in order, which a search engine runs before
-    it makes a choicepoint) and the rest, last first."""
-    __slots__ = ("made", "head", "pushed")
+    it makes a choicepoint) and the rest, last first.
+
+    ``head_fn`` is the Python function that makes the slots and runs the
+    head, generated the first time an engine runs the alternative
+    (``search``); it starts as None and is kept with the rest of the
+    compiled form, so every session that runs this code shares it."""
+    __slots__ = ("made", "head", "pushed", "head_fn")
 
     def __init__(self, made, head, pushed):
         self.made = made
         self.head = head
         self.pushed = pushed
+        self.head_fn = None
 
 
 class Choice:

@@ -265,6 +265,7 @@ class _Parser:
         self.depth = 0           # open nesting levels, see MAX_NESTING
         self.idents: set[str] = {t.val for t in toks if t.kind == "var"}
         self.counter = 0
+        self.taken: Optional[set] = None    # see `fresh`
         self.scope = global_names
         self.anons: set = set()  # the fresh variables that stand for `_`
         self.unresolved: list = []   # (token, scope) of uses to check again
@@ -319,12 +320,18 @@ class _Parser:
     def fresh(self, base: str = "T") -> str:
         # Fresh temporaries avoid only the text's own identifiers.  Each is
         # bound by an enclosing `local` or parameter list, so it can shadow
-        # only names the text never mentions.
+        # only names the text never mentions.  A number that an identifier
+        # of the text of their form (`_T1`, `_R2`) has is skipped, whatever
+        # its letter: a printed core names the temporaries it keeps and
+        # has an `if` condition lift its own again as it reads back, which
+        # then get the numbers they had.
+        taken = self.taken
+        if taken is None:
+            taken = self.taken = {n[2:] for n in self.idents if n[0] == "_"}
         while True:
             self.counter += 1
-            name = f"_{base}{self.counter}"
-            if name not in self.idents:
-                return name
+            if str(self.counter) not in taken:
+                return f"_{base}{self.counter}"
 
     def later(self, tok: Tok, error: Exception, rank: int = 1) -> None:
         """Keep an error that is not a syntax error, to raise once the

@@ -81,10 +81,11 @@ a runnable thread (`Task.split_unended`).  So a body that binds its
 result and then blocks, or runs on, still lets its needer go on.
 
 A unification statement runs through `exec_unify`, as a reduction of
-its own or as part of the head of a `choice` alternative: an engine's
-`choice` runs its alternatives' leading unifications inside its own
-reduction and pushes only the rest of the one it enters
-(`search.Engine.choose`).  An engine's call of a procedure whose body
+its own.  An engine's `choice` runs its alternatives' leading
+unifications inside its own reduction, each alternative's as one
+generated function that settles the common cases inline and calls
+`unify_compound` or `exec_unify` for the others, and pushes only the
+rest of the one it enters (`search.Engine.choose`).  An engine's call of a procedure whose body
 is a `choice` enters that choice in the same step, counting it as a
 reduction of its own; a thread or a guard pushes it.
 
@@ -304,7 +305,12 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     text is the one unification gives.  Any other value is unified with
     the built term (write mode).  As :meth:`Store.unify`, returns None
     when it succeeded, else the failed :class:`UnifyResult`; a binding
-    wakes its own waiters."""
+    wakes its own waiters.
+
+    A statement of a thread or a guard runs here (``exec_unify``).  A
+    search engine's compiled heads (``search.compile_head``) settle most
+    of theirs inline, as this does, and call this for the rest, so it is
+    also their reference."""
     t = value
     if type(t) is Var and t.ref is not None:
         t = t.ref
@@ -365,12 +371,12 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     return store.unify(a, b, pairs)
 
 
-def exec_unify(rt: "Runtime", stmt: Unify, frame: list):
+def exec_unify(store: Store, stmt: Unify, frame: list):
     """Run the unification statement ``stmt`` in ``frame``: None when it
     succeeds, else the failed :class:`UnifyResult`.  The store wakes the
-    threads its bindings wake.  A reduction of ``stmt`` and a ``choice``
-    head both run it this way."""
-    store = rt.store
+    threads its bindings wake.  A reduction of ``stmt`` runs it this way,
+    and so does a ``choice`` head for a statement that its compiled form
+    does not settle inline (``search``)."""
     plan = stmt.plan
     if plan is not None:
         return unify_compound(store, frame[plan.slot], plan, frame)
@@ -851,7 +857,7 @@ def exec_stmt(task: Task, stmt, frame: list):
         return stmt.else_clear
 
     if kind is Unify:
-        why = exec_unify(rt, stmt, frame)
+        why = exec_unify(store, stmt, frame)
         if why is not None:
             raise Failure(why)
         return stmt.clear

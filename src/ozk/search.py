@@ -10,17 +10,31 @@ A ``choice`` is reduced by :meth:`Engine.choose`, with shallow
 backtracking (the WAM's; M. Carlsson, "On the Efficiency of Optimising
 Shallow Backtracking in Compiled Prolog", ICLP 1989).  Each alternative
 is compiled into the slots it makes, its head, the leading unifications
-of its body, and the rest (``compiler.Alt``).  A head unification ``X =
-f(...)`` goes straight to its compound's read plan
-(``runtime.unify_compound``): when ``X`` is already a compound of that
-label and arity, the voids are skipped, the first uses take their
-arguments in one loop, and a lone pair of an atomic value is settled
-inline, with no call of ``Store.unify``.  So ``Cs=_|Cs2`` pairs nothing
-and ``Cs=N|_`` compares or binds one argument; a nested compound
-argument is still built and unified.  The alternatives' heads run in
-order inside the choice's own reduction, in the frame the choice runs
-in; a head that fails is undone to the trail's length before it, with
-no choicepoint and no exception, and the next is tried.  Only when a
+of its body, and the rest (``compiler.Alt``).  The first time an engine
+runs an alternative, its head becomes one generated Python function
+(:func:`compile_head`), kept on the alternative, as the Aquarius compiler
+compiled clause heads to host code (P. Van Roy and A. Despain, IEEE
+Computer 1992).  The function makes the alternative's slots and settles
+inline, with no network, each head statement ``X = f(...)`` whose plan
+pairs at most one argument, and that with a value or a literal.  When
+``X``'s value, one link dereferenced, is a compound of that label and
+arity (read mode), nothing is built: the voids are skipped, the first
+uses take their arguments, and the lone pair is settled as
+``runtime.unify_compound`` settles it.  When it is an unbound variable
+(write mode), the compound is built left to right, making its variables
+in ``runtime.build_term``'s order, and bound to it by
+``Store._bind_local``, which is what ``Store.unify`` does with the two.
+Any other statement, value or case (several pairs, a nested compound, no
+plan, a longer chain, a network) goes to ``unify_compound`` or
+``runtime.exec_unify``, which stay the reference the function must
+agree with.  Its text holds only slot numbers and names: the labels,
+literals, plans and statements it uses are values of its namespace, so
+no program text reaches ``exec``.  So ``Cs=_|Cs2`` pairs nothing and
+``Cs=N|_`` compares or binds one argument, each with no call.  The
+alternatives' heads run in order inside the choice's own reduction, in
+the frame the choice runs in; a head that fails is undone to the
+trail's length before it, with no choicepoint and no exception, and the
+next is tried.  Only when a
 head succeeds and alternatives are left is a choicepoint made: a copy of
 the stack as the choice found it, the frame, the trail mark taken before
 the head, and the untried alternatives.  Then the rest of the
@@ -44,7 +58,8 @@ saved stack itself, as the choicepoint is gone.  The engine checks its
 trail for escapes (the space's ``check_escapes``, which raises
 ``EscapeError`` for an engine) after each reduction that grew it, and
 once per head: after the head, or, when it fails, over the statements of
-it that succeeded, before the undo.  So a binding of an outside variable
+it that succeeded, before the undo; a failed head that bound nothing
+needs neither.  So a binding of an outside variable
 is an escape even when a later failure undoes it, where a guard checks
 only when it commits.  A binding on the trail is the variable itself
 and a need mark a 1-tuple (see ``terms``), so the check tells them apart
@@ -76,10 +91,164 @@ from itertools import islice
 from typing import Optional
 
 from .errors import EscapeError, SearchStuckError, ThreadInSearchError
-from .compiler import Choice
+from .compiler import READ_BUILD, Alt, Choice, Code, Fresh, Plan
 from .runtime import (Failure, Suspend, Task, call_frame, exec_unify,
                       unify_compound)
-from .terms import Closure, Snapshot, Space, Term, materialize, snapshot
+from .terms import (Atom, Closure, Compound, Int, Snapshot, Space, Term,
+                    UnifyResult, Var, materialize, snapshot)
+
+
+# -- compiled heads ------------------------------------------------------------
+
+
+def _inline(plan: Plan) -> bool:
+    """Whether the compiled head settles ``plan``'s statement itself: it
+    pairs at most one argument, and that one is a value or a literal."""
+    reads = plan.reads
+    return not reads or len(reads) == 1 and reads[0][1] is not READ_BUILD
+
+
+def _settle_lone_pair(emit, n: int, plan: Plan, pad: str) -> None:
+    """Emit read mode's one pair of the inlined statement ``n``, settled
+    as ``runtime.unify_compound`` settles it, with ``xs`` the compound's
+    arguments."""
+    i, tag, a = plan.reads[0]
+    value = "frame[%d]" % a if type(a) is int else "lit%d_%d" % (n, i)
+    pair, clash = (("xs[%d], %s" % (i, value), "(x, v)") if plan.value_left
+                   else ("%s, xs[%d]" % (value, i), "(v, x)"))
+    for line in (
+            "x = xs[%d]" % i,
+            "if type(x) is Var and x.ref is not None:",
+            "    x = x.ref",
+            "    if type(x) is Var and x.ref is not None:",
+            "        x = store.deref(x)",
+            "v = %s" % value):
+        emit(pad + line)
+    if type(a) is int:
+        for line in (
+                "if type(v) is Var and v.ref is not None:",
+                "    v = v.ref",
+                "    if type(v) is Var and v.ref is not None:",
+                "        v = store.deref(v)"):
+            emit(pad + line)
+    for line in (
+            "kx = type(x)",
+            "kv = type(v)",
+            "if kx is Var and kv is not Var and kv is not Compound:",
+            "    store._bind_local(x, v)",
+            "elif kv is Var and kx is not Var and kx is not Compound:",
+            "    store._bind_local(v, x)",
+            "elif kx is kv and (kx is Int or kx is Atom):",
+            "    if x.value != v.value if kx is Int else x.name != v.name:",
+            "        return len(trail), UnifyResult(%s)" % clash,
+            "else:",
+            "    start = len(trail)",
+            "    why = store.unify(%s)" % pair,
+            "    if why is not None:",
+            "        return start, why"):
+        emit(pad + line)
+
+
+def _build_compound(emit, n: int, plan: Plan, pad: str) -> None:
+    """Emit write mode of the inlined statement ``n``: build its compound
+    left to right, as ``runtime.build_term`` does, and bind the unbound
+    variable ``t`` to it."""
+    args = []
+    for i, a in enumerate(plan.build.args):
+        if a is None:
+            emit(pad + "a%d = new_var()" % i)
+            args.append("a%d" % i)
+        elif type(a) is Fresh:
+            emit(pad + "a%d = frame[%d] = new_var()" % (i, a.slot))
+            args.append("a%d" % i)
+        elif type(a) is int:
+            args.append("frame[%d]" % a)
+        else:
+            args.append("lit%d_%d" % (n, i))
+    emit(pad + "store._bind_local(t, Compound(label%d, [%s]))"
+         % (n, ", ".join(args)))
+
+
+def _call_and_return_failure(emit, call: str, pad: str) -> None:
+    emit(pad + "start = len(trail)")
+    emit(pad + "why = " + call)
+    emit(pad + "if why is not None:")
+    emit(pad + "    return start, why")
+
+
+def head_source(alt: Alt) -> tuple[str, dict]:
+    """The text of ``alt``'s compiled head, a function ``head(store, trail,
+    frame)``, and the namespace it runs in.  The text holds only slot
+    numbers and names: the labels, literals, plans and statements it uses
+    are values of the namespace."""
+    ns = {"Var": Var, "Compound": Compound, "Int": Int, "Atom": Atom,
+          "UnifyResult": UnifyResult, "unify_compound": unify_compound,
+          "exec_unify": exec_unify}
+    lines = []
+    emit = lines.append
+    for slot in alt.made:
+        emit("    frame[%d] = new_var()" % slot)
+    inlined = False
+    for n, stmt in enumerate(alt.head):
+        plan = stmt.plan
+        if plan is None:
+            ns["stmt%d" % n] = stmt
+            _call_and_return_failure(
+                emit, "exec_unify(store, stmt%d, frame)" % n, "    ")
+            continue
+        ns["plan%d" % n] = plan
+        if not _inline(plan):
+            _call_and_return_failure(
+                emit, "unify_compound(store, frame[%d], plan%d, frame)"
+                % (plan.slot, n), "    ")
+            continue
+        inlined = True
+        ns["label%d" % n] = plan.label
+        ns["build%d" % n] = plan.build
+        for i, a in enumerate(plan.build.args):
+            if a is not None and type(a) not in (int, Fresh):
+                ns["lit%d_%d" % (n, i)] = a
+        clash = ("(t, build%d)" if plan.value_left else "(build%d, t)") % n
+        emit("    t = frame[%d]" % plan.slot)
+        emit("    if type(t) is Var and t.ref is not None:")
+        emit("        t = t.ref")
+        emit("    if dist is None and type(t) is Compound:")
+        emit("        if t.label != label%d or len(t.args) != %d:"
+             % (n, plan.arity))
+        emit("            return len(trail), UnifyResult(%s)" % clash)
+        if plan.firsts or plan.reads:
+            emit("        xs = t.args")
+        for i, slot in plan.firsts:
+            emit("        frame[%d] = xs[%d]" % (slot, i))
+        if plan.reads:
+            _settle_lone_pair(emit, n, plan, "        ")
+        emit("    elif dist is None and type(t) is Var and t.ref is None:")
+        _build_compound(emit, n, plan, "        ")
+        emit("    else:")
+        _call_and_return_failure(
+            emit, "unify_compound(store, t, plan%d, frame)" % n, "        ")
+    head = ["def head(store, trail, frame):"]
+    if inlined:
+        head.append("    dist = store.dist")
+    if any("new_var()" in line for line in lines):
+        head.append("    new_var = store.new_var")
+    emit("    return None")
+    return "\n".join(head + lines) + "\n", ns
+
+
+def compile_head(alt: Alt, code: Code, index: int):
+    """Generate ``alt``'s head function, keep it as ``alt.head_fn`` and
+    return it.  ``code`` and ``index`` (from 0) name the procedure and the
+    place of the alternative in its choice, in the function's file name,
+    which a traceback or a profile shows."""
+    source, ns = head_source(alt)
+    exec(source, ns)
+    fn = ns["head"]
+    fn.__code__ = fn.__code__.replace(
+        co_filename="<head %s/%d alt %d>" % (code.name or "top", code.arity,
+                                             index + 1))
+    alt.head_fn = fn
+    return fn
 
 
 class _ChoicePoint:
@@ -87,8 +256,8 @@ class _ChoicePoint:
 
     def __init__(self, stack, alts, frame):
         self.stack = stack
-        self.alts = alts         # alternatives not yet tried
-        self.next_alt = 0
+        self.alts = alts         # the choice's alternatives
+        self.next_alt = 0        # the first not yet tried: set by the maker
         self.frame = frame
         self.trail_mark = None   # set by the maker, taken before the head
 
@@ -129,13 +298,16 @@ class Engine(Space):
         if why is not None:
             raise Failure(why)   # the last head's failure
         if i + 1 < len(alts):
-            self.push_choicepoint(alts[i + 1:], frame).trail_mark = mark
+            cp = self.push_choicepoint(alts, frame)
+            cp.next_alt = i + 1
+            cp.trail_mark = mark
         self.task.push_block(alts[i], frame)
 
     def push_choicepoint(self, alternatives, frame) -> _ChoicePoint:
-        """Save the stack as it is and the untried ``alternatives`` of a
-        choice run in ``frame``; the caller sets the choicepoint's trail
-        mark, which it took before the head that succeeded."""
+        """Save the stack as it is and the ``alternatives`` of a choice run
+        in ``frame``; the caller sets the first untried one and the
+        choicepoint's trail mark, which it took before the head that
+        succeeded."""
         cp = _ChoicePoint(list(self.task.stack), alternatives, frame)
         self.cps.append(cp)
         return cp
@@ -167,40 +339,34 @@ class Engine(Space):
 
     def _first_head(self, alts, i: int, frame: list, mark: int):
         """Run the heads of ``alts`` from the ``i``-th on, in order and in
-        ``frame``, until one succeeds: ``(index, None)``.  A head
-        unification with a read plan goes straight to ``unify_compound``,
-        any other through ``exec_unify``.  The trail is checked for
-        escapes once per head: after it succeeds, or, when it fails,
-        before it is undone to ``mark``, the trail's length before it.  What
-        a failing unification bound is undone with it, unchecked, as after
-        a failing reduction, so the check of a failed head stops where its
-        failing statement began.  When every head fails: ``(index, why)``,
-        the last failure (see ``Failure``).  A shallow failure like this
-        costs no reduction, no choicepoint and no exception, and its text
-        is never made."""
-        rt = self.rt
+        ``frame``, until one succeeds: ``(index, None)``.  Each head is one
+        call of its compiled function (``compile_head``), which returns
+        None or, when a statement fails, ``(start, why)``: the trail's
+        length before that statement and its failure.  The trail is
+        checked for escapes once per head: after it succeeds, or, when it
+        fails, before it is undone to ``mark``, the trail's length before
+        it.  What a failing unification bound is undone with it, unchecked,
+        as after a failing reduction, so the check of a failed head stops
+        at ``start``; a failed head that left the trail at ``mark`` needs
+        neither.  When every head fails: ``(index, why)``, the last failure
+        (see ``Failure``).  A shallow failure like this costs no reduction,
+        no choicepoint and no exception, and its text is never made."""
         store = self.store
         trail = self.trail
-        new_var = store.new_var
         why = None
         for i in range(i, len(alts)):
             alt = alts[i]
-            for slot in alt.made:
-                frame[slot] = new_var()
-            for stmt in alt.head:
-                start = len(trail)
-                plan = stmt.plan
-                why = (exec_unify(rt, stmt, frame) if plan is None
-                       else unify_compound(store, frame[plan.slot], plan, frame))
-                if why is not None:
-                    break
-            else:
+            head = alt.head_fn or compile_head(alt, frame[0], i)
+            failed = head(store, trail, frame)
+            if failed is None:
                 if len(trail) > self.checked:
                     self.check_escapes()
                 return i, None
-            if start > self.checked:
-                self.check_escapes(start)
-            self.undo(mark)
+            start, why = failed
+            if len(trail) > mark:
+                if start > self.checked:
+                    self.check_escapes(start)
+                self.undo(mark)
         return i, why
 
     # -- enumeration ----------------------------------------------------------

@@ -31,7 +31,7 @@ and never nested directly in another.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from .terms import Atom, Int
 
@@ -272,8 +272,13 @@ _PREC_MUL = 5
 _OP_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "div": _PREC_MUL}
 
 
-def _expr_text(e: Expr, prec: int = 0) -> str:
+def _expr_text(e: Expr, prec: int = 0, lifted=None) -> str:
+    """The text of ``e``, in parentheses where ``prec`` binds tighter.  A
+    temporary of ``lifted`` is printed as the expression it stands for
+    (see :func:`_lifted_text`)."""
     if isinstance(e, CVar):
+        if lifted and e.name in lifted:
+            return _lifted_text(lifted, e.name, prec)
         return e.name
     if isinstance(e, CLit):
         if isinstance(e.value, Int):
@@ -290,15 +295,98 @@ def _expr_text(e: Expr, prec: int = 0) -> str:
                 items.append(tail.args[0])
                 tail = tail.args[1]
             if isinstance(tail, CLit) and tail.value == Atom("nil"):
-                return "[" + " ".join(_expr_text(i, _PREC_CONS + 1)
+                return "[" + " ".join(_expr_text(i, _PREC_CONS + 1, lifted)
                                       for i in items) + "]"
-            parts = [_expr_text(i, _PREC_CONS + 1) for i in items]
-            parts.append(_expr_text(tail, _PREC_CONS))
+            parts = [_expr_text(i, _PREC_CONS + 1, lifted) for i in items]
+            parts.append(_expr_text(tail, _PREC_CONS, lifted))
             text = "|".join(parts)
             return f"({text})" if prec > _PREC_CONS else text
-        args = " ".join(_expr_text(a) for a in e.args)
+        args = " ".join(_expr_text(a, 0, lifted) for a in e.args)
         return f"{e.label}({args})"
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _operation_text(name: str, a, b, prec: int, lifted=None) -> str:
+    """``a name b``, an integer operator or a comparison, in parentheses
+    where ``prec`` binds tighter."""
+    if name in _ARITH:
+        own = _OP_PREC[name]
+        text = (f"{_expr_text(a, own, lifted)}"
+                f"{name if name != 'div' else ' div '}"
+                f"{_expr_text(b, own + 1, lifted)}")
+    else:
+        own = _PREC_CMP
+        text = (f"{_expr_text(a, own + 1, lifted)}{name}"
+                f"{_expr_text(b, own + 1, lifted)}")
+    return f"({text})" if prec > own else text
+
+
+def _lifted_text(lifted: dict, name: str, prec: int) -> str:
+    """The expression that the parser lifted out of an ``if`` condition
+    into the temporary ``name``: the call whose result it is (``$`` where
+    the result is not the last argument), the operation that computes it,
+    or the procedure value it names; a temporary that nothing computes
+    was a ``_``."""
+    s = lifted[name]
+    if s is None:
+        return "_"
+    if isinstance(s, Call):
+        parts = [_expr_text(s.target, 0, lifted)]
+        for i, a in enumerate(s.args):
+            if isinstance(a, CVar) and a.name == name:
+                if i < len(s.args) - 1:
+                    parts.append("$")
+            else:
+                parts.append(_expr_text(a, 0, lifted))
+        return "{" + " ".join(parts) + "}"
+    if isinstance(s, BuiltinCall):
+        a, b, _ = s.args
+        return _operation_text(s.name, a, b, prec, lifted)
+    sub = _Printer()
+    sub.stmt(ProcDef("$", s.params, s.body))
+    return " ".join(line.strip() for line in sub.lines)
+
+
+def _lifted_condition(guard) -> Optional[str]:
+    """The condition of ``if E then`` from its guard, or None when the
+    guard is not of that form.  The parser lifts each call, operation and
+    procedure value out of ``E`` into a temporary, so the guard is a
+    ``local`` of the temporaries, the statements that compute them, and
+    ``$test`` of ``E``'s value: each temporary is printed as the expression
+    it stands for."""
+    if not isinstance(guard, Local):
+        return None
+    items = seq_items(guard.body)
+    test = items.pop()
+    if not (isinstance(test, BuiltinCall) and test.name == "$test"
+            and len(test.args) == 1):
+        return None
+    temps = set(guard.names)
+    uses: dict = {}
+    for s in items + [test]:
+        if isinstance(s, ProcDef):
+            continue
+        exprs = list(s.args)
+        if isinstance(s, Call):
+            exprs.append(s.target)
+        for n in expr_names(*exprs):
+            uses[n] = uses.get(n, 0) + 1
+    lifted: dict = dict.fromkeys(temps)
+    for s in items:
+        if isinstance(s, Call):
+            made = [a.name for a in s.args if isinstance(a, CVar)
+                    and a.name in temps and uses[a.name] > 1
+                    and lifted[a.name] is None]
+        elif isinstance(s, BuiltinCall) and len(s.args) == 3:
+            made = [s.args[2].name] if isinstance(s.args[2], CVar) else []
+        elif isinstance(s, ProcDef):
+            made = [s.name]
+        else:
+            return None
+        if len(made) != 1 or made[0] not in temps:
+            return None
+        lifted[made[0]] = s
+    return _expr_text(test.args[0], _PREC_CMP + 1, lifted)
 
 
 class _Printer:
@@ -396,6 +484,9 @@ class _Printer:
                 return self._builtin_text(g)
             if isinstance(g, BuiltinCall) and g.name == "$test" and len(g.args) == 1:
                 return _expr_text(g.args[0], _PREC_CMP + 1)
+            condition = _lifted_condition(g)
+            if condition is not None:
+                return condition
         # statement guard: <vars> in <stmts>, printed on one line
         sub = _Printer()
         sub.stmt(g)

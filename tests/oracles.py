@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Nothing in this file imports from ozk, apart from the reference matcher,
-runner and graph equality at its end, which work on ozk's own patterns,
-statements and terms.
+runner, graph equality and choice heads at its end, which work on ozk's
+own patterns, statements and terms.
 Terms here use a tiny tuple encoding of their own:
 
     variables   OVar instances
@@ -770,3 +770,42 @@ def ref_snapshot(term, keep_var, for_network=False):
     if new is not None:
         expand(*new)
     return root, nodes, (None if for_network else kept), exported
+
+
+# ---------------------------------------------------------------------------
+# Reference choice heads: one unification statement at a time
+# ---------------------------------------------------------------------------
+
+from ozk.runtime import exec_unify, unify_compound  # noqa: E402
+
+
+def ref_first_head(engine, alts, i, frame, mark):
+    """What ``search.Engine._first_head`` computes, with each head run
+    statement by statement through ``unify_compound`` (a statement with a
+    read plan) or ``exec_unify`` (any other), where the engine runs one
+    compiled function per head.  The trail is checked after a head that
+    succeeds, and before the undo to ``mark`` of one that fails, up to the
+    start of its failing statement: ``(index, None)`` for the first head
+    that succeeds, else ``(index, why)`` with the last failure."""
+    store = engine.store
+    trail = engine.trail
+    why = None
+    for i in range(i, len(alts)):
+        alt = alts[i]
+        for slot in alt.made:
+            frame[slot] = store.new_var()
+        for stmt in alt.head:
+            start = len(trail)
+            plan = stmt.plan
+            why = (exec_unify(store, stmt, frame) if plan is None
+                   else unify_compound(store, frame[plan.slot], plan, frame))
+            if why is not None:
+                break
+        else:
+            if len(trail) > engine.checked:
+                engine.check_escapes()
+            return i, None
+        if start > engine.checked:
+            engine.check_escapes(start)
+        engine.undo(mark)
+    return i, why

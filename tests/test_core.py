@@ -55,20 +55,11 @@ REPL_CHUNKS = [
 ]
 
 
-def _text(stmt) -> str:
-    """`stmt` printed, or as its ``repr`` where the printer has no text
-    for it (an expression guard that calls, as the prelude's Filter)."""
-    try:
-        return pretty(stmt)
-    except TypeError as exc:
-        return f"unprintable ({exc}):\n{stmt!r}\n"
-
-
 def _core(text: str, names) -> tuple:
     """The core of a chunk read against the global `names`, as text,
     and the names it exposes."""
     stmt, exposed = parse_interactive(text, names)
-    return f"exposes: {' '.join(exposed)}\n{_text(stmt)}", exposed
+    return f"exposes: {' '.join(exposed)}\n{pretty(stmt)}", exposed
 
 
 def goldens() -> dict:
@@ -395,13 +386,7 @@ def surface_texts(draw):
 @given(surface_texts())
 def test_generated_text_prints_and_reads_back(text):
     core = parse_program(text, ("Browse",))
-    try:
-        printed = pretty(core)
-    except TypeError as exc:
-        # The printer has no text for an expression guard that calls
-        # (`if {P X} then`): its `$test` follows the call in a `local`.
-        assert "$test" in str(exc)
-        return
+    printed = pretty(core)
     assert parse_program(printed, ("Browse",)) == core
 
 

@@ -1,7 +1,8 @@
 """Every module of ozk uses each name it imports, and each name it
 defines at module level, and each method of its classes, is read
 somewhere.  Only ``terms`` touches the store's trail stack and owns
-rule, and only it wakes threads.  Importing ozk loads neither
+rule, and only it wakes threads.  Only ``search`` runs generated code,
+and no module evaluates or compiles text.  Importing ozk loads neither
 ``dataclasses`` nor ``inspect``."""
 
 import ast
@@ -246,6 +247,43 @@ def test_a_wake_outside_the_store_is_found():
     assert wake_uses({"lib.py": lib, "terms.py": lib}) == [
         ("lib.py", 3, "woken"), ("lib.py", 4, "wake()"),
         ("lib.py", 4, "woken")]
+
+
+# Only the search engine turns code it generates into functions (a choice
+# alternative's compiled head, ``search.compile_head``), with ``exec``; no
+# module calls ``eval`` or ``compile``.
+EXEC_MODULES = {"search.py"}
+
+
+def code_from_text_calls(defining: dict) -> list:
+    """The ``(module, line, name)`` of each call of ``exec`` in a module of
+    `defining` other than those of ``EXEC_MODULES``, and of each call of
+    ``eval`` or ``compile`` in any."""
+    out = []
+    for module, text in sorted(defining.items()):
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and (node.func.id in ("eval", "compile")
+                         or node.func.id == "exec"
+                         and module not in EXEC_MODULES)):
+                out.append((module, node.lineno, node.func.id))
+    return sorted(out)
+
+
+def test_only_search_runs_generated_code():
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert code_from_text_calls(defining) == []
+
+
+def test_a_call_that_runs_text_is_found():
+    lib = ("import re\n"
+           "def run(src, ns):\n"
+           "    exec(src, ns)\n"
+           "    code = compile(src, '<x>', 'exec')\n"
+           "    return eval('1'), re.compile('a'), ns.exec_unify()\n")
+    assert code_from_text_calls({"lib.py": lib, "search.py": lib}) == [
+        ("lib.py", 3, "exec"), ("lib.py", 4, "compile"), ("lib.py", 5, "eval"),
+        ("search.py", 4, "compile"), ("search.py", 5, "eval")]
 
 
 def test_importing_ozk_loads_neither_dataclasses_nor_inspect():

@@ -4,15 +4,19 @@ import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (APPEND_123_SPLITS, QUEENS8_COUNT, QUEENS8_FIRST,
-                     queens_brute)
+                     queens_brute, ref_first_head)
 from ozk import prolog
+from ozk.compiler import SKIP, Alt, Build, Code, Fresh, Unify
 from ozk.cli import main
 from ozk.errors import (ChoiceOutsideSearchError, EscapeError, OzkError,
                         SearchStuckError, ThreadInSearchError)
 from ozk.interp import Session, run_text
+from ozk.runtime import Runtime, unify_compound
 from ozk.search import Engine
+from ozk.terms import Atom, Closure, Compound, Int, Var
 from test_prolog import oracle_all_text, translated_all_text
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
@@ -746,3 +750,268 @@ def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
     assert s.rt.stats.reductions - r0 == reductions
     assert s.store.next_seq - seq0 == made
     assert len(made_cps) == choicepoints
+
+
+# -- compiled heads against the statement-by-statement reference ------------------
+
+# A generated world: frame slots 1-5 hold values drawn as specs, slots 6
+# and up are the alternatives' locals (their first uses and the slots they
+# make).  Variables are outside ones (made before the engine) or the
+# engine's own, shared through a pool so that a value can repeat.
+PARAMS = range(1, 6)
+FRAME_SIZE = 14
+POOL = 3            # outside variables, and as many own ones
+
+
+_UNBOUND = st.tuples(st.just("var"), st.booleans())
+_LEAVES = st.one_of(
+    st.tuples(st.just("int"), st.integers(0, 1)),
+    st.tuples(st.just("atom"), st.sampled_from("ab")),
+    st.tuples(st.just("pool"), st.booleans(), st.integers(0, POOL - 1)),
+    _UNBOUND)
+
+
+def _weighted(*strategies):
+    """One of ``strategies``, each as likely as its repeats make it."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+def _chains(targets):
+    """A chain of 1 to 3 links, own or outside, to a value."""
+    return st.tuples(st.just("chain"), st.integers(1, 3), st.booleans(),
+                     targets)
+
+
+# Mostly f, so that most heads meet a compound of their label.
+_LABELS = st.sampled_from("fffg")
+
+
+def _compounds(args):
+    return st.tuples(st.just("cmp"), _LABELS,
+                     st.lists(args, min_size=1, max_size=2))
+
+
+_CHAINED = _chains(_LEAVES)
+_ARG_VALUES = _weighted(_LEAVES, _CHAINED, _CHAINED)
+_COMPOUNDS = _compounds(_weighted(_ARG_VALUES, _ARG_VALUES,
+                                  _compounds(_ARG_VALUES)))
+_VALUES = _weighted(_COMPOUNDS, _COMPOUNDS, _COMPOUNDS,
+                    _chains(st.one_of(_COMPOUNDS, _LEAVES)), _LEAVES)
+_SLOTS = st.tuples(st.just("slot"), st.integers(1, 8))
+_LITERALS = st.tuples(st.just("lit"), st.sampled_from((0, 1, "a", "b")))
+_READ_ARGS = _weighted(st.just(("void",)), st.just(("fresh",)),
+                       _SLOTS, _SLOTS, _LITERALS, _LITERALS)
+_ARGS = st.one_of(
+    _READ_ARGS,
+    st.tuples(st.just("build"), _LABELS,
+              st.lists(_READ_ARGS, min_size=1, max_size=2)))
+_PLANNED = st.tuples(st.just("plan"), st.sampled_from(PARAMS), st.booleans(),
+                     _LABELS,
+                     st.lists(_ARGS, min_size=1, max_size=2))
+_HEAD_STATEMENTS = _weighted(
+    _PLANNED, _PLANNED, _PLANNED,
+    st.tuples(st.just("plain"), st.integers(1, 8),
+              st.one_of(st.integers(1, 8), st.sampled_from((0, "a")))))
+_ALTERNATIVES = st.tuples(st.integers(0, 1),
+                          st.lists(_HEAD_STATEMENTS, min_size=1, max_size=4))
+
+
+@st.composite
+def _worlds(draw):
+    """Alternatives, and a value for each parameter slot: mostly a
+    compound of the label and arity of the first head statement that
+    reads the slot, directly or at the end of a chain."""
+    alts = draw(st.lists(_ALTERNATIVES, min_size=1, max_size=3))
+    shapes = {}
+    for _, stmts in alts:
+        for stmt in stmts:
+            if stmt[0] == "plan":
+                shapes.setdefault(stmt[1], (stmt[3], len(stmt[4])))
+    values = []
+    for slot in PARAMS:
+        if slot in shapes:
+            label, arity = shapes[slot]
+            match = st.tuples(st.just("cmp"), st.just(label),
+                              st.lists(_ARG_VALUES, min_size=arity,
+                                       max_size=arity))
+            values.append(draw(_weighted(match, match, match, _chains(match),
+                                         _UNBOUND, _VALUES)))
+        else:
+            values.append(draw(_VALUES))
+    return values, alts
+
+
+def _literal(value):
+    return Int(value) if type(value) is int else Atom(value)
+
+
+def _alternatives(specs):
+    """Compiled alternatives from their specs: each first use takes a
+    local slot of its own, as the compiler gives it."""
+    alts = []
+    for made, stmts in specs:
+        local = iter(range(6, FRAME_SIZE))
+        made = tuple(next(local) for _ in range(made))
+
+        def operand(arg):
+            kind = arg[0]
+            if kind == "void":
+                return None
+            if kind == "fresh":
+                return Fresh(next(local))
+            if kind == "slot":
+                return arg[1]
+            if kind == "lit":
+                return _literal(arg[1])
+            return Build(arg[1], tuple(operand(a) for a in arg[2]))
+
+        head = []
+        for stmt in stmts:
+            if stmt[0] == "plain":
+                other = stmt[2]
+                head.append(Unify(stmt[1], other if type(other) is int
+                                  and other > 0 else _literal(other)))
+                continue
+            _, slot, left, label, args = stmt
+            build = Build(label, tuple(operand(a) for a in args))
+            head.append(Unify(slot, build) if left else Unify(build, slot))
+        alts.append(Alt(made, tuple(head), ()))
+    return tuple(alts)
+
+
+def _world(values):
+    """A store, an entered engine and a frame that hold ``values``."""
+    rt = Runtime()
+    store = rt.store
+    outside = [store.new_var() for _ in range(40)]
+    pool = {False: outside[:POOL], True: None}
+    unused = iter(outside[POOL:])
+    code = Code("Goal", 1, [], (), SKIP, ())
+    engine = Engine(rt, Closure("Goal", code, []))
+    engine.enter()
+    pool[True] = [store.new_var() for _ in range(POOL)]
+    links = []      # the links of chains, bound once the frame is made
+
+    def new_var(own):
+        return store.new_var() if own else next(unused)
+
+    def term(spec):
+        kind = spec[0]
+        if kind in ("int", "atom"):
+            return _literal(spec[1])
+        if kind == "pool":
+            return pool[spec[1]][spec[2]]
+        if kind == "var":
+            return new_var(spec[1])
+        if kind == "cmp":
+            return Compound(spec[1], [term(a) for a in spec[2]])
+        _, length, own, target = spec
+        value = term(target)
+        for _ in range(length):
+            var = new_var(own)
+            links.append((var, value))
+            value = var
+        return value
+
+    frame = [code] + [term(spec) for spec in values]
+    frame += [store.new_var() for _ in range(FRAME_SIZE - len(frame))]
+    for var, value in links:
+        var.ref = value
+    return engine, frame
+
+
+def _dump(t, depth=6):
+    """A term's structure with its variables' ids, dereferenced link by
+    link; cut at ``depth``, as a binding may make it cyclic."""
+    if depth == 0:
+        return "..."
+    if type(t) is Var:
+        return ("var", t.vid) if t.ref is None else \
+            ("ref", t.vid, _dump(t.ref, depth - 1))
+    if type(t) is Compound:
+        return (t.label, tuple(_dump(a, depth - 1) for a in t.args))
+    return repr(t)
+
+
+def _run_heads(run, values, alts):
+    """Run ``alts`` from the first in a world of ``values`` with ``run``:
+    the outcome, the trail's entries (a binding's VarId, or a need mark's
+    as a 1-tuple), the frame, the store's next seq and the escape scan's
+    place."""
+    engine, frame = _world(values)
+    trail = engine.trail
+    try:
+        i, why = run(engine, alts, 0, frame, len(trail))
+        outcome = (i, None if why is None else why.reason)
+    except EscapeError as exc:
+        outcome = ("escape", str(exc))
+    entries = [e.vid if type(e) is Var else (e[0].vid,) for e in trail]
+    state = (outcome, entries, [_dump(v) for v in frame[1:]],
+             engine.store.next_seq, engine.checked)
+    engine.leave("undo")
+    return state
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_worlds())
+def test_compiled_heads_match_the_statement_by_statement_reference(world):
+    values, alt_specs = world
+    alts = _alternatives(alt_specs)
+    compiled = _run_heads(Engine._first_head, values, alts)
+    reference = _run_heads(ref_first_head, values, alts)
+    assert compiled == reference
+
+
+def test_a_head_with_program_text_in_its_labels_matches_the_reference():
+    # Labels and literals are values of the head function's namespace, so
+    # no program text reaches its source: a quote, a line break and a
+    # parenthesis in them change nothing.
+    odd = "it's\n) + 1"
+    label_slot, mismatch_slot = ("cmp", odd, [("int", 1)]), ("cmp", "f", [])
+    values = [label_slot, mismatch_slot, ("var", True), ("int", 0),
+              ("atom", "a")]
+    first = Alt((), (Unify(1, Build(odd, (Atom(odd),))),), ())
+    second = Alt((), (Unify(Build(odd, (Fresh(6),)), 1),
+                      Unify(3, Build(odd, (Atom(odd), None)))), ())
+    alts = (first, second)
+    compiled = _run_heads(Engine._first_head, values, alts)
+    assert compiled == _run_heads(ref_first_head, values, alts)
+    assert compiled[0] == (1, None)
+    assert first.head_fn.__code__.co_filename == "<head Goal/1 alt 1>"
+    assert second.head_fn.__code__.co_filename == "<head Goal/1 alt 2>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--placement", "a=0,b=1"], ["--placement", "a=1,b=0"],
+    ["--placement", "a=0,b=1", "--net-seed", "1"],
+    ["--placement", "a=1,b=0", "--net-seed", "1"]],
+    ids=["a0b1", "a1b0", "a0b1-net1", "a1b0-net1"])
+def test_heads_under_a_network_take_the_generic_path(argv, tmp_path, capsys,
+                                                      monkeypatch):
+    # Under a network every head statement goes to unify_compound, which
+    # tells a binding's audience; with none only the few that meet an
+    # atom (the end of a list) do, and the others are settled inline.
+    import ozk.search
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return unify_compound(*args)
+
+    monkeypatch.setattr(ozk.search, "unify_compound", counted)
+    program = tmp_path / "queens5.ozk"
+    # a text of its own, so that no cached compilation brings heads
+    # generated before the patch
+    program.write_text(f"% {argv}\n" + QUEENS + """
+local R in
+   thread R = {Length {SolveAll fun {$} {Queens 5} end}} end
+   thread {Wait R} {Browse R} end
+end
+""")
+    assert main(["run", str(program)]) == 0
+    assert capsys.readouterr().out == "10\n"
+    inline = len(calls)
+    assert main(["dist-run", str(program), *argv]) == 0
+    out = capsys.readouterr().out
+    assert "status: done" in out and out.count("  10\n") == 1, out
+    assert len(calls) - inline > 10 * inline
