@@ -465,16 +465,14 @@ class _Printer:
     def _builtin_text(self, s: BuiltinCall) -> str:
         if s.name in _ARITH and len(s.args) == 3:
             a, b, r = s.args
-            return (f"{_expr_text(r, _PREC_CMP)}="
-                    f"{_expr_text(a, _OP_PREC[s.name])}{s.name if s.name != 'div' else ' div '}"
-                    f"{_expr_text(b, _OP_PREC[s.name] + 1)}")
+            return f"{_expr_text(r, _PREC_CMP)}={_operation_text(s.name, a, b, 0)}"
         if s.name in _COMPARE and len(s.args) == 2:
             a, b = s.args
-            return f"{_expr_text(a, _PREC_CMP + 1)}{s.name}{_expr_text(b, _PREC_CMP + 1)}"
+            return _operation_text(s.name, a, b, 0)
         if s.name in _COMPARE and len(s.args) == 3:
             a, b, r = s.args
-            return (f"{_expr_text(r, _PREC_CMP)}=("
-                    f"{_expr_text(a, _PREC_CMP + 1)}{s.name}{_expr_text(b, _PREC_CMP + 1)})")
+            return (f"{_expr_text(r, _PREC_CMP)}="
+                    f"{_operation_text(s.name, a, b, _PREC_CMP + 1)}")
         raise TypeError(f"unprintable builtin: {s.name}/{len(s.args)}")
 
     def _guard_text(self, arm: IfArm) -> str:
