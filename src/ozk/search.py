@@ -100,6 +100,59 @@ from .terms import (Atom, Closure, Compound, Int, Snapshot, Space, Term,
 
 # -- compiled heads ------------------------------------------------------------
 
+# The texts a head function is made of (see ``compile_head``).  A
+# statement settled inline: ``X`` is ``frame[{slot}]``, and ``{read}`` and
+# ``{write}`` are the two modes' texts.
+_INLINE = """\
+t = frame[{slot}]
+if type(t) is Var and t.ref is not None:
+    t = t.ref
+if dist is None and type(t) is Compound:
+    if t.label != label{n} or len(t.args) != {arity}:
+        return len(trail), UnifyResult({clash})
+{read}elif dist is None and type(t) is Var and t.ref is None:
+{write}else:
+{call}"""
+
+# Read mode's lone pair, settled as ``runtime.unify_compound`` settles it.
+_PAIR = """\
+x = xs[{i}]
+if type(x) is Var and x.ref is not None:
+    x = x.ref
+    if type(x) is Var and x.ref is not None:
+        x = store.deref(x)
+v = {value}
+{deref}kx = type(x)
+kv = type(v)
+if kx is Var and kv is not Var and kv is not Compound:
+    store._bind_local(x, v)
+elif kv is Var and kx is not Var and kx is not Compound:
+    store._bind_local(v, x)
+elif kx is kv and (kx is Int or kx is Atom):
+    if x.value != v.value if kx is Int else x.name != v.name:
+        return len(trail), UnifyResult({clash})
+else:
+{call}"""
+
+_DEREF_V = """\
+if type(v) is Var and v.ref is not None:
+    v = v.ref
+    if type(v) is Var and v.ref is not None:
+        v = store.deref(v)
+"""
+
+# A call of ``unify_compound`` or ``exec_unify``.
+_CALL = """\
+start = len(trail)
+why = {}
+if why is not None:
+    return start, why
+"""
+
+
+def _indent(text: str) -> str:
+    return "".join("    " + line for line in text.splitlines(True))
+
 
 def _inline(plan: Plan) -> bool:
     """Whether the compiled head settles ``plan``'s statement itself: it
@@ -108,72 +161,39 @@ def _inline(plan: Plan) -> bool:
     return not reads or len(reads) == 1 and reads[0][1] is not READ_BUILD
 
 
-def _settle_lone_pair(emit, n: int, plan: Plan, pad: str) -> None:
-    """Emit read mode's one pair of the inlined statement ``n``, settled
-    as ``runtime.unify_compound`` settles it, with ``xs`` the compound's
-    arguments."""
-    i, tag, a = plan.reads[0]
-    value = "frame[%d]" % a if type(a) is int else "lit%d_%d" % (n, i)
-    pair, clash = (("xs[%d], %s" % (i, value), "(x, v)") if plan.value_left
-                   else ("%s, xs[%d]" % (value, i), "(v, x)"))
-    for line in (
-            "x = xs[%d]" % i,
-            "if type(x) is Var and x.ref is not None:",
-            "    x = x.ref",
-            "    if type(x) is Var and x.ref is not None:",
-            "        x = store.deref(x)",
-            "v = %s" % value):
-        emit(pad + line)
-    if type(a) is int:
-        for line in (
-                "if type(v) is Var and v.ref is not None:",
-                "    v = v.ref",
-                "    if type(v) is Var and v.ref is not None:",
-                "        v = store.deref(v)"):
-            emit(pad + line)
-    for line in (
-            "kx = type(x)",
-            "kv = type(v)",
-            "if kx is Var and kv is not Var and kv is not Compound:",
-            "    store._bind_local(x, v)",
-            "elif kv is Var and kx is not Var and kx is not Compound:",
-            "    store._bind_local(v, x)",
-            "elif kx is kv and (kx is Int or kx is Atom):",
-            "    if x.value != v.value if kx is Int else x.name != v.name:",
-            "        return len(trail), UnifyResult(%s)" % clash,
-            "else:",
-            "    start = len(trail)",
-            "    why = store.unify(%s)" % pair,
-            "    if why is not None:",
-            "        return start, why"):
-        emit(pad + line)
+def _read_mode(n: int, plan: Plan) -> str:
+    """Read mode of the inlined statement ``n``: the first uses take the
+    compound's arguments ``xs``, and the lone pair, if any, is settled."""
+    text = "xs = t.args\n" if plan.firsts or plan.reads else ""
+    for i, slot in plan.firsts:
+        text += "frame[%d] = xs[%d]\n" % (slot, i)
+    if plan.reads:
+        i, _, a = plan.reads[0]
+        slot = type(a) is int
+        value = "frame[%d]" % a if slot else "lit%d_%d" % (n, i)
+        pair, clash = (("xs[%d], %s" % (i, value), "(x, v)") if plan.value_left
+                       else ("%s, xs[%d]" % (value, i), "(v, x)"))
+        text += _PAIR.format(i=i, value=value, deref=_DEREF_V if slot else "",
+                             clash=clash, call=_indent(_CALL.format(
+                                 "store.unify(%s)" % pair)))
+    return text
 
 
-def _build_compound(emit, n: int, plan: Plan, pad: str) -> None:
-    """Emit write mode of the inlined statement ``n``: build its compound
-    left to right, as ``runtime.build_term`` does, and bind the unbound
+def _write_mode(n: int, plan: Plan) -> str:
+    """Write mode of the inlined statement ``n``: build its compound left
+    to right, as ``runtime.build_term`` does, and bind the unbound
     variable ``t`` to it."""
-    args = []
+    text, args = "", []
     for i, a in enumerate(plan.build.args):
         if a is None:
-            emit(pad + "a%d = new_var()" % i)
-            args.append("a%d" % i)
+            text += "a%d = new_var()\n" % i
         elif type(a) is Fresh:
-            emit(pad + "a%d = frame[%d] = new_var()" % (i, a.slot))
-            args.append("a%d" % i)
-        elif type(a) is int:
-            args.append("frame[%d]" % a)
-        else:
-            args.append("lit%d_%d" % (n, i))
-    emit(pad + "store._bind_local(t, Compound(label%d, [%s]))"
-         % (n, ", ".join(args)))
-
-
-def _call_and_return_failure(emit, call: str, pad: str) -> None:
-    emit(pad + "start = len(trail)")
-    emit(pad + "why = " + call)
-    emit(pad + "if why is not None:")
-    emit(pad + "    return start, why")
+            text += "a%d = frame[%d] = new_var()\n" % (i, a.slot)
+        args.append("a%d" % i if a is None or type(a) is Fresh
+                    else "frame[%d]" % a if type(a) is int
+                    else "lit%d_%d" % (n, i))
+    return text + "store._bind_local(t, Compound(label%d, [%s]))\n" % (
+        n, ", ".join(args))
 
 
 def head_source(alt: Alt) -> tuple[str, dict]:
@@ -184,23 +204,18 @@ def head_source(alt: Alt) -> tuple[str, dict]:
     ns = {"Var": Var, "Compound": Compound, "Int": Int, "Atom": Atom,
           "UnifyResult": UnifyResult, "unify_compound": unify_compound,
           "exec_unify": exec_unify}
-    lines = []
-    emit = lines.append
-    for slot in alt.made:
-        emit("    frame[%d] = new_var()" % slot)
+    body = "".join("frame[%d] = new_var()\n" % slot for slot in alt.made)
     inlined = False
     for n, stmt in enumerate(alt.head):
         plan = stmt.plan
         if plan is None:
             ns["stmt%d" % n] = stmt
-            _call_and_return_failure(
-                emit, "exec_unify(store, stmt%d, frame)" % n, "    ")
+            body += _CALL.format("exec_unify(store, stmt%d, frame)" % n)
             continue
         ns["plan%d" % n] = plan
         if not _inline(plan):
-            _call_and_return_failure(
-                emit, "unify_compound(store, frame[%d], plan%d, frame)"
-                % (plan.slot, n), "    ")
+            body += _CALL.format("unify_compound(store, frame[%d], plan%d, "
+                                 "frame)" % (plan.slot, n))
             continue
         inlined = True
         ns["label%d" % n] = plan.label
@@ -208,32 +223,19 @@ def head_source(alt: Alt) -> tuple[str, dict]:
         for i, a in enumerate(plan.build.args):
             if a is not None and type(a) not in (int, Fresh):
                 ns["lit%d_%d" % (n, i)] = a
-        clash = ("(t, build%d)" if plan.value_left else "(build%d, t)") % n
-        emit("    t = frame[%d]" % plan.slot)
-        emit("    if type(t) is Var and t.ref is not None:")
-        emit("        t = t.ref")
-        emit("    if dist is None and type(t) is Compound:")
-        emit("        if t.label != label%d or len(t.args) != %d:"
-             % (n, plan.arity))
-        emit("            return len(trail), UnifyResult(%s)" % clash)
-        if plan.firsts or plan.reads:
-            emit("        xs = t.args")
-        for i, slot in plan.firsts:
-            emit("        frame[%d] = xs[%d]" % (slot, i))
-        if plan.reads:
-            _settle_lone_pair(emit, n, plan, "        ")
-        emit("    elif dist is None and type(t) is Var and t.ref is None:")
-        _build_compound(emit, n, plan, "        ")
-        emit("    else:")
-        _call_and_return_failure(
-            emit, "unify_compound(store, t, plan%d, frame)" % n, "        ")
-    head = ["def head(store, trail, frame):"]
+        body += _INLINE.format(
+            slot=plan.slot, n=n, arity=plan.arity,
+            clash=("(t, build%d)" if plan.value_left else "(build%d, t)") % n,
+            read=_indent(_read_mode(n, plan)),
+            write=_indent(_write_mode(n, plan)),
+            call=_indent(_CALL.format(
+                "unify_compound(store, t, plan%d, frame)" % n)))
+    head = "def head(store, trail, frame):\n"
     if inlined:
-        head.append("    dist = store.dist")
-    if any("new_var()" in line for line in lines):
-        head.append("    new_var = store.new_var")
-    emit("    return None")
-    return "\n".join(head + lines) + "\n", ns
+        head += "    dist = store.dist\n"
+    if "new_var()" in body:
+        head += "    new_var = store.new_var\n"
+    return head + _indent(body + "return None\n"), ns
 
 
 def compile_head(alt: Alt, code: Code, index: int):
