@@ -11,20 +11,28 @@ under the same VarId and learns of bindings through messages:
   variable is already bound the owner answers with its current state.
 * ``BindRequest`` — a non-owner that wants to bind a variable sends the
   value (as a self-contained graph snapshot) to the owner instead of
-  binding locally; its replica stays unbound until the notification
-  comes back, so every replica only ever holds owner-confirmed state.
-  Conflicting requests are serialized by the owner: the first one wins
-  and a later incompatible one is a unification clash, which marks the
-  whole run as failed; the run goes on to quiescence, as a single
-  runtime does after a thread fails.
+  binding locally, and the statement that binds it waits: its replica
+  stays unbound until the notification comes back, so every replica
+  only ever holds owner-confirmed state.  The owner applies the first
+  request for an unbound variable and drops any later one.  The waiting
+  statement then runs again against the owner's binding, and either
+  finds the value it asked for or fails its own thread, as the loser of
+  a race does in a single store.
 * ``BindNotify`` — the owner's broadcast of a new binding to every
   registered node.  Frontier variables inside the snapshot introduce
   themselves to the receiver, which registers for them in turn, so
   streams propagate incrementally.
 * ``UnifyVarVar`` — merging two unbound variables is routed to the owner
-  of the *lesser* variable in the global (origin, seq) order.  Binding
-  always points the greater at the lesser, so the total order yields one
-  global representative per equivalence class and no binding cycles.
+  of the *lesser* variable in the global (origin, seq) order, which
+  binds the greater itself if it owns it too, and else sends the
+  greater's owner a ``BindRequest`` for the lesser.  Binding always
+  points the greater at the lesser, so the total order yields one global
+  representative per equivalence class and no binding cycles.  The
+  statement that merged them waits on the greater, as for a
+  ``BindRequest``.
+
+A delivery never unifies: it binds an unbound variable or drops the
+message, so only a thread forwards a bind, and only a thread fails.
 
 A value travels as a ``terms.Snapshot`` of its graph, made by
 ``terms.snapshot`` in one pass at the sender.  Every unbound variable in
@@ -69,14 +77,14 @@ from typing import Callable, Optional
 
 from .builtins import make_builtins
 from .compiler import compile_top
-from .errors import PlacementError
+from .errors import PlacementError, RuntimeFailure
 from .interp import Session
 from .parser import parse_interactive
 from .prelude import PRELUDE_NAMES
-from .runtime import Runtime, run_events
+from .runtime import Runtime, Suspend, run_events, run_status
 from .syntax import Local, ThreadStmt, seq_all, seq_items
 from .terms import (Atom, Compound, Int, Store, Var, VarId, materialize,
-                    render, snapshot)
+                    snapshot)
 
 THREAD_NAMES = "abcdefghijklmnopqrstuvwxyz"
 # The largest node id a placement may name.  A program has at most one
@@ -350,8 +358,6 @@ class Simulation:
         for node in self.nodes:
             node.store.dist = self
 
-        self.clashes: list = []     # each clash a delivery met, in order
-
         self._place(names, setup, threads)
 
     # -- program placement --------------------------------------------
@@ -396,6 +402,10 @@ class Simulation:
         self.network.post(store.node_id, var.vid[0], "Register", var.vid)
 
     def request_bind(self, store: Store, var: Var, value) -> None:
+        """Ask the owner of ``var``, another node's variable, to bind it
+        to ``value``, then raise ``Suspend`` by need on ``var``: the
+        statement waits for the owner's ``BindNotify`` and runs again.
+        A bind is no need, so the wait marks nothing needed."""
         src = store.node_id
         value = store.deref(value)
         if isinstance(value, Var):
@@ -414,6 +424,7 @@ class Simulation:
             self.network.post(
                 src, var.vid[0], "BindRequest", var.vid,
                 snapshot(store, value, _keep_all, for_network=True))
+        raise Suspend([var], byneed=True)
 
     def on_owner_bound(self, store: Store, var: Var) -> None:
         node = self.nodes[store.node_id]
@@ -426,22 +437,18 @@ class Simulation:
 
     # -- message application -------------------------------------------
 
-    def _apply_unify(self, node: Node, a, b) -> None:
-        clash = node.store.unify(a, b)
-        if clash is not None:
-            self.clashes.append(
-                f"node {node.node_id}: unification clash: "
-                f"{render(node.store, a)} with {render(node.store, b)}"
-                f" ({clash.reason})")
-
     def _deliver(self, msg: Message) -> None:
-        """Apply ``msg`` at its destination.  A clash fails the run, which
-        goes on, as a single runtime does after a thread fails."""
+        """Apply ``msg`` at its destination.  No delivery unifies: a
+        request binds the owner's variable if it is still unbound and is
+        dropped otherwise, as its sender learns the binding through the
+        ``BindNotify`` that its ``Register`` asked for, and a notice binds
+        a replica, which no one else binds."""
         if self.on_net_trace is not None:
             self.on_net_trace(msg.trace_line())
         node = self.nodes[msg.dst]
         store = node.store
-        if msg.kind == "Register":
+        kind = msg.kind
+        if kind == "Register":
             audience = node.registered.setdefault(msg.var, set())
             if msg.src in audience:
                 return                      # double registration: idempotent
@@ -451,29 +458,36 @@ class Simulation:
                 self.network.post(
                     msg.dst, msg.src, "BindNotify", msg.var,
                     snapshot(store, var, _keep_all, for_network=True))
-        elif msg.kind == "BindRequest":
-            var = store.intern(msg.var)
-            term = materialize(store, msg.payload, store.intern)
-            self._apply_unify(node, var, term)
-        elif msg.kind == "BindNotify":
-            var = store.intern(msg.var)
-            term = materialize(store, msg.payload, store.intern)
-            if var.ref is None:
-                store._bind_local(var, term)
-            else:
-                # Late or redundant news; must agree with what we hold.
-                self._apply_unify(node, var, term)
-        else:                               # UnifyVarVar
-            greater = store.intern(msg.var)
+            return
+        var = store.intern(msg.var)
+        if kind == "UnifyVarVar":
+            # We own the lesser: bind the greater if we own it too, else
+            # ask its owner to.
             lesser = store.intern(msg.payload)
-            self._apply_unify(node, greater, lesser)
+            if msg.var[0] != msg.dst:
+                self.network.post(
+                    msg.dst, msg.var[0], "BindRequest", msg.var,
+                    snapshot(store, lesser, _keep_all, for_network=True))
+                return
+            if var.ref is None:
+                store._bind_local(var, lesser)
+                self.on_owner_bound(store, var)
+        elif var.ref is None:
+            store._bind_local(var, materialize(store, msg.payload,
+                                               store.intern))
+            if kind == "BindRequest":
+                self.on_owner_bound(store, var)
+        elif kind == "BindNotify":
+            raise RuntimeFailure(
+                f"node {msg.dst} was sent a second binding of "
+                f"v{msg.var[0]}.{msg.var[1]}, whose replica is bound")
 
     # -- running ---------------------------------------------------------
 
     def run(self) -> SimReport:
         status, steps = run_events([node.rt for node in self.nodes],
                                    self.order, self.network, self._deliver)
-        failures = list(self.clashes)
+        failures = []
         suspended: dict = {}
         for node in self.nodes:
             node_failures, node_suspended, _ = node.rt.verdict()
@@ -482,10 +496,7 @@ class Simulation:
                 suspended[node.node_id] = node_suspended
         if status == "limit":
             failures.append("did not reach quiescence within the step budget")
-        elif failures:
-            status = "failed"
-        elif suspended:
-            status = "deadlock"
+        status = run_status(status, failures, suspended)
         outputs = {node.node_id: [text for _, text in node.rt.browse_log]
                    for node in self.nodes}
         return SimReport(status, self.nodes[0].rt.clock, outputs,

@@ -302,10 +302,11 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     the term had been built and unified.
 
     A compound of another label or arity gives a failed result, whose
-    text is the one unification gives.  Any other value is unified with
-    the built term (write mode).  As :meth:`Store.unify`, returns None
-    when it succeeded, else the failed :class:`UnifyResult`; a binding
-    wakes its own waiters.
+    text is the one unification gives, and so does a value that is
+    neither a compound nor a variable, with nothing built.  A variable is
+    unified with the built term (write mode).  As :meth:`Store.unify`,
+    returns None when it succeeded, else the failed :class:`UnifyResult`;
+    a binding wakes its own waiters.
 
     A statement of a thread or a guard runs here (``exec_unify``).  A
     search engine's compiled heads (``search.compile_head``) settle most
@@ -317,6 +318,9 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
         if type(t) is Var and t.ref is not None:
             t = store.deref(t)
     if type(t) is not Compound:
+        if type(t) is not Var:
+            return UnifyResult((t, plan.build) if plan.value_left
+                               else (plan.build, t))
         built = build_term(store, plan.build, frame)
         return (store.unify(t, built) if plan.value_left
                 else store.unify(built, t))
@@ -1333,16 +1337,22 @@ class Runtime:
     def run(self) -> RunResult:
         status, _ = run_events((self,))
         failures, suspended, idle = self.verdict()
-        if status == "done":
-            if failures:
-                status = "failed"
-            elif suspended:
-                status = "deadlock"
+        status = run_status(status, failures, suspended)
         # The run's output goes to its result and leaves the runtime, so
         # a long session keeps no lines from earlier runs.
         browse_log, self.browse_log = self.browse_log, []
         return RunResult(status, self.clock, browse_log, failures, suspended,
                          self.stats, idle)
+
+
+def run_status(status: str, failures: list, suspended) -> str:
+    """The status of a run that :func:`run_events` ended with ``status``
+    and whose threads at rest left ``failures`` and ``suspended``: a
+    run cut by the budget stays ``limit``; else a failed thread makes it
+    ``failed``, and a thread that waits for a value ``deadlock``."""
+    if status == "done" and (failures or suspended):
+        return "failed" if failures else "deadlock"
+    return status
 
 
 def run_events(runtimes, order=None, network=None,

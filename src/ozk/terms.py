@@ -427,25 +427,24 @@ class Store:
 
         A variable-variable pair binds the greater VarId to the lesser,
         except that an entered space (``owns``, :class:`Space`) binds its
-        own variable rather than an outside one.  Only the two kinds of pair
-        whose repeat would be seen are memoised: a pair of compounds, so
-        that unification terminates on rational trees, and a bind
-        forwarded to its owner (below), whose replica stays unbound and
-        would be forwarded again.  Any other pair is settled for good when
-        first met: a variable bound here dereferences to its value next
-        time.
+        own variable rather than an outside one.  Only a pair of compounds
+        is memoised, so that unification terminates on rational trees; any
+        other pair is settled for good when first met: a variable bound
+        here dereferences to its value next time.
 
-        Under distribution, only the owner binds authoritatively; a
-        non-owner forwards the request and leaves its replica unchanged
-        (the unification proceeds treating the pair as provisionally
-        merged; the owner's BindNotify completes it).  Speculative
-        execution (an active trail: guard evaluation or an embedded search
-        engine) never messages other nodes: such binds are either undone,
-        or are of variables created inside the speculation itself, which
-        no other node can know about yet."""
+        Under distribution, only the owner binds a variable.  A binding of
+        another node's variable is sent to its owner (``request_bind``),
+        which raises ``Suspend`` by need on the replica: the statement
+        waits, with what it bound before kept, and runs again once the
+        owner's binding has arrived, when it finds the value it asked for
+        or fails in its own thread.  Speculative execution (an active
+        trail: guard evaluation or an embedded search engine) never
+        messages other nodes: such binds are either undone, or are of
+        variables created inside the speculation itself, which no other
+        node can know about yet."""
         deref = self.deref
         dist = self.dist
-        seen = None      # memo: compound pairs and forwarded binds
+        seen = None      # memo: compound pairs
         stack = pending
         a, b = t1, t2
         while True:
@@ -471,12 +470,7 @@ class Store:
                     if dist is not None and not self.trails:
                         dist.on_owner_bound(self, var)
                 else:
-                    pair = (_node_key(a), _node_key(b))
-                    if seen is None:
-                        seen = set()
-                    if pair not in seen and (pair[1], pair[0]) not in seen:
-                        seen.add(pair)
-                        dist.request_bind(self, var, value)
+                    dist.request_bind(self, var, value)
             elif ta is Compound and tb is Compound:
                 pair = (id(a), id(b))
                 if seen is None:

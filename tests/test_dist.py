@@ -13,12 +13,12 @@ from ozk.cli import main
 from ozk.compiler import compile_top
 from ozk.dist import (MAX_NODE_ID, Network, Simulation, parse_placement,
                       replica_divergences, run_simulation, split_program)
-from ozk.errors import PlacementError
+from ozk.errors import PlacementError, RuntimeFailure
 from ozk.interp import Session, run_text
 from ozk.parser import parse_program
 from ozk.prelude import PRELUDE_NAMES
 from ozk.runtime import take_next
-from ozk.terms import Compound, Int, Var
+from ozk.terms import Compound, Int, Var, snapshot
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "docs" / "programs"
 
@@ -54,6 +54,46 @@ local X Y in
    end
 end
 """
+
+# Two threads bind X to different values: one wins, the other fails.
+CLASH = """
+proc {Loop N} if N > 0 then {Loop N-1} end end
+local X in
+   thread X = 1 {Loop 5000} {Browse a} end
+   thread X = 2 {Loop 5000} {Browse b} end
+end
+"""
+
+# S is made on thread a's node, so under a split placement the lazy
+# Solve list's first cell belongs to the other node from thread b's.
+LAZY_SOLVE_PROBE = """
+proc {G R} choice R=1 [] R=2 [] R=3 end end
+local S in
+   thread {Wait S} {Browse got} end
+   thread {Solve G S} {Browse {Nth S 2}} end
+end
+"""
+
+# Placed a=0,b=1,c=1, both requests for X reach node 0, which binds X to
+# f(Y), Y being node 1's: unifying the second request with that would
+# bind node 0's replica of Y.
+SECOND_REQUEST = """
+local X in
+   thread case X of f(Z) then {Browse Z + 0} end end
+   thread Y in X = f(Y) end
+   thread X = f(1) end
+end
+"""
+
+
+def placements(text: str) -> list:
+    """Every placement of the program's top-level threads on nodes 0
+    and 1."""
+    _, _, threads = split_program(text, tuple(make_builtins())
+                                  + PRELUDE_NAMES)
+    names = dist.THREAD_NAMES[:len(threads)]
+    return [{name: (i >> k) & 1 for k, name in enumerate(names)}
+            for i in range(2 ** len(names))]
 
 
 def quiesced(report):
@@ -252,33 +292,34 @@ class TestProtocol:
         assert report.status == "failed"
         assert any("apple" in f and "orange" in f for f in report.failures)
 
-    CLASH = """
-    proc {Loop N} if N > 0 then {Loop N-1} end end
-    local X in
-       thread X = 1 {Loop 5000} {Browse a} end
-       thread X = 2 {Loop 5000} {Browse b} end
-    end
-    """
-
     @pytest.mark.parametrize("net_seed", [None] + list(range(10)))
     def test_a_clash_fails_the_run_but_does_not_end_it(self, net_seed):
         # Which binding of X reaches its owner first depends on the
-        # interleaving.  The loser fails on its own node when the winner's
-        # binding is there before it; else its request clashes at the
-        # owner, and it still runs on and browses.  Either way every
-        # thread runs to its end and one failure is reported.
-        report = run_simulation(self.CLASH, {"a": 0, "b": 1},
-                                net_seed=net_seed)
-        assert report.status == "failed"
-        assert len(report.failures) == 1
-        statuses = [node.thread_statuses() for node in report.nodes]
-        assert all(set(s) <= {"terminated", "failed"} for s in statuses)
-        failed = sum(s["failed"] for s in statuses)
-        browses = sorted(report.outputs[0] + report.outputs[1])
-        if "clash" in report.failures[0]:
-            assert failed == 0 and browses == ["a", "b"]
-        else:
-            assert failed == 1 and browses in (["a"], ["b"])
+        # interleaving.  A thread that binds another node's X waits for
+        # the owner's answer, so the loser's X = ... fails its own thread,
+        # as in one store, and the winner runs on to its browse.
+        for placement in ({"a": 0, "b": 1}, {"a": 1, "b": 0}):
+            report = run_simulation(CLASH, placement, net_seed=net_seed)
+            assert report.status == "failed", report.summary()
+            assert len(report.failures) == 1
+            assert not any("clash" in f for f in report.failures)
+            statuses = [node.thread_statuses() for node in report.nodes]
+            assert all(set(s) <= {"terminated", "failed"} for s in statuses)
+            assert sum(s["failed"] for s in statuses) == 1
+            browses = report.outputs[0] + report.outputs[1]
+            assert browses in (["a"], ["b"]), report.summary()
+
+    def test_a_lazy_solve_cell_of_another_node_takes_one_answer(self):
+        # Thread b's trigger binds a cell that node a owns, so its bind
+        # waits for the owner and runs again; the engine's answer was
+        # taken before, into a local, and is not taken a second time.
+        assert sorted(run_text(LAZY_SOLVE_PROBE).browses) == ["2", "got"]
+        for placement in ({"a": 0, "b": 1}, {"a": 1, "b": 0}):
+            for net_seed in [None] + list(range(4)):
+                report = quiesced(run_simulation(
+                    LAZY_SOLVE_PROBE, placement, net_seed=net_seed))
+                assert report.outputs[placement["a"]] == ["got"]
+                assert report.outputs[placement["b"]] == ["2"]
 
     GUARD_OVER_PROXY = """
     local X in
@@ -370,10 +411,27 @@ class TestProtocol:
         # No notification was triggered by the duplicate.
         assert sim.network.sent["BindNotify"] == before["BindNotify"]
 
+    def test_a_second_notice_for_a_bound_replica_is_an_internal_error(self):
+        # A replica holds only what its owner confirmed, once: news of a
+        # replica that is bound already is a fault of the protocol, not
+        # a failure of the program.
+        sim = Simulation(RATIONAL, {"a": 0, "b": 1})
+        assert sim.run().status == "done"
+        owner = sim.nodes[0]
+        x = owner.lookup("X")
+        assert x.vid in sim.nodes[1].store.vars
+        sim.network.post(0, 1, "BindNotify", x.vid,
+                         snapshot(owner.store, x, lambda vid: True,
+                                  for_network=True))
+        with pytest.raises(RuntimeFailure,
+                           match=rf"v{x.vid[0]}\.{x.vid[1]}\b"):
+            sim._deliver(sim.network.take(0))
+
     def test_non_owner_forwards_a_repeated_pair_once(self):
         # Node 1 meets the pair (X, c) twice in one unification; its
-        # replica of X stays unbound until the owner's notice, so only
-        # the memo of forwarded binds keeps it from asking twice.
+        # replica of X stays unbound until the owner's notice, and the
+        # statement waits for that notice at the first pair, so it asks
+        # once and finds X bound when it runs again.
         program = """
         local X in
            thread {Wait X} {Browse X} end
@@ -549,19 +607,44 @@ class TestDeterminismAndConfluence:
         for seed in range(5):
             got = run_text(text, policy="random", seed=seed)
             assert (got.status, Counter(got.browses)) == (want.status, lines)
-        native = make_builtins()
-        _, _, threads = split_program(text, tuple(native) + PRELUDE_NAMES)
-        placement = dict([("a", 0), ("b", 1)][:len(threads)])
-        for sched_seed in range(5):
-            for net_seed in range(5):
-                report = run_simulation(
-                    text, placement, sched_policy="random",
-                    sched_seed=sched_seed, net_seed=net_seed)
-                browsed = Counter(line for out in report.outputs.values()
-                                  for line in out)
-                assert (report.status, browsed) == (want.status, lines), \
-                    report.summary()
-                assert replica_divergences(report.nodes) == []
+        for placement in placements(text):
+            for sched_seed in range(5):
+                for net_seed in range(5):
+                    report = run_simulation(
+                        text, placement, sched_policy="random",
+                        sched_seed=sched_seed, net_seed=net_seed)
+                    browsed = Counter(line for out in report.outputs.values()
+                                      for line in out)
+                    assert (report.status, browsed) == (want.status, lines), \
+                        (placement, report.summary())
+                    assert replica_divergences(report.nodes) == []
+
+    def test_no_delivery_forwards_a_bind(self, monkeypatch):
+        # A delivery binds an unbound variable or drops its message: it
+        # never unifies, so it never asks another node for a binding.
+        # Only a thread does, and that thread waits for the answer.
+        delivering = []
+        deliver, request_bind = Simulation._deliver, Simulation.request_bind
+
+        def guarded_deliver(sim, msg):
+            delivering.append(msg.trace_line())
+            try:
+                deliver(sim, msg)
+            finally:
+                delivering.pop()
+
+        def guarded_request_bind(sim, store, var, value):
+            if delivering:
+                pytest.fail(f"the delivery {delivering[-1]} forwarded a bind")
+            request_bind(sim, store, var, value)
+
+        monkeypatch.setattr(Simulation, "_deliver", guarded_deliver)
+        monkeypatch.setattr(Simulation, "request_bind", guarded_request_bind)
+        texts = [p.read_text() for p in sorted(PROGRAMS.glob("*.ozk"))]
+        for text in texts + [CLASH, LAZY_SOLVE_PROBE, SECOND_REQUEST]:
+            for placement in placements(text):
+                for net_seed in (None, 1):
+                    run_simulation(text, placement, net_seed=net_seed)
 
 
     # X is sent while Y and Z are unbound, so node 1's replica of X holds

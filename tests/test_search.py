@@ -715,8 +715,8 @@ def _queens6(source: str) -> str:
 
 
 @pytest.mark.parametrize("source, reductions, made, choicepoints", [
-    ("queens.ozk", 2160, 1379, 152),
-    ("queens.pl", 2153, 1379, 152),
+    ("queens.ozk", 2160, 932, 152),
+    ("queens.pl", 2153, 932, 152),
 ], ids=["queens.ozk", "queens.pl"])
 def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
         source, reductions, made, choicepoints, monkeypatch):
@@ -726,14 +726,16 @@ def test_queens6_runs_in_a_pinned_number_of_reductions_and_variables(
     # heads of its alternatives inside its own reduction and makes a
     # choicepoint only for a head that succeeds with alternatives left,
     # a local that is a body is entered by the statement that pushes it,
-    # or an operator stores a result that is a local's first use in the
-    # frame, with no variable; a change that loses one of these raises
-    # them (before first uses: 8731/8719 reductions and 4005/3999
-    # variables; before heads: 7688/7676 reductions and 1043
+    # an operator stores a result that is a local's first use in the
+    # frame, with no variable, or `X = f(...)` with X an atom or an
+    # integer clashes with nothing built; a change that loses one of
+    # these raises them (before first uses: 8731/8719 reductions and
+    # 4005/3999 variables; before heads: 7688/7676 reductions and 1043
     # choicepoints; before entered locals and operator results:
     # 2180/2168 reductions and 1391 variables; before thread and goal
     # bodies were entered where they are pushed, and blocks that make
-    # no variable were spliced: 2167/2155 reductions).
+    # no variable were spliced: 2167/2155 reductions; before atomic
+    # values clashed unbuilt: 1379 variables).
     made_cps = []
     push = Engine.push_choicepoint
 

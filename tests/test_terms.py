@@ -451,9 +451,10 @@ def test_compiled_unify_matches_build_then_unify(
         env = {f"V{i}": vs[i] for i in range(4)}
         env["X"] = vs[4]
         x = store.deref(vs[4])
-        if not isinstance(x, Compound):
+        if isinstance(x, Var):
             builds = _voids(pattern)            # write mode
-        elif (x.label, len(x.args)) == (pattern.label, len(pattern.args)):
+        elif (isinstance(x, Compound) and (x.label, len(x.args))
+              == (pattern.label, len(pattern.args))):
             builds = sum(_voids(a) for a in pattern.args     # read mode
                          if isinstance(a, CCompound))
         else:
