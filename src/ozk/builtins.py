@@ -20,7 +20,7 @@ from .errors import OzkError, ThreadInSearchError
 from .compiler import compile_top
 from .runtime import Failure, SleepRequest, Suspend, Task, int_value
 from .search import Engine, solve_answers
-from .syntax import Block, Call, CVar, Local, Unify
+from .syntax import Call, CVar, Unify
 from .terms import (NIL, Atom, Closure, Compound, NativeProc, Store, Term,
                     Var, compare_terms, cons, make_list, render)
 
@@ -34,8 +34,18 @@ def _value(store: Store, t: Term) -> Term:
     return t
 
 
+# A bind of another node's variable waits for its owner and then runs
+# again (``dist.Simulation.request_bind``); the native that computed the
+# value does not, so that a search or an answer taken is not repeated.
+_BIND_AGAIN = compile_top(Unify(CVar("S"), CVar("T")))
+
+
 def _bind(task: Task, lhs: Term, value: Term):
-    clash = task.rt.store.unify(lhs, value)
+    try:
+        clash = task.rt.store.unify(lhs, value)
+    except Suspend as s:
+        s.again = _BIND_AGAIN.body, _BIND_AGAIN.frame({"S": lhs, "T": value})
+        raise
     if clash is not None:
         raise Failure(clash)
 
@@ -111,13 +121,9 @@ def _solve_eager(limit: Optional[int]):
 
 
 # A lazy Solve list is a by-need trigger on each of its cells, as a ``fun
-# lazy`` result is (``runtime.Runtime.by_need``): the trigger runs the
-# engine one answer further when the cell is needed.  The answer goes to
-# a local first, so that a cell of another node's, whose binding waits
-# for its owner and then runs again, takes no second answer.
-_SOLVE_NEXT = compile_top(Local(("T",), Block((
-    Call(CVar("SolveNext"), (CVar("E"), CVar("T"))),
-    Unify(CVar("S"), CVar("T"))))))
+# lazy`` result is (``runtime.Runtime.by_need``): the trigger's one
+# statement runs the engine one answer further when the cell is needed.
+_SOLVE_NEXT = compile_top(Call(CVar("SolveNext"), (CVar("E"), CVar("S"))))
 
 
 def _solve_next(task: Task, args):

@@ -408,19 +408,13 @@ class Simulation:
         A bind is no need, so the wait marks nothing needed."""
         src = store.node_id
         value = store.deref(value)
-        if isinstance(value, Var):
-            # Unification always points the greater at the lesser.
-            lesser, greater = value, var
-            if lesser.vid[0] == src:
-                # We own the lesser, so we are this pair's union
-                # authority; ask the greater's owner to apply it.
-                self.network.post(
-                    src, greater.vid[0], "BindRequest", greater.vid,
-                    snapshot(store, lesser, _keep_all, for_network=True))
-            else:
-                self.network.post(src, lesser.vid[0], "UnifyVarVar",
-                                  greater.vid, lesser.vid)
+        if isinstance(value, Var) and value.vid[0] != src:
+            # Unification points the greater, ``var``, at the lesser,
+            # whose owner is the pair's union authority.
+            self.network.post(src, value.vid[0], "UnifyVarVar", var.vid,
+                              value.vid)
         else:
+            # a value, or a lesser we own: the greater's owner binds it
             self.network.post(
                 src, var.vid[0], "BindRequest", var.vid,
                 snapshot(store, value, _keep_all, for_network=True))

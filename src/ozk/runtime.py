@@ -199,7 +199,10 @@ class Failure(Exception):
 
 
 class Suspend(Exception):
-    """The current statement needs variables that are still unbound."""
+    """The current statement needs variables that are still unbound.  It
+    goes back on the stack to run again, unless ``again`` is the pair to
+    run in its place (``builtins._bind``)."""
+    again = None
 
     def __init__(self, vars_: list, byneed: bool = False):
         self.vars = vars_
@@ -610,7 +613,8 @@ class Task:
 
         Each reduction pops a pair, counts it in ``stats.reductions``
         (``StepLimit`` past ``rt.step_limit``) and runs it.  A suspended
-        pair goes back on the stack.  A thread task returns the
+        pair goes back on the stack, or the ``again`` pair of its
+        ``Suspend`` in its place.  A thread task returns the
         ``Suspend``, ``SleepRequest`` or ``Failure`` that stopped it, its
         ``__traceback__`` cleared so that it holds no frame of the run;
         a guard or engine task raises it instead, as its caller acts on
@@ -620,7 +624,8 @@ class Task:
         escapes.  Any error propagates.  In a thread, a reduction that
         completes then writes None into each slot that ``exec_stmt``
         returns, as one that ends in a ``SleepRequest`` does into each of
-        its ``clear``; a suspended one clears nothing, as it runs again.
+        its ``clear``; a suspended one clears nothing, as it runs again,
+        unless an ``again`` pair runs in its place.
         A thread does not stop on a suspension, a ``SleepRequest`` or a
         failure while it can enter a trigger or split off an entered body
         instead (:meth:`suspended`, :meth:`split`), and a budget that
@@ -647,6 +652,11 @@ class Task:
                 try:
                     clear = exec_stmt(self, stmt, frame)
                 except Suspend as s:
+                    if s.again is not None:
+                        # done but for a bind, which alone runs again
+                        for i in stmt.clear if clears else ():
+                            frame[i] = None
+                        stmt, frame = s.again
                     stack.append((stmt, frame))
                     if not clears:
                         raise

@@ -436,8 +436,9 @@ class Store:
         another node's variable is sent to its owner (``request_bind``),
         which raises ``Suspend`` by need on the replica: the statement
         waits, with what it bound before kept, and runs again once the
-        owner's binding has arrived, when it finds the value it asked for
-        or fails in its own thread.  Speculative execution (an active
+        owner's binding has arrived (of a native's, only its bind:
+        ``builtins._bind``), when it finds the value it asked for or
+        fails in its own thread.  Speculative execution (an active
         trail: guard evaluation or an embedded search engine) never
         messages other nodes: such binds are either undone, or are of
         variables created inside the speculation itself, which no other

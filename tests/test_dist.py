@@ -74,6 +74,15 @@ local S in
 end
 """
 
+# S is made on thread a's node; thread b's search browses in its goal.
+SEARCH_TO_ANOTHER_NODE = """
+proc {G R} {Browse g} R = 1 end
+local S in
+   thread {Wait S} {Browse S} end
+   thread {SolveAll G S} end
+end
+"""
+
 # Placed a=0,b=1,c=1, both requests for X reach node 0, which binds X to
 # f(Y), Y being node 1's: unifying the second request with that would
 # bind node 0's replica of Y.
@@ -311,8 +320,8 @@ class TestProtocol:
 
     def test_a_lazy_solve_cell_of_another_node_takes_one_answer(self):
         # Thread b's trigger binds a cell that node a owns, so its bind
-        # waits for the owner and runs again; the engine's answer was
-        # taken before, into a local, and is not taken a second time.
+        # waits for the owner and runs again, but SolveNext, which took
+        # the engine's answer, does not.
         assert sorted(run_text(LAZY_SOLVE_PROBE).browses) == ["2", "got"]
         for placement in ({"a": 0, "b": 1}, {"a": 1, "b": 0}):
             for net_seed in [None] + list(range(4)):
@@ -320,6 +329,19 @@ class TestProtocol:
                     LAZY_SOLVE_PROBE, placement, net_seed=net_seed))
                 assert report.outputs[placement["a"]] == ["got"]
                 assert report.outputs[placement["b"]] == ["2"]
+
+    @pytest.mark.parametrize("solver", ["SolveAll", "SolveOne"])
+    def test_a_search_whose_output_is_another_nodes_runs_once(self, solver):
+        # The bind of S waits for its owner and runs again; the search,
+        # whose goal browses, does not.
+        program = SEARCH_TO_ANOTHER_NODE.replace("SolveAll", solver)
+        assert run_text(program).browses == ["g", "[1]"]
+        for placement in ({"a": 0, "b": 1}, {"a": 1, "b": 0}):
+            for net_seed in [None] + list(range(4)):
+                report = quiesced(run_simulation(program, placement,
+                                                 net_seed=net_seed))
+                assert report.outputs[placement["a"]] == ["[1]"]
+                assert report.outputs[placement["b"]] == ["g"]
 
     GUARD_OVER_PROXY = """
     local X in

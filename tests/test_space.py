@@ -70,14 +70,11 @@ def empty_clears(code: compiler.Code) -> compiler.Code:
 @contextlib.contextmanager
 def no_clears():
     """Within it, everything compiled has every clear emptied: each chunk a
-    session or a network compiles, the prelude among them, and the
-    trigger body behind lazy ``Solve``, ``_SOLVE_NEXT``, compiled once at
-    import, whose clears are put back on the way out.  The compile caches
-    are emptied on the way in and out, so no code crosses the
-    boundary."""
+    session or a network compiles, the prelude among them.  (The trigger
+    body behind lazy ``Solve``, ``_SOLVE_NEXT``, is one call and has no
+    clear.)  The compile caches are emptied on the way in and out, so no
+    code crosses the boundary."""
     saved = dict(interp._PARSES)
-    trigger = ozk_builtins._SOLVE_NEXT
-    trigger_clears = [ins.clear for ins in trigger.body.pushed]
 
     def compile_empty(stmt):
         return empty_clears(compile_top(stmt))
@@ -85,12 +82,9 @@ def no_clears():
     interp._PARSES.clear()
     dist._compiled_pieces.cache_clear()
     interp.compile_top = dist.compile_top = compile_empty
-    empty_clears(trigger)
     try:
         yield
     finally:
-        for ins, clear in zip(trigger.body.pushed, trigger_clears):
-            ins.clear = clear
         interp.compile_top = dist.compile_top = compile_top
         interp._PARSES.clear()
         interp._PARSES.update(saved)
@@ -131,16 +125,13 @@ def test_no_clears_empties_and_restores():
         op, = [ins for ins in body.pushed if type(ins) is compiler.Op]
         return op.clear
 
-    trigger = ozk_builtins._SOLVE_NEXT.body.pushed
     with no_clears():
         assert op_clear() == ()
-        assert [ins.clear for ins in trigger] == [(), ()]
     # Y = X + 1 is the last read of X, which is the local's first slot
     assert op_clear() == (1,)
     assert interp.compile_top is dist.compile_top is compile_top
-    # the lazy Solve trigger's call is the last read of the engine and of
-    # SolveNext; its last statement, S = T, is the last of its frame
-    assert [ins.clear for ins in trigger] == [(), (3, 4)]
+    # the lazy Solve trigger's one statement is the last of its frame
+    assert ozk_builtins._SOLVE_NEXT.body.clear == ()
 
 
 @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.ozk")),
