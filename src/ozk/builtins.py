@@ -6,6 +6,17 @@ statements the parser makes of operators and tests are not here: the
 runtime runs the integer operators (``runtime.exec_op``), ``==`` and
 ``$test`` itself.
 
+Four serve the Prolog translator's bagof/3 and setof/3, and any program
+may call them.  ``{CopyTerm X Y}`` binds Y to a copy of X whose unbound
+variables are all fresh, sharing kept.  ``{FreeVars T B W}`` binds W to
+``w(V1 ... Vn)``, the unbound variables of T that B does not hold, in the
+order ``terms.snapshot`` numbers them, or to ``w`` when there are none.
+``{Bagof Pairs Gs}`` and ``{Setof Pairs Gs}`` group a list of ``wt(W
+T)`` pairs by the variant of W, in the order the first of each group
+comes, into a list of ``wt(W Ts)``; each W of a group is unified with its
+first.  Setof also sorts each Ts into Prolog's standard order of terms
+and drops equal neighbours.  Both fail on an empty list.
+
 Every function takes (task, args) with args as store terms and either
 returns after binding its outputs or raises one of the control signals
 (Suspend, Failure, SleepRequest).
@@ -22,7 +33,8 @@ from .runtime import Failure, SleepRequest, Suspend, Task, int_value
 from .search import Engine, solve_answers
 from .syntax import Call, CVar, Unify
 from .terms import (NIL, Atom, Closure, Compound, NativeProc, Store, Term,
-                    Var, compare_terms, cons, make_list, render)
+                    Var, compare_terms, cons, make_list, materialize, render,
+                    snapshot)
 
 # -- helpers -------------------------------------------------------------------
 
@@ -101,6 +113,58 @@ def _sort(task: Task, args):
     _bind(task, args[1], make_list(items))
 
 
+# -- bagof/3 and setof/3 ----------------------------------------------------------
+
+
+def _copy_term(task: Task, args):
+    store = task.rt.store
+    copy = materialize(store, snapshot(store, args[0], lambda vid: False), None)
+    _bind(task, args[1], copy)
+
+
+def _free_vars(task: Task, args):
+    store = task.rt.store
+    held, bound = (snapshot(store, t, lambda vid: True).kept
+                   for t in args[:2])
+    free = [v for vid, v in held.items() if vid not in bound]
+    _bind(task, args[2], Compound("w", free) if free else Atom("w"))
+
+
+# Prolog orders its lists and `[]` by the names `.` and `[]`
+_PROLOG_NAMES = {"|": ".", "nil": "[]"}
+
+
+def _pair(store: Store, t: Term) -> list:
+    t = _value(store, t)
+    if isinstance(t, Compound) and t.label == "wt" and len(t.args) == 2:
+        return t.args
+    raise OzkError(f"expected wt(W T), got {render(store, t)}")
+
+
+def _groups(setof: bool):
+    def fn(task: Task, args):
+        store = task.rt.store
+        groups: dict = {}
+        for w, t in [_pair(store, p) for p in _spine(store, args[0])]:
+            # render numbers the unbound variables in the order it meets
+            # them, so two witnesses are variants when they render alike
+            first, ts = groups.setdefault(render(store, w), (w, []))
+            store.unify(first, w)    # variants with no variable in common
+            ts.append(t)
+        if not groups:
+            raise Failure("no solutions")
+        out = []
+        for w, ts in groups.values():
+            if setof:
+                ts.sort(key=cmp_to_key(
+                    lambda a, b: compare_terms(store, a, b, _PROLOG_NAMES)))
+                ts = [t for k, t in enumerate(ts) if not k or compare_terms(
+                    store, ts[k - 1], t, _PROLOG_NAMES)]
+            out.append(Compound("wt", [w, make_list(ts)]))
+        _bind(task, args[1], make_list(out))
+    return fn
+
+
 # -- encapsulated search ----------------------------------------------------------
 
 
@@ -164,5 +228,8 @@ def make_builtins() -> dict:
     procs = [("Wait", 1, _wait), ("WaitNeeded", 1, _wait_needed),
              ("Delay", 1, _delay), ("Browse", 1, _browse), ("Sort", 2, _sort),
              ("SolveOne", 2, _solve_eager(1)),
-             ("SolveAll", 2, _solve_eager(None)), ("Solve", 2, _solve_lazy)]
+             ("SolveAll", 2, _solve_eager(None)), ("Solve", 2, _solve_lazy),
+             ("CopyTerm", 2, _copy_term), ("FreeVars", 3, _free_vars),
+             ("Bagof", 2, _groups(False)),
+             ("Setof", 2, _groups(True))]
     return {name: NativeProc(name, arity, fn) for name, arity, fn in procs}

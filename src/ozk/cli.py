@@ -18,7 +18,7 @@ from typing import Optional
 from .dist import MAX_NODE_ID, parse_placement, run_simulation
 from .errors import OzkError, ParseError, PlacementError, UnsupportedConstruct
 from .interp import Session
-from .prolog import parse_prolog, translate_query_source, translate_source
+from .prolog import parse_prolog, translate_program, translate_query_source
 from .runtime import SCHED_POLICIES, StepLimit
 from .search import Engine
 from .terms import render
@@ -92,9 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "virtual time")
     p_run.add_argument("--no-prelude", action="store_true",
                        help="start without the library prelude")
-    p_run.add_argument("--bagof-generators", action="store_true",
-                       help="translate bagof/setof with explicit generation "
-                       "of the free variables")
     p_run.add_argument("--query", metavar="GOAL", default=None,
                        help="for .pl files: run this goal, printing the "
                        "first solution")
@@ -109,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("translate", help="translate a .pl Prolog "
                           "program to kernel source on stdout")
     p_tr.add_argument("file")
-    p_tr.add_argument("--bagof-generators", action="store_true",
-                      help="translate bagof/setof with explicit generation "
-                      "of the free variables")
     p_tr.add_argument("--query", metavar="GOAL", default=None,
                       help="also emit a query block running this goal")
     p_tr.add_argument("--all", action="store_true",
@@ -158,12 +152,10 @@ def _print_browse(text: str) -> None:
 
 
 def _translate(source: str, args, all_solutions: bool = False) -> str:
-    kernel = translate_source(source, generators=args.bagof_generators)
+    clauses = parse_prolog(source)
+    kernel = translate_program(clauses)
     if args.query:
-        clauses = parse_prolog(source)
-        query = translate_query_source(args.query, clauses,
-                                       generators=args.bagof_generators,
-                                       all_solutions=all_solutions)
+        query = translate_query_source(args.query, clauses, all_solutions)
         kernel = kernel + ("\n" if kernel else "") + query
     return kernel
 

@@ -48,18 +48,7 @@ fun {Nth Xs N}
       if N==1 then X else {Nth Xr N-1} end
    end
 end
-
-% remove adjacent duplicates; on a sorted list this removes all of them
-fun {Dedup Xs}
-   case Xs of nil then nil
-   [] X|Xr then
-      case Xr of nil then [X]
-      [] Y|_ then
-         if X==Y then {Dedup Xr} else X|{Dedup Xr} end
-      end
-   end
-end
 """
 
 PRELUDE_NAMES = ("Append", "Map", "Filter", "Take", "Length", "WaitList",
-                 "Nth", "Dedup")
+                 "Nth")

@@ -23,12 +23,28 @@ Each predicate is translated on its own, from its clause list alone:
   clause and explicit head unifications, preserving Prolog's
   clause-order backtracking under the search engine.
 
-bagof/setof calls translate to SolveAll over an anonymous one-argument
-goal procedure; setof sorts the result and drops duplicates.  Free
-variables of the collected goal are treated as inputs; with
-``generators=True`` the goal is additionally run once before SolveAll,
-template and qualified variables anonymized, so an enclosing search can
-enumerate bindings for the free variables.
+bagof/setof calls have one translation, with Prolog's answers
+(ISO/IEC 13211-1 §8.10).  A goal procedure copies the variables of the
+call that the clause names outside it (CopyTerm), runs the goal on the
+copy, and answers ``wt(W T)``: W the term of the goal's free variables,
+those of the clause text that are neither in the template nor under
+``^`` (an anonymous one included), and T the template.  When a call
+could share a variable between a free one and the template or ``^``,
+FreeVars takes W at call time, as Prolog does.  SolveAll
+collects the answers; Bagof groups them by the variant of W in the order
+the first of each comes, and Setof also sorts each group into the
+standard order and drops duplicates.  Both fail when there is no answer.
+With free variables, a choice over the groups unifies W and the result
+with each in turn; without, the one group is unified with them.
+
+The contract: for every program the translator accepts, the answers of
+a query under SolveAll equal those of the reference interpreter in
+``tests/oracles.py`` (``solve_all``); what falls outside it is refused
+at translate time with UnsupportedConstruct.  Known breaks of it are
+left to mend (ROADMAP.md): a cut guard that binds a caller's variable,
+a bagof's result among them, stops with an escape error; an if chain can
+move a head unification past its test; and both the atom ``nil`` and
+``[]`` are the kernel's ``nil``.
 """
 
 from __future__ import annotations
@@ -137,9 +153,11 @@ class Clause:
 # first goal of a cut guard that calls a user predicate is nested deepest,
 # five levels more than in the reader: in the `local` that declares the
 # guard procedure, the procedure, its `choice`, the clause's alternative
-# and that alternative's `local`.  A bagof/setof goal procedure and its
-# `local` take one level more than the reader's one for the call's
-# arguments, so the reader charges each bagof/setof term one level.
+# and that alternative's `local`.  A bagof/setof template sits in its
+# goal procedure, that procedure's `local` and the answer's `wt`, and the
+# result in a group `wt` of a one-cell list, or of the list cell a
+# group's choice takes apart: two levels more than the reader's one for
+# the call's arguments, so the reader charges each bagof/setof term two.
 MAX_READ_NESTING = MAX_NESTING - 5
 
 _PUNCT2 = (":-", "=<", ">=", "==", "//", "->", "\\+")
@@ -205,7 +223,7 @@ class _Reader:
     < *,div,// (400) < ^ (200, right-associative).
 
     Each nested ``term`` and each link of a left-leaning operator chain is
-    a level, and a bagof/setof term one more; more than
+    a level, and a bagof/setof term two more; more than
     ``MAX_READ_NESTING`` levels is a syntax error.
     List items and right-associative chains (``a, b, c``) are read in a
     loop, so only a list's spine or a conjunction grows without limit."""
@@ -336,7 +354,7 @@ class _Reader:
         if kind == "name":
             if self.peek()[:2] == ("punct", "("):
                 self.take()
-                charge = 1 if v in ("bagof", "setof") else 0
+                charge = 2 if v in ("bagof", "setof") else 0
                 self.depth += charge
                 args = [self.term(999)]
                 while self.peek()[:2] == ("punct", ","):
@@ -591,8 +609,8 @@ def classify(clauses: list[Clause]) -> PredicateClass:
 
 # Names the emitted code itself calls; user predicates are steered away
 # from them so bagof/setof and query plumbing keep working.
-_RESERVED = frozenset(("SolveOne", "SolveAll", "Solve", "Sort", "Dedup",
-                       "Browse", "QGoal", "QS", "QR"))
+_RESERVED = frozenset(("SolveOne", "SolveAll", "Solve", "Bagof", "Setof",
+                       "CopyTerm", "FreeVars", "Browse", "QGoal", "QS", "QR"))
 
 
 def camel(name: str) -> str:
@@ -634,10 +652,8 @@ class _Ctx:
     """Per-scope translation state: the variable renaming, declared
     locals, and a fresh-name supply."""
 
-    def __init__(self, names: _Names, reserved: set, generators: bool,
-                 line: int):
+    def __init__(self, names: _Names, reserved: set, line: int):
         self.names = names
-        self.generators = generators
         self.line = line                   # the clause's, for refusals
         self.used: set[str] = set(reserved) | names.taken | set(_RESERVED)
         self.m: dict[int, str] = {}        # id(PV) -> kernel name
@@ -687,7 +703,6 @@ class _Ctx:
         are declared in the child."""
         c = _Ctx.__new__(_Ctx)
         c.names = self.names
-        c.generators = self.generators
         c.line = self.line
         c.used = self.used          # shared on purpose: one namespace
         c.m = dict(self.m)
@@ -844,62 +859,75 @@ def _local_or_seq(names: list, stmts: list) -> Statement:
 
 
 def _bagof_stmts(g: PS, ctx: _Ctx) -> list:
-    """bagof/setof: SolveAll over an anonymous goal procedure."""
+    """bagof/setof: SolveAll over a goal procedure whose answers are
+    ``wt(W T)``, the witness W of the goal's free variables and the
+    template T; then Bagof or Setof groups them by W, and the call picks
+    a group.  The goal procedure first copies (CopyTerm) the variables of
+    the call that the clause names outside it, and runs on the copy, so
+    it binds nothing outside its engine."""
     template, qualified, result = g.args
     ex_vars, inner = _strip_carets(qualified, ctx.line)
     inner_goals = conj_list(inner)
     for ig in inner_goals:
         _check_goal(ig, ctx.line)
     tmpl_vars = term_vars(template)
-    inner_vars = goals_vars(inner_goals)
-    free = [v for v in inner_vars
-            if v not in tmpl_vars and v not in ex_vars and not v.anon]
-    # free variables are inputs: they live in the enclosing scope
-    for v in free:
-        ctx.var_name(v)
+    free = tuple(v for v in goals_vars(inner_goals)
+                 if v not in tmpl_vars and v not in ex_vars)
+    witness = PS("w", free) if free else PA("w")
 
-    out: list = []
-    if ctx.generators and free:
-        # run the goal once outside the collection, everything that is
-        # not free anonymized, so an enclosing search enumerates inputs
-        gctx = ctx.child()
-        for v in inner_vars:
-            if v not in free:
-                gctx.m[id(v)] = gctx.fresh("V")
-        gen = _body_stmts(inner_goals, gctx)
-        out.append(_local_or_seq(gctx.locals, gen))
+    def named_outside():
+        return [v for v in term_vars(qualified, list(tmpl_vars))
+                if id(v) in ctx.m]
+
+    outside, out = named_outside(), []
+    if any(v in free for v in outside) and any(v not in free
+                                               for v in outside):
+        # the call may share a variable between a free variable and the
+        # template or ^: the witness is then what FreeVars leaves of it
+        bound = PS("b", tuple(v for v in outside if v not in free))
+        for v in free:
+            ctx.var_name(v)
+        witness = PV("W")
+        ctx.alias(witness, ctx.fresh("W"))
+        out.append(Call(CVar("FreeVars"), tuple(
+            term_expr(t, ctx) for t in (PS("w", free), bound, witness))))
+        outside = named_outside() + [witness]
 
     proc_name = ctx.fresh("P")
     param = ctx.unused(f"{proc_name}R", bare=True)
-    inner_ctx = ctx.child()
-    for v in ex_vars:
-        inner_ctx.m[id(v)] = inner_ctx.fresh("V")
-    if isinstance(template, PV):
-        inner_ctx.alias(template, param)
-        stmts = _body_stmts(inner_goals, inner_ctx)
-    else:
-        stmts = _body_stmts(inner_goals, inner_ctx)
-        stmts.append(Unify(CVar(param), term_expr(template, inner_ctx)))
-    out.append(ProcDef(proc_name, (param,),
-                       _local_or_seq(inner_ctx.locals, stmts)))
-
-    if isinstance(result, PV):
-        res_expr = CVar(ctx.var_name(result))
-        res_fixup = None
-    else:
-        res_expr = CVar(ctx.fresh())
-        res_fixup = Unify(res_expr, term_expr(result, ctx))
-    if g.functor == "setof":
-        raw = ctx.fresh()
-        ordered = ctx.fresh()
-        out.append(Call(CVar("SolveAll"), (CVar(proc_name), CVar(raw))))
-        out.append(Call(CVar("Sort"), (CVar(raw), CVar(ordered))))
-        out.append(Call(CVar("Dedup"), (CVar(ordered), res_expr)))
-    else:
-        out.append(Call(CVar("SolveAll"), (CVar(proc_name), res_expr)))
-    if res_fixup is not None:
-        out.append(res_fixup)
-    return out
+    gctx = ctx.child()
+    stmts = []
+    if outside:
+        copied = outside[0] if len(outside) == 1 else PS("c", tuple(outside))
+        for v in outside:
+            gctx.m[id(v)] = gctx.fresh(v.name if v.name[0].isupper() else "V")
+        stmts.append(Call(CVar("CopyTerm"), (term_expr(copied, ctx),
+                                             term_expr(copied, gctx))))
+    for v in free:
+        if v.anon:
+            gctx.var_name(v)    # a witness variable, not a void
+    stmts.extend(_body_stmts(inner_goals, gctx))
+    stmts.append(Unify(CVar(param),
+                       term_expr(PS("wt", (witness, template)), gctx)))
+    pairs = ctx.fresh()
+    out += [ProcDef(proc_name, (param,), _local_or_seq(gctx.locals, stmts)),
+            Call(CVar("SolveAll"), (CVar(proc_name), CVar(pairs)))]
+    native = CVar("Setof" if g.functor == "setof" else "Bagof")
+    group = term_expr(PS("wt", (witness, result)), ctx)
+    if not free:
+        return out + [Call(native, (CVar(pairs), CCompound(
+            "|", (group, CLit(Atom("nil"))))))]
+    # a choice over the groups, one alternative each, in their order
+    groups, pick = ctx.fresh(), ctx.fresh("P")
+    cell, rest = (ctx.unused(f"{pick}{base}", bare=True) for base in "GR")
+    return out + [
+        Call(native, (CVar(pairs), CVar(groups))),
+        ProcDef(pick, (cell,), Choice((
+            Unify(CVar(cell), CCompound("|", (group, CAnon()))),
+            Local((rest,), seq_all([
+                Unify(CVar(cell), CCompound("|", (CAnon(), CVar(rest)))),
+                Call(CVar(pick), (CVar(rest),))]))))),
+        Call(CVar(pick), (CVar(groups),))]
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +987,9 @@ def _clause_block(ctx: _Ctx, clause: Clause, params, goals: list) -> Statement:
 # ---------------------------------------------------------------------------
 
 
-def _translate_choice(name, params, clauses, names, generators) -> ProcDef:
+def _translate_choice(name, params, clauses, names) -> ProcDef:
     return ProcDef(name, params, Choice(tuple(
-        _clause_block(_Ctx(names, set(params), generators, c.line), c,
-                      params, c.body)
+        _clause_block(_Ctx(names, set(params), c.line), c, params, c.body)
         for c in clauses)))
 
 
@@ -971,13 +998,12 @@ def _translate_choice(name, params, clauses, names, generators) -> ProcDef:
 # ---------------------------------------------------------------------------
 
 
-def _translate_single(name, params, clause, names, generators) -> ProcDef:
+def _translate_single(name, params, clause, names) -> ProcDef:
     return ProcDef(name, params, _clause_block(
-        _Ctx(names, set(params), generators, clause.line), clause, params,
-        clause.body))
+        _Ctx(names, set(params), clause.line), clause, params, clause.body))
 
 
-def _translate_case(name, params, clauses, names, pos, generators) -> ProcDef:
+def _translate_case(name, params, clauses, names, pos) -> ProcDef:
     """The clauses dispatch on one head variable compared with distinct
     constants; that test becomes the case pattern."""
     arms = []
@@ -988,8 +1014,7 @@ def _translate_case(name, params, clauses, names, pos, generators) -> ProcDef:
         body = list(c.body)
         body.remove(test)
         arms.append(CaseArm(pattern, _clause_block(
-            _Ctx(names, set(params), generators, c.line), c, params,
-            body)))
+            _Ctx(names, set(params), c.line), c, params, body)))
     return ProcDef(name, params, CaseStmt(CVar(params[pos]), tuple(arms), Fail()))
 
 
@@ -1015,9 +1040,9 @@ def _guard_positions(clauses: list[Clause]) -> set:
 _PRINTABLE_TESTS = frozenset(("==", "<", ">", "=<", ">="))
 
 
-def _translate_if_arm(clause: Clause, params, guard_pos, names, generators):
+def _translate_if_arm(clause: Clause, params, guard_pos, names):
     """One clause -> (guard_vars, guard statement or None, body)."""
-    ctx = _Ctx(names, set(params), generators, clause.line)
+    ctx = _Ctx(names, set(params), clause.line)
     guard_goals = _guard_goals(clause)
     body_goals = _rest_goals(clause)
     tested = set(goals_vars([g for g in guard_goals if _is_test(g)]))
@@ -1070,13 +1095,13 @@ def _translate_if_arm(clause: Clause, params, guard_pos, names, generators):
     return tuple(guard_vars), guard, body
 
 
-def _translate_if_chain(name, params, clauses, names, generators) -> ProcDef:
+def _translate_if_chain(name, params, clauses, names) -> ProcDef:
     guard_pos = _guard_positions(clauses)
     arms = []
     otherwise: Statement = Fail()
     for k, c in enumerate(clauses):
-        guard_vars, guard, body = _translate_if_arm(
-            c, params, guard_pos, names, generators)
+        guard_vars, guard, body = _translate_if_arm(c, params, guard_pos,
+                                                    names)
         if guard is None:
             if k != len(clauses) - 1:
                 raise UnsupportedConstruct(
@@ -1094,14 +1119,14 @@ def _translate_if_chain(name, params, clauses, names, generators) -> ProcDef:
 # ---------------------------------------------------------------------------
 
 
-def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDef:
+def _translate_solve_cascade(name, params, clauses, names) -> ProcDef:
     """The guards are the alternatives of one `choice`, run encapsulated
     by one SolveOne.  Its first answer comes from the first clause whose
     guard has a solution, which is the clause the cut commits to: the
     answer `c<k>(outputs)` names the clause and carries the guard's
     bindings to its arm of one flat case.  A trailing clause with no guard
     is the case's `else`."""
-    scope = _Ctx(names, set(params), generators, 0)
+    scope = _Ctx(names, set(params), 0)
     guard, res, param = (scope.fresh(base, bare=True)
                          for base in ("Guard", "GR", "R"))
     answer_var = PV(param)
@@ -1109,8 +1134,8 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
     final: Statement = Fail()
     if last.cut_index is None and not _guard_goals(last):
         clauses = clauses[:-1]
-        final = _clause_block(_Ctx(names, scope.used, generators, last.line),
-                              last, params, last.body)
+        final = _clause_block(_Ctx(names, scope.used, last.line), last,
+                              params, last.body)
     alts, arms = [], []
     for k, c in enumerate(clauses, 1):
         guard_goals = _guard_goals(c)
@@ -1120,11 +1145,11 @@ def _translate_solve_cascade(name, params, clauses, names, generators) -> ProcDe
         # the guard ends with `R = c<k>(outputs)`, and the arm's pattern
         # takes that answer apart under the guard's names for the outputs
         answer = PS(f"c{k}", outputs) if outputs else PA(f"c{k}")
-        gctx = _Ctx(names, scope.used, generators, c.line)
+        gctx = _Ctx(names, scope.used, c.line)
         gctx.alias(answer_var, param)
         alts.append(_clause_block(gctx, c, params, guard_goals
                                   + [PS("=", (answer_var, answer))]))
-        bctx = _Ctx(names, scope.used, generators, c.line)
+        bctx = _Ctx(names, scope.used, c.line)
         for v in outputs:
             bctx.alias(v, gctx.m[id(v)])
         arms.append(CaseArm(term_expr(PS(".", (answer, NIL)), bctx),
@@ -1150,50 +1175,48 @@ def predicate_indicators(clauses: list[Clause]) -> list[tuple[str, int]]:
 
 
 def translate_predicate(cls: PredicateClass, clauses: list[Clause],
-                        names: _Names, generators: bool = False) -> ProcDef:
+                        names: _Names) -> ProcDef:
     name = names[(clauses[0].functor, clauses[0].arity)]
     params = _derive_params(clauses, names)
     if cls.kind == GUARDED_CUT:
         if cls.deterministic_guard:
-            return _translate_if_chain(name, params, clauses, names, generators)
-        return _translate_solve_cascade(name, params, clauses, names, generators)
+            return _translate_if_chain(name, params, clauses, names)
+        return _translate_solve_cascade(name, params, clauses, names)
     if cls.kind == DETERMINISTIC:
         if len(clauses) == 1:
-            return _translate_single(name, params, clauses[0], names, generators)
+            return _translate_single(name, params, clauses[0], names)
         return _translate_case(name, params, clauses, names,
-                               cls.case_position, generators)
-    return _translate_choice(name, params, clauses, names, generators)
+                               cls.case_position)
+    return _translate_choice(name, params, clauses, names)
 
 
-def translate_clauses(clauses: list[Clause],
-                      generators: bool = False) -> list[ProcDef]:
+def translate_clauses(clauses: list[Clause]) -> list[ProcDef]:
     indicators = predicate_indicators(clauses)
     names = _Names(indicators)
     groups: dict[tuple[str, int], list[Clause]] = {}
     for c in clauses:
         groups.setdefault((c.functor, c.arity), []).append(c)
-    return [translate_predicate(classify(groups[key]), groups[key],
-                                names, generators)
+    return [translate_predicate(classify(groups[key]), groups[key], names)
             for key in indicators]
 
 
-def translate_source(text: str, generators: bool = False) -> str:
+def translate_program(clauses: list[Clause]) -> str:
+    """Read clauses -> kernel program text."""
+    return "\n".join(pretty(p) for p in translate_clauses(clauses))
+
+
+def translate_source(text: str) -> str:
     """Prolog program text -> kernel program text."""
-    clauses = parse_prolog(text)
-    if not clauses:
-        return ""
-    procs = translate_clauses(clauses, generators)
-    return "\n".join(pretty(p) for p in procs)
+    return translate_program(parse_prolog(text))
 
 
 def translate_query_source(query_text: str, clauses: list[Clause],
-                           generators: bool = False,
                            all_solutions: bool = False) -> str:
     """A query against a translated program: encapsulate it, solve, and
     browse the solution list (first solution only by default)."""
     goals, qvars = parse_query(query_text)
     names = _Names(predicate_indicators(clauses))
-    ctx = _Ctx(names, {"QGoal", "QS", "QR"}, generators, 0)
+    ctx = _Ctx(names, {"QGoal", "QS", "QR"}, 0)
     body_stmts = _body_stmts(goals, ctx)
     if len(qvars) == 1:
         template = CVar(ctx.var_name(qvars[0]))

@@ -660,10 +660,13 @@ def _rank(t: Term) -> int:
     return 4
 
 
-def compare_terms(store: Store, t1: Term, t2: Term) -> int:
+def compare_terms(store: Store, t1: Term, t2: Term,
+                  names: Optional[dict] = None) -> int:
     """Total order: unbound vars (by id) < ints (by value) < atoms
     (lexicographic) < compounds (arity, then label, then args).  Cyclic
-    pairs compare equal once every reachable pair matches."""
+    pairs compare equal once every reachable pair matches.  ``names``
+    maps an atom's name or a compound's label to the name it is ordered
+    by, when that is another."""
     visited: set[tuple] = set()
     stack = [(t1, t2)]
     while stack:
@@ -687,11 +690,17 @@ def compare_terms(store: Store, t1: Term, t2: Term) -> int:
             if a.value != b.value:
                 return -1 if a.value < b.value else 1
         elif isinstance(a, Atom):
-            if a.name != b.name:
-                return -1 if a.name < b.name else 1
+            na, nb = a.name, b.name
+            if names:
+                na, nb = names.get(na, na), names.get(nb, nb)
+            if na != nb:
+                return -1 if na < nb else 1
         elif isinstance(a, Compound):
             ka = (len(a.args), a.label)
             kb = (len(b.args), b.label)
+            if names:
+                ka = ka[0], names.get(ka[1], ka[1])
+                kb = kb[0], names.get(kb[1], kb[1])
             if ka != kb:
                 return -1 if ka < kb else 1
             # Args decide left-to-right: push in reverse so the leftmost

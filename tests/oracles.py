@@ -12,13 +12,15 @@ Terms here use a tiny tuple encoding of their own:
     lists       built from ("s", ".", (head, tail)) with ("a", "[]") nil
 
 The meta-interpreter is a plain depth-first Prolog solver (leftmost goal,
-clauses in program order, green/blue cut) over a mutable binding dict with
-a trail, which keeps the queens corpus fast enough to run in tests.
+clauses in program order, green/blue cut, bagof/3 and setof/3 with ``^``)
+over a mutable binding dict with a trail, which keeps the queens corpus
+fast enough to run in tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cmp_to_key
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles with frozen values
@@ -81,11 +83,14 @@ ALL_CHILDREN_SETOF = ["abraham", "isaac", "milcah", "yiscah"]  # sorted, deduped
 
 
 class OVar:
-    __slots__ = ("name",)
+    """A variable; ``serial`` is its age, which orders it among the
+    variables in the standard order of terms."""
+    __slots__ = ("name", "serial")
     _counter = itertools.count(1)
 
     def __init__(self, name=None):
-        self.name = name or f"_R{next(self._counter)}"
+        self.serial = next(self._counter)
+        self.name = name or f"_R{self.serial}"
 
     def __repr__(self):
         return self.name
@@ -266,6 +271,9 @@ def _solve(db, goals, binds, trail):
             if _struct_eq(args[0], args[1], binds):
                 yield from _solve(db, rest, binds, trail)
             return
+        if f in ("bagof", "setof") and len(args) == 3:
+            yield from _all_solutions(db, f, args, rest, binds, trail)
+            return
     clauses = db.lookup(goal)
     if clauses is None:
         raise ValueError(f"unknown predicate: {goal!r}")
@@ -285,14 +293,122 @@ def _solve(db, goals, binds, trail):
         undo(trail, mark, binds)  # noqa: F821  (mark from the cut clause)
 
 
+def _term_vars(t, out: list) -> list:
+    """The variables of a deep-walked term, in the order they first
+    occur, added to ``out``."""
+    if isinstance(t, OVar):
+        if t not in out:
+            out.append(t)
+    elif isinstance(t, tuple) and t[0] == "s":
+        for a in t[2]:
+            _term_vars(a, out)
+    return out
+
+
+def _conj_goals(t) -> list:
+    if isinstance(t, tuple) and t[0] == "s" and t[1] == "," and len(t[2]) == 2:
+        return _conj_goals(t[2][0]) + _conj_goals(t[2][1])
+    return [t]
+
+
+def _variant_key(t, numbers: dict):
+    """``t`` (deep-walked) with each variable replaced by its number in
+    order of first occurrence: two terms are variants when their keys are
+    equal."""
+    if isinstance(t, OVar):
+        return ("_", numbers.setdefault(t, len(numbers)))
+    if isinstance(t, tuple) and t[0] == "s":
+        return ("s", t[1], tuple(_variant_key(a, numbers) for a in t[2]))
+    return t
+
+
+def _standard_order(a, b, binds) -> int:
+    """ISO 7.2: Var < Number < Atom < Compound; variables by age,
+    numbers by value, atoms alphabetically, compounds by arity, then name,
+    then the arguments left to right."""
+    a, b = walk(a, binds), walk(b, binds)
+
+    def rank(t):
+        if isinstance(t, OVar):
+            return 0, t.serial
+        if isinstance(t, int):
+            return 1, t
+        if t[0] == "a":
+            return 2, t[1]
+        return 3, (len(t[2]), t[1])
+
+    ra, rb = rank(a), rank(b)
+    if ra != rb:
+        return -1 if ra < rb else 1
+    if ra[0] == 3:
+        for x, y in zip(a[2], b[2]):
+            c = _standard_order(x, y, binds)
+            if c:
+                return c
+    return 0
+
+
+def _all_solutions(db, kind, args, rest, binds, trail):
+    """bagof/3 and setof/3, after ISO/IEC 13211-1 §8.10.
+
+    * The free variables (§7.1.1.4): the free variable set FV of a term T
+      with respect to a term V is the set of variables of T that are
+      neither variables of V nor existential variables of T; the
+      existential variables of ``V^G`` are the variables of V with the
+      existential variables of G.  bagof takes FV of its goal with
+      respect to its template, at call time, and the witness W is a term
+      of those variables.  An anonymous variable of the goal is free.
+    * The order of the groups (§8.10.2.4): ``findall(W+Template, G, S)``
+      is called, where G is the goal without its ``^`` prefix; when S is
+      empty, bagof fails.  Otherwise the first element ``W1+T1`` of S
+      picks a group: every element of S whose witness is a variant of
+      W1.  Each of their witnesses is unified with W1, W is unified with
+      W1 and the result with the list of the group's instances.  On
+      backtracking the rest of S, in its order, picks the next group.
+    * The order of each list: bagof keeps the order of S, which is the
+      order in which the goal's solutions are found.  setof (§8.10.3)
+      sorts each list by the standard order of terms (§7.2) and removes
+      duplicates, as ``sort/2`` does.
+    """
+    template, goal, instances = (deep(a, binds) for a in args)
+    bound = _term_vars(template, [])
+    while (isinstance(goal, tuple) and goal[0] == "s" and goal[1] == "^"
+           and len(goal[2]) == 2):
+        _term_vars(goal[2][0], bound)
+        goal = goal[2][1]
+    witness = ("s", "w", tuple(v for v in _term_vars(goal, [])
+                               if v not in bound))
+    found = [rename(deep(("s", "+", (witness, template)), binds), {})
+             for _ in solve(db, _conj_goals(goal), binds, trail)]
+    while found:
+        w1 = found[0][2][0]
+        key = _variant_key(w1, {})
+        group = [p for p in found if _variant_key(p[2][0], {}) == key]
+        found = [p for p in found if _variant_key(p[2][0], {}) != key]
+        mark = len(trail)
+        for p in group:
+            unify(p[2][0], w1, binds, trail)
+        items = [p[2][1] for p in group]
+        if kind == "setof":
+            items.sort(key=cmp_to_key(
+                lambda a, b: _standard_order(a, b, binds)))
+            items = [t for k, t in enumerate(items)
+                     if not k or _standard_order(items[k - 1], t, binds)]
+        if (unify(witness, w1, binds, trail)
+                and unify(instances, olist(items), binds, trail)):
+            yield from _solve(db, rest, binds, trail)
+        undo(trail, mark, binds)
+
+
 def solve_all(db: Database, goals, template):
-    """All solutions of ``goals`` in program order, as deep-walked copies
-    of ``template``."""
+    """All solutions of ``goals`` in program order, as copies of
+    ``template``, each with variables of its own, as findall/3 makes
+    them."""
     binds: dict = {}
     trail: list = []
     out = []
     for _ in solve(db, goals, binds, trail):
-        out.append(deep(template, binds))
+        out.append(rename(deep(template, binds), {}))
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import prolog_gen
 from ozk.builtins import make_builtins
 from ozk.cli import main
 from ozk.errors import ParseError, QuietGuardViolation, UnsupportedConstruct
@@ -198,8 +199,8 @@ def nodes(tree):
                 yield from nodes(item)
 
 
-def proc_named(source_text, name, generators=False):
-    src = translate_source(source_text, generators)
+def proc_named(source_text, name):
+    src = translate_source(source_text)
     session = Session()
     program = parse_program(src, session.names())
     for n in nodes(program):
@@ -463,13 +464,13 @@ def oracle_all_text(program: str, query: str, first: bool = False) -> str:
     return fmt_plain(oracles.to_plain(oracles.olist(answers)))
 
 
-def translated_all_text(program: str, query: str, generators=False) -> str:
+def translated_all_text(program: str, query: str) -> str:
     session = Session()
-    src = translate_source(program, generators)
+    src = translate_source(program)
     if src:
         session.feed(src)
     qsrc = translate_query_source(query, parse_prolog(program),
-                                  generators, all_solutions=True)
+                                  all_solutions=True)
     res = session.feed(qsrc)
     assert res.status == "done", res
     return res.browses[-1]
@@ -514,11 +515,10 @@ class TestEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def first_solution(program: str, query: str, generators=False) -> str:
+def first_solution(program: str, query: str) -> str:
     session = Session()
-    session.feed(translate_source(program, generators))
-    res = session.feed(translate_query_source(query, parse_prolog(program),
-                                              generators))
+    session.feed(translate_source(program))
+    res = session.feed(translate_query_source(query, parse_prolog(program)))
     assert res.status == "done", res
     return res.browses[-1]
 
@@ -546,14 +546,9 @@ class TestBagofSetof:
         assert got == "[[abraham haran terach]]"
 
     def test_bagof_with_no_answers_yields_nil(self):
-        got = first_solution(CHILDREN, "children1(isaac, K)")
-        assert got == "[nil]"
-
-    def test_generator_mode_enumerates_free_variables(self):
-        got = translated_all_text(CHILDREN, "children1(X, Kids)",
-                                  generators=True)
-        assert got == ("[q(terach [abraham]) q(abraham [isaac])"
-                       " q(haran [milcah yiscah]) q(haran [milcah yiscah])]")
+        # ISO bagof fails when its goal has no solution, so the query has
+        # no answer: SolveOne's list is nil
+        assert first_solution(CHILDREN, "children1(isaac, K)") == "nil"
 
     @pytest.mark.parametrize("name", ["K", "P1R"])
     def test_the_goal_procedure_parameter_captures_no_clause_variable(
@@ -563,12 +558,82 @@ class TestBagofSetof:
                    f"p({name}, L) :- bagof(X, q(X, {name}), L).\n")
         assert first_solution(program, "p(a, L)") == "[[1]]"
 
-    def test_default_mode_treats_free_variables_as_inputs(self):
-        src = translate_source(CHILDREN)
-        assert "SolveAll" in src
-        # no generator call before the collection
-        body = src[src.index("proc {Children1"):src.index("proc {Children2")]
-        assert body.count("{Father") == 1
+    def test_setof_keeps_answers_with_distinct_unbound_variables(self):
+        # two answers each holding a variable of its own are not equal
+        program = "q(_).\nq(_).\np(L) :- setof(X, q(X), L).\n"
+        assert first_solution(program, "p(L)") == "[[_G1 _G2]]"
+        assert translated_all_text(program, "p(L)") == oracle_all_text(
+            program, "p(L)")
+
+    def test_setof_orders_lists_and_nil_as_prolog_does(self):
+        # `[]` and `.` order as Prolog's names, not as the kernel's
+        # `nil` and `|`
+        program = ("q([]).\nq(a).\nq([1]).\nq(f(1, 2)).\nq(-3).\nq(z).\n"
+                   "q([]).\np(L) :- setof(X, q(X), L).\n")
+        assert translated_all_text(program, "p(L)") == (
+            "[[~3 nil a z [1] f(1 2)]]") == oracle_all_text(program, "p(L)")
+
+    def test_a_predicate_named_like_a_native_is_renamed(
+            self, capsys, tmp_path):
+        program = ("q(1).\nq(2).\ncopy_term(X, X).\n"
+                   "p(L) :- bagof(Y, (q(X), copy_term(X, Y)), L).\n")
+        code, out, err = TestDeepInput.cli(capsys, tmp_path, program,
+                                           "translate")
+        assert (code, err) == (0, "")
+        assert "proc {CopyTerm2 " in out and "{CopyTerm2 " in out
+        assert parse_program(out, tuple(make_builtins()) + PRELUDE_NAMES)
+        assert first_solution(program, "p(L)") == "[[1]]"
+        assert translated_all_text(program, "p(L)") == oracle_all_text(
+            program, "p(L)")
+
+
+# The repros of bagof/setof answers that Prolog does not give, as
+# (program, query, Prolog's answers)
+R_SETOF = ("p(1, b).\np(1, a).\np(2, c).\np(1, a).\n"
+           "r(X, Ys) :- setof(Y, p(X, Y), Ys).\n")
+NONE = "none(L) :- bagof(X, fail, L).\n"
+NESTED_BAGOF = ("q(1, a).\nq(2, b).\nq(3, a).\n"
+                "n(Y, L) :- bagof(L1, bagof(X, q(X, Y), L1), L).\n")
+ALIASED = "c(1).\nc(2).\nali(T, F, L) :- bagof(T, c(F), L).\n"
+ISO_REPROS = {
+    "children1_free": (CHILDREN, "children1(X, Kids)",
+                       "[q(terach [abraham]) q(abraham [isaac])"
+                       " q(haran [milcah yiscah])]"),
+    "setof_free": (R_SETOF, "r(X, Ys)", "[q(1 [a b]) q(2 [c])]"),
+    "no_solution": (NONE, "none(L)", "nil"),
+    "children1_isaac": (CHILDREN, "children1(isaac, K)", "nil"),
+    "nested": (NESTED_BAGOF, "n(Y, L)", "[q(a [[1 3]]) q(b [[2]])]"),
+    # the call shares the template's variable with the free one, so the
+    # goal has no free variable when it runs
+    "aliased": (ALIASED, "ali(Z, Z, L)", "[q(_G1 [1 2])]"),
+    "anonymous_is_free": (NESTED_BAGOF + "an(L) :- bagof(X, q(X, _), L).\n",
+                          "an(L)", "[[1 3] [2]]"),
+    # the witnesses of a group are unified, and the template shares them
+    "witness_shared": ("q(V, V).\nq(V, V).\np(X, L) :- bagof(T, q(X, T), L).\n",
+                       "p(X, L)", "[q(_G1 [_G1 _G1])]"),
+}
+
+
+class TestIsoBagof:
+    @pytest.mark.parametrize("name", ["children1_free", "setof_free",
+                                      "no_solution"])
+    def test_the_oracle_gives_prologs_answers(self, name):
+        program, query, answers = ISO_REPROS[name]
+        assert oracle_all_text(program, query) == answers
+
+    @pytest.mark.parametrize("name", sorted(ISO_REPROS))
+    def test_the_translation_gives_the_oracles_answers(self, name):
+        program, query, answers = ISO_REPROS[name]
+        assert translated_all_text(program, query) == answers
+        assert oracle_all_text(program, query) == answers
+
+    @pytest.mark.parametrize("command", ["run", "translate"])
+    def test_bagof_generators_is_not_an_option(self, capsys, tmp_path,
+                                               command):
+        code, out, err = TestDeepInput.cli(capsys, tmp_path, CHILDREN,
+                                           command, "--bagof-generators")
+        assert (code, out) == (3, "")
+        assert "unrecognized arguments: --bagof-generators" in err
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +742,21 @@ def test_generated_cut_cascades_match_the_meta_interpreter(program):
     session.feed(translate_source(program))
     clauses = parse_prolog(program)
     for query in CASCADE_QUERIES:
+        res = session.feed(translate_query_source(query, clauses,
+                                                  all_solutions=True))
+        assert res.status == "done", (program, query, res)
+        assert res.browses[-1] == oracle_all_text(program, query), (
+            program, query)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(prolog_gen.bagof_programs())
+def test_generated_bagof_setof_match_the_meta_interpreter(case):
+    program, queries = case
+    session = Session()
+    session.feed(translate_source(program))
+    clauses = parse_prolog(program)
+    for query in queries:
         res = session.feed(translate_query_source(query, clauses,
                                                   all_solutions=True))
         assert res.status == "done", (program, query, res)
@@ -798,18 +878,24 @@ class TestDeepInput:
 
     # A term f(...f(X)...) nested `depth` deep in each place the translation
     # wraps in levels of its own, at the deepest the reader accepts there:
-    # a choice's head, a cut guard's call, and a bagof goal procedure in
-    # the body, in a cut guard, and in another bagof's goal.
+    # a choice's head, a cut guard's call, a bagof goal procedure in the
+    # body, in a cut guard, and in another bagof's goal, and a bagof's
+    # template and result in a cut guard, where a free variable makes
+    # the result's group a choice's.
     DEEPEST = {
         "unify": ("q(X) :- X = {}.", 91),
         "choice_head": ("p({}).\np(b).", 93),
         "cascade_guard": ("q(_).\np(X) :- q({}), !.\np(_).", 92),
-        "bagof": ("q(_).\np(L) :- bagof(X, q({}), L).", 90),
+        "bagof": ("q(_).\np(L) :- bagof(X, q({}), L).", 89),
         "bagof_in_guard": ("q(_).\np(L) :- bagof(X, q({}), L), !.\np(_).",
-                           90),
+                           89),
         "nested_bagof": ("q(_).\n"
                          "p(L) :- bagof(Y, bagof(X, q({}), Y), L), !.\np(_).",
-                         88),
+                         86),
+        "bagof_template_in_guard": (
+            "q(_, _).\np(L) :- bagof({}, q(X, Y), L), !.\np(_).", 90),
+        "bagof_result_in_guard": (
+            "q(_, _).\np(L) :- bagof(X, q(X, Y), {}), !.\np(_).", 90),
     }
 
     @pytest.mark.parametrize("shape", sorted(DEEPEST))

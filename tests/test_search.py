@@ -1017,3 +1017,49 @@ end
     out = capsys.readouterr().out
     assert "status: done" in out and out.count("  10\n") == 1, out
     assert len(calls) - inline > 10 * inline
+
+
+# -- the natives a translated bagof/setof calls --------------------------------
+
+
+def test_copy_term_makes_each_unbound_variable_fresh_and_keeps_sharing():
+    r = run_text("X Y C in X = f(Y Y 1) {CopyTerm g(X Y) C} {Browse C} "
+                 "C = g(f(2 _ _) _) {Browse C} {Browse X}")
+    assert r.status == "done"
+    assert r.browses == ["g(f(_G1 _G1 1) _G1)", "g(f(2 2 1) 2)",
+                         "f(_G1 _G1 1)"]
+
+
+def test_free_vars_leaves_out_the_variables_of_the_second_term():
+    r = run_text("X Y Z W V in X = f(Y Z) {FreeVars w(X Y) g(Z) W} "
+                 "W = w(5) {Browse X} {FreeVars w(X) g(Z) V} {Browse V}")
+    assert r.status == "done"
+    assert r.browses == ["f(5 _G1)", "w"]
+
+
+def test_bagof_groups_pairs_by_a_variant_witness_in_first_order():
+    r = run_text("G in {Bagof [wt(w(1) a) wt(w(_) b) wt(w(2) c) wt(w(1) d) "
+                 "wt(w(_) e)] G} {Browse G}")
+    assert r.status == "done"
+    assert r.browses == ["[wt(w(1) [a d]) wt(w(_G1) [b e]) wt(w(2) [c])]"]
+
+
+def test_setof_sorts_each_group_in_prologs_order_and_drops_equals():
+    r = run_text("G in {Setof [wt(w b) wt(w nil) wt(w f(1 2)) wt(w [1]) "
+                 "wt(w a) wt(w b) wt(w 1) wt(w _) wt(w _)] G} {Browse G}")
+    assert r.status == "done"
+    assert r.browses == ["[wt(w [_G1 _G2 1 nil a b [1] f(1 2)])]"]
+
+
+@pytest.mark.parametrize("native", ["Bagof", "Setof"])
+def test_bagof_and_setof_fail_on_no_pairs(native):
+    r = run_text(f"G in {{{native} nil G}}")
+    assert r.status == "failed"
+
+
+def test_bagof_waits_for_an_unbound_pair_and_refuses_another_term():
+    r = run_text("G X in thread {Bagof [wt(w a) X] G} {Browse G} end "
+                 "X = wt(w b)")
+    assert r.status == "done" and r.browses == ["[wt(w [a b])]"]
+    with pytest.raises(OzkError, match=r"expected wt\(W T\), got foo"):
+        run_text("G in {Setof [foo] G}")
