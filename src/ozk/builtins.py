@@ -78,7 +78,7 @@ def _wait_needed(task: Task, args):
 
 def _delay(task: Task, args):
     ms = int_value(task.rt.store, args[0])
-    if task.mode != "thread":
+    if task.tid is None:
         raise OzkError("Delay is only allowed in a regular thread")
     raise SleepRequest(ms)
 
@@ -212,7 +212,7 @@ def _solve_later(rt, engine: Engine, stream: Term):
 
 
 def _solve_lazy(task: Task, args):
-    if task.mode != "thread":
+    if task.tid is None:
         raise ThreadInSearchError(
             "lazy solving needs a thread of its own and is only allowed "
             "in regular threads")

@@ -180,8 +180,8 @@ def _visible_var_names(session: Session, tid: int) -> dict:
             names.setdefault(t.vid, name)
 
     thread = session.rt.threads.get(tid)
-    if thread is not None and thread.task.stack:
-        for name, term in frame_names(thread.task.stack[-1][1]):
+    if thread is not None and thread.stack:
+        for name, term in frame_names(thread.stack[-1][1]):
             note(name, term)
     for name in session.names():
         note(name, session.lookup(name))
@@ -402,6 +402,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if getattr(args, "max_steps", 0) < 0:
+        return _usage_error(f"--max-steps {args.max_steps} is below 0")
     handlers = {
         "run": cmd_run,
         "repl": cmd_repl,

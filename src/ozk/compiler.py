@@ -80,8 +80,8 @@ slot), a literal or a nested ``Build``, and splits them at compile
 time: the first uses, as ``(index, slot)`` pairs, and the other pairs.
 The runtime takes the plan when ``X`` is already a compound of that
 label and arity (read mode).  It writes the first uses into the frame in
-one loop, is then done if no other pair is left, and settles a lone
-pair of an atomic value inline; a first use takes the argument it meets
+one loop, is then done if no other pair is left, and else hands the
+pairs to one ``Store.unify``; a first use takes the argument it meets
 even when that is a network's proxy.  A nested ``Build`` is still built
 and unified: read mode stops at the first level.  No other ``Build`` has
 a plan: a call's arguments are only ever built.

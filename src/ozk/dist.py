@@ -152,7 +152,8 @@ def _compiled_pieces(text: str, ambient: tuple) -> tuple:
 
 
 def parse_placement(text: str) -> dict:
-    """Parse ``a=0,b=1`` into {'a': 0, 'b': 1}."""
+    """Parse ``a=0,b=1`` into {'a': 0, 'b': 1}.  A thread named twice is
+    an error, as is a malformed entry or a negative node id."""
     out: dict = {}
     if not text.strip():
         return out
@@ -170,6 +171,8 @@ def parse_placement(text: str) -> dict:
             raise PlacementError(f"node id in {part!r} is not an integer")
         if nid < 0:
             raise PlacementError(f"node id in {part!r} is negative")
+        if name in out:
+            raise PlacementError(f"{part!r} places thread {name!r} again")
         out[name] = nid
     return out
 

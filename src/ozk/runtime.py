@@ -5,9 +5,10 @@ instruction reduction at a time: a task owns a stack of (instruction,
 frame) pairs, and `Task.run` is the one loop that reduces them.  It pops
 the top pair, counts it against the step budget and has `exec_stmt`
 interpret it, which pushes continuations.  Threads, the guards of `if`
-arms and search engines are all tasks run by that loop; a task's mode
-decides what it may do (only a thread creates threads and sleeps, only
-an engine pushes choicepoints) and how a signal leaves it.  A thread
+arms and search engines are all tasks run by that loop; what a task
+holds decides what it may do (only a thread, which has a tid, creates
+threads and sleeps; only an engine's task, which holds the engine,
+pushes choicepoints) and how a signal leaves it.  A thread
 runs a timeslice of its own reductions at a time; a guard or an engine
 runs to its end inside one reduction of the task that started it, so
 its reductions do not use up that task's timeslice.  Each of those two
@@ -97,13 +98,10 @@ first use, a value, a literal or a nested compound, split into the first
 uses and the other pairs, and is taken in place of a dispatch on each
 argument's type.  The first uses take the compound's arguments in one
 loop, and each other entry pairs its value with its argument; a plan
-with no pair is done, and a lone pair is settled inline: two integers or
-two atoms are compared, and, with no network, an unbound variable is
-bound by `Store._bind_local` to a value that is neither a variable nor
-a compound.  Any other pairs go to `Store.unify`, as do two variables, a
-compound and any binding under a network.  A nested compound argument
-is built and paired, so read mode stops at the first level.  Any other
-value of `X` is unified with the built term (write mode).
+with no pair is done, and the pairs, one or several, go to one
+`Store.unify`.  A nested compound argument is built and paired, so read
+mode stops at the first level.  Any other value of `X` is unified with
+the built term (write mode).
 
 A unification returns None when it succeeds and the failed
 `terms.UnifyResult`, which names the clash, when it fails; it returns no
@@ -294,15 +292,9 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     The first uses (``plan.firsts``) are written in one loop before
     anything is paired; no step reads a slot they write, as each first
     use occurs once in the statement.  A plan with no other step is then
-    done.  A plan with one (``plan.reads``) settles its pair here when it
-    is atomic: two integers or two atoms are compared, and, with no
-    network, an unbound variable and a value that is neither a variable
-    nor a compound are bound by ``Store._bind_local``.  Every other case
-    (two variables, which follow the ``owns`` rule, a compound, several
-    pairs, or a binding under a network, which may be of a proxy and
-    must tell the variable's audience) goes to one :meth:`Store.unify`,
-    whose stack the pairs seed, so they are taken last to first, as if
-    the term had been built and unified.
+    done.  The other steps (``plan.reads``) go, one or several, to one
+    :meth:`Store.unify`, whose stack the pairs seed, so they are taken
+    last to first, as if the term had been built and unified.
 
     A compound of another label or arity gives a failed result, whose
     text is the one unification gives, and so does a value that is
@@ -313,8 +305,8 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
 
     A statement of a thread or a guard runs here (``exec_unify``).  A
     search engine's compiled heads (``search.compile_head``) settle most
-    of theirs inline, as this does, and call this for the rest, so it is
-    also their reference."""
+    of theirs inline and call this for the rest, so it is also their
+    reference."""
     t = value
     if type(t) is Var and t.ref is not None:
         t = t.ref
@@ -336,37 +328,6 @@ def unify_compound(store: Store, value: Term, plan: Plan, frame: list):
     reads = plan.reads
     if not reads:
         return None
-    if len(reads) == 1:
-        # one pair, settled here when it is atomic; a dereference that
-        # one link ends needs no call
-        i, tag, a = reads[0]
-        x0 = x = xs[i]
-        v0 = v = (frame[a] if tag is READ_SLOT
-                  else a if tag is READ_LITERAL
-                  else build_term(store, a, frame))
-        if type(x) is Var and x.ref is not None:
-            x = x.ref
-            if type(x) is Var and x.ref is not None:
-                x = store.deref(x)
-        if type(v) is Var and v.ref is not None:
-            v = v.ref
-            if type(v) is Var and v.ref is not None:
-                v = store.deref(v)
-        kx, kv = type(x), type(v)
-        if kx is Var:
-            if kv is not Var and kv is not Compound and store.dist is None:
-                store._bind_local(x, v)
-                return None
-        elif kv is Var:
-            if kx is not Compound and store.dist is None:
-                store._bind_local(v, x)
-                return None
-        elif kx is kv and (kx is Int or kx is Atom):
-            if x.value == v.value if kx is Int else x.name == v.name:
-                return None
-            return UnifyResult((x, v) if plan.value_left else (v, x))
-        return (store.unify(x0, v0) if plan.value_left
-                else store.unify(v0, x0))
     pairs = []
     for i, tag, a in reads:
         pairs.append((xs[i], frame[a] if tag is READ_SLOT
@@ -558,31 +519,47 @@ def match_case(store: Store, pattern, t: Term, frame: list):
 
 # -- tasks --------------------------------------------------------------------
 
+# the status of a thread
+RUNNABLE = "runnable"
+SUSPENDED = "suspended"
+SLEEPING = "sleeping"
+TERMINATED = "terminated"
+FAILED = "failed"
+STOPPED = "stopped"      # by the step budget or an error
+
 
 class Task:
     """A stack of (instruction, frame) pairs and the one loop that reduces
     them.
 
-    A task runs in one of three modes.  A ``thread`` task is a thread's,
-    sliced by the scheduler; only it may create threads and sleep.  A
-    ``guard`` task runs the guard of an ``if`` arm to its end inside one
-    reduction of the task that reached the ``if``.  An ``engine`` task is
-    a search engine's (``engine``), run to its next answer; only it may
-    push choicepoints.  A guard inside an engine is a guard.  Only a
-    thread task clears the slots of a frame (see :meth:`run`), and only
-    it enters a trigger's body on its own stack (see :meth:`suspended`):
-    ``entered`` holds ``(height, pair)`` for each body it entered, the
-    height of the stack where the body starts and the pair below it, the
-    statement that needed the value, so that the body is known to have
-    ended once that pair is no longer there."""
-    __slots__ = ("rt", "mode", "engine", "stack", "entered")
+    What a task holds says what it is.  A task with a ``tid`` is a
+    thread, sliced by the scheduler, which keeps its state here:
+    ``status``, and while it is suspended the variables it waits on
+    (``waiting_on``) and whether it waits by need (``byneed``).  Only a
+    thread may create threads and sleep.  A task with an ``engine`` is a
+    search engine's, run to its next answer; only it may push
+    choicepoints.  A task with neither runs the guard of an ``if`` arm to
+    its end inside one reduction of the task that reached the ``if``; a
+    guard inside an engine is a guard.  Only a thread clears the slots of
+    a frame (see :meth:`run`), and only it enters a trigger's body on its
+    own stack (see :meth:`suspended`): ``entered`` holds ``(height,
+    pair)`` for each body it entered, the height of the stack where the
+    body starts and the pair below it, the statement that needed the
+    value, so that the body is known to have ended once that pair is no
+    longer there."""
+    __slots__ = ("rt", "tid", "engine", "stack", "entered", "status",
+                 "waiting_on", "byneed")
 
-    def __init__(self, rt: "Runtime", mode: str = "thread", engine=None):
+    def __init__(self, rt: "Runtime", tid: Optional[int] = None,
+                 engine=None):
         self.rt = rt
-        self.mode = mode
+        self.tid = tid
         self.engine = engine
         self.stack: list = []
         self.entered = ()           # a list once a body is entered
+        self.status = RUNNABLE
+        self.waiting_on = ()
+        self.byneed = False
 
     def push_block(self, block, frame):
         """Push the statements of a body or of the rest of a choice
@@ -630,74 +607,62 @@ class Task:
         failure while it can enter a trigger or split off an entered body
         instead (:meth:`suspended`, :meth:`split`), and a budget that
         runs out inside an entered body splits it off
-        (:meth:`split_unended`).  A thread's deepest stack, at the start
-        of a reduction or at the end of the budget, goes to
-        ``stats.max_depth``."""
+        (:meth:`split_unended`)."""
         stack = self.stack
         stats = self.rt.stats
         limit = self.rt.step_limit
         engine = self.engine
-        clears = self.mode == "thread"
-        depth = stats.max_depth
-        try:
-            for _ in (_repeat(None) if budget is None else range(budget)):
-                if not stack:
-                    return True
-                if clears and len(stack) > depth:
-                    depth = len(stack)
-                stmt, frame = stack.pop()
-                stats.reductions += 1
-                if limit is not None and stats.reductions > limit:
-                    raise StepLimit()
-                try:
-                    clear = exec_stmt(self, stmt, frame)
-                except Suspend as s:
-                    if s.again is not None:
-                        # done but for a bind, which alone runs again
-                        for i in stmt.clear if clears else ():
-                            frame[i] = None
-                        stmt, frame = s.again
-                    stack.append((stmt, frame))
-                    if not clears:
-                        raise
-                    if self.suspended(s):
-                        continue
-                    s.__traceback__ = None
-                    return s
-                except Failure as f:
-                    if engine is not None:
-                        if engine.backtrack():
-                            stack = self.stack
-                            continue
-                        raise
-                    if not clears:
-                        raise
-                    if self.split(f):
-                        continue
-                    f.__traceback__ = None
-                    return f
-                except SleepRequest as s:
-                    # only a thread sleeps (``builtins._delay``)
-                    for i in stmt.clear:
+        clears = self.tid is not None
+        for _ in (_repeat(None) if budget is None else range(budget)):
+            if not stack:
+                return True
+            stmt, frame = stack.pop()
+            stats.reductions += 1
+            if limit is not None and stats.reductions > limit:
+                raise StepLimit()
+            try:
+                clear = exec_stmt(self, stmt, frame)
+            except Suspend as s:
+                if s.again is not None:
+                    # done but for a bind, which alone runs again
+                    for i in stmt.clear if clears else ():
                         frame[i] = None
-                    if self.split(s):
+                    stmt, frame = s.again
+                stack.append((stmt, frame))
+                if not clears:
+                    raise
+                if self.suspended(s):
+                    continue
+                s.__traceback__ = None
+                return s
+            except Failure as f:
+                if engine is not None:
+                    if engine.backtrack():
+                        stack = self.stack
                         continue
-                    s.__traceback__ = None
-                    return s
-                if clears:
-                    for i in clear:
-                        frame[i] = None
-                elif engine is not None and len(engine.trail) > engine.checked:
-                    engine.check_escapes()
-            if len(stack) > depth:
-                depth = len(stack)
-            if self.entered:
-                self.split_unended()
-            return not stack
-        finally:
-            # no thread runs inside another's run, so none has gone deeper
+                    raise
+                if not clears:
+                    raise
+                if self.split(f):
+                    continue
+                f.__traceback__ = None
+                return f
+            except SleepRequest as s:
+                # only a thread sleeps (``builtins._delay``)
+                for i in stmt.clear:
+                    frame[i] = None
+                if self.split(s):
+                    continue
+                s.__traceback__ = None
+                return s
             if clears:
-                stats.max_depth = depth
+                for i in clear:
+                    frame[i] = None
+            elif engine is not None and len(engine.trail) > engine.checked:
+                engine.check_escapes()
+        if self.entered:
+            self.split_unended()
+        return not stack
 
     def suspended(self, susp: Suspend) -> bool:
         """A statement of this thread suspended, and is back on the stack.
@@ -903,10 +868,10 @@ def exec_stmt(task: Task, stmt, frame: list):
         return stmt.clear
 
     if kind is Thread or kind is Lazy:
-        if task.mode != "thread":
+        if task.tid is None:
             raise ThreadInSearchError("cannot %s inside a %s" % (
                 "create a thread" if kind is Thread else "make a lazy call",
-                "guard" if task.mode == "guard" else "search engine"))
+                "guard" if task.engine is None else "search engine"))
         code = stmt.code
         child = [code]
         child += code.blank
@@ -963,7 +928,7 @@ def exec_if(task: Task, stmt: If, frame: list):
         space = Space(store)
         for i in arm.made:
             frame[i] = store.new_var()
-        guard = Task(rt, "guard")
+        guard = Task(rt)
         guard.stack.append((arm.guard, frame))
         try:
             guard.run()
@@ -983,38 +948,18 @@ def exec_if(task: Task, stmt: If, frame: list):
     return stmt.else_clear
 
 
-# -- threads -----------------------------------------------------------------
-
-RUNNABLE = "runnable"
-SUSPENDED = "suspended"
-SLEEPING = "sleeping"
-TERMINATED = "terminated"
-FAILED = "failed"
-STOPPED = "stopped"      # by the step budget or an error
-
-
-class OzThread:
-    __slots__ = ("tid", "task", "status", "waiting_on", "byneed")
-
-    def __init__(self, tid: int, task: Task):
-        self.tid = tid
-        self.task = task
-        self.status = RUNNABLE
-        self.waiting_on: list = []
-        self.byneed = False
-
+# -- counts and results -------------------------------------------------------
 
 class Stats:
     """Counts over a runtime's life."""
 
-    __slots__ = ("reductions", "spawned", "exits", "max_depth", "triggers",
-                 "entered", "fired", "splits")
+    __slots__ = ("reductions", "spawned", "exits", "triggers", "entered",
+                 "fired", "splits")
 
     def __init__(self):
         self.reductions = 0
         self.spawned = 0             # threads started by `thread` or a fire
         self.exits: Counter = Counter()   # exit status -> count
-        self.max_depth = 0           # the deepest stack of any thread
         # by-need triggers: left on a variable, entered on a needer's
         # stack, fired as a thread, and entered bodies split off as a thread
         self.triggers = 0
@@ -1089,7 +1034,8 @@ class Runtime:
     """The scheduler over one store.
 
     Only live state is kept.  After :meth:`run` returns, the runtime
-    holds the threads that are still suspended (``threads``) and the
+    holds the threads that are still suspended (``threads``, each a
+    :class:`Task` by its tid) and the
     failure texts of threads that failed since the last verdict
     (``unreported_failures``); while :func:`run_events` runs it, alone or
     as a node of a network simulation, it also holds sleeping threads in
@@ -1100,7 +1046,8 @@ class Runtime:
     browsed during a run go to its :class:`RunResult` and leave
     ``browse_log``; a run stopped by an error drops them, and its
     failures, with the exception.  The next runnable thread is taken from
-    ``runq`` in ``order`` (see :func:`take_next`)."""
+    ``runq``, which holds the thread tasks themselves, in ``order`` (see
+    :func:`take_next`)."""
 
     def __init__(self, store: Optional[Store] = None,
                  order: Optional[_random.Random] = None,
@@ -1116,7 +1063,7 @@ class Runtime:
         self.on_browse = on_browse
         self.on_trace = on_trace
         self.clock = 0
-        self.threads: dict[int, OzThread] = {}
+        self.threads: dict[int, Task] = {}
         self.runq: deque = deque()
         self.sleepers: list[tuple[int, int]] = []
         self.unreported_failures: dict[int, str] = {}
@@ -1145,23 +1092,23 @@ class Runtime:
 
     # -- thread management --------------------------------------------------
 
-    def _thread(self, task: Task) -> OzThread:
+    def _thread(self) -> Task:
+        """A new thread: a task with the next tid."""
         tid = self.next_tid
         self.next_tid += 1
-        thread = self.threads[tid] = OzThread(tid, task)
+        thread = self.threads[tid] = Task(self, tid)
         return thread
 
     def spawn(self, stmt, frame) -> int:
         """Start a thread that runs the body ``stmt`` in ``frame``, entered
         now (``Task.push_body``)."""
-        thread = self._thread(Task(self))
-        thread.task.push_body(stmt, frame)
-        tid = thread.tid
-        self.runq.append(tid)
+        thread = self._thread()
+        thread.push_body(stmt, frame)
+        self.runq.append(thread)
         self.stats.spawned += 1
         if self.on_trace is not None:
-            self.on_trace("spawn", {"tid": tid})
-        return tid
+            self.on_trace("spawn", {"tid": thread.tid})
+        return thread.tid
 
     def by_need(self, value: Term, trigger: list) -> None:
         """A lazy call: leave ``trigger``, the frame of its body, on its
@@ -1193,20 +1140,19 @@ class Runtime:
         which parks on the ``Suspend``, sleeps for the ``SleepRequest`` or
         fails with the ``Failure`` that ``signal`` is, or is runnable when
         ``signal`` is None."""
-        task = Task(self)
-        task.stack = stack
-        thread = self._thread(task)
+        thread = self._thread()
+        thread.stack = stack
         self.stats.splits += 1
         if self.on_trace is not None:
             self.on_trace("split", {"tid": thread.tid})
         self._settle(thread, signal)
 
-    def _settle(self, thread: OzThread, signal) -> None:
+    def _settle(self, thread: Task, signal) -> None:
         """Put ``thread`` where ``signal`` sends it: on the run queue when
         it is None, parked on a ``Suspend``, asleep for a
         ``SleepRequest``, or failed with a ``Failure``."""
         if signal is None:
-            self.runq.append(thread.tid)
+            self.runq.append(thread)
         elif type(signal) is Suspend:
             self._park(thread, signal)
         elif type(signal) is SleepRequest:
@@ -1225,13 +1171,13 @@ class Runtime:
                 continue
             for v in t.waiting_on:
                 self.store.drop_waiter(v, tid)
-            t.waiting_on = []
+            t.waiting_on = ()
             t.status = RUNNABLE
-            self.runq.append(tid)
+            self.runq.append(t)
             if self.on_trace is not None:
                 self.on_trace("wake", {"tid": tid})
 
-    def _park(self, thread: OzThread, susp: Suspend):
+    def _park(self, thread: Task, susp: Suspend):
         """Suspend ``thread`` on the variables of ``susp``.  The suspension
         is traced before the by-need waiters that a value wait wakes
         (``Store.add_waiter``)."""
@@ -1249,14 +1195,14 @@ class Runtime:
             else:
                 store.add_waiter(v, thread.tid)
 
-    def _sleep(self, thread: OzThread, ms: int):
+    def _sleep(self, thread: Task, ms: int):
         wake_at = self.clock + max(0, ms)
         thread.status = SLEEPING
         heapq.heappush(self.sleepers, (wake_at, thread.tid))
         if self.on_trace is not None:
             self.on_trace("sleep", {"tid": thread.tid, "until": wake_at})
 
-    def _finish(self, thread: OzThread, status: str, failure: Optional[str] = None):
+    def _finish(self, thread: Task, status: str, failure: Optional[str] = None):
         del self.threads[thread.tid]
         self.stats.exits[status] += 1
         if status == FAILED:
@@ -1267,14 +1213,14 @@ class Runtime:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _slice(self, thread: OzThread):
+    def _slice(self, thread: Task):
         """Run ``thread`` for one timeslice, then act on how it ended
         (:meth:`Task.run`): it terminates, goes back on the run queue, or
         settles on the signal that stopped it (:meth:`_settle`)."""
         if self.on_trace is not None:
             self.on_trace("run", {"tid": thread.tid})
         try:
-            end = thread.task.run(TIMESLICE)
+            end = thread.run(TIMESLICE)
         except BaseException:
             # StepLimit or an error: the thread is not resumed, so it
             # leaves with its frames before the exception goes on
@@ -1283,7 +1229,7 @@ class Runtime:
         if end is True:
             self._finish(thread, TERMINATED)
         elif end is False:
-            self.runq.append(thread.tid)
+            self.runq.append(thread)
         else:
             self._settle(thread, end)
 
@@ -1295,7 +1241,7 @@ class Runtime:
         :func:`run_events` owns time and decides when the whole system is
         quiescent.  ``StepLimit`` propagates."""
         while self.runq:
-            self._slice(self.threads[take_next(self.runq, self.order)])
+            self._slice(take_next(self.runq, self.order))
             if once:
                 return
 
@@ -1308,9 +1254,9 @@ class Runtime:
         (wake time, tid) order."""
         sleepers = self.sleepers
         while sleepers and sleepers[0][0] <= self.clock:
-            tid = heapq.heappop(sleepers)[1]
-            self.threads[tid].status = RUNNABLE
-            self.runq.append(tid)
+            thread = self.threads[heapq.heappop(sleepers)[1]]
+            thread.status = RUNNABLE
+            self.runq.append(thread)
 
     def verdict(self) -> tuple[list, list, list]:
         """``(failures, suspended, idle)`` for the threads at rest.

@@ -2,9 +2,10 @@
 
 An engine is a computation space with choicepoints: a ``terms.Space``,
 the one a deep guard runs in, so that it executes ``{Goal Root}`` on the
-shared store under its own trail and owns rule.  It runs in a task of
-mode ``engine`` through the reduction loop that threads and guards use,
-``Task.run``: only such a task may run ``choice``.
+shared store under its own trail and owns rule.  It runs in a task that
+holds the engine (``Task(rt, engine=...)``) through the reduction loop
+that threads and guards use, ``Task.run``: only such a task may run
+``choice``.
 
 A ``choice`` is reduced by :meth:`Engine.choose`, with shallow
 backtracking (the WAM's; M. Carlsson, "On the Efficiency of Optimising
@@ -20,10 +21,11 @@ pairs at most one argument, and that with a value or a literal.  When
 ``X``'s value, one link dereferenced, is a compound of that label and
 arity (read mode), nothing is built: the voids are skipped, the first
 uses take their arguments, and the lone pair is settled as
-``runtime.unify_compound`` settles it.  When it is an unbound variable
-(write mode), the compound is built left to right, making its variables
-in ``runtime.build_term``'s order, and bound to it by
-``Store._bind_local``, which is what ``Store.unify`` does with the two.
+``Store.unify`` settles it (``runtime.unify_compound`` hands it there).
+When it is an unbound variable (write mode), the compound is built left
+to right, making its variables in ``runtime.build_term``'s order, and
+bound to it by ``Store._bind_local``, which is what ``Store.unify`` does
+with the two.
 Any other statement, value or case (several pairs, a nested compound, no
 plan, a longer chain, a network) goes to ``unify_compound`` or
 ``runtime.exec_unify``, which stay the reference the function must
@@ -114,7 +116,7 @@ if dist is None and type(t) is Compound:
 {write}else:
 {call}"""
 
-# Read mode's lone pair, settled as ``runtime.unify_compound`` settles it.
+# Read mode's lone pair, settled as ``Store.unify`` settles it.
 _PAIR = """\
 x = xs[{i}]
 if type(x) is Var and x.ref is not None:
@@ -282,7 +284,7 @@ class Engine(Space):
                 "a search goal takes exactly one argument (its result)")
         super().__init__(rt.store)   # what it makes here is its own
         self.rt = rt
-        self.task = Task(rt, "engine", self)
+        self.task = Task(rt, engine=self)
         self.cps: list[_ChoicePoint] = []
         self.finished = False
         self.root = self.store.new_var()

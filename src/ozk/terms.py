@@ -422,8 +422,8 @@ class Store:
         The compiled ``X = f(...)`` passes the argument pairs of a
         compound it did not build this way (read mode, see
         ``runtime.unify_compound``), so that they are settled exactly as
-        if the compound had been built and unified with ``X``'s value;
-        a lone pair of an atomic value it settles itself.
+        if the compound had been built and unified with ``X``'s value,
+        a lone pair as well as several.
 
         A variable-variable pair binds the greater VarId to the lesser,
         except that an entered space (``owns``, :class:`Space`) binds its

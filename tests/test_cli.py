@@ -532,7 +532,8 @@ class TestStepBudget:
     """``--max-steps`` is the budget of the user's own run: the prelude
     (8 reductions) runs before it applies, so a budget below that stops
     the program with the command's diagnostic, not the session's set-up
-    with a traceback.  An exception escaping ``main`` fails these tests."""
+    with a traceback.  A budget below 0 is a usage error.  An exception
+    escaping ``main`` fails these tests."""
 
     PROGRAM = "thread {Browse 1} end"
 
@@ -561,6 +562,16 @@ class TestStepBudget:
                     "0") == (0, ["** stopped: step budget exhausted"])
         assert repl(capsys, monkeypatch, [self.PROGRAM], "--max-steps",
                     "5") == (0, ["1"])
+
+    @pytest.mark.parametrize("command", ["run", "repl", "dist-run"])
+    def test_a_negative_budget_is_a_usage_error(self, capsys, monkeypatch,
+                                                tmp_path, command):
+        # refused before anything runs: no program output, no session
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.PROGRAM + "\n"))
+        argv = [command] + ([] if command == "repl" else
+                            [write(tmp_path, "t.ozk", self.PROGRAM)])
+        assert run_cli(capsys, *argv, "--max-steps", "-1") == (
+            EXIT_USAGE, "", "ozk: error: --max-steps -1 is below 0\n")
 
 
 # -- usage and determinism ----------------------------------------------------

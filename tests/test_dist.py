@@ -130,6 +130,17 @@ class TestPlacementParsing:
         with pytest.raises(PlacementError):
             parse_placement(bad)
 
+    def test_a_thread_placed_twice_is_rejected(self, capsys):
+        for text in ("a=0,a=1", "a=1,b=1,a=1"):
+            with pytest.raises(PlacementError,
+                               match="'a=1' places thread 'a' again"):
+                parse_placement(text)
+        code = main(["dist-run", str(PROGRAMS / "dist_gen_map.ozk"),
+                     "--placement", "a=0,a=1"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "ozk: 'a=1' places thread 'a' again\n")
+
     def test_unknown_thread_rejected(self):
         with pytest.raises(PlacementError, match="unknown thread 'c'"):
             run_simulation(GEN_MAP, {"c": 1})

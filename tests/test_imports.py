@@ -1,9 +1,9 @@
 """Every module of ozk uses each name it imports, and each name it
-defines at module level, and each method of its classes, is read
-somewhere.  Only ``terms`` touches the store's trail stack and owns
-rule, and only it wakes threads.  Only ``search`` runs generated code,
-and no module evaluates or compiles text.  Importing ozk loads neither
-``dataclasses`` nor ``inspect``."""
+defines at module level, each method of its classes and each attribute
+it assigns, is read somewhere.  Only ``terms`` touches the store's
+trail stack and owns rule, and only it wakes threads.  Only ``search``
+runs generated code, and no module evaluates or compiles text.
+Importing ozk loads neither ``dataclasses`` nor ``inspect``."""
 
 import ast
 import os
@@ -172,6 +172,65 @@ def test_an_unread_method_is_found():
             "b.spare = None\n")
     assert unread_methods({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 4, "Box.put"), ("lib.py", 6, "Box.spare")]
+
+
+def written_attributes(text: str) -> list:
+    """The ``(line, name)`` of each attribute that a module assigns
+    (``x.name = ...``, ``x.name += ...``), apart from dunders."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and not (node.attr.startswith("__")
+                           and node.attr.endswith("__")))
+
+
+def loaded_attributes(text: str) -> set:
+    """Every name a module reads as an attribute, or names to
+    ``getattr`` or ``hasattr``.  A string that only holds the name, as a
+    ``__slots__`` entry does, is no read."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            out.add(node.args[1].value)
+    return out
+
+
+def unread_attributes(defining: dict, reading: list) -> list:
+    """The ``(module, line, name)`` of each attribute that a module of
+    `defining` assigns and no text of `reading` reads: state that is
+    written but never read."""
+    read = set().union(*map(loaded_attributes, reading))
+    return [(module, line, name)
+            for module, text in sorted(defining.items())
+            for line, name in written_attributes(text) if name not in read]
+
+
+def test_every_attribute_written_is_read():
+    reading = [p.read_text() for d in READERS for p in (ROOT / d).rglob("*.py")]
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_attributes(defining, reading) == []
+
+
+def test_an_attribute_written_and_never_read_is_found():
+    lib = ("class Box:\n"
+           "    __slots__ = ('size', 'spare', 'count', 'named')\n"
+           "    def __init__(self):\n"
+           "        self.size = 0\n"
+           "        self.spare = None\n"
+           "        self.__doc__ = 'a box'\n"
+           "    def put(self, x):\n"
+           "        self.count += 1\n"
+           "        self.named = x\n"
+           "        return self.size\n")
+    user = "print(getattr(Box(), 'named'))\n"
+    assert unread_attributes({"lib.py": lib}, [lib, user]) == [
+        ("lib.py", 5, "spare"), ("lib.py", 8, "count")]
 
 
 # The state of the store that only a computation space (``terms.Space``)

@@ -25,7 +25,7 @@ from ozk.cli import main
 from ozk.compiler import Body, Case, Choice, Fail, If, Skip, compile_top
 from ozk.interp import Session
 from ozk.prolog import parse_prolog, translate_query_source, translate_source
-from ozk.runtime import OzThread, Task
+from ozk.runtime import Task
 from ozk.search import Engine
 from ozk.terms import Compound, NativeProc
 from test_golden import _placement
@@ -234,7 +234,7 @@ def test_a_consumed_stream_is_freed(shape):
 
 def test_ended_threads_leave_nothing():
     gc.collect()
-    before = sum(1 for o in gc.get_objects() if type(o) in (Task, OzThread))
+    before = sum(1 for o in gc.get_objects() if type(o) is Task)
     session = Session()
     result = session.feed(
         "proc {Spawn I N} if I < N then thread {Wait I} end {Spawn I+1 N} "
@@ -243,7 +243,7 @@ def test_ended_threads_leave_nothing():
     assert session.rt.stats.spawned >= 10000
     assert session.rt.threads == {}
     gc.collect()
-    after = sum(1 for o in gc.get_objects() if type(o) in (Task, OzThread))
+    after = sum(1 for o in gc.get_objects() if type(o) is Task)
     assert after <= before
 
 
