@@ -32,9 +32,9 @@ from .compiler import compile_top
 from .runtime import Failure, SleepRequest, Suspend, Task, int_value
 from .search import Engine, solve_answers
 from .syntax import Call, CVar, Unify
-from .terms import (NIL, Atom, Closure, Compound, NativeProc, Store, Term,
-                    Var, compare_terms, cons, make_list, materialize, render,
-                    snapshot)
+from .terms import (NIL, Atom, Closure, Compound, Int, NativeProc, Store,
+                    Term, Var, compare_terms, cons, make_list, materialize,
+                    render, snapshot)
 
 # -- helpers -------------------------------------------------------------------
 
@@ -141,14 +141,46 @@ def _pair(store: Store, t: Term) -> list:
     raise OzkError(f"expected wt(W T), got {render(store, t)}")
 
 
+def _variant_key(store: Store, term: Term) -> tuple:
+    """A key of ``term``'s structure, equal for two terms when they are
+    variants.  The unbound variables are numbered in the order met, a
+    cycle is the depth of the compound it returns to, and a procedure is
+    itself, as two procedures are equal only when they are one."""
+    out: list = []
+    numbers: dict = {}
+    path: dict = {}     # id of each compound above the walk -> its depth
+    work: list = [term]
+    while work:
+        t = work.pop()
+        if type(t) is int:          # the walk leaves the compound of this id
+            del path[t]
+            continue
+        t = store.deref(t)
+        kind = type(t)
+        if kind is Var:
+            out.append(("var", numbers.setdefault(t.vid, len(numbers))))
+        elif kind is Atom:
+            out.append(("atom", t.name))
+        elif kind is Int:
+            out.append(("int", t.value))
+        elif kind is not Compound:
+            out.append(t)
+        elif id(t) in path:
+            out.append(("cycle", path[id(t)]))
+        else:
+            path[id(t)] = len(path)
+            out.append(("compound", t.label, len(t.args)))
+            work.append(id(t))
+            work.extend(reversed(t.args))
+    return tuple(out)
+
+
 def _groups(setof: bool):
     def fn(task: Task, args):
         store = task.rt.store
         groups: dict = {}
         for w, t in [_pair(store, p) for p in _spine(store, args[0])]:
-            # render numbers the unbound variables in the order it meets
-            # them, so two witnesses are variants when they render alike
-            first, ts = groups.setdefault(render(store, w), (w, []))
+            first, ts = groups.setdefault(_variant_key(store, w), (w, []))
             store.unify(first, w)    # variants with no variable in common
             ts.append(t)
         if not groups:

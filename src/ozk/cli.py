@@ -17,7 +17,7 @@ from typing import Optional
 
 from .dist import MAX_NODE_ID, parse_placement, run_simulation
 from .errors import OzkError, ParseError, PlacementError, UnsupportedConstruct
-from .interp import Session
+from .interp import AMBIENT_NAMES, Session
 from .prolog import parse_prolog, translate_program, translate_query_source
 from .runtime import SCHED_POLICIES, StepLimit
 from .search import Engine
@@ -130,6 +130,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc.strerror}"))
+    except UnicodeDecodeError as exc:
+        raise SystemExit(_usage_error(
+            f"cannot read {path}: not UTF-8 (byte "
+            f"0x{exc.object[exc.start]:02x} at offset {exc.start})"))
 
 
 def _usage_error(message: str) -> int:
@@ -231,11 +235,8 @@ def _check_roundtrip(kernel: str) -> None:
     """The emitted text must parse back; anything else is a bug here."""
     if not kernel.strip():
         return
-    from .builtins import make_builtins
     from .parser import parse_program
-    from .prelude import PRELUDE_NAMES
-    ambient = tuple(make_builtins()) + PRELUDE_NAMES
-    parse_program(kernel, ambient)
+    parse_program(kernel, AMBIENT_NAMES)
 
 
 def cmd_dist_run(args) -> int:

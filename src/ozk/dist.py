@@ -13,7 +13,12 @@ under the same VarId and learns of bindings through messages:
   value (as a self-contained graph snapshot) to the owner instead of
   binding locally, and the statement that binds it waits: its replica
   stays unbound until the notification comes back, so every replica
-  only ever holds owner-confirmed state.  The owner applies the first
+  only ever holds owner-confirmed state.  The value may be another
+  variable: ``Store.unify`` points the greater VarId at the lesser, so
+  the greater's owner binds it to the lesser, whose replica there, if
+  the lesser is another node's, registers with its owner as any new
+  replica does.  The total order yields one representative per
+  equivalence class and no binding cycles.  The owner applies the first
   request for an unbound variable and drops any later one.  The waiting
   statement then runs again against the owner's binding, and either
   finds the value it asked for or fails its own thread, as the loser of
@@ -22,14 +27,6 @@ under the same VarId and learns of bindings through messages:
   registered node.  Frontier variables inside the snapshot introduce
   themselves to the receiver, which registers for them in turn, so
   streams propagate incrementally.
-* ``UnifyVarVar`` — merging two unbound variables is routed to the owner
-  of the *lesser* variable in the global (origin, seq) order, which
-  binds the greater itself if it owns it too, and else sends the
-  greater's owner a ``BindRequest`` for the lesser.  Binding always
-  points the greater at the lesser, so the total order yields one global
-  representative per equivalence class and no binding cycles.  The
-  statement that merged them waits on the greater, as for a
-  ``BindRequest``.
 
 A delivery never unifies: it binds an unbound variable or drops the
 message, so only a thread forwards a bind, and only a thread fails.
@@ -75,12 +72,10 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Optional
 
-from .builtins import make_builtins
 from .compiler import compile_top
 from .errors import PlacementError, RuntimeFailure
-from .interp import Session
+from .interp import AMBIENT_NAMES, Session
 from .parser import parse_interactive
-from .prelude import PRELUDE_NAMES
 from .runtime import Runtime, Suspend, run_events, run_status
 from .syntax import Local, ThreadStmt, seq_all, seq_items
 from .terms import (Atom, Compound, Int, Store, Var, VarId, materialize,
@@ -92,7 +87,7 @@ THREAD_NAMES = "abcdefghijklmnopqrstuvwxyz"
 # each built, prelude and all.
 MAX_NODE_ID = len(THREAD_NAMES) - 1
 
-MESSAGE_KINDS = ("Register", "BindRequest", "BindNotify", "UnifyVarVar")
+MESSAGE_KINDS = ("Register", "BindRequest", "BindNotify")
 
 
 # -- program splitting -------------------------------------------------------
@@ -189,8 +184,7 @@ class Message:
         self.dst = dst
         self.kind = kind          # one of MESSAGE_KINDS
         self.var = var            # the variable the message is about
-        # a Snapshot for binds, the lesser VarId for UnifyVarVar
-        self.payload = payload
+        self.payload = payload    # a Snapshot for binds, else None
 
     def trace_line(self) -> str:
         return f"{self.src} {self.dst} {self.kind} v{self.var[0]}.{self.var[1]}"
@@ -326,8 +320,7 @@ class Simulation:
                  on_net_trace: Optional[Callable[[str], None]] = None,
                  on_sched_trace: Optional[Callable] = None):
         placement = dict(placement or {})
-        ambient = tuple(make_builtins()) + PRELUDE_NAMES
-        names, setup, threads = _compiled_pieces(source, ambient)
+        names, setup, threads = _compiled_pieces(source, AMBIENT_NAMES)
 
         thread_names = THREAD_NAMES[:len(threads)]
         for key, nid in placement.items():
@@ -409,18 +402,8 @@ class Simulation:
         to ``value``, then raise ``Suspend`` by need on ``var``: the
         statement waits for the owner's ``BindNotify`` and runs again.
         A bind is no need, so the wait marks nothing needed."""
-        src = store.node_id
-        value = store.deref(value)
-        if isinstance(value, Var) and value.vid[0] != src:
-            # Unification points the greater, ``var``, at the lesser,
-            # whose owner is the pair's union authority.
-            self.network.post(src, value.vid[0], "UnifyVarVar", var.vid,
-                              value.vid)
-        else:
-            # a value, or a lesser we own: the greater's owner binds it
-            self.network.post(
-                src, var.vid[0], "BindRequest", var.vid,
-                snapshot(store, value, _keep_all, for_network=True))
+        self.network.post(store.node_id, var.vid[0], "BindRequest", var.vid,
+                          snapshot(store, value, _keep_all, for_network=True))
         raise Suspend([var], byneed=True)
 
     def on_owner_bound(self, store: Store, var: Var) -> None:
@@ -457,19 +440,7 @@ class Simulation:
                     snapshot(store, var, _keep_all, for_network=True))
             return
         var = store.intern(msg.var)
-        if kind == "UnifyVarVar":
-            # We own the lesser: bind the greater if we own it too, else
-            # ask its owner to.
-            lesser = store.intern(msg.payload)
-            if msg.var[0] != msg.dst:
-                self.network.post(
-                    msg.dst, msg.var[0], "BindRequest", msg.var,
-                    snapshot(store, lesser, _keep_all, for_network=True))
-                return
-            if var.ref is None:
-                store._bind_local(var, lesser)
-                self.on_owner_bound(store, var)
-        elif var.ref is None:
+        if var.ref is None:
             store._bind_local(var, materialize(store, msg.payload,
                                                store.intern))
             if kind == "BindRequest":

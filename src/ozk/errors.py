@@ -58,6 +58,11 @@ class PlacementError(OzkError):
     otherwise malformed."""
 
 
+class NestingError(RuntimeFailure):
+    """Guards and searches nested too deep for the Python stack: each
+    nested space runs inside a Python call of the one around it."""
+
+
 class SearchStuckError(RuntimeFailure):
     """A search goal suspended on a variable that nothing inside the
     engine can ever bind (engines run their goal sequentially)."""

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 from .builtins import make_builtins
 from .compiler import compile_top
 from .parser import parse_interactive
-from .prelude import PRELUDE
+from .prelude import PRELUDE, PRELUDE_NAMES
 from .runtime import RunResult, Runtime, sched_order
 from .terms import Store, Term
 
@@ -44,6 +44,11 @@ def _compile_cached(text: str, global_names: dict):
         del _PARSES[next(iter(_PARSES))]
     _PARSES[text] = (idents, global_names.keys() & idents, compiled)
     return compiled
+
+
+# The names a program may use without declaring them: the builtins and
+# the prelude's procedures, which a session's globals start with.
+AMBIENT_NAMES = tuple(make_builtins()) + PRELUDE_NAMES
 
 
 class Session:

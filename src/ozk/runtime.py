@@ -936,10 +936,10 @@ def exec_if(task: Task, stmt: If, frame: list):
         except Failure:
             space.leave("undo")
             continue
-        except BaseException:
+        except BaseException as exc:
             # a suspension, the step budget or an error: the guard's
             # trail goes with it, or every later binding would be trailed
-            space.leave("undo")
+            space.abandon(exc)
             raise
         space.leave("merge")
         task.push_body(arm.body, frame)

@@ -397,8 +397,8 @@ class Engine(Space):
             # the task backtracks in place: a failure is the last one
             snap = None
         except BaseException as exc:
-            self.leave("undo")
             self.finished = True
+            self.abandon(exc)
             if isinstance(exc, Suspend):
                 vids = [v.vid for v in exc.vars]
                 raise SearchStuckError(

@@ -37,7 +37,7 @@ import itertools
 from bisect import bisect_right
 from typing import Callable, Iterable, Optional
 
-from .errors import QuietGuardViolation, RuntimeFailure
+from .errors import NestingError, QuietGuardViolation, RuntimeFailure
 
 VarId = tuple[int, int]  # (origin_node, seq)
 
@@ -614,6 +614,21 @@ class Space:
             self.bounds += (self.mark, store.next_seq)
         store.pop_trail(merge=mode == "merge")
         store.owns = self.outer
+
+    def abandon(self, exc: BaseException) -> None:
+        """Leave with ``"undo"`` on the error ``exc``, and with this space
+        every space entered inside it that the error cut short before it
+        left.  Running out of Python stack becomes ``NestingError``: each
+        nested space runs inside a Python call of the one around it."""
+        store = self.store
+        depth = len(store.trails)
+        while store.trails[-1] is not self.trail:
+            store.undo_to(0)
+            store.pop_trail(merge=False)
+        self.leave("undo")
+        if isinstance(exc, RecursionError):
+            raise NestingError(f"guards and searches nested {depth} deep "
+                               f"ran out of stack") from None
 
     def owns(self, vid: VarId) -> bool:
         return vid[0] == self.store.node_id and (

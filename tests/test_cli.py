@@ -10,11 +10,10 @@ from pathlib import Path
 import pytest
 
 from oracles import QUEENS8_FIRST, queens_brute
-from ozk.builtins import make_builtins
 from ozk.cli import _STATUS_EXIT, EXIT_CODES, EXIT_USAGE, main
 from ozk.dist import split_program
+from ozk.interp import AMBIENT_NAMES
 from ozk.parser import MAX_NESTING
-from ozk.prelude import PRELUDE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "docs" / "programs"
@@ -257,6 +256,17 @@ class TestRun:
         assert code == 3
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command, name", [
+        ("run", "bad.ozk"), ("translate", "bad.pl"), ("dist-run", "bad.ozk")])
+    def test_a_file_that_is_not_utf8_exit_3(self, capsys, tmp_path, command,
+                                            name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe{Browse 1}\n")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert err == (f"ozk: error: cannot read {path}: not UTF-8 "
+                       f"(byte 0xff at offset 0)\n")
+
     def test_step_budget_exit_1(self, capsys, tmp_path):
         f = write(tmp_path, "loop.ozk", "proc {Loop} {Loop} end {Loop}")
         code, out, err = run_cli(capsys, "run", f, "--max-steps", "1000")
@@ -373,7 +383,7 @@ class TestDistRun:
                                  str(PROGRAMS / "dist_rational.ozk"),
                                  "--placement", "a=0,b=1", "--trace", "net")
         assert code == 0
-        kinds = "Register|BindRequest|BindNotify|UnifyVarVar"
+        kinds = "Register|BindRequest|BindNotify"
         trace = [l for l in out.splitlines()
                  if re.fullmatch(r"\d+ \d+ (%s) v\d+\.\d+" % kinds, l)]
         assert trace, out
@@ -577,6 +587,90 @@ class TestStepBudget:
 # -- usage and determinism ----------------------------------------------------
 
 
+# Each level of Deep runs inside the search or the guard of the level
+# above it, so each takes a few Python calls.
+DEEP_SEARCH = """
+proc {Deep N R}
+   if N == 0 then R = done
+   else {SolveOne proc {$ Y} {Deep N-1 Y} end R} end
+end
+local R in {Deep %d R} {Browse R} end
+"""
+
+DEEP_GUARD = """
+proc {Deep N R}
+   if N == 0 then R = done
+   elseif Y in {Deep N-1 Y} then R = Y
+   else R = no end
+end
+local R in {Deep %d R} {Browse R} end
+"""
+
+COUNT_PL = """
+count([_|T], N) :- count(T, M), !, N is M + 1.
+count([], 0).
+"""
+
+
+class TestNesting:
+    """Guards and searches nested deeper than the Python stack allows end
+    the run with one line and exit 1; the depths short of that run.  Each
+    case runs in a process of its own, so that its stack starts as the
+    command's does."""
+
+    @staticmethod
+    def ozk(tmp_path, *argv, stdin=None):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + ([path] if path else [])))
+        proc = subprocess.run([sys.executable, "-m", "ozk.cli", *argv],
+                              cwd=tmp_path, env=env, input=stdin,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    NESTED = r"guards and searches nested \d+ deep ran out of stack"
+
+    @pytest.mark.parametrize("command", ["run", "dist-run"])
+    @pytest.mark.parametrize("program, depth", [
+        (DEEP_SEARCH, 200), (DEEP_GUARD, 340)], ids=["search", "guard"])
+    def test_too_deep_is_one_line_and_exit_1(self, tmp_path, command,
+                                             program, depth):
+        (tmp_path / "deep.ozk").write_text(program % depth)
+        code, out, err = self.ozk(tmp_path, command, "deep.ozk")
+        assert code == 1 and re.fullmatch(f"ozk: {self.NESTED}\n", err), err
+        assert out == ""
+
+    def test_a_too_deep_prolog_query_is_one_line_and_exit_1(self, tmp_path):
+        (tmp_path / "count.pl").write_text(COUNT_PL)
+        items = ",".join(["a"] * 200)
+        code, out, err = self.ozk(tmp_path, "run", "count.pl", "--query",
+                                  f"count([{items}], N)")
+        assert code == 1 and re.fullmatch(f"ozk: {self.NESTED}\n", err), err
+
+    def test_the_repl_reports_too_deep_and_goes_on(self, tmp_path):
+        code, out, err = self.ozk(tmp_path, "repl", stdin=(
+            DEEP_SEARCH % 200 + DEEP_GUARD % 340 + "{Browse after}\n"))
+        lines = out.splitlines()
+        assert code == 0 and err == ""
+        assert len(lines) == 3 and lines[2] == "after", out
+        for line in lines[:2]:
+            assert re.fullmatch(rf"\*\* {self.NESTED}", line), out
+
+    @pytest.mark.parametrize("program, depth, want", [
+        (DEEP_SEARCH, 160, "[" * 160 + "done" + "]" * 160),
+        (DEEP_GUARD, 320, "done")], ids=["search", "guard"])
+    def test_a_depth_short_of_the_stack_runs(self, tmp_path, program, depth,
+                                             want):
+        (tmp_path / "deep.ozk").write_text(program % depth)
+        assert self.ozk(tmp_path, "run", "deep.ozk") == (0, want + "\n", "")
+
+    def test_a_prolog_query_short_of_the_stack_runs(self, tmp_path):
+        (tmp_path / "count.pl").write_text(COUNT_PL)
+        items = ",".join(["a"] * 100)
+        assert self.ozk(tmp_path, "run", "count.pl", "--query",
+                        f"count([{items}], N)") == (0, "[100]\n", "")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 3
@@ -653,9 +747,7 @@ class TestDocsPrograms:
                 assert code == 0, err
                 assert sorted(rand_out.splitlines()) == sorted(out.splitlines())
             # Two nodes, as far as the program has threads to place.
-            native = make_builtins()
-            _, _, threads = split_program(program.read_text(),
-                                          tuple(native) + PRELUDE_NAMES)
+            _, _, threads = split_program(program.read_text(), AMBIENT_NAMES)
             placement = ",".join(["a=0", "b=1"][:len(threads)])
             code, dist_out, err = run_cli(capsys, "dist-run", str(program),
                                           "--placement", placement)

@@ -3,20 +3,19 @@
 import random
 import re
 from collections import Counter, deque
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from ozk import dist
-from ozk.builtins import make_builtins
 from ozk.cli import main
 from ozk.compiler import compile_top
 from ozk.dist import (MAX_NODE_ID, Network, Simulation, parse_placement,
                       replica_divergences, run_simulation, split_program)
 from ozk.errors import PlacementError, RuntimeFailure
-from ozk.interp import Session, run_text
+from ozk.interp import AMBIENT_NAMES, Session, run_text
 from ozk.parser import parse_program
-from ozk.prelude import PRELUDE_NAMES
 from ozk.runtime import take_next
 from ozk.terms import Compound, Int, Var, snapshot
 
@@ -94,15 +93,42 @@ local X in
 end
 """
 
+# X is made on thread a's node and Y on thread b's; thread c merges them.
+MERGE_THIRD_NODE = """
+local X Y in
+   thread {Wait X} {Browse x(X)} end
+   thread {Wait Y} {Browse y(Y)} end
+   thread X = Y {Delay 5} X = 7 end
+end
+"""
 
-def placements(text: str) -> list:
-    """Every placement of the program's top-level threads on nodes 0
-    and 1."""
-    _, _, threads = split_program(text, tuple(make_builtins())
-                                  + PRELUDE_NAMES)
-    names = dist.THREAD_NAMES[:len(threads)]
-    return [{name: (i >> k) & 1 for k, name in enumerate(names)}
-            for i in range(2 ** len(names))]
+# X and Y are both made on thread a's node; thread b merges them.
+MERGE_OTHERS = """
+local X Y in
+   thread {Wait Y} {Browse X + Y} end
+   thread X = Y X = 3 end
+end
+"""
+
+# X is made on thread a's node, which binds it as thread c merges it
+# with Y, made on thread b's node.
+MERGE_BOUND = """
+local X Y in
+   thread X = 1 {Browse x(X)} end
+   thread {Wait Y} {Browse y(Y)} end
+   thread X = Y {Wait Y} {Browse c(Y)} end
+end
+"""
+
+MERGES = [MERGE_THIRD_NODE, MERGE_OTHERS, MERGE_BOUND]
+
+
+def placements(text: str, nodes: int = 2) -> list:
+    """Every placement of the program's top-level threads on nodes 0 to
+    ``nodes - 1``."""
+    _, _, threads = split_program(text, AMBIENT_NAMES)
+    return [dict(zip(dist.THREAD_NAMES, ids))
+            for ids in product(range(nodes), repeat=len(threads))]
 
 
 def quiesced(report):
@@ -169,12 +195,14 @@ class TestPlacementParsing:
         assert report.status == "done" and len(report.nodes) == 26
 
     def test_split_finds_threads_and_setup(self):
-        from ozk.builtins import make_builtins
-        from ozk.prelude import PRELUDE_NAMES
-        ambient = tuple(make_builtins()) + PRELUDE_NAMES
-        names, setup, threads = split_program(GEN_MAP, ambient)
+        names, setup, threads = split_program(GEN_MAP, AMBIENT_NAMES)
         assert set(names) == {"Gen", "Square", "Xs", "Ys"}
         assert len(setup) == 2 and len(threads) == 2
+
+    def test_the_ambient_names_are_a_fresh_sessions_globals(self):
+        # a program splits against the names that each node's session
+        # starts with
+        assert Session().names() == AMBIENT_NAMES
 
     def test_split_empty_source(self):
         assert split_program("   \n", ()) == ((), (), ())
@@ -370,8 +398,10 @@ class TestProtocol:
                 assert report.outputs[placement["b"]] == ["yes"]
 
     def test_var_var_unify_third_node(self):
-        # X lives on node 0, Y on node 1, and node 2 merges them: every
-        # node must end up dereferencing Y to X (the lesser variable).
+        # X lives on node 0, Y on node 1, and node 2 merges them: it asks
+        # Y's owner to bind Y to X (the lesser variable), so nodes 1 and 2
+        # dereference Y to X, and node 0, where no thread mentions Y,
+        # never meets it.
         program = """
         local X Y in
            thread X = X end
@@ -384,11 +414,29 @@ class TestProtocol:
         x_vid = report.nodes[0].lookup("X").vid
         y_vid = report.nodes[1].lookup("Y").vid
         assert x_vid[0] == 0 and y_vid[0] == 1
-        for node in report.nodes:
-            replica = node.store.vars.get(y_vid)
-            assert replica is not None, f"node {node.node_id} never met Y"
-            rep = node.store.deref(replica)
+        assert y_vid not in report.nodes[0].store.vars
+        for node in report.nodes[1:]:
+            rep = node.store.deref(node.store.vars[y_vid])
             assert isinstance(rep, Var) and rep.vid == x_vid
+
+    @pytest.mark.parametrize("program", MERGES,
+                             ids=["third-node", "others", "bound"])
+    def test_merges_match_a_single_node(self, program):
+        # Every placement of the threads on nodes 0 to 2, in FIFO order
+        # and shuffled, browses what one node does, with consistent
+        # replicas and only the protocol's kinds of message.
+        want = run_text(program)
+        lines = Counter(want.browses)
+        for placement in placements(program, 3):
+            for net_seed in [None] + list(range(5)):
+                report = run_simulation(program, placement,
+                                        net_seed=net_seed)
+                browsed = Counter(line for out in report.outputs.values()
+                                  for line in out)
+                assert (report.status, browsed) == (want.status, lines), \
+                    (placement, net_seed, report.summary())
+                assert replica_divergences(report.nodes) == []
+                assert set(report.delivered) <= set(dist.MESSAGE_KINDS)
 
     def test_unify_same_var_is_local_noop(self):
         program = """
@@ -542,14 +590,11 @@ class TestProtocol:
         reports = [quiesced(run_simulation(program % pre, {"a": 1, "b": 0}))
                    for pre in ("", "A = A")]
         assert reports[0].outputs == reports[1].outputs == {0: ["7"], 1: []}
-        sent = [{kind: report.sent[kind] for kind in
-                 ("Register", "BindNotify", "BindRequest", "UnifyVarVar")}
+        sent = [{kind: report.sent[kind] for kind in dist.MESSAGE_KINDS}
                 for report in reports]
         assert sent == [
-            {"Register": 2, "BindNotify": 2, "BindRequest": 1,
-             "UnifyVarVar": 0},
-            {"Register": 3, "BindNotify": 3, "BindRequest": 1,
-             "UnifyVarVar": 0}]
+            {"Register": 2, "BindNotify": 2, "BindRequest": 1},
+            {"Register": 3, "BindNotify": 3, "BindRequest": 1}]
         assert reports[0].delivered == reports[0].sent
         assert reports[1].delivered == reports[1].sent
 
@@ -622,7 +667,7 @@ class TestDeterminismAndConfluence:
     def test_trace_line_format(self):
         report, lines = traced(GEN_MAP, {"a": 0, "b": 1})
         pattern = re.compile(
-            r"^\d+ \d+ (Register|BindRequest|BindNotify|UnifyVarVar) "
+            r"^\d+ \d+ (Register|BindRequest|BindNotify) "
             r"v\d+\.\d+$")
         assert lines
         assert len(lines) == report.total_delivered
@@ -657,7 +702,7 @@ class TestDeterminismAndConfluence:
         # never unifies, so it never asks another node for a binding.
         # Only a thread does, and that thread waits for the answer.
         delivering = []
-        deliver, request_bind = Simulation._deliver, Simulation.request_bind
+        deliver, post = Simulation._deliver, Network.post
 
         def guarded_deliver(sim, msg):
             delivering.append(msg.trace_line())
@@ -666,19 +711,21 @@ class TestDeterminismAndConfluence:
             finally:
                 delivering.pop()
 
-        def guarded_request_bind(sim, store, var, value):
-            if delivering:
+        def guarded_post(net, src, dst, kind, var, payload=None):
+            if delivering and kind == "BindRequest":
                 pytest.fail(f"the delivery {delivering[-1]} forwarded a bind")
-            request_bind(sim, store, var, value)
+            post(net, src, dst, kind, var, payload)
 
         monkeypatch.setattr(Simulation, "_deliver", guarded_deliver)
-        monkeypatch.setattr(Simulation, "request_bind", guarded_request_bind)
+        monkeypatch.setattr(Network, "post", guarded_post)
         texts = [p.read_text() for p in sorted(PROGRAMS.glob("*.ozk"))]
-        for text in texts + [CLASH, LAZY_SOLVE_PROBE, SECOND_REQUEST]:
-            for placement in placements(text):
+        runs = [(text, placements(text)) for text in
+                texts + [CLASH, LAZY_SOLVE_PROBE, SECOND_REQUEST]]
+        runs += [(text, placements(text, 3)) for text in MERGES]
+        for text, where in runs:
+            for placement in where:
                 for net_seed in (None, 1):
                     run_simulation(text, placement, net_seed=net_seed)
-
 
     # X is sent while Y and Z are unbound, so node 1's replica of X holds
     # the replicas of Y and Z; all three are shared by nodes 0 and 1

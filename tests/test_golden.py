@@ -29,10 +29,9 @@ from pathlib import Path
 
 import pytest
 
-from ozk.builtins import make_builtins
 from ozk.cli import main
 from ozk.dist import split_program
-from ozk.prelude import PRELUDE_NAMES
+from ozk.interp import AMBIENT_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "docs" / "programs"
@@ -43,9 +42,7 @@ _QUERY = re.compile(r"^%\s+ozk run \S+\.pl --query '([^']*)'", re.M)
 
 
 def _placement(program: Path) -> str:
-    native = make_builtins()
-    _, _, threads = split_program(program.read_text(),
-                                  tuple(native) + PRELUDE_NAMES)
+    _, _, threads = split_program(program.read_text(), AMBIENT_NAMES)
     return ",".join(["a=0", "b=1"][:len(threads)])
 
 

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import prolog_gen
-from ozk.builtins import make_builtins
 from ozk.cli import main
 from ozk.errors import ParseError, QuietGuardViolation, UnsupportedConstruct
-from ozk.interp import Session
+from ozk.interp import AMBIENT_NAMES, Session
 from ozk.parser import parse_program
-from ozk.prelude import PRELUDE_NAMES
 from ozk.prolog import (DETERMINISTIC, GUARDED_CUT, MAX_READ_NESTING,
                         NONDETERMINISTIC, PA, PI, PS, PV, classify,
                         parse_prolog, parse_query, translate_query_source,
@@ -581,7 +579,7 @@ class TestBagofSetof:
                                            "translate")
         assert (code, err) == (0, "")
         assert "proc {CopyTerm2 " in out and "{CopyTerm2 " in out
-        assert parse_program(out, tuple(make_builtins()) + PRELUDE_NAMES)
+        assert parse_program(out, AMBIENT_NAMES)
         assert first_solution(program, "p(L)") == "[[1]]"
         assert translated_all_text(program, "p(L)") == oracle_all_text(
             program, "p(L)")
@@ -847,8 +845,7 @@ class TestDeepInput:
         if command == "run":
             assert out == oracle_all_text(program, query, first=True) + "\n"
         else:
-            ambient = tuple(make_builtins()) + PRELUDE_NAMES
-            assert parse_program(out, ambient)
+            assert parse_program(out, AMBIENT_NAMES)
 
     @pytest.mark.parametrize("command", ["run", "translate"])
     def test_deep_term_is_a_syntax_error(self, capsys, tmp_path, command):
@@ -910,7 +907,7 @@ class TestDeepInput:
         code, out, err = self.cli(capsys, tmp_path,
                                   program.format(nested(depth)), "translate")
         assert (code, err) == (0, "")
-        assert parse_program(out, tuple(make_builtins()) + PRELUDE_NAMES)
+        assert parse_program(out, AMBIENT_NAMES)
         text = program.format(nested(depth + 1))
         line = 1 + text[:text.index("f(")].count("\n")
         code, out, err = self.cli(capsys, tmp_path, text, "translate")

@@ -11,8 +11,8 @@ from oracles import (APPEND_123_SPLITS, QUEENS8_COUNT, QUEENS8_FIRST,
 from ozk import prolog
 from ozk.compiler import SKIP, Alt, Build, Code, Fresh, Unify
 from ozk.cli import main
-from ozk.errors import (ChoiceOutsideSearchError, EscapeError, OzkError,
-                        SearchStuckError, ThreadInSearchError)
+from ozk.errors import (ChoiceOutsideSearchError, EscapeError, NestingError,
+                        OzkError, SearchStuckError, ThreadInSearchError)
 from ozk.interp import Session, run_text
 from ozk.runtime import Runtime, unify_compound
 from ozk.search import Engine
@@ -1042,6 +1042,43 @@ def test_bagof_groups_pairs_by_a_variant_witness_in_first_order():
                  "wt(w(_) e)] G} {Browse G}")
     assert r.status == "done"
     assert r.browses == ["[wt(w(1) [a d]) wt(w(_G1) [b e]) wt(w(2) [c])]"]
+
+
+@pytest.mark.parametrize("nest, answer", [
+    ("{SolveOne proc {$ Y} {Deep N-1 Y} end R}", "[[[done]]]"),
+    ("if Y in {Deep N-1 Y} then R = Y else R = no end", "done")],
+    ids=["search", "guard"])
+def test_a_nesting_too_deep_leaves_the_session_as_it_was(nest, answer):
+    # the error leaves every space it cut short, so later chunks run
+    session = Session()
+    with pytest.raises(NestingError, match="nested"):
+        session.feed("proc {Deep N R} if N == 0 then R = done "
+                     f"else {nest} end end {{Deep 1000 _}}")
+    assert session.store.trails == [] and session.store.owns is None
+    assert session.feed("{Browse {Deep 3}}").browses == [answer]
+
+
+def test_bagof_tells_apart_two_procedures_that_render_alike():
+    # ISO 8.10 makes a group of each witness that is no variant of
+    # another, and two closures of one definition are not equal
+    r = run_text("fun {Mk} P in proc {P X} X = 1 end P end A = {Mk} B = {Mk}"
+                 " {Browse A == B}"
+                 " {Browse {Bagof [wt(w(A) 1) wt(w(B) 2) wt(w(A) 3)]}}"
+                 " {Browse {Setof [wt(w(B) 2) wt(w(A) 1) wt(w(B) 0)]}}")
+    assert r.status == "done"
+    assert r.browses == ["false", "[wt(w(<P/1 P>) [1 3]) wt(w(<P/1 P>) [2])]",
+                         "[wt(w(<P/1 P>) [0 2]) wt(w(<P/1 P>) [1])]"]
+
+
+def test_bagof_groups_cyclic_and_shared_witnesses_by_their_structure():
+    # a cycle is told by the compound it returns to, and a shared
+    # subterm is no different from two equal ones
+    r = run_text("X Y Z S in X = f(X) Y = f(Y) Z = f(f(Z)) S = g(a)"
+                 " {Browse {Bagof [wt(w(X) 1) wt(w(Y) 2) wt(w(Z) 3)"
+                 " wt(w(S S) 4) wt(w(g(a) g(a)) 5)]}}")
+    assert r.status == "done"
+    assert r.browses == ["[wt(w(f(@1)) [1 2]) wt(w(f(f(@2))) [3]) "
+                         "wt(w(g(a) g(a)) [4 5])]"]
 
 
 def test_setof_sorts_each_group_in_prologs_order_and_drops_equals():
